@@ -177,7 +177,10 @@ def _model_windows(series, schema: FeatureSchema, scaler: MinMaxScaler,
 def _load_model(path_str: str):
     path = Path(path_str)
     params, meta = load_checkpoint(path)
-    schema = FeatureSchema.from_dict(meta["schema"])
+    try:
+        schema = FeatureSchema.from_dict(meta["schema"])
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"checkpoint {path} has no valid 'schema' entry ({exc!r})")
     scaler = _resolve_scaler(path, meta)
     pipeline = _deep_merge(PIPELINE_DEFAULTS, meta.get("pipeline", {}))
     return params, meta, schema, scaler, pipeline

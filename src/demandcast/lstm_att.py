@@ -6,43 +6,59 @@ Per step t (input x_t, previous hidden h, previous cell C):
 
     f_t = sigmoid(W_f x_t + U_f h + b_f)
     i_t = sigmoid(W_i x_t + U_i h + b_i)
+    o_t = sigmoid(W_o x_t + U_o h + b_o)
     Chat_t = tanh(W_C x_t + U_C h + b_C)
     C_t = f_t * C + i_t * Chat_t
-    o_t = sigmoid(W_o x_t + U_o h + b_o)
     h_t = o_t * tanh(C_t)
 
-Attention scores e_t = tanh(W_a h_t + b_a) (one scalar per step) are
-softmax-normalized into weights a_t; the context vector sum(a_t h_t)
-feeds the output head relu(W_out c + b_out).
+The four gates are stacked in the order (f, i, o, C): ``W`` is (4H, n),
+``U`` is (4H, H) and ``b`` is (4H,), so the three sigmoid gates form one
+contiguous block. The forward pass writes the input projection of the
+whole batch, one GEMM, into a (p, B, 4H) gate buffer; each step adds one
+(B, H) @ (H, 4H) recurrent GEMM to its slice and squashes it in place, so
+the gate activations the trace keeps are views of that buffer. BPTT fills
+the matching (p, B, 4H) gate-gradient buffer with one GEMM per step and
+ends with one GEMM each for dW, dU and the input gradient.
 
-Both a reference single-window path and a batched path are provided; the
-batched path carries the complete backward pass (BPTT) used in training.
+Attention scores e_t = tanh(W_a h_t + b_a) (one scalar per step) are
+softmax-normalized over time into weights a_t. The head reads either the
+context vector sum(a_t h_t) or the flattened weighted states a_t h_t, and
+emits relu(W_out . + b_out); without attention it reads the last h_t.
+
+A checkpoint (``demandcast/checkpoint-v2``) is one JSON document: the
+model config, free-form metadata, and every parameter as its shape plus
+its row-major little-endian float64 bytes in base64.
 """
 
 from __future__ import annotations
 
+import base64
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError, TapeError
+from .errors import ConfigError, ShapeError, TapeError
 from .nn_core import (
     ParamTensor,
     as_f64,
+    assert_finite,
     glorot_uniform,
-    matmul,
     recurrent_uniform,
     relu,
     sigmoid,
     softmax,
-    tanh,
 )
 
-CHECKPOINT_FORMAT = "demandcast/checkpoint-v1"
-GATES = ("f", "i", "C", "o")
+CHECKPOINT_FORMAT = "demandcast/checkpoint-v2"
+# Row-block order of the stacked W, U and b: the sigmoid gates first.
+GATES = ("f", "i", "o", "C")
+# Order of the seeded per-gate draws, kept from the per-gate layout so that
+# a seed still gives the same weights.
+INIT_ORDER = ("f", "i", "C", "o")
 HEAD_INPUTS = ("context", "weighted_flatten")
+PARAM_DTYPE = np.dtype("<f8")
 
 
 @dataclass(frozen=True)
@@ -80,7 +96,10 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelConfig":
-        return cls(**doc)
+        try:
+            return cls(**doc)
+        except TypeError as exc:
+            raise ConfigError(f"invalid model config: {exc}")
 
 
 class ModelParams:
@@ -90,24 +109,26 @@ class ModelParams:
         self.config = config
         H, n, m = config.hidden, config.n_features, config.horizon
 
-        def draw(kind, rows, cols):
+        def draw(init, rows, cols):
             if rng is None:
                 return np.zeros((rows, cols))
-            if kind == "glorot":
-                return glorot_uniform(rng, rows, cols)
-            return recurrent_uniform(rng, rows, cols)
+            return init(rng, rows, cols)
 
-        self.W = {g: ParamTensor(f"W_{g}", draw("glorot", H, n)) for g in GATES}
-        self.U = {g: ParamTensor(f"U_{g}", draw("recurrent", H, H)) for g in GATES}
-        self.b = {g: ParamTensor(f"b_{g}", np.zeros(H)) for g in GATES}
-        self.b["f"].value[:] = 1.0  # forget bias aids early-epoch memory
+        def stacked(init, cols):
+            blocks = {g: draw(init, H, cols) for g in INIT_ORDER}
+            return np.concatenate([blocks[g] for g in GATES])
+
+        self.W = ParamTensor("W", stacked(glorot_uniform, n))
+        self.U = ParamTensor("U", stacked(recurrent_uniform, H))
+        self.b = ParamTensor("b", np.zeros(4 * H))
+        self.b.value[:H] = 1.0  # forget bias aids early-epoch memory
         if config.attention:
-            self.W_a = ParamTensor("W_a", draw("glorot", 1, H))
+            self.W_a = ParamTensor("W_a", draw(glorot_uniform, 1, H))
             self.b_a = ParamTensor("b_a", np.zeros(1))
         else:
             self.W_a = None
             self.b_a = None
-        self.W_out = ParamTensor("W_out", draw("glorot", m, config.head_dim))
+        self.W_out = ParamTensor("W_out", draw(glorot_uniform, m, config.head_dim))
         self.b_out = ParamTensor("b_out", np.zeros(m))
 
     @classmethod
@@ -115,9 +136,7 @@ class ModelParams:
         return cls(config, np.random.default_rng(seed))
 
     def tensors(self) -> list[ParamTensor]:
-        out = [self.W[g] for g in GATES]
-        out += [self.U[g] for g in GATES]
-        out += [self.b[g] for g in GATES]
+        out = [self.W, self.U, self.b]
         if self.W_a is not None:
             out += [self.W_a, self.b_a]
         out += [self.W_out, self.b_out]
@@ -129,57 +148,16 @@ class ModelParams:
 
 
 # ---------------------------------------------------------------------------
-# reference single-window operations
-# ---------------------------------------------------------------------------
-
-def lstm_step(x_t, h_prev, c_prev, params: ModelParams):
-    """One LSTM cell update on vectors; returns (h_t, C_t, gate cache)."""
-    x_t = as_f64(x_t)
-    h_prev = as_f64(h_prev)
-    c_prev = as_f64(c_prev)
-    H = params.config.hidden
-    if h_prev.shape != (H,) or c_prev.shape != (H,):
-        raise ShapeError(f"state shapes {h_prev.shape}/{c_prev.shape} != ({H},)")
-    f = sigmoid(matmul(params.W["f"].value, x_t) + matmul(params.U["f"].value, h_prev)
-                + params.b["f"].value)
-    i = sigmoid(matmul(params.W["i"].value, x_t) + matmul(params.U["i"].value, h_prev)
-                + params.b["i"].value)
-    chat = tanh(matmul(params.W["C"].value, x_t) + matmul(params.U["C"].value, h_prev)
-                + params.b["C"].value)
-    c = f * c_prev + i * chat
-    o = sigmoid(matmul(params.W["o"].value, x_t) + matmul(params.U["o"].value, h_prev)
-                + params.b["o"].value)
-    h = o * np.tanh(c)
-    cache = {"x": x_t, "h_prev": h_prev, "c_prev": c_prev,
-             "f": f, "i": i, "chat": chat, "c": c, "o": o, "h": h}
-    return h, c, cache
-
-
-def attention(hidden_states, params: ModelParams):
-    """Additive attention over a (p, hidden) state sequence.
-
-    Returns the softmax weights (p,) and the context vector (hidden,).
-    """
-    hs = as_f64(hidden_states)
-    if params.W_a is None:
-        raise ConfigError("model was built without an attention layer")
-    scores = hs @ params.W_a.value[0] + params.b_a.value[0]
-    e = np.tanh(scores)
-    weights = softmax(e)
-    context = weights @ hs
-    return weights, context
-
-
-# ---------------------------------------------------------------------------
 # batched forward / backward
 # ---------------------------------------------------------------------------
 
 class ForwardTrace:
     """Everything the backward pass and the attention export need from one
-    forward call. Arrays are batched: gates/states are (p, B, hidden),
-    scores/weights (p, B). Single use."""
+    forward call. Arrays are batched: ``gates`` is (p, B, 4H) and ``f``,
+    ``i``, ``o``, ``chat`` are (p, B, H) views of it; cell/hidden states
+    are (p, B, H), scores/weights (p, B). Single use."""
 
-    __slots__ = ("windows", "f", "i", "chat", "o", "cell", "hidden",
+    __slots__ = ("windows", "gates", "f", "i", "o", "chat", "cell", "hidden",
                  "scores", "weights", "context", "head_in", "pre_head",
                  "output", "consumed")
 
@@ -200,33 +178,38 @@ def forward_batch(windows, params: ModelParams, check_finite: bool = True):
         raise ShapeError(f"window feature width {n} != model n_features {cfg.n_features}")
     if cfg.attention and cfg.head_input == "weighted_flatten" and p != cfg.lookback:
         raise ShapeError(f"weighted_flatten head requires p == {cfg.lookback}")
-    if check_finite and not np.all(np.isfinite(windows)):
-        raise NumericError("non-finite values detected at stage 'input'")
+    if check_finite:
+        assert_finite("input", windows)
 
     H = cfg.hidden
     xs = np.ascontiguousarray(windows.transpose(1, 0, 2))  # (p, B, n)
-    flat = xs.reshape(p * B, n)
-    xw = {g: (flat @ params.W[g].value.T).reshape(p, B, H) for g in GATES}
-
-    f = np.empty((p, B, H))
-    i = np.empty((p, B, H))
-    chat = np.empty((p, B, H))
-    o = np.empty((p, B, H))
+    gates = np.empty((p, B, 4 * H))
+    np.matmul(xs.reshape(p * B, n), params.W.value.T, out=gates.reshape(p * B, 4 * H))
+    gates += params.b.value
     cell = np.empty((p, B, H))
     hidden = np.empty((p, B, H))
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
+    U_T = params.U.value.T
+    recurrent = np.empty((B, 4 * H))
+    carry = np.empty((B, H))
     for t in range(p):
-        f[t] = sigmoid(xw["f"][t] + h @ params.U["f"].value.T + params.b["f"].value)
-        i[t] = sigmoid(xw["i"][t] + h @ params.U["i"].value.T + params.b["i"].value)
-        chat[t] = np.tanh(xw["C"][t] + h @ params.U["C"].value.T + params.b["C"].value)
-        c = f[t] * c + i[t] * chat[t]
-        o[t] = sigmoid(xw["o"][t] + h @ params.U["o"].value.T + params.b["o"].value)
-        h = o[t] * np.tanh(c)
-        cell[t] = c
-        hidden[t] = h
-    if check_finite and not np.all(np.isfinite(hidden[-1])):
-        raise NumericError("non-finite values detected at stage 'lstm'")
+        g = gates[t]
+        if t:
+            np.matmul(hidden[t - 1], U_T, out=recurrent)
+            g += recurrent
+        sig = g[:, :3 * H]
+        sigmoid(sig, out=sig)
+        chat = g[:, 3 * H:]
+        np.tanh(chat, out=chat)
+        c = cell[t]
+        np.multiply(g[:, H:2 * H], chat, out=c)
+        if t:
+            np.multiply(g[:, :H], cell[t - 1], out=carry)
+            c += carry
+        h = hidden[t]
+        np.tanh(c, out=h)
+        h *= g[:, 2 * H:3 * H]
+    if check_finite:
+        assert_finite("lstm", hidden[-1])
 
     scores = weights = context = None
     if cfg.attention:
@@ -237,19 +220,23 @@ def forward_batch(windows, params: ModelParams, check_finite: bool = True):
             context = np.einsum("tb,tbh->bh", weights, hidden)
             head_in = context
         else:
-            weighted = weights[:, :, None] * hidden  # (p, B, H)
-            head_in = np.ascontiguousarray(weighted.transpose(1, 0, 2)).reshape(B, p * H)
-        if check_finite and not np.all(np.isfinite(weights)):
-            raise NumericError("non-finite values detected at stage 'attention'")
+            # a_t h_t for every step, written straight into the (B, p*H) layout
+            weighted = np.empty((B, p, H))
+            np.multiply(weights.T[:, :, None], hidden.transpose(1, 0, 2), out=weighted)
+            head_in = weighted.reshape(B, p * H)
+        if check_finite:
+            assert_finite("attention", weights)
     else:
         head_in = hidden[-1]
 
     pre_head = head_in @ params.W_out.value.T + params.b_out.value
     output = relu(pre_head)
-    if check_finite and not np.all(np.isfinite(output)):
-        raise NumericError("non-finite values detected at stage 'head'")
+    if check_finite:
+        assert_finite("head", output)
 
-    trace = ForwardTrace(windows=windows, f=f, i=i, chat=chat, o=o,
+    trace = ForwardTrace(windows=windows, gates=gates,
+                         f=gates[:, :, :H], i=gates[:, :, H:2 * H],
+                         o=gates[:, :, 2 * H:3 * H], chat=gates[:, :, 3 * H:],
                          cell=cell, hidden=hidden, scores=scores,
                          weights=weights, context=context, head_in=head_in,
                          pre_head=pre_head, output=output)
@@ -291,16 +278,15 @@ def backward(trace: ForwardTrace, d_output, params: ModelParams) -> np.ndarray:
     params.b_out.grad += dz.sum(axis=0)
     d_head_in = dz @ params.W_out.value
 
-    dH = np.zeros((p, B, H))
     if cfg.attention:
         if cfg.head_input == "context":
             d_ctx = d_head_in  # (B, H)
             d_w = np.einsum("bh,tbh->tb", d_ctx, trace.hidden)
-            dH += trace.weights[:, :, None] * d_ctx[None, :, :]
+            dH = trace.weights[:, :, None] * d_ctx[None, :, :]
         else:
             d_weighted = d_head_in.reshape(B, p, H).transpose(1, 0, 2)
             d_w = np.einsum("tbh,tbh->tb", d_weighted, trace.hidden)
-            dH += trace.weights[:, :, None] * d_weighted
+            dH = trace.weights[:, :, None] * d_weighted
         # softmax over the time axis, then the tanh score squash
         inner = np.sum(trace.weights * d_w, axis=0, keepdims=True)
         d_e = trace.weights * (d_w - inner)
@@ -309,36 +295,54 @@ def backward(trace: ForwardTrace, d_output, params: ModelParams) -> np.ndarray:
         params.b_a.grad[0] += d_raw.sum()
         dH += d_raw[:, :, None] * params.W_a.value[0][None, None, :]
     else:
-        dH[-1] += d_head_in
+        dH = np.zeros((p, B, H))
+        dH[-1] = d_head_in
 
-    # backpropagation through time
-    d_gate = {g: np.empty((p, B, H)) for g in GATES}
+    # Backpropagation through time, one (B, 4H) row of dG per step:
+    # dG_t = local gate derivatives * per-gate multipliers, each row built
+    # with whole-row operations where the stacked layout allows.
+    #   local:      s (1 - s) for f, i, o;  1 - Chat^2 for C
+    #   multiplier: dC C_{t-1}, dC Chat, dh tanh(C_t), dC i
+    f, i, o, chat, cell = trace.f, trace.i, trace.o, trace.chat, trace.cell
+    U = params.U.value
+    dG = np.empty((p, B, 4 * H))
+    mult = np.empty((B, 4 * H))
+    m_f, m_i, m_o, m_c = (mult[:, k * H:(k + 1) * H] for k in range(4))
+    square = np.empty((B, 4 * H))
     dh_next = np.zeros((B, H))
-    dc_next = np.zeros((B, H))
+    dc = np.zeros((B, H))  # dLoss/dC_t, carried back through f
+    work = np.empty((B, H))
     for t in range(p - 1, -1, -1):
-        dh = dH[t] + dh_next
-        tanh_c = np.tanh(trace.cell[t])
-        do = dh * tanh_c
-        dc = dc_next + dh * trace.o[t] * (1.0 - tanh_c ** 2)
-        c_prev = trace.cell[t - 1] if t > 0 else np.zeros((B, H))
-        d_gate["f"][t] = dc * c_prev * trace.f[t] * (1.0 - trace.f[t])
-        d_gate["i"][t] = dc * trace.chat[t] * trace.i[t] * (1.0 - trace.i[t])
-        d_gate["C"][t] = dc * trace.i[t] * (1.0 - trace.chat[t] ** 2)
-        d_gate["o"][t] = do * trace.o[t] * (1.0 - trace.o[t])
-        dc_next = dc * trace.f[t]
-        dh_next = sum(d_gate[g][t] @ params.U[g].value for g in GATES)
+        dh = dH[t]
+        dh += dh_next
+        np.tanh(cell[t], out=work)
+        np.multiply(dh, work, out=m_o)
+        work *= m_o
+        np.subtract(dh, work, out=work)  # dh (1 - tanh(C_t)^2)
+        work *= o[t]
+        dc += work
+        if t:
+            np.multiply(dc, cell[t - 1], out=m_f)
+        else:
+            m_f[...] = 0.0  # C_{-1} = 0
+        np.multiply(dc, chat[t], out=m_i)
+        np.multiply(dc, i[t], out=m_c)
+        s = trace.gates[t]
+        g = dG[t]
+        np.multiply(s, s, out=square)
+        np.subtract(s, square, out=g)
+        np.subtract(1.0, square[:, 3 * H:], out=g[:, 3 * H:])
+        g *= mult
+        dc *= f[t]
+        np.matmul(g, U, out=dh_next)
 
-    xs = np.ascontiguousarray(trace.windows.transpose(1, 0, 2))  # (p, B, n)
-    h_prev = np.concatenate([np.zeros((1, B, H)), trace.hidden[:-1]], axis=0)
-    flat_x = xs.reshape(p * B, -1)
-    flat_h = h_prev.reshape(p * B, H)
-    d_inputs = np.zeros((p * B, cfg.n_features))
-    for g in GATES:
-        flat_g = d_gate[g].reshape(p * B, H)
-        params.W[g].grad += flat_g.T @ flat_x
-        params.U[g].grad += flat_g.T @ flat_h
-        params.b[g].grad += flat_g.sum(axis=0)
-        d_inputs += flat_g @ params.W[g].value
+    flat_g = dG.reshape(p * B, 4 * H)
+    flat_x = np.ascontiguousarray(trace.windows.transpose(1, 0, 2)).reshape(p * B, -1)
+    params.W.grad += (flat_x.T @ flat_g).T
+    # h_{-1} = 0, so step 0 adds nothing to dU
+    params.U.grad += flat_g[B:].T @ trace.hidden[:-1].reshape((p - 1) * B, H)
+    params.b.grad += flat_g.sum(axis=0)
+    d_inputs = flat_g @ params.W.value
     return d_inputs.reshape(p, B, -1).transpose(1, 0, 2)
 
 
@@ -347,13 +351,19 @@ def backward(trace: ForwardTrace, d_output, params: ModelParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path, params: ModelParams, extra: dict | None = None) -> None:
-    """Write a versioned JSON checkpoint: model config, metadata, and all
-    parameter arrays as named row-major float lists."""
+    """Write a versioned checkpoint: model config, metadata, and every
+    parameter's shape and base64 little-endian float64 bytes, in one JSON
+    document."""
     doc = {
         "format": CHECKPOINT_FORMAT,
         "model": params.config.to_dict(),
         "params": {
-            t.name: {"shape": list(t.value.shape), "data": t.value.ravel().tolist()}
+            t.name: {
+                "shape": list(t.value.shape),
+                "data": base64.b64encode(
+                    np.ascontiguousarray(t.value, dtype=PARAM_DTYPE).tobytes()
+                ).decode("ascii"),
+            }
             for t in params.tensors()
         },
     }
@@ -362,22 +372,42 @@ def save_checkpoint(path, params: ModelParams, extra: dict | None = None) -> Non
     Path(path).write_text(json.dumps(doc), encoding="utf-8")
 
 
+def _decode_param(name: str, entry, shape: tuple) -> np.ndarray:
+    try:
+        raw = base64.b64decode(entry["data"], validate=True)
+        stored = tuple(entry["shape"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"checkpoint parameter '{name}' is malformed: {exc}")
+    if stored != shape:
+        raise ShapeError(
+            f"checkpoint parameter '{name}' has shape {stored}, expected {shape}"
+        )
+    want = PARAM_DTYPE.itemsize * int(np.prod(shape))
+    if len(raw) != want:
+        raise ConfigError(
+            f"checkpoint parameter '{name}' holds {len(raw)} bytes, "
+            f"shape {shape} needs {want}"
+        )
+    return np.frombuffer(raw, dtype=PARAM_DTYPE).reshape(shape)
+
+
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ConfigError(f"unrecognized checkpoint format: {doc.get('format')!r}")
+    try:
+        doc = json.loads(Path(path).read_bytes())
+    except ValueError as exc:
+        raise ConfigError(f"checkpoint {path} is not valid JSON: {exc}")
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != CHECKPOINT_FORMAT:
+        raise ConfigError(f"unrecognized checkpoint format: {fmt!r}")
+    for key in ("model", "params"):
+        if not isinstance(doc.get(key), dict):
+            raise ConfigError(f"checkpoint has no '{key}' object")
     config = ModelConfig.from_dict(doc["model"])
     params = ModelParams(config)
     for t in params.tensors():
         entry = doc["params"].get(t.name)
         if entry is None:
             raise ConfigError(f"checkpoint is missing parameter '{t.name}'")
-        arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        if arr.shape != t.value.shape:
-            raise ShapeError(
-                f"checkpoint parameter '{t.name}' has shape {arr.shape}, "
-                f"expected {t.value.shape}"
-            )
-        t.value[...] = arr
+        t.value[...] = _decode_param(t.name, entry, t.value.shape)
     meta = {k: v for k, v in doc.items() if k not in ("format", "model", "params")}
     return params, meta

@@ -1,9 +1,7 @@
-"""Dense linear-algebra and differentiable-layer substrate.
+"""Numeric building blocks of the model: float64 coercion, activations,
+trainable tensors with in-place gradients, and the seeded initializers.
 
-All tensors are float64 numpy arrays in row-major order. Layers follow a
-forward/backward contract: ``forward`` returns the output plus a single-use
-tape of cached activations, ``backward`` consumes the tape, accumulates
-parameter gradients in place and returns the gradient w.r.t. the input.
+All tensors are float64 numpy arrays in row-major order.
 """
 
 from __future__ import annotations
@@ -12,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, ShapeError, TapeError
+from .errors import NumericError, ShapeError
 
 Array = np.ndarray
 
@@ -27,53 +25,18 @@ def assert_finite(name: str, arr: Array) -> None:
 
 
 # ---------------------------------------------------------------------------
-# elementary ops
-# ---------------------------------------------------------------------------
-
-def matmul(a: Array, b: Array) -> Array:
-    """Matrix/vector product with an explicit inner-dimension check."""
-    a = as_f64(a)
-    b = as_f64(b)
-    inner_a = a.shape[-1]
-    inner_b = b.shape[0] if b.ndim >= 1 else None
-    if inner_a != inner_b:
-        raise ShapeError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def add_bias(x: Array, b: Array) -> Array:
-    x = as_f64(x)
-    b = as_f64(b)
-    if x.shape[-1] != b.shape[-1]:
-        raise ShapeError(f"bias length {b.shape} does not match {x.shape}")
-    return x + b
-
-
-def elementwise_mul(a: Array, b: Array) -> Array:
-    a = as_f64(a)
-    b = as_f64(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"elementwise shapes differ: {a.shape} vs {b.shape}")
-    return a * b
-
-
-# ---------------------------------------------------------------------------
 # activations
 # ---------------------------------------------------------------------------
 
-def sigmoid(x: Array) -> Array:
-    x = as_f64(x)
-    # split form avoids overflow in exp for large |x|
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+def sigmoid(x: Array, out: Array | None = None) -> Array:
+    """Logistic function as 0.5 * (tanh(x / 2) + 1), which cannot overflow
+    for large |x|. ``out`` may be ``x`` itself, to squash a buffer in place.
+    """
+    out = np.multiply(as_f64(x), 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
-
-
-def tanh(x: Array) -> Array:
-    return np.tanh(as_f64(x))
 
 
 def relu(x: Array) -> Array:
@@ -86,20 +49,6 @@ def softmax(scores: Array, axis: int = -1) -> Array:
     shifted = scores - np.max(scores, axis=axis, keepdims=True)
     ex = np.exp(shifted)
     return ex / np.sum(ex, axis=axis, keepdims=True)
-
-
-# derivatives expressed in terms of the activation *output*
-
-def sigmoid_grad(y: Array) -> Array:
-    return y * (1.0 - y)
-
-
-def tanh_grad(y: Array) -> Array:
-    return 1.0 - y * y
-
-
-def relu_grad(y: Array) -> Array:
-    return (y > 0).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -137,84 +86,3 @@ def recurrent_uniform(rng: np.random.Generator, rows: int, cols: int) -> Array:
     # plain uniform scaled by fan-in; no orthogonalization
     limit = 1.0 / np.sqrt(cols)
     return rng.uniform(-limit, limit, size=(rows, cols))
-
-
-# ---------------------------------------------------------------------------
-# dense layer with tape-based backward
-# ---------------------------------------------------------------------------
-
-_ACTIVATIONS = {
-    "identity": (lambda z: z, lambda y: np.ones_like(y)),
-    "relu": (relu, relu_grad),
-    "tanh": (tanh, tanh_grad),
-    "sigmoid": (sigmoid, sigmoid_grad),
-}
-
-
-class DenseTape:
-    """Cached activations for one Dense forward call; single use."""
-
-    __slots__ = ("x", "y", "consumed")
-
-    def __init__(self, x: Array, y: Array):
-        self.x = x
-        self.y = y
-        self.consumed = False
-
-
-class Dense:
-    """y = act(W x + b) with W of shape (out, in)."""
-
-    def __init__(self, W: ParamTensor, b: ParamTensor, activation: str = "identity"):
-        if activation not in _ACTIVATIONS:
-            raise ShapeError(f"unknown activation '{activation}'")
-        if W.value.ndim != 2 or b.value.ndim != 1:
-            raise ShapeError("Dense expects W (out, in) and b (out,)")
-        if W.value.shape[0] != b.value.shape[0]:
-            raise ShapeError(
-                f"W rows {W.value.shape} do not match bias {b.value.shape}"
-            )
-        self.W = W
-        self.b = b
-        self.activation = activation
-
-    @classmethod
-    def init(cls, rng: np.random.Generator, n_in: int, n_out: int,
-             activation: str = "identity", name: str = "dense") -> "Dense":
-        W = ParamTensor(f"{name}.W", glorot_uniform(rng, n_out, n_in))
-        b = ParamTensor(f"{name}.b", np.zeros(n_out))
-        return cls(W, b, activation)
-
-    def forward(self, x: Array) -> tuple[Array, DenseTape]:
-        x = as_f64(x)
-        if x.shape[-1] != self.W.value.shape[1]:
-            raise ShapeError(
-                f"input {x.shape} does not match W {self.W.value.shape}"
-            )
-        z = x @ self.W.value.T + self.b.value
-        act, _ = _ACTIVATIONS[self.activation]
-        y = act(z)
-        return y, DenseTape(x, y)
-
-    def backward(self, tape: DenseTape, upstream: Array) -> Array:
-        """Accumulate dW, db from ``upstream`` = dloss/dy; return dloss/dx."""
-        if tape.consumed:
-            raise TapeError("Dense tape already consumed")
-        tape.consumed = True
-        upstream = as_f64(upstream)
-        if upstream.shape != tape.y.shape:
-            raise ShapeError(
-                f"upstream {upstream.shape} does not match output {tape.y.shape}"
-            )
-        _, dact = _ACTIVATIONS[self.activation]
-        dz = upstream * dact(tape.y)
-        if dz.ndim == 1:
-            self.W.grad += np.outer(dz, tape.x)
-            self.b.grad += dz
-        else:
-            self.W.grad += dz.T @ tape.x
-            self.b.grad += dz.sum(axis=0)
-        return dz @ self.W.value
-
-    def tensors(self) -> list[ParamTensor]:
-        return [self.W, self.b]

@@ -77,6 +77,37 @@ def scalar_lstm_step(x, h_prev, c_prev, W, U, b):
     return h_out, c_out
 
 
+def lstm_step(x, h_prev, c_prev, W, U, b):
+    """One LSTM cell update on vectors, in numpy.
+
+    W/U/b are dicts keyed by gate ("f", "i", "C", "o") holding (H, n),
+    (H, H) and (H,) arrays. Returns (h_t, C_t, {gate: activation}).
+    """
+    def affine(gate):
+        return W[gate] @ x + U[gate] @ h_prev + b[gate]
+
+    def logistic(z):
+        return 1.0 / (1.0 + np.exp(-z))
+
+    f = logistic(affine("f"))
+    i = logistic(affine("i"))
+    chat = np.tanh(affine("C"))
+    o = logistic(affine("o"))
+    c = f * c_prev + i * chat
+    h = o * np.tanh(c)
+    return h, c, {"f": f, "i": i, "C": chat, "o": o}
+
+
+def attention(hidden_states, w_a, b_a):
+    """Additive attention over a (p, H) state sequence: softmax over time
+    of tanh(h_t . w_a + b_a). Returns the weights (p,) and the context
+    vector (H,)."""
+    scores = np.tanh(hidden_states @ w_a + b_a)
+    exps = np.exp(scores - scores.max())
+    weights = exps / exps.sum()
+    return weights, weights @ hidden_states
+
+
 def central_difference(f, arr, eps=1e-5):
     """Numeric gradient of scalar f w.r.t. every element of arr, in place."""
     grad = np.zeros_like(arr)

@@ -1,64 +1,17 @@
 import numpy as np
 import pytest
 
-from demandcast.errors import NumericError, ShapeError, TapeError
+from demandcast.errors import NumericError, ShapeError
 from demandcast.nn_core import (
-    Dense,
     ParamTensor,
-    add_bias,
     assert_finite,
-    elementwise_mul,
     glorot_uniform,
-    matmul,
+    recurrent_uniform,
     relu,
     sigmoid,
     softmax,
-    tanh,
 )
-from helpers import central_difference, direct_softmax, relative_error
-
-
-# ---------------------------------------------------------------------------
-# elementary ops
-# ---------------------------------------------------------------------------
-
-def test_matmul_identity():
-    rng = np.random.default_rng(0)
-    A = rng.normal(size=(4, 4))
-    assert np.allclose(matmul(np.eye(4), A), A)
-
-
-def test_matmul_hand_computed():
-    A = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    B = np.array([[7.0, 8.0], [9.0, 10.0], [11.0, 12.0]])
-    expected = np.array([[58.0, 64.0], [139.0, 154.0]])
-    assert np.array_equal(matmul(A, B), expected)
-
-
-def test_matmul_mismatch_names_both_shapes():
-    with pytest.raises(ShapeError) as err:
-        matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-    assert "(2, 3)" in str(err.value)
-
-
-def test_matmul_associativity():
-    rng = np.random.default_rng(1)
-    for _ in range(5):
-        A = rng.normal(size=(3, 4))
-        B = rng.normal(size=(4, 5))
-        C = rng.normal(size=(5, 2))
-        left = matmul(matmul(A, B), C)
-        right = matmul(A, matmul(B, C))
-        assert np.max(np.abs(left - right)) < 1e-9
-
-
-def test_add_bias_and_elementwise_mul_shape_checks():
-    with pytest.raises(ShapeError):
-        add_bias(np.zeros((2, 3)), np.zeros(2))
-    with pytest.raises(ShapeError):
-        elementwise_mul(np.zeros((2, 3)), np.zeros((3, 2)))
-    assert np.array_equal(elementwise_mul(np.full((2, 2), 3.0), np.full((2, 2), 2.0)),
-                          np.full((2, 2), 6.0))
+from helpers import direct_softmax, scalar_sigmoid
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +20,6 @@ def test_add_bias_and_elementwise_mul_shape_checks():
 
 def test_activation_fixed_points():
     assert sigmoid(np.array([0.0]))[0] == 0.5
-    assert tanh(np.array([0.0]))[0] == 0.0
     assert relu(np.array([-1.0]))[0] == 0.0
     assert relu(np.array([2.5]))[0] == 2.5
 
@@ -75,6 +27,15 @@ def test_activation_fixed_points():
 def test_sigmoid_extreme_inputs_stay_finite():
     out = sigmoid(np.array([-1000.0, 1000.0]))
     assert out[0] == 0.0 and out[1] == 1.0
+
+
+def test_sigmoid_matches_scalar_oracle_in_place():
+    x = np.linspace(-40.0, 40.0, 801)
+    expected = np.array([scalar_sigmoid(v) for v in x])
+    buf = x.copy()
+    out = sigmoid(buf, out=buf)
+    assert out is buf
+    assert np.max(np.abs(buf - expected)) < 1e-15
 
 
 def test_softmax_uniform_vector():
@@ -102,7 +63,7 @@ def test_assert_finite_raises_with_stage_name():
 
 
 # ---------------------------------------------------------------------------
-# ParamTensor
+# ParamTensor and initializers
 # ---------------------------------------------------------------------------
 
 def test_param_tensor_grad_initialized_and_zeroed():
@@ -124,76 +85,12 @@ def test_glorot_deterministic_given_seed():
     assert np.array_equal(a, b)
 
 
-# ---------------------------------------------------------------------------
-# Dense layer
-# ---------------------------------------------------------------------------
-
-def test_dense_zero_upstream_gives_zero_grads():
-    layer = Dense.init(np.random.default_rng(0), 3, 2, "tanh")
-    y, tape = layer.forward(np.ones(3))
-    dx = layer.backward(tape, np.zeros(2))
-    assert np.array_equal(dx, np.zeros(3))
-    assert np.array_equal(layer.W.grad, np.zeros((2, 3)))
-    assert np.array_equal(layer.b.grad, np.zeros(2))
-
-
-def test_dense_identity_weight_gradient_is_outer_product():
-    layer = Dense.init(np.random.default_rng(1), 3, 2, "identity")
-    x = np.array([1.0, -2.0, 0.5])
-    up = np.array([0.3, -0.7])
-    _, tape = layer.forward(x)
-    layer.backward(tape, up)
-    assert np.allclose(layer.W.grad, np.outer(up, x))
-    assert np.allclose(layer.b.grad, up)
-
-
-@pytest.mark.parametrize("activation", ["identity", "relu", "tanh", "sigmoid"])
-def test_dense_gradients_match_finite_differences(activation):
-    rng = np.random.default_rng(42)
-    layer = Dense.init(rng, 4, 3, activation, name=activation)
-    x = rng.normal(size=4)
-    up = rng.normal(size=3)
-
-    def loss():
-        y, _ = layer.forward(x)
-        return float(np.sum(y * up))
-
-    _, tape = layer.forward(x)
-    layer.W.zero_grad()
-    layer.b.zero_grad()
-    dx = layer.backward(tape, up)
-
-    for tensor in (layer.W, layer.b):
-        numeric = central_difference(loss, tensor.value)
-        assert np.max(relative_error(tensor.grad, numeric)) < 1e-4
-    numeric_dx = central_difference(loss, x)
-    assert np.max(relative_error(dx, numeric_dx)) < 1e-4
-
-
-def test_dense_tape_reuse_rejected():
-    layer = Dense.init(np.random.default_rng(0), 2, 2)
-    _, tape = layer.forward(np.zeros(2))
-    layer.backward(tape, np.zeros(2))
-    with pytest.raises(TapeError):
-        layer.backward(tape, np.zeros(2))
-
-
-def test_dense_batched_forward_backward():
-    rng = np.random.default_rng(3)
-    layer = Dense.init(rng, 3, 2, "relu")
-    X = rng.normal(size=(5, 3))
-    Y, tape = layer.forward(X)
-    assert Y.shape == (5, 2)
-    dX = layer.backward(tape, np.ones((5, 2)))
-    assert dX.shape == (5, 3)
-
-
 def test_determinism_same_seed_bit_identical():
     def build():
         rng = np.random.default_rng(123)
-        layer = Dense.init(rng, 6, 4, "tanh")
-        y, _ = layer.forward(rng.normal(size=(3, 6)))
-        return y
+        return glorot_uniform(rng, 4, 6), recurrent_uniform(rng, 4, 4)
 
-    a, b = build(), build()
-    assert np.array_equal(a, b)
+    (w1, u1), (w2, u2) = build(), build()
+    assert np.array_equal(w1, w2)
+    assert np.array_equal(u1, u2)
+    assert np.max(np.abs(u1)) <= 0.5  # recurrent limit 1 / sqrt(fan-in)
