@@ -45,6 +45,7 @@ from .nn_core import (
     as_f64,
     assert_finite,
     glorot_uniform,
+    matmul,
     recurrent_uniform,
     relu,
     sigmoid,
@@ -229,7 +230,7 @@ def forward_batch(windows, params: ModelParams, check_finite: bool = True):
     else:
         head_in = hidden[-1]
 
-    pre_head = head_in @ params.W_out.value.T + params.b_out.value
+    pre_head = matmul(head_in, params.W_out.value.T) + params.b_out.value
     output = relu(pre_head)
     if check_finite:
         assert_finite("head", output)
@@ -274,9 +275,9 @@ def backward(trace: ForwardTrace, d_output, params: ModelParams) -> np.ndarray:
 
     # head: y = relu(W_out head_in + b_out)
     dz = d_out * (trace.pre_head > 0)
-    params.W_out.grad += dz.T @ trace.head_in
+    params.W_out.grad += matmul(dz.T, trace.head_in)
     params.b_out.grad += dz.sum(axis=0)
-    d_head_in = dz @ params.W_out.value
+    d_head_in = matmul(dz, params.W_out.value)
 
     if cfg.attention:
         if cfg.head_input == "context":
@@ -338,11 +339,11 @@ def backward(trace: ForwardTrace, d_output, params: ModelParams) -> np.ndarray:
 
     flat_g = dG.reshape(p * B, 4 * H)
     flat_x = np.ascontiguousarray(trace.windows.transpose(1, 0, 2)).reshape(p * B, -1)
-    params.W.grad += (flat_x.T @ flat_g).T
+    params.W.grad += matmul(flat_x.T, flat_g).T
     # h_{-1} = 0, so step 0 adds nothing to dU
-    params.U.grad += flat_g[B:].T @ trace.hidden[:-1].reshape((p - 1) * B, H)
+    params.U.grad += matmul(flat_g[B:].T, trace.hidden[:-1].reshape((p - 1) * B, H))
     params.b.grad += flat_g.sum(axis=0)
-    d_inputs = flat_g @ params.W.value
+    d_inputs = matmul(flat_g, params.W.value)
     return d_inputs.reshape(p, B, -1).transpose(1, 0, 2)
 
 

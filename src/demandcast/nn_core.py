@@ -1,5 +1,6 @@
-"""Numeric building blocks of the model: float64 coercion, activations,
-trainable tensors with in-place gradients, and the seeded initializers.
+"""Numeric building blocks of the model: float64 coercion, a shape-checked
+matmul, activations, trainable tensors with in-place gradients, and the
+seeded initializers.
 
 All tensors are float64 numpy arrays in row-major order.
 """
@@ -22,6 +23,17 @@ def as_f64(x) -> Array:
 def assert_finite(name: str, arr: Array) -> None:
     if not np.all(np.isfinite(arr)):
         raise NumericError(f"non-finite values detected at stage '{name}'")
+
+
+def matmul(a: Array, b: Array) -> Array:
+    """Matrix/vector product with an explicit inner-dimension check."""
+    a = as_f64(a)
+    b = as_f64(b)
+    inner_a = a.shape[-1]
+    inner_b = b.shape[0] if b.ndim >= 1 else None
+    if inner_a != inner_b:
+        raise ShapeError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
+    return a @ b
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,22 @@ def test_attention_hand_computed():
     assert np.max(np.abs(trace.context[0] - expected_w @ hs)) < 1e-12
 
 
+def test_attention_requires_attention_layer(tmp_path):
+    params = tiny_params(attention=False)
+    assert params.W_a is None and params.b_a is None
+    _, trace = forward_batch(np.random.default_rng(4).normal(size=(3, 4, 2)), params)
+    assert trace.scores is None and trace.weights is None and trace.context is None
+    assert np.array_equal(trace.head_in, trace.hidden[-1])
+    # an attention model's checkpoint must carry its attention layer
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, tiny_params())
+    doc = json.loads(path.read_text())
+    del doc["params"]["W_a"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError):
+        load_checkpoint(path)
+
+
 # ---------------------------------------------------------------------------
 # forward
 # ---------------------------------------------------------------------------

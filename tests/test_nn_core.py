@@ -6,12 +6,47 @@ from demandcast.nn_core import (
     ParamTensor,
     assert_finite,
     glorot_uniform,
+    matmul,
     recurrent_uniform,
     relu,
     sigmoid,
     softmax,
 )
 from helpers import direct_softmax, scalar_sigmoid
+
+
+# ---------------------------------------------------------------------------
+# elementary ops
+# ---------------------------------------------------------------------------
+
+def test_matmul_identity():
+    rng = np.random.default_rng(0)
+    A = rng.normal(size=(4, 4))
+    assert np.allclose(matmul(np.eye(4), A), A)
+
+
+def test_matmul_hand_computed():
+    A = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    B = np.array([[7.0, 8.0], [9.0, 10.0], [11.0, 12.0]])
+    expected = np.array([[58.0, 64.0], [139.0, 154.0]])
+    assert np.array_equal(matmul(A, B), expected)
+
+
+def test_matmul_mismatch_names_both_shapes():
+    with pytest.raises(ShapeError) as err:
+        matmul(np.zeros((2, 3)), np.zeros((2, 3)))
+    assert "(2, 3)" in str(err.value)
+
+
+def test_matmul_associativity():
+    rng = np.random.default_rng(1)
+    for _ in range(5):
+        A = rng.normal(size=(3, 4))
+        B = rng.normal(size=(4, 5))
+        C = rng.normal(size=(5, 2))
+        left = matmul(matmul(A, B), C)
+        right = matmul(A, matmul(B, C))
+        assert np.max(np.abs(left - right)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
