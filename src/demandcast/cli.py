@@ -43,7 +43,13 @@ from .ingest import (
     parse_sessions,
     write_dataset,
 )
-from .lstm_att import CHECKPOINT_FORMAT, load_checkpoint, predict, save_checkpoint
+from .lstm_att import (
+    CHECKPOINT_FORMAT,
+    forward_batch,
+    load_checkpoint,
+    predict,
+    save_checkpoint,
+)
 from .explain import (
     default_groups,
     shapley,
@@ -187,10 +193,11 @@ def _load_model(path_str: str):
 
 
 def _predict_fn(params):
+    """Batched forecasts, (B, p, n) windows to (B, m), on the model's columns."""
     n = params.config.n_features
 
-    def fn(window):
-        return predict(window[:, :n] if window.shape[1] > n else window, params)
+    def fn(windows):
+        return forward_batch(windows[..., :n], params)[0]
 
     return fn
 
@@ -317,6 +324,9 @@ def cmd_predict(args, cfg: dict, out: OutputDir) -> None:
 
 def cmd_explain(args, cfg: dict, out: OutputDir) -> None:
     params, meta, schema, scaler, pipeline = _load_model(args.checkpoint)
+    horizon = params.config.horizon
+    if args.step is not None and not 0 <= args.step < horizon:
+        raise ConfigError(f"--step {args.step} out of range 0..{horizon - 1}")
     series = load_dataset(args.dataset, cfg.get("timezone"))
     windows = _model_windows(series, schema, scaler, pipeline)
     groups = default_groups(schema)
@@ -393,6 +403,8 @@ def cmd_eval(args, cfg: dict, out: OutputDir) -> None:
 
 
 def cmd_attention(args, cfg: dict, out: OutputDir) -> None:
+    if args.limit is not None and args.limit < 1:
+        raise ConfigError(f"--limit must be >= 1, got {args.limit}")
     params, meta, schema, scaler, pipeline = _load_model(args.checkpoint)
     series = load_dataset(args.dataset, cfg.get("timezone"))
     windows = _model_windows(series, schema, scaler, pipeline)

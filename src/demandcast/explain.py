@@ -4,9 +4,14 @@ attention-weight profile.
 A coalition takes whole feature groups (all of a one-hot group's columns,
 across every timestep of the window) from the test instance; everything
 else comes from the background instance. With the default five semantic
-groups the exact enumeration needs only 2^5 = 32 model evaluations, so no
-sampling approximation is involved and the Shapley axioms hold to float
-precision.
+groups the exact enumeration needs only 2^5 = 32 coalitions per background
+window, so no sampling approximation is involved and the Shapley axioms
+hold to float precision.
+
+The masked windows of every (coalition, background) pair are built from
+one column-to-group bit map and forecast in batches: chunks of at most
+``CHUNK_ROWS`` windows, each one call of the batched ``predict_fn``. Only
+one chunk of masked windows exists at a time.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import timedelta
 
 import numpy as np
 
@@ -25,6 +30,7 @@ from .lstm_att import ModelParams, forward_batch
 from .util import fmt_float
 
 MAX_EXACT_GROUPS = 12
+CHUNK_ROWS = 256  # masked windows per predict_fn call; evaluate's batch size
 
 
 @dataclass(frozen=True)
@@ -50,35 +56,6 @@ def _check_partition(groups: list[FeatureGroup], width: int) -> None:
         raise ConfigError(
             f"groups must partition all {width} columns; covered {len(seen)}"
         )
-
-
-def mask(test: np.ndarray, background: np.ndarray, coalition,
-         groups: list[FeatureGroup]) -> np.ndarray:
-    """Columns of groups in the coalition come from ``test``; all other
-    columns come from ``background``, uniformly across all timesteps."""
-    test = np.asarray(test, dtype=np.float64)
-    background = np.asarray(background, dtype=np.float64)
-    if test.shape != background.shape:
-        raise ShapeError(
-            f"test {test.shape} and background {background.shape} windows differ"
-        )
-    names = _coalition_names(coalition)
-    by_name = {g.name: g for g in groups}
-    unknown = names.difference(by_name)
-    if unknown:
-        raise ConfigError(f"unknown feature groups: {sorted(unknown)}")
-    out = background.copy()
-    for name in names:
-        cols = list(by_name[name].columns)
-        out[:, cols] = test[:, cols]
-    return out
-
-
-def _coalition_names(coalition) -> set[str]:
-    names = set()
-    for item in coalition:
-        names.add(item.name if isinstance(item, FeatureGroup) else str(item))
-    return names
 
 
 @dataclass
@@ -112,25 +89,31 @@ class BeeswarmTable:
                             fmt_float(r.representative), fmt_float(r.phi)])
 
 
-def _aggregate(forecast: np.ndarray, step: int | None) -> float:
-    if step is None:
-        return float(np.mean(forecast))
-    return float(forecast[step])
-
-
-def _coalition_values(predict_fn, test, backgrounds, groups, step):
+def _coalition_values(predict_fn, test: np.ndarray, backgrounds: np.ndarray,
+                      groups: list[FeatureGroup], step: int | None) -> np.ndarray:
     """Value of every coalition bitmask: the scalar-aggregated forecast on
-    the masked window, averaged over the background instances."""
-    k = len(groups)
-    values = np.zeros(1 << k)
-    for bits in range(1 << k):
-        coalition = [groups[j] for j in range(k) if bits >> j & 1]
-        total = 0.0
-        for bg in backgrounds:
-            masked = mask(test, bg, coalition, groups)
-            total += _aggregate(predict_fn(masked), step)
-        values[bits] = total / len(backgrounds)
-    return values
+    the masked window, averaged over the (nb, p, n) background windows.
+
+    Row r of the flat grid is coalition r // nb against background r % nb.
+    """
+    nb = len(backgrounds)
+    column_bits = np.zeros(test.shape[1], dtype=np.int64)  # bit j: in groups[j]
+    for j, g in enumerate(groups):
+        column_bits[list(g.columns)] = 1 << j
+    n_rows = (1 << len(groups)) * nb
+    values = np.empty(n_rows)
+    for start in range(0, n_rows, CHUNK_ROWS):
+        rows = np.arange(start, min(start + CHUNK_ROWS, n_rows))
+        from_test = ((rows // nb)[:, None] & column_bits) != 0  # (rows, n)
+        masked = np.where(from_test[:, None, :], test, backgrounds[rows % nb])
+        forecast = np.asarray(predict_fn(masked))
+        if forecast.ndim != 2 or forecast.shape[0] != len(rows):
+            raise ShapeError(
+                f"predict_fn returned {forecast.shape} for {len(rows)} windows; "
+                "expected (B, m)"
+            )
+        values[rows] = forecast.mean(axis=1) if step is None else forecast[:, step]
+    return values.reshape(-1, nb).mean(axis=1)
 
 
 def _phi_from_values(values: np.ndarray, k: int) -> list[float]:
@@ -148,25 +131,25 @@ def _phi_from_values(values: np.ndarray, k: int) -> list[float]:
     return phi
 
 
-def shapley(predict_fn, test: np.ndarray, background: np.ndarray,
-            groups: list[FeatureGroup], step: int | None = None,
-            test_id: str = "test", background_id: str = "background") -> ShapReport:
-    """Exact Shapley values of the feature groups for one test window
-    against one background window.
-
-    ``predict_fn`` maps a (p, n) window to the (m,) forecast; the value of
-    a coalition is the forecast mean (or the ``step``-th output).
-    """
-    test = np.asarray(test, dtype=np.float64)
-    _check_partition(groups, test.shape[1])
+def _check_cap(groups: list[FeatureGroup]) -> None:
     k = len(groups)
     if k > MAX_EXACT_GROUPS:
         raise ConfigError(
             f"{k} groups need 2^{k} evaluations; exact enumeration is capped at "
             f"{MAX_EXACT_GROUPS} — merge groups or fall back to a sampling estimate"
         )
-    values = _coalition_values(predict_fn, test, [background], groups, step)
-    phi = _phi_from_values(values, k)
+
+
+def _report(predict_fn, test: np.ndarray, backgrounds: np.ndarray,
+            groups: list[FeatureGroup], step: int | None,
+            test_id: str, background_id: str) -> ShapReport:
+    if backgrounds.shape[1:] != test.shape:
+        raise ShapeError(
+            f"test {test.shape} and background {backgrounds.shape[1:]} windows differ"
+        )
+    _check_partition(groups, test.shape[1])
+    values = _coalition_values(predict_fn, test, backgrounds, groups, step)
+    phi = _phi_from_values(values, len(groups))
     return ShapReport(
         test_id=test_id,
         background_id=background_id,
@@ -175,6 +158,22 @@ def shapley(predict_fn, test: np.ndarray, background: np.ndarray,
         prediction=float(values[-1]),
         aggregation="mean" if step is None else f"step:{step}",
     )
+
+
+def shapley(predict_fn, test: np.ndarray, background: np.ndarray,
+            groups: list[FeatureGroup], step: int | None = None,
+            test_id: str = "test", background_id: str = "background") -> ShapReport:
+    """Exact Shapley values of the feature groups for one test window
+    against one background window.
+
+    ``predict_fn`` maps a (B, p, n) batch of windows to the (B, m)
+    forecasts; the value of a coalition is the forecast mean (or the
+    ``step``-th output).
+    """
+    _check_cap(groups)
+    background = np.asarray(background, dtype=np.float64)
+    return _report(predict_fn, np.asarray(test, dtype=np.float64), background[None],
+                   groups, step, test_id, background_id)
 
 
 def group_representative(window: np.ndarray, group: FeatureGroup) -> float:
@@ -202,7 +201,8 @@ def shapley_series(predict_fn, instances, backgrounds,
     expectation (coalition values averaged over all background windows).
 
     ``instances`` is a sequence of (id, window); ``backgrounds`` a sequence
-    of windows. Rows come back sorted by group then instance.
+    of windows; ``predict_fn`` is batched as in ``shapley``. Rows come back
+    sorted by group then instance.
     """
     instances = list(instances)
     backgrounds = [np.asarray(b, dtype=np.float64) for b in backgrounds]
@@ -210,29 +210,21 @@ def shapley_series(predict_fn, instances, backgrounds,
         raise ConfigError("no test instances given")
     if not backgrounds:
         raise ConfigError("background set is empty")
-    k = len(groups)
-    if k > MAX_EXACT_GROUPS:
-        raise ConfigError(
-            f"{k} groups exceed the exact-enumeration cap of {MAX_EXACT_GROUPS}"
-        )
+    shapes = {b.shape for b in backgrounds}
+    if len(shapes) > 1:
+        raise ShapeError(f"background windows differ in shape: {sorted(shapes)}")
+    _check_cap(groups)
+    backgrounds = np.stack(backgrounds)
     reports = []
     rows = []
     for inst_id, window in instances:
         window = np.asarray(window, dtype=np.float64)
-        _check_partition(groups, window.shape[1])
-        values = _coalition_values(predict_fn, window, backgrounds, groups, step)
-        phi = _phi_from_values(values, k)
-        reports.append(ShapReport(
-            test_id=str(inst_id),
-            background_id=f"mean[{len(backgrounds)}]",
-            phi={g.name: p for g, p in zip(groups, phi)},
-            base_value=float(values[0]),
-            prediction=float(values[-1]),
-            aggregation="mean" if step is None else f"step:{step}",
-        ))
-        for g, p in zip(groups, phi):
+        report = _report(predict_fn, window, backgrounds, groups, step,
+                         str(inst_id), f"mean[{len(backgrounds)}]")
+        reports.append(report)
+        for g in groups:
             rows.append(BeeswarmRow(str(inst_id), g.name,
-                                    group_representative(window, g), p))
+                                    group_representative(window, g), report.phi[g.name]))
     rows.sort(key=lambda r: (r.group, r.instance_id))
     return BeeswarmTable(rows), reports
 
@@ -246,13 +238,17 @@ def attention_profile(params: ModelParams, windows: WindowedDataset,
     """Mean attention mass per hour of day, averaged across windows.
 
     Each window's 96 weights are binned by their timestep's hour; the 24
-    bucket means sum to 1 because every weight vector does.
+    bucket means sum to 1 because every weight vector does. Timestep t of a
+    window whose origin lies in quarter-hour slot s of its day falls in
+    hour ((s + t) // 4) mod 24; origins are naive, so no DST jump intervenes.
     """
     if not params.config.attention:
         raise ConfigError("model has no attention layer to profile")
     n = len(windows)
     if n == 0:
         raise ConfigError("no windows to profile")
+    step_minutes = STEP // timedelta(minutes=1)
+    slots = np.array([(o.hour * 60 + o.minute) // step_minutes for o in windows.origins])
     buckets = np.zeros(24)
     for start in range(0, n, batch_size):
         X = np.asarray(windows.inputs[start:start + batch_size])
@@ -260,11 +256,10 @@ def attention_profile(params: ModelParams, windows: WindowedDataset,
             X = X[..., :params.config.n_features]
         _, trace = forward_batch(X, params)
         weights = trace.weights  # (p, B)
-        for j in range(weights.shape[1]):
-            origin: datetime = windows.origins[start + j]
-            for t in range(weights.shape[0]):
-                hour = (origin + t * STEP).hour
-                buckets[hour] += weights[t, j]
+        p, B = weights.shape
+        slot = np.arange(p)[:, None] + slots[start:start + B]  # (p, B)
+        hours = (slot * step_minutes // 60) % 24
+        buckets += np.bincount(hours.ravel(), weights=weights.ravel(), minlength=24)
     return buckets / n
 
 

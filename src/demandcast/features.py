@@ -305,7 +305,8 @@ def make_windows(matrix: np.ndarray, p: int = 96, m: int = 96,
     """Slide a (p-input, m-target) window over the rows of ``matrix``.
 
     At stride 1 the window count is T - p - m + 1; larger strides subsample
-    origins for desk-scale runs. Inputs are read-only views, not copies.
+    origins for desk-scale runs. Inputs and targets are read-only views of
+    ``matrix``, not copies, so they change if the caller writes to it.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
@@ -318,18 +319,19 @@ def make_windows(matrix: np.ndarray, p: int = 96, m: int = 96,
             f"need at least p + m = {p + m} rows to form one window, got {T}"
         )
     n_starts = T - p - m + 1
-    starts = np.arange(0, n_starts, stride)
 
+    # Basic slices of the sliding views keep them views; an index array
+    # would copy every window.
     in_view = np.lib.stride_tricks.sliding_window_view(matrix, (p, matrix.shape[1]))
-    inputs = in_view[starts, 0]
+    inputs = in_view[:n_starts:stride, 0]
     tgt_view = np.lib.stride_tricks.sliding_window_view(matrix[:, 0], m)
-    targets = tgt_view[starts + p]
+    targets = tgt_view[p:p + n_starts:stride]
     inputs.flags.writeable = False
     targets.flags.writeable = False
 
     if origin is None:
         origin = datetime(2000, 1, 3)  # placeholder grid start (a Monday)
-    origins = [origin + int(s) * STEP for s in starts]
+    origins = [origin + s * STEP for s in range(0, n_starts, stride)]
     return WindowedDataset(inputs, targets, origins, p, m)
 
 

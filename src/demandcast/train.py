@@ -112,17 +112,32 @@ class AdamState:
 def adam_step(tensors: list[ParamTensor], state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> None:
-    """One bias-corrected Adam update, reading each tensor's .grad in place."""
+    """One bias-corrected Adam update, reading each tensor's .grad in place.
+
+    The moments and the step are updated in place, in the operation order
+    of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g) and
+    value -= lr*(m/bc1) / (sqrt(v/bc2) + eps), so results are bitwise those
+    of the out-of-place formula. The two scratch arrays live for one tensor
+    only: kept across steps they would add to the training peak memory.
+    """
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
     for k, tensor in enumerate(tensors):
         g = tensor.grad
-        state.m[k] = beta1 * state.m[k] + (1.0 - beta1) * g
-        state.v[k] = beta2 * state.v[k] + (1.0 - beta2) * (g * g)
-        m_hat = state.m[k] / bc1
-        v_hat = state.v[k] / bc2
-        tensor.value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m, v = state.m[k], state.v[k]
+        step, denom = np.empty_like(g), np.empty_like(g)
+        m *= beta1
+        m += np.multiply(1.0 - beta1, g, out=step)
+        v *= beta2
+        np.multiply(g, g, out=step)
+        v += np.multiply(1.0 - beta2, step, out=step)
+        np.sqrt(np.divide(v, bc2, out=denom), out=denom)
+        denom += eps
+        np.divide(m, bc1, out=step)
+        step *= lr
+        step /= denom
+        tensor.value -= step
 
 
 def clip_gradients(tensors: list[ParamTensor], max_norm: float) -> float:

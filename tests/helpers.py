@@ -1,14 +1,17 @@
 """Independent oracles used by the test suite.
 
 Everything here is deliberately written without reference to the package
-internals: scalar loops, minute scans, and brute-force enumeration pin the
-semantics that the fast implementations must match.
+internals (only its error types are shared): scalar loops, minute scans,
+and brute-force enumeration pin the semantics that the fast
+implementations must match.
 """
 
 import math
 from datetime import timedelta
 
 import numpy as np
+
+from demandcast.errors import ConfigError, ShapeError
 
 
 def minute_scan_demand(sessions, origin, n_intervals):
@@ -146,15 +149,82 @@ def scalar_adam_trajectory(grad_fn, w0, lr, steps,
     return out
 
 
+def adam_reference_step(values, grads, ms, vs, t, lr,
+                        beta1=0.9, beta2=0.999, eps=1e-8):
+    """Out-of-place bias-corrected Adam step number ``t`` over lists of
+    arrays; returns the new (values, ms, vs)."""
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    out_values, out_ms, out_vs = [], [], []
+    for value, g, m, v in zip(values, grads, ms, vs):
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * (g * g)
+        m_hat = m / bc1
+        v_hat = v / bc2
+        out_values.append(value - lr * m_hat / (np.sqrt(v_hat) + eps))
+        out_ms.append(m)
+        out_vs.append(v)
+    return out_values, out_ms, out_vs
+
+
 def linear_window_model(weights):
     """f(window) = sum_j w_j * mean_t(window[t, j]), emitted as a length-1
-    forecast so it plugs into the shapley predict_fn interface."""
+    forecast per window of a (B, p, n) batch, the shapley predict_fn
+    interface."""
     weights = np.asarray(weights, dtype=float)
 
-    def predict(window):
-        return np.array([float(np.mean(window, axis=0) @ weights)])
+    def predict(windows):
+        return (np.mean(windows, axis=1) @ weights)[:, None]
 
     return predict
+
+
+def mask(test, background, coalition, groups):
+    """Columns of groups in the coalition come from ``test``; all other
+    columns come from ``background``, uniformly across all timesteps.
+    ``coalition`` holds groups or group names."""
+    test = np.asarray(test, dtype=np.float64)
+    background = np.asarray(background, dtype=np.float64)
+    if test.shape != background.shape:
+        raise ShapeError(
+            f"test {test.shape} and background {background.shape} windows differ"
+        )
+    names = {getattr(item, "name", item) for item in coalition}
+    by_name = {g.name: g for g in groups}
+    unknown = names.difference(by_name)
+    if unknown:
+        raise ConfigError(f"unknown feature groups: {sorted(unknown)}")
+    out = background.copy()
+    for name in names:
+        cols = list(by_name[name].columns)
+        out[:, cols] = test[:, cols]
+    return out
+
+
+def loop_coalition_values(predict_one, test, backgrounds, groups, step):
+    """Value of every coalition bitmask, one masked window at a time:
+    ``predict_one`` maps a (p, n) window to its (m,) forecast, aggregated
+    by the mean or the ``step``-th output and averaged over backgrounds."""
+    k = len(groups)
+    values = np.zeros(1 << k)
+    for bits in range(1 << k):
+        coalition = [groups[j] for j in range(k) if bits >> j & 1]
+        total = 0.0
+        for bg in backgrounds:
+            forecast = predict_one(mask(test, bg, coalition, groups))
+            total += float(np.mean(forecast)) if step is None else float(forecast[step])
+        values[bits] = total / len(backgrounds)
+    return values
+
+
+def loop_attention_profile(weights, origins):
+    """Hourly attention mass from (p, N) weights by stepping each window's
+    datetime origin 15 minutes at a time; divided by N."""
+    buckets = np.zeros(24)
+    for j, origin in enumerate(origins):
+        for t in range(weights.shape[0]):
+            buckets[(origin + t * timedelta(minutes=15)).hour] += weights[t, j]
+    return buckets / len(origins)
 
 
 def linear_shapley(weights, test, background, groups):

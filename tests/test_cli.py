@@ -126,3 +126,18 @@ def test_load_model_missing_metadata_is_config_error(trained, tmp_path, key):
     save_checkpoint(ckpt, params, meta)
     with pytest.raises(ConfigError):
         cli._load_model(str(ckpt))
+
+
+@pytest.mark.parametrize("command, flags, valid", [
+    ("explain", ["--test", 100, "--background", 0, "--step", 200], "0..95"),
+    ("explain", ["--test", 100, "--background", 0, "--step", -1], "0..95"),
+    ("attention", ["--limit", 0], ">= 1"),
+])
+def test_out_of_range_flag_one_config_line_no_partial_files(trained, tmp_path,
+                                                            command, flags, valid):
+    out = tmp_path / "out"
+    rc, lines = run(command, "--out", out, "--checkpoint", trained["model"] / "checkpoint.json",
+                    "--dataset", trained["dataset"], *flags)
+    assert rc == 1
+    assert len(lines) == 1 and lines[0].startswith("config: ") and valid in lines[0], lines
+    assert list(out.iterdir()) == []

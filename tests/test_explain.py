@@ -1,22 +1,28 @@
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 
 from demandcast.errors import ConfigError, ShapeError
 from demandcast.explain import (
+    CHUNK_ROWS,
     FeatureGroup,
+    _coalition_values,
     attention_profile,
     default_groups,
     group_representative,
-    mask,
     shapley,
     shapley_series,
 )
 from demandcast.features import FeatureSchema, WindowedDataset
-from demandcast.ingest import STEP
-from demandcast.lstm_att import ModelConfig, ModelParams, predict
-from helpers import linear_shapley, linear_window_model
+from demandcast.lstm_att import ModelConfig, ModelParams, forward_batch, predict
+from helpers import (
+    linear_shapley,
+    linear_window_model,
+    loop_attention_profile,
+    loop_coalition_values,
+    mask,
+)
 
 GROUPS4 = [
     FeatureGroup("request", (0,)),
@@ -31,7 +37,7 @@ def rand_window(rng, p=6, n=5):
 
 
 # ---------------------------------------------------------------------------
-# mask
+# mask (the oracle's masking rule)
 # ---------------------------------------------------------------------------
 
 def test_mask_full_coalition_returns_test():
@@ -104,7 +110,7 @@ def test_shapley_identical_columns_get_zero():
     t[:, 2] = b[:, 2]  # holiday identical in test and background
     params = ModelParams.init(ModelConfig(n_features=5, hidden=4, horizon=3,
                                           lookback=6), 7)
-    report = shapley(lambda w: predict(w, params), t, b, GROUPS4)
+    report = shapley(lambda w: forward_batch(w, params)[0], t, b, GROUPS4)
     assert abs(report.phi["holiday"]) < 1e-10
 
 
@@ -116,11 +122,11 @@ def test_shapley_symmetry_exchangeable_groups():
     t[:, 1] = t[:, 0]
     b[:, 1] = b[:, 0]
 
-    def symmetric_fn(window):
-        s = window[:, 0] + window[:, 1]
-        p = window[:, 0] * window[:, 1]
-        rest = window[:, 2:].sum()
-        return np.array([float(np.sin(s.sum()) + p.sum() + 0.3 * rest)])
+    def symmetric_fn(windows):
+        s = windows[:, :, 0] + windows[:, :, 1]
+        p = windows[:, :, 0] * windows[:, :, 1]
+        rest = windows[:, :, 2:].sum(axis=(1, 2))
+        return (np.sin(s.sum(axis=1)) + p.sum(axis=1) + 0.3 * rest)[:, None]
 
     report = shapley(symmetric_fn, t, b, groups)
     assert abs(report.phi["a"] - report.phi["b"]) < 1e-10
@@ -148,7 +154,7 @@ def test_shapley_efficiency_on_lstm_model():
     rng = np.random.default_rng(9)
     params = ModelParams.init(ModelConfig(n_features=5, hidden=4, horizon=3,
                                           lookback=6), 11)
-    fn = lambda w: predict(w, params)
+    fn = lambda w: forward_batch(w, params)[0]
     for _ in range(5):
         t, b = rand_window(rng), rand_window(rng)
         report = shapley(fn, t, b, GROUPS4)
@@ -167,8 +173,48 @@ def test_shapley_group_partition_enforced():
 def test_shapley_group_cap():
     groups = [FeatureGroup(f"g{i}", (i,)) for i in range(13)]
     with pytest.raises(ConfigError) as err:
-        shapley(lambda w: np.zeros(1), np.zeros((2, 13)), np.zeros((2, 13)), groups)
+        shapley(lambda w: np.zeros((len(w), 1)), np.zeros((2, 13)), np.zeros((2, 13)),
+                groups)
     assert "sampling" in str(err.value)
+
+
+def test_shapley_window_shape_mismatch():
+    fn = linear_window_model(np.ones(5))
+    with pytest.raises(ShapeError):
+        shapley(fn, np.zeros((3, 5)), np.zeros((4, 5)), GROUPS4)
+    with pytest.raises(ShapeError):
+        shapley_series(fn, [("a", np.zeros((3, 5)))],
+                       [np.zeros((3, 5)), np.zeros((4, 5))], GROUPS4)
+
+
+@pytest.mark.parametrize("step", [None, 2])
+def test_coalition_values_match_loop_oracle(step):
+    rng = np.random.default_rng(13)
+    params = ModelParams.init(ModelConfig(n_features=5, hidden=4, horizon=3,
+                                          lookback=6), 17)
+    test = rand_window(rng)
+    backgrounds = np.stack([rand_window(rng) for _ in range(3)])
+    got = _coalition_values(lambda w: forward_batch(w, params)[0], test,
+                            backgrounds, GROUPS4, step)
+    want = loop_coalition_values(lambda w: predict(w, params), test,
+                                 backgrounds, GROUPS4, step)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_coalition_values_chunk_rows_bounded():
+    rng = np.random.default_rng(14)
+    groups = [FeatureGroup(f"g{i}", (i,)) for i in range(12)]
+    linear = linear_window_model(rng.normal(size=12))
+    batches = []
+
+    def counting(windows):
+        batches.append(len(windows))
+        return linear(windows)
+
+    backgrounds = [rng.uniform(size=(2, 12)) for _ in range(3)]
+    shapley_series(counting, [("t", rng.uniform(size=(2, 12)))], backgrounds, groups)
+    assert max(batches) <= CHUNK_ROWS == 256
+    assert sum(batches) == (1 << 12) * len(backgrounds)
 
 
 def test_default_groups_partition_schema():
@@ -203,10 +249,10 @@ def test_series_efficiency_against_background_mean():
     instances = [(f"i{k}", rand_window(rng)) for k in range(3)]
     backgrounds = [rand_window(rng) for _ in range(4)]
     _, reports = shapley_series(fn, instances, backgrounds, GROUPS4)
-    base = np.mean([fn(b)[0] for b in backgrounds])
+    base = np.mean([fn(b[None])[0, 0] for b in backgrounds])
     for (name, window), report in zip(instances, reports):
         assert abs(report.base_value - base) < 1e-12
-        total = fn(window)[0] - base
+        total = fn(window[None])[0, 0] - base
         assert abs(sum(report.phi.values()) - total) < 1e-6
 
 
@@ -225,7 +271,8 @@ def test_series_cardinality_14_instances_5_groups():
 
 def test_series_empty_background_rejected():
     with pytest.raises(ConfigError):
-        shapley_series(lambda w: np.zeros(1), [("a", np.zeros((2, 5)))], [], GROUPS4)
+        shapley_series(lambda w: np.zeros((len(w), 1)), [("a", np.zeros((2, 5)))], [],
+                       GROUPS4)
 
 
 def test_group_representative_values():
@@ -281,6 +328,20 @@ def test_attention_profile_mass_sums_to_one_random_windows():
     profile = attention_profile(params, windows)
     assert np.all(profile >= 0)
     assert abs(profile.sum() - 1.0) < 1e-6
+
+
+def test_attention_profile_matches_loop_oracle():
+    cfg = ModelConfig(n_features=3, hidden=4, horizon=2, lookback=8)
+    params = ModelParams.init(cfg, 21)
+    rng = np.random.default_rng(22)
+    inputs = rng.uniform(0, 1, size=(23, 8, 3))
+    origins = [datetime(2023, 5, 1, 23, 30) + k * timedelta(minutes=15 * 37)
+               for k in range(23)]  # every quarter hour of the clock, across midnight
+    windows = WindowedDataset(inputs, rng.uniform(size=(23, 2)), origins, 8, 2)
+    profile = attention_profile(params, windows, batch_size=5)
+    weights = forward_batch(inputs, params)[1].weights
+    want = loop_attention_profile(weights, origins)
+    assert np.max(np.abs(profile - want)) < 1e-12
 
 
 def test_attention_profile_requires_attention_model():

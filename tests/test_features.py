@@ -195,11 +195,18 @@ def test_make_windows_matches_brute_force_enumeration():
 
 
 def test_make_windows_stride_subsamples_origins():
-    mat = np.zeros((300, 2))
+    mat = np.random.default_rng(6).normal(size=(300, 2))
     full = make_windows(mat, 96, 96)
     s4 = make_windows(mat, 96, 96, stride=4)
     assert len(s4) == (len(full) + 3) // 4
     assert s4.origins[1] - s4.origins[0] == 4 * (full.origins[1] - full.origins[0])
+    ins, tgts = enumerate_windows(mat, 96, 96)
+    for ds, stride in ((full, 1), (s4, 4)):
+        for arr in (ds.inputs, ds.targets):
+            assert np.shares_memory(arr, mat)
+            assert not arr.flags.writeable
+        assert np.array_equal(ds.inputs, ins[::stride])
+        assert np.array_equal(ds.targets, tgts[::stride])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from demandcast.train import (
     mse,
     train,
 )
-from helpers import scalar_adam_trajectory
+from helpers import adam_reference_step, scalar_adam_trajectory
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +79,27 @@ def test_adam_matches_scalar_oracle_on_quadratic():
         mine.append(float(t.value[0]))
     reference = scalar_adam_trajectory(lambda w: 2.0 * w, 1.0, 0.1, 10)
     assert np.max(np.abs(np.array(mine) - np.array(reference))) < 1e-12
+
+
+def test_adam_in_place_matches_out_of_place_formula_bitwise():
+    rng = np.random.default_rng(3)
+    # values well below the step size, so a last-bit change of the step shows
+    tensors = [ParamTensor(name, 1e-3 * rng.normal(size=shape))
+               for name, shape in (("W", (6, 4)), ("b", (6,)), ("s", (1,)))]
+    state = AdamState(tensors)
+    values = [t.value.copy() for t in tensors]
+    ms = [np.zeros_like(v) for v in values]
+    vs = [np.zeros_like(v) for v in values]
+    for step in range(1, 4):
+        grads = [rng.normal(size=t.value.shape) for t in tensors]
+        for t, g in zip(tensors, grads):
+            t.grad[:] = g
+        adam_step(tensors, state, lr=0.01)
+        values, ms, vs = adam_reference_step(values, grads, ms, vs, step, lr=0.01)
+        for k, t in enumerate(tensors):
+            assert np.array_equal(t.value, values[k])
+            assert np.array_equal(state.m[k], ms[k])
+            assert np.array_equal(state.v[k], vs[k])
 
 
 def test_clip_gradients_scales_to_max_norm():
