@@ -21,8 +21,10 @@ from pathlib import Path
 from . import __version__
 from .errors import ConfigError, DemandcastError, SchemaError
 from .features import (
+    SCALER_FORMAT,
     FeatureSchema,
     MinMaxScaler,
+    WindowedDataset,
     build_dataset,
     clamp_scaled,
     encode,
@@ -32,6 +34,7 @@ from .features import (
 )
 from .ingest import (
     STEP,
+    IntervalSeries,
     aggregate_demand,
     attach_calendar,
     join_temperature,
@@ -47,18 +50,15 @@ from .lstm_att import (
     CHECKPOINT_FORMAT,
     forward_batch,
     load_checkpoint,
-    predict,
     save_checkpoint,
 )
 from .explain import (
     default_groups,
-    shapley,
     shapley_series,
     attention_profile,
     write_attention_csv,
     write_shap_csv,
 )
-from .features import SCALER_FORMAT
 from .synth import SynthConfig, export, generate, save_config
 from .train import VARIANTS, TrainConfig, train
 from .util import config_hash, fmt_float
@@ -251,7 +251,6 @@ def cmd_ingest(args, cfg: dict, out: OutputDir) -> None:
         end = end.replace(minute=end.minute - end.minute % 15,
                           second=0, microsecond=0)
         n = max(1, n_intervals_between(origin, end))
-        from .ingest import IntervalSeries
         grid = IntervalSeries(origin=origin,
                               demand=aggregate_demand(result.records, origin, n))
     else:
@@ -310,9 +309,7 @@ def cmd_predict(args, cfg: dict, out: OutputDir) -> None:
         index += len(windows)
     if not 0 <= index < len(windows):
         raise ConfigError(f"window index {args.index} out of range 0..{len(windows) - 1}")
-    window = windows.inputs[index]
-    n = params.config.n_features
-    forecast = predict(window[:, :n] if window.shape[1] > n else window, params)
+    forecast = _predict_fn(params)(windows.inputs[index:index + 1])[0]
     demand = inverse_transform(scaler, forecast, column=0)
     times = windows.target_timestamps(index)
     with open(out.path("forecast.csv"), "w", newline="", encoding="utf-8") as fh:
@@ -329,33 +326,17 @@ def cmd_explain(args, cfg: dict, out: OutputDir) -> None:
         raise ConfigError(f"--step {args.step} out of range 0..{horizon - 1}")
     series = load_dataset(args.dataset, cfg.get("timezone"))
     windows = _model_windows(series, schema, scaler, pipeline)
-    groups = default_groups(schema)
-    fn = _predict_fn(params)
     tests = _parse_indices(args.test)
     backgrounds = _parse_indices(args.background)
     for i in tests + backgrounds:
         if not 0 <= i < len(windows):
             raise ConfigError(f"window index {i} out of range 0..{len(windows) - 1}")
-    step = args.step
-    if len(tests) == 1 and len(backgrounds) == 1:
-        report = shapley(fn, windows.inputs[tests[0]], windows.inputs[backgrounds[0]],
-                         groups, step=step,
-                         test_id=str(tests[0]), background_id=str(backgrounds[0]))
-        reports = [report]
-        from .explain import BeeswarmRow, BeeswarmTable, group_representative
-        table = BeeswarmTable([
-            BeeswarmRow(str(tests[0]), g.name,
-                        group_representative(windows.inputs[tests[0]], g),
-                        report.phi[g.name])
-            for g in groups
-        ])
-    else:
-        table, reports = shapley_series(
-            fn,
-            [(str(i), windows.inputs[i]) for i in tests],
-            [windows.inputs[j] for j in backgrounds],
-            groups, step=step,
-        )
+    table, reports = shapley_series(
+        _predict_fn(params),
+        [(str(i), windows.inputs[i]) for i in tests],
+        [windows.inputs[j] for j in backgrounds],
+        default_groups(schema), step=args.step,
+    )
     write_shap_csv(out.path("shap.csv"), reports)
     table.write_csv(out.path("beeswarm.csv"))
     doc = [
@@ -392,10 +373,6 @@ def cmd_eval(args, cfg: dict, out: OutputDir) -> None:
         fh.write("variant,test_mse,wall_time_s\n")
         for r in reports:
             fh.write(f"{r.variant},{fmt_float(r.test_mse)},{r.wall_time_s:.2f}\n")
-    with open(out.path("metrics.csv"), "w", newline="", encoding="utf-8") as fh:
-        fh.write("variant,test_mse\n")
-        for r in reports:
-            fh.write(f"{r.variant},{fmt_float(r.test_mse)}\n")
     out.path("metrics.json").write_text(
         json.dumps([r.to_dict() for r in reports], indent=2), encoding="utf-8"
     )
@@ -411,7 +388,6 @@ def cmd_attention(args, cfg: dict, out: OutputDir) -> None:
     if args.limit is not None and args.limit < len(windows):
         step = max(1, len(windows) // args.limit)
         keep = list(range(0, len(windows), step))[:args.limit]
-        from .features import WindowedDataset
         windows = WindowedDataset(
             windows.inputs[keep], windows.targets[keep],
             [windows.origins[i] for i in keep],

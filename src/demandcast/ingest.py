@@ -4,15 +4,22 @@ temperature joining, and calendar context.
 All timestamps are kept as naive local wall-clock datetimes. Inputs that
 carry a UTC offset are converted to the configured zone first and the
 offset is dropped, since weekday/holiday semantics are local.
+
+Bad input is a typed error naming the file line. The whole-file loaders
+(temperature, holidays, demand grid, dataset) raise SchemaError for a cell
+that does not parse, a short row, or a missing header or column, and
+GridError for a break in the 15-minute progression; parse_sessions instead
+skips each malformed row and collects a RowError with its line.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timedelta
+from operator import itemgetter
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -22,6 +29,7 @@ from .errors import GridError, SchemaError
 STEP = timedelta(minutes=15)
 STEP_SECONDS = 900
 TEMP_EDGE_REACH = timedelta(hours=2)
+BLOCK_ROWS = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -161,39 +169,21 @@ SESSION_COLUMNS = ("start", "charge_end", "disconnect", "energy_kwh")
 def parse_sessions(csv_source, timezone: str | None = None) -> ParseResult:
     """Parse a sessions CSV; malformed rows become RowErrors, not exceptions.
 
-    ``csv_source`` may be a byte stream, text stream, or path.
+    ``csv_source`` may be a path, or a byte or text stream.
     """
-    stream, close = _open_text(csv_source)
-    try:
-        reader = csv.reader(stream)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("sessions CSV is empty (missing header)")
-        cols = [h.strip().lower() for h in header]
-        try:
-            idx = {name: cols.index(name) for name in SESSION_COLUMNS}
-        except ValueError:
-            missing = [n for n in SESSION_COLUMNS if n not in cols]
-            raise SchemaError(f"sessions CSV missing columns: {', '.join(missing)}")
-
-        records: list[SessionRecord] = []
-        errors: list[RowError] = []
-        for line, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
+    blocks = _read_rows(csv_source, "sessions CSV", SESSION_COLUMNS)
+    start, charge_end, disconnect, energy = next(blocks)
+    records, errors = [], []
+    for lines, rows in blocks:
+        for line, row in zip(lines, rows):
             try:
-                start = parse_timestamp(row[idx["start"]], timezone)
-                charge_end = parse_timestamp(row[idx["charge_end"]], timezone)
-                disconnect = parse_timestamp(row[idx["disconnect"]], timezone)
-                energy = float(row[idx["energy_kwh"]])
-                records.append(SessionRecord(start, charge_end, disconnect, energy))
+                records.append(SessionRecord(parse_timestamp(row[start], timezone),
+                                             parse_timestamp(row[charge_end], timezone),
+                                             parse_timestamp(row[disconnect], timezone),
+                                             float(row[energy])))
             except (ValueError, IndexError) as exc:
                 errors.append(RowError(line, str(exc)))
-        return ParseResult(records, errors)
-    finally:
-        if close:
-            stream.close()
+    return ParseResult(records, errors)
 
 
 def aggregate_demand(sessions, origin: datetime, n_intervals: int) -> np.ndarray:
@@ -233,12 +223,10 @@ def join_temperature(grid: IntervalSeries, readings) -> IntervalSeries:
     readings = list(readings)
     if not readings:
         raise GridError("temperature readings are empty")
-    times = [t for t, _ in readings]
-    for a, b in zip(times, times[1:]):
-        if a >= b:
-            raise SchemaError("temperature readings must be strictly increasing in time")
+    xs = np.array([_epoch_seconds(t) for t, _ in readings], dtype=np.float64)
+    if np.any(np.diff(xs) <= 0):
+        raise SchemaError("temperature readings must be strictly increasing in time")
 
-    xs = np.array([_epoch_seconds(t) for t in times], dtype=np.float64)
     ys = np.array([float(v) for _, v in readings], dtype=np.float64)
     grid_x = np.array(
         [_epoch_seconds(grid.origin + k * STEP) for k in range(len(grid))],
@@ -278,18 +266,87 @@ def attach_calendar(grid: IntervalSeries, holidays: HolidayCalendar) -> Interval
 # file interfaces
 # ---------------------------------------------------------------------------
 
+@contextmanager
 def _open_text(source):
-    """Return (text stream, needs_close). Accepts paths, bytes, and streams."""
-    if isinstance(source, (str,)) or hasattr(source, "__fspath__"):
-        return open(source, "r", newline="", encoding="utf-8"), True
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8")), False
-    if hasattr(source, "read"):
-        probe = source.read(0)
-        if isinstance(probe, bytes):
-            return io.TextIOWrapper(source, encoding="utf-8", newline=""), False
-        return source, False
-    raise SchemaError(f"unsupported CSV source {type(source).__name__}")
+    """A text stream over a path or a byte or text stream; a file opened
+    from a path is closed on exit."""
+    if isinstance(source, str) or hasattr(source, "__fspath__"):
+        with open(source, "r", newline="", encoding="utf-8") as fh:
+            yield fh
+    elif hasattr(source, "read"):
+        text = not isinstance(source.read(0), bytes)
+        yield source if text else io.TextIOWrapper(source, encoding="utf-8", newline="")
+    else:
+        raise SchemaError(f"unsupported CSV source {type(source).__name__}")
+
+
+def _read_rows(source, kind: str, names):
+    """Read a CSV whose header names every column in ``names``, in any order.
+
+    Yields the position of each named column, then the data rows that are
+    not blank in blocks of (file lines, rows) of at most BLOCK_ROWS rows, so
+    that a large file never holds all its raw cells at once."""
+    with _open_text(source) as stream:
+        reader = csv.reader(stream)
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError(f"{kind} line 1: no header, the file is empty")
+        cols = [h.strip().lower() for h in header]
+        missing = [n for n in names if n not in cols]
+        if missing:
+            raise SchemaError(f"{kind} line 1: missing columns: {', '.join(missing)}")
+        yield [cols.index(n) for n in names]
+        lines, rows = [], []
+        for row in reader:
+            if "".join(row).strip():
+                lines.append(reader.line_num)
+                rows.append(tuple(row))  # a tuple of str drops out of the cyclic GC
+                if len(rows) == BLOCK_ROWS:
+                    yield lines, rows
+                    lines, rows = [], []
+        yield lines, rows
+
+
+def _parse_cell(kind: str, line: int, column: str, parse, cells, i: int):
+    """``parse(cells[i])``, or a SchemaError naming the file line and column."""
+    try:
+        return parse(cells[i])
+    except (ValueError, IndexError) as exc:
+        reason = "missing value" if isinstance(exc, IndexError) else str(exc)
+        raise SchemaError(f"{kind} line {line}: {column}: {reason}") from None
+
+
+def _read_columns(source, kind: str, parsers: dict) -> tuple[list[int], list[list]]:
+    """The file line of every data row, and one list of parsed cells per
+    column of ``parsers`` (column name -> cell parser). A bad cell is the
+    SchemaError of ``_parse_cell`` for the first row that has one."""
+    blocks = _read_rows(source, kind, parsers)
+    spec = list(zip(parsers, next(blocks), parsers.values()))
+    all_lines, columns = [], [[] for _ in spec]
+    for lines, rows in blocks:
+        try:
+            for values, (_, i, parse) in zip(columns, spec):
+                values.extend(map(parse, map(itemgetter(i), rows)))
+        except (ValueError, IndexError):
+            for line, row in zip(lines, rows):
+                for column, i, parse in spec:
+                    _parse_cell(kind, line, column, parse, row, i)
+            raise
+        all_lines += lines
+    return all_lines, columns
+
+
+def _progression_origin(kind: str, lines: list[int], times: list[datetime]) -> datetime:
+    """The first timestamp, once every row is checked to follow it in
+    15-minute steps; a break is a GridError naming its file line."""
+    if not times:
+        raise GridError(f"{kind} has no rows")
+    expected = times[0]
+    for line, ts in zip(lines, times):
+        if ts != expected:
+            raise GridError(f"{kind} line {line}: breaks the 15-minute progression ({ts})")
+        expected += STEP
+    return times[0]
 
 
 def _epoch_seconds(ts: datetime) -> float:
@@ -301,67 +358,31 @@ def _fmt(x: float) -> str:
 
 
 def load_temperature_csv(source, timezone: str | None = None) -> list[tuple[datetime, float]]:
-    stream, close = _open_text(source)
-    try:
-        reader = csv.reader(stream)
-        header = [h.strip().lower() for h in next(reader)]
-        if header[:2] != ["timestamp", "temp_c"]:
-            raise SchemaError("temperature CSV must have columns timestamp,temp_c")
-        out = []
-        for row in reader:
-            if not row or not row[0].strip():
-                continue
-            out.append((parse_timestamp(row[0], timezone), float(row[1])))
-        return out
-    finally:
-        if close:
-            stream.close()
+    _, (times, temps) = _read_columns(source, "temperature CSV", {
+        "timestamp": lambda text: parse_timestamp(text, timezone), "temp_c": float,
+    })
+    return list(zip(times, temps))
 
 
 def load_holidays_csv(source) -> HolidayCalendar:
-    stream, close = _open_text(source)
-    try:
-        dates = set()
-        for line in stream:
-            text = line.strip()
-            if not text or text.lower() == "date":
-                continue
-            dates.add(date.fromisoformat(text))
-        return HolidayCalendar.from_dates(dates)
-    finally:
-        if close:
-            stream.close()
+    """Read one ISO date per line, under an optional ``date`` header."""
+    dates = set()
+    with _open_text(source) as stream:
+        for line, text in enumerate(map(str.strip, stream), start=1):
+            if text and text.lower() != "date":
+                dates.add(_parse_cell("holidays CSV", line, "date", date.fromisoformat, [text], 0))
+    return HolidayCalendar.from_dates(dates)
 
 
 def load_demand_grid(source, timezone: str | None = None) -> IntervalSeries:
     """Read a pre-aggregated demand grid (columns timestamp,demand) and
     validate that it forms a gapless 15-minute progression."""
-    stream, close = _open_text(source)
-    try:
-        reader = csv.reader(stream)
-        header = [h.strip().lower() for h in next(reader)]
-        if header[:2] != ["timestamp", "demand"]:
-            raise SchemaError("demand grid CSV must have columns timestamp,demand")
-        times: list[datetime] = []
-        demand: list[int] = []
-        for row in reader:
-            if not row or not row[0].strip():
-                continue
-            times.append(parse_timestamp(row[0], timezone))
-            demand.append(int(row[1]))
-        if not times:
-            raise GridError("demand grid CSV has no rows")
-        origin = times[0]
-        for k, ts in enumerate(times):
-            if ts != origin + k * STEP:
-                raise GridError(
-                    f"demand grid breaks the 15-minute progression at row {k + 2}"
-                    f" ({ts.isoformat()})"
-                )
-        return IntervalSeries(origin=origin, demand=np.array(demand, dtype=np.int64))
-    finally:
-        if close:
-            stream.close()
+    kind = "demand grid CSV"
+    lines, (times, demand) = _read_columns(source, kind, {
+        "timestamp": lambda text: parse_timestamp(text, timezone), "demand": int,
+    })
+    return IntervalSeries(origin=_progression_origin(kind, lines, times),
+                          demand=np.array(demand, dtype=np.int64))
 
 
 def write_demand_grid(path, series: IntervalSeries) -> None:
@@ -413,38 +434,16 @@ def write_dataset(path, series: IntervalSeries) -> None:
 
 
 def load_dataset(source, timezone: str | None = None) -> IntervalSeries:
-    stream, close = _open_text(source)
-    try:
-        reader = csv.reader(stream)
-        header = [h.strip().lower() for h in next(reader)]
-        if header != DATASET_COLUMNS:
-            raise SchemaError(
-                f"dataset CSV must have columns {','.join(DATASET_COLUMNS)}"
-            )
-        times, demand, temp, weekday, month, holiday = [], [], [], [], [], []
-        for row in reader:
-            if not row or not row[0].strip():
-                continue
-            times.append(parse_timestamp(row[0], timezone))
-            demand.append(int(row[1]))
-            temp.append(float(row[2]))
-            weekday.append(int(row[3]))
-            month.append(int(row[4]))
-            holiday.append(bool(int(row[5])))
-        if not times:
-            raise GridError("dataset CSV has no rows")
-        origin = times[0]
-        for k, ts in enumerate(times):
-            if ts != origin + k * STEP:
-                raise GridError(f"dataset breaks the 15-minute progression at row {k + 2}")
-        return IntervalSeries(
-            origin=origin,
-            demand=np.array(demand, dtype=np.int64),
-            temperature=np.array(temp, dtype=np.float64),
-            weekday=np.array(weekday, dtype=np.int8),
-            month=np.array(month, dtype=np.int8),
-            holiday=np.array(holiday, dtype=bool),
-        )
-    finally:
-        if close:
-            stream.close()
+    kind = "dataset CSV"
+    lines, (times, demand, temp, weekday, month, holiday) = _read_columns(source, kind, {
+        "timestamp": lambda text: parse_timestamp(text, timezone),
+        "demand": int, "temp_c": float, "weekday": int, "month": int, "holiday": int,
+    })
+    return IntervalSeries(
+        origin=_progression_origin(kind, lines, times),
+        demand=np.array(demand, dtype=np.int64),
+        temperature=np.array(temp, dtype=np.float64),
+        weekday=np.array(weekday, dtype=np.int8),
+        month=np.array(month, dtype=np.int8),
+        holiday=np.array(holiday, dtype=bool),
+    )

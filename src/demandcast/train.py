@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
-from .features import SplitDataset, WindowedDataset
+from .features import SplitDataset, WindowedDataset, inverse_transform
 from .lstm_att import (
     ModelConfig,
     ModelParams,
@@ -268,6 +268,5 @@ def evaluate(params: ModelParams, windows: WindowedDataset,
     score = mse(preds, targets)
     demand = None
     if scaler is not None:
-        from .features import inverse_transform
         demand = inverse_transform(scaler, preds, column=0)
     return EvalResult(mse=score, predictions=preds, predictions_demand=demand)

@@ -1,6 +1,6 @@
 """End-to-end test of the command line on a small synthetic dataset: every
 subcommand through ``cli.main``, the checkpoint it writes, and how a bad
-checkpoint is reported."""
+checkpoint or a bad CSV is reported."""
 
 import contextlib
 import csv
@@ -14,6 +14,7 @@ import pytest
 
 from demandcast import cli
 from demandcast.errors import ConfigError
+from demandcast.explain import default_groups, shapley
 from demandcast.ingest import load_dataset
 from demandcast.lstm_att import load_checkpoint, predict, save_checkpoint
 
@@ -74,6 +75,8 @@ def test_pipeline_exit_codes(trained):
     assert len(shap) == 1 and len(shap[0]["phi"]) == 5
     with open(root / "eval" / "comparison.csv", newline="") as fh:
         assert len(list(csv.DictReader(fh))) == 4
+    assert sorted(p.name for p in (root / "eval").iterdir()) == [
+        "comparison.csv", "manifest.json", "metrics.json"]
 
 
 def test_checkpoint_is_v2(trained):
@@ -95,6 +98,21 @@ def test_predict_from_checkpoint_equals_in_memory_params(trained):
         assert a.name == b.name and np.array_equal(a.value, b.value)
     windows = cli._model_windows(load_dataset(trained["dataset"]), schema, scaler, pipeline)
     assert np.array_equal(from_cli, predict(windows.inputs[-1], params))
+
+
+def test_explain_one_pair_equals_shapley(trained, tmp_path):
+    ckpt, dataset = trained["model"] / "checkpoint.json", trained["dataset"]
+    assert run("explain", "--out", tmp_path, "--checkpoint", ckpt, "--dataset", dataset,
+               "--test", 100, "--background", 0) == (0, [])
+    [doc] = json.loads((tmp_path / "shap.json").read_text())
+    params, _, schema, scaler, pipeline = cli._load_model(str(ckpt))
+    windows = cli._model_windows(load_dataset(dataset), schema, scaler, pipeline)
+    want = shapley(cli._predict_fn(params), windows.inputs[100], windows.inputs[0],
+                   default_groups(schema))
+    assert doc["background_id"] == "mean[1]"
+    assert doc["phi"].keys() == want.phi.keys()
+    for name, phi in want.phi.items():
+        assert abs(doc["phi"][name] - phi) <= 1e-12
 
 
 @pytest.mark.parametrize("corrupt", ["truncated", "bad_payload"])
@@ -140,4 +158,40 @@ def test_out_of_range_flag_one_config_line_no_partial_files(trained, tmp_path,
                     "--dataset", trained["dataset"], *flags)
     assert rc == 1
     assert len(lines) == 1 and lines[0].startswith("config: ") and valid in lines[0], lines
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, name, line, text", [
+    pytest.param("ingest", "temperature.csv", 5, "2022-01-01 00:45:00,warm",
+                 id="ingest-temperature-cell"),
+    pytest.param("ingest", "demand.csv", 7, "2022-01-01 01:15:00", id="ingest-demand-short-row"),
+    pytest.param("ingest", "temperature.csv", 1, None, id="ingest-temperature-empty"),
+    pytest.param("ingest", "holidays.csv", 2, "2022-13-01", id="ingest-holiday-date"),
+    pytest.param("train", "dataset.csv", 5, "2022-01-01 00:45:00,x,10.0,5,1,1",
+                 id="train-dataset-cell"),
+])
+def test_bad_csv_one_schema_line_naming_file_line(trained, tmp_path, command, name, line, text):
+    """A bad cell, a short row, an empty file or a bad holiday date in any CSV
+    the pipeline reads exits 1 with one ``schema:`` line and no output."""
+    sim = trained["root"] / "sim"
+    inputs = {"demand.csv": sim / "demand.csv", "temperature.csv": sim / "temperature.csv",
+              "holidays.csv": sim / "holidays.csv", "dataset.csv": trained["dataset"]}
+    bad = tmp_path / name
+    if text is None:
+        bad.write_text("")
+    else:
+        rows = inputs[name].read_text().splitlines()
+        rows[line - 1] = text
+        bad.write_text("\n".join(rows) + "\n")
+    inputs[name] = bad
+    if command == "ingest":
+        flags = ["--demand-grid", inputs["demand.csv"], "--temperature",
+                 inputs["temperature.csv"], "--holidays", inputs["holidays.csv"]]
+    else:
+        flags = ["--config", trained["config"], "--dataset", inputs["dataset.csv"], *TRAIN_FLAGS]
+    out = tmp_path / "out"
+    rc, lines = run(command, "--out", out, *flags)
+    assert rc == 1
+    assert len(lines) == 1 and lines[0].startswith("schema: "), lines
+    assert f" line {line}: " in lines[0], lines
     assert list(out.iterdir()) == []

@@ -12,6 +12,7 @@ from demandcast.ingest import (
     aggregate_demand,
     attach_calendar,
     join_temperature,
+    load_dataset,
     load_demand_grid,
     load_holidays_csv,
     load_temperature_csv,
@@ -303,3 +304,49 @@ def test_temperature_csv_schema_checked(tmp_path):
     path.write_text("time,value\n2023-05-01 00:00,10\n")
     with pytest.raises(SchemaError):
         load_temperature_csv(path)
+
+
+TEMPERATURE = "timestamp,temp_c\n2023-05-01 00:00,10.5\n"
+GRID = "timestamp,demand\n2023-05-01 00:00,1\n"
+DATASET = "timestamp,demand,temp_c,weekday,month,holiday\n2023-05-01 00:00,1,10.5,0,5,1\n"
+# 1,500 rows and a blank line: the next row is file line 1503, in the reader's second block
+LONG_GRID = "timestamp,demand\n" + "".join(
+    f"{dt('2023-05-01 00:00') + k * timedelta(minutes=15)},1\n" for k in range(1500)) + "\n"
+
+
+@pytest.mark.parametrize("loader, text, error, where", [
+    pytest.param(load_temperature_csv, TEMPERATURE + "2023-05-01 00:15,warm\n",
+                 SchemaError, "line 3: temp_c:", id="temperature-cell"),
+    pytest.param(load_temperature_csv, TEMPERATURE + "\n2023-05-01 00:15\n",
+                 SchemaError, "line 4: temp_c:", id="temperature-short-row"),
+    pytest.param(load_temperature_csv, "", SchemaError, "line 1:", id="temperature-empty"),
+    pytest.param(load_demand_grid, GRID + "2023-05-01 00:15,two\n",
+                 SchemaError, "line 3: demand:", id="grid-cell"),
+    pytest.param(load_demand_grid, GRID + "2023-05-01 00:15\n",
+                 SchemaError, "line 3: demand:", id="grid-short-row"),
+    pytest.param(load_demand_grid, "", SchemaError, "line 1:", id="grid-empty"),
+    pytest.param(load_demand_grid, GRID + "\n2023-05-01 00:30,2\n",
+                 GridError, "line 4:", id="grid-break-after-blank-row"),
+    pytest.param(load_dataset, DATASET + "2023-05-01 00:15,1,hot,0,5,1\n",
+                 SchemaError, "line 3: temp_c:", id="dataset-cell"),
+    pytest.param(load_dataset, DATASET + "2023-05-01 00:15,1,10.5,0,5\n",
+                 SchemaError, "line 3: holiday:", id="dataset-short-row"),
+    pytest.param(load_dataset,
+                 DATASET + "2023-05-01 00:15,1,x,0,5,1\n2023-05-01 00:30,y,1,0,5,1\n",
+                 SchemaError, "line 3: temp_c:", id="dataset-first-bad-row"),
+    pytest.param(load_dataset, "", SchemaError, "line 1:", id="dataset-empty"),
+    pytest.param(load_dataset, DATASET + "\n\n2023-05-01 00:45,1,10.5,0,5,1\n",
+                 GridError, "line 5:", id="dataset-break-after-blank-rows"),
+    pytest.param(load_demand_grid, LONG_GRID + "2023-05-16 15:00,many\n",
+                 SchemaError, "line 1503: demand:", id="grid-cell-in-later-block"),
+    pytest.param(load_demand_grid, LONG_GRID + "2023-05-16 15:15,1\n",
+                 GridError, "line 1503:", id="grid-break-in-later-block"),
+    pytest.param(load_holidays_csv, "date\n2023-07-04\n2023-13-25\n",
+                 SchemaError, "line 3: date:", id="holiday-date"),
+])
+def test_bad_input_is_typed_error_naming_file_line(tmp_path, loader, text, error, where):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    with pytest.raises(error) as err:
+        loader(path)
+    assert where in str(err.value)
