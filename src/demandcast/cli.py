@@ -37,6 +37,7 @@ from .ingest import (
     IntervalSeries,
     aggregate_demand,
     attach_calendar,
+    format_times,
     join_temperature,
     load_dataset,
     load_demand_grid,
@@ -311,11 +312,11 @@ def cmd_predict(args, cfg: dict, out: OutputDir) -> None:
         raise ConfigError(f"window index {args.index} out of range 0..{len(windows) - 1}")
     forecast = _predict_fn(params)(windows.inputs[index:index + 1])[0]
     demand = inverse_transform(scaler, forecast, column=0)
-    times = windows.target_timestamps(index)
+    times = format_times(windows.target_timestamps(index))
     with open(out.path("forecast.csv"), "w", newline="", encoding="utf-8") as fh:
         fh.write("timestamp,demand_scaled,demand\n")
         for ts, s, d in zip(times, forecast, demand):
-            fh.write(f"{ts.isoformat(sep=' ')},{fmt_float(s)},{fmt_float(d)}\n")
+            fh.write(f"{ts},{fmt_float(s)},{fmt_float(d)}\n")
     write_manifest(out, "predict", cfg, meta.get("seed"))
 
 
@@ -388,11 +389,8 @@ def cmd_attention(args, cfg: dict, out: OutputDir) -> None:
     if args.limit is not None and args.limit < len(windows):
         step = max(1, len(windows) // args.limit)
         keep = list(range(0, len(windows), step))[:args.limit]
-        windows = WindowedDataset(
-            windows.inputs[keep], windows.targets[keep],
-            [windows.origins[i] for i in keep],
-            windows.lookback, windows.horizon,
-        )
+        windows = WindowedDataset(windows.inputs[keep], windows.targets[keep],
+                                  windows.origins[keep], windows.lookback, windows.horizon)
     profile = attention_profile(params, windows)
     write_attention_csv(out.path("attention.csv"), profile)
     write_manifest(out, "attention", cfg, meta.get("seed"))

@@ -19,13 +19,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from datetime import timedelta
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .features import FeatureSchema, WindowedDataset
-from .ingest import STEP
+from .ingest import STEP_SECONDS
 from .lstm_att import ModelParams, forward_batch
 from .util import fmt_float
 
@@ -240,15 +239,18 @@ def attention_profile(params: ModelParams, windows: WindowedDataset,
     Each window's 96 weights are binned by their timestep's hour; the 24
     bucket means sum to 1 because every weight vector does. Timestep t of a
     window whose origin lies in quarter-hour slot s of its day falls in
-    hour ((s + t) // 4) mod 24; origins are naive, so no DST jump intervenes.
+    hour ((s + t) // 4) mod 24. Origins come from ``ingest.grid_times``, the
+    one grid clock, which is naive, so no DST jump intervenes; the DST fix
+    goes there and in ``ingest.attach_calendar``, and must then give this
+    rule each step's local hour.
     """
     if not params.config.attention:
         raise ConfigError("model has no attention layer to profile")
     n = len(windows)
     if n == 0:
         raise ConfigError("no windows to profile")
-    step_minutes = STEP // timedelta(minutes=1)
-    slots = np.array([(o.hour * 60 + o.minute) // step_minutes for o in windows.origins])
+    origins = np.asarray(windows.origins, dtype="datetime64[m]")
+    slots = (origins - origins.astype("datetime64[D]")) // np.timedelta64(STEP_SECONDS, "s")
     buckets = np.zeros(24)
     for start in range(0, n, batch_size):
         X = np.asarray(windows.inputs[start:start + batch_size])
@@ -258,7 +260,7 @@ def attention_profile(params: ModelParams, windows: WindowedDataset,
         weights = trace.weights  # (p, B)
         p, B = weights.shape
         slot = np.arange(p)[:, None] + slots[start:start + B]  # (p, B)
-        hours = (slot * step_minutes // 60) % 24
+        hours = slot // (3600 // STEP_SECONDS) % 24
         buckets += np.bincount(hours.ravel(), weights=weights.ravel(), minlength=24)
     return buckets / n
 

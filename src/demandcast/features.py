@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime
 
 import numpy as np
 
 from .errors import ConfigError, GridError, SchemaError
-from .ingest import STEP, IntervalSeries
+from .ingest import IntervalSeries, grid_times
 
 WEEKDAY_NAMES = ("mon", "tue", "wed", "thu", "fri", "sat", "sun")
 MONTH_NAMES = ("jan", "feb", "mar", "apr", "may", "jun",
@@ -157,10 +157,8 @@ def encode(series: IntervalSeries, schema: FeatureSchema) -> np.ndarray:
             else:
                 out[np.arange(T), col + month0] = 1.0
         elif f.name == "hour":
-            minutes = np.array(
-                [(series.origin + k * STEP) for k in range(T)]
-            )
-            out[:, col] = [ts.hour + ts.minute / 60.0 for ts in minutes]
+            times = series.times()
+            out[:, col] = (times - times.astype("datetime64[D]")) / np.timedelta64(1, "h")
         else:
             raise SchemaError(f"schema feature '{f.name}' has no source column")
         col += f.cardinality
@@ -276,20 +274,21 @@ def clamp_scaled(scaler: MinMaxScaler, matrix: np.ndarray,
 
 @dataclass
 class WindowedDataset:
-    """Supervised pairs: inputs (N, p, n), targets (N, m) from column 0."""
+    """Supervised pairs: inputs (N, p, n), targets (N, m) from column 0;
+    ``origins`` holds the start time of each window's first input row."""
 
     inputs: np.ndarray
     targets: np.ndarray
-    origins: list[datetime]
+    origins: np.ndarray  # datetime64
     lookback: int
     horizon: int
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
-    def target_timestamps(self, i: int) -> list[datetime]:
-        start = self.origins[i] + self.lookback * STEP
-        return [start + j * STEP for j in range(self.horizon)]
+    def target_timestamps(self, i: int) -> np.ndarray:
+        """The start time of each forecast step of window ``i``."""
+        return grid_times(self.origins[i], self.lookback + self.horizon)[self.lookback:]
 
 
 @dataclass
@@ -331,7 +330,7 @@ def make_windows(matrix: np.ndarray, p: int = 96, m: int = 96,
 
     if origin is None:
         origin = datetime(2000, 1, 3)  # placeholder grid start (a Monday)
-    origins = [origin + s * STEP for s in range(0, n_starts, stride)]
+    origins = grid_times(origin, n_starts)[::stride]
     return WindowedDataset(inputs, targets, origins, p, m)
 
 

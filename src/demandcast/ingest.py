@@ -5,6 +5,11 @@ All timestamps are kept as naive local wall-clock datetimes. Inputs that
 carry a UTC offset are converted to the configured zone first and the
 offset is dropped, since weekday/holiday semantics are local.
 
+``grid_times`` is the one grid clock, the only code that turns a row index
+into a time; every other use of interval times is array arithmetic on its
+result. The DST fix (a monotonic grid clock with weekday, month, holiday and
+hour derived in local time) goes in ``grid_times`` and ``attach_calendar``.
+
 Bad input is a typed error naming the file line. The whole-file loaders
 (temperature, holidays, demand grid, dataset) raise SchemaError for a cell
 that does not parse, a short row, or a missing header or column, and
@@ -25,9 +30,11 @@ from zoneinfo import ZoneInfo
 import numpy as np
 
 from .errors import GridError, SchemaError
+from .util import fmt_float
 
 STEP = timedelta(minutes=15)
 STEP_SECONDS = 900
+EPOCH = datetime(1970, 1, 1)
 TEMP_EDGE_REACH = timedelta(hours=2)
 BLOCK_ROWS = 1024
 
@@ -58,6 +65,18 @@ def parse_timestamp(text: str, timezone: str | None = None) -> datetime:
 def check_aligned(ts: datetime, what: str = "origin") -> None:
     if ts.minute % 15 or ts.second or ts.microsecond:
         raise GridError(f"{what} {ts.isoformat()} is not on a 15-minute boundary")
+
+
+def grid_times(origin, n: int) -> np.ndarray:
+    """The start of each of the ``n`` intervals of the grid from ``origin``
+    (a datetime or datetime64), as naive ``datetime64[s]`` wall-clock times."""
+    return np.datetime64(origin, "s") + np.arange(n) * np.timedelta64(STEP_SECONDS, "s")
+
+
+def format_times(times) -> list[str]:
+    """``YYYY-MM-DD HH:MM:SS`` text of each time, whole seconds."""
+    text = np.datetime_as_string(np.asarray(times, dtype="datetime64[s]"), unit="s")
+    return np.char.replace(text, "T", " ").tolist()
 
 
 def n_intervals_between(origin: datetime, end: datetime) -> int:
@@ -140,11 +159,9 @@ class IntervalSeries:
     def __len__(self) -> int:
         return self._len
 
-    def timestamp(self, k: int) -> datetime:
-        return self.origin + k * STEP
-
-    def timestamps(self) -> list[datetime]:
-        return [self.origin + k * STEP for k in range(self._len)]
+    def times(self) -> np.ndarray:
+        """The start of every interval; see ``grid_times``."""
+        return grid_times(self.origin, self._len)
 
 
 @dataclass(frozen=True)
@@ -223,15 +240,13 @@ def join_temperature(grid: IntervalSeries, readings) -> IntervalSeries:
     readings = list(readings)
     if not readings:
         raise GridError("temperature readings are empty")
-    xs = np.array([_epoch_seconds(t) for t, _ in readings], dtype=np.float64)
+    xs = np.array([(t - EPOCH).total_seconds() for t, _ in readings], dtype=np.float64)
     if np.any(np.diff(xs) <= 0):
         raise SchemaError("temperature readings must be strictly increasing in time")
 
     ys = np.array([float(v) for _, v in readings], dtype=np.float64)
-    grid_x = np.array(
-        [_epoch_seconds(grid.origin + k * STEP) for k in range(len(grid))],
-        dtype=np.float64,
-    )
+    times = grid.times()
+    grid_x = (times - np.datetime64(EPOCH, "s")) / np.timedelta64(1, "s")
     values = np.interp(grid_x, xs, ys)
 
     reach = TEMP_EDGE_REACH.total_seconds()
@@ -242,24 +257,19 @@ def join_temperature(grid: IntervalSeries, readings) -> IntervalSeries:
     if bad_before.any() or bad_after.any():
         k = int(np.argmax(bad_before)) if bad_before.any() else int(np.argmax(bad_after))
         raise GridError(
-            f"no temperature reading within reach of interval {grid.timestamp(k).isoformat()}"
+            f"no temperature reading within reach of interval {times[k].item().isoformat()}"
         )
     return replace(grid, temperature=values)
 
 
 def attach_calendar(grid: IntervalSeries, holidays: HolidayCalendar) -> IntervalSeries:
     """Derive weekday, month, and holiday flags from each interval start."""
-    n = len(grid)
-    weekday = np.empty(n, dtype=np.int8)
-    month = np.empty(n, dtype=np.int8)
-    holiday = np.zeros(n, dtype=bool)
-    ts = grid.origin
-    for k in range(n):
-        weekday[k] = ts.weekday()
-        month[k] = ts.month
-        holiday[k] = ts.date() in holidays
-        ts += STEP
-    return replace(grid, weekday=weekday, month=month, holiday=holiday)
+    days = grid.times().astype("datetime64[D]")
+    weekday = (days.astype(np.int64) + 3) % 7  # 1970-01-01 was a Thursday
+    month = days.astype("datetime64[M]").astype(np.int64) % 12 + 1
+    holiday = np.isin(days, np.array(sorted(holidays.dates), dtype="datetime64[D]"))
+    return replace(grid, weekday=weekday.astype(np.int8), month=month.astype(np.int8),
+                   holiday=holiday)
 
 
 # ---------------------------------------------------------------------------
@@ -337,30 +347,36 @@ def _read_columns(source, kind: str, parsers: dict) -> tuple[list[int], list[lis
 
 
 def _progression_origin(kind: str, lines: list[int], times: list[datetime]) -> datetime:
-    """The first timestamp, once every row is checked to follow it in
-    15-minute steps; a break is a GridError naming its file line."""
+    """The first timestamp, once every row is checked to be its interval
+    start on the grid from it; a break is a GridError naming its file line."""
     if not times:
         raise GridError(f"{kind} has no rows")
-    expected = times[0]
-    for line, ts in zip(lines, times):
-        if ts != expected:
-            raise GridError(f"{kind} line {line}: breaks the 15-minute progression ({ts})")
-        expected += STEP
+    expected = grid_times(times[0], len(times)).tolist()
+    if times != expected:
+        k = next(k for k, (ts, want) in enumerate(zip(times, expected)) if ts != want)
+        raise GridError(f"{kind} line {lines[k]}: breaks the 15-minute progression ({times[k]})")
     return times[0]
 
 
-def _epoch_seconds(ts: datetime) -> float:
-    return (ts - datetime(1970, 1, 1)).total_seconds()
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+def _bounded_int(low: int, high: int):
+    """A cell parser for an integer in [low, high]."""
+    def parse(text: str) -> int:
+        if not low <= (value := int(text)) <= high:
+            raise ValueError(f"{value} is outside {low}..{high}")
+        return value
+    return parse
 
 
 def load_temperature_csv(source, timezone: str | None = None) -> list[tuple[datetime, float]]:
-    _, (times, temps) = _read_columns(source, "temperature CSV", {
+    """Read (timestamp, temp_c) readings; a row whose time is not later than
+    the one before is a SchemaError naming its file line."""
+    kind = "temperature CSV"
+    lines, (times, temps) = _read_columns(source, kind, {
         "timestamp": lambda text: parse_timestamp(text, timezone), "temp_c": float,
     })
+    for line, before, ts in zip(lines[1:], times, times[1:]):
+        if ts <= before:
+            raise SchemaError(f"{kind} line {line}: timestamp {ts} is not later than {before}")
     return list(zip(times, temps))
 
 
@@ -389,18 +405,14 @@ def write_demand_grid(path, series: IntervalSeries) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["timestamp", "demand"])
-        ts = series.origin
-        for v in series.demand:
-            w.writerow([ts.isoformat(sep=" "), int(v)])
-            ts += STEP
+        w.writerows(zip(format_times(series.times()), series.demand.tolist()))
 
 
 def write_temperature_csv(path, timestamps, temps) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["timestamp", "temp_c"])
-        for ts, v in zip(timestamps, temps):
-            w.writerow([ts.isoformat(sep=" "), _fmt(v)])
+        w.writerows(zip(format_times(timestamps), map(fmt_float, np.asarray(temps).tolist())))
 
 
 def write_holidays_csv(path, calendar: HolidayCalendar) -> None:
@@ -420,24 +432,18 @@ def write_dataset(path, series: IntervalSeries) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(DATASET_COLUMNS)
-        ts = series.origin
-        for k in range(len(series)):
-            w.writerow([
-                ts.isoformat(sep=" "),
-                int(series.demand[k]),
-                _fmt(series.temperature[k]),
-                int(series.weekday[k]),
-                int(series.month[k]),
-                int(series.holiday[k]),
-            ])
-            ts += STEP
+        w.writerows(zip(format_times(series.times()), series.demand.tolist(),
+                        map(fmt_float, series.temperature.tolist()),
+                        series.weekday.tolist(), series.month.tolist(),
+                        series.holiday.astype(np.int64).tolist()))
 
 
 def load_dataset(source, timezone: str | None = None) -> IntervalSeries:
     kind = "dataset CSV"
     lines, (times, demand, temp, weekday, month, holiday) = _read_columns(source, kind, {
         "timestamp": lambda text: parse_timestamp(text, timezone),
-        "demand": int, "temp_c": float, "weekday": int, "month": int, "holiday": int,
+        "demand": int, "temp_c": float, "weekday": _bounded_int(0, 6),
+        "month": _bounded_int(1, 12), "holiday": _bounded_int(0, 1),
     })
     return IntervalSeries(
         origin=_progression_origin(kind, lines, times),

@@ -168,7 +168,7 @@ class ForwardTrace:
         self.consumed = False
 
 
-def forward_batch(windows, params: ModelParams, check_finite: bool = True):
+def forward_batch(windows, params: ModelParams):
     """Run the model over a (B, p, n) batch; returns ((B, m) forecasts, trace)."""
     cfg = params.config
     windows = as_f64(windows)
@@ -179,8 +179,7 @@ def forward_batch(windows, params: ModelParams, check_finite: bool = True):
         raise ShapeError(f"window feature width {n} != model n_features {cfg.n_features}")
     if cfg.attention and cfg.head_input == "weighted_flatten" and p != cfg.lookback:
         raise ShapeError(f"weighted_flatten head requires p == {cfg.lookback}")
-    if check_finite:
-        assert_finite("input", windows)
+    assert_finite("input", windows)
 
     H = cfg.hidden
     xs = np.ascontiguousarray(windows.transpose(1, 0, 2))  # (p, B, n)
@@ -209,8 +208,7 @@ def forward_batch(windows, params: ModelParams, check_finite: bool = True):
         h = hidden[t]
         np.tanh(c, out=h)
         h *= g[:, 2 * H:3 * H]
-    if check_finite:
-        assert_finite("lstm", hidden[-1])
+    assert_finite("lstm", hidden[-1])
 
     scores = weights = context = None
     if cfg.attention:
@@ -225,15 +223,13 @@ def forward_batch(windows, params: ModelParams, check_finite: bool = True):
             weighted = np.empty((B, p, H))
             np.multiply(weights.T[:, :, None], hidden.transpose(1, 0, 2), out=weighted)
             head_in = weighted.reshape(B, p * H)
-        if check_finite:
-            assert_finite("attention", weights)
+        assert_finite("attention", weights)
     else:
         head_in = hidden[-1]
 
     pre_head = matmul(head_in, params.W_out.value.T) + params.b_out.value
     output = relu(pre_head)
-    if check_finite:
-        assert_finite("head", output)
+    assert_finite("head", output)
 
     trace = ForwardTrace(windows=windows, gates=gates,
                          f=gates[:, :, :H], i=gates[:, :, H:2 * H],
@@ -244,12 +240,12 @@ def forward_batch(windows, params: ModelParams, check_finite: bool = True):
     return output, trace
 
 
-def forward(window, params: ModelParams, check_finite: bool = True):
+def forward(window, params: ModelParams):
     """Single-window forward; returns ((m,) forecast, trace with B = 1)."""
     window = as_f64(window)
     if window.ndim != 2:
         raise ShapeError(f"expected a (p, n) window, got shape {window.shape}")
-    out, trace = forward_batch(window[None, :, :], params, check_finite)
+    out, trace = forward_batch(window[None, :, :], params)
     return out[0], trace
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
@@ -171,16 +171,15 @@ def generate(config: SynthConfig) -> tuple[IntervalSeries, HolidayCalendar]:
     rng = np.random.default_rng(config.seed)
     drift_phases = rng.uniform(0.0, 2.0 * np.pi, size=len(config.drift_amplitudes))
 
+    calendar = attach_calendar(
+        IntervalSeries(origin=origin, demand=np.zeros(n, dtype=np.int64)), holidays)
+    days = calendar.times().astype("datetime64[D]")
+    doy = (days - days.astype("datetime64[Y]")).astype(np.float64) + 1.0
     day_index = np.arange(n) // INTERVALS_PER_DAY
     step_of_day = np.arange(n) % INTERVALS_PER_DAY
-    dates = [config.start + timedelta(days=int(d)) for d in range(config.days)]
-    doy = np.array([d.timetuple().tm_yday for d in dates], dtype=np.float64)
-    weekday = np.array([d.weekday() for d in dates], dtype=np.int64)
-    month = np.array([d.month for d in dates], dtype=np.int64)
-    is_holiday = np.array([d in holidays for d in dates])
 
     annual = config.temp_annual_amp_c * np.cos(
-        2.0 * np.pi * (doy[day_index] - 213.0) / 365.25
+        2.0 * np.pi * (doy - 213.0) / 365.25
     )
     daily = config.temp_daily_amp_c * np.cos(
         2.0 * np.pi * (step_of_day * 15.0 - 900.0) / 1440.0
@@ -196,9 +195,9 @@ def generate(config: SynthConfig) -> tuple[IntervalSeries, HolidayCalendar]:
     drift = np.exp(log_drift)
 
     base = np.asarray(config.base_profile)[step_of_day]
-    wd_mult = np.asarray(config.weekday_mult)[weekday[day_index]]
-    mo_mult = np.asarray(config.month_mult)[month[day_index] - 1]
-    hol_mult = np.where(is_holiday[day_index], config.holiday_mult, 1.0)
+    wd_mult = np.asarray(config.weekday_mult)[calendar.weekday]
+    mo_mult = np.asarray(config.month_mult)[calendar.month - 1]
+    hol_mult = np.where(calendar.holiday, config.holiday_mult, 1.0)
     amp = config.temp_annual_amp_c if config.temp_annual_amp_c > 0 else 1.0
     norm_temp = (temperature - config.temp_mean_c) / amp
     coupling = np.maximum(0.0, 1.0 + config.temp_coeff * norm_temp)
@@ -206,8 +205,7 @@ def generate(config: SynthConfig) -> tuple[IntervalSeries, HolidayCalendar]:
             * coupling * drift[day_index])
 
     demand = rng.poisson(rate).astype(np.int64)
-    grid = IntervalSeries(origin=origin, demand=demand, temperature=temperature)
-    return attach_calendar(grid, holidays), holidays
+    return replace(calendar, demand=demand, temperature=temperature), holidays
 
 
 def export(series: IntervalSeries, holidays: HolidayCalendar, out_dir) -> dict:
@@ -221,7 +219,7 @@ def export(series: IntervalSeries, holidays: HolidayCalendar, out_dir) -> dict:
         "holidays": out / "holidays.csv",
     }
     write_demand_grid(paths["demand"], series)
-    write_temperature_csv(paths["temperature"], series.timestamps(), series.temperature)
+    write_temperature_csv(paths["temperature"], series.times(), series.temperature)
     write_holidays_csv(paths["holidays"], holidays)
     return paths
 

@@ -228,7 +228,7 @@ def train(dataset: SplitDataset, config: TrainConfig,
                 params, extra,
             )
 
-    test_mse = evaluate(params, dataset.test, config).mse
+    test_mse = evaluate(params, dataset.test).mse
     report = MetricsReport(
         variant=config.variant,
         train_mse=epoch_losses[-1],
@@ -247,8 +247,7 @@ class EvalResult:
     predictions_demand: np.ndarray | None = None  # inverse-transformed
 
 
-def evaluate(params: ModelParams, windows: WindowedDataset,
-             config: TrainConfig | None = None, scaler=None,
+def evaluate(params: ModelParams, windows: WindowedDataset, scaler=None,
              batch_size: int = 256) -> EvalResult:
     """MSE over all windows plus per-window predictions; read-only.
 

@@ -31,6 +31,24 @@ def minute_scan_demand(sessions, origin, n_intervals):
     return counts
 
 
+def loop_grid_times(origin, n):
+    """Interval starts of a grid: origin + k * 15 min for each row k."""
+    return [origin + k * timedelta(minutes=15) for k in range(n)]
+
+
+def loop_calendar(origin, n, holidays):
+    """Weekday, month and holiday flag of each interval start, stepping a
+    datetime 15 minutes at a time from ``origin``."""
+    weekday, month, holiday = [], [], []
+    ts = origin
+    for _ in range(n):
+        weekday.append(ts.weekday())
+        month.append(ts.month)
+        holiday.append(ts.date() in holidays)
+        ts += timedelta(minutes=15)
+    return weekday, month, holiday
+
+
 def enumerate_windows(matrix, p, m):
     """Brute-force sliding windows: inputs rows [i, i+p), targets column 0
     of rows [i+p, i+p+m), for every valid start i."""

@@ -167,12 +167,17 @@ def test_out_of_range_flag_one_config_line_no_partial_files(trained, tmp_path,
     pytest.param("ingest", "demand.csv", 7, "2022-01-01 01:15:00", id="ingest-demand-short-row"),
     pytest.param("ingest", "temperature.csv", 1, None, id="ingest-temperature-empty"),
     pytest.param("ingest", "holidays.csv", 2, "2022-13-01", id="ingest-holiday-date"),
+    pytest.param("ingest", "temperature.csv", 5, "2022-01-01 00:15:00,10.0",
+                 id="ingest-temperature-out-of-order"),
     pytest.param("train", "dataset.csv", 5, "2022-01-01 00:45:00,x,10.0,5,1,1",
                  id="train-dataset-cell"),
+    pytest.param("train", "dataset.csv", 5, "2022-01-01 00:45:00,3,10.0,300,1,1",
+                 id="train-dataset-weekday-out-of-range"),
 ])
 def test_bad_csv_one_schema_line_naming_file_line(trained, tmp_path, command, name, line, text):
-    """A bad cell, a short row, an empty file or a bad holiday date in any CSV
-    the pipeline reads exits 1 with one ``schema:`` line and no output."""
+    """A bad cell, a short row, an empty file, a bad holiday date, a
+    temperature reading out of time order or a calendar cell out of range in
+    any CSV the pipeline reads exits 1 with one ``schema:`` line and no output."""
     sim = trained["root"] / "sim"
     inputs = {"demand.csv": sim / "demand.csv", "temperature.csv": sim / "temperature.csv",
               "holidays.csv": sim / "holidays.csv", "dataset.csv": trained["dataset"]}

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 from demandcast.errors import GridError, SchemaError
+from demandcast.explain import attention_profile
+from demandcast.features import FeatureSchema, encode, make_windows
 from demandcast.ingest import (
     HolidayCalendar,
     IntervalSeries,
     SessionRecord,
     aggregate_demand,
     attach_calendar,
+    grid_times,
     join_temperature,
     load_dataset,
     load_demand_grid,
@@ -21,7 +24,8 @@ from demandcast.ingest import (
     parse_timestamp,
     write_demand_grid,
 )
-from helpers import minute_scan_demand
+from demandcast.lstm_att import ModelConfig, ModelParams, forward_batch
+from helpers import loop_attention_profile, loop_calendar, loop_grid_times, minute_scan_demand
 
 HEADER = "start,charge_end,disconnect,energy_kwh\n"
 
@@ -266,6 +270,52 @@ def test_attach_calendar_idempotent():
 
 
 # ---------------------------------------------------------------------------
+# grid clock
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("origin, days", [
+    # before the epoch, where % 7 on negative day numbers can go wrong, and
+    # across the 1969 year end; the origin is not at midnight
+    pytest.param("1969-12-24 13:45", 12, id="pre-epoch-year-end"),
+    # both 2023 US DST changes (Mar 12, Nov 5), the 2023 year end and 2024-02-29
+    pytest.param("2023-03-10 22:15", 358, id="dst-2023-leap-day-2024"),
+])
+def test_grid_clock_matches_loop_oracles(origin, days):
+    origin, n, p, m, stride = dt(origin), days * 96, 8, 2, 97
+    holidays = HolidayCalendar.from_dates({
+        date(1969, 12, 25), date(1970, 1, 1), date(2023, 3, 12), date(2023, 11, 5),
+        date(2023, 12, 25), date(2024, 2, 29)})
+    series = attach_calendar(IntervalSeries(origin=origin, demand=np.zeros(n, dtype=np.int64),
+                                            temperature=np.zeros(n)), holidays)
+    want = loop_grid_times(origin, n)
+
+    assert series.times().tolist() == want == grid_times(origin, n).tolist()
+    weekday, month, holiday = loop_calendar(origin, n, holidays)
+    assert series.weekday.tolist() == weekday
+    assert series.month.tolist() == month
+    assert series.holiday.tolist() == holiday
+    hour = encode(series, FeatureSchema.default(include_hour=True))[:, -1]
+    assert hour.tolist() == [ts.hour + ts.minute / 60.0 for ts in want]
+
+    matrix = encode(series, FeatureSchema.default())
+    windows = make_windows(matrix, p, m, origin=origin, stride=stride)
+    assert windows.origins.tolist() == want[:n - p - m + 1:stride]
+    last = len(windows) - 1
+    assert windows.target_timestamps(last).tolist() == want[last * stride + p:][:m]
+    params = ModelParams.init(ModelConfig(n_features=matrix.shape[1], hidden=4,
+                                          horizon=m, lookback=p), 5)
+    weights = forward_batch(np.asarray(windows.inputs), params)[1].weights
+    want_profile = loop_attention_profile(weights, want[:n - p - m + 1:stride])
+    assert np.max(np.abs(attention_profile(params, windows) - want_profile)) < 1e-12
+
+    # the naive clock shows each DST hour four times: no gap, no repeat
+    for day, h in ((date(2023, 3, 12), 2), (date(2023, 11, 5), 1)):
+        count = sum(ts.date() == day and ts.hour == h for ts in want)
+        assert count == (4 if want[0].date() <= day <= want[-1].date() else 0)
+    assert np.all(np.diff(series.times()) == np.timedelta64(15, "m"))
+
+
+# ---------------------------------------------------------------------------
 # file round trips
 # ---------------------------------------------------------------------------
 
@@ -320,6 +370,11 @@ LONG_GRID = "timestamp,demand\n" + "".join(
     pytest.param(load_temperature_csv, TEMPERATURE + "\n2023-05-01 00:15\n",
                  SchemaError, "line 4: temp_c:", id="temperature-short-row"),
     pytest.param(load_temperature_csv, "", SchemaError, "line 1:", id="temperature-empty"),
+    pytest.param(load_temperature_csv, TEMPERATURE + "2023-05-01 00:00,11\n",
+                 SchemaError, "line 3: timestamp", id="temperature-repeated-time"),
+    pytest.param(load_temperature_csv,
+                 TEMPERATURE + "2023-05-01 01:00,11\n\n2023-05-01 00:30,12\n",
+                 SchemaError, "line 5: timestamp", id="temperature-decreasing-time"),
     pytest.param(load_demand_grid, GRID + "2023-05-01 00:15,two\n",
                  SchemaError, "line 3: demand:", id="grid-cell"),
     pytest.param(load_demand_grid, GRID + "2023-05-01 00:15\n",
@@ -335,6 +390,16 @@ LONG_GRID = "timestamp,demand\n" + "".join(
                  DATASET + "2023-05-01 00:15,1,x,0,5,1\n2023-05-01 00:30,y,1,0,5,1\n",
                  SchemaError, "line 3: temp_c:", id="dataset-first-bad-row"),
     pytest.param(load_dataset, "", SchemaError, "line 1:", id="dataset-empty"),
+    pytest.param(load_dataset, DATASET + "2023-05-01 00:15,1,10.5,300,5,1\n",
+                 SchemaError, "line 3: weekday:", id="dataset-weekday-300"),
+    pytest.param(load_dataset, DATASET + "2023-05-01 00:15,1,10.5,9,5,1\n",
+                 SchemaError, "line 3: weekday:", id="dataset-weekday-9"),
+    pytest.param(load_dataset, DATASET + "2023-05-01 00:15,1,10.5,0,13,1\n",
+                 SchemaError, "line 3: month:", id="dataset-month-13"),
+    pytest.param(load_dataset, DATASET + "2023-05-01 00:15,1,10.5,0,0,1\n",
+                 SchemaError, "line 3: month:", id="dataset-month-0"),
+    pytest.param(load_dataset, DATASET + "2023-05-01 00:15,1,10.5,0,5,2\n",
+                 SchemaError, "line 3: holiday:", id="dataset-holiday-2"),
     pytest.param(load_dataset, DATASET + "\n\n2023-05-01 00:45,1,10.5,0,5,1\n",
                  GridError, "line 5:", id="dataset-break-after-blank-rows"),
     pytest.param(load_demand_grid, LONG_GRID + "2023-05-16 15:00,many\n",
