@@ -33,17 +33,16 @@ from .features import (
     transform,
 )
 from .ingest import (
-    STEP,
     IntervalSeries,
     aggregate_demand,
     attach_calendar,
     format_times,
+    grid_span,
     join_temperature,
     load_dataset,
     load_demand_grid,
     load_holidays_csv,
     load_temperature_csv,
-    n_intervals_between,
     parse_sessions,
     write_dataset,
 )
@@ -243,15 +242,8 @@ def cmd_ingest(args, cfg: dict, out: OutputDir) -> None:
             print(f"({len(result.errors)} malformed rows skipped)", file=sys.stderr)
         if not result.records:
             raise SchemaError("sessions CSV yielded no valid records")
-        first = min(s.start for s in result.records)
-        last = max(s.charge_end for s in result.records)
-        origin = first.replace(minute=first.minute - first.minute % 15,
-                               second=0, microsecond=0)
-        end = last if (last.minute % 15 == 0 and last.second == 0
-                       and last.microsecond == 0) else last + STEP
-        end = end.replace(minute=end.minute - end.minute % 15,
-                          second=0, microsecond=0)
-        n = max(1, n_intervals_between(origin, end))
+        origin, n = grid_span(min(s.start for s in result.records),
+                              max(s.charge_end for s in result.records))
         grid = IntervalSeries(origin=origin,
                               demand=aggregate_demand(result.records, origin, n))
     else:

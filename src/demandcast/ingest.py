@@ -15,12 +15,24 @@ Bad input is a typed error naming the file line. The whole-file loaders
 that does not parse, a short row, or a missing header or column, and
 GridError for a break in the 15-minute progression; parse_sessions instead
 skips each malformed row and collects a RowError with its line.
+
+The temperature, demand grid and dataset loaders read the file's text once.
+Plain text takes the columnar path, numpy's C reader: ASCII with no quote,
+NUL or \\x1c-\\x1f character and no carriage return outside a CRLF line end,
+every timestamp in the form ``format_times`` writes (``YYYY-MM-DD HH:MM:SS``,
+or ``T`` as the separator), and every cell, row and time within the loader's
+rules. Any other text (another timestamp form such as one with a UTC offset
+or a fraction of a second, a quoted, short, all-space or all-comma row, a bad
+cell, an out-of-range value or a break in the time rule) is read again by
+the per-row reader ``_read_columns``, which reads the same values and names
+the file line of the first bad row.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timedelta
@@ -79,15 +91,13 @@ def format_times(times) -> list[str]:
     return np.char.replace(text, "T", " ").tolist()
 
 
-def n_intervals_between(origin: datetime, end: datetime) -> int:
-    """Number of 15-minute intervals in [origin, end)."""
-    check_aligned(origin)
-    check_aligned(end, "end")
-    span = end - origin
-    total = span.days * 86400 + span.seconds
-    if total < 0:
-        raise GridError("end precedes origin")
-    return total // STEP_SECONDS
+def grid_span(first: datetime, last: datetime) -> tuple[datetime, int]:
+    """Origin and number of intervals of the grid that covers [first, last):
+    ``first`` rounded down to an interval start, ``last`` rounded up to one,
+    and at least one interval."""
+    start = (first - EPOCH) // STEP
+    end = -((EPOCH - last) // STEP)
+    return EPOCH + start * STEP, max(1, end - start)
 
 
 # ---------------------------------------------------------------------------
@@ -229,25 +239,24 @@ def _seconds_from(origin: datetime, ts: datetime) -> int:
     return td.days * 86400 + td.seconds
 
 
-def join_temperature(grid: IntervalSeries, readings) -> IntervalSeries:
-    """Attach a temperature value to every interval.
+def join_temperature(grid: IntervalSeries, readings: np.ndarray) -> IntervalSeries:
+    """Attach a temperature value to every interval from ``readings``, a
+    ``READING`` array as ``load_temperature_csv`` returns.
 
     Exact-timestamp readings are copied through; interior intervals are
     linearly interpolated between the bracketing readings; intervals before
     the first or after the last reading take that boundary reading if it is
     within 2 hours, otherwise the interval is reported as an error.
     """
-    readings = list(readings)
-    if not readings:
+    if not len(readings):
         raise GridError("temperature readings are empty")
-    xs = np.array([(t - EPOCH).total_seconds() for t, _ in readings], dtype=np.float64)
+    xs = _epoch_seconds(readings["time"])
     if np.any(np.diff(xs) <= 0):
         raise SchemaError("temperature readings must be strictly increasing in time")
 
-    ys = np.array([float(v) for _, v in readings], dtype=np.float64)
     times = grid.times()
-    grid_x = (times - np.datetime64(EPOCH, "s")) / np.timedelta64(1, "s")
-    values = np.interp(grid_x, xs, ys)
+    grid_x = _epoch_seconds(times)
+    values = np.interp(grid_x, xs, readings["temp_c"])
 
     reach = TEMP_EDGE_REACH.total_seconds()
     before = grid_x < xs[0]
@@ -260,6 +269,10 @@ def join_temperature(grid: IntervalSeries, readings) -> IntervalSeries:
             f"no temperature reading within reach of interval {times[k].item().isoformat()}"
         )
     return replace(grid, temperature=values)
+
+
+def _epoch_seconds(times: np.ndarray) -> np.ndarray:
+    return (times - np.datetime64(EPOCH, "s")) / np.timedelta64(1, "s")
 
 
 def attach_calendar(grid: IntervalSeries, holidays: HolidayCalendar) -> IntervalSeries:
@@ -290,22 +303,28 @@ def _open_text(source):
         raise SchemaError(f"unsupported CSV source {type(source).__name__}")
 
 
+def _column_positions(reader, kind: str, names) -> list[int]:
+    """The position of each of ``names`` in the header row of ``reader``,
+    which may list them in any order among other columns."""
+    header = next(reader, None)
+    if header is None:
+        raise SchemaError(f"{kind} line 1: no header, the file is empty")
+    cols = [h.strip().lower() for h in header]
+    missing = [n for n in names if n not in cols]
+    if missing:
+        raise SchemaError(f"{kind} line 1: missing columns: {', '.join(missing)}")
+    return [cols.index(n) for n in names]
+
+
 def _read_rows(source, kind: str, names):
-    """Read a CSV whose header names every column in ``names``, in any order.
+    """Read a CSV whose header names every column in ``names``.
 
     Yields the position of each named column, then the data rows that are
     not blank in blocks of (file lines, rows) of at most BLOCK_ROWS rows, so
     that a large file never holds all its raw cells at once."""
     with _open_text(source) as stream:
         reader = csv.reader(stream)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError(f"{kind} line 1: no header, the file is empty")
-        cols = [h.strip().lower() for h in header]
-        missing = [n for n in names if n not in cols]
-        if missing:
-            raise SchemaError(f"{kind} line 1: missing columns: {', '.join(missing)}")
-        yield [cols.index(n) for n in names]
+        yield _column_positions(reader, kind, names)
         lines, rows = [], []
         for row in reader:
             if "".join(row).strip():
@@ -346,18 +365,6 @@ def _read_columns(source, kind: str, parsers: dict) -> tuple[list[int], list[lis
     return all_lines, columns
 
 
-def _progression_origin(kind: str, lines: list[int], times: list[datetime]) -> datetime:
-    """The first timestamp, once every row is checked to be its interval
-    start on the grid from it; a break is a GridError naming its file line."""
-    if not times:
-        raise GridError(f"{kind} has no rows")
-    expected = grid_times(times[0], len(times)).tolist()
-    if times != expected:
-        k = next(k for k, (ts, want) in enumerate(zip(times, expected)) if ts != want)
-        raise GridError(f"{kind} line {lines[k]}: breaks the 15-minute progression ({times[k]})")
-    return times[0]
-
-
 def _bounded_int(low: int, high: int):
     """A cell parser for an integer in [low, high]."""
     def parse(text: str) -> int:
@@ -367,17 +374,143 @@ def _bounded_int(low: int, high: int):
     return parse
 
 
-def load_temperature_csv(source, timezone: str | None = None) -> list[tuple[datetime, float]]:
-    """Read (timestamp, temp_c) readings; a row whose time is not later than
-    the one before is a SchemaError naming its file line."""
-    kind = "temperature CSV"
-    lines, (times, temps) = _read_columns(source, kind, {
-        "timestamp": lambda text: parse_timestamp(text, timezone), "temp_c": float,
-    })
-    for line, before, ts in zip(lines[1:], times, times[1:]):
-        if ts <= before:
-            raise SchemaError(f"{kind} line {line}: timestamp {ts} is not later than {before}")
-    return list(zip(times, temps))
+# Each column of the whole-file loaders: its numpy type on the columnar path
+# (an S20 timestamp holds one character more than the plain form, so that a
+# longer cell shows), and the inclusive bounds of a bounded integer.
+_COLUMNS = {
+    "timestamp": ("S20", None),
+    "demand": (np.int64, None),
+    "temp_c": (np.float64, None),
+    "weekday": (np.int64, (0, 6)),
+    "month": (np.int64, (1, 12)),
+    "holiday": (np.int64, (0, 1)),
+}
+# Characters numpy's C reader reads otherwise than the per-row reader: the
+# quote (csv quoting), NUL (the pad of a numpy string) and \x1c-\x1f (white
+# space to numpy's number parsers, not to int and float). A carriage return
+# is plain only as part of a CRLF line end.
+_NOT_PLAIN = '"\x00\x1c\x1d\x1e\x1f'
+# A plain timestamp in an S20 cell, once translated by _STAMP_CLASSES:
+# every digit to "d" and the "T" separator to " ".
+_STAMP = b"dddd-dd-dd dd:dd:dd\0"
+_STAMP_CLASSES = bytes.maketrans(b"0123456789T", b"dddddddddd ")
+_MICROSECOND = timedelta(microseconds=1)
+
+
+def _cell_parser(name: str, timezone: str | None):
+    """The per-row reader's parser of a cell of column ``name``."""
+    dtype, bounds = _COLUMNS[name]
+    if name == "timestamp":
+        return lambda text: parse_timestamp(text, timezone)
+    if bounds:
+        return _bounded_int(*bounds)
+    return int if dtype is np.int64 else float
+
+
+def _columnar(text: str, kind: str, names) -> list[np.ndarray]:
+    """The columns ``names`` (the timestamp first) of plain CSV text, read
+    by numpy's C reader: the timestamp as datetime64[s], the others as int64
+    within their bounds or as float64. Any other text is a ValueError or,
+    for a file with no data rows, a warning."""
+    if (not text.isascii() or any(c in text for c in _NOT_PLAIN)
+            or ("\r" in text and text.count("\r") != text.count("\r\n"))):
+        raise ValueError("text is not plain")
+    body = text.find("\n") + 1 or len(text)
+    header = csv.reader(io.StringIO(text[:body], newline=""))
+    usecols = _column_positions(header, kind, names)
+    # numpy reads lines of bytes faster than lines of str, and from a byte
+    # copy of the text, not a StringIO's buffer of four bytes a character
+    stream = io.BytesIO(text.encode("ascii"))
+    stream.seek(body)
+    table = np.loadtxt(stream, dtype=[(n, _COLUMNS[n][0]) for n in names], delimiter=",",
+                       comments=None, usecols=usecols, ndmin=1, encoding="ascii")
+    stamps = table["timestamp"]
+    if stamps.tobytes().translate(_STAMP_CLASSES) != _STAMP * len(stamps):
+        raise ValueError("a timestamp is not in the plain form")
+    times = stamps.astype("datetime64[s]")
+    if times.min() < np.datetime64(datetime.min):
+        raise ValueError("a timestamp is in year 0, which datetime lacks")
+    columns = [times]
+    for name in names[1:]:
+        column = np.ascontiguousarray(table[name])
+        bounds = _COLUMNS[name][1]
+        if bounds and ((column < bounds[0]) | (column > bounds[1])).any():
+            raise ValueError(f"a {name} is out of bounds")
+        columns.append(column)
+    return columns
+
+
+def _read_table(source, kind: str, names, timezone: str | None, first_break) -> list[np.ndarray]:
+    """The columns ``names`` (the timestamp first) of a whole CSV file as
+    arrays: from the columnar path if the text is plain and keeps the
+    loader's time rule, else from the per-row reader, whose values are the
+    same and whose errors name the file line.
+
+    ``first_break(times)`` is None if the rule holds, else (row, error type,
+    message) for the first row that breaks it."""
+    with _open_text(source) as stream:
+        text = stream.read()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on a file with no data rows
+            columns = _columnar(text, kind, names)
+        if first_break(columns[0]) is None:
+            return columns
+    except (ValueError, Warning):
+        pass  # the per-row reader gives the values or names the bad line
+    lines, cells = _read_columns(io.StringIO(text, newline=""), kind,
+                                 {n: _cell_parser(n, timezone) for n in names})
+    # integer microseconds: numpy converts a list of datetimes several times slower
+    micros = [(t - EPOCH) // _MICROSECOND for t in cells[0]]
+    columns = [np.array(micros, dtype=np.int64).view("datetime64[us]")]
+    columns += [np.array(c, dtype=_COLUMNS[n][0]) for n, c in zip(names[1:], cells[1:])]
+    if (broken := first_break(columns[0])) is not None:
+        k, error, message = broken
+        raise error(f"{kind} line {lines[k]}: {message}")
+    return columns
+
+
+def _off_grid(times: np.ndarray):
+    """The first row that is not its interval start on the grid from the
+    first row, as ``_read_table``'s ``first_break``."""
+    if len(times):
+        off = np.flatnonzero(times != grid_times(times[0], len(times)))
+        if off.size:
+            k = off[0]
+            return k, GridError, f"breaks the 15-minute progression ({times[k].item()})"
+    return None
+
+
+def _not_later(times: np.ndarray):
+    """The first row whose time is not later than the one before, as
+    ``_read_table``'s ``first_break``."""
+    late = np.flatnonzero(times[1:] <= times[:-1])
+    if late.size:
+        k = late[0] + 1
+        return k, SchemaError, (f"timestamp {times[k].item()} is not later than "
+                                f"{times[k - 1].item()}")
+    return None
+
+
+def _grid_origin(kind: str, times: np.ndarray) -> datetime:
+    if not len(times):
+        raise GridError(f"{kind} has no rows")
+    return times[0].item()
+
+
+# A temperature reading: its time and its value in degrees Celsius.
+READING = np.dtype([("time", "datetime64[us]"), ("temp_c", np.float64)])
+
+
+def load_temperature_csv(source, timezone: str | None = None) -> np.ndarray:
+    """Read the (timestamp, temp_c) readings as a ``READING`` array; a row
+    whose time is not later than the one before is a SchemaError naming its
+    file line."""
+    times, temps = _read_table(source, "temperature CSV", ("timestamp", "temp_c"),
+                               timezone, _not_later)
+    readings = np.empty(len(times), READING)
+    readings["time"], readings["temp_c"] = times, temps
+    return readings
 
 
 def load_holidays_csv(source) -> HolidayCalendar:
@@ -394,11 +527,8 @@ def load_demand_grid(source, timezone: str | None = None) -> IntervalSeries:
     """Read a pre-aggregated demand grid (columns timestamp,demand) and
     validate that it forms a gapless 15-minute progression."""
     kind = "demand grid CSV"
-    lines, (times, demand) = _read_columns(source, kind, {
-        "timestamp": lambda text: parse_timestamp(text, timezone), "demand": int,
-    })
-    return IntervalSeries(origin=_progression_origin(kind, lines, times),
-                          demand=np.array(demand, dtype=np.int64))
+    times, demand = _read_table(source, kind, ("timestamp", "demand"), timezone, _off_grid)
+    return IntervalSeries(origin=_grid_origin(kind, times), demand=demand)
 
 
 def write_demand_grid(path, series: IntervalSeries) -> None:
@@ -440,16 +570,8 @@ def write_dataset(path, series: IntervalSeries) -> None:
 
 def load_dataset(source, timezone: str | None = None) -> IntervalSeries:
     kind = "dataset CSV"
-    lines, (times, demand, temp, weekday, month, holiday) = _read_columns(source, kind, {
-        "timestamp": lambda text: parse_timestamp(text, timezone),
-        "demand": int, "temp_c": float, "weekday": _bounded_int(0, 6),
-        "month": _bounded_int(1, 12), "holiday": _bounded_int(0, 1),
-    })
-    return IntervalSeries(
-        origin=_progression_origin(kind, lines, times),
-        demand=np.array(demand, dtype=np.int64),
-        temperature=np.array(temp, dtype=np.float64),
-        weekday=np.array(weekday, dtype=np.int8),
-        month=np.array(month, dtype=np.int8),
-        holiday=np.array(holiday, dtype=bool),
-    )
+    times, demand, temp, weekday, month, holiday = _read_table(
+        source, kind, DATASET_COLUMNS, timezone, _off_grid)
+    return IntervalSeries(origin=_grid_origin(kind, times), demand=demand, temperature=temp,
+                          weekday=weekday.astype(np.int8), month=month.astype(np.int8),
+                          holiday=holiday.astype(bool))

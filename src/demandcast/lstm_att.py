@@ -240,19 +240,6 @@ def forward_batch(windows, params: ModelParams):
     return output, trace
 
 
-def forward(window, params: ModelParams):
-    """Single-window forward; returns ((m,) forecast, trace with B = 1)."""
-    window = as_f64(window)
-    if window.ndim != 2:
-        raise ShapeError(f"expected a (p, n) window, got shape {window.shape}")
-    out, trace = forward_batch(window[None, :, :], params)
-    return out[0], trace
-
-
-def predict(window, params: ModelParams) -> np.ndarray:
-    return forward(window, params)[0]
-
-
 def backward(trace: ForwardTrace, d_output, params: ModelParams) -> np.ndarray:
     """Reverse-mode pass: accumulate all parameter gradients in place and
     return the gradient w.r.t. the input windows, shape (B, p, n)."""

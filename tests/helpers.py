@@ -3,7 +3,9 @@
 Everything here is deliberately written without reference to the package
 internals (only its error types are shared): scalar loops, minute scans,
 and brute-force enumeration pin the semantics that the fast
-implementations must match.
+implementations must match. The exceptions are the single-window
+``forward`` and ``predict``, which wrap the package's batch forward, and
+``temperature_readings``, which builds the input of ``join_temperature``.
 """
 
 import math
@@ -12,6 +14,14 @@ from datetime import timedelta
 import numpy as np
 
 from demandcast.errors import ConfigError, ShapeError
+from demandcast.ingest import READING
+from demandcast.lstm_att import forward_batch
+
+
+def temperature_readings(pairs):
+    """Temperature readings from (datetime, value) pairs, as the ``READING``
+    array ``load_temperature_csv`` returns."""
+    return np.array(list(pairs), dtype=READING)
 
 
 def minute_scan_demand(sessions, origin, n_intervals):
@@ -117,6 +127,20 @@ def lstm_step(x, h_prev, c_prev, W, U, b):
     c = f * c_prev + i * chat
     h = o * np.tanh(c)
     return h, c, {"f": f, "i": i, "C": chat, "o": o}
+
+
+def forward(window, params):
+    """Single-window forward; returns ((m,) forecast, trace with B = 1)."""
+    window = np.asarray(window, dtype=np.float64)
+    if window.ndim != 2:
+        raise ShapeError(f"expected a (p, n) window, got shape {window.shape}")
+    out, trace = forward_batch(window[None, :, :], params)
+    return out[0], trace
+
+
+def predict(window, params):
+    """The (m,) forecast of one (p, n) window."""
+    return forward(window, params)[0]
 
 
 def attention(hidden_states, w_a, b_a):

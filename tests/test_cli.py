@@ -16,7 +16,8 @@ from demandcast import cli
 from demandcast.errors import ConfigError
 from demandcast.explain import default_groups, shapley
 from demandcast.ingest import load_dataset
-from demandcast.lstm_att import load_checkpoint, predict, save_checkpoint
+from demandcast.lstm_att import load_checkpoint, save_checkpoint
+from helpers import predict
 
 RUN_CONFIG = {"pipeline": {"window_stride": 8}}
 TRAIN_FLAGS = ["--hidden", "8", "--epochs", "2"]

@@ -15,13 +15,14 @@ from demandcast.explain import (
     shapley_series,
 )
 from demandcast.features import FeatureSchema, WindowedDataset
-from demandcast.lstm_att import ModelConfig, ModelParams, forward_batch, predict
+from demandcast.lstm_att import ModelConfig, ModelParams, forward_batch
 from helpers import (
     linear_shapley,
     linear_window_model,
     loop_attention_profile,
     loop_coalition_values,
     mask,
+    predict,
 )
 
 GROUPS4 = [

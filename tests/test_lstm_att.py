@@ -10,10 +10,8 @@ from demandcast.lstm_att import (
     ModelConfig,
     ModelParams,
     backward,
-    forward,
     forward_batch,
     load_checkpoint,
-    predict,
     save_checkpoint,
 )
 from demandcast.nn_core import glorot_uniform, recurrent_uniform
@@ -21,7 +19,9 @@ from demandcast.train import mse
 from helpers import (
     attention,
     central_difference,
+    forward,
     lstm_step,
+    predict,
     relative_error,
     scalar_lstm_step,
 )
