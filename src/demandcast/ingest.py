@@ -26,12 +26,19 @@ or a fraction of a second, a quoted, short, all-space or all-comma row, a bad
 cell, an out-of-range value or a break in the time rule) is read again by
 the per-row reader ``_read_columns``, which reads the same values and names
 the file line of the first bad row.
+
+``_write_table`` is the one grid writer, the counterpart of ``_read_table``:
+the demand grid, temperature and dataset files are each one call to it. It
+formats BLOCK_ROWS rows at a time with one ``%`` format of a row format
+repeated per row, so no cell is formatted by a Python loop, and ends every
+line with CRLF. Its files are plain text that the columnar path reads.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -41,14 +48,18 @@ from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from .errors import GridError, SchemaError
-from .util import fmt_float
+from .errors import GridError, SchemaError, ShapeError
+from .util import FLOAT_FORMAT
 
 STEP = timedelta(minutes=15)
 STEP_SECONDS = 900
 EPOCH = datetime(1970, 1, 1)
 TEMP_EDGE_REACH = timedelta(hours=2)
 BLOCK_ROWS = 1024
+# C0 and C1 control characters. fromisoformat reads "00:15:00\x00" as 00:15
+# (it stops at a NUL) and takes any character, a control one too, as the
+# date-time separator.
+_CONTROL = re.compile("[\x00-\x1f\x7f-\x9f]")
 
 
 # ---------------------------------------------------------------------------
@@ -59,9 +70,12 @@ def parse_timestamp(text: str, timezone: str | None = None) -> datetime:
     """Parse RFC 3339 or ``YYYY-MM-DD HH:MM`` into a naive local datetime.
 
     Offset-aware inputs are converted to ``timezone`` (UTC if none is
-    configured) before the offset is stripped.
+    configured) before the offset is stripped. Text that holds a control
+    character once stripped of white space is unparseable.
     """
     raw = text.strip()
+    if _CONTROL.search(raw):
+        raise ValueError(f"unparseable timestamp {text!r}")
     if raw.endswith(("Z", "z")):
         raw = raw[:-1] + "+00:00"
     try:
@@ -86,9 +100,19 @@ def grid_times(origin, n: int) -> np.ndarray:
 
 
 def format_times(times) -> list[str]:
-    """``YYYY-MM-DD HH:MM:SS`` text of each time, whole seconds."""
-    text = np.datetime_as_string(np.asarray(times, dtype="datetime64[s]"), unit="s")
-    return np.char.replace(text, "T", " ").tolist()
+    """``YYYY-MM-DD HH:MM:SS`` text of each time, whole seconds (``NaT`` for
+    not-a-time)."""
+    seconds = np.asarray(times, dtype="datetime64[s]").ravel()
+    days = seconds.astype("datetime64[D]")
+    # a grid has few distinct days and times of day: format each one once
+    day_list, day_of = np.unique(days, return_inverse=True)
+    clock_list, clock_of = np.unique((seconds - days).astype(np.int64), return_inverse=True)
+    day_text = np.array([d + " " for d in np.datetime_as_string(day_list).tolist()], dtype=object)
+    clock_text = np.array(["%02d:%02d:%02d" % (s // 3600, s // 60 % 60, s % 60)
+                           for s in clock_list.tolist()], dtype=object)
+    text = day_text[day_of] + clock_text[clock_of]
+    text[np.isnat(seconds)] = "NaT"
+    return text.tolist()
 
 
 def grid_span(first: datetime, last: datetime) -> tuple[datetime, int]:
@@ -221,22 +245,18 @@ def aggregate_demand(sessions, origin: datetime, n_intervals: int) -> np.ndarray
     check_aligned(origin)
     if n_intervals < 1:
         raise GridError("n_intervals must be >= 1")
-    counts = np.zeros(n_intervals, dtype=np.int64)
-    for s in sessions:
-        ts = _seconds_from(origin, s.start)
-        te = _seconds_from(origin, s.charge_end)
-        if te <= ts:
-            continue  # empty charging span
-        first = max(0, ts // STEP_SECONDS)
-        last = min(n_intervals, -((-te) // STEP_SECONDS))
-        if first < last:
-            counts[first:last] += 1
-    return counts
-
-
-def _seconds_from(origin: datetime, ts: datetime) -> int:
-    td = ts - origin
-    return td.days * 86400 + td.seconds
+    # each non-empty span covers intervals [first, last): its start rounded
+    # down and its end rounded up, exact to the microsecond. Lists of int, not
+    # of tuples: the cyclic GC tracks no new object while the sessions, often
+    # just parsed, are still in its young generations.
+    live = [s for s in sessions if s.start < s.charge_end]
+    first, last = np.clip(np.array([[(s.start - origin) // STEP for s in live],
+                                    [-((origin - s.charge_end) // STEP) for s in live]],
+                                   dtype=np.int64), 0, n_intervals)
+    # a difference array: +1 where a span enters the grid, -1 where it leaves
+    diff = (np.bincount(first, minlength=n_intervals + 1)
+            - np.bincount(last, minlength=n_intervals + 1))
+    return np.cumsum(diff[:n_intervals])
 
 
 def join_temperature(grid: IntervalSeries, readings: np.ndarray) -> IntervalSeries:
@@ -531,18 +551,35 @@ def load_demand_grid(source, timezone: str | None = None) -> IntervalSeries:
     return IntervalSeries(origin=_grid_origin(kind, times), demand=demand)
 
 
-def write_demand_grid(path, series: IntervalSeries) -> None:
+def _write_table(path, header, row_format: str, columns) -> None:
+    """Write a CSV file: the ``header`` names, then row k of the equal-length
+    ``columns`` (lists, or numpy arrays) as ``row_format % (c[k] for c in
+    columns)``, every line ended by CRLF. Each block of BLOCK_ROWS rows is
+    one ``%`` format of its interleaved cells, so memory stays flat. No cell
+    may hold a comma, a quote or a line break: nothing is quoted."""
+    n, width = len(columns[0]), len(columns)
+    if any(len(column) != n for column in columns):
+        raise ShapeError(f"cannot write {path}: columns differ in length")
+    line = row_format + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["timestamp", "demand"])
-        w.writerows(zip(format_times(series.times()), series.demand.tolist()))
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, n, BLOCK_ROWS):
+            rows = min(BLOCK_ROWS, n - lo)
+            cells = [None] * (rows * width)
+            for j, column in enumerate(columns):
+                block = column[lo:lo + rows]
+                cells[j::width] = block.tolist() if isinstance(block, np.ndarray) else block
+            fh.write((line * rows) % tuple(cells))
+
+
+def write_demand_grid(path, series: IntervalSeries) -> None:
+    _write_table(path, ("timestamp", "demand"), "%s,%d",
+                 [format_times(series.times()), series.demand])
 
 
 def write_temperature_csv(path, timestamps, temps) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["timestamp", "temp_c"])
-        w.writerows(zip(format_times(timestamps), map(fmt_float, np.asarray(temps).tolist())))
+    _write_table(path, ("timestamp", "temp_c"), "%s," + FLOAT_FORMAT,
+                 [format_times(timestamps), temps])
 
 
 def write_holidays_csv(path, calendar: HolidayCalendar) -> None:
@@ -559,13 +596,9 @@ def write_dataset(path, series: IntervalSeries) -> None:
     for name in ("temperature", "weekday", "month", "holiday"):
         if getattr(series, name) is None:
             raise SchemaError(f"cannot write dataset: {name} column missing")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(DATASET_COLUMNS)
-        w.writerows(zip(format_times(series.times()), series.demand.tolist(),
-                        map(fmt_float, series.temperature.tolist()),
-                        series.weekday.tolist(), series.month.tolist(),
-                        series.holiday.astype(np.int64).tolist()))
+    _write_table(path, DATASET_COLUMNS, f"%s,%d,{FLOAT_FORMAT},%d,%d,%d",
+                 [format_times(series.times()), series.demand, series.temperature,
+                  series.weekday, series.month, series.holiday])
 
 
 def load_dataset(source, timezone: str | None = None) -> IntervalSeries:

@@ -6,9 +6,14 @@ import hashlib
 import json
 
 
+# The ``%`` format of every float the toolkit writes: 17 significant digits,
+# enough for bit-stable float round trips.
+FLOAT_FORMAT = "%.17g"
+
+
 def fmt_float(x: float) -> str:
-    """17 significant digits: enough for bit-stable float round trips."""
-    return f"{float(x):.17g}"
+    """``x`` in ``FLOAT_FORMAT``."""
+    return FLOAT_FORMAT % float(x)
 
 
 def canonical_json(doc) -> str:

@@ -8,6 +8,7 @@ implementations must match. The exceptions are the single-window
 ``temperature_readings``, which builds the input of ``join_temperature``.
 """
 
+import csv
 import math
 from datetime import timedelta
 
@@ -22,6 +23,20 @@ def temperature_readings(pairs):
     """Temperature readings from (datetime, value) pairs, as the ``READING``
     array ``load_temperature_csv`` returns."""
     return np.array(list(pairs), dtype=READING)
+
+
+def csv_writer_table(path, header, times, *columns):
+    """A grid file as ``csv.writer`` writes it: the ``header`` row, then per
+    row the time (a datetime) as ``YYYY-MM-DD HH:MM:SS`` and the value of
+    each column, a float as ``f"{x:.17g}"``; CRLF line ends."""
+    def cell(value):
+        return f"{value:.17g}" if isinstance(value, float) else value
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for t, *values in zip(times, *(np.asarray(c).tolist() for c in columns)):
+            w.writerow([t.isoformat(sep=" "), *map(cell, values)])
 
 
 def minute_scan_demand(sessions, origin, n_intervals):

@@ -5,15 +5,18 @@ import numpy as np
 import pytest
 
 from demandcast import ingest
-from demandcast.errors import GridError, SchemaError
+from demandcast.errors import GridError, SchemaError, ShapeError
 from demandcast.explain import attention_profile
 from demandcast.features import FeatureSchema, encode, make_windows
 from demandcast.ingest import (
+    BLOCK_ROWS,
+    DATASET_COLUMNS,
     HolidayCalendar,
     IntervalSeries,
     SessionRecord,
     aggregate_demand,
     attach_calendar,
+    format_times,
     grid_span,
     grid_times,
     join_temperature,
@@ -25,10 +28,12 @@ from demandcast.ingest import (
     parse_timestamp,
     write_dataset,
     write_demand_grid,
+    write_temperature_csv,
 )
 from demandcast.lstm_att import ModelConfig, ModelParams, forward_batch
 from demandcast.synth import SynthConfig, export, generate
 from helpers import (
+    csv_writer_table,
     loop_attention_profile,
     loop_calendar,
     loop_grid_times,
@@ -100,6 +105,30 @@ def test_parse_timestamp_timezone_conversion():
     assert ts == dt("2023-08-02 09:00")
     ts = parse_timestamp("2023-08-02T16:00:00Z", "America/Los_Angeles")
     assert ts == dt("2023-08-02 09:00")
+
+
+@pytest.mark.parametrize("text", [
+    "2023-05-01 00:15:00\x00", "2023-05-01\x0000:15:00", "2023-05-01\x0100:15:00",
+    "2023-05-01 00:15:00\x7f", "2023-05-01\x8500:15:00",
+])
+def test_parse_timestamp_rejects_control_characters(text):
+    with pytest.raises(ValueError, match="unparseable timestamp"):
+        parse_timestamp(text)
+
+
+def test_parse_timestamp_strips_white_space():
+    assert parse_timestamp("\t2023-05-01 00:15:00 \r\n") == dt("2023-05-01 00:15")
+
+
+def test_parse_nul_in_stamp_is_row_error():
+    src = HEADER + (
+        "2023-08-02 09:00,2023-08-02 10:30\x00,2023-08-02 11:00,7.2\n"
+        "2023-08-03 09:00,2023-08-03 10:00,2023-08-03 10:05,5.0\n"
+    )
+    result = parse_sessions(io.StringIO(src))
+    assert [r.start for r in result.records] == [dt("2023-08-03 09:00")]
+    assert [e.line for e in result.errors] == [2]
+    assert "unparseable timestamp" in result.errors[0].message
 
 
 def test_session_record_invariants():
@@ -182,6 +211,29 @@ def test_aggregate_matches_minute_scan_on_random_fixtures():
             sessions.append(SessionRecord(s, e, e, 0.0))
         got = aggregate_demand(sessions, origin, n_intervals)
         assert got.tolist() == minute_scan_demand(sessions, origin, n_intervals)
+
+
+@pytest.mark.parametrize("start, end, want", [
+    pytest.param("2023-08-02 09:10", "2023-08-02 09:15:00.5", [1, 1, 0],
+                 id="ends-half-a-second-into-an-interval"),
+    pytest.param("2023-08-02 09:10", "2023-08-02 09:15", [1, 0, 0], id="ends-on-a-boundary"),
+    pytest.param("2023-08-02 08:50", "2023-08-02 09:20", [1, 1, 0], id="starts-before-origin"),
+    pytest.param("2023-08-02 08:00", "2023-08-02 08:59:59.5", [0, 0, 0],
+                 id="ends-before-origin"),
+    pytest.param("2023-08-02 09:40", "2023-08-02 11:00", [0, 0, 1], id="runs-past-the-grid"),
+    pytest.param("2023-08-02 09:20", "2023-08-02 09:20", [0, 0, 0], id="empty-span"),
+])
+def test_aggregate_matches_minute_scan_on_edge_sessions(start, end, want):
+    origin, sessions = dt("2023-08-02 09:00"), [session(start, end)]
+    assert minute_scan_demand(sessions, origin, 3) == want
+    assert aggregate_demand(sessions, origin, 3).tolist() == want
+
+
+def test_aggregate_counts_a_sub_second_end_in_the_interval_grid_span_adds():
+    sessions = [session("2023-08-02 09:10", "2023-08-02 09:15:00.5")]
+    origin, n = grid_span(sessions[0].start, sessions[0].charge_end)
+    assert n == 2
+    assert aggregate_demand(sessions, origin, n).tolist() == [1, 1]
 
 
 def test_aggregate_total_equals_per_session_interval_sum():
@@ -363,6 +415,88 @@ def test_demand_grid_round_trip(tmp_path):
     assert np.array_equal(back.demand, g.demand)
 
 
+def csv_writer_files(tmp_path, series):
+    """The bytes the ``csv.writer`` oracle writes for the demand grid,
+    temperature and dataset files of ``series``."""
+    times = loop_grid_times(series.origin, len(series))
+    want = {}
+    for name, header, columns in (
+            ("demand", ["timestamp", "demand"], [series.demand]),
+            ("temperature", ["timestamp", "temp_c"], [series.temperature]),
+            ("dataset", DATASET_COLUMNS, [series.demand, series.temperature, series.weekday,
+                                          series.month, series.holiday.astype(np.int64)])):
+        path = tmp_path / f"want-{name}.csv"
+        csv_writer_table(path, header, times, *columns)
+        want[name] = path.read_bytes()
+    return want
+
+
+def written_files(tmp_path, series):
+    """The bytes each grid writer writes for ``series``."""
+    paths = {name: tmp_path / f"{name}.csv" for name in ("demand", "temperature", "dataset")}
+    write_demand_grid(paths["demand"], series)
+    write_temperature_csv(paths["temperature"], series.times(), series.temperature)
+    write_dataset(paths["dataset"], series)
+    return {name: path.read_bytes() for name, path in paths.items()}
+
+
+def assert_same_files(got, want):
+    for name in want:
+        assert got[name] == want[name], name
+
+
+def test_writers_equal_csv_writer_on_synth_export(tmp_path):
+    series, holidays = generate(SynthConfig(days=21, seed=7, start=date(2023, 3, 1)))
+    paths = export(series, holidays, tmp_path)
+    paths["dataset"] = tmp_path / "dataset.csv"
+    write_dataset(paths["dataset"], series)
+    got = {name: paths[name].read_bytes() for name in ("demand", "temperature", "dataset")}
+    assert_same_files(got, csv_writer_files(tmp_path, series))
+
+
+EDGE_TEMPERATURES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                     1.7976931348623157e308, -40.25, -273.15, 0.1, 1 / 3, 1e16,
+                     123456789.123, float("nan"), float("inf"), float("-inf")]
+
+
+def test_writers_equal_csv_writer_on_edge_values(tmp_path):
+    rng = np.random.default_rng(5)
+    random_doubles = rng.integers(0, 2**63, size=500).view(np.float64)
+    random_doubles[::2] *= -1
+    temps = np.concatenate([EDGE_TEMPERATURES, random_doubles])
+    demand = rng.integers(0, 2**62, size=len(temps))
+    demand[:3] = [0, 2**63 - 1, 10**12]
+    series = attach_calendar(
+        IntervalSeries(origin=dt("2023-03-11 22:00"), demand=demand, temperature=temps),
+        HolidayCalendar.from_dates([date(2023, 3, 12)]))
+    assert_same_files(written_files(tmp_path, series), csv_writer_files(tmp_path, series))
+
+
+@pytest.mark.parametrize("rows", [0, 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+def test_writers_equal_csv_writer_at_block_edges(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    series = attach_calendar(
+        IntervalSeries(origin=dt("2023-12-31 12:00"), demand=rng.integers(0, 50, size=rows),
+                       temperature=rng.normal(0.0, 15.0, size=rows)),
+        HolidayCalendar.from_dates([date(2024, 1, 1)]))
+    assert_same_files(written_files(tmp_path, series), csv_writer_files(tmp_path, series))
+
+
+def test_writer_rejects_columns_of_unequal_length(tmp_path):
+    with pytest.raises(ShapeError):
+        write_temperature_csv(tmp_path / "t.csv", grid_times(dt("2023-05-01 00:00"), 3),
+                              [1.0, 2.0])
+
+
+def test_format_times_matches_isoformat():
+    rng = np.random.default_rng(2)
+    lo, hi = np.array(["0001-01-01", "9999-12-31T23:59:59"], "datetime64[s]").astype(np.int64)
+    times = np.concatenate([rng.integers(lo, hi, size=2000).astype("datetime64[s]"),
+                            grid_times(dt("2023-03-11 00:00"), 300)])
+    assert format_times(times) == [t.isoformat(sep=" ") for t in times.tolist()]
+    assert format_times(np.array(["NaT"], "datetime64[s]")) == ["NaT"]
+
+
 def test_demand_grid_gap_detected(tmp_path):
     path = tmp_path / "demand.csv"
     path.write_text(
@@ -442,6 +576,10 @@ LONG_GRID = "timestamp,demand\n" + "".join(
                  GridError, "line 1503:", id="grid-break-in-later-block"),
     pytest.param(load_holidays_csv, "date\n2023-07-04\n2023-13-25\n",
                  SchemaError, "line 3: date:", id="holiday-date"),
+    pytest.param(load_dataset, DATASET + "2023-05-01 00:15\x00,1,10.5,0,5,1\n",
+                 SchemaError, "line 3: timestamp: unparseable", id="dataset-stamp-nul"),
+    pytest.param(load_temperature_csv, TEMPERATURE + "2023-05-01 00:15:00\x00,11\n",
+                 SchemaError, "line 3: timestamp: unparseable", id="temperature-stamp-nul"),
 ])
 def test_bad_input_is_typed_error_naming_file_line(tmp_path, loader, text, error, where):
     path = tmp_path / "input.csv"
@@ -541,6 +679,14 @@ def stamp(text, new):
 def dataset_row(row):
     """ODD_DATASET with ``row`` inserted before its second data row."""
     return ODD_DATASET.replace("2023-05-01 00:15:00", row + "\n2023-05-01 00:15:00", 1)
+
+
+def test_nul_in_stamp_is_schema_error_naming_line_on_both_paths(tmp_path, monkeypatch):
+    path = tmp_path / "input.csv"
+    path.write_bytes(stamp(ODD_DATASET, "2023-05-01 00:15:00\x00").encode("utf-8"))
+    got, want, _ = both_ways(monkeypatch, load_dataset, path, None)
+    assert got == want
+    assert got[0] is SchemaError and "line 3: timestamp: unparseable timestamp" in got[1]
 
 
 @pytest.mark.parametrize("timezone", [None, "America/Los_Angeles"])
