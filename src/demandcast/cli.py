@@ -6,6 +6,10 @@ winning, writes its artifacts under --out along with a manifest recording
 the config hash and seed, and removes partial outputs on failure. Errors
 come back as a single machine-parsable ``code: message`` line on stderr
 with exit code 1.
+
+``train`` writes the feature schema, the pipeline settings and the fitted
+scaler into each checkpoint, so predict, explain and attention need only
+the checkpoint file and a dataset.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from pathlib import Path
 from . import __version__
 from .errors import ConfigError, DemandcastError, SchemaError
 from .features import (
-    SCALER_FORMAT,
     FeatureSchema,
     MinMaxScaler,
     WindowedDataset,
@@ -50,6 +53,7 @@ from .lstm_att import (
     CHECKPOINT_FORMAT,
     forward_batch,
     load_checkpoint,
+    model_inputs,
     save_checkpoint,
 )
 from .explain import (
@@ -142,7 +146,6 @@ def write_manifest(out: OutputDir, command: str, cfg: dict, seed: int | None) ->
         "seed": seed,
         "formats": {
             "checkpoint": CHECKPOINT_FORMAT,
-            "scaler": SCALER_FORMAT,
             "tool": f"demandcast/{__version__}",
         },
         "created": datetime.now().isoformat(),
@@ -154,19 +157,18 @@ def write_manifest(out: OutputDir, command: str, cfg: dict, seed: int | None) ->
 # shared pieces
 # ---------------------------------------------------------------------------
 
-def _schema_from_cfg(cfg: dict) -> FeatureSchema:
-    return FeatureSchema.default(**cfg["schema"])
-
-
-def _resolve_scaler(checkpoint_path: Path, meta: dict) -> MinMaxScaler:
-    ref = meta.get("scaler")
-    if not ref:
-        raise ConfigError("checkpoint carries no scaler reference")
-    for base in (checkpoint_path.parent, checkpoint_path.parent.parent):
-        candidate = base / ref
-        if candidate.exists():
-            return MinMaxScaler.from_json(candidate.read_text(encoding="utf-8"))
-    raise ConfigError(f"scaler file '{ref}' not found near {checkpoint_path}")
+def _build_dataset(args, cfg: dict):
+    """The --dataset file, split and windowed by the run config; returns
+    (schema, dataset, fitted scaler)."""
+    series = load_dataset(args.dataset, cfg.get("timezone"))
+    schema = FeatureSchema.default(**cfg["schema"])
+    pipe = cfg["pipeline"]
+    dataset, scaler = build_dataset(
+        series, schema, pipe["lookback"], pipe["horizon"],
+        pipe["split_fraction"], pipe["scale_before_split"],
+        tuple(pipe["clamp_bounds"]), pipe["window_stride"],
+    )
+    return schema, dataset, scaler
 
 
 def _model_windows(series, schema: FeatureSchema, scaler: MinMaxScaler,
@@ -187,17 +189,18 @@ def _load_model(path_str: str):
         schema = FeatureSchema.from_dict(meta["schema"])
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"checkpoint {path} has no valid 'schema' entry ({exc!r})")
-    scaler = _resolve_scaler(path, meta)
+    try:
+        scaler = MinMaxScaler.from_dict(meta.get("scaler"))
+    except ConfigError as exc:
+        raise ConfigError(f"checkpoint {path}: {exc}")
     pipeline = _deep_merge(PIPELINE_DEFAULTS, meta.get("pipeline", {}))
     return params, meta, schema, scaler, pipeline
 
 
 def _predict_fn(params):
     """Batched forecasts, (B, p, n) windows to (B, m), on the model's columns."""
-    n = params.config.n_features
-
     def fn(windows):
-        return forward_batch(windows[..., :n], params)[0]
+        return forward_batch(model_inputs(windows, params.config), params)[0]
 
     return fn
 
@@ -266,22 +269,14 @@ def _train_config(args, cfg: dict) -> TrainConfig:
 
 
 def cmd_train(args, cfg: dict, out: OutputDir) -> None:
-    series = load_dataset(args.dataset, cfg.get("timezone"))
-    schema = _schema_from_cfg(cfg)
-    pipe = cfg["pipeline"]
-    dataset, scaler = build_dataset(
-        series, schema, pipe["lookback"], pipe["horizon"],
-        pipe["split_fraction"], pipe["scale_before_split"],
-        tuple(pipe["clamp_bounds"]), pipe["window_stride"],
-    )
+    schema, dataset, scaler = _build_dataset(args, cfg)
     tc = _train_config(args, cfg)
-    out.path("scaler.json").write_text(scaler.to_json(), encoding="utf-8")
     extra = {
         "schema": schema.to_dict(),
-        "scaler": "scaler.json",
+        "scaler": scaler.to_dict(),
         "seed": tc.seed,
         "variant": tc.variant,
-        "pipeline": pipe,
+        "pipeline": cfg["pipeline"],
     }
     ckpt_dir = out.subdir("checkpoints")
     params, report = train(dataset, tc, checkpoint_dir=ckpt_dir,
@@ -343,14 +338,7 @@ def cmd_explain(args, cfg: dict, out: OutputDir) -> None:
 
 
 def cmd_eval(args, cfg: dict, out: OutputDir) -> None:
-    series = load_dataset(args.dataset, cfg.get("timezone"))
-    schema = _schema_from_cfg(cfg)
-    pipe = cfg["pipeline"]
-    dataset, _scaler = build_dataset(
-        series, schema, pipe["lookback"], pipe["horizon"],
-        pipe["split_fraction"], pipe["scale_before_split"],
-        tuple(pipe["clamp_bounds"]), pipe["window_stride"],
-    )
+    _, dataset, _ = _build_dataset(args, cfg)
     variants = args.variants.split(",") if args.variants else list(VARIANTS)
     for v in variants:
         if v not in VARIANTS:

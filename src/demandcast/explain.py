@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .features import FeatureSchema, WindowedDataset
 from .ingest import STEP_SECONDS
-from .lstm_att import ModelParams, forward_batch
+from .lstm_att import ModelParams, forward_batch, model_inputs
 from .util import fmt_float
 
 MAX_EXACT_GROUPS = 12
@@ -130,51 +130,6 @@ def _phi_from_values(values: np.ndarray, k: int) -> list[float]:
     return phi
 
 
-def _check_cap(groups: list[FeatureGroup]) -> None:
-    k = len(groups)
-    if k > MAX_EXACT_GROUPS:
-        raise ConfigError(
-            f"{k} groups need 2^{k} evaluations; exact enumeration is capped at "
-            f"{MAX_EXACT_GROUPS} — merge groups or fall back to a sampling estimate"
-        )
-
-
-def _report(predict_fn, test: np.ndarray, backgrounds: np.ndarray,
-            groups: list[FeatureGroup], step: int | None,
-            test_id: str, background_id: str) -> ShapReport:
-    if backgrounds.shape[1:] != test.shape:
-        raise ShapeError(
-            f"test {test.shape} and background {backgrounds.shape[1:]} windows differ"
-        )
-    _check_partition(groups, test.shape[1])
-    values = _coalition_values(predict_fn, test, backgrounds, groups, step)
-    phi = _phi_from_values(values, len(groups))
-    return ShapReport(
-        test_id=test_id,
-        background_id=background_id,
-        phi={g.name: p for g, p in zip(groups, phi)},
-        base_value=float(values[0]),
-        prediction=float(values[-1]),
-        aggregation="mean" if step is None else f"step:{step}",
-    )
-
-
-def shapley(predict_fn, test: np.ndarray, background: np.ndarray,
-            groups: list[FeatureGroup], step: int | None = None,
-            test_id: str = "test", background_id: str = "background") -> ShapReport:
-    """Exact Shapley values of the feature groups for one test window
-    against one background window.
-
-    ``predict_fn`` maps a (B, p, n) batch of windows to the (B, m)
-    forecasts; the value of a coalition is the forecast mean (or the
-    ``step``-th output).
-    """
-    _check_cap(groups)
-    background = np.asarray(background, dtype=np.float64)
-    return _report(predict_fn, np.asarray(test, dtype=np.float64), background[None],
-                   groups, step, test_id, background_id)
-
-
 def group_representative(window: np.ndarray, group: FeatureGroup) -> float:
     """Scalar summary of a group's value in a window, for beeswarm color:
     single columns use the window mean; one-hot groups use the normalized
@@ -196,12 +151,14 @@ def group_representative(window: np.ndarray, group: FeatureGroup) -> float:
 def shapley_series(predict_fn, instances, backgrounds,
                    groups: list[FeatureGroup],
                    step: int | None = None) -> tuple[BeeswarmTable, list[ShapReport]]:
-    """One exact Shapley run per test instance against the background
-    expectation (coalition values averaged over all background windows).
+    """Exact Shapley values of the feature groups for each test instance
+    against the background expectation (coalition values averaged over all
+    background windows).
 
     ``instances`` is a sequence of (id, window); ``backgrounds`` a sequence
-    of windows; ``predict_fn`` is batched as in ``shapley``. Rows come back
-    sorted by group then instance.
+    of windows. ``predict_fn`` maps a (B, p, n) batch of windows to the
+    (B, m) forecasts; the value of a coalition is the forecast mean (or the
+    ``step``-th output). Rows come back sorted by group then instance.
     """
     instances = list(instances)
     backgrounds = [np.asarray(b, dtype=np.float64) for b in backgrounds]
@@ -212,18 +169,34 @@ def shapley_series(predict_fn, instances, backgrounds,
     shapes = {b.shape for b in backgrounds}
     if len(shapes) > 1:
         raise ShapeError(f"background windows differ in shape: {sorted(shapes)}")
-    _check_cap(groups)
+    k = len(groups)
+    if k > MAX_EXACT_GROUPS:
+        raise ConfigError(
+            f"{k} groups need 2^{k} evaluations; exact enumeration is capped at "
+            f"{MAX_EXACT_GROUPS} — merge groups or fall back to a sampling estimate"
+        )
     backgrounds = np.stack(backgrounds)
+    _check_partition(groups, backgrounds.shape[-1])
     reports = []
     rows = []
     for inst_id, window in instances:
         window = np.asarray(window, dtype=np.float64)
-        report = _report(predict_fn, window, backgrounds, groups, step,
-                         str(inst_id), f"mean[{len(backgrounds)}]")
-        reports.append(report)
-        for g in groups:
-            rows.append(BeeswarmRow(str(inst_id), g.name,
-                                    group_representative(window, g), report.phi[g.name]))
+        if window.shape != backgrounds.shape[1:]:
+            raise ShapeError(
+                f"test {window.shape} and background {backgrounds.shape[1:]} windows differ"
+            )
+        values = _coalition_values(predict_fn, window, backgrounds, groups, step)
+        phi = _phi_from_values(values, k)
+        reports.append(ShapReport(
+            test_id=str(inst_id),
+            background_id=f"mean[{len(backgrounds)}]",
+            phi={g.name: v for g, v in zip(groups, phi)},
+            base_value=float(values[0]),
+            prediction=float(values[-1]),
+            aggregation="mean" if step is None else f"step:{step}",
+        ))
+        for g, v in zip(groups, phi):
+            rows.append(BeeswarmRow(str(inst_id), g.name, group_representative(window, g), v))
     rows.sort(key=lambda r: (r.group, r.instance_id))
     return BeeswarmTable(rows), reports
 
@@ -251,12 +224,10 @@ def attention_profile(params: ModelParams, windows: WindowedDataset,
         raise ConfigError("no windows to profile")
     origins = np.asarray(windows.origins, dtype="datetime64[m]")
     slots = (origins - origins.astype("datetime64[D]")) // np.timedelta64(STEP_SECONDS, "s")
+    inputs = model_inputs(windows.inputs, params.config)
     buckets = np.zeros(24)
     for start in range(0, n, batch_size):
-        X = np.asarray(windows.inputs[start:start + batch_size])
-        if params.config.n_features < X.shape[2]:
-            X = X[..., :params.config.n_features]
-        _, trace = forward_batch(X, params)
+        _, trace = forward_batch(inputs[start:start + batch_size], params)
         weights = trace.weights  # (p, B)
         p, B = weights.shape
         slot = np.arange(p)[:, None] + slots[start:start + B]  # (p, B)

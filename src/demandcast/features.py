@@ -9,7 +9,6 @@ option reduces the month group to 11 columns for a width of 21.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -184,8 +183,8 @@ class MinMaxScaler:
     columns: tuple[ScalerColumn, ...]
     width: int
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "format": SCALER_FORMAT,
             "width": self.width,
             "columns": [
@@ -193,18 +192,24 @@ class MinMaxScaler:
                 for c in self.columns
             ],
         }
-        return json.dumps(doc, indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "MinMaxScaler":
-        doc = json.loads(text)
-        if doc.get("format") != SCALER_FORMAT:
-            raise SchemaError(f"unrecognized scaler document: {doc.get('format')!r}")
-        cols = tuple(
-            ScalerColumn(c["index"], c["name"], c["min"], c["max"])
-            for c in doc["columns"]
-        )
-        return cls(cols, doc["width"])
+    def from_dict(cls, doc) -> "MinMaxScaler":
+        """Inverse of ``to_dict``. ``doc`` comes from a checkpoint file, so
+        anything else is a ConfigError."""
+        if not isinstance(doc, dict) or doc.get("format") != SCALER_FORMAT:
+            raise ConfigError(f"scaler is not a {SCALER_FORMAT} object: {doc!r:.60}")
+        try:
+            width = int(doc["width"])
+            cols = tuple(
+                ScalerColumn(int(c["index"]), c["name"], float(c["min"]), float(c["max"]))
+                for c in doc["columns"]
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"scaler is malformed: {exc!r}")
+        if not all(0 <= c.index < width for c in cols):
+            raise ConfigError(f"scaler has a column index outside 0..{width - 1}")
+        return cls(cols, width)
 
 
 def fit_scaler(matrix: np.ndarray, numeric_columns) -> MinMaxScaler:

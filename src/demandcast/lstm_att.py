@@ -25,9 +25,15 @@ softmax-normalized over time into weights a_t. The head reads either the
 context vector sum(a_t h_t) or the flattened weighted states a_t h_t, and
 emits relu(W_out . + b_out); without attention it reads the last h_t.
 
+The model reads the first ``n_features`` columns of a window
+(``model_inputs``): all of them for the multivariate variants, column 0
+(demand) for the univariate ones.
+
 A checkpoint (``demandcast/checkpoint-v2``) is one JSON document: the
 model config, free-form metadata, and every parameter as its shape plus
-its row-major little-endian float64 bytes in base64.
+its row-major little-endian float64 bytes in base64. The metadata ``train``
+writes carries the feature schema, the pipeline settings and the fitted
+scaler, so a checkpoint file serves on its own.
 """
 
 from __future__ import annotations
@@ -166,6 +172,11 @@ class ForwardTrace:
         for name in self.__slots__:
             setattr(self, name, kw.get(name))
         self.consumed = False
+
+
+def model_inputs(windows: np.ndarray, config: ModelConfig) -> np.ndarray:
+    """The columns of (..., n) windows that the model reads, as a view."""
+    return windows[..., :config.n_features]
 
 
 def forward_batch(windows, params: ModelParams):

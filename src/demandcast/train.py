@@ -21,6 +21,7 @@ from .lstm_att import (
     ModelParams,
     backward,
     forward_batch,
+    model_inputs,
     save_checkpoint,
 )
 from .nn_core import ParamTensor
@@ -157,10 +158,6 @@ def clip_gradients(tensors: list[ParamTensor], max_norm: float) -> float:
 # training loop
 # ---------------------------------------------------------------------------
 
-def _variant_inputs(inputs: np.ndarray, univariate: bool) -> np.ndarray:
-    return inputs[..., :1] if univariate else inputs
-
-
 def build_model(dataset_width: int, lookback: int, horizon: int,
                 config: TrainConfig, seed: int | None = None) -> ModelParams:
     n = 1 if config.univariate else dataset_width
@@ -195,6 +192,7 @@ def train(dataset: SplitDataset, config: TrainConfig,
     shuffle_rng = np.random.default_rng(config.seed) if config.shuffle else None
 
     N = len(tr)
+    inputs = model_inputs(tr.inputs, params.config)
     targets = np.clip(tr.targets, 0.0, 1.0)
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
@@ -203,7 +201,7 @@ def train(dataset: SplitDataset, config: TrainConfig,
         total = 0.0
         for b, start in enumerate(range(0, N, config.batch_size)):
             idx = order[start:start + config.batch_size]
-            X = _variant_inputs(tr.inputs[idx], config.univariate)
+            X = inputs[idx]
             Y = targets[idx]
             out, trace = forward_batch(X, params)
             loss = mse(out, Y)
@@ -251,17 +249,16 @@ def evaluate(params: ModelParams, windows: WindowedDataset, scaler=None,
              batch_size: int = 256) -> EvalResult:
     """MSE over all windows plus per-window predictions; read-only.
 
-    ``scaler`` adds inverse-transformed predictions in demand units for the
+    The model reads the columns ``model_inputs`` selects. ``scaler`` adds
+    inverse-transformed predictions in demand units for the
     actual-vs-predicted export.
     """
     if len(windows) == 0:
         raise ConfigError("cannot evaluate an empty window set")
-    univariate = params.config.n_features == 1 and windows.inputs.shape[2] > 1
+    inputs = model_inputs(windows.inputs, params.config)
     preds = np.empty((len(windows), windows.horizon))
     for start in range(0, len(windows), batch_size):
-        X = windows.inputs[start:start + batch_size]
-        X = _variant_inputs(np.asarray(X), univariate)
-        out, _ = forward_batch(X, params)
+        out, _ = forward_batch(inputs[start:start + batch_size], params)
         preds[start:start + len(out)] = out
     targets = np.clip(windows.targets, 0.0, 1.0)
     score = mse(preds, targets)

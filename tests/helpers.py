@@ -4,8 +4,10 @@ Everything here is deliberately written without reference to the package
 internals (only its error types are shared): scalar loops, minute scans,
 and brute-force enumeration pin the semantics that the fast
 implementations must match. The exceptions are the single-window
-``forward`` and ``predict``, which wrap the package's batch forward, and
-``temperature_readings``, which builds the input of ``join_temperature``.
+``forward`` and ``predict``, which wrap the package's batch forward,
+``shapley_pair``, which runs ``shapley_series`` on one test and one
+background window, and ``temperature_readings``, which builds the input of
+``join_temperature``.
 """
 
 import csv
@@ -15,6 +17,7 @@ from datetime import timedelta
 import numpy as np
 
 from demandcast.errors import ConfigError, ShapeError
+from demandcast.explain import shapley_series
 from demandcast.ingest import READING
 from demandcast.lstm_att import forward_batch
 
@@ -234,6 +237,11 @@ def linear_window_model(weights):
         return (np.mean(windows, axis=1) @ weights)[:, None]
 
     return predict
+
+
+def shapley_pair(predict_fn, test, background, groups, step=None):
+    """The ShapReport of one test window against one background window."""
+    return shapley_series(predict_fn, [("test", test)], [background], groups, step)[1][0]
 
 
 def mask(test, background, coalition, groups):

@@ -14,10 +14,10 @@ import pytest
 
 from demandcast import cli
 from demandcast.errors import ConfigError
-from demandcast.explain import default_groups, shapley
+from demandcast.explain import default_groups
 from demandcast.ingest import load_dataset
-from demandcast.lstm_att import load_checkpoint, save_checkpoint
-from helpers import predict
+from demandcast.lstm_att import forward_batch, load_checkpoint, save_checkpoint
+from helpers import predict, shapley_pair
 
 RUN_CONFIG = {"pipeline": {"window_stride": 8}}
 TRAIN_FLAGS = ["--hidden", "8", "--epochs", "2"]
@@ -84,6 +84,23 @@ def test_checkpoint_is_v2(trained):
     doc = json.loads((trained["model"] / "checkpoint.json").read_text())
     assert doc["format"] == "demandcast/checkpoint-v2"
     assert doc["model"]["hidden"] == 8
+    assert doc["scaler"]["format"] == "demandcast/scaler-v1"
+    assert sorted(p.name for p in trained["model"].iterdir()) == [
+        "checkpoint.json", "checkpoints", "manifest.json", "metrics.json"]
+
+
+def test_copied_checkpoint_predicts_on_its_own(trained, tmp_path):
+    """A per-epoch checkpoint copied alone into a fresh directory writes the
+    same forecast as from the directory train wrote it to."""
+    epoch = trained["model"] / "checkpoints" / "epoch_001.json"
+    copy = tmp_path / "copy" / "epoch_001.json"
+    copy.parent.mkdir()
+    shutil.copy(epoch, copy)
+    for name, ckpt in (("original", epoch), ("copied", copy)):
+        assert run("predict", "--out", tmp_path / name, "--checkpoint", ckpt,
+                   "--dataset", trained["dataset"]) == (0, [])
+    assert ((tmp_path / "copied" / "forecast.csv").read_bytes()
+            == (tmp_path / "original" / "forecast.csv").read_bytes())
 
 
 def test_predict_from_checkpoint_equals_in_memory_params(trained):
@@ -108,12 +125,51 @@ def test_explain_one_pair_equals_shapley(trained, tmp_path):
     [doc] = json.loads((tmp_path / "shap.json").read_text())
     params, _, schema, scaler, pipeline = cli._load_model(str(ckpt))
     windows = cli._model_windows(load_dataset(dataset), schema, scaler, pipeline)
-    want = shapley(cli._predict_fn(params), windows.inputs[100], windows.inputs[0],
-                   default_groups(schema))
+    want = shapley_pair(cli._predict_fn(params), windows.inputs[100], windows.inputs[0],
+                        default_groups(schema))
     assert doc["background_id"] == "mean[1]"
     assert doc["phi"].keys() == want.phi.keys()
     for name, phi in want.phi.items():
         assert abs(doc["phi"][name] - phi) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def univariate(trained):
+    """The checkpoint of train --variant univariate_lstm_att on the same
+    22-column dataset."""
+    model = trained["root"] / "univariate"
+    assert run("train", "--out", model, "--config", trained["config"],
+               "--dataset", trained["dataset"], *TRAIN_FLAGS,
+               "--variant", "univariate_lstm_att") == (0, [])
+    return model / "checkpoint.json"
+
+
+def test_univariate_model_reads_the_demand_column_only(trained, univariate, tmp_path):
+    dataset = trained["dataset"]
+    model_args = ["--checkpoint", univariate, "--dataset", dataset]
+    params, _, schema, scaler, pipeline = cli._load_model(str(univariate))
+    assert params.config.n_features == 1 and schema.width == 22
+    windows = cli._model_windows(load_dataset(dataset), schema, scaler, pipeline)
+
+    assert run("predict", "--out", tmp_path / "predict", *model_args,
+               "--index", 100) == (0, [])
+    with open(tmp_path / "predict" / "forecast.csv", newline="") as fh:
+        from_cli = np.array([float(r["demand_scaled"]) for r in csv.DictReader(fh)])
+    demand_only = np.ascontiguousarray(windows.inputs[100:101, :, :1])
+    assert np.array_equal(from_cli, forward_batch(demand_only, params)[0][0])
+
+    assert run("explain", "--out", tmp_path / "explain", *model_args,
+               "--test", 100, "--background", "0,5") == (0, [])
+    [doc] = json.loads((tmp_path / "explain" / "shap.json").read_text())
+    for group in ("temperature", "holiday", "weekday", "month"):
+        assert doc["phi"][group] == 0.0  # dummy axiom: the model never reads it
+    assert abs(sum(doc["phi"].values()) - (doc["prediction"] - doc["base_value"])) < 1e-12
+
+    assert run("attention", "--out", tmp_path / "attention", *model_args,
+               "--limit", 64) == (0, [])
+    with open(tmp_path / "attention" / "attention.csv", newline="") as fh:
+        weights = [float(r["mean_weight"]) for r in csv.DictReader(fh)]
+    assert len(weights) == 24 and abs(sum(weights) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("corrupt", ["truncated", "bad_payload"])
@@ -136,15 +192,31 @@ def test_corrupted_checkpoint_one_config_line_no_partial_files(trained, tmp_path
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("key", ["schema", "scaler"])
+BAD_METADATA = {
+    "schema": lambda meta: meta.pop("schema"),
+    "scaler": lambda meta: meta.pop("scaler"),
+    "scaler-file-name": lambda meta: meta.update(scaler="scaler.json"),
+    "scaler-no-columns": lambda meta: meta["scaler"].pop("columns"),
+    "scaler-wrong-format": lambda meta: meta["scaler"].update(format="demandcast/scaler-v0"),
+    "scaler-index-out-of-range": lambda meta: meta["scaler"]["columns"][0].update(index=22),
+    "scaler-min-not-a-number": lambda meta: meta["scaler"]["columns"][0].update(min="low"),
+}
+
+
+@pytest.mark.parametrize("key", list(BAD_METADATA))
 def test_load_model_missing_metadata_is_config_error(trained, tmp_path, key):
+    """A checkpoint without a valid schema or scaler entry fails to load,
+    and predict reports it as one ``config:`` line."""
     params, meta = load_checkpoint(trained["model"] / "checkpoint.json")
-    del meta[key]
-    shutil.copy(trained["model"] / "scaler.json", tmp_path / "scaler.json")
+    BAD_METADATA[key](meta)
     ckpt = tmp_path / "checkpoint.json"
     save_checkpoint(ckpt, params, meta)
     with pytest.raises(ConfigError):
         cli._load_model(str(ckpt))
+    rc, lines = run("predict", "--out", tmp_path / "out", "--checkpoint", ckpt,
+                    "--dataset", trained["dataset"])
+    assert rc == 1
+    assert len(lines) == 1 and lines[0].startswith("config: "), lines
 
 
 @pytest.mark.parametrize("command, flags, valid", [

@@ -11,7 +11,6 @@ from demandcast.explain import (
     attention_profile,
     default_groups,
     group_representative,
-    shapley,
     shapley_series,
 )
 from demandcast.features import FeatureSchema, WindowedDataset
@@ -23,6 +22,7 @@ from helpers import (
     loop_coalition_values,
     mask,
     predict,
+    shapley_pair,
 )
 
 GROUPS4 = [
@@ -80,7 +80,7 @@ def test_shapley_test_equals_background_all_zero():
     rng = np.random.default_rng(3)
     w = rand_window(rng)
     fn = linear_window_model(rng.normal(size=5))
-    report = shapley(fn, w, w.copy(), GROUPS4)
+    report = shapley_pair(fn, w, w.copy(), GROUPS4)
     assert all(abs(v) < 1e-12 for v in report.phi.values())
     assert report.base_value == report.prediction
 
@@ -90,7 +90,7 @@ def test_shapley_matches_linear_closed_form():
     for _ in range(10):
         weights = rng.normal(size=5)
         t, b = rand_window(rng), rand_window(rng)
-        report = shapley(linear_window_model(weights), t, b, GROUPS4)
+        report = shapley_pair(linear_window_model(weights), t, b, GROUPS4)
         expected = linear_shapley(weights, t, b, GROUPS4)
         for name, phi in report.phi.items():
             assert abs(phi - expected[name]) < 1e-10
@@ -101,7 +101,7 @@ def test_shapley_dummy_feature_gets_zero():
     weights = rng.normal(size=5)
     weights[2] = 0.0  # model ignores the holiday column
     t, b = rand_window(rng), rand_window(rng)
-    report = shapley(linear_window_model(weights), t, b, GROUPS4)
+    report = shapley_pair(linear_window_model(weights), t, b, GROUPS4)
     assert abs(report.phi["holiday"]) < 1e-10
 
 
@@ -111,7 +111,7 @@ def test_shapley_identical_columns_get_zero():
     t[:, 2] = b[:, 2]  # holiday identical in test and background
     params = ModelParams.init(ModelConfig(n_features=5, hidden=4, horizon=3,
                                           lookback=6), 7)
-    report = shapley(lambda w: forward_batch(w, params)[0], t, b, GROUPS4)
+    report = shapley_pair(lambda w: forward_batch(w, params)[0], t, b, GROUPS4)
     assert abs(report.phi["holiday"]) < 1e-10
 
 
@@ -129,7 +129,7 @@ def test_shapley_symmetry_exchangeable_groups():
         rest = windows[:, :, 2:].sum(axis=(1, 2))
         return (np.sin(s.sum(axis=1)) + p.sum(axis=1) + 0.3 * rest)[:, None]
 
-    report = shapley(symmetric_fn, t, b, groups)
+    report = shapley_pair(symmetric_fn, t, b, groups)
     assert abs(report.phi["a"] - report.phi["b"]) < 1e-10
 
 
@@ -144,9 +144,9 @@ def test_shapley_linearity_of_value_functions():
         return a * f(window) + b_coef * g(window)
 
     t, bg = rand_window(rng), rand_window(rng)
-    phi_f = shapley(f, t, bg, GROUPS4).phi
-    phi_g = shapley(g, t, bg, GROUPS4).phi
-    phi_c = shapley(combo, t, bg, GROUPS4).phi
+    phi_f = shapley_pair(f, t, bg, GROUPS4).phi
+    phi_g = shapley_pair(g, t, bg, GROUPS4).phi
+    phi_c = shapley_pair(combo, t, bg, GROUPS4).phi
     for name in phi_c:
         assert abs(phi_c[name] - (a * phi_f[name] + b_coef * phi_g[name])) < 1e-9
 
@@ -158,7 +158,7 @@ def test_shapley_efficiency_on_lstm_model():
     fn = lambda w: forward_batch(w, params)[0]
     for _ in range(5):
         t, b = rand_window(rng), rand_window(rng)
-        report = shapley(fn, t, b, GROUPS4)
+        report = shapley_pair(fn, t, b, GROUPS4)
         gap = report.prediction - report.base_value
         assert abs(sum(report.phi.values()) - gap) < 1e-6
 
@@ -167,22 +167,22 @@ def test_shapley_group_partition_enforced():
     bad = [FeatureGroup("a", (0, 1)), FeatureGroup("b", (1, 2)),
            FeatureGroup("c", (3, 4))]
     with pytest.raises(ConfigError):
-        shapley(linear_window_model(np.ones(5)), np.zeros((3, 5)),
-                np.zeros((3, 5)), bad)
+        shapley_pair(linear_window_model(np.ones(5)), np.zeros((3, 5)),
+                     np.zeros((3, 5)), bad)
 
 
 def test_shapley_group_cap():
     groups = [FeatureGroup(f"g{i}", (i,)) for i in range(13)]
     with pytest.raises(ConfigError) as err:
-        shapley(lambda w: np.zeros((len(w), 1)), np.zeros((2, 13)), np.zeros((2, 13)),
-                groups)
+        shapley_pair(lambda w: np.zeros((len(w), 1)), np.zeros((2, 13)),
+                     np.zeros((2, 13)), groups)
     assert "sampling" in str(err.value)
 
 
 def test_shapley_window_shape_mismatch():
     fn = linear_window_model(np.ones(5))
     with pytest.raises(ShapeError):
-        shapley(fn, np.zeros((3, 5)), np.zeros((4, 5)), GROUPS4)
+        shapley_pair(fn, np.zeros((3, 5)), np.zeros((4, 5)), GROUPS4)
     with pytest.raises(ShapeError):
         shapley_series(fn, [("a", np.zeros((3, 5)))],
                        [np.zeros((3, 5)), np.zeros((4, 5))], GROUPS4)
@@ -237,7 +237,7 @@ def test_series_single_instance_reduces_to_single_report():
     fn = linear_window_model(weights)
     t, b = rand_window(rng), rand_window(rng)
     table, reports = shapley_series(fn, [("w0", t)], [b], GROUPS4)
-    single = shapley(fn, t, b, GROUPS4)
+    single = shapley_pair(fn, t, b, GROUPS4)
     assert len(reports) == 1
     for name in single.phi:
         assert abs(reports[0].phi[name] - single.phi[name]) < 1e-12

@@ -1,3 +1,4 @@
+import json
 from datetime import datetime
 
 import numpy as np
@@ -146,10 +147,10 @@ def test_unfitted_scaler_rejected():
         inverse_transform(None, np.zeros(2))
 
 
-def test_scaler_json_round_trip():
+def test_scaler_dict_round_trip():
     mat = np.array([[1.0, 5.0], [2.0, 9.0]])
     scaler = fit_scaler(mat, [(0, "request"), (1, "temperature")])
-    back = MinMaxScaler.from_json(scaler.to_json())
+    back = MinMaxScaler.from_dict(json.loads(json.dumps(scaler.to_dict())))
     assert back == scaler
 
 

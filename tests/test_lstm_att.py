@@ -12,6 +12,7 @@ from demandcast.lstm_att import (
     backward,
     forward_batch,
     load_checkpoint,
+    model_inputs,
     save_checkpoint,
 )
 from demandcast.nn_core import glorot_uniform, recurrent_uniform
@@ -282,6 +283,18 @@ def test_forward_feature_width_checked():
     params = tiny_params()
     with pytest.raises(ShapeError):
         forward(np.zeros((4, 3)), params)
+
+
+def test_model_inputs_is_a_view_of_the_leading_columns():
+    params = tiny_params()
+    windows = np.random.default_rng(4).normal(size=(5, 4, 6))
+    inputs = model_inputs(windows, params.config)
+    assert inputs.shape == (5, 4, 2) and inputs.base is windows
+    assert np.array_equal(inputs, windows[:, :, :2])
+    assert np.array_equal(forward_batch(inputs, params)[0],
+                          forward_batch(np.ascontiguousarray(windows[:, :, :2]), params)[0])
+    with pytest.raises(ShapeError):  # narrower than n_features
+        forward_batch(model_inputs(windows[:, :, :1], params.config), params)
 
 
 # ---------------------------------------------------------------------------
