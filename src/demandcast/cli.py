@@ -157,12 +157,45 @@ def write_manifest(out: OutputDir, command: str, cfg: dict, seed: int | None) ->
 # shared pieces
 # ---------------------------------------------------------------------------
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+_PIPELINE_TYPES = {
+    "lookback": ("an integer", _is_int),
+    "horizon": ("an integer", _is_int),
+    "window_stride": ("an integer", _is_int),
+    "split_fraction": ("a number", _is_number),
+    "scale_before_split": ("true or false", lambda v: isinstance(v, bool)),
+    "clamp_bounds": ("two numbers", lambda v: isinstance(v, (list, tuple))
+                     and len(v) == 2 and all(map(_is_number, v))),
+}
+
+
+def _check_pipeline(pipeline, source: str) -> dict:
+    """``pipeline`` merged over PIPELINE_DEFAULTS, with each key's type
+    checked; a bad entry is a ConfigError naming ``source`` and the key.
+    Ranges are checked where the values are used, in ``build_dataset``."""
+    if not isinstance(pipeline, dict):
+        raise ConfigError(f"{source}: 'pipeline' must be an object, got {pipeline!r}")
+    pipe = _deep_merge(PIPELINE_DEFAULTS, pipeline)
+    for key, (kind, ok) in _PIPELINE_TYPES.items():
+        if not ok(pipe[key]):
+            raise ConfigError(f"{source}: pipeline '{key}' must be {kind}, "
+                              f"got {pipe[key]!r}")
+    return pipe
+
+
 def _build_dataset(args, cfg: dict):
     """The --dataset file, split and windowed by the run config; returns
     (schema, dataset, fitted scaler)."""
+    pipe = _check_pipeline(cfg["pipeline"], f"--config {args.config}")
     series = load_dataset(args.dataset, cfg.get("timezone"))
     schema = FeatureSchema.default(**cfg["schema"])
-    pipe = cfg["pipeline"]
     dataset, scaler = build_dataset(
         series, schema, pipe["lookback"], pipe["horizon"],
         pipe["split_fraction"], pipe["scale_before_split"],
@@ -193,7 +226,7 @@ def _load_model(path_str: str):
         scaler = MinMaxScaler.from_dict(meta.get("scaler"))
     except ConfigError as exc:
         raise ConfigError(f"checkpoint {path}: {exc}")
-    pipeline = _deep_merge(PIPELINE_DEFAULTS, meta.get("pipeline", {}))
+    pipeline = _check_pipeline(meta.get("pipeline", {}), f"checkpoint {path}")
     return params, meta, schema, scaler, pipeline
 
 
@@ -327,12 +360,7 @@ def cmd_explain(args, cfg: dict, out: OutputDir) -> None:
     )
     write_shap_csv(out.path("shap.csv"), reports)
     table.write_csv(out.path("beeswarm.csv"))
-    doc = [
-        {"test_id": r.test_id, "background_id": r.background_id, "phi": r.phi,
-         "base_value": r.base_value, "prediction": r.prediction,
-         "aggregation": r.aggregation}
-        for r in reports
-    ]
+    doc = [asdict(r) for r in reports]
     out.path("shap.json").write_text(json.dumps(doc, indent=2), encoding="utf-8")
     write_manifest(out, "explain", cfg, meta.get("seed"))
 

@@ -8,10 +8,17 @@ groups the exact enumeration needs only 2^5 = 32 coalitions per background
 window, so no sampling approximation is involved and the Shapley axioms
 hold to float precision.
 
-The masked windows of every (coalition, background) pair are built from
-one column-to-group bit map and forecast in batches: chunks of at most
-``CHUNK_ROWS`` windows, each one call of the batched ``predict_fn``. Only
-one chunk of masked windows exists at a time.
+Each (coalition, background) pair names a masked window, and pairs that
+name the same bytes are forecast once. Identity is exact and decided
+before any window is built: every distinct float64 bit pattern of a
+group's columns, across the test and the backgrounds, gets an id (bit
+patterns, not values, so -0.0 and 0.0 differ), and a pair's window is the
+tuple of block ids it takes, the test's for groups in the coalition and
+the background's for the rest. The distinct windows are built from one
+column-to-group bit map and forecast in chunks of at most ``CHUNK_ROWS``
+distinct windows, each one call of the batched ``predict_fn``; only one
+chunk exists at a time. Each forecast is then scattered back to every pair
+that names its window.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from .lstm_att import ModelParams, forward_batch, model_inputs
 from .util import fmt_float
 
 MAX_EXACT_GROUPS = 12
-CHUNK_ROWS = 256  # masked windows per predict_fn call; evaluate's batch size
+CHUNK_ROWS = 256  # distinct masked windows per predict_fn call; evaluate's batch size
 
 
 @dataclass(frozen=True)
@@ -65,6 +72,8 @@ class ShapReport:
     base_value: float   # value of the empty coalition
     prediction: float   # value of the full coalition
     aggregation: str    # "mean" or "step:k"
+    forwarded_windows: int      # distinct masked windows forecast
+    efficiency_residual: float  # |sum(phi) - (prediction - base_value)|
 
 
 @dataclass
@@ -88,21 +97,41 @@ class BeeswarmTable:
                             fmt_float(r.representative), fmt_float(r.phi)])
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the first of each distinct row of a 2-D array, and each
+    row's distinct-row number. Rows are compared by their bytes, so the
+    float -0.0 and 0.0 differ."""
+    if rows.shape[1] == 0:  # a group with no columns: one block
+        return np.zeros(1, dtype=np.intp), np.zeros(len(rows), dtype=np.intp)
+    rows = np.ascontiguousarray(rows)
+    as_bytes = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+    _, first, ids = np.unique(as_bytes, return_index=True, return_inverse=True)
+    return first, ids.ravel()
+
+
 def _coalition_values(predict_fn, test: np.ndarray, backgrounds: np.ndarray,
-                      groups: list[FeatureGroup], step: int | None) -> np.ndarray:
+                      groups: list[FeatureGroup],
+                      step: int | None) -> tuple[np.ndarray, int]:
     """Value of every coalition bitmask: the scalar-aggregated forecast on
-    the masked window, averaged over the (nb, p, n) background windows.
+    the masked window, averaged over the (nb, p, n) background windows;
+    and the number of distinct masked windows forecast.
 
     Row r of the flat grid is coalition r // nb against background r % nb.
     """
-    nb = len(backgrounds)
+    nb, k = len(backgrounds), len(groups)
     column_bits = np.zeros(test.shape[1], dtype=np.int64)  # bit j: in groups[j]
+    block_ids = np.empty((nb + 1, k), dtype=np.int64)  # row 0: test; 1 + b: background b
     for j, g in enumerate(groups):
-        column_bits[list(g.columns)] = 1 << j
-    n_rows = (1 << len(groups)) * nb
-    values = np.empty(n_rows)
-    for start in range(0, n_rows, CHUNK_ROWS):
-        rows = np.arange(start, min(start + CHUNK_ROWS, n_rows))
+        cols = list(g.columns)
+        column_bits[cols] = 1 << j
+        blocks = np.concatenate([test[None, :, cols], backgrounds[:, :, cols]])
+        block_ids[:, j] = _distinct_rows(blocks.reshape(nb + 1, -1))[1]
+    in_coalition = (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(bool)
+    keys = np.where(in_coalition[:, None, :], block_ids[0], block_ids[1:])  # (2^k, nb, k)
+    first, window_of_row = _distinct_rows(keys.reshape(-1, k))
+    forecast_of_window = np.empty(len(first))
+    for start in range(0, len(first), CHUNK_ROWS):
+        rows = first[start:start + CHUNK_ROWS]  # one row that names each window
         from_test = ((rows // nb)[:, None] & column_bits) != 0  # (rows, n)
         masked = np.where(from_test[:, None, :], test, backgrounds[rows % nb])
         forecast = np.asarray(predict_fn(masked))
@@ -111,8 +140,10 @@ def _coalition_values(predict_fn, test: np.ndarray, backgrounds: np.ndarray,
                 f"predict_fn returned {forecast.shape} for {len(rows)} windows; "
                 "expected (B, m)"
             )
-        values[rows] = forecast.mean(axis=1) if step is None else forecast[:, step]
-    return values.reshape(-1, nb).mean(axis=1)
+        forecast_of_window[start:start + len(rows)] = (
+            forecast.mean(axis=1) if step is None else forecast[:, step])
+    values = forecast_of_window[window_of_row]
+    return values.reshape(-1, nb).mean(axis=1), len(first)
 
 
 def _phi_from_values(values: np.ndarray, k: int) -> list[float]:
@@ -185,15 +216,18 @@ def shapley_series(predict_fn, instances, backgrounds,
             raise ShapeError(
                 f"test {window.shape} and background {backgrounds.shape[1:]} windows differ"
             )
-        values = _coalition_values(predict_fn, window, backgrounds, groups, step)
+        values, forwarded = _coalition_values(predict_fn, window, backgrounds, groups, step)
         phi = _phi_from_values(values, k)
+        base_value, prediction = float(values[0]), float(values[-1])
         reports.append(ShapReport(
             test_id=str(inst_id),
             background_id=f"mean[{len(backgrounds)}]",
             phi={g.name: v for g, v in zip(groups, phi)},
-            base_value=float(values[0]),
-            prediction=float(values[-1]),
+            base_value=base_value,
+            prediction=prediction,
             aggregation="mean" if step is None else f"step:{step}",
+            forwarded_windows=forwarded,
+            efficiency_residual=float(abs(sum(phi) - (prediction - base_value))),
         ))
         for g, v in zip(groups, phi):
             rows.append(BeeswarmRow(str(inst_id), g.name, group_representative(window, g), v))

@@ -200,6 +200,9 @@ BAD_METADATA = {
     "scaler-wrong-format": lambda meta: meta["scaler"].update(format="demandcast/scaler-v0"),
     "scaler-index-out-of-range": lambda meta: meta["scaler"]["columns"][0].update(index=22),
     "scaler-min-not-a-number": lambda meta: meta["scaler"]["columns"][0].update(min="low"),
+    "pipeline-not-an-object": lambda meta: meta.update(pipeline="oops"),
+    "pipeline-lookback-not-an-integer": lambda meta: meta["pipeline"].update(lookback="x"),
+    "pipeline-clamp-bounds-null": lambda meta: meta["pipeline"].update(clamp_bounds=None),
 }
 
 
@@ -217,6 +220,46 @@ def test_load_model_missing_metadata_is_config_error(trained, tmp_path, key):
                     "--dataset", trained["dataset"])
     assert rc == 1
     assert len(lines) == 1 and lines[0].startswith("config: "), lines
+
+
+@pytest.mark.parametrize("pipeline, key", [
+    ("oops", "'pipeline'"),
+    ({"lookback": "x"}, "'lookback'"),
+    ({"window_stride": True}, "'window_stride'"),
+    ({"split_fraction": "0.8"}, "'split_fraction'"),
+    ({"scale_before_split": 1}, "'scale_before_split'"),
+    ({"clamp_bounds": None}, "'clamp_bounds'"),
+    ({"clamp_bounds": [0.0, "1"]}, "'clamp_bounds'"),
+])
+def test_train_bad_pipeline_config_one_config_line_no_partial_files(trained, tmp_path,
+                                                                   pipeline, key):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"pipeline": pipeline}))
+    out = tmp_path / "out"
+    rc, lines = run("train", "--out", out, "--config", config,
+                    "--dataset", trained["dataset"], *TRAIN_FLAGS)
+    assert rc == 1
+    assert len(lines) == 1 and lines[0].startswith(f"config: --config {config}: "), lines
+    assert key in lines[0], lines
+    assert list(out.iterdir()) == []
+
+
+def test_explain_reports_forwarded_windows_and_residual(trained, tmp_path):
+    backgrounds = [0, 5, 5, 100, 300]
+    assert run("explain", "--out", tmp_path, "--checkpoint", trained["model"] / "checkpoint.json",
+               "--dataset", trained["dataset"], "--test", "100,200",
+               "--background", ",".join(map(str, backgrounds))) == (0, [])
+    reports = json.loads((tmp_path / "shap.json").read_text())
+    assert len(reports) == 2
+    for doc in reports:
+        assert 1 <= doc["forwarded_windows"] <= 32 * len(backgrounds)
+        residual = abs(sum(doc["phi"].values()) - (doc["prediction"] - doc["base_value"]))
+        assert doc["efficiency_residual"] == residual <= 1e-9
+    with open(tmp_path / "shap.csv", newline="") as fh:
+        assert next(csv.reader(fh)) == ["test_id", "background_id", "group", "phi",
+                                        "base_value", "prediction", "aggregation"]
+    with open(tmp_path / "beeswarm.csv", newline="") as fh:
+        assert next(csv.reader(fh)) == ["instance_id", "group", "value", "phi"]
 
 
 @pytest.mark.parametrize("command, flags, valid", [

@@ -195,8 +195,8 @@ def test_coalition_values_match_loop_oracle(step):
                                           lookback=6), 17)
     test = rand_window(rng)
     backgrounds = np.stack([rand_window(rng) for _ in range(3)])
-    got = _coalition_values(lambda w: forward_batch(w, params)[0], test,
-                            backgrounds, GROUPS4, step)
+    got, _ = _coalition_values(lambda w: forward_batch(w, params)[0], test,
+                               backgrounds, GROUPS4, step)
     want = loop_coalition_values(lambda w: predict(w, params), test,
                                  backgrounds, GROUPS4, step)
     assert np.max(np.abs(got - want)) < 1e-12
@@ -215,7 +215,101 @@ def test_coalition_values_chunk_rows_bounded():
     backgrounds = [rng.uniform(size=(2, 12)) for _ in range(3)]
     shapley_series(counting, [("t", rng.uniform(size=(2, 12)))], backgrounds, groups)
     assert max(batches) <= CHUNK_ROWS == 256
-    assert sum(batches) == (1 << 12) * len(backgrounds)
+    # every masked window is distinct except the full coalition's, the
+    # test itself against each of the three backgrounds
+    assert sum(batches) == (1 << 12) * len(backgrounds) - 2
+
+
+def shared_block_windows(rng, n_backgrounds=20):
+    """A test and backgrounds on the default schema's 22 columns that share
+    blocks the way real windows do: holiday mostly 0, few months, a repeated
+    background, and a -0.0 holiday column that is not the test's 0.0."""
+    schema = FeatureSchema.default()
+    groups = default_groups(schema)
+    cols = {g.name: list(g.columns) for g in groups}
+
+    def window():
+        w = np.zeros((6, schema.width))
+        w[:, cols["request"]] = rng.uniform(size=(6, 1))
+        w[:, cols["temperature"]] = rng.uniform(size=(6, 1))
+        w[np.arange(6), cols["weekday"][0] + rng.integers(0, 7, size=6)] = 1.0
+        w[:, cols["month"][0] + rng.integers(0, 3)] = 1.0
+        if rng.uniform() < 0.2:
+            w[rng.integers(0, 6), cols["holiday"]] = 1.0
+        return w
+
+    backgrounds = [window() for _ in range(n_backgrounds - 2)]
+    backgrounds.append(backgrounds[3].copy())  # a repeated background
+    negative_zero = backgrounds[0].copy()
+    negative_zero[:, cols["holiday"]] = -0.0
+    backgrounds.append(negative_zero)
+    test = window()
+    test[:, cols["holiday"] + cols["month"]] = backgrounds[1][:, cols["holiday"] + cols["month"]]
+    return test, np.stack(backgrounds), groups
+
+
+def lstm_fns(n_features, seed):
+    params = ModelParams.init(ModelConfig(n_features=n_features, hidden=4, horizon=3,
+                                          lookback=6), seed)
+    return lambda w: forward_batch(w, params)[0], lambda w: predict(w, params)
+
+
+@pytest.mark.parametrize("step", [None, 2])
+def test_coalition_values_with_shared_blocks_match_loop_oracle(step):
+    test, backgrounds, groups = shared_block_windows(np.random.default_rng(15))
+    batched, one = lstm_fns(test.shape[1], 19)
+    got, forwarded = _coalition_values(batched, test, backgrounds, groups, step)
+    want = loop_coalition_values(one, test, backgrounds, groups, step)
+    assert forwarded < (1 << len(groups)) * len(backgrounds)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_coalition_values_forward_each_distinct_window_once():
+    test, backgrounds, groups = shared_block_windows(np.random.default_rng(16), 40)
+    batched, _ = lstm_fns(test.shape[1], 23)
+    batches = []
+
+    def counting(windows):
+        batches.append(len(windows))
+        return batched(windows)
+
+    _, forwarded = _coalition_values(counting, test, backgrounds, groups, None)
+    distinct = set()
+    for bits in range(1 << len(groups)):
+        coalition = [g.name for j, g in enumerate(groups) if bits >> j & 1]
+        for bg in backgrounds:
+            distinct.add(mask(test, bg, coalition, groups).tobytes())
+    assert sum(batches) == forwarded == len(distinct)
+    assert len(batches) > 1 and max(batches) <= CHUNK_ROWS
+
+
+def test_group_without_columns_gets_zero():
+    rng = np.random.default_rng(18)
+    groups = GROUPS4 + [FeatureGroup("empty", ())]
+    weights = rng.normal(size=5)
+    t, b = rand_window(rng), rand_window(rng)
+    report = shapley_pair(linear_window_model(weights), t, b, groups)
+    assert report.phi["empty"] == 0.0
+    expected = linear_shapley(weights, t, b, GROUPS4)
+    for name in expected:
+        assert abs(report.phi[name] - expected[name]) < 1e-10
+
+
+def test_test_equal_to_every_background_forwards_one_window():
+    rng = np.random.default_rng(17)
+    test = rand_window(rng)
+    batched, _ = lstm_fns(5, 29)
+    batches = []
+
+    def counting(windows):
+        batches.append(len(windows))
+        return batched(windows)
+
+    _, [report] = shapley_series(counting, [("t", test)], [test.copy() for _ in range(3)],
+                                 GROUPS4)
+    assert batches == [1] and report.forwarded_windows == 1
+    assert all(v == 0.0 for v in report.phi.values())
+    assert report.efficiency_residual == 0.0
 
 
 def test_default_groups_partition_schema():
