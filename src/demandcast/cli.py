@@ -15,11 +15,12 @@ the checkpoint file and a dataset.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import shutil
 import sys
-from dataclasses import asdict
-from datetime import datetime
+from dataclasses import asdict, replace
+from datetime import date, datetime
 from pathlib import Path
 
 from . import __version__
@@ -65,7 +66,7 @@ from .explain import (
 )
 from .synth import SynthConfig, export, generate, save_config
 from .train import VARIANTS, TrainConfig, train
-from .util import config_hash, fmt_float
+from .util import FLOAT_FORMAT, config_hash, write_csv
 
 PIPELINE_DEFAULTS = {
     "lookback": 96,
@@ -165,29 +166,68 @@ def _is_number(value) -> bool:
     return _is_int(value) or isinstance(value, float)
 
 
+def _is_numbers(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(map(_is_number, value))
+
+
+def _is_date(value) -> bool:
+    try:
+        return isinstance(value, date) or bool(date.fromisoformat(value))
+    except (TypeError, ValueError):
+        return False
+
+
+# What a config value of each parameter type must be, and its test.
+_KINDS = {
+    "int": ("an integer", _is_int),
+    "float": ("a number", _is_number),
+    "float | None": ("a number or null", lambda v: v is None or _is_number(v)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "date": ("an ISO date", _is_date),
+    "tuple[float, ...]": ("a list of numbers", _is_numbers),
+    "tuple[float, float]": ("two numbers", lambda v: _is_numbers(v) and len(v) == 2),
+}
 _PIPELINE_TYPES = {
-    "lookback": ("an integer", _is_int),
-    "horizon": ("an integer", _is_int),
-    "window_stride": ("an integer", _is_int),
-    "split_fraction": ("a number", _is_number),
-    "scale_before_split": ("true or false", lambda v: isinstance(v, bool)),
-    "clamp_bounds": ("two numbers", lambda v: isinstance(v, (list, tuple))
-                     and len(v) == 2 and all(map(_is_number, v))),
+    "lookback": "int",
+    "horizon": "int",
+    "window_stride": "int",
+    "split_fraction": "float",
+    "scale_before_split": "bool",
+    "clamp_bounds": "tuple[float, float]",
 }
 
 
+def _check_block(doc, block: str, types: dict, source: str) -> None:
+    """A ConfigError naming ``source``, ``block`` and the key unless ``doc``
+    is an object whose every key is in ``types`` (key -> a ``_KINDS`` name)
+    with a value of that type. Ranges are checked where values are used."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{source}: '{block}' must be an object, got {doc!r}")
+    for key, value in doc.items():
+        if key not in types:
+            raise ConfigError(f"{source}: {block} has no key '{key}'")
+        kind, ok = _KINDS[types[key]]
+        if not ok(value):
+            raise ConfigError(f"{source}: {block} '{key}' must be {kind}, got {value!r}")
+
+
 def _check_pipeline(pipeline, source: str) -> dict:
-    """``pipeline`` merged over PIPELINE_DEFAULTS, with each key's type
-    checked; a bad entry is a ConfigError naming ``source`` and the key.
-    Ranges are checked where the values are used, in ``build_dataset``."""
-    if not isinstance(pipeline, dict):
-        raise ConfigError(f"{source}: 'pipeline' must be an object, got {pipeline!r}")
-    pipe = _deep_merge(PIPELINE_DEFAULTS, pipeline)
-    for key, (kind, ok) in _PIPELINE_TYPES.items():
-        if not ok(pipe[key]):
-            raise ConfigError(f"{source}: pipeline '{key}' must be {kind}, "
-                              f"got {pipe[key]!r}")
-    return pipe
+    """``pipeline`` type-checked and merged over PIPELINE_DEFAULTS."""
+    _check_block(pipeline, "pipeline", _PIPELINE_TYPES, source)
+    return _deep_merge(PIPELINE_DEFAULTS, pipeline)
+
+
+def _from_block(build, block: str, args, cfg: dict, flags=()):
+    """``build(**doc)`` for the run config's ``block`` object, with each of
+    ``flags`` set on ``args`` winning; every key is type-checked against
+    ``build``'s parameter of that name."""
+    doc = cfg[block]
+    if isinstance(doc, dict):
+        doc = {**doc, **{k: getattr(args, k) for k in flags if getattr(args, k) is not None}}
+    types = {k: p.annotation for k, p in inspect.signature(build).parameters.items()}
+    _check_block(doc, block, types, f"--config {args.config}")
+    return build(**doc)
 
 
 def _build_dataset(args, cfg: dict):
@@ -195,24 +235,13 @@ def _build_dataset(args, cfg: dict):
     (schema, dataset, fitted scaler)."""
     pipe = _check_pipeline(cfg["pipeline"], f"--config {args.config}")
     series = load_dataset(args.dataset, cfg.get("timezone"))
-    schema = FeatureSchema.default(**cfg["schema"])
+    schema = _from_block(FeatureSchema.default, "schema", args, cfg)
     dataset, scaler = build_dataset(
         series, schema, pipe["lookback"], pipe["horizon"],
         pipe["split_fraction"], pipe["scale_before_split"],
         tuple(pipe["clamp_bounds"]), pipe["window_stride"],
     )
     return schema, dataset, scaler
-
-
-def _model_windows(series, schema: FeatureSchema, scaler: MinMaxScaler,
-                   pipeline: dict):
-    """Windows for a frozen model: encode, scale with the persisted scaler,
-    clamp, and slide at stride 1 for the finest index granularity."""
-    matrix = encode(series, schema)
-    scaled = clamp_scaled(scaler, transform(scaler, matrix),
-                          tuple(pipeline["clamp_bounds"]))
-    return make_windows(scaled, pipeline["lookback"], pipeline["horizon"],
-                        origin=series.origin, stride=1)
 
 
 def _load_model(path_str: str):
@@ -228,6 +257,21 @@ def _load_model(path_str: str):
         raise ConfigError(f"checkpoint {path}: {exc}")
     pipeline = _check_pipeline(meta.get("pipeline", {}), f"checkpoint {path}")
     return params, meta, schema, scaler, pipeline
+
+
+def _load_frozen(checkpoint: str, dataset, timezone: str | None):
+    """A checkpoint's model and the windows it reads from a dataset file:
+    (params, meta, schema, scaler, windows). The windows are encoded, scaled
+    with the persisted scaler, clamped, and slid at stride 1 for the finest
+    index granularity."""
+    params, meta, schema, scaler, pipeline = _load_model(checkpoint)
+    series = load_dataset(dataset, timezone)
+    matrix = encode(series, schema)
+    scaled = clamp_scaled(scaler, transform(scaler, matrix),
+                          tuple(pipeline["clamp_bounds"]))
+    windows = make_windows(scaled, pipeline["lookback"], pipeline["horizon"],
+                           origin=series.origin, stride=1)
+    return params, meta, schema, scaler, windows
 
 
 def _predict_fn(params):
@@ -250,14 +294,7 @@ def _parse_indices(text: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args, cfg: dict, out: OutputDir) -> None:
-    synth_cfg = dict(cfg["synth"])
-    if args.seed is not None:
-        synth_cfg["seed"] = args.seed
-    if args.days is not None:
-        synth_cfg["days"] = args.days
-    if args.start is not None:
-        synth_cfg["start"] = args.start
-    sc = SynthConfig.from_dict(synth_cfg)
+    sc = _from_block(SynthConfig, "synth", args, cfg, ("days", "start"))
     series, holidays = generate(sc)
     for name in ("demand.csv", "temperature.csv", "holidays.csv"):
         out.path(name)  # track before writing
@@ -291,21 +328,14 @@ def cmd_ingest(args, cfg: dict, out: OutputDir) -> None:
     write_manifest(out, "ingest", cfg, None)
 
 
-def _train_config(args, cfg: dict) -> TrainConfig:
-    doc = dict(cfg["train"])
-    for key in ("variant", "epochs", "seed", "batch_size", "learning_rate",
-                "hidden", "shuffle"):
-        value = getattr(args, key, None)
-        if value is not None:
-            doc[key] = value
-    return TrainConfig(**doc)
+_TRAIN_FLAGS = ("variant", "epochs", "batch_size", "learning_rate", "hidden", "shuffle")
 
 
 def cmd_train(args, cfg: dict, out: OutputDir) -> None:
+    tc = _from_block(TrainConfig, "train", args, cfg, _TRAIN_FLAGS)
     schema, dataset, scaler = _build_dataset(args, cfg)
-    tc = _train_config(args, cfg)
     extra = {
-        "schema": schema.to_dict(),
+        "schema": asdict(schema),
         "scaler": scaler.to_dict(),
         "seed": tc.seed,
         "variant": tc.variant,
@@ -315,16 +345,13 @@ def cmd_train(args, cfg: dict, out: OutputDir) -> None:
     params, report = train(dataset, tc, checkpoint_dir=ckpt_dir,
                            checkpoint_extra=extra)
     save_checkpoint(out.path("checkpoint.json"), params, extra)
-    out.path("metrics.json").write_text(
-        json.dumps(report.to_dict(), indent=2), encoding="utf-8"
-    )
+    out.path("metrics.json").write_text(json.dumps(asdict(report), indent=2), encoding="utf-8")
     write_manifest(out, "train", _deep_merge(cfg, {"train": asdict(tc)}), tc.seed)
 
 
 def cmd_predict(args, cfg: dict, out: OutputDir) -> None:
-    params, meta, schema, scaler, pipeline = _load_model(args.checkpoint)
-    series = load_dataset(args.dataset, cfg.get("timezone"))
-    windows = _model_windows(series, schema, scaler, pipeline)
+    params, meta, _, scaler, windows = _load_frozen(args.checkpoint, args.dataset,
+                                                    cfg.get("timezone"))
     index = args.index if args.index is not None else len(windows) - 1
     if index < 0:
         index += len(windows)
@@ -333,20 +360,17 @@ def cmd_predict(args, cfg: dict, out: OutputDir) -> None:
     forecast = _predict_fn(params)(windows.inputs[index:index + 1])[0]
     demand = inverse_transform(scaler, forecast, column=0)
     times = format_times(windows.target_timestamps(index))
-    with open(out.path("forecast.csv"), "w", newline="", encoding="utf-8") as fh:
-        fh.write("timestamp,demand_scaled,demand\n")
-        for ts, s, d in zip(times, forecast, demand):
-            fh.write(f"{ts},{fmt_float(s)},{fmt_float(d)}\n")
+    write_csv(out.path("forecast.csv"), ("timestamp", "demand_scaled", "demand"),
+              f"%s,{FLOAT_FORMAT},{FLOAT_FORMAT}", [times, forecast, demand])
     write_manifest(out, "predict", cfg, meta.get("seed"))
 
 
 def cmd_explain(args, cfg: dict, out: OutputDir) -> None:
-    params, meta, schema, scaler, pipeline = _load_model(args.checkpoint)
+    params, meta, schema, _, windows = _load_frozen(args.checkpoint, args.dataset,
+                                                    cfg.get("timezone"))
     horizon = params.config.horizon
     if args.step is not None and not 0 <= args.step < horizon:
         raise ConfigError(f"--step {args.step} out of range 0..{horizon - 1}")
-    series = load_dataset(args.dataset, cfg.get("timezone"))
-    windows = _model_windows(series, schema, scaler, pipeline)
     tests = _parse_indices(args.test)
     backgrounds = _parse_indices(args.background)
     for i in tests + backgrounds:
@@ -366,34 +390,27 @@ def cmd_explain(args, cfg: dict, out: OutputDir) -> None:
 
 
 def cmd_eval(args, cfg: dict, out: OutputDir) -> None:
-    _, dataset, _ = _build_dataset(args, cfg)
     variants = args.variants.split(",") if args.variants else list(VARIANTS)
     for v in variants:
         if v not in VARIANTS:
             raise ConfigError(f"unknown variant '{v}'; choose from {VARIANTS}")
-    base = _train_config(args, cfg)
-    reports = []
-    for v in variants:
-        doc = asdict(base)
-        doc["variant"] = v
-        _, report = train(dataset, TrainConfig(**doc))
-        reports.append(report)
-    with open(out.path("comparison.csv"), "w", newline="", encoding="utf-8") as fh:
-        fh.write("variant,test_mse,wall_time_s\n")
-        for r in reports:
-            fh.write(f"{r.variant},{fmt_float(r.test_mse)},{r.wall_time_s:.2f}\n")
+    base = _from_block(TrainConfig, "train", args, cfg, _TRAIN_FLAGS)
+    _, dataset, _ = _build_dataset(args, cfg)
+    reports = [train(dataset, replace(base, variant=v))[1] for v in variants]
+    write_csv(out.path("comparison.csv"), ("variant", "test_mse", "wall_time_s"),
+              f"%s,{FLOAT_FORMAT},%.2f", [[r.variant for r in reports],
+                                           [r.test_mse for r in reports],
+                                           [r.wall_time_s for r in reports]])
     out.path("metrics.json").write_text(
-        json.dumps([r.to_dict() for r in reports], indent=2), encoding="utf-8"
-    )
+        json.dumps([asdict(r) for r in reports], indent=2), encoding="utf-8")
     write_manifest(out, "eval", _deep_merge(cfg, {"train": asdict(base)}), base.seed)
 
 
 def cmd_attention(args, cfg: dict, out: OutputDir) -> None:
     if args.limit is not None and args.limit < 1:
         raise ConfigError(f"--limit must be >= 1, got {args.limit}")
-    params, meta, schema, scaler, pipeline = _load_model(args.checkpoint)
-    series = load_dataset(args.dataset, cfg.get("timezone"))
-    windows = _model_windows(series, schema, scaler, pipeline)
+    params, meta, _, _, windows = _load_frozen(args.checkpoint, args.dataset,
+                                               cfg.get("timezone"))
     if args.limit is not None and args.limit < len(windows):
         step = max(1, len(windows) // args.limit)
         keep = list(range(0, len(windows), step))[:args.limit]
@@ -425,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate synthetic demand data")
     common(p)
     p.add_argument("--days", type=int, help="span in days (default 730)")
-    p.add_argument("--start", help="first day, ISO date")
+    p.add_argument("--start", type=date.fromisoformat, help="first day, ISO date")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("ingest", help="build the interval dataset from CSVs")
@@ -487,9 +504,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_run_config(args.config)
-        if args.seed is not None:
-            cfg = _deep_merge(cfg, {"synth": {"seed": args.seed},
-                                    "train": {"seed": args.seed}})
+        if args.seed is not None:  # a block that is no object stays for its check
+            cfg = _deep_merge(cfg, {b: {"seed": args.seed} for b in ("synth", "train")
+                                    if isinstance(cfg[b], dict)})
         out = OutputDir(args.out)
     except DemandcastError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)

@@ -23,7 +23,6 @@ that names its window.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -33,7 +32,7 @@ from .errors import ConfigError, ShapeError
 from .features import FeatureSchema, WindowedDataset
 from .ingest import STEP_SECONDS
 from .lstm_att import ModelParams, forward_batch, model_inputs
-from .util import fmt_float
+from .util import FLOAT_FORMAT, write_csv
 
 MAX_EXACT_GROUPS = 12
 CHUNK_ROWS = 256  # distinct masked windows per predict_fn call; evaluate's batch size
@@ -89,12 +88,11 @@ class BeeswarmTable:
     rows: list[BeeswarmRow]
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["instance_id", "group", "value", "phi"])
-            for r in self.rows:
-                w.writerow([r.instance_id, r.group,
-                            fmt_float(r.representative), fmt_float(r.phi)])
+        rows = self.rows
+        write_csv(path, ("instance_id", "group", "value", "phi"),
+                  f"%s,%s,{FLOAT_FORMAT},{FLOAT_FORMAT}",
+                  [[r.instance_id for r in rows], [r.group for r in rows],
+                   [r.representative for r in rows], [r.phi for r in rows]])
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -190,6 +188,8 @@ def shapley_series(predict_fn, instances, backgrounds,
     of windows. ``predict_fn`` maps a (B, p, n) batch of windows to the
     (B, m) forecasts; the value of a coalition is the forecast mean (or the
     ``step``-th output). Rows come back sorted by group then instance.
+    ``util.write_csv`` writes the ids unquoted, so no id may hold a comma, a
+    quote or a line break.
     """
     instances = list(instances)
     backgrounds = [np.asarray(b, dtype=np.float64) for b in backgrounds]
@@ -271,20 +271,14 @@ def attention_profile(params: ModelParams, windows: WindowedDataset,
 
 
 def write_attention_csv(path, profile: np.ndarray) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["hour", "mean_weight"])
-        for hour, value in enumerate(profile):
-            w.writerow([hour, fmt_float(value)])
+    write_csv(path, ("hour", "mean_weight"), f"%d,{FLOAT_FORMAT}",
+              [range(len(profile)), profile])
 
 
 def write_shap_csv(path, reports: list[ShapReport]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["test_id", "background_id", "group", "phi",
-                    "base_value", "prediction", "aggregation"])
-        for r in reports:
-            for group, phi in r.phi.items():
-                w.writerow([r.test_id, r.background_id, group, fmt_float(phi),
-                            fmt_float(r.base_value), fmt_float(r.prediction),
-                            r.aggregation])
+    rows = [(r.test_id, r.background_id, group, phi, r.base_value, r.prediction,
+             r.aggregation) for r in reports for group, phi in r.phi.items()]
+    write_csv(path, ("test_id", "background_id", "group", "phi", "base_value",
+                     "prediction", "aggregation"),
+              f"%s,%s,%s,{FLOAT_FORMAT},{FLOAT_FORMAT},{FLOAT_FORMAT},%s",
+              [[row[j] for row in rows] for j in range(7)])

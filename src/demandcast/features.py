@@ -17,10 +17,6 @@ import numpy as np
 from .errors import ConfigError, GridError, SchemaError
 from .ingest import IntervalSeries, grid_times
 
-WEEKDAY_NAMES = ("mon", "tue", "wed", "thu", "fri", "sat", "sun")
-MONTH_NAMES = ("jan", "feb", "mar", "apr", "may", "jun",
-               "jul", "aug", "sep", "oct", "nov", "dec")
-
 SCALER_FORMAT = "demandcast/scaler-v1"
 
 
@@ -68,24 +64,6 @@ class FeatureSchema:
     def width(self) -> int:
         return sum(f.cardinality for f in self.features)
 
-    @property
-    def drop_first_month(self) -> bool:
-        return any(f.name == "month" and f.cardinality == 11 for f in self.features)
-
-    def column_names(self) -> list[str]:
-        names: list[str] = []
-        for f in self.features:
-            if f.kind != "onehot":
-                names.append(f.name)
-            elif f.name == "weekday":
-                names.extend(f"weekday_{d}" for d in WEEKDAY_NAMES)
-            elif f.name == "month":
-                months = MONTH_NAMES[1:] if f.cardinality == 11 else MONTH_NAMES
-                names.extend(f"month_{m}" for m in months)
-            else:
-                names.extend(f"{f.name}_{i}" for i in range(f.cardinality))
-        return names
-
     def numeric_columns(self) -> list[tuple[int, str]]:
         out = []
         col = 0
@@ -103,14 +81,6 @@ class FeatureSchema:
             out[f.name] = tuple(range(col, col + f.cardinality))
             col += f.cardinality
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "features": [
-                {"name": f.name, "kind": f.kind, "cardinality": f.cardinality}
-                for f in self.features
-            ]
-        }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FeatureSchema":
@@ -300,7 +270,6 @@ class WindowedDataset:
 class SplitDataset:
     train: WindowedDataset
     test: WindowedDataset
-    split_fraction: float
 
 
 def make_windows(matrix: np.ndarray, p: int = 96, m: int = 96,
@@ -351,7 +320,7 @@ def split(dataset: WindowedDataset, fraction: float = 0.8) -> SplitDataset:
                             dataset.origins[:cut], dataset.lookback, dataset.horizon)
     test = WindowedDataset(dataset.inputs[cut:], dataset.targets[cut:],
                            dataset.origins[cut:], dataset.lookback, dataset.horizon)
-    return SplitDataset(train, test, fraction)
+    return SplitDataset(train, test)
 
 
 def build_dataset(series: IntervalSeries, schema: FeatureSchema,

@@ -27,11 +27,11 @@ cell, an out-of-range value or a break in the time rule) is read again by
 the per-row reader ``_read_columns``, which reads the same values and names
 the file line of the first bad row.
 
-``_write_table`` is the one grid writer, the counterpart of ``_read_table``:
-the demand grid, temperature and dataset files are each one call to it. It
-formats BLOCK_ROWS rows at a time with one ``%`` format of a row format
-repeated per row, so no cell is formatted by a Python loop, and ends every
-line with CRLF. Its files are plain text that the columnar path reads.
+The demand grid, temperature and dataset files are each one call to
+``util.write_csv``, the one CSV table writer. It formats BLOCK_ROWS rows at
+a time with one ``%`` format of a row format repeated per row, so no cell
+is formatted by a Python loop, and ends every line with CRLF. Its files are
+plain text that the columnar path reads.
 """
 
 from __future__ import annotations
@@ -48,14 +48,13 @@ from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from .errors import GridError, SchemaError, ShapeError
-from .util import FLOAT_FORMAT
+from .errors import GridError, SchemaError
+from .util import BLOCK_ROWS, FLOAT_FORMAT, write_csv
 
 STEP = timedelta(minutes=15)
 STEP_SECONDS = 900
 EPOCH = datetime(1970, 1, 1)
 TEMP_EDGE_REACH = timedelta(hours=2)
-BLOCK_ROWS = 1024
 # C0 and C1 control characters. fromisoformat reads "00:15:00\x00" as 00:15
 # (it stops at a NUL) and takes any character, a control one too, as the
 # date-time separator.
@@ -142,18 +141,6 @@ class SessionRecord:
             raise ValueError("session times must satisfy start <= charge_end <= disconnect")
         if self.energy_kwh < 0:
             raise ValueError("energy_kwh must be non-negative")
-
-
-@dataclass(frozen=True)
-class HolidayCalendar:
-    dates: frozenset[date]
-
-    @classmethod
-    def from_dates(cls, dates) -> "HolidayCalendar":
-        return cls(frozenset(dates))
-
-    def __contains__(self, d: date) -> bool:
-        return d in self.dates
 
 
 @dataclass
@@ -295,12 +282,12 @@ def _epoch_seconds(times: np.ndarray) -> np.ndarray:
     return (times - np.datetime64(EPOCH, "s")) / np.timedelta64(1, "s")
 
 
-def attach_calendar(grid: IntervalSeries, holidays: HolidayCalendar) -> IntervalSeries:
+def attach_calendar(grid: IntervalSeries, holidays: frozenset[date]) -> IntervalSeries:
     """Derive weekday, month, and holiday flags from each interval start."""
     days = grid.times().astype("datetime64[D]")
     weekday = (days.astype(np.int64) + 3) % 7  # 1970-01-01 was a Thursday
     month = days.astype("datetime64[M]").astype(np.int64) % 12 + 1
-    holiday = np.isin(days, np.array(sorted(holidays.dates), dtype="datetime64[D]"))
+    holiday = np.isin(days, np.array(sorted(holidays), dtype="datetime64[D]"))
     return replace(grid, weekday=weekday.astype(np.int8), month=month.astype(np.int8),
                    holiday=holiday)
 
@@ -533,14 +520,14 @@ def load_temperature_csv(source, timezone: str | None = None) -> np.ndarray:
     return readings
 
 
-def load_holidays_csv(source) -> HolidayCalendar:
+def load_holidays_csv(source) -> frozenset[date]:
     """Read one ISO date per line, under an optional ``date`` header."""
     dates = set()
     with _open_text(source) as stream:
         for line, text in enumerate(map(str.strip, stream), start=1):
             if text and text.lower() != "date":
                 dates.add(_parse_cell("holidays CSV", line, "date", date.fromisoformat, [text], 0))
-    return HolidayCalendar.from_dates(dates)
+    return frozenset(dates)
 
 
 def load_demand_grid(source, timezone: str | None = None) -> IntervalSeries:
@@ -551,40 +538,19 @@ def load_demand_grid(source, timezone: str | None = None) -> IntervalSeries:
     return IntervalSeries(origin=_grid_origin(kind, times), demand=demand)
 
 
-def _write_table(path, header, row_format: str, columns) -> None:
-    """Write a CSV file: the ``header`` names, then row k of the equal-length
-    ``columns`` (lists, or numpy arrays) as ``row_format % (c[k] for c in
-    columns)``, every line ended by CRLF. Each block of BLOCK_ROWS rows is
-    one ``%`` format of its interleaved cells, so memory stays flat. No cell
-    may hold a comma, a quote or a line break: nothing is quoted."""
-    n, width = len(columns[0]), len(columns)
-    if any(len(column) != n for column in columns):
-        raise ShapeError(f"cannot write {path}: columns differ in length")
-    line = row_format + "\r\n"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for lo in range(0, n, BLOCK_ROWS):
-            rows = min(BLOCK_ROWS, n - lo)
-            cells = [None] * (rows * width)
-            for j, column in enumerate(columns):
-                block = column[lo:lo + rows]
-                cells[j::width] = block.tolist() if isinstance(block, np.ndarray) else block
-            fh.write((line * rows) % tuple(cells))
-
-
 def write_demand_grid(path, series: IntervalSeries) -> None:
-    _write_table(path, ("timestamp", "demand"), "%s,%d",
-                 [format_times(series.times()), series.demand])
+    write_csv(path, ("timestamp", "demand"), "%s,%d",
+              [format_times(series.times()), series.demand])
 
 
 def write_temperature_csv(path, timestamps, temps) -> None:
-    _write_table(path, ("timestamp", "temp_c"), "%s," + FLOAT_FORMAT,
-                 [format_times(timestamps), temps])
+    write_csv(path, ("timestamp", "temp_c"), "%s," + FLOAT_FORMAT,
+              [format_times(timestamps), temps])
 
 
-def write_holidays_csv(path, calendar: HolidayCalendar) -> None:
+def write_holidays_csv(path, holidays: frozenset[date]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        for d in sorted(calendar.dates):
+        for d in sorted(holidays):
             fh.write(d.isoformat() + "\n")
 
 
@@ -596,9 +562,9 @@ def write_dataset(path, series: IntervalSeries) -> None:
     for name in ("temperature", "weekday", "month", "holiday"):
         if getattr(series, name) is None:
             raise SchemaError(f"cannot write dataset: {name} column missing")
-    _write_table(path, DATASET_COLUMNS, f"%s,%d,{FLOAT_FORMAT},%d,%d,%d",
-                 [format_times(series.times()), series.demand, series.temperature,
-                  series.weekday, series.month, series.holiday])
+    write_csv(path, DATASET_COLUMNS, f"%s,%d,{FLOAT_FORMAT},%d,%d,%d",
+              [format_times(series.times()), series.demand, series.temperature,
+               series.weekday, series.month, series.holiday])
 
 
 def load_dataset(source, timezone: str | None = None) -> IntervalSeries:

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -90,16 +90,6 @@ class ModelConfig:
         if self.attention and self.head_input == "weighted_flatten":
             return self.lookback * self.hidden
         return self.hidden
-
-    def to_dict(self) -> dict:
-        return {
-            "n_features": self.n_features,
-            "hidden": self.hidden,
-            "horizon": self.horizon,
-            "lookback": self.lookback,
-            "attention": self.attention,
-            "head_input": self.head_input,
-        }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelConfig":
@@ -351,7 +341,7 @@ def save_checkpoint(path, params: ModelParams, extra: dict | None = None) -> Non
     document."""
     doc = {
         "format": CHECKPOINT_FORMAT,
-        "model": params.config.to_dict(),
+        "model": asdict(params.config),
         "params": {
             t.name: {
                 "shape": list(t.value.shape),

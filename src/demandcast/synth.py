@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .ingest import (
-    HolidayCalendar,
     IntervalSeries,
     attach_calendar,
     write_demand_grid,
@@ -76,8 +75,9 @@ class SynthConfig:
         self.base_profile = tuple(self.base_profile)
         self.weekday_mult = tuple(self.weekday_mult)
         self.month_mult = tuple(self.month_mult)
-        if self.days < 1:
-            raise ConfigError("days must be >= 1")
+        for name, low in (("days", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}")
         if len(self.base_profile) != INTERVALS_PER_DAY:
             raise ConfigError("base_profile must have 96 values")
         if len(self.weekday_mult) != 7 or len(self.month_mult) != 12:
@@ -97,27 +97,7 @@ class SynthConfig:
             raise ConfigError("drift periods must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "days": self.days,
-            "start": self.start.isoformat(),
-            "peak_rate": self.peak_rate,
-            "base_profile": list(self.base_profile),
-            "weekday_mult": list(self.weekday_mult),
-            "month_mult": list(self.month_mult),
-            "holiday_mult": self.holiday_mult,
-            "temp_mean_c": self.temp_mean_c,
-            "temp_annual_amp_c": self.temp_annual_amp_c,
-            "temp_daily_amp_c": self.temp_daily_amp_c,
-            "temp_noise_sd_c": self.temp_noise_sd_c,
-            "temp_coeff": self.temp_coeff,
-            "drift_amplitudes": list(self.drift_amplitudes),
-            "drift_periods_days": list(self.drift_periods_days),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SynthConfig":
-        return cls(**doc)
+        return {**asdict(self), "start": self.start.isoformat()}
 
 
 def _nth_weekday(year: int, month: int, weekday: int, n: int) -> date:
@@ -134,7 +114,7 @@ def _last_weekday(year: int, month: int, weekday: int) -> date:
     return d - timedelta(days=(d.weekday() - weekday) % 7)
 
 
-def academic_holidays(years) -> HolidayCalendar:
+def academic_holidays(years) -> frozenset[date]:
     """Campus closure days: federal-style holidays plus the winter break."""
     dates: set[date] = set()
     for y in years:
@@ -152,10 +132,10 @@ def academic_holidays(years) -> HolidayCalendar:
             thanksgiving + timedelta(days=1),
         })
         dates.update(date(y, 12, 24) + timedelta(days=i) for i in range(8))
-    return HolidayCalendar.from_dates(dates)
+    return frozenset(dates)
 
 
-def generate(config: SynthConfig) -> tuple[IntervalSeries, HolidayCalendar]:
+def generate(config: SynthConfig) -> tuple[IntervalSeries, frozenset[date]]:
     """Build the demand/temperature grid. Deterministic given the seed:
     demand_t ~ Poisson(rate_t) with
 
@@ -208,7 +188,7 @@ def generate(config: SynthConfig) -> tuple[IntervalSeries, HolidayCalendar]:
     return replace(calendar, demand=demand, temperature=temperature), holidays
 
 
-def export(series: IntervalSeries, holidays: HolidayCalendar, out_dir) -> dict:
+def export(series: IntervalSeries, holidays: frozenset[date], out_dir) -> dict:
     """Write the grid, temperature, and holiday CSVs in the ingest formats;
     re-ingesting them reproduces the series exactly."""
     out = Path(out_dir)
@@ -227,6 +207,3 @@ def export(series: IntervalSeries, holidays: HolidayCalendar, out_dir) -> dict:
 def save_config(path, config: SynthConfig) -> None:
     Path(path).write_text(json.dumps(config.to_dict(), indent=2), encoding="utf-8")
 
-
-def load_config(path) -> SynthConfig:
-    return SynthConfig.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))

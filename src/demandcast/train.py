@@ -9,7 +9,7 @@ the head instead of the attention context.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -52,10 +52,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}")
 
@@ -76,16 +75,6 @@ class MetricsReport:
     wall_time_s: float
     epoch_losses: list[float]
     seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "train_mse": self.train_mse,
-            "test_mse": self.test_mse,
-            "wall_time_s": self.wall_time_s,
-            "epoch_losses": self.epoch_losses,
-            "seed": self.seed,
-        }
 
 
 def mse(pred, target) -> float:

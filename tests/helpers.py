@@ -28,18 +28,24 @@ def temperature_readings(pairs):
     return np.array(list(pairs), dtype=READING)
 
 
-def csv_writer_table(path, header, times, *columns):
-    """A grid file as ``csv.writer`` writes it: the ``header`` row, then per
-    row the time (a datetime) as ``YYYY-MM-DD HH:MM:SS`` and the value of
-    each column, a float as ``f"{x:.17g}"``; CRLF line ends."""
+def csv_writer_rows(path, header, rows):
+    """A CSV file as ``csv.writer`` writes it: the ``header`` row, then each
+    row with every float as ``f"{x:.17g}"``; CRLF line ends."""
     def cell(value):
         return f"{value:.17g}" if isinstance(value, float) else value
 
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for t, *values in zip(times, *(np.asarray(c).tolist() for c in columns)):
-            w.writerow([t.isoformat(sep=" "), *map(cell, values)])
+        for row in rows:
+            w.writerow(map(cell, row))
+
+
+def csv_writer_table(path, header, times, *columns):
+    """A grid file as ``csv_writer_rows`` writes it: per row the time (a
+    datetime) as ``YYYY-MM-DD HH:MM:SS`` and the value of each column."""
+    csv_writer_rows(path, header, ([t.isoformat(sep=" "), *values] for t, *values
+                                   in zip(times, *(np.asarray(c).tolist() for c in columns))))
 
 
 def minute_scan_demand(sessions, origin, n_intervals):

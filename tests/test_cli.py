@@ -15,7 +15,7 @@ import pytest
 from demandcast import cli
 from demandcast.errors import ConfigError
 from demandcast.explain import default_groups
-from demandcast.ingest import load_dataset
+from demandcast.features import inverse_transform
 from demandcast.lstm_att import forward_batch, load_checkpoint, save_checkpoint
 from helpers import predict, shapley_pair
 
@@ -111,10 +111,9 @@ def test_predict_from_checkpoint_equals_in_memory_params(trained):
         from_cli = np.array([float(r["demand_scaled"]) for r in csv.DictReader(fh)])
 
     params = trained["params"]
-    loaded, _, schema, scaler, pipeline = cli._load_model(str(ckpt))
+    loaded, _, _, _, windows = cli._load_frozen(str(ckpt), trained["dataset"], None)
     for a, b in zip(params.tensors(), loaded.tensors()):
         assert a.name == b.name and np.array_equal(a.value, b.value)
-    windows = cli._model_windows(load_dataset(trained["dataset"]), schema, scaler, pipeline)
     assert np.array_equal(from_cli, predict(windows.inputs[-1], params))
 
 
@@ -123,8 +122,7 @@ def test_explain_one_pair_equals_shapley(trained, tmp_path):
     assert run("explain", "--out", tmp_path, "--checkpoint", ckpt, "--dataset", dataset,
                "--test", 100, "--background", 0) == (0, [])
     [doc] = json.loads((tmp_path / "shap.json").read_text())
-    params, _, schema, scaler, pipeline = cli._load_model(str(ckpt))
-    windows = cli._model_windows(load_dataset(dataset), schema, scaler, pipeline)
+    params, _, schema, _, windows = cli._load_frozen(str(ckpt), dataset, None)
     want = shapley_pair(cli._predict_fn(params), windows.inputs[100], windows.inputs[0],
                         default_groups(schema))
     assert doc["background_id"] == "mean[1]"
@@ -147,9 +145,8 @@ def univariate(trained):
 def test_univariate_model_reads_the_demand_column_only(trained, univariate, tmp_path):
     dataset = trained["dataset"]
     model_args = ["--checkpoint", univariate, "--dataset", dataset]
-    params, _, schema, scaler, pipeline = cli._load_model(str(univariate))
+    params, _, schema, _, windows = cli._load_frozen(str(univariate), dataset, None)
     assert params.config.n_features == 1 and schema.width == 22
-    windows = cli._model_windows(load_dataset(dataset), schema, scaler, pipeline)
 
     assert run("predict", "--out", tmp_path / "predict", *model_args,
                "--index", 100) == (0, [])
@@ -242,6 +239,94 @@ def test_train_bad_pipeline_config_one_config_line_no_partial_files(trained, tmp
     assert len(lines) == 1 and lines[0].startswith(f"config: --config {config}: "), lines
     assert key in lines[0], lines
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, doc, block, key", [
+    ("train", {"train": {"bogus": 1}}, "train", "'bogus'"),
+    ("train", {"train": "x"}, "'train'", "'train'"),
+    ("train", {"schema": {"bogus": True}}, "schema", "'bogus'"),
+    ("train", {"schema": "x"}, "'schema'", "'schema'"),
+    ("train", {"schema": {"include_hour": "yes"}}, "schema", "'include_hour'"),
+    ("train", {"train": {"epochs": 2.5}}, "train", "'epochs'"),
+    ("train", {"train": {"batch_size": 2.5}}, "train", "'batch_size'"),
+    ("train", {"train": {"clip_norm": "x"}}, "train", "'clip_norm'"),
+    ("train", {"train": {"shuffle": 1}}, "train", "'shuffle'"),
+    ("eval", {"train": {"learning_rate": None}}, "train", "'learning_rate'"),
+    ("simulate", {"synth": {"days": "x"}}, "synth", "'days'"),
+    ("simulate", {"synth": {"start": "2022-13-01"}}, "synth", "'start'"),
+    ("simulate", {"synth": {"weekday_mult": [1, "a"]}}, "synth", "'weekday_mult'"),
+])
+def test_bad_config_block_one_config_line_no_partial_files(trained, tmp_path,
+                                                          command, doc, block, key):
+    """A --config block that is not an object, or has an unknown key or a
+    value of the wrong type, exits 1 with one ``config:`` line naming the
+    block and the key, and writes nothing."""
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    flags = [] if command == "simulate" else ["--dataset", trained["dataset"], "--hidden", 8]
+    rc, lines = run(command, "--out", out, "--config", config, "--seed", 4, *flags)
+    assert rc == 1
+    assert len(lines) == 1 and lines[0].startswith(f"config: --config {config}: "), lines
+    assert block in lines[0] and key in lines[0], lines
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "train"])
+def test_negative_seed_one_config_line_no_partial_files(trained, tmp_path, command):
+    out = tmp_path / "out"
+    flags = ["--days", 2] if command == "simulate" else ["--dataset", trained["dataset"]]
+    assert run(command, "--out", out, "--seed", -1, *flags) == (
+        1, ["config: seed must be >= 0"])
+    assert list(out.iterdir()) == []
+
+
+def test_cli_tables_end_lines_in_crlf(trained, tmp_path):
+    """forecast.csv and comparison.csv end every line with CRLF and hold
+    the forecast and the metrics.json scores."""
+    ckpt, dataset = trained["model"] / "checkpoint.json", trained["dataset"]
+    assert run("predict", "--out", tmp_path / "predict", "--checkpoint", ckpt,
+               "--dataset", dataset, "--index", 40) == (0, [])
+    assert run("eval", "--out", tmp_path / "eval", "--config", trained["config"],
+               "--dataset", dataset, *TRAIN_FLAGS,
+               "--variants", "multivariate_lstm,univariate_lstm") == (0, [])
+    forecast = (tmp_path / "predict" / "forecast.csv").read_bytes()
+    comparison = (tmp_path / "eval" / "comparison.csv").read_bytes()
+    for data, rows in ((forecast, 97), (comparison, 3)):
+        assert data.endswith(b"\r\n") and data.count(b"\r\n") == data.count(b"\n") == rows
+
+    params, _, _, scaler, windows = cli._load_frozen(str(ckpt), dataset, None)
+    rows = list(csv.reader(io.StringIO(forecast.decode(), newline="")))
+    assert rows[0] == ["timestamp", "demand_scaled", "demand"]
+    scaled = predict(windows.inputs[40], params)
+    assert [r[0] for r in rows[1:]] == [str(t) for t in
+                                        windows.target_timestamps(40).astype(object)]
+    assert np.array_equal([float(r[1]) for r in rows[1:]], scaled)
+    assert np.array_equal([float(r[2]) for r in rows[1:]],
+                          inverse_transform(scaler, scaled, column=0))
+
+    metrics = json.loads((tmp_path / "eval" / "metrics.json").read_text())
+    rows = list(csv.reader(io.StringIO(comparison.decode(), newline="")))
+    assert rows[0] == ["variant", "test_mse", "wall_time_s"]
+    assert [(r[0], float(r[1]), r[2]) for r in rows[1:]] == [
+        (m["variant"], m["test_mse"], f"{m['wall_time_s']:.2f}") for m in metrics]
+
+
+def test_json_records_keep_key_order(trained, tmp_path):
+    checkpoint = json.loads((trained["model"] / "checkpoint.json").read_text())
+    assert list(checkpoint["model"]) == ["n_features", "hidden", "horizon", "lookback",
+                                         "attention", "head_input"]
+    assert [list(f) for f in checkpoint["schema"]["features"]] == [
+        ["name", "kind", "cardinality"]] * 5
+    metrics = json.loads((trained["model"] / "metrics.json").read_text())
+    assert list(metrics) == ["variant", "train_mse", "test_mse", "wall_time_s",
+                             "epoch_losses", "seed"]
+    synth = json.loads((trained["root"] / "sim" / "synth_config.json").read_text())
+    assert list(synth) == ["seed", "days", "start", "peak_rate", "base_profile",
+                           "weekday_mult", "month_mult", "holiday_mult", "temp_mean_c",
+                           "temp_annual_amp_c", "temp_daily_amp_c", "temp_noise_sd_c",
+                           "temp_coeff", "drift_amplitudes", "drift_periods_days"]
+    assert synth["start"] == "2022-01-01" and synth["days"] == 30 and synth["seed"] == 3
 
 
 def test_explain_reports_forwarded_windows_and_residual(trained, tmp_path):

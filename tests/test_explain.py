@@ -6,16 +6,21 @@ import pytest
 from demandcast.errors import ConfigError, ShapeError
 from demandcast.explain import (
     CHUNK_ROWS,
+    BeeswarmRow,
     FeatureGroup,
+    ShapReport,
     _coalition_values,
     attention_profile,
     default_groups,
     group_representative,
     shapley_series,
+    write_attention_csv,
+    write_shap_csv,
 )
 from demandcast.features import FeatureSchema, WindowedDataset
 from demandcast.lstm_att import ModelConfig, ModelParams, forward_batch
 from helpers import (
+    csv_writer_rows,
     linear_shapley,
     linear_window_model,
     loop_attention_profile,
@@ -445,3 +450,45 @@ def test_attention_profile_requires_attention_model():
     params = ModelParams(cfg)
     with pytest.raises(ConfigError):
         attention_profile(params, windows_at([0]))
+
+
+# ---------------------------------------------------------------------------
+# CSV writers
+# ---------------------------------------------------------------------------
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, float("nan"), float("inf"), float("-inf"), 1 / 3]
+
+
+def test_explain_writers_equal_csv_writer(tmp_path):
+    """shap.csv, beeswarm.csv and attention.csv are the bytes ``csv.writer``
+    writes, for a ``step:k`` explanation and for edge floats."""
+    rng = np.random.default_rng(11)
+    weights = rng.normal(size=(5, 4))
+    table, reports = shapley_series(lambda w: np.mean(w, axis=1) @ weights,
+                                    [("3", rand_window(rng)), ("12", rand_window(rng))],
+                                    [rand_window(rng), rand_window(rng)], GROUPS4, step=2)
+    assert reports[0].aggregation == "step:2"
+    edges = iter(EDGE_FLOATS * 2)
+    reports.append(ShapReport("edge", "mean[1]", {g.name: next(edges) for g in GROUPS4},
+                              next(edges), next(edges), "mean", 1, next(edges)))
+    table.rows += [BeeswarmRow("edge", g.name, next(edges), next(edges)) for g in GROUPS4[:2]]
+    profile = np.array(EDGE_FLOATS * 3)
+
+    write_shap_csv(tmp_path / "shap.csv", reports)
+    csv_writer_rows(tmp_path / "want-shap.csv",
+                    ["test_id", "background_id", "group", "phi", "base_value",
+                     "prediction", "aggregation"],
+                    [[r.test_id, r.background_id, group, phi, r.base_value, r.prediction,
+                      r.aggregation] for r in reports for group, phi in r.phi.items()])
+    table.write_csv(tmp_path / "beeswarm.csv")
+    csv_writer_rows(tmp_path / "want-beeswarm.csv", ["instance_id", "group", "value", "phi"],
+                    [[r.instance_id, r.group, r.representative, r.phi] for r in table.rows])
+    write_attention_csv(tmp_path / "attention.csv", profile)
+    csv_writer_rows(tmp_path / "want-attention.csv", ["hour", "mean_weight"],
+                    enumerate(profile.tolist()))
+    got = {name: (tmp_path / f"{name}.csv").read_bytes()
+           for name in ("shap", "beeswarm", "attention")}
+    for name, data in got.items():
+        assert data == (tmp_path / f"want-{name}.csv").read_bytes(), name
+    assert b"\r\nedge,mean[1],request,-0,nan,inf,mean\r\n" in got["shap"]
+    assert b"\r\n3,-4.9406564584124654e-324\r\n4,nan\r\n5,inf\r\n6,-inf\r\n" in got["attention"]

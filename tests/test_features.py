@@ -17,7 +17,7 @@ from demandcast.features import (
     split,
     transform,
 )
-from demandcast.ingest import HolidayCalendar, IntervalSeries, attach_calendar
+from demandcast.ingest import IntervalSeries, attach_calendar
 from demandcast.synth import SynthConfig, generate
 from helpers import enumerate_windows
 
@@ -53,14 +53,15 @@ def test_schema_requires_request_first():
 def test_encode_wednesday_in_july():
     g = IntervalSeries(origin=datetime(2023, 7, 5, 10, 0),  # a Wednesday
                        demand=np.array([4], dtype=np.int64))
-    g = attach_calendar(g, HolidayCalendar.from_dates(set()))
+    g = attach_calendar(g, frozenset(set()))
     g.temperature = np.array([21.5])
     schema = FeatureSchema.default()
     row = encode(g, schema)[0]
-    names = schema.column_names()
-    assert row[names.index("request")] == 4.0
-    assert row[names.index("temperature")] == 21.5
-    assert row[names.index("holiday")] == 0.0
+    [request], [temperature], [holiday] = (schema.group_columns()[name]
+                                           for name in ("request", "temperature", "holiday"))
+    assert row[request] == 4.0
+    assert row[temperature] == 21.5
+    assert row[holiday] == 0.0
     weekday_block = row[3:10]
     assert weekday_block.tolist() == [0, 0, 1, 0, 0, 0, 0]
     month_block = row[10:22]
@@ -79,7 +80,7 @@ def test_encode_one_hot_groups_sum_to_one():
 def test_encode_drop_first_month_january_all_zero():
     g = IntervalSeries(origin=datetime(2023, 1, 2, 0, 0),
                        demand=np.array([1], dtype=np.int64))
-    g = attach_calendar(g, HolidayCalendar.from_dates(set()))
+    g = attach_calendar(g, frozenset(set()))
     g.temperature = np.array([10.0])
     mat = encode(g, FeatureSchema.default(drop_first_month=True))
     assert mat.shape[1] == 21

@@ -11,7 +11,6 @@ from demandcast.features import FeatureSchema, encode, make_windows
 from demandcast.ingest import (
     BLOCK_ROWS,
     DATASET_COLUMNS,
-    HolidayCalendar,
     IntervalSeries,
     SessionRecord,
     aggregate_demand,
@@ -326,7 +325,7 @@ def test_join_empty_readings_error():
 
 def test_attach_calendar_holiday_weekday_month():
     g = grid("2023-07-04 10:00", 1)
-    out = attach_calendar(g, HolidayCalendar.from_dates({date(2023, 7, 4)}))
+    out = attach_calendar(g, frozenset({date(2023, 7, 4)}))
     assert out.holiday[0]
     assert out.weekday[0] == 1  # Tuesday
     assert out.month[0] == 7
@@ -334,20 +333,20 @@ def test_attach_calendar_holiday_weekday_month():
 
 def test_attach_calendar_month_boundary():
     g = grid("2023-12-31 23:45", 2)
-    out = attach_calendar(g, HolidayCalendar.from_dates(set()))
+    out = attach_calendar(g, frozenset(set()))
     assert out.month.tolist() == [12, 1]
 
 
 def test_attach_calendar_full_week_weekday_counts():
     g = grid("2024-01-01 00:00", 7 * 96)  # a Monday
-    out = attach_calendar(g, HolidayCalendar.from_dates(set()))
+    out = attach_calendar(g, frozenset(set()))
     for wd in range(7):
         assert int((out.weekday == wd).sum()) == 96
 
 
 def test_attach_calendar_idempotent():
     g = grid("2023-05-01 00:00", 10)
-    cal = HolidayCalendar.from_dates({date(2023, 5, 1)})
+    cal = frozenset({date(2023, 5, 1)})
     once = attach_calendar(g, cal)
     twice = attach_calendar(once, cal)
     assert np.array_equal(once.weekday, twice.weekday)
@@ -368,7 +367,7 @@ def test_attach_calendar_idempotent():
 ])
 def test_grid_clock_matches_loop_oracles(origin, days):
     origin, n, p, m, stride = dt(origin), days * 96, 8, 2, 97
-    holidays = HolidayCalendar.from_dates({
+    holidays = frozenset({
         date(1969, 12, 25), date(1970, 1, 1), date(2023, 3, 12), date(2023, 11, 5),
         date(2023, 12, 25), date(2024, 2, 29)})
     series = attach_calendar(IntervalSeries(origin=origin, demand=np.zeros(n, dtype=np.int64),
@@ -468,7 +467,7 @@ def test_writers_equal_csv_writer_on_edge_values(tmp_path):
     demand[:3] = [0, 2**63 - 1, 10**12]
     series = attach_calendar(
         IntervalSeries(origin=dt("2023-03-11 22:00"), demand=demand, temperature=temps),
-        HolidayCalendar.from_dates([date(2023, 3, 12)]))
+        frozenset([date(2023, 3, 12)]))
     assert_same_files(written_files(tmp_path, series), csv_writer_files(tmp_path, series))
 
 
@@ -478,7 +477,7 @@ def test_writers_equal_csv_writer_at_block_edges(tmp_path, rows):
     series = attach_calendar(
         IntervalSeries(origin=dt("2023-12-31 12:00"), demand=rng.integers(0, 50, size=rows),
                        temperature=rng.normal(0.0, 15.0, size=rows)),
-        HolidayCalendar.from_dates([date(2024, 1, 1)]))
+        frozenset([date(2024, 1, 1)]))
     assert_same_files(written_files(tmp_path, series), csv_writer_files(tmp_path, series))
 
 

@@ -1,3 +1,4 @@
+import json
 from datetime import date
 
 import numpy as np
@@ -12,7 +13,6 @@ from demandcast.synth import (
     default_base_profile,
     export,
     generate,
-    load_config,
     save_config,
 )
 
@@ -118,5 +118,5 @@ def test_config_json_round_trip(tmp_path):
     cfg = SynthConfig(days=14, seed=21, start="2023-02-01", peak_rate=55.0)
     path = tmp_path / "synth.json"
     save_config(path, cfg)
-    back = load_config(path)
+    back = SynthConfig(**json.loads(path.read_text(encoding="utf-8")))
     assert back == cfg
