@@ -22,6 +22,7 @@ import sys
 from dataclasses import asdict, replace
 from datetime import date, datetime
 from pathlib import Path
+from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 from . import __version__
 from .errors import ConfigError, DemandcastError, SchemaError
@@ -212,6 +213,17 @@ def _check_block(doc, block: str, types: dict, source: str) -> None:
             raise ConfigError(f"{source}: {block} '{key}' must be {kind}, got {value!r}")
 
 
+def _check_timezone(timezone, source: str) -> None:
+    """A ConfigError naming ``source`` unless ``timezone`` is null or a zone
+    key that ZoneInfo knows."""
+    if timezone is not None:
+        try:
+            ZoneInfo(timezone)
+        except (TypeError, ValueError, ZoneInfoNotFoundError):
+            raise ConfigError(f"{source}: timezone must be null or a zone name that "
+                              f"zoneinfo knows, got {timezone!r}") from None
+
+
 def _check_pipeline(pipeline, source: str) -> dict:
     """``pipeline`` type-checked and merged over PIPELINE_DEFAULTS."""
     _check_block(pipeline, "pipeline", _PIPELINE_TYPES, source)
@@ -313,10 +325,10 @@ def cmd_ingest(args, cfg: dict, out: OutputDir) -> None:
             for err in result.errors[:10]:
                 print(f"row-error line {err.line}: {err.message}", file=sys.stderr)
             print(f"({len(result.errors)} malformed rows skipped)", file=sys.stderr)
-        if not result.records:
+        if not len(result.records):
             raise SchemaError("sessions CSV yielded no valid records")
-        origin, n = grid_span(min(s.start for s in result.records),
-                              max(s.charge_end for s in result.records))
+        origin, n = grid_span(result.records["start"].min().item(),
+                              result.records["charge_end"].max().item())
         grid = IntervalSeries(origin=origin,
                               demand=aggregate_demand(result.records, origin, n))
     else:
@@ -434,24 +446,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, fn, summary, *files):
+        """The subcommand ``name`` that runs ``fn``, with the flags every
+        command takes and one required flag per input file of ``files``."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="JSON run-config file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, help="override the configured seed")
-
-    p = sub.add_parser("simulate", help="generate synthetic demand data")
-    common(p)
-    p.add_argument("--days", type=int, help="span in days (default 730)")
-    p.add_argument("--start", type=date.fromisoformat, help="first day, ISO date")
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("ingest", help="build the interval dataset from CSVs")
-    common(p)
-    p.add_argument("--sessions", help="raw charging-sessions CSV")
-    p.add_argument("--demand-grid", help="pre-aggregated demand CSV")
-    p.add_argument("--temperature", required=True)
-    p.add_argument("--holidays", required=True)
-    p.set_defaults(fn=cmd_ingest)
+        for file in files:
+            p.add_argument(f"--{file}", required=True)
+        p.set_defaults(fn=fn)
+        return p
 
     def train_flags(p):
         p.add_argument("--variant", choices=VARIANTS)
@@ -461,42 +466,34 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--hidden", type=int)
         p.add_argument("--shuffle", action="store_const", const=True, default=None)
 
-    p = sub.add_parser("train", help="fit a model on a dataset")
-    common(p)
-    p.add_argument("--dataset", required=True)
-    train_flags(p)
-    p.set_defaults(fn=cmd_train)
+    p = command("simulate", cmd_simulate, "generate synthetic demand data")
+    p.add_argument("--days", type=int, help="span in days (default 730)")
+    p.add_argument("--start", type=date.fromisoformat, help="first day, ISO date")
 
-    p = sub.add_parser("predict", help="forecast one window from a checkpoint")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dataset", required=True)
+    p = command("ingest", cmd_ingest, "build the interval dataset from CSVs",
+                "temperature", "holidays")
+    p.add_argument("--sessions", help="raw charging-sessions CSV")
+    p.add_argument("--demand-grid", help="pre-aggregated demand CSV")
+
+    train_flags(command("train", cmd_train, "fit a model on a dataset", "dataset"))
+
+    p = command("predict", cmd_predict, "forecast one window from a checkpoint",
+                "checkpoint", "dataset")
     p.add_argument("--index", type=int, help="window index (default: last)")
-    p.set_defaults(fn=cmd_predict)
 
-    p = sub.add_parser("explain", help="grouped Shapley attribution")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dataset", required=True)
+    p = command("explain", cmd_explain, "grouped Shapley attribution", "checkpoint", "dataset")
     p.add_argument("--test", required=True, help="test window index(es), comma-separated")
     p.add_argument("--background", required=True,
                    help="background window index(es), comma-separated")
     p.add_argument("--step", type=int, help="attribute one horizon step instead of the mean")
-    p.set_defaults(fn=cmd_explain)
 
-    p = sub.add_parser("eval", help="train and compare model variants")
-    common(p)
-    p.add_argument("--dataset", required=True)
+    p = command("eval", cmd_eval, "train and compare model variants", "dataset")
     p.add_argument("--variants", help="comma-separated subset of variants")
     train_flags(p)
-    p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("attention", help="hourly mean attention weights")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dataset", required=True)
+    p = command("attention", cmd_attention, "hourly mean attention weights",
+                "checkpoint", "dataset")
     p.add_argument("--limit", type=int, help="cap the number of windows profiled")
-    p.set_defaults(fn=cmd_attention)
     return parser
 
 
@@ -504,6 +501,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_run_config(args.config)
+        _check_timezone(cfg["timezone"], f"--config {args.config}")
         if args.seed is not None:  # a block that is no object stays for its check
             cfg = _deep_merge(cfg, {b: {"seed": args.seed} for b in ("synth", "train")
                                     if isinstance(cfg[b], dict)})

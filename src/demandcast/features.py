@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import accumulate
 
 import numpy as np
 
@@ -64,23 +65,16 @@ class FeatureSchema:
     def width(self) -> int:
         return sum(f.cardinality for f in self.features)
 
+    def _first_columns(self):
+        """Each feature with the index of its first column, in schema order."""
+        return zip(self.features, accumulate((f.cardinality for f in self.features), initial=0))
+
     def numeric_columns(self) -> list[tuple[int, str]]:
-        out = []
-        col = 0
-        for f in self.features:
-            if f.kind == "numeric":
-                out.append((col, f.name))
-            col += f.cardinality
-        return out
+        return [(col, f.name) for f, col in self._first_columns() if f.kind == "numeric"]
 
     def group_columns(self) -> dict[str, tuple[int, ...]]:
         """Column indices per semantic feature group, in schema order."""
-        out: dict[str, tuple[int, ...]] = {}
-        col = 0
-        for f in self.features:
-            out[f.name] = tuple(range(col, col + f.cardinality))
-            col += f.cardinality
-        return out
+        return {f.name: tuple(range(col, col + f.cardinality)) for f, col in self._first_columns()}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FeatureSchema":
@@ -108,8 +102,7 @@ def encode(series: IntervalSeries, schema: FeatureSchema) -> np.ndarray:
 
     T = len(series)
     out = np.zeros((T, schema.width), dtype=np.float64)
-    col = 0
-    for f in schema.features:
+    for f, col in schema._first_columns():
         if f.name == "request":
             out[:, col] = series.demand.astype(np.float64)
         elif f.name == "temperature":
@@ -130,7 +123,6 @@ def encode(series: IntervalSeries, schema: FeatureSchema) -> np.ndarray:
             out[:, col] = (times - times.astype("datetime64[D]")) / np.timedelta64(1, "h")
         else:
             raise SchemaError(f"schema feature '{f.name}' has no source column")
-        col += f.cardinality
     return out
 
 

@@ -27,6 +27,14 @@ cell, an out-of-range value or a break in the time rule) is read again by
 the per-row reader ``_read_columns``, which reads the same values and names
 the file line of the first bad row.
 
+parse_sessions is columnar too. It splits rows with the csv module,
+BLOCK_ROWS at a time, reads the plain times of a block in one numpy
+conversion (``_plain_times``), its energies with ``float`` and its row rules
+as array comparisons. Only the rows that fail there (a short row, another
+timestamp form, a bad cell or a broken rule) are read again, one at a time,
+by ``_session_row``, which gives the same values or the message of what is
+wrong. ``aggregate_demand`` counts the ``SESSION`` array with numpy.
+
 The demand grid, temperature and dataset files are each one call to
 ``util.write_csv``, the one CSV table writer. It formats BLOCK_ROWS rows at
 a time with one ``%`` format of a row format repeated per row, so no cell
@@ -38,10 +46,11 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta
 from operator import itemgetter
 from zoneinfo import ZoneInfo
@@ -127,22 +136,6 @@ def grid_span(first: datetime, last: datetime) -> tuple[datetime, int]:
 # domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SessionRecord:
-    """One raw charging event."""
-
-    start: datetime
-    charge_end: datetime
-    disconnect: datetime
-    energy_kwh: float
-
-    def __post_init__(self):
-        if not (self.start <= self.charge_end <= self.disconnect):
-            raise ValueError("session times must satisfy start <= charge_end <= disconnect")
-        if self.energy_kwh < 0:
-            raise ValueError("energy_kwh must be non-negative")
-
-
 @dataclass
 class IntervalSeries:
     """Regular 15-minute grid of demand counts plus aligned context columns.
@@ -157,7 +150,6 @@ class IntervalSeries:
     weekday: np.ndarray | None = None   # 0=Mon .. 6=Sun
     month: np.ndarray | None = None     # 1..12
     holiday: np.ndarray | None = None
-    _len: int = field(init=False, repr=False)
 
     def __post_init__(self):
         check_aligned(self.origin)
@@ -171,18 +163,17 @@ class IntervalSeries:
             self.demand = as_int
         if np.any(self.demand < 0):
             raise GridError("demand values must be non-negative")
-        self._len = len(self.demand)
         for name in ("temperature", "weekday", "month", "holiday"):
             col = getattr(self, name)
-            if col is not None and len(col) != self._len:
-                raise GridError(f"{name} length {len(col)} != demand length {self._len}")
+            if col is not None and len(col) != len(self.demand):
+                raise GridError(f"{name} length {len(col)} != demand length {len(self.demand)}")
 
     def __len__(self) -> int:
-        return self._len
+        return len(self.demand)
 
     def times(self) -> np.ndarray:
         """The start of every interval; see ``grid_times``."""
-        return grid_times(self.origin, self._len)
+        return grid_times(self.origin, len(self.demand))
 
 
 @dataclass(frozen=True)
@@ -191,9 +182,15 @@ class RowError:
     message: str
 
 
+# A charging session: when it started, finished charging and disconnected,
+# and the energy it delivered.
+SESSION = np.dtype([("start", "datetime64[us]"), ("charge_end", "datetime64[us]"),
+                    ("disconnect", "datetime64[us]"), ("energy_kwh", np.float64)])
+
+
 @dataclass
 class ParseResult:
-    records: list[SessionRecord]
+    records: np.ndarray  # SESSION
     errors: list[RowError]
 
 
@@ -201,45 +198,83 @@ class ParseResult:
 # operations
 # ---------------------------------------------------------------------------
 
-SESSION_COLUMNS = ("start", "charge_end", "disconnect", "energy_kwh")
+SESSION_COLUMNS = SESSION.names
 
 
 def parse_sessions(csv_source, timezone: str | None = None) -> ParseResult:
-    """Parse a sessions CSV; malformed rows become RowErrors, not exceptions.
+    """Parse a sessions CSV into a ``SESSION`` array, in file order; each
+    malformed row becomes a RowError naming its file line, not an exception.
 
     ``csv_source`` may be a path, or a byte or text stream.
     """
     blocks = _read_rows(csv_source, "sessions CSV", SESSION_COLUMNS)
-    start, charge_end, disconnect, energy = next(blocks)
-    records, errors = [], []
+    positions = next(blocks)
+    parts, errors = [], []
     for lines, rows in blocks:
-        for line, row in zip(lines, rows):
+        sessions, read = _session_columns(rows, positions)
+        for k in np.flatnonzero(~read).tolist():
             try:
-                records.append(SessionRecord(parse_timestamp(row[start], timezone),
-                                             parse_timestamp(row[charge_end], timezone),
-                                             parse_timestamp(row[disconnect], timezone),
-                                             float(row[energy])))
+                sessions[k] = _session_row(rows[k], positions, timezone)
+                read[k] = True
             except (ValueError, IndexError) as exc:
-                errors.append(RowError(line, str(exc)))
-    return ParseResult(records, errors)
+                errors.append(RowError(lines[k], str(exc)))
+        parts.append(sessions[read])
+    return ParseResult(np.concatenate(parts), errors)
 
 
-def aggregate_demand(sessions, origin: datetime, n_intervals: int) -> np.ndarray:
-    """Count, for each grid interval, the sessions whose charging span
-    [start, charge_end) overlaps it. Sessions outside the grid contribute
-    nothing; the span ends at charge completion, not disconnect.
+def _session_columns(rows: list[tuple], positions: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The sessions of ``rows`` read column by column, and whether each row
+    was read: its times plain (see ``_plain_times``), its energy a ``float``
+    and the rules of ``_session_row`` kept."""
+    width = max(positions) + 1
+    # a short row reads as empty cells, which are not plain times
+    rows = [row if len(row) >= width else ("",) * width for row in rows]
+    *stamps, energy = [list(map(itemgetter(i), rows)) for i in positions]
+    sessions = np.empty(len(rows), SESSION)
+    read = np.ones(len(rows), bool)
+    for name, cells in zip(SESSION_COLUMNS, stamps):
+        text = "".join(cells)
+        if not text.isascii() or "\x00" in text:  # S20 cannot hold it, or drops a final NUL
+            cells = [c if c.isascii() and "\x00" not in c else "" for c in cells]
+        sessions[name], plain = _plain_times(np.array(cells, dtype="S20"))
+        read &= plain
+    energy = sessions["energy_kwh"] = np.fromiter(map(_or_else(float, math.nan), energy),
+                                                  np.float64, len(rows))
+    read &= ((sessions["start"] <= sessions["charge_end"])
+             & (sessions["charge_end"] <= sessions["disconnect"])
+             & (energy >= 0) & (energy < np.inf))
+    return sessions, read
+
+
+def _session_row(row: tuple, positions: list[int], timezone: str | None) -> tuple:
+    """The session of one row, read cell by cell; a ValueError or an
+    IndexError says what is wrong with the row."""
+    start, charge_end, disconnect = (parse_timestamp(row[i], timezone) for i in positions[:3])
+    energy = float(row[positions[3]])
+    if not start <= charge_end <= disconnect:
+        raise ValueError("session times must satisfy start <= charge_end <= disconnect")
+    if energy < 0:
+        raise ValueError("energy_kwh must be non-negative")
+    if not math.isfinite(energy):
+        raise ValueError(f"energy_kwh must be finite, got {energy}")
+    return start, charge_end, disconnect, energy
+
+
+def aggregate_demand(sessions: np.ndarray, origin: datetime, n_intervals: int) -> np.ndarray:
+    """Count, for each grid interval, the sessions (a ``SESSION`` array)
+    whose charging span [start, charge_end) overlaps it. Sessions outside
+    the grid contribute nothing; the span ends at charge completion, not
+    disconnect.
     """
     check_aligned(origin)
     if n_intervals < 1:
         raise GridError("n_intervals must be >= 1")
     # each non-empty span covers intervals [first, last): its start rounded
-    # down and its end rounded up, exact to the microsecond. Lists of int, not
-    # of tuples: the cyclic GC tracks no new object while the sessions, often
-    # just parsed, are still in its young generations.
-    live = [s for s in sessions if s.start < s.charge_end]
-    first, last = np.clip(np.array([[(s.start - origin) // STEP for s in live],
-                                    [-((origin - s.charge_end) // STEP) for s in live]],
-                                   dtype=np.int64), 0, n_intervals)
+    # down and its end rounded up, exact to the microsecond
+    live = sessions[sessions["start"] < sessions["charge_end"]]
+    origin, step = np.datetime64(origin, "us"), np.timedelta64(STEP)
+    first = np.clip((live["start"] - origin) // step, 0, n_intervals)
+    last = np.clip(-((origin - live["charge_end"]) // step), 0, n_intervals)
     # a difference array: +1 where a span enters the grid, -1 where it leaves
     diff = (np.bincount(first, minlength=n_intervals + 1)
             - np.bincount(last, minlength=n_intervals + 1))
@@ -404,6 +439,31 @@ _STAMP_CLASSES = bytes.maketrans(b"0123456789T", b"dddddddddd ")
 _MICROSECOND = timedelta(microseconds=1)
 
 
+def _plain_times(stamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The time of each S20 stamp as datetime64[s], and whether the stamp is
+    plain: in the form of ``_STAMP``, naming a time that numpy and datetime
+    both read. A stamp that is not plain reads as NaT."""
+    plain = np.frombuffer(stamps.tobytes().translate(_STAMP_CLASSES), "S20") == _STAMP
+    stamps = np.where(plain, stamps, b"")  # numpy reads other forms too, b"" as NaT
+    try:
+        times = stamps.astype("datetime64[s]")
+    except ValueError:  # a field out of range, such as February 30 or hour 24
+        times = np.array([*map(_or_else(np.datetime64, np.datetime64("NaT")), stamps.tolist())],
+                         "datetime64[s]")
+    plain &= times >= np.datetime64(datetime.min)  # numpy reads year 0, datetime does not
+    return times, plain
+
+
+def _or_else(read, default):
+    """``read`` as a cell reader that gives ``default`` for a cell it rejects."""
+    def read_or_default(cell):
+        try:
+            return read(cell)
+        except ValueError:
+            return default
+    return read_or_default
+
+
 def _cell_parser(name: str, timezone: str | None):
     """The per-row reader's parser of a cell of column ``name``."""
     dtype, bounds = _COLUMNS[name]
@@ -431,12 +491,9 @@ def _columnar(text: str, kind: str, names) -> list[np.ndarray]:
     stream.seek(body)
     table = np.loadtxt(stream, dtype=[(n, _COLUMNS[n][0]) for n in names], delimiter=",",
                        comments=None, usecols=usecols, ndmin=1, encoding="ascii")
-    stamps = table["timestamp"]
-    if stamps.tobytes().translate(_STAMP_CLASSES) != _STAMP * len(stamps):
-        raise ValueError("a timestamp is not in the plain form")
-    times = stamps.astype("datetime64[s]")
-    if times.min() < np.datetime64(datetime.min):
-        raise ValueError("a timestamp is in year 0, which datetime lacks")
+    times, plain = _plain_times(table["timestamp"])
+    if not plain.all():
+        raise ValueError("a timestamp is not plain")
     columns = [times]
     for name in names[1:]:
         column = np.ascontiguousarray(table[name])

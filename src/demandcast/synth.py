@@ -72,9 +72,9 @@ class SynthConfig:
     def __post_init__(self):
         if isinstance(self.start, str):
             self.start = date.fromisoformat(self.start)
-        self.base_profile = tuple(self.base_profile)
-        self.weekday_mult = tuple(self.weekday_mult)
-        self.month_mult = tuple(self.month_mult)
+        for name in ("base_profile", "weekday_mult", "month_mult", "drift_amplitudes",
+                     "drift_periods_days"):
+            setattr(self, name, tuple(getattr(self, name)))
         for name, low in (("days", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}")
@@ -87,8 +87,6 @@ class SynthConfig:
                 raise ConfigError(f"{name} entries must be non-negative")
         if self.holiday_mult < 0 or self.peak_rate < 0:
             raise ConfigError("rates and multipliers must be non-negative")
-        self.drift_amplitudes = tuple(self.drift_amplitudes)
-        self.drift_periods_days = tuple(self.drift_periods_days)
         if len(self.drift_amplitudes) != len(self.drift_periods_days):
             raise ConfigError("drift amplitudes and periods must pair up")
         if any(a < 0 for a in self.drift_amplitudes):
@@ -101,17 +99,10 @@ class SynthConfig:
 
 
 def _nth_weekday(year: int, month: int, weekday: int, n: int) -> date:
-    d = date(year, month, 1)
-    offset = (weekday - d.weekday()) % 7
-    return d + timedelta(days=offset + 7 * (n - 1))
-
-
-def _last_weekday(year: int, month: int, weekday: int) -> date:
-    if month == 12:
-        d = date(year, 12, 31)
-    else:
-        d = date(year, month + 1, 1) - timedelta(days=1)
-    return d - timedelta(days=(d.weekday() - weekday) % 7)
+    """The n-th ``weekday`` (0 is Monday) of a month, from 1; n = -1 is the last."""
+    start = np.datetime64(f"{year}-{month:02d}") + np.timedelta64(int(n < 0), "M")
+    return np.busday_offset(start.astype("datetime64[D]"), n - (n > 0), roll="forward",
+                            weekmask=np.arange(7) == weekday).item()
 
 
 def academic_holidays(years) -> frozenset[date]:
@@ -123,8 +114,8 @@ def academic_holidays(years) -> frozenset[date]:
             date(y, 1, 1),
             _nth_weekday(y, 1, 0, 3),        # third Monday of January
             _nth_weekday(y, 2, 0, 3),        # third Monday of February
-            _last_weekday(y, 3, 4),          # spring holiday: last Friday of March
-            _last_weekday(y, 5, 0),          # last Monday of May
+            _nth_weekday(y, 3, 4, -1),       # spring holiday: last Friday of March
+            _nth_weekday(y, 5, 0, -1),       # last Monday of May
             date(y, 7, 4),
             _nth_weekday(y, 9, 0, 1),        # first Monday of September
             date(y, 11, 11),

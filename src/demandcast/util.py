@@ -42,9 +42,7 @@ def write_csv(path, header, row_format: str, columns) -> None:
             fh.write((line * rows) % tuple(cells))
 
 
-def canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
 def config_hash(doc) -> str:
-    return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
+    """SHA-256 of ``doc`` as canonical JSON: sorted keys, no spaces."""
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()

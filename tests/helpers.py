@@ -6,19 +6,23 @@ and brute-force enumeration pin the semantics that the fast
 implementations must match. The exceptions are the single-window
 ``forward`` and ``predict``, which wrap the package's batch forward,
 ``shapley_pair``, which runs ``shapley_series`` on one test and one
-background window, and ``temperature_readings``, which builds the input of
-``join_temperature``.
+background window, ``temperature_readings`` and ``session_array``, which
+build the inputs of ``join_temperature`` and ``aggregate_demand``, and
+``per_row_sessions``, which reads each timestamp with the package's
+``parse_timestamp``.
 """
 
 import csv
+import io
 import math
-from datetime import timedelta
+from dataclasses import dataclass
+from datetime import datetime, timedelta
 
 import numpy as np
 
 from demandcast.errors import ConfigError, ShapeError
 from demandcast.explain import shapley_series
-from demandcast.ingest import READING
+from demandcast.ingest import READING, SESSION, parse_timestamp
 from demandcast.lstm_att import forward_batch
 
 
@@ -46,6 +50,51 @@ def csv_writer_table(path, header, times, *columns):
     datetime) as ``YYYY-MM-DD HH:MM:SS`` and the value of each column."""
     csv_writer_rows(path, header, ([t.isoformat(sep=" "), *values] for t, *values
                                    in zip(times, *(np.asarray(c).tolist() for c in columns))))
+
+
+@dataclass(frozen=True)
+class SessionRecord:
+    """One raw charging event; the constructor checks the rules of a session."""
+
+    start: datetime
+    charge_end: datetime
+    disconnect: datetime
+    energy_kwh: float
+
+    def __post_init__(self):
+        if not (self.start <= self.charge_end <= self.disconnect):
+            raise ValueError("session times must satisfy start <= charge_end <= disconnect")
+        if self.energy_kwh < 0:
+            raise ValueError("energy_kwh must be non-negative")
+        if not math.isfinite(self.energy_kwh):
+            raise ValueError(f"energy_kwh must be finite, got {self.energy_kwh}")
+
+
+def session_array(records):
+    """``SessionRecord``s as the ``SESSION`` array ``parse_sessions`` returns."""
+    return np.array([(r.start, r.charge_end, r.disconnect, r.energy_kwh) for r in records],
+                    dtype=SESSION)
+
+
+def per_row_sessions(text, timezone=None):
+    """The ``SessionRecord``s and the (file line, message) errors of a
+    sessions CSV, read one row at a time: a row whose cells are all blank is
+    skipped, and any other row is a record or an error."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = [h.strip().lower() for h in next(reader)]
+    start, charge_end, disconnect, energy = (
+        header.index(n) for n in ("start", "charge_end", "disconnect", "energy_kwh"))
+    records, errors = [], []
+    for row in map(tuple, reader):
+        if "".join(row).strip():
+            try:
+                records.append(SessionRecord(parse_timestamp(row[start], timezone),
+                                             parse_timestamp(row[charge_end], timezone),
+                                             parse_timestamp(row[disconnect], timezone),
+                                             float(row[energy])))
+            except (ValueError, IndexError) as exc:
+                errors.append((reader.line_num, str(exc)))
+    return records, errors
 
 
 def minute_scan_demand(sessions, origin, n_intervals):

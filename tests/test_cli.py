@@ -1,12 +1,14 @@
 """End-to-end test of the command line on a small synthetic dataset: every
-subcommand through ``cli.main``, the checkpoint it writes, and how a bad
-checkpoint or a bad CSV is reported."""
+subcommand through ``cli.main``, the checkpoint it writes, ``ingest
+--sessions`` against the minute-scan oracle, and how a bad checkpoint, a
+bad CSV, a malformed session row or a bad timezone is reported."""
 
 import contextlib
 import csv
 import io
 import json
 import shutil
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +18,9 @@ from demandcast import cli
 from demandcast.errors import ConfigError
 from demandcast.explain import default_groups
 from demandcast.features import inverse_transform
+from demandcast.ingest import format_times, grid_span, grid_times
 from demandcast.lstm_att import forward_batch, load_checkpoint, save_checkpoint
-from helpers import predict, shapley_pair
+from helpers import minute_scan_demand, per_row_sessions, predict, shapley_pair
 
 RUN_CONFIG = {"pipeline": {"window_stride": 8}}
 TRAIN_FLAGS = ["--hidden", "8", "--epochs", "2"]
@@ -401,3 +404,89 @@ def test_bad_csv_one_schema_line_naming_file_line(trained, tmp_path, command, na
     assert len(lines) == 1 and lines[0].startswith("schema: "), lines
     assert f" line {line}: " in lines[0], lines
     assert list(out.iterdir()) == []
+
+
+def sessions_csv(path, rows):
+    """A sessions CSV of ``rows`` (lists of cells), under the standard header."""
+    path.write_text("start,charge_end,disconnect,energy_kwh\n"
+                    + "".join(",".join(row) + "\n" for row in rows))
+    return path
+
+
+def ingest_sessions(trained, out, sessions, *flags):
+    sim = trained["root"] / "sim"
+    return run("ingest", "--out", out, "--sessions", sessions, "--temperature",
+               sim / "temperature.csv", "--holidays", sim / "holidays.csv", *flags)
+
+
+def test_ingest_sessions_reports_malformed_rows_and_counts_the_rest(trained, tmp_path):
+    """At most ten ``row-error`` lines, then the number of rows skipped; the
+    dataset's demand is the minute-scan count of the valid sessions."""
+    rng = np.random.default_rng(5)
+    rows = []
+    for k in range(60):
+        start = datetime(2022, 1, 3) + timedelta(minutes=int(rng.integers(0, 2 * 24 * 60)))
+        end = start + timedelta(minutes=int(rng.integers(0, 300)))
+        rows.append([str(start), str(end), str(end + timedelta(minutes=5)), "3.5"])
+    bad = {4: ["not-a-time", *rows[4][1:]], 9: rows[9][:3], 15: [*rows[15][:3], "-1"],
+           16: [*rows[16][:3], "nan"], 22: [rows[22][1], rows[22][0], *rows[22][2:]],
+           30: [*rows[30][:3], "n/a"], 31: [rows[31][0] + "\x00", *rows[31][1:]],
+           33: ["2022-02-30 00:00:00", *rows[33][1:]], 40: [*rows[40][:3], "inf"],
+           41: rows[41][:1], 47: ["0000-01-03 00:00:00", *rows[47][1:]],
+           59: [*rows[59][:3], ""]}
+    for k, row in bad.items():
+        rows[k] = row
+    rows.insert(20, ["2022-01-03T09:00:00Z", "2022-01-03T10:00:00Z", "2022-01-03T11:00:00Z",
+                     "1.0"])  # valid, and read by the per-row reader
+    path = sessions_csv(tmp_path / "sessions.csv", rows)
+    rc, lines = ingest_sessions(trained, tmp_path / "out", path)
+    records, errors = per_row_sessions(path.read_text())
+    assert rc == 0 and len(errors) == len(bad) == 12
+    assert lines == [f"row-error line {line}: {message}" for line, message in errors[:10]] + [
+        "(12 malformed rows skipped)"]
+    with open(tmp_path / "out" / "dataset.csv", newline="") as fh:
+        table = list(csv.reader(fh))[1:]
+    origin, n = grid_span(min(r.start for r in records), max(r.charge_end for r in records))
+    assert [row[0] for row in table] == format_times(grid_times(origin, n))
+    assert [int(row[1]) for row in table] == minute_scan_demand(records, origin, n)
+
+
+def test_ingest_sessions_with_no_valid_row_is_schema_error(trained, tmp_path):
+    rows = [["2022-01-03 10:00:00", "2022-01-03 09:00:00", "2022-01-03 11:00:00", "1.0"],
+            ["2022-01-03 10:00:00", "2022-01-03 11:00:00"]]
+    out = tmp_path / "out"
+    rc, lines = ingest_sessions(trained, out, sessions_csv(tmp_path / "sessions.csv", rows))
+    assert rc == 1
+    assert [line.split(":")[0] for line in lines] == ["row-error line 2", "row-error line 3",
+                                                      "(2 malformed rows skipped)", "schema"]
+    assert lines[-1] == "schema: sessions CSV yielded no valid records"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("stamp", ["2022-01-03 09:00:00", "2022-01-03T09:00:00+00:00"])
+@pytest.mark.parametrize("timezone", [5, "Mars/Olympus", "", "../etc/passwd", ["UTC"]])
+def test_bad_timezone_one_config_line(trained, tmp_path, timezone, stamp):
+    """A timezone that is not null or a zone zoneinfo knows is one ``config:``
+    line, whether or not a cell carries a UTC offset."""
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"timezone": timezone}))
+    later = stamp.replace("09:", "10:")
+    path = sessions_csv(tmp_path / "sessions.csv", [[stamp, later, later, "1.0"]])
+    out = tmp_path / "out"
+    rc, lines = ingest_sessions(trained, out, path, "--config", config)
+    assert rc == 1
+    assert lines == [f"config: --config {config}: timezone must be null or a zone name "
+                     f"that zoneinfo knows, got {timezone!r}"]
+    assert not out.exists()
+
+
+def test_ingest_sessions_with_a_timezone_converts_offsets(trained, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"timezone": "America/Los_Angeles"}))
+    path = sessions_csv(tmp_path / "sessions.csv", [
+        ["2022-01-03T17:00:00Z", "2022-01-03T18:00:00Z", "2022-01-03T18:00:00Z", "1.0"]])
+    assert ingest_sessions(trained, tmp_path / "out", path, "--config", config) == (0, [])
+    with open(tmp_path / "out" / "dataset.csv", newline="") as fh:
+        table = list(csv.reader(fh))[1:]
+    assert [row[:2] for row in table] == [[f"2022-01-03 09:{m:02d}:00", "1"]
+                                          for m in (0, 15, 30, 45)]

@@ -1,4 +1,5 @@
 import io
+import math
 from datetime import date, datetime, timedelta
 
 import numpy as np
@@ -11,8 +12,8 @@ from demandcast.features import FeatureSchema, encode, make_windows
 from demandcast.ingest import (
     BLOCK_ROWS,
     DATASET_COLUMNS,
+    SESSION,
     IntervalSeries,
-    SessionRecord,
     aggregate_demand,
     attach_calendar,
     format_times,
@@ -32,11 +33,14 @@ from demandcast.ingest import (
 from demandcast.lstm_att import ModelConfig, ModelParams, forward_batch
 from demandcast.synth import SynthConfig, export, generate
 from helpers import (
+    SessionRecord,
     csv_writer_table,
     loop_attention_profile,
     loop_calendar,
     loop_grid_times,
     minute_scan_demand,
+    per_row_sessions,
+    session_array,
     temperature_readings,
 )
 
@@ -53,19 +57,16 @@ def dt(text):
 
 def test_parse_empty_file_header_only():
     result = parse_sessions(io.StringIO(HEADER))
-    assert result.records == []
+    assert result.records.dtype == SESSION and len(result.records) == 0
     assert result.errors == []
 
 
 def test_parse_single_row():
     src = HEADER + "2023-08-02 09:00,2023-08-02 10:30,2023-08-02 11:00,7.2\n"
     result = parse_sessions(io.StringIO(src))
-    assert len(result.records) == 1
-    rec = result.records[0]
-    assert rec.start == dt("2023-08-02 09:00")
-    assert rec.charge_end == dt("2023-08-02 10:30")
-    assert rec.disconnect == dt("2023-08-02 11:00")
-    assert rec.energy_kwh == 7.2
+    assert result.records.dtype == SESSION
+    assert result.records.tolist() == [
+        (dt("2023-08-02 09:00"), dt("2023-08-02 10:30"), dt("2023-08-02 11:00"), 7.2)]
 
 
 def test_parse_reports_bad_row_with_line_number():
@@ -88,7 +89,7 @@ def test_parse_missing_column_is_schema_error():
 def test_parse_start_after_charge_end_is_row_error():
     src = HEADER + "2023-08-02 11:00,2023-08-02 10:00,2023-08-02 12:00,1.0\n"
     result = parse_sessions(io.StringIO(src))
-    assert result.records == []
+    assert len(result.records) == 0
     assert result.errors[0].line == 2
 
 
@@ -96,7 +97,7 @@ def test_parse_accepts_byte_stream_and_rfc3339():
     src = (HEADER +
            "2023-08-02T09:00:00Z,2023-08-02T10:00:00Z,2023-08-02T10:30:00Z,2.0\n")
     result = parse_sessions(io.BytesIO(src.encode()))
-    assert result.records[0].start == dt("2023-08-02 09:00")
+    assert result.records["start"].tolist() == [dt("2023-08-02 09:00")]
 
 
 def test_parse_timestamp_timezone_conversion():
@@ -125,7 +126,7 @@ def test_parse_nul_in_stamp_is_row_error():
         "2023-08-03 09:00,2023-08-03 10:00,2023-08-03 10:05,5.0\n"
     )
     result = parse_sessions(io.StringIO(src))
-    assert [r.start for r in result.records] == [dt("2023-08-03 09:00")]
+    assert result.records["start"].tolist() == [dt("2023-08-03 09:00")]
     assert [e.line for e in result.errors] == [2]
     assert "unparseable timestamp" in result.errors[0].message
 
@@ -137,6 +138,10 @@ def test_session_record_invariants():
     with pytest.raises(ValueError):
         SessionRecord(dt("2023-01-01 09:00"), dt("2023-01-01 10:00"),
                       dt("2023-01-01 11:00"), -1.0)
+    for energy in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="energy_kwh must be finite"):
+            SessionRecord(dt("2023-01-01 09:00"), dt("2023-01-01 10:00"),
+                          dt("2023-01-01 11:00"), energy)
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +153,19 @@ def session(start, end):
     return SessionRecord(s, e, e, 1.0)
 
 
+def sessions_of(*spans):
+    """The ``SESSION`` array of one session per (start, end) text pair."""
+    return session_array(session(start, end) for start, end in spans)
+
+
 def test_aggregate_no_sessions():
-    counts = aggregate_demand([], dt("2023-08-02 09:00"), 4)
+    counts = aggregate_demand(session_array([]), dt("2023-08-02 09:00"), 4)
     assert counts.tolist() == [0, 0, 0, 0]
 
 
 def test_aggregate_partial_overlap_counts_both_intervals():
     counts = aggregate_demand(
-        [session("2023-08-02 09:05", "2023-08-02 09:20")],
+        sessions_of(("2023-08-02 09:05", "2023-08-02 09:20")),
         dt("2023-08-02 09:00"), 2,
     )
     assert counts.tolist() == [1, 1]
@@ -164,7 +174,7 @@ def test_aggregate_partial_overlap_counts_both_intervals():
 def test_aggregate_span_ends_at_charge_end_not_disconnect():
     s = SessionRecord(dt("2023-08-02 09:00"), dt("2023-08-02 09:15"),
                       dt("2023-08-02 10:00"), 1.0)
-    counts = aggregate_demand([s], dt("2023-08-02 09:00"), 4)
+    counts = aggregate_demand(session_array([s]), dt("2023-08-02 09:00"), 4)
     assert counts.tolist() == [1, 0, 0, 0]
 
 
@@ -193,7 +203,7 @@ def test_grid_span_rounds_out_to_interval_starts(first, last, origin, n):
 
 def test_aggregate_misaligned_origin_rejected():
     with pytest.raises(GridError):
-        aggregate_demand([], dt("2023-08-02 09:07"), 4)
+        aggregate_demand(session_array([]), dt("2023-08-02 09:07"), 4)
 
 
 def test_aggregate_matches_minute_scan_on_random_fixtures():
@@ -208,7 +218,7 @@ def test_aggregate_matches_minute_scan_on_random_fixtures():
             s = origin + timedelta(minutes=start_min)
             e = s + timedelta(minutes=dur)
             sessions.append(SessionRecord(s, e, e, 0.0))
-        got = aggregate_demand(sessions, origin, n_intervals)
+        got = aggregate_demand(session_array(sessions), origin, n_intervals)
         assert got.tolist() == minute_scan_demand(sessions, origin, n_intervals)
 
 
@@ -225,14 +235,14 @@ def test_aggregate_matches_minute_scan_on_random_fixtures():
 def test_aggregate_matches_minute_scan_on_edge_sessions(start, end, want):
     origin, sessions = dt("2023-08-02 09:00"), [session(start, end)]
     assert minute_scan_demand(sessions, origin, 3) == want
-    assert aggregate_demand(sessions, origin, 3).tolist() == want
+    assert aggregate_demand(session_array(sessions), origin, 3).tolist() == want
 
 
 def test_aggregate_counts_a_sub_second_end_in_the_interval_grid_span_adds():
     sessions = [session("2023-08-02 09:10", "2023-08-02 09:15:00.5")]
     origin, n = grid_span(sessions[0].start, sessions[0].charge_end)
     assert n == 2
-    assert aggregate_demand(sessions, origin, n).tolist() == [1, 1]
+    assert aggregate_demand(session_array(sessions), origin, n).tolist() == [1, 1]
 
 
 def test_aggregate_total_equals_per_session_interval_sum():
@@ -246,9 +256,9 @@ def test_aggregate_total_equals_per_session_interval_sum():
         s = origin + timedelta(minutes=start_min)
         e = s + timedelta(minutes=dur)
         sessions.append(SessionRecord(s, e, e, 0.0))
-    total = int(aggregate_demand(sessions, origin, n_intervals).sum())
+    total = int(aggregate_demand(session_array(sessions), origin, n_intervals).sum())
     per_session = sum(
-        int(aggregate_demand([s], origin, n_intervals).sum()) for s in sessions
+        int(aggregate_demand(session_array([s]), origin, n_intervals).sum()) for s in sessions
     )
     assert total == per_session
 
@@ -799,3 +809,134 @@ def test_columnar_path_gives_the_per_row_result(tmp_path, monkeypatch, loader, t
     got, want, took_columnar = both_ways(monkeypatch, loader, path, timezone)
     assert got == want
     assert took_columnar == columnar
+
+
+# ---------------------------------------------------------------------------
+# parse_sessions against the per-row oracle
+# ---------------------------------------------------------------------------
+
+SESSIONS = HEADER + (
+    "2023-08-02 09:00:00,2023-08-02 10:30:00,2023-08-02 11:00:00,7.2\n"
+    "2023-08-02 09:15:00,2023-08-02 09:45:00,2023-08-02 10:00:00,1.5\n"
+    "2023-08-03 09:00:00,2023-08-03 10:00:00,2023-08-03 10:05:00,5.0\n"
+)
+
+
+def start(text):
+    """SESSIONS with the start of its second data row replaced by ``text``."""
+    return second_row(SESSIONS, "2023-08-02 09:15:00", text)
+
+
+def energy(text):
+    return second_row(SESSIONS, ",1.5", "," + text)
+
+
+def session_rows(n):
+    """A sessions CSV of ``n`` rows. The first row of each BLOCK_ROWS has a
+    UTC start, which only the per-row reader reads, and the last one has an
+    energy that is not a number."""
+    rows = [HEADER]
+    for k in range(n):
+        s = datetime(2023, 8, 2) + k * timedelta(minutes=7)
+        cells = [str(s), str(s + timedelta(minutes=50)), str(s + timedelta(hours=1)), f"{k % 9}.25"]
+        if k % BLOCK_ROWS == 0:
+            cells[0] = s.isoformat() + "Z"
+        if k % BLOCK_ROWS == BLOCK_ROWS - 1:
+            cells[3] = "n/a"
+        rows.append(",".join(cells) + "\n")
+    return "".join(rows)
+
+
+@pytest.mark.parametrize("timezone", [None, "America/Los_Angeles"])
+@pytest.mark.parametrize("text, per_row", [
+    # rows the columnar path reads
+    pytest.param(SESSIONS, 0, id="lf"),
+    pytest.param(SESSIONS.replace("\n", "\r\n"), 0, id="crlf"),
+    pytest.param(SESSIONS.replace("\n", "\r"), 0, id="cr"),
+    pytest.param(start("2023-08-02T09:15:00"), 0, id="t-separator"),
+    pytest.param(SESSIONS.replace("\n2023-08-02 09:15", "\n\n2023-08-02 09:15"), 0,
+                 id="blank-row"),
+    pytest.param(SESSIONS.replace("\n2023-08-02 09:15", "\n,,,\n2023-08-02 09:15"), 0,
+                 id="commas-row"),
+    pytest.param(SESSIONS.replace("\n2023-08-02 09:15", "\n \t, \n2023-08-02 09:15"), 0,
+                 id="white-space-row"),
+    pytest.param(energy("1.5,extra"), 0, id="long-row"),
+    pytest.param("note,energy_kwh,disconnect,charge_end,start\n" + "".join(
+        "x," + ",".join(reversed(row.split(","))) + "\n" for row in SESSIONS.splitlines()[1:]),
+        0, id="extra-and-reordered-columns"),
+    pytest.param(start('"2023-08-02 09:15:00"'), 0, id="quoted-cell"),
+    pytest.param(second_row(SESSIONS, "2023-08-02 09:15:00,2023-08-02 09:45:00,"
+                                      "2023-08-02 10:00:00,1.5",
+                            '"2023-08-02 09:15:00","2023-08-02 09:45:00",'
+                            '"2023-08-02 10:00:00","1.5"'), 0, id="quoted-row"),
+    pytest.param(HEADER.replace("\n", ",note\n")
+                 + "2023-08-02 09:00:00,2023-08-02 10:30:00,2023-08-02 11:00:00,7.2,\"a\nb\"\n"
+                 + "2023-08-02 09:15:00,2023-08-02 09:45:00,2023-08-02 10:00:00,x,\n"
+                 + "2023-08-03 09:00:00,2023-08-03 10:00:00,2023-08-03 10:05:00,5.0,c\n",
+                 1, id="quoted-line-break"),
+    pytest.param(second_row(SESSIONS, "09:45:00,2023-08-02 10:00:00", "09:15:00,2023-08-02 09:15:00"),
+                 0, id="equal-times"),
+    pytest.param(energy("-0.0"), 0, id="energy-minus-zero"),
+    pytest.param(energy("1_0"), 0, id="energy-underscore"),
+    pytest.param(energy(" 1.5\t"), 0, id="energy-white-space"),
+    pytest.param(energy("١.5"), 0, id="energy-non-ascii-digit"),
+    pytest.param(energy("1e308"), 0, id="energy-large"),
+    pytest.param(energy("1.5\x85"), 0, id="energy-c1-next-line"),  # white space to float
+    # rows the per-row reader reads again
+    pytest.param(energy("nan"), 1, id="energy-nan"),
+    pytest.param(energy("inf"), 1, id="energy-inf"),
+    pytest.param(energy("-inf"), 1, id="energy-minus-inf"),
+    pytest.param(energy("1e999"), 1, id="energy-overflow"),
+    pytest.param(energy("-1.5"), 1, id="energy-negative"),
+    pytest.param(energy("n/a"), 1, id="energy-not-a-number"),
+    pytest.param(energy(""), 1, id="energy-empty"),
+    pytest.param(energy("1.5\x00"), 1, id="energy-nul"),
+    pytest.param(second_row(SESSIONS, ",1.5", ""), 1, id="short-row"),
+    pytest.param(second_row(SESSIONS, ",2023-08-02 10:00:00,1.5", ""), 1, id="two-cell-row"),
+    pytest.param(start("2023-08-02 09:15:00\x00"), 1, id="stamp-nul-at-end"),
+    pytest.param(start("2023-08-02\x0009:15:00"), 1, id="stamp-nul-separator"),
+    pytest.param(start("2023-08-02\x8509:15:00"), 1, id="stamp-c1-separator"),
+    pytest.param(start("2023-08-02 09:15:0٠"), 1, id="stamp-non-ascii-digit"),
+    pytest.param(start("２023-08-02 09:15:00"), 1, id="stamp-fullwidth-digit"),
+    pytest.param(start("2023-08-02T09:15:00Z"), 1, id="stamp-utc-z"),
+    pytest.param(start("2023-08-02T10:15:00+01:00"), 1, id="stamp-offset"),
+    pytest.param(start("2023-08-02 09:15:00-07:00"), 1, id="stamp-offset-space"),
+    pytest.param(start("2023-08-02 09:15:00.5"), 1, id="stamp-fractional-seconds"),
+    pytest.param(start("2023-08-02 09:15:00.000"), 1, id="stamp-zero-fraction"),
+    pytest.param(start(" 2023-08-02 09:15:00"), 1, id="stamp-leading-space"),
+    pytest.param(start("2023-08-02 09:15:00 "), 1, id="stamp-trailing-space"),
+    pytest.param(start("\t2023-08-02 09:15:00"), 1, id="stamp-tab"),
+    pytest.param(start("2023-08-02 09:15"), 1, id="stamp-no-seconds"),
+    pytest.param(start("2023-08-02"), 1, id="stamp-date-only"),
+    pytest.param(start("2023-08-01 24:00:00"), 1, id="stamp-hour-24"),
+    pytest.param(start("2023-08-02 09:14:60"), 1, id="stamp-second-60"),
+    pytest.param(start("2023-02-30 09:15:00"), 1, id="stamp-february-30"),
+    pytest.param(start("0000-08-02 09:15:00"), 1, id="stamp-year-0"),
+    pytest.param(start("2023-08-02 09:15:00x"), 1, id="stamp-20-characters"),
+    pytest.param(start("not-a-time"), 1, id="stamp-not-a-time"),
+    pytest.param(start(""), 1, id="stamp-empty"),
+    pytest.param(start("2023-08-02 09:50:00"), 1, id="start-after-charge-end"),
+    pytest.param(second_row(SESSIONS, "10:00:00,1.5", "09:30:00,1.5"), 1,
+                 id="charge-end-after-disconnect"),
+    pytest.param(SESSIONS.replace("1.5", "nan").replace("\n", "\r\n"), 1, id="crlf-energy-nan"),
+    pytest.param(SESSIONS.replace("1.5", "-2").replace("\n", "\r"), 1, id="cr-energy-negative"),
+    # 0, 1 and a block of rows, and a row past it
+    pytest.param(session_rows(0), 0, id="no-rows"),
+    pytest.param(session_rows(1), 1, id="one-row"),
+    pytest.param(session_rows(BLOCK_ROWS), 2, id="block-rows"),
+    pytest.param(session_rows(BLOCK_ROWS + 1), 3, id="block-rows-and-one"),
+])
+def test_parse_sessions_equals_per_row_oracle(tmp_path, monkeypatch, text, per_row, timezone):
+    """The SESSION array and the (line, message) errors equal the per-row
+    oracle's, and only the rows the columnar path rejects are read again."""
+    path = tmp_path / "sessions.csv"
+    path.write_bytes(text.encode("utf-8"))
+    calls = []
+    session_row = ingest._session_row
+    monkeypatch.setattr(ingest, "_session_row", lambda *a: calls.append(a) or session_row(*a))
+    got = parse_sessions(path, timezone)
+    records, errors = per_row_sessions(text, timezone)
+    assert got.records.dtype == SESSION
+    assert got.records.tobytes() == session_array(records).tobytes()
+    assert [(e.line, e.message) for e in got.errors] == errors
+    assert len(calls) == per_row

@@ -1,5 +1,6 @@
+import calendar
 import json
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -91,6 +92,22 @@ def test_academic_holidays_fixed_dates():
     assert date(2022, 11, 25) in cal
     assert date(2022, 12, 28) in cal   # winter closure
     assert date(2022, 6, 15) not in cal
+
+
+def test_academic_holidays_match_a_day_by_day_scan():
+    """The weekday rules pick the days a scan of each month picks, in years
+    whose months start and end on every weekday."""
+    def days(y, m, weekday):
+        return [d for d in calendar.Calendar().itermonthdates(y, m)
+                if d.month == m and d.weekday() == weekday]
+
+    for y in range(2020, 2032):
+        thanksgiving = days(y, 11, 3)[3]
+        want = {date(y, 1, 1), days(y, 1, 0)[2], days(y, 2, 0)[2], days(y, 3, 4)[-1],
+                days(y, 5, 0)[-1], date(y, 7, 4), days(y, 9, 0)[0], date(y, 11, 11),
+                thanksgiving, thanksgiving + timedelta(days=1),
+                *(date(y, 12, d) for d in range(24, 32))}
+        assert academic_holidays([y]) == want, y
 
 
 def test_base_profile_shape():
