@@ -3,13 +3,17 @@
 Subcommands: simulate, ingest, train, predict, explain, eval, attention.
 Every run takes an optional JSON config (--config) with flag overrides
 winning, writes its artifacts under --out along with a manifest recording
-the config hash and seed, and removes partial outputs on failure. Errors
-come back as a single machine-parsable ``code: message`` line on stderr
-with exit code 1.
+the config hash, the seed and the checkpoint format, and removes partial
+outputs on failure. Errors come back as a single machine-parsable
+``code: message`` line on stderr with exit code 1; an input path that is
+missing, unreadable or a directory gives an ``io:`` line.
 
-``train`` writes the feature schema, the pipeline settings and the fitted
-scaler into each checkpoint, so predict, explain and attention need only
-the checkpoint file and a dataset.
+``train`` writes ``checkpoint.json`` and one ``checkpoints/epoch_NNN.json``
+per epoch. Despite the name, each is a ``demandcast/checkpoint-v3`` file
+(see ``lstm_att``): one JSON header line, then the raw float64 parameters.
+The header carries the feature schema, the pipeline settings and the
+fitted scaler, so predict, explain and attention need only the checkpoint
+file and a dataset.
 """
 
 from __future__ import annotations
@@ -499,6 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out = None
     try:
         cfg = load_run_config(args.config)
         _check_timezone(cfg["timezone"], f"--config {args.config}")
@@ -506,24 +511,18 @@ def main(argv=None) -> int:
             cfg = _deep_merge(cfg, {b: {"seed": args.seed} for b in ("synth", "train")
                                     if isinstance(cfg[b], dict)})
         out = OutputDir(args.out)
-    except DemandcastError as exc:
-        print(f"{exc.code}: {exc}", file=sys.stderr)
-        return 1
-    try:
         args.fn(args, cfg, out)
         return 0
     except DemandcastError as exc:
-        out.cleanup()
-        print(f"{exc.code}: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        out.cleanup()
-        print(f"io: {exc}", file=sys.stderr)
-        return 1
+        message = f"{exc.code}: {exc}"
+    except OSError as exc:  # a missing, unreadable or directory path
+        message = f"io: {exc}"
     except Exception as exc:  # pragma: no cover - defensive
+        message = f"internal: {type(exc).__name__}: {exc}"
+    if out is not None:
         out.cleanup()
-        print(f"internal: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    print(message, file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -29,19 +29,20 @@ The model reads the first ``n_features`` columns of a window
 (``model_inputs``): all of them for the multivariate variants, column 0
 (demand) for the univariate ones.
 
-A checkpoint (``demandcast/checkpoint-v2``) is one JSON document: the
-model config, free-form metadata, and every parameter as its shape plus
-its row-major little-endian float64 bytes in base64. The metadata ``train``
-writes carries the feature schema, the pipeline settings and the fitted
-scaler, so a checkpoint file serves on its own.
+A checkpoint (``demandcast/checkpoint-v3``) is one line of JSON, then
+raw bytes. The JSON header holds the format tag, the model config, each
+parameter's shape in ``tensors()`` order and free-form metadata; after its
+newline come the parameters' row-major little-endian float64 bytes, back to
+back in that order, with nothing after them. ``json.dumps`` escapes every
+newline, so the first line of a checkpoint is valid JSON on its own. The
+metadata ``train`` writes carries the feature schema, the pipeline settings
+and the fitted scaler, so a checkpoint file serves on its own.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -58,7 +59,7 @@ from .nn_core import (
     softmax,
 )
 
-CHECKPOINT_FORMAT = "demandcast/checkpoint-v2"
+CHECKPOINT_FORMAT = "demandcast/checkpoint-v3"
 # Row-block order of the stacked W, U and b: the sigmoid gates first.
 GATES = ("f", "i", "o", "C")
 # Order of the seeded per-gate draws, kept from the per-gate layout so that
@@ -336,63 +337,58 @@ def backward(trace: ForwardTrace, d_output, params: ModelParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path, params: ModelParams, extra: dict | None = None) -> None:
-    """Write a versioned checkpoint: model config, metadata, and every
-    parameter's shape and base64 little-endian float64 bytes, in one JSON
-    document."""
-    doc = {
+    """Write a versioned checkpoint: a one-line JSON header with the model
+    config, each parameter's shape and the metadata, then every parameter's
+    row-major little-endian float64 bytes."""
+    tensors = params.tensors()
+    header = {
         "format": CHECKPOINT_FORMAT,
         "model": asdict(params.config),
-        "params": {
-            t.name: {
-                "shape": list(t.value.shape),
-                "data": base64.b64encode(
-                    np.ascontiguousarray(t.value, dtype=PARAM_DTYPE).tobytes()
-                ).decode("ascii"),
-            }
-            for t in params.tensors()
-        },
+        "params": {t.name: {"shape": list(t.value.shape)} for t in tensors},
     }
     if extra:
-        doc.update(extra)
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
-
-
-def _decode_param(name: str, entry, shape: tuple) -> np.ndarray:
-    try:
-        raw = base64.b64decode(entry["data"], validate=True)
-        stored = tuple(entry["shape"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"checkpoint parameter '{name}' is malformed: {exc}")
-    if stored != shape:
-        raise ShapeError(
-            f"checkpoint parameter '{name}' has shape {stored}, expected {shape}"
-        )
-    want = PARAM_DTYPE.itemsize * int(np.prod(shape))
-    if len(raw) != want:
-        raise ConfigError(
-            f"checkpoint parameter '{name}' holds {len(raw)} bytes, "
-            f"shape {shape} needs {want}"
-        )
-    return np.frombuffer(raw, dtype=PARAM_DTYPE).reshape(shape)
+        header.update(extra)
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode("ascii") + b"\n")
+        for t in tensors:
+            fh.write(np.ascontiguousarray(t.value, dtype=PARAM_DTYPE).data)
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
-    try:
-        doc = json.loads(Path(path).read_bytes())
-    except ValueError as exc:
-        raise ConfigError(f"checkpoint {path} is not valid JSON: {exc}")
-    fmt = doc.get("format") if isinstance(doc, dict) else None
-    if fmt != CHECKPOINT_FORMAT:
-        raise ConfigError(f"unrecognized checkpoint format: {fmt!r}")
-    for key in ("model", "params"):
-        if not isinstance(doc.get(key), dict):
-            raise ConfigError(f"checkpoint has no '{key}' object")
-    config = ModelConfig.from_dict(doc["model"])
-    params = ModelParams(config)
-    for t in params.tensors():
-        entry = doc["params"].get(t.name)
-        if entry is None:
-            raise ConfigError(f"checkpoint is missing parameter '{t.name}'")
-        t.value[...] = _decode_param(t.name, entry, t.value.shape)
-    meta = {k: v for k, v in doc.items() if k not in ("format", "model", "params")}
+    """A checkpoint's parameters and metadata. A file that is not exactly a
+    valid header and the payload its shapes call for is a ConfigError, a
+    parameter of the wrong shape a ShapeError."""
+    with open(path, "rb") as fh:
+        try:
+            header = json.loads(fh.readline())
+        except ValueError as exc:
+            raise ConfigError(f"checkpoint {path} has no valid JSON header: {exc}")
+        fmt = header.get("format") if isinstance(header, dict) else None
+        if fmt != CHECKPOINT_FORMAT:
+            raise ConfigError(f"unrecognized checkpoint format: {fmt!r}")
+        for key in ("model", "params"):
+            if not isinstance(header.get(key), dict):
+                raise ConfigError(f"checkpoint has no '{key}' object")
+        params = ModelParams(ModelConfig.from_dict(header["model"]))
+        names = [t.name for t in params.tensors()]
+        if list(header["params"]) != names:
+            raise ConfigError(f"checkpoint parameters {list(header['params'])} "
+                              f"are not the model's {names}")
+        for t in params.tensors():
+            try:
+                stored = tuple(header["params"][t.name]["shape"])
+            except (KeyError, TypeError) as exc:
+                raise ConfigError(f"checkpoint parameter '{t.name}' is malformed: {exc!r}")
+            if stored != t.value.shape:
+                raise ShapeError(f"checkpoint parameter '{t.name}' has shape {stored}, "
+                                 f"expected {t.value.shape}")
+            got = fh.readinto(t.value)
+            if got != t.value.nbytes:
+                raise ConfigError(f"checkpoint {path} ends inside parameter '{t.name}': "
+                                  f"{got} of {t.value.nbytes} bytes")
+            if t.value.dtype != PARAM_DTYPE:  # a big-endian host
+                t.value.byteswap(inplace=True)
+        if fh.read(1):
+            raise ConfigError(f"checkpoint {path} has bytes after its last parameter")
+    meta = {k: v for k, v in header.items() if k not in ("format", "model", "params")}
     return params, meta

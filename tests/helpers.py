@@ -9,14 +9,19 @@ implementations must match. The exceptions are the single-window
 background window, ``temperature_readings`` and ``session_array``, which
 build the inputs of ``join_temperature`` and ``aggregate_demand``, and
 ``per_row_sessions``, which reads each timestamp with the package's
-``parse_timestamp``.
+``parse_timestamp``. The checkpoint helpers read and rewrite checkpoint
+files byte by byte, and ``CHECKPOINT_CORRUPTIONS`` is the table of broken
+files that both the loader's and the command line's tests run.
 """
 
+import base64
 import csv
 import io
+import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 
@@ -363,3 +368,82 @@ def direct_softmax(scores):
     exps = [math.exp(s) for s in scores]
     total = sum(exps)
     return [e / total for e in exps]
+
+
+def split_checkpoint(path):
+    """A checkpoint file as (its first line parsed as JSON, every byte after
+    that line's newline)."""
+    head, _, payload = Path(path).read_bytes().partition(b"\n")
+    return json.loads(head), payload
+
+
+def rewrite_checkpoint_header(path, edit):
+    """Rewrite a checkpoint's JSON header line as ``edit(header)`` returns
+    it; the payload bytes after the line stay as they are."""
+    header, payload = split_checkpoint(path)
+    Path(path).write_bytes(json.dumps(edit(header)).encode("ascii") + b"\n" + payload)
+
+
+def as_checkpoint_v2(path):
+    """Rewrite a checkpoint file as the ``demandcast/checkpoint-v2`` writer
+    wrote the same model: one JSON document with the same keys, each
+    parameter's float64 bytes in base64 beside its shape."""
+    header, payload = split_checkpoint(path)
+    offset = 0
+    for entry in header["params"].values():
+        size = 8 * math.prod(entry["shape"])
+        entry["data"] = base64.b64encode(payload[offset:offset + size]).decode("ascii")
+        offset += size
+    header["format"] = "demandcast/checkpoint-v2"
+    Path(path).write_text(json.dumps(header), encoding="utf-8")
+
+
+def _header_edit(edit):
+    """A corruption that rewrites the header as ``edit`` leaves it."""
+    def corrupt(path):
+        def apply(header):
+            edit(header)
+            return header
+        rewrite_checkpoint_header(path, apply)
+    return corrupt
+
+
+def _file_edit(edit):
+    """A corruption that replaces the file's bytes with ``edit(bytes)``."""
+    return lambda path: Path(path).write_bytes(edit(Path(path).read_bytes()))
+
+
+def _swap_first_params(header):
+    names = list(header["params"])
+    order = [names[1], names[0], *names[2:]]
+    header["params"] = {name: header["params"][name] for name in order}
+
+
+# name -> (corrupt(path) that breaks a saved attention model's checkpoint in
+# place, the error type load_checkpoint must raise)
+CHECKPOINT_CORRUPTIONS = {
+    "text": (_file_edit(lambda data: b"{not json"), ConfigError),
+    "binary": (_file_edit(lambda data: b"\x80\xff\x00\x01"), ConfigError),
+    "list": (_file_edit(lambda data: b"[]"), ConfigError),
+    "empty": (_file_edit(lambda data: b""), ConfigError),
+    "no_newline": (_file_edit(lambda data: data.replace(b"\n", b"", 1)), ConfigError),
+    "header_only": (_file_edit(lambda data: data.partition(b"\n")[0] + b"\n"), ConfigError),
+    "truncated": (_file_edit(lambda data: data[:len(data) // 2]), ConfigError),
+    "header_not_object": (lambda path: rewrite_checkpoint_header(path, lambda h: [h]),
+                          ConfigError),
+    "no_model": (_header_edit(lambda h: h.pop("model")), ConfigError),
+    "no_params": (_header_edit(lambda h: h.pop("params")), ConfigError),
+    "unknown_model_key": (_header_edit(lambda h: h["model"].update(layers=2)), ConfigError),
+    "names_out_of_order": (_header_edit(_swap_first_params), ConfigError),
+    "name_missing": (_header_edit(lambda h: h["params"].pop("W_a")), ConfigError),
+    "name_extra": (_header_edit(lambda h: h["params"].update(W_b={"shape": [1]})),
+                   ConfigError),
+    "shape_not_a_list": (_header_edit(lambda h: h["params"]["U"].update(shape=12)),
+                         ConfigError),
+    "shape_mismatch": (_header_edit(lambda h: h["params"]["U"]["shape"].reverse()),
+                       ShapeError),
+    "short_payload": (_file_edit(lambda data: data[:-8]), ConfigError),
+    "short_payload_by_1": (_file_edit(lambda data: data[:-1]), ConfigError),
+    "trailing_byte": (_file_edit(lambda data: data + b"\x00"), ConfigError),
+    "v2": (as_checkpoint_v2, ConfigError),
+}

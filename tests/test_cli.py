@@ -20,7 +20,14 @@ from demandcast.explain import default_groups
 from demandcast.features import inverse_transform
 from demandcast.ingest import format_times, grid_span, grid_times
 from demandcast.lstm_att import forward_batch, load_checkpoint, save_checkpoint
-from helpers import minute_scan_demand, per_row_sessions, predict, shapley_pair
+from helpers import (
+    CHECKPOINT_CORRUPTIONS,
+    minute_scan_demand,
+    per_row_sessions,
+    predict,
+    shapley_pair,
+    split_checkpoint,
+)
 
 RUN_CONFIG = {"pipeline": {"window_stride": 8}}
 TRAIN_FLAGS = ["--hidden", "8", "--epochs", "2"]
@@ -83,10 +90,11 @@ def test_pipeline_exit_codes(trained):
         "comparison.csv", "manifest.json", "metrics.json"]
 
 
-def test_checkpoint_is_v2(trained):
-    doc = json.loads((trained["model"] / "checkpoint.json").read_text())
-    assert doc["format"] == "demandcast/checkpoint-v2"
+def test_checkpoint_is_v3(trained):
+    doc, payload = split_checkpoint(trained["model"] / "checkpoint.json")
+    assert doc["format"] == "demandcast/checkpoint-v3"
     assert doc["model"]["hidden"] == 8
+    assert len(payload) == 8 * sum(t.value.size for t in trained["params"].tensors())
     assert doc["scaler"]["format"] == "demandcast/scaler-v1"
     assert sorted(p.name for p in trained["model"].iterdir()) == [
         "checkpoint.json", "checkpoints", "manifest.json", "metrics.json"]
@@ -172,23 +180,20 @@ def test_univariate_model_reads_the_demand_column_only(trained, univariate, tmp_
     assert len(weights) == 24 and abs(sum(weights) - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("corrupt", ["truncated", "bad_payload"])
+@pytest.mark.parametrize("corrupt", sorted(CHECKPOINT_CORRUPTIONS))
 def test_corrupted_checkpoint_one_config_line_no_partial_files(trained, tmp_path, corrupt):
+    """Each broken checkpoint is one ``config:`` line, or one ``shape:``
+    line for a header shape that is not the model's."""
     model = tmp_path / "model"
     shutil.copytree(trained["model"], model)
     ckpt = model / "checkpoint.json"
-    text = ckpt.read_text()
-    if corrupt == "truncated":
-        ckpt.write_text(text[:len(text) // 2])
-    else:
-        doc = json.loads(text)
-        doc["params"]["U"]["data"] = doc["params"]["U"]["data"][:-12]
-        ckpt.write_text(json.dumps(doc))
+    damage, error = CHECKPOINT_CORRUPTIONS[corrupt]
+    damage(ckpt)
     out = tmp_path / "out"
     rc, lines = run("predict", "--out", out, "--checkpoint", ckpt,
                     "--dataset", trained["dataset"])
     assert rc == 1
-    assert len(lines) == 1 and lines[0].startswith("config: "), lines
+    assert len(lines) == 1 and lines[0].startswith(f"{error.code}: "), lines
     assert list(out.iterdir()) == []
 
 
@@ -316,7 +321,10 @@ def test_cli_tables_end_lines_in_crlf(trained, tmp_path):
 
 
 def test_json_records_keep_key_order(trained, tmp_path):
-    checkpoint = json.loads((trained["model"] / "checkpoint.json").read_text())
+    checkpoint, _ = split_checkpoint(trained["model"] / "checkpoint.json")
+    assert list(checkpoint) == ["format", "model", "params", "schema", "scaler", "seed",
+                                "variant", "pipeline"]
+    assert list(checkpoint["params"]) == ["W", "U", "b", "W_a", "b_a", "W_out", "b_out"]
     assert list(checkpoint["model"]) == ["n_features", "hidden", "horizon", "lookback",
                                          "attention", "head_input"]
     assert [list(f) for f in checkpoint["schema"]["features"]] == [
@@ -363,6 +371,36 @@ def test_out_of_range_flag_one_config_line_no_partial_files(trained, tmp_path,
     assert rc == 1
     assert len(lines) == 1 and lines[0].startswith("config: ") and valid in lines[0], lines
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--checkpoint", "--dataset", "--demand-grid", "--config"])
+def test_directory_input_one_io_line_no_partial_files(trained, tmp_path, flag):
+    """An input path that names a directory is one ``io:`` line naming it,
+    and --out stays empty."""
+    sim = trained["root"] / "sim"
+    if flag == "--demand-grid":
+        argv = ["ingest", "--demand-grid", tmp_path, "--temperature", sim / "temperature.csv",
+                "--holidays", sim / "holidays.csv"]
+    else:
+        inputs = {"--checkpoint": trained["model"] / "checkpoint.json",
+                  "--dataset": trained["dataset"], flag: tmp_path}
+        argv = ["predict", *(part for pair in inputs.items() for part in pair)]
+    out = tmp_path / "out"
+    out.mkdir()
+    rc, lines = run(*argv, "--out", out)
+    assert rc == 1
+    assert len(lines) == 1 and lines[0].startswith("io: ") and str(tmp_path) in lines[0], lines
+    assert list(out.iterdir()) == []
+
+
+def test_out_naming_a_file_one_io_line_file_kept(trained, tmp_path):
+    out = tmp_path / "out"
+    out.write_text("keep")
+    rc, lines = run("predict", "--out", out, "--checkpoint", trained["model"] / "checkpoint.json",
+                    "--dataset", trained["dataset"])
+    assert rc == 1
+    assert len(lines) == 1 and lines[0].startswith("io: ") and str(out) in lines[0], lines
+    assert out.read_text() == "keep"
 
 
 @pytest.mark.parametrize("command, name, line, text", [

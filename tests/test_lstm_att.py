@@ -1,12 +1,8 @@
-import base64
-import json
-
 import numpy as np
 import pytest
 
 from demandcast.errors import ConfigError, NumericError, ShapeError, TapeError
 from demandcast.lstm_att import (
-    CHECKPOINT_FORMAT,
     ModelConfig,
     ModelParams,
     backward,
@@ -18,6 +14,7 @@ from demandcast.lstm_att import (
 from demandcast.nn_core import glorot_uniform, recurrent_uniform
 from demandcast.train import mse
 from helpers import (
+    CHECKPOINT_CORRUPTIONS,
     attention,
     central_difference,
     forward,
@@ -25,6 +22,7 @@ from helpers import (
     predict,
     relative_error,
     scalar_lstm_step,
+    split_checkpoint,
 )
 
 TINY = ModelConfig(n_features=2, hidden=3, horizon=2, lookback=4)
@@ -206,10 +204,9 @@ def test_attention_requires_attention_layer(tmp_path):
     # an attention model's checkpoint must carry its attention layer
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, tiny_params())
-    doc = json.loads(path.read_text())
-    del doc["params"]["W_a"]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError):
+    drop_w_a, error = CHECKPOINT_CORRUPTIONS["name_missing"]
+    drop_w_a(path)
+    with pytest.raises(error):
         load_checkpoint(path)
 
 
@@ -368,19 +365,49 @@ def test_backward_tape_reuse_rejected():
 # checkpoints
 # ---------------------------------------------------------------------------
 
+# The four train variants (n_features, attention), each with both head inputs.
+CHECKPOINT_CONFIGS = [
+    ModelConfig(n_features=n, hidden=3, horizon=2, lookback=4, attention=att, head_input=head)
+    for n in (2, 1) for att in (True, False) for head in ("weighted_flatten", "context")
+]
+# Values whose bits a text or decimal round trip could lose.
+EDGE_VALUES = [-0.0, 5e-324, np.finfo(np.float64).max, -np.finfo(np.float64).max]
+
+
 def test_checkpoint_round_trip_bit_exact(tmp_path):
-    params = tiny_params(seed=27)
+    """Every variant and head input loads back bit for bit, -0.0, a
+    subnormal and the largest finite magnitudes included."""
     path = tmp_path / "model.json"
-    save_checkpoint(path, params, {"seed": 27, "variant": "multivariate_lstm_att"})
-    assert json.loads(path.read_text())["format"] == "demandcast/checkpoint-v2"
-    loaded, meta = load_checkpoint(path)
-    assert meta == {"seed": 27, "variant": "multivariate_lstm_att"}
-    assert loaded.config == params.config
-    for a, b in zip(params.tensors(), loaded.tensors()):
-        assert a.name == b.name
-        assert np.array_equal(a.value, b.value)
+    for k, cfg in enumerate(CHECKPOINT_CONFIGS):
+        params = ModelParams.init(cfg, 27 + k)
+        for t in params.tensors():
+            t.value.flat[:len(EDGE_VALUES)] = EDGE_VALUES[:t.value.size]
+        save_checkpoint(path, params, {"seed": 27, "variant": "multivariate_lstm_att"})
+        loaded, meta = load_checkpoint(path)
+        assert meta == {"seed": 27, "variant": "multivariate_lstm_att"}
+        assert loaded.config == cfg
+        assert [t.name for t in loaded.tensors()] == [t.name for t in params.tensors()]
+        for a, b in zip(params.tensors(), loaded.tensors()):
+            assert a.value.shape == b.value.shape and a.value.tobytes() == b.value.tobytes()
+    params = tiny_params(seed=27)
+    save_checkpoint(path, params)
     window = np.random.default_rng(1).uniform(0, 1, size=(4, 2))
-    assert np.array_equal(predict(window, params), predict(window, loaded))
+    assert np.array_equal(predict(window, params), predict(window, load_checkpoint(path)[0]))
+
+
+@pytest.mark.parametrize("cfg", CHECKPOINT_CONFIGS)
+def test_checkpoint_header_line_then_raw_float64_payload(tmp_path, cfg):
+    """The file is the JSON header line, then each tensor's little-endian
+    float64 bytes in tensors() order and nothing else."""
+    path = tmp_path / "model.json"
+    params = ModelParams.init(cfg, 5)
+    save_checkpoint(path, params, {"note": "line\nbreak"})
+    header, payload = split_checkpoint(path)
+    assert list(header) == ["format", "model", "params", "note"]
+    assert header["format"] == "demandcast/checkpoint-v3" and header["note"] == "line\nbreak"
+    assert header["params"] == {t.name: {"shape": list(t.value.shape)}
+                                for t in params.tensors()}
+    assert payload == b"".join(t.value.astype("<f8").tobytes() for t in params.tensors())
 
 
 def test_checkpoint_bad_format_rejected(tmp_path):
@@ -390,38 +417,15 @@ def test_checkpoint_bad_format_rejected(tmp_path):
         load_checkpoint(path)
 
 
-def _short_payload(doc):
-    raw = base64.b64decode(doc["params"]["W"]["data"])
-    doc["params"]["W"]["data"] = base64.b64encode(raw[:-8]).decode("ascii")
-
-
-def _unknown_model_key(doc):
-    doc["model"]["layers"] = 2
-
-
-CORRUPTIONS = {
-    "text": b"{not json",
-    "binary": b"\x80\xff\x00\x01",
-    "list": b"[]",
-    "no_model": lambda doc: doc.pop("model"),
-    "no_params": lambda doc: doc.pop("params"),
-    "unknown_model_key": _unknown_model_key,
-    "bad_base64": lambda doc: doc["params"]["W"].update(data="not*base64!"),
-    "short_payload": _short_payload,
-}
-
-
-@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+@pytest.mark.parametrize("case", sorted(CHECKPOINT_CORRUPTIONS))
 def test_checkpoint_malformed_is_config_error(tmp_path, case):
+    """Each broken file is a ConfigError, or a ShapeError where a header
+    shape is not the model's; a v2 file names its format."""
     path = tmp_path / "model.json"
     save_checkpoint(path, tiny_params(seed=27), {"seed": 27})
-    corrupt = CORRUPTIONS[case]
-    if isinstance(corrupt, bytes):
-        path.write_bytes(corrupt)
-    else:
-        doc = json.loads(path.read_text())
-        corrupt(doc)
-        assert doc["format"] == CHECKPOINT_FORMAT
-        path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError):
+    corrupt, error = CHECKPOINT_CORRUPTIONS[case]
+    corrupt(path)
+    with pytest.raises(error) as info:
         load_checkpoint(path)
+    if case == "v2":
+        assert str(info.value) == "unrecognized checkpoint format: 'demandcast/checkpoint-v2'"
