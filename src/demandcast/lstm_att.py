@@ -29,6 +29,12 @@ The model reads the first ``n_features`` columns of a window
 (``model_inputs``): all of them for the multivariate variants, column 0
 (demand) for the univariate ones.
 
+The parameters live in one arena. ``param_shapes(config)`` gives each
+parameter's name and shape in ``tensors()`` order; ``ModelParams`` holds one
+flat float64 ``value`` vector and one ``grad`` vector in that layout, and
+each ``ParamTensor`` is a pair of reshaped views into them. Zeroing,
+clipping, Adam and the checkpoint payload each work on a whole vector.
+
 A checkpoint (``demandcast/checkpoint-v3``) is one line of JSON, then
 raw bytes. The JSON header holds the format tag, the model config, each
 parameter's shape in ``tensors()`` order and free-form metadata; after its
@@ -42,17 +48,17 @@ and the fitted scaler, so a checkpoint file serves on its own.
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError, TapeError
 from .nn_core import (
-    ParamTensor,
     as_f64,
     assert_finite,
     glorot_uniform,
-    matmul,
     recurrent_uniform,
     relu,
     sigmoid,
@@ -100,49 +106,64 @@ class ModelConfig:
             raise ConfigError(f"invalid model config: {exc}")
 
 
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Each parameter's name and shape, in ``tensors()`` and arena order."""
+    H, m = config.hidden, config.horizon
+    shapes = {"W": (4 * H, config.n_features), "U": (4 * H, H), "b": (4 * H,)}
+    if config.attention:
+        shapes.update(W_a=(1, H), b_a=(1,))
+    shapes.update(W_out=(m, config.head_dim), b_out=(m,))
+    return shapes
+
+
+@dataclass
+class ParamTensor:
+    """One parameter: its value and its accumulated gradient, both views
+    into the arena of the ModelParams that owns it."""
+
+    name: str
+    value: np.ndarray
+    grad: np.ndarray
+
+
 class ModelParams:
-    """All trainable weights, each a ParamTensor with an in-place gradient."""
+    """All trainable weights as one arena: flat ``value`` and ``grad``
+    vectors, with each parameter an attribute ParamTensor of views into them.
+    Without an rng the weights are zero (the forget-gate bias is 1)."""
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator | None = None):
         self.config = config
-        H, n, m = config.hidden, config.n_features, config.horizon
-
-        def draw(init, rows, cols):
-            if rng is None:
-                return np.zeros((rows, cols))
-            return init(rng, rows, cols)
-
-        def stacked(init, cols):
-            blocks = {g: draw(init, H, cols) for g in INIT_ORDER}
-            return np.concatenate([blocks[g] for g in GATES])
-
-        self.W = ParamTensor("W", stacked(glorot_uniform, n))
-        self.U = ParamTensor("U", stacked(recurrent_uniform, H))
-        self.b = ParamTensor("b", np.zeros(4 * H))
+        shapes = param_shapes(config)
+        size = sum(math.prod(shape) for shape in shapes.values())
+        self.value = np.zeros(size)
+        self.grad = np.zeros(size)
+        self.W_a = self.b_a = None
+        offset = 0
+        for name, shape in shapes.items():
+            end = offset + math.prod(shape)
+            setattr(self, name, ParamTensor(name, self.value[offset:end].reshape(shape),
+                                            self.grad[offset:end].reshape(shape)))
+            offset = end
+        H = config.hidden
         self.b.value[:H] = 1.0  # forget bias aids early-epoch memory
-        if config.attention:
-            self.W_a = ParamTensor("W_a", draw(glorot_uniform, 1, H))
-            self.b_a = ParamTensor("b_a", np.zeros(1))
-        else:
-            self.W_a = None
-            self.b_a = None
-        self.W_out = ParamTensor("W_out", draw(glorot_uniform, m, config.head_dim))
-        self.b_out = ParamTensor("b_out", np.zeros(m))
+        if rng is None:
+            return
+        for t, init in ((self.W, glorot_uniform), (self.U, recurrent_uniform)):
+            for g in INIT_ORDER:
+                t.value.reshape(4, H, -1)[GATES.index(g)] = init(rng, H, t.value.shape[1])
+        for t in (self.W_a, self.W_out):
+            if t is not None:
+                t.value[...] = glorot_uniform(rng, *t.value.shape)
 
     @classmethod
     def init(cls, config: ModelConfig, seed: int) -> "ModelParams":
         return cls(config, np.random.default_rng(seed))
 
     def tensors(self) -> list[ParamTensor]:
-        out = [self.W, self.U, self.b]
-        if self.W_a is not None:
-            out += [self.W_a, self.b_a]
-        out += [self.W_out, self.b_out]
-        return out
+        return [getattr(self, name) for name in param_shapes(self.config)]
 
     def zero_grad(self) -> None:
-        for t in self.tensors():
-            t.zero_grad()
+        self.grad.fill(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +250,7 @@ def forward_batch(windows, params: ModelParams):
     else:
         head_in = hidden[-1]
 
-    pre_head = matmul(head_in, params.W_out.value.T) + params.b_out.value
+    pre_head = head_in @ params.W_out.value.T + params.b_out.value
     output = relu(pre_head)
     assert_finite("head", output)
 
@@ -260,9 +281,9 @@ def backward(trace: ForwardTrace, d_output, params: ModelParams) -> np.ndarray:
 
     # head: y = relu(W_out head_in + b_out)
     dz = d_out * (trace.pre_head > 0)
-    params.W_out.grad += matmul(dz.T, trace.head_in)
+    params.W_out.grad += dz.T @ trace.head_in
     params.b_out.grad += dz.sum(axis=0)
-    d_head_in = matmul(dz, params.W_out.value)
+    d_head_in = dz @ params.W_out.value
 
     if cfg.attention:
         if cfg.head_input == "context":
@@ -324,11 +345,11 @@ def backward(trace: ForwardTrace, d_output, params: ModelParams) -> np.ndarray:
 
     flat_g = dG.reshape(p * B, 4 * H)
     flat_x = np.ascontiguousarray(trace.windows.transpose(1, 0, 2)).reshape(p * B, -1)
-    params.W.grad += matmul(flat_x.T, flat_g).T
+    params.W.grad += (flat_x.T @ flat_g).T
     # h_{-1} = 0, so step 0 adds nothing to dU
-    params.U.grad += matmul(flat_g[B:].T, trace.hidden[:-1].reshape((p - 1) * B, H))
+    params.U.grad += flat_g[B:].T @ trace.hidden[:-1].reshape((p - 1) * B, H)
     params.b.grad += flat_g.sum(axis=0)
-    d_inputs = matmul(flat_g, params.W.value)
+    d_inputs = flat_g @ params.W.value
     return d_inputs.reshape(p, B, -1).transpose(1, 0, 2)
 
 
@@ -338,25 +359,25 @@ def backward(trace: ForwardTrace, d_output, params: ModelParams) -> np.ndarray:
 
 def save_checkpoint(path, params: ModelParams, extra: dict | None = None) -> None:
     """Write a versioned checkpoint: a one-line JSON header with the model
-    config, each parameter's shape and the metadata, then every parameter's
+    config, each parameter's shape and the metadata, then the arena's
     row-major little-endian float64 bytes."""
-    tensors = params.tensors()
     header = {
         "format": CHECKPOINT_FORMAT,
         "model": asdict(params.config),
-        "params": {t.name: {"shape": list(t.value.shape)} for t in tensors},
+        "params": {name: {"shape": list(shape)}
+                   for name, shape in param_shapes(params.config).items()},
     }
     if extra:
         header.update(extra)
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("ascii") + b"\n")
-        for t in tensors:
-            fh.write(np.ascontiguousarray(t.value, dtype=PARAM_DTYPE).data)
+        fh.write(np.ascontiguousarray(params.value, dtype=PARAM_DTYPE).data)
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
-    """A checkpoint's parameters and metadata. A file that is not exactly a
-    valid header and the payload its shapes call for is a ConfigError, a
+    """A checkpoint's parameters and metadata, checked against
+    ``param_shapes`` before anything is allocated. A file that is not exactly
+    a valid header and the payload its shapes call for is a ConfigError, a
     parameter of the wrong shape a ShapeError."""
     with open(path, "rb") as fh:
         try:
@@ -369,26 +390,28 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         for key in ("model", "params"):
             if not isinstance(header.get(key), dict):
                 raise ConfigError(f"checkpoint has no '{key}' object")
-        params = ModelParams(ModelConfig.from_dict(header["model"]))
-        names = [t.name for t in params.tensors()]
-        if list(header["params"]) != names:
+        config = ModelConfig.from_dict(header["model"])
+        shapes = param_shapes(config)
+        if list(header["params"]) != list(shapes):
             raise ConfigError(f"checkpoint parameters {list(header['params'])} "
-                              f"are not the model's {names}")
-        for t in params.tensors():
+                              f"are not the model's {list(shapes)}")
+        for name, shape in shapes.items():
             try:
-                stored = tuple(header["params"][t.name]["shape"])
+                stored = tuple(header["params"][name]["shape"])
             except (KeyError, TypeError) as exc:
-                raise ConfigError(f"checkpoint parameter '{t.name}' is malformed: {exc!r}")
-            if stored != t.value.shape:
-                raise ShapeError(f"checkpoint parameter '{t.name}' has shape {stored}, "
-                                 f"expected {t.value.shape}")
-            got = fh.readinto(t.value)
-            if got != t.value.nbytes:
-                raise ConfigError(f"checkpoint {path} ends inside parameter '{t.name}': "
-                                  f"{got} of {t.value.nbytes} bytes")
-            if t.value.dtype != PARAM_DTYPE:  # a big-endian host
-                t.value.byteswap(inplace=True)
-        if fh.read(1):
-            raise ConfigError(f"checkpoint {path} has bytes after its last parameter")
+                raise ConfigError(f"checkpoint parameter '{name}' is malformed: {exc!r}")
+            if stored != shape:
+                raise ShapeError(f"checkpoint parameter '{name}' has shape {stored}, "
+                                 f"expected {shape}")
+        want = PARAM_DTYPE.itemsize * sum(math.prod(shape) for shape in shapes.values())
+        have = os.fstat(fh.fileno()).st_size - fh.tell()
+        if have != want:
+            raise ConfigError(f"checkpoint {path} holds {have} payload bytes; "
+                              f"its parameter shapes call for {want}")
+        params = ModelParams(config)
+        if fh.readinto(params.value) != want:
+            raise ConfigError(f"checkpoint {path} shrank while it was read")
+    if params.value.dtype != PARAM_DTYPE:  # a big-endian host
+        params.value.byteswap(inplace=True)
     meta = {k: v for k, v in header.items() if k not in ("format", "model", "params")}
     return params, meta

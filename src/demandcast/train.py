@@ -24,7 +24,6 @@ from .lstm_att import (
     model_inputs,
     save_checkpoint,
 )
-from .nn_core import ParamTensor
 
 VARIANTS = (
     "multivariate_lstm_att",
@@ -91,55 +90,54 @@ def mse(pred, target) -> float:
 # ---------------------------------------------------------------------------
 
 class AdamState:
-    """First/second moment buffers per parameter plus the step counter."""
+    """First/second moment vectors over the parameter arena, and the step."""
 
-    def __init__(self, tensors: list[ParamTensor]):
-        self.m = [np.zeros_like(t.value) for t in tensors]
-        self.v = [np.zeros_like(t.value) for t in tensors]
+    def __init__(self, size: int):
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
         self.t = 0
 
 
-def adam_step(tensors: list[ParamTensor], state: AdamState, lr: float,
+def adam_step(value: np.ndarray, grad: np.ndarray, state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> None:
-    """One bias-corrected Adam update, reading each tensor's .grad in place.
+    """One bias-corrected Adam update of the ``value`` vector from ``grad``.
 
-    The moments and the step are updated in place, in the operation order
-    of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g) and
+    Adam is elementwise, so one pass over the whole arena gives the bits of
+    a pass per tensor. The moments and the step are updated in place, in the
+    operation order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g) and
     value -= lr*(m/bc1) / (sqrt(v/bc2) + eps), so results are bitwise those
-    of the out-of-place formula. The two scratch arrays live for one tensor
+    of the out-of-place formula. The two scratch vectors live for one step
     only: kept across steps they would add to the training peak memory.
     """
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
-    for k, tensor in enumerate(tensors):
-        g = tensor.grad
-        m, v = state.m[k], state.v[k]
-        step, denom = np.empty_like(g), np.empty_like(g)
-        m *= beta1
-        m += np.multiply(1.0 - beta1, g, out=step)
-        v *= beta2
-        np.multiply(g, g, out=step)
-        v += np.multiply(1.0 - beta2, step, out=step)
-        np.sqrt(np.divide(v, bc2, out=denom), out=denom)
-        denom += eps
-        np.divide(m, bc1, out=step)
-        step *= lr
-        step /= denom
-        tensor.value -= step
+    m, v = state.m, state.v
+    step, denom = np.empty_like(grad), np.empty_like(grad)
+    m *= beta1
+    m += np.multiply(1.0 - beta1, grad, out=step)
+    v *= beta2
+    np.multiply(grad, grad, out=step)
+    v += np.multiply(1.0 - beta2, step, out=step)
+    np.sqrt(np.divide(v, bc2, out=denom), out=denom)
+    denom += eps
+    np.divide(m, bc1, out=step)
+    step *= lr
+    step /= denom
+    value -= step
 
 
-def clip_gradients(tensors: list[ParamTensor], max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``."""
+def clip_gradients(params: ModelParams, max_norm: float) -> float:
+    """Scale the gradient vector so its global L2 norm is at most
+    ``max_norm``; returns the norm before scaling. The squares are summed
+    per tensor, in ``tensors()`` order, which fixes the norm's bits."""
     total = 0.0
-    for t in tensors:
+    for t in params.tensors():
         total += float(np.sum(t.grad * t.grad))
     norm = np.sqrt(total)
     if norm > max_norm and norm > 0.0:
-        scale = max_norm / norm
-        for t in tensors:
-            t.grad *= scale
+        params.grad *= max_norm / norm
     return float(norm)
 
 
@@ -176,8 +174,7 @@ def train(dataset: SplitDataset, config: TrainConfig,
     if len(tr) == 0:
         raise ConfigError("training split is empty")
     params = build_model(tr.inputs.shape[2], tr.lookback, tr.horizon, config)
-    tensors = params.tensors()
-    state = AdamState(tensors)
+    state = AdamState(params.value.size)
     shuffle_rng = np.random.default_rng(config.seed) if config.shuffle else None
 
     N = len(tr)
@@ -201,8 +198,8 @@ def train(dataset: SplitDataset, config: TrainConfig,
             params.zero_grad()
             backward(trace, 2.0 * (out - Y) / out.size, params)
             if config.clip_norm is not None:
-                clip_gradients(tensors, config.clip_norm)
-            adam_step(tensors, state, config.learning_rate,
+                clip_gradients(params, config.clip_norm)
+            adam_step(params.value, params.grad, state, config.learning_rate,
                       config.beta1, config.beta2, config.eps)
             total += loss * len(idx)
         epoch_losses.append(total / N)

@@ -9,7 +9,9 @@ implementations must match. The exceptions are the single-window
 background window, ``temperature_readings`` and ``session_array``, which
 build the inputs of ``join_temperature`` and ``aggregate_demand``, and
 ``per_row_sessions``, which reads each timestamp with the package's
-``parse_timestamp``. The checkpoint helpers read and rewrite checkpoint
+``parse_timestamp``. ``SeparateParams``, ``per_tensor_clip`` and
+``per_tensor_adam_step`` are the per-tensor training update that the flat
+parameter arena replaced. The checkpoint helpers read and rewrite checkpoint
 files byte by byte, and ``CHECKPOINT_CORRUPTIONS`` is the table of broken
 files that both the loader's and the command line's tests run.
 """
@@ -22,6 +24,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -287,6 +290,59 @@ def adam_reference_step(values, grads, ms, vs, t, lr,
     return out_values, out_ms, out_vs
 
 
+class SeparateParams:
+    """A model's parameters as separate arrays, the layout the flat arena
+    replaced: the same attribute names as ``ModelParams``, each a namespace
+    with its own ``value`` copy and zeroed ``grad``. ``forward_batch`` and
+    ``backward`` run on it unchanged."""
+
+    def __init__(self, params):
+        self.config = params.config
+        self.W_a = self.b_a = None
+        self.names = [t.name for t in params.tensors()]
+        for t in params.tensors():
+            setattr(self, t.name, SimpleNamespace(name=t.name, value=t.value.copy(),
+                                                  grad=np.zeros_like(t.value)))
+
+    def tensors(self):
+        return [getattr(self, name) for name in self.names]
+
+
+def per_tensor_clip(tensors, max_norm):
+    """Gradient clipping as a loop over separate tensors: the global norm
+    summed per tensor, then each gradient scaled in place; returns the norm."""
+    total = 0.0
+    for t in tensors:
+        total += float(np.sum(t.grad * t.grad))
+    norm = np.sqrt(total)
+    if norm > max_norm and norm > 0.0:
+        scale = max_norm / norm
+        for t in tensors:
+            t.grad *= scale
+    return float(norm)
+
+
+def per_tensor_adam_step(tensors, ms, vs, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """In-place Adam step number ``t`` as a loop over separate tensors, each
+    with its own moment arrays in ``ms`` and ``vs``."""
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for tensor, m, v in zip(tensors, ms, vs):
+        g = tensor.grad
+        step, denom = np.empty_like(g), np.empty_like(g)
+        m *= beta1
+        m += np.multiply(1.0 - beta1, g, out=step)
+        v *= beta2
+        np.multiply(g, g, out=step)
+        v += np.multiply(1.0 - beta2, step, out=step)
+        np.sqrt(np.divide(v, bc2, out=denom), out=denom)
+        denom += eps
+        np.divide(m, bc1, out=step)
+        step *= lr
+        step /= denom
+        tensor.value -= step
+
+
 def linear_window_model(weights):
     """f(window) = sum_j w_j * mean_t(window[t, j]), emitted as a length-1
     forecast per window of a (B, p, n) batch, the shapley predict_fn
@@ -419,6 +475,27 @@ def _swap_first_params(header):
     header["params"] = {name: header["params"][name] for name in order}
 
 
+# A hidden size whose model would take terabytes: a loader that allocates
+# before it checks the header against the file cannot load it.
+HUGE_HIDDEN = 10 ** 6
+
+
+def _claim_huge_model(header):
+    header["model"]["hidden"] = HUGE_HIDDEN
+
+
+def _claim_huge_model_and_shapes(header):
+    """The header of a HUGE_HIDDEN model, shapes included; the payload stays
+    that of the small model."""
+    _claim_huge_model(header)
+    model = header["model"]
+    H, n, m = HUGE_HIDDEN, model["n_features"], model["horizon"]
+    head = model["lookback"] * H if model["head_input"] == "weighted_flatten" else H
+    shapes = {"W": [4 * H, n], "U": [4 * H, H], "b": [4 * H], "W_a": [1, H], "b_a": [1],
+              "W_out": [m, head], "b_out": [m]}
+    header["params"] = {name: {"shape": shapes[name]} for name in header["params"]}
+
+
 # name -> (corrupt(path) that breaks a saved attention model's checkpoint in
 # place, the error type load_checkpoint must raise)
 CHECKPOINT_CORRUPTIONS = {
@@ -446,4 +523,6 @@ CHECKPOINT_CORRUPTIONS = {
     "short_payload_by_1": (_file_edit(lambda data: data[:-1]), ConfigError),
     "trailing_byte": (_file_edit(lambda data: data + b"\x00"), ConfigError),
     "v2": (as_checkpoint_v2, ConfigError),
+    "huge_model": (_header_edit(_claim_huge_model), ShapeError),
+    "huge_model_and_shapes": (_header_edit(_claim_huge_model_and_shapes), ConfigError),
 }

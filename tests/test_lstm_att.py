@@ -1,3 +1,7 @@
+import os
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -15,6 +19,7 @@ from demandcast.nn_core import glorot_uniform, recurrent_uniform
 from demandcast.train import mse
 from helpers import (
     CHECKPOINT_CORRUPTIONS,
+    HUGE_HIDDEN,
     attention,
     central_difference,
     forward,
@@ -408,6 +413,7 @@ def test_checkpoint_header_line_then_raw_float64_payload(tmp_path, cfg):
     assert header["params"] == {t.name: {"shape": list(t.value.shape)}
                                 for t in params.tensors()}
     assert payload == b"".join(t.value.astype("<f8").tobytes() for t in params.tensors())
+    assert payload == params.value.tobytes()
 
 
 def test_checkpoint_bad_format_rejected(tmp_path):
@@ -429,3 +435,53 @@ def test_checkpoint_malformed_is_config_error(tmp_path, case):
         load_checkpoint(path)
     if case == "v2":
         assert str(info.value) == "unrecognized checkpoint format: 'demandcast/checkpoint-v2'"
+
+
+@pytest.mark.parametrize("case", ["huge_model", "huge_model_and_shapes"])
+def test_checkpoint_claiming_a_huge_model_allocates_nothing(tmp_path, case):
+    """A header that claims a terabyte model fails its check against the
+    file before anything is allocated; a payload of the wrong size names
+    both byte counts."""
+    path = tmp_path / "model.json"
+    params = tiny_params(seed=27)
+    save_checkpoint(path, params, {"seed": 27})
+    corrupt, error = CHECKPOINT_CORRUPTIONS[case]
+    corrupt(path)
+    tracemalloc.start()
+    try:
+        with pytest.raises(error) as info:
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    if case == "huge_model":
+        assert str(info.value) == (f"checkpoint parameter 'W' has shape (12, 2), "
+                                   f"expected ({4 * HUGE_HIDDEN}, 2)")
+    else:
+        assert f"holds {params.value.nbytes} payload bytes" in str(info.value)
+        assert str(8 * (4 * HUGE_HIDDEN * (2 + HUGE_HIDDEN + 1) + HUGE_HIDDEN + 1
+                        + 2 * 4 * HUGE_HIDDEN + 2)) in str(info.value)
+
+
+def test_checkpoint_shrinking_while_read_is_config_error(tmp_path, monkeypatch):
+    """A file that loses bytes between its size check and the read is a
+    ConfigError, not a model whose last parameters are zero."""
+    path = tmp_path / "model.json"
+    save_checkpoint(path, tiny_params(seed=27))
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-8])
+    with monkeypatch.context() as mp:
+        mp.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=size))
+        with pytest.raises(ConfigError, match="shrank while it was read"):
+            load_checkpoint(path)
+
+
+def test_grad_arena_initialized_and_zeroed():
+    params = tiny_params(seed=3)
+    assert np.array_equal(params.grad, np.zeros_like(params.value))
+    params.grad += 1.0
+    assert all(np.all(t.grad == 1.0) for t in params.tensors())
+    params.zero_grad()
+    assert np.array_equal(params.grad, np.zeros_like(params.grad))
+    assert all(np.array_equal(t.grad, np.zeros_like(t.grad)) for t in params.tensors())

@@ -1,12 +1,18 @@
 import copy
+import math
 
 import numpy as np
 import pytest
 
 from demandcast.errors import ConfigError, ShapeError
 from demandcast.features import FeatureSchema, build_dataset
-from demandcast.lstm_att import ModelConfig, ModelParams
-from demandcast.nn_core import ParamTensor
+from demandcast.lstm_att import (
+    ModelConfig,
+    ModelParams,
+    backward,
+    forward_batch,
+    param_shapes,
+)
 from demandcast.synth import SynthConfig, generate
 from demandcast.train import (
     AdamState,
@@ -17,7 +23,13 @@ from demandcast.train import (
     mse,
     train,
 )
-from helpers import adam_reference_step, scalar_adam_trajectory
+from helpers import (
+    SeparateParams,
+    adam_reference_step,
+    per_tensor_adam_step,
+    per_tensor_clip,
+    scalar_adam_trajectory,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -52,66 +64,115 @@ def test_batch_mse_equals_mean_of_window_mses():
 # ---------------------------------------------------------------------------
 
 def test_adam_first_step_magnitude_is_learning_rate():
-    t = ParamTensor("w", np.full(4, 10.0))
-    t.grad[:] = 3.7  # any nonzero constant
-    state = AdamState([t])
-    adam_step([t], state, lr=0.01)
-    update = np.abs(t.value - 10.0)
+    value = np.full(4, 10.0)
+    grad = np.full(4, 3.7)  # any nonzero constant
+    state = AdamState(value.size)
+    adam_step(value, grad, state, lr=0.01)
+    update = np.abs(value - 10.0)
     assert np.max(np.abs(update - 0.01)) < 1e-6
 
 
 def test_adam_zero_gradient_leaves_params():
-    t = ParamTensor("w", np.array([1.0, -2.0]))
-    state = AdamState([t])
-    adam_step([t], state, lr=0.1)
-    assert np.array_equal(t.value, np.array([1.0, -2.0]))
+    value = np.array([1.0, -2.0])
+    state = AdamState(value.size)
+    adam_step(value, np.zeros(2), state, lr=0.1)
+    assert np.array_equal(value, np.array([1.0, -2.0]))
     assert state.t == 1
 
 
 def test_adam_matches_scalar_oracle_on_quadratic():
     # f(w) = w^2, gradient 2w, from w=1 with lr=0.1
-    t = ParamTensor("w", np.array([1.0]))
-    state = AdamState([t])
+    value = np.array([1.0])
+    grad = np.empty(1)
+    state = AdamState(value.size)
     mine = []
     for _ in range(10):
-        t.grad[:] = 2.0 * t.value
-        adam_step([t], state, lr=0.1)
-        mine.append(float(t.value[0]))
+        grad[:] = 2.0 * value
+        adam_step(value, grad, state, lr=0.1)
+        mine.append(float(value[0]))
     reference = scalar_adam_trajectory(lambda w: 2.0 * w, 1.0, 0.1, 10)
     assert np.max(np.abs(np.array(mine) - np.array(reference))) < 1e-12
 
 
 def test_adam_in_place_matches_out_of_place_formula_bitwise():
+    """One flat step over three tensors' worth of elements equals the
+    out-of-place formula run per tensor, bit for bit."""
     rng = np.random.default_rng(3)
+    shapes = ((6, 4), (6,), (1,))
+    splits = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
     # values well below the step size, so a last-bit change of the step shows
-    tensors = [ParamTensor(name, 1e-3 * rng.normal(size=shape))
-               for name, shape in (("W", (6, 4)), ("b", (6,)), ("s", (1,)))]
-    state = AdamState(tensors)
-    values = [t.value.copy() for t in tensors]
+    value = np.concatenate([1e-3 * rng.normal(size=shape).ravel() for shape in shapes])
+    state = AdamState(value.size)
+    values = np.split(value.copy(), splits)
     ms = [np.zeros_like(v) for v in values]
     vs = [np.zeros_like(v) for v in values]
     for step in range(1, 4):
-        grads = [rng.normal(size=t.value.shape) for t in tensors]
-        for t, g in zip(tensors, grads):
-            t.grad[:] = g
-        adam_step(tensors, state, lr=0.01)
+        grads = [rng.normal(size=shape).ravel() for shape in shapes]
+        adam_step(value, np.concatenate(grads), state, lr=0.01)
         values, ms, vs = adam_reference_step(values, grads, ms, vs, step, lr=0.01)
-        for k, t in enumerate(tensors):
-            assert np.array_equal(t.value, values[k])
-            assert np.array_equal(state.m[k], ms[k])
-            assert np.array_equal(state.v[k], vs[k])
+        for k, (mine, m, v) in enumerate(zip(np.split(value, splits), np.split(state.m, splits),
+                                             np.split(state.v, splits))):
+            assert np.array_equal(mine, values[k])
+            assert np.array_equal(m, ms[k])
+            assert np.array_equal(v, vs[k])
+
+
+def tiny_arena():
+    """A model with 14 parameters in five tensors."""
+    return ModelParams(ModelConfig(n_features=1, hidden=1, horizon=1, lookback=1,
+                                   attention=False))
 
 
 def test_clip_gradients_scales_to_max_norm():
-    a = ParamTensor("a", np.zeros(3))
-    a.grad[:] = [3.0, 4.0, 0.0]  # norm 5
-    norm = clip_gradients([a], 1.0)
+    a = tiny_arena()
+    a.grad[:3] = [3.0, 4.0, 0.0]  # norm 5
+    norm = clip_gradients(a, 1.0)
     assert abs(norm - 5.0) < 1e-12
     assert abs(np.linalg.norm(a.grad) - 1.0) < 1e-12
-    b = ParamTensor("b", np.zeros(2))
-    b.grad[:] = [0.3, 0.4]
-    clip_gradients([b], 1.0)
-    assert np.allclose(b.grad, [0.3, 0.4])  # under the cap: untouched
+    assert abs(np.linalg.norm(a.W.grad) - 1.0) < 1e-12  # the views see the scaling
+    b = tiny_arena()
+    b.grad[-2:] = [0.3, 0.4]
+    assert abs(clip_gradients(b, 1.0) - 0.5) < 1e-12
+    assert np.array_equal(b.grad[-2:], [0.3, 0.4])  # under the cap: untouched
+
+
+# A cap far below these models' gradient norms, so that every step clips.
+TIGHT_CLIP = 1e-3
+
+
+@pytest.mark.parametrize("cfg_kwargs", [{}, {"head_input": "context"}, {"attention": False}])
+def test_arena_update_matches_per_tensor_oracle_bitwise(cfg_kwargs):
+    """Seeded training steps with clipping: zero_grad, clip_gradients and
+    adam_step on the arena give the values and moments of the per-tensor
+    loop over separate arrays, bit for bit."""
+    rng = np.random.default_rng(17)
+    cfg = ModelConfig(n_features=3, hidden=4, horizon=5, lookback=6, **cfg_kwargs)
+    params = ModelParams.init(cfg, 41)
+    oracle = SeparateParams(params)
+    state = AdamState(params.value.size)
+    ms = [np.zeros_like(t.value) for t in oracle.tensors()]
+    vs = [np.zeros_like(t.value) for t in oracle.tensors()]
+    for step in range(1, 5):
+        X = rng.uniform(0, 1, size=(7, 6, 3))
+        Y = rng.uniform(0, 1, size=(7, 5))
+        params.grad[:] = rng.normal(size=params.grad.size)  # stale, zero_grad clears it
+        params.zero_grad()
+        for t in oracle.tensors():
+            t.grad.fill(0.0)
+        for model in (params, oracle):
+            out, trace = forward_batch(X, model)
+            backward(trace, 2.0 * (out - Y) / out.size, model)
+        norm = clip_gradients(params, TIGHT_CLIP)
+        assert norm > TIGHT_CLIP
+        assert norm == per_tensor_clip(oracle.tensors(), TIGHT_CLIP)
+        adam_step(params.value, params.grad, state, lr=0.01)
+        per_tensor_adam_step(oracle.tensors(), ms, vs, step, lr=0.01)
+        for t, o in zip(params.tensors(), oracle.tensors()):
+            assert t.name == o.name
+            assert t.value.tobytes() == o.value.tobytes(), t.name
+            assert t.grad.tobytes() == o.grad.tobytes(), t.name
+        assert state.m.tobytes() == b"".join(m.tobytes() for m in ms)
+        assert state.v.tobytes() == b"".join(v.tobytes() for v in vs)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +205,23 @@ def test_train_deterministic_given_seed(desk_dataset):
     assert r1.test_mse == r2.test_mse
     for a, b in zip(p1.tensors(), p2.tensors()):
         assert np.array_equal(a.value, b.value)
+
+
+def test_tensors_stay_arena_views_after_train(desk_dataset):
+    """After training with clipping, every tensor's value and grad are still
+    the views of the arena at the offsets param_shapes gives."""
+    params, _ = train(desk_dataset, desk_config(epochs=1, clip_norm=TIGHT_CLIP))
+    shapes = param_shapes(params.config)
+    assert [t.name for t in params.tensors()] == list(shapes)
+    offset = 0
+    for t, shape in zip(params.tensors(), shapes.values()):
+        end = offset + math.prod(shape)
+        for view, arena in ((t.value, params.value), (t.grad, params.grad)):
+            assert view.shape == shape and view.flags.c_contiguous, t.name
+            assert np.shares_memory(view, arena[offset:end]), t.name
+            assert view.ctypes.data == arena[offset:end].ctypes.data, t.name
+        offset = end
+    assert offset == params.value.size == params.grad.size
 
 
 def test_train_univariate_uses_single_column(desk_dataset):
