@@ -13,10 +13,13 @@ Per step t (input x_t, previous hidden h, previous cell C):
 
 The four gates are stacked in the order (f, i, o, C): ``W`` is (4H, n),
 ``U`` is (4H, H) and ``b`` is (4H,), so the three sigmoid gates form one
-contiguous block. The forward pass writes the input projection of the
-whole batch, one GEMM, into a (p, B, 4H) gate buffer; each step adds one
-(B, H) @ (H, 4H) recurrent GEMM to its slice and squashes it in place, so
-the gate activations the trace keeps are views of that buffer. BPTT fills
+contiguous block. sigmoid(z) = (tanh(z / 2) + 1) / 2, so the forward pass
+copies W, U and b with the sigmoid rows halved (exact in binary). Each step
+writes its input projection into its slice of a (p, B, 4H) gate buffer while
+the slice is in cache (at B = 1 one GEMM fills every slice first), adds b and
+one (B, H) @ (H, 4H) recurrent GEMM, applies one tanh to the whole slice and
+maps the sigmoid block t to (t + 1) / 2; the trace's gates are views of that
+buffer and hold the bits the unhalved sigmoid gives. BPTT fills
 the matching (p, B, 4H) gate-gradient buffer with one GEMM per step and
 ends with one GEMM each for dW, dU and the input gradient.
 
@@ -61,7 +64,6 @@ from .nn_core import (
     glorot_uniform,
     recurrent_uniform,
     relu,
-    sigmoid,
     softmax,
 )
 
@@ -85,10 +87,12 @@ class ModelConfig:
     head_input: str = "weighted_flatten"
 
     def __post_init__(self):
-        if self.n_features < 1 or self.hidden < 1:
-            raise ConfigError("n_features and hidden must be positive")
-        if self.horizon < 1 or self.lookback < 1:
-            raise ConfigError("horizon and lookback must be positive")
+        for name in ("n_features", "hidden", "horizon", "lookback"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ConfigError(f"model {name} must be a positive integer, got {value!r}")
+        if not isinstance(self.attention, bool):
+            raise ConfigError(f"model attention must be true or false, got {self.attention!r}")
         if self.head_input not in HEAD_INPUTS:
             raise ConfigError(f"head_input must be one of {HEAD_INPUTS}")
 
@@ -174,7 +178,8 @@ class ForwardTrace:
     """Everything the backward pass and the attention export need from one
     forward call. Arrays are batched: ``gates`` is (p, B, 4H) and ``f``,
     ``i``, ``o``, ``chat`` are (p, B, H) views of it; cell/hidden states
-    are (p, B, H), scores/weights (p, B). Single use."""
+    are (p, B, H), scores/weights (p, B). The head fields are None in the
+    trace of a headless call. Single use."""
 
     __slots__ = ("windows", "gates", "f", "i", "o", "chat", "cell", "hidden",
                  "scores", "weights", "context", "head_in", "pre_head",
@@ -191,8 +196,10 @@ def model_inputs(windows: np.ndarray, config: ModelConfig) -> np.ndarray:
     return windows[..., :config.n_features]
 
 
-def forward_batch(windows, params: ModelParams):
-    """Run the model over a (B, p, n) batch; returns ((B, m) forecasts, trace)."""
+def forward_batch(windows, params: ModelParams, *, head: bool = True):
+    """Run the model over a (B, p, n) batch; returns ((B, m) forecasts, trace).
+    With ``head=False`` it stops after the attention weights and returns
+    (None, trace), a trace with no head fields that ``backward`` rejects."""
     cfg = params.config
     windows = as_f64(windows)
     if windows.ndim != 3:
@@ -205,26 +212,31 @@ def forward_batch(windows, params: ModelParams):
     assert_finite("input", windows)
 
     H = cfg.hidden
+    half = np.where(np.arange(4 * H) < 3 * H, 0.5, 1.0)[:, None]
+    W_T = (params.W.value * half).T
+    U_T = (params.U.value * half).T
+    bias = params.b.value * half[:, 0]
     xs = np.ascontiguousarray(windows.transpose(1, 0, 2))  # (p, B, n)
     gates = np.empty((p, B, 4 * H))
-    np.matmul(xs.reshape(p * B, n), params.W.value.T, out=gates.reshape(p * B, 4 * H))
-    gates += params.b.value
     cell = np.empty((p, B, H))
     hidden = np.empty((p, B, H))
-    U_T = params.U.value.T
     recurrent = np.empty((B, 4 * H))
     carry = np.empty((B, H))
+    if B == 1:  # numpy sends a one-row product to gemv, whose sums are not gemm's
+        np.matmul(xs[:, 0], W_T, out=gates[:, 0])
     for t in range(p):
         g = gates[t]
+        if B > 1:
+            np.matmul(xs[t], W_T, out=g)
+        g += bias
         if t:
             np.matmul(hidden[t - 1], U_T, out=recurrent)
             g += recurrent
-        sig = g[:, :3 * H]
-        sigmoid(sig, out=sig)
-        chat = g[:, 3 * H:]
-        np.tanh(chat, out=chat)
+        np.tanh(g, out=g)
+        g[:, :3 * H] += 1.0
+        g[:, :3 * H] *= 0.5
         c = cell[t]
-        np.multiply(g[:, H:2 * H], chat, out=c)
+        np.multiply(g[:, H:2 * H], g[:, 3 * H:], out=c)
         if t:
             np.multiply(g[:, :H], cell[t - 1], out=carry)
             c += carry
@@ -233,33 +245,30 @@ def forward_batch(windows, params: ModelParams):
         h *= g[:, 2 * H:3 * H]
     assert_finite("lstm", hidden[-1])
 
-    scores = weights = context = None
-    if cfg.attention:
-        raw = np.einsum("tbh,h->tb", hidden, params.W_a.value[0]) + params.b_a.value[0]
-        scores = np.tanh(raw)
-        weights = softmax(scores, axis=0)
-        if cfg.head_input == "context":
-            context = np.einsum("tb,tbh->bh", weights, hidden)
-            head_in = context
-        else:
-            # a_t h_t for every step, written straight into the (B, p*H) layout
-            weighted = np.empty((B, p, H))
-            np.multiply(weights.T[:, :, None], hidden.transpose(1, 0, 2), out=weighted)
-            head_in = weighted.reshape(B, p * H)
-        assert_finite("attention", weights)
-    else:
-        head_in = hidden[-1]
-
-    pre_head = head_in @ params.W_out.value.T + params.b_out.value
-    output = relu(pre_head)
-    assert_finite("head", output)
-
     trace = ForwardTrace(windows=windows, gates=gates,
                          f=gates[:, :, :H], i=gates[:, :, H:2 * H],
                          o=gates[:, :, 2 * H:3 * H], chat=gates[:, :, 3 * H:],
-                         cell=cell, hidden=hidden, scores=scores,
-                         weights=weights, context=context, head_in=head_in,
-                         pre_head=pre_head, output=output)
+                         cell=cell, hidden=hidden)
+    if cfg.attention:
+        trace.scores = np.tanh(np.einsum("tbh,h->tb", hidden, params.W_a.value[0])
+                               + params.b_a.value[0])
+        trace.weights = weights = softmax(trace.scores, axis=0)
+        assert_finite("attention", weights)
+    if not head:
+        return None, trace
+    if not cfg.attention:
+        head_in = hidden[-1]
+    elif cfg.head_input == "context":
+        head_in = trace.context = np.einsum("tb,tbh->bh", weights, hidden)
+    else:
+        # a_t h_t for every step, written straight into the (B, p*H) layout
+        weighted = np.empty((B, p, H))
+        np.multiply(weights.T[:, :, None], hidden.transpose(1, 0, 2), out=weighted)
+        head_in = weighted.reshape(B, p * H)
+    trace.head_in = head_in
+    trace.pre_head = head_in @ params.W_out.value.T + params.b_out.value
+    trace.output = output = relu(trace.pre_head)
+    assert_finite("head", output)
     return output, trace
 
 
@@ -268,6 +277,8 @@ def backward(trace: ForwardTrace, d_output, params: ModelParams) -> np.ndarray:
     return the gradient w.r.t. the input windows, shape (B, p, n)."""
     if trace.consumed:
         raise TapeError("forward trace already consumed by a backward call")
+    if trace.output is None:
+        raise TapeError("forward trace has no head to differentiate (head=False)")
     trace.consumed = True
     cfg = params.config
     p, B, H = trace.hidden.shape
@@ -275,9 +286,7 @@ def backward(trace: ForwardTrace, d_output, params: ModelParams) -> np.ndarray:
     if d_out.ndim == 1:
         d_out = d_out[None, :]
     if d_out.shape != trace.output.shape:
-        raise ShapeError(
-            f"upstream gradient {d_out.shape} != output {trace.output.shape}"
-        )
+        raise ShapeError(f"upstream gradient {d_out.shape} != output {trace.output.shape}")
 
     # head: y = relu(W_out head_in + b_out)
     dz = d_out * (trace.pre_head > 0)

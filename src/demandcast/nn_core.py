@@ -26,17 +26,6 @@ def assert_finite(name: str, arr: Array) -> None:
 # activations
 # ---------------------------------------------------------------------------
 
-def sigmoid(x: Array, out: Array | None = None) -> Array:
-    """Logistic function as 0.5 * (tanh(x / 2) + 1), which cannot overflow
-    for large |x|. ``out`` may be ``x`` itself, to squash a buffer in place.
-    """
-    out = np.multiply(as_f64(x), 0.5, out=out)
-    np.tanh(out, out=out)
-    out += 1.0
-    out *= 0.5
-    return out
-
-
 def relu(x: Array) -> Array:
     return np.maximum(as_f64(x), 0.0)
 

@@ -148,14 +148,9 @@ def clip_gradients(params: ModelParams, max_norm: float) -> float:
 def build_model(dataset_width: int, lookback: int, horizon: int,
                 config: TrainConfig, seed: int | None = None) -> ModelParams:
     n = 1 if config.univariate else dataset_width
-    model_cfg = ModelConfig(
-        n_features=n,
-        hidden=config.hidden,
-        horizon=horizon,
-        lookback=lookback,
-        attention=config.attention,
-        head_input=config.head_input,
-    )
+    model_cfg = ModelConfig(n_features=n, hidden=config.hidden, horizon=horizon,
+                            lookback=lookback, attention=config.attention,
+                            head_input=config.head_input)
     return ModelParams.init(model_cfg, config.seed if seed is None else seed)
 
 

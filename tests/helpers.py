@@ -11,7 +11,9 @@ build the inputs of ``join_temperature`` and ``aggregate_demand``, and
 ``per_row_sessions``, which reads each timestamp with the package's
 ``parse_timestamp``. ``SeparateParams``, ``per_tensor_clip`` and
 ``per_tensor_adam_step`` are the per-tensor training update that the flat
-parameter arena replaced. The checkpoint helpers read and rewrite checkpoint
+parameter arena replaced, and ``sigmoid`` and ``whole_batch_forward`` the
+gate squash and the batched forward that the per-step input projection with
+halved sigmoid rows replaced. The checkpoint helpers read and rewrite checkpoint
 files byte by byte, and ``CHECKPOINT_CORRUPTIONS`` is the table of broken
 files that both the loader's and the command line's tests run.
 """
@@ -157,6 +159,76 @@ def scalar_sigmoid(x):
         return 1.0 / (1.0 + math.exp(-x))
     e = math.exp(x)
     return e / (1.0 + e)
+
+
+def sigmoid(x, out=None):
+    """Logistic function as 0.5 * (tanh(x / 2) + 1), which cannot overflow
+    for large |x|. ``out`` may be ``x`` itself, to squash a buffer in place.
+    """
+    out = np.multiply(np.asarray(x, dtype=np.float64), 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
+
+
+def whole_batch_forward(windows, params):
+    """The batched forward as the package ran it before its per-step input
+    projection and halved gate rows: one input-projection GEMM of the whole
+    batch into the (p, B, 4H) gate buffer, one bias pass, then per step the
+    recurrent GEMM, ``sigmoid`` on the f/i/o block and ``tanh`` on Chat.
+    Returns ((B, m) forecasts, a namespace with the trace's fields)."""
+    cfg = params.config
+    windows = np.asarray(windows, dtype=np.float64)
+    B, p, n = windows.shape
+    H = cfg.hidden
+    xs = np.ascontiguousarray(windows.transpose(1, 0, 2))
+    gates = np.empty((p, B, 4 * H))
+    np.matmul(xs.reshape(p * B, n), params.W.value.T, out=gates.reshape(p * B, 4 * H))
+    gates += params.b.value
+    cell = np.empty((p, B, H))
+    hidden = np.empty((p, B, H))
+    U_T = params.U.value.T
+    recurrent = np.empty((B, 4 * H))
+    carry = np.empty((B, H))
+    for t in range(p):
+        g = gates[t]
+        if t:
+            np.matmul(hidden[t - 1], U_T, out=recurrent)
+            g += recurrent
+        sig = g[:, :3 * H]
+        sigmoid(sig, out=sig)
+        chat = g[:, 3 * H:]
+        np.tanh(chat, out=chat)
+        c = cell[t]
+        np.multiply(g[:, H:2 * H], chat, out=c)
+        if t:
+            np.multiply(g[:, :H], cell[t - 1], out=carry)
+            c += carry
+        h = hidden[t]
+        np.tanh(c, out=h)
+        h *= g[:, 2 * H:3 * H]
+
+    scores = weights = context = None
+    if cfg.attention:
+        raw = np.einsum("tbh,h->tb", hidden, params.W_a.value[0]) + params.b_a.value[0]
+        scores = np.tanh(raw)
+        shifted = scores - np.max(scores, axis=0, keepdims=True)
+        ex = np.exp(shifted)
+        weights = ex / np.sum(ex, axis=0, keepdims=True)
+        if cfg.head_input == "context":
+            context = head_in = np.einsum("tb,tbh->bh", weights, hidden)
+        else:
+            weighted = np.empty((B, p, H))
+            np.multiply(weights.T[:, :, None], hidden.transpose(1, 0, 2), out=weighted)
+            head_in = weighted.reshape(B, p * H)
+    else:
+        head_in = hidden[-1]
+    pre_head = head_in @ params.W_out.value.T + params.b_out.value
+    output = np.maximum(pre_head, 0.0)
+    return output, SimpleNamespace(gates=gates, cell=cell, hidden=hidden, scores=scores,
+                                   weights=weights, context=context, head_in=head_in,
+                                   pre_head=pre_head, output=output)
 
 
 def scalar_lstm_step(x, h_prev, c_prev, W, U, b):
@@ -525,4 +597,8 @@ CHECKPOINT_CORRUPTIONS = {
     "v2": (as_checkpoint_v2, ConfigError),
     "huge_model": (_header_edit(_claim_huge_model), ShapeError),
     "huge_model_and_shapes": (_header_edit(_claim_huge_model_and_shapes), ConfigError),
+    "float_hidden": (_header_edit(lambda h: h["model"].update(hidden=float(h["model"]["hidden"]))),
+                     ConfigError),
+    "string_attention": (_header_edit(lambda h: h["model"].update(attention="yes")),
+                         ConfigError),
 }

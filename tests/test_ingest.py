@@ -765,6 +765,10 @@ def test_nul_in_stamp_is_schema_error_naming_line_on_both_paths(tmp_path, monkey
     # rows and cells the per-row reader reads or rejects otherwise than numpy
     pytest.param(load_dataset, ODD_DATASET.replace("\n", "\r"), False, id="cr"),
     pytest.param(load_dataset, ODD_DATASET.replace("\n", "\r", 1), False, id="cr-after-header"),
+    pytest.param(load_dataset, ODD_DATASET.replace("\n", "\r\n").replace(",1\r\n", ",1\r", 1),
+                 False, id="crlf-with-one-lone-cr"),
+    pytest.param(load_dataset, ODD_DATASET.replace("\n", "\r\n") + "\r", False,
+                 id="crlf-then-final-cr"),
     pytest.param(load_dataset, dataset_row("   "), False, id="white-space-row"),
     pytest.param(load_dataset, dataset_row(",,,,,"), False, id="commas-row"),
     pytest.param(load_dataset, dataset_row("# a note"), False, id="hash-line"),
@@ -809,6 +813,30 @@ def test_columnar_path_gives_the_per_row_result(tmp_path, monkeypatch, loader, t
     got, want, took_columnar = both_ways(monkeypatch, loader, path, timezone)
     assert got == want
     assert took_columnar == columnar
+
+
+@pytest.mark.parametrize("loader, data", [
+    pytest.param(load_dataset, ODD_DATASET.replace("\n", "\r\n").encode(), id="plain"),
+    pytest.param(load_dataset, stamp(ODD_DATASET, "2023-05-01 00:15").encode(), id="per-row"),
+    pytest.param(load_temperature_csv, ODD_TEMPERATURE.encode(), id="temperature"),
+    pytest.param(load_dataset, second_row(ODD_DATASET, "warm", "x").encode(), id="bad-cell"),
+    pytest.param(load_dataset, second_row(ODD_DATASET, "-0.25", "-0.\xff").encode("latin-1"),
+                 id="not-utf-8"),
+])
+def test_whole_file_loaders_read_paths_and_streams_alike(tmp_path, loader, data):
+    """A path, a byte stream and (for UTF-8) a text stream give the same
+    arrays or the same error."""
+    path = tmp_path / "input.csv"
+    path.write_bytes(data)
+    got = outcome(loader, path)
+    assert outcome(loader, str(path)) == got
+    assert outcome(loader, io.BytesIO(data)) == got
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        assert got[0] is UnicodeDecodeError
+    else:
+        assert outcome(loader, io.StringIO(text, newline="")) == got
 
 
 # ---------------------------------------------------------------------------

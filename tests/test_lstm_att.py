@@ -27,7 +27,9 @@ from helpers import (
     predict,
     relative_error,
     scalar_lstm_step,
+    sigmoid,
     split_checkpoint,
+    whole_batch_forward,
 )
 
 TINY = ModelConfig(n_features=2, hidden=3, horizon=2, lookback=4)
@@ -39,6 +41,9 @@ HEAD_CONFIGS = [
 # Row-block order of the stacked W, U and b, written out here so that the
 # tests pin the layout instead of reading it from the module.
 LAYOUT = ("f", "i", "o", "C")
+# The fields of a forward trace that hold values, head included.
+TRACE_FIELDS = ("gates", "cell", "hidden", "scores", "weights", "context", "head_in",
+                "pre_head", "output")
 
 
 def tiny_params(seed=3, **cfg_kwargs):
@@ -157,6 +162,82 @@ def test_forward_batch_matches_numpy_oracles(cfg_kwargs):
             head_in = hs[-1]
         forecast = np.maximum(params.W_out.value @ head_in + params.b_out.value, 0.0)
         assert np.max(np.abs(out[j] - forecast)) < 1e-12
+
+
+def test_sigmoid_gates_are_logistic_of_pre_activation_bitwise():
+    """f, i and o are ``sigmoid`` of ((x W) + b) + h U, summed in that order,
+    bit for bit; at pre-activations of +-1000 they are exactly 0 or 1."""
+    rng = np.random.default_rng(15)
+    params = ModelParams.init(ModelConfig(n_features=3, hidden=5, horizon=2, lookback=6), 7)
+    params.b.value[:] = rng.normal(scale=2.0, size=20)
+    windows = rng.normal(scale=3.0, size=(4, 6, 3))
+    _, trace = forward_batch(windows, params)
+    for t in range(6):
+        z = np.ascontiguousarray(windows[:, t]) @ params.W.value.T + params.b.value
+        if t:
+            z += trace.hidden[t - 1] @ params.U.value.T
+        for k, gate in enumerate((trace.f, trace.i, trace.o)):
+            assert gate[t].tobytes() == sigmoid(z[:, 5 * k:5 * (k + 1)]).tobytes(), (t, k)
+
+    params.W.value[:] = 0.0
+    params.U.value[:] = 0.0
+    params.b.value[:15] = np.where(np.arange(15) % 2, 1000.0, -1000.0)
+    _, trace = forward_batch(windows, params)
+    for k, gate in enumerate((trace.f, trace.i, trace.o)):
+        want = sigmoid(params.b.value[5 * k:5 * (k + 1)])
+        assert set(want.tolist()) == {0.0, 1.0}
+        assert np.all(gate == want)
+    assert np.all(np.isfinite(trace.gates)) and np.all(np.isfinite(trace.hidden))
+
+
+# The four train variants with both head inputs, at sizes where the BLAS
+# products run blocked kernels.
+ORACLE_CONFIGS = [
+    ModelConfig(n_features=n, hidden=16, horizon=3, lookback=12, attention=att, head_input=head)
+    for n in (5, 1) for att in (True, False) for head in ("weighted_flatten", "context")
+]
+
+
+def assert_trace_bitwise(got, want):
+    """Every value field of two traces, the output included, is bitwise equal."""
+    for name in TRACE_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("B", [1, 3, 32, 257])
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS,
+                         ids=lambda c: f"n{c.n_features}-att{int(c.attention)}-{c.head_input}")
+def test_forward_batch_matches_whole_batch_oracle_bitwise(cfg, B):
+    """The per-step input projection and the one-tanh gate squash give the
+    bits of the whole-batch projection followed by ``sigmoid``."""
+    params = ModelParams.init(cfg, 41)
+    params.b.value[:] = np.random.default_rng(2).normal(size=params.b.value.shape)
+    windows = np.random.default_rng(B).uniform(-1.0, 2.0, size=(B, cfg.lookback, cfg.n_features))
+    _, want = whole_batch_forward(windows, params)
+    assert_trace_bitwise(forward_batch(windows, params)[1], want)
+
+
+@pytest.mark.parametrize("B", [1, 32])
+def test_forward_batch_matches_whole_batch_oracle_at_paper_size(B):
+    params = ModelParams.init(ModelConfig(n_features=22), 6)
+    windows = np.random.default_rng(B).uniform(0.0, 1.0, size=(B, 96, 22))
+    _, want = whole_batch_forward(windows, params)
+    assert_trace_bitwise(forward_batch(windows, params)[1], want)
+
+
+@pytest.mark.parametrize("cfg_kwargs", HEAD_CONFIGS)
+def test_headless_forward_stops_after_attention_weights(cfg_kwargs):
+    params = tiny_params(seed=33, **cfg_kwargs)
+    windows = np.random.default_rng(16).uniform(0, 1, size=(6, 4, 2))
+    _, full = forward_batch(windows, params)
+    out, trace = forward_batch(windows, params, head=False)
+    assert out is None
+    for name in ("gates", "cell", "hidden", "scores", "weights"):
+        a, b = getattr(trace, name), getattr(full, name)
+        assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
+    assert (trace.weights is None) == (not params.config.attention)
+    assert trace.context is trace.head_in is trace.pre_head is trace.output is None
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +445,16 @@ def test_backward_tape_reuse_rejected():
     backward(trace, np.zeros_like(out), params)
     with pytest.raises(TapeError):
         backward(trace, np.zeros_like(out), params)
+
+
+def test_backward_rejects_headless_trace():
+    params = tiny_params(seed=25)
+    _, trace = forward_batch(np.random.default_rng(12).uniform(0, 1, size=(2, 4, 2)), params,
+                             head=False)
+    params.zero_grad()
+    with pytest.raises(TapeError):
+        backward(trace, np.zeros((2, 2)), params)
+    assert np.array_equal(params.grad, np.zeros_like(params.grad))
 
 
 # ---------------------------------------------------------------------------

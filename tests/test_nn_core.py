@@ -7,10 +7,9 @@ from demandcast.nn_core import (
     glorot_uniform,
     recurrent_uniform,
     relu,
-    sigmoid,
     softmax,
 )
-from helpers import direct_softmax, scalar_sigmoid
+from helpers import direct_softmax, scalar_sigmoid, sigmoid
 
 
 # ---------------------------------------------------------------------------
