@@ -293,7 +293,7 @@ def _load_frozen(checkpoint: str, dataset, timezone: str | None):
 def _predict_fn(params):
     """Batched forecasts, (B, p, n) windows to (B, m), on the model's columns."""
     def fn(windows):
-        return forward_batch(model_inputs(windows, params.config), params)[0]
+        return forward_batch(model_inputs(windows, params.config), params, tape=False)[0]
 
     return fn
 

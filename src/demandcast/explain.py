@@ -242,8 +242,8 @@ def shapley_series(predict_fn, instances, backgrounds,
 def attention_profile(params: ModelParams, windows: WindowedDataset,
                       batch_size: int = 256) -> np.ndarray:
     """Mean attention mass per hour of day, averaged across windows, from
-    one headless ``forward_batch`` call per chunk of ``batch_size`` windows:
-    the weights are all it reads, so no dense head is computed.
+    one headless, tape-free ``forward_batch`` call per chunk of
+    ``batch_size`` windows: the weights are all it reads.
 
     Each window's 96 weights are binned by their timestep's hour; the 24
     bucket means sum to 1 because every weight vector does. Timestep t of a
@@ -263,7 +263,8 @@ def attention_profile(params: ModelParams, windows: WindowedDataset,
     inputs = model_inputs(windows.inputs, params.config)
     buckets = np.zeros(24)
     for start in range(0, n, batch_size):
-        weights = forward_batch(inputs[start:start + batch_size], params, head=False)[1].weights
+        weights = forward_batch(inputs[start:start + batch_size], params, head=False,
+                                tape=False)[1].weights
         p, B = weights.shape
         slot = np.arange(p)[:, None] + slots[start:start + B]  # (p, B)
         hours = slot // (3600 // STEP_SECONDS) % 24

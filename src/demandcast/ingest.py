@@ -331,16 +331,35 @@ def attach_calendar(grid: IntervalSeries, holidays: frozenset[date]) -> Interval
 # file interfaces
 # ---------------------------------------------------------------------------
 
+def _decode(data: bytes, kind: str) -> str:
+    """``data`` as UTF-8 text; a byte sequence that is not UTF-8 is a
+    SchemaError naming the file line it is on."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise SchemaError(f"{kind} line {line}: not UTF-8 text "
+                          f"(byte 0x{data[exc.start]:02x})") from None
+
+
 @contextmanager
-def _open_text(source):
+def _open_text(source, kind: str):
     """A text stream over a path or a byte or text stream; a file opened
-    from a path is closed on exit."""
+    from a path is closed on exit, a text stream is passed through. Bytes
+    that are not UTF-8 are the SchemaError of ``_decode``."""
     if isinstance(source, str) or hasattr(source, "__fspath__"):
-        with open(source, "r", newline="", encoding="utf-8") as fh:
-            yield fh
+        try:
+            with open(source, "r", newline="", encoding="utf-8") as fh:
+                yield fh
+        except UnicodeDecodeError:
+            with open(source, "rb") as fh:
+                _decode(fh.read(), kind)
+            raise
     elif hasattr(source, "read"):
-        text = not isinstance(source.read(0), bytes)
-        yield source if text else io.TextIOWrapper(source, encoding="utf-8", newline="")
+        if isinstance(source.read(0), bytes):  # read whole so that _decode can name the line
+            yield io.StringIO(_decode(source.read(), kind), newline="")
+        else:
+            yield source
     else:
         raise SchemaError(f"unsupported CSV source {type(source).__name__}")
 
@@ -364,7 +383,7 @@ def _read_rows(source, kind: str, names):
     Yields the position of each named column, then the data rows that are
     not blank in blocks of (file lines, rows) of at most BLOCK_ROWS rows, so
     that a large file never holds all its raw cells at once."""
-    with _open_text(source) as stream:
+    with _open_text(source, kind) as stream:
         reader = csv.reader(stream)
         yield _column_positions(reader, kind, names)
         lines, rows = [], []
@@ -514,9 +533,9 @@ def _read_table(source, kind: str, names, timezone: str | None, first_break) -> 
     message) for the first row that breaks it."""
     if isinstance(source, str) or hasattr(source, "__fspath__"):
         with open(source, "rb") as fh:  # one read, one decode: 5x faster than text mode
-            text = fh.read().decode("utf-8")
+            text = _decode(fh.read(), kind)
     else:
-        with _open_text(source) as stream:
+        with _open_text(source, kind) as stream:
             text = stream.read()
     try:
         with warnings.catch_warnings():
@@ -584,7 +603,7 @@ def load_temperature_csv(source, timezone: str | None = None) -> np.ndarray:
 def load_holidays_csv(source) -> frozenset[date]:
     """Read one ISO date per line, under an optional ``date`` header."""
     dates = set()
-    with _open_text(source) as stream:
+    with _open_text(source, "holidays CSV") as stream:
         for line, text in enumerate(map(str.strip, stream), start=1):
             if text and text.lower() != "date":
                 dates.add(_parse_cell("holidays CSV", line, "date", date.fromisoformat, [text], 0))

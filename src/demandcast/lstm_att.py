@@ -13,15 +13,17 @@ Per step t (input x_t, previous hidden h, previous cell C):
 
 The four gates are stacked in the order (f, i, o, C): ``W`` is (4H, n),
 ``U`` is (4H, H) and ``b`` is (4H,), so the three sigmoid gates form one
-contiguous block. sigmoid(z) = (tanh(z / 2) + 1) / 2, so the forward pass
-copies W, U and b with the sigmoid rows halved (exact in binary). Each step
-writes its input projection into its slice of a (p, B, 4H) gate buffer while
-the slice is in cache (at B = 1 one GEMM fills every slice first), adds b and
-one (B, H) @ (H, 4H) recurrent GEMM, applies one tanh to the whole slice and
-maps the sigmoid block t to (t + 1) / 2; the trace's gates are views of that
-buffer and hold the bits the unhalved sigmoid gives. BPTT fills
-the matching (p, B, 4H) gate-gradient buffer with one GEMM per step and
-ends with one GEMM each for dW, dU and the input gradient.
+contiguous block. The recurrence runs batch-last, every per-step array
+(rows, B). The forward pass stacks [W U b] with the sigmoid rows halved
+(exact in binary), as sigmoid(z) = (tanh(z / 2) + 1) / 2. Each step is one
+GEMM of it with the operand [x_t; h_{t-1}; 1], a (n + H + 1, B) slot of two
+that alternate, into a (4H, B) gate row, then one tanh over the row and
+(t + 1) / 2 over its sigmoid block; h_t goes to the (p, H, B) hidden states
+and to the next slot. A taped call keeps every gate and cell row for BPTT, a
+tape-free one reuses one of each. BPTT fills one (4H, B) row of the gate
+gradient dG per step with one GEMM for the hidden-state gradient, and ends
+with one GEMM of dG against the stacked operands [x; h; 1] for [dW dU db];
+the gradient w.r.t. the inputs is not computed.
 
 Attention scores e_t = tanh(W_a h_t + b_a) (one scalar per step) are
 softmax-normalized over time into weights a_t. The head reads either the
@@ -175,15 +177,17 @@ class ModelParams:
 # ---------------------------------------------------------------------------
 
 class ForwardTrace:
-    """Everything the backward pass and the attention export need from one
-    forward call. Arrays are batched: ``gates`` is (p, B, 4H) and ``f``,
-    ``i``, ``o``, ``chat`` are (p, B, H) views of it; cell/hidden states
-    are (p, B, H), scores/weights (p, B). The head fields are None in the
-    trace of a headless call. Single use."""
+    """What ``backward`` and the attention export need from one forward
+    call, as batch-first views of the batch-last buffers: ``hidden`` is
+    (p, B, H), ``scores`` and ``weights`` (p, B), the head fields (B, ·).
+    The tape is ``gates`` (p, B, 4H) with its ``f``, ``i``, ``o``, ``chat``
+    blocks and ``cell`` (p, B, H); a tape-free call leaves it None, a
+    headless call the head fields, and ``backward`` rejects both. Single
+    use."""
 
     __slots__ = ("windows", "gates", "f", "i", "o", "chat", "cell", "hidden",
-                 "scores", "weights", "context", "head_in", "pre_head",
-                 "output", "consumed")
+                 "scores", "weights", "context", "head_in", "pre_head", "output",
+                 "consumed")
 
     def __init__(self, **kw):
         for name in self.__slots__:
@@ -196,10 +200,11 @@ def model_inputs(windows: np.ndarray, config: ModelConfig) -> np.ndarray:
     return windows[..., :config.n_features]
 
 
-def forward_batch(windows, params: ModelParams, *, head: bool = True):
+def forward_batch(windows, params: ModelParams, *, head: bool = True, tape: bool = True):
     """Run the model over a (B, p, n) batch; returns ((B, m) forecasts, trace).
     With ``head=False`` it stops after the attention weights and returns
-    (None, trace), a trace with no head fields that ``backward`` rejects."""
+    (None, trace). With ``tape=False`` it keeps no per-step tape for
+    ``backward``, and gives the same bits."""
     cfg = params.config
     windows = as_f64(windows)
     if windows.ndim != 3:
@@ -212,46 +217,43 @@ def forward_batch(windows, params: ModelParams, *, head: bool = True):
     assert_finite("input", windows)
 
     H = cfg.hidden
-    half = np.where(np.arange(4 * H) < 3 * H, 0.5, 1.0)[:, None]
-    W_T = (params.W.value * half).T
-    U_T = (params.U.value * half).T
-    bias = params.b.value * half[:, 0]
-    xs = np.ascontiguousarray(windows.transpose(1, 0, 2))  # (p, B, n)
-    gates = np.empty((p, B, 4 * H))
-    cell = np.empty((p, B, H))
-    hidden = np.empty((p, B, H))
-    recurrent = np.empty((B, 4 * H))
-    carry = np.empty((B, H))
-    if B == 1:  # numpy sends a one-row product to gemv, whose sums are not gemm's
-        np.matmul(xs[:, 0], W_T, out=gates[:, 0])
+    Wcat = np.concatenate([params.W.value, params.U.value, params.b.value[:, None]], axis=1)
+    Wcat[:3 * H] *= 0.5
+    # step t's one GEMM reads [x_t; h_{t-1}; 1] from slot t % 2 of Z
+    Z = np.empty((2, n + H + 1, B))
+    Z[0, n:n + H] = 0.0
+    Z[:, n + H] = 1.0
+    hidden = np.empty((p, H, B))
+    gates = np.empty((p if tape else 1, 4 * H, B))
+    cell = np.empty((p if tape else 1, H, B))
+    carry = np.empty((H, B))
     for t in range(p):
-        g = gates[t]
-        if B > 1:
-            np.matmul(xs[t], W_T, out=g)
-        g += bias
-        if t:
-            np.matmul(hidden[t - 1], U_T, out=recurrent)
-            g += recurrent
+        k = t if tape else 0
+        g, c, z = gates[k], cell[k], Z[t % 2]
+        z[:n] = windows[:, t].T
+        np.matmul(Wcat, z, out=g)
         np.tanh(g, out=g)
-        g[:, :3 * H] += 1.0
-        g[:, :3 * H] *= 0.5
-        c = cell[t]
-        np.multiply(g[:, H:2 * H], g[:, 3 * H:], out=c)
+        g[:3 * H] += 1.0
+        g[:3 * H] *= 0.5
+        if t:  # f C_{t-1}; a tape-free call's one cell row still holds C_{t-1}
+            np.multiply(g[:H], cell[k - 1] if tape else c, out=carry)
+        np.multiply(g[H:2 * H], g[3 * H:], out=c)
         if t:
-            np.multiply(g[:, :H], cell[t - 1], out=carry)
             c += carry
         h = hidden[t]
         np.tanh(c, out=h)
-        h *= g[:, 2 * H:3 * H]
+        h *= g[2 * H:3 * H]
+        Z[(t + 1) % 2, n:n + H] = h
     assert_finite("lstm", hidden[-1])
 
-    trace = ForwardTrace(windows=windows, gates=gates,
-                         f=gates[:, :, :H], i=gates[:, :, H:2 * H],
-                         o=gates[:, :, 2 * H:3 * H], chat=gates[:, :, 3 * H:],
-                         cell=cell, hidden=hidden)
+    trace = ForwardTrace(windows=windows, hidden=hidden.transpose(0, 2, 1))
+    if tape:
+        gates = gates.transpose(0, 2, 1)
+        trace.gates, trace.cell = gates, cell.transpose(0, 2, 1)
+        trace.f, trace.i, trace.o, trace.chat = (gates[:, :, k * H:(k + 1) * H]
+                                                 for k in range(4))
     if cfg.attention:
-        trace.scores = np.tanh(np.einsum("tbh,h->tb", hidden, params.W_a.value[0])
-                               + params.b_a.value[0])
+        trace.scores = np.tanh(params.W_a.value[0] @ hidden + params.b_a.value[0])
         trace.weights = weights = softmax(trace.scores, axis=0)
         assert_finite("attention", weights)
     if not head:
@@ -259,32 +261,32 @@ def forward_batch(windows, params: ModelParams, *, head: bool = True):
     if not cfg.attention:
         head_in = hidden[-1]
     elif cfg.head_input == "context":
-        head_in = trace.context = np.einsum("tb,tbh->bh", weights, hidden)
+        head_in = np.einsum("tb,thb->hb", weights, hidden)
+        trace.context = head_in.T
     else:
-        # a_t h_t for every step, written straight into the (B, p*H) layout
-        weighted = np.empty((B, p, H))
-        np.multiply(weights.T[:, :, None], hidden.transpose(1, 0, 2), out=weighted)
-        head_in = weighted.reshape(B, p * H)
-    trace.head_in = head_in
-    trace.pre_head = head_in @ params.W_out.value.T + params.b_out.value
+        head_in = (weights[:, None, :] * hidden).reshape(p * H, B)
+    trace.head_in = head_in.T
+    trace.pre_head = head_in.T @ params.W_out.value.T + params.b_out.value
     trace.output = output = relu(trace.pre_head)
     assert_finite("head", output)
     return output, trace
 
 
-def backward(trace: ForwardTrace, d_output, params: ModelParams) -> np.ndarray:
-    """Reverse-mode pass: accumulate all parameter gradients in place and
-    return the gradient w.r.t. the input windows, shape (B, p, n)."""
+def backward(trace: ForwardTrace, d_output, params: ModelParams) -> None:
+    """Reverse-mode pass: accumulate all parameter gradients in place. The
+    gradient w.r.t. the input windows is not computed."""
     if trace.consumed:
         raise TapeError("forward trace already consumed by a backward call")
     if trace.output is None:
         raise TapeError("forward trace has no head to differentiate (head=False)")
+    if trace.gates is None:
+        raise TapeError("forward trace kept no tape to differentiate (tape=False)")
     trace.consumed = True
     cfg = params.config
     p, B, H = trace.hidden.shape
-    d_out = as_f64(d_output)
-    if d_out.ndim == 1:
-        d_out = d_out[None, :]
+    n = cfg.n_features
+    hidden = trace.hidden.transpose(0, 2, 1)  # (p, H, B)
+    d_out = np.atleast_2d(as_f64(d_output))
     if d_out.shape != trace.output.shape:
         raise ShapeError(f"upstream gradient {d_out.shape} != output {trace.output.shape}")
 
@@ -292,42 +294,42 @@ def backward(trace: ForwardTrace, d_output, params: ModelParams) -> np.ndarray:
     dz = d_out * (trace.pre_head > 0)
     params.W_out.grad += dz.T @ trace.head_in
     params.b_out.grad += dz.sum(axis=0)
-    d_head_in = dz @ params.W_out.value
+    d_head_in = params.W_out.value.T @ dz.T  # (head_dim, B)
 
     if cfg.attention:
         if cfg.head_input == "context":
-            d_ctx = d_head_in  # (B, H)
-            d_w = np.einsum("bh,tbh->tb", d_ctx, trace.hidden)
-            dH = trace.weights[:, :, None] * d_ctx[None, :, :]
+            d_w = np.einsum("hb,thb->tb", d_head_in, hidden)
+            dH = trace.weights[:, None, :] * d_head_in
         else:
-            d_weighted = d_head_in.reshape(B, p, H).transpose(1, 0, 2)
-            d_w = np.einsum("tbh,tbh->tb", d_weighted, trace.hidden)
-            dH = trace.weights[:, :, None] * d_weighted
+            d_weighted = d_head_in.reshape(p, H, B)
+            d_w = np.einsum("thb,thb->tb", d_weighted, hidden)
+            dH = trace.weights[:, None, :] * d_weighted
         # softmax over the time axis, then the tanh score squash
         inner = np.sum(trace.weights * d_w, axis=0, keepdims=True)
         d_e = trace.weights * (d_w - inner)
         d_raw = d_e * (1.0 - trace.scores ** 2)
-        params.W_a.grad[0] += np.einsum("tb,tbh->h", d_raw, trace.hidden)
+        params.W_a.grad[0] += np.einsum("tb,thb->h", d_raw, hidden)
         params.b_a.grad[0] += d_raw.sum()
-        dH += d_raw[:, :, None] * params.W_a.value[0][None, None, :]
+        dH += d_raw[:, None, :] * params.W_a.value[0][:, None]
     else:
-        dH = np.zeros((p, B, H))
+        dH = np.zeros((p, H, B))
         dH[-1] = d_head_in
 
-    # Backpropagation through time, one (B, 4H) row of dG per step:
-    # dG_t = local gate derivatives * per-gate multipliers, each row built
-    # with whole-row operations where the stacked layout allows.
+    # BPTT, one (4H, B) row of dG = dLoss/d(pre-activation) per step: the
+    # local gate derivatives times per-gate multipliers,
     #   local:      s (1 - s) for f, i, o;  1 - Chat^2 for C
     #   multiplier: dC C_{t-1}, dC Chat, dh tanh(C_t), dC i
-    f, i, o, chat, cell = trace.f, trace.i, trace.o, trace.chat, trace.cell
-    U = params.U.value
-    dG = np.empty((p, B, 4 * H))
-    mult = np.empty((B, 4 * H))
-    m_f, m_i, m_o, m_c = (mult[:, k * H:(k + 1) * H] for k in range(4))
-    square = np.empty((B, 4 * H))
-    dh_next = np.zeros((B, H))
-    dc = np.zeros((B, H))  # dLoss/dC_t, carried back through f
-    work = np.empty((B, H))
+    # dG is (4H, p, B), so the closing weight gradient is one GEMM.
+    gates = trace.gates.transpose(0, 2, 1)  # (p, 4H, B)
+    f, i, o, chat = (gates[:, k * H:(k + 1) * H] for k in range(4))
+    cell = trace.cell.transpose(0, 2, 1)  # (p, H, B)
+    U_T = params.U.value.T
+    dG = np.empty((4 * H, p, B))
+    local, mult = np.empty((4 * H, B)), np.empty((4 * H, B))
+    m_f, m_i, m_o, m_c = (mult[k * H:(k + 1) * H] for k in range(4))
+    dh_next = np.zeros((H, B))
+    dc = np.zeros((H, B))  # dLoss/dC_t, carried back through f
+    work = np.empty((H, B))
     for t in range(p - 1, -1, -1):
         dh = dH[t]
         dh += dh_next
@@ -343,23 +345,25 @@ def backward(trace: ForwardTrace, d_output, params: ModelParams) -> np.ndarray:
             m_f[...] = 0.0  # C_{-1} = 0
         np.multiply(dc, chat[t], out=m_i)
         np.multiply(dc, i[t], out=m_c)
-        s = trace.gates[t]
-        g = dG[t]
-        np.multiply(s, s, out=square)
-        np.subtract(s, square, out=g)
-        np.subtract(1.0, square[:, 3 * H:], out=g[:, 3 * H:])
-        g *= mult
-        dc *= f[t]
-        np.matmul(g, U, out=dh_next)
+        s = gates[t]
+        np.multiply(s, s, out=local)
+        np.subtract(s[:3 * H], local[:3 * H], out=local[:3 * H])
+        np.subtract(1.0, local[3 * H:], out=local[3 * H:])
+        g = np.multiply(local, mult, out=dG[:, t])
+        if t:
+            dc *= f[t]
+            np.matmul(U_T, g, out=dh_next)
 
-    flat_g = dG.reshape(p * B, 4 * H)
-    flat_x = np.ascontiguousarray(trace.windows.transpose(1, 0, 2)).reshape(p * B, -1)
-    params.W.grad += (flat_x.T @ flat_g).T
-    # h_{-1} = 0, so step 0 adds nothing to dU
-    params.U.grad += flat_g[B:].T @ trace.hidden[:-1].reshape((p - 1) * B, H)
-    params.b.grad += flat_g.sum(axis=0)
-    d_inputs = flat_g @ params.W.value
-    return d_inputs.reshape(p, B, -1).transpose(1, 0, 2)
+    # [dW dU db] = dG [x; h; 1]^T, summed over steps and windows
+    operands = np.empty((n + H + 1, p, B))
+    operands[:n] = trace.windows.transpose(2, 1, 0)
+    operands[n:n + H, 0] = 0.0
+    operands[n:n + H, 1:] = hidden[:-1].transpose(1, 0, 2)
+    operands[n + H] = 1.0
+    d_cat = operands.reshape(n + H + 1, p * B) @ dG.reshape(4 * H, p * B).T
+    params.W.grad += d_cat[:n].T
+    params.U.grad += d_cat[n:n + H].T
+    params.b.grad += d_cat[n + H]
 
 
 # ---------------------------------------------------------------------------

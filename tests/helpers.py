@@ -11,9 +11,10 @@ build the inputs of ``join_temperature`` and ``aggregate_demand``, and
 ``per_row_sessions``, which reads each timestamp with the package's
 ``parse_timestamp``. ``SeparateParams``, ``per_tensor_clip`` and
 ``per_tensor_adam_step`` are the per-tensor training update that the flat
-parameter arena replaced, and ``sigmoid`` and ``whole_batch_forward`` the
-gate squash and the batched forward that the per-step input projection with
-halved sigmoid rows replaced. The checkpoint helpers read and rewrite checkpoint
+parameter arena replaced; ``sigmoid``, ``whole_batch_forward`` and
+``row_major_backward`` are the gate squash, the batched forward and its
+backward pass in the row-major (B, 4H) step layout that the batch-last core
+replaced. The checkpoint helpers read and rewrite checkpoint
 files byte by byte, and ``CHECKPOINT_CORRUPTIONS`` is the table of broken
 files that both the loader's and the command line's tests run.
 """
@@ -173,11 +174,12 @@ def sigmoid(x, out=None):
 
 
 def whole_batch_forward(windows, params):
-    """The batched forward as the package ran it before its per-step input
-    projection and halved gate rows: one input-projection GEMM of the whole
-    batch into the (p, B, 4H) gate buffer, one bias pass, then per step the
-    recurrent GEMM, ``sigmoid`` on the f/i/o block and ``tanh`` on Chat.
-    Returns ((B, m) forecasts, a namespace with the trace's fields)."""
+    """The batched forward in the row-major step layout: one
+    input-projection GEMM of the whole batch into the (p, B, 4H) gate
+    buffer, one bias pass, then per step the (B, H) @ (H, 4H) recurrent
+    GEMM, ``sigmoid`` on the f/i/o block and ``tanh`` on Chat. Returns
+    ((B, m) forecasts, a namespace with the trace's fields, which
+    ``row_major_backward`` reads)."""
     cfg = params.config
     windows = np.asarray(windows, dtype=np.float64)
     B, p, n = windows.shape
@@ -226,9 +228,90 @@ def whole_batch_forward(windows, params):
         head_in = hidden[-1]
     pre_head = head_in @ params.W_out.value.T + params.b_out.value
     output = np.maximum(pre_head, 0.0)
-    return output, SimpleNamespace(gates=gates, cell=cell, hidden=hidden, scores=scores,
-                                   weights=weights, context=context, head_in=head_in,
-                                   pre_head=pre_head, output=output)
+    return output, SimpleNamespace(windows=windows, gates=gates, cell=cell, hidden=hidden,
+                                   scores=scores, weights=weights, context=context,
+                                   head_in=head_in, pre_head=pre_head, output=output)
+
+
+def row_major_backward(trace, d_output, params):
+    """Reverse-mode pass over a ``whole_batch_forward`` trace in its
+    row-major layout: one (B, 4H) row of the gate gradient per step, then
+    one GEMM each for dW, dU and the input gradient. Accumulates into each
+    tensor's ``grad`` and returns the (B, p, n) input gradient."""
+    cfg = params.config
+    p, B, H = trace.hidden.shape
+    d_out = np.atleast_2d(np.asarray(d_output, dtype=np.float64))
+
+    # head: y = relu(W_out head_in + b_out)
+    dz = d_out * (trace.pre_head > 0)
+    params.W_out.grad += dz.T @ trace.head_in
+    params.b_out.grad += dz.sum(axis=0)
+    d_head_in = dz @ params.W_out.value
+
+    if cfg.attention:
+        if cfg.head_input == "context":
+            d_w = np.einsum("bh,tbh->tb", d_head_in, trace.hidden)
+            dH = trace.weights[:, :, None] * d_head_in[None, :, :]
+        else:
+            d_weighted = d_head_in.reshape(B, p, H).transpose(1, 0, 2)
+            d_w = np.einsum("tbh,tbh->tb", d_weighted, trace.hidden)
+            dH = trace.weights[:, :, None] * d_weighted
+        # softmax over the time axis, then the tanh score squash
+        inner = np.sum(trace.weights * d_w, axis=0, keepdims=True)
+        d_e = trace.weights * (d_w - inner)
+        d_raw = d_e * (1.0 - trace.scores ** 2)
+        params.W_a.grad[0] += np.einsum("tb,tbh->h", d_raw, trace.hidden)
+        params.b_a.grad[0] += d_raw.sum()
+        dH += d_raw[:, :, None] * params.W_a.value[0][None, None, :]
+    else:
+        dH = np.zeros((p, B, H))
+        dH[-1] = d_head_in
+
+    # dG_t = local gate derivatives * per-gate multipliers:
+    #   local:      s (1 - s) for f, i, o;  1 - Chat^2 for C
+    #   multiplier: dC C_{t-1}, dC Chat, dh tanh(C_t), dC i
+    gates, cell = trace.gates, trace.cell
+    f, i, o, chat = (gates[:, :, k * H:(k + 1) * H] for k in range(4))
+    U = params.U.value
+    dG = np.empty((p, B, 4 * H))
+    mult = np.empty((B, 4 * H))
+    m_f, m_i, m_o, m_c = (mult[:, k * H:(k + 1) * H] for k in range(4))
+    square = np.empty((B, 4 * H))
+    dh_next = np.zeros((B, H))
+    dc = np.zeros((B, H))  # dLoss/dC_t, carried back through f
+    work = np.empty((B, H))
+    for t in range(p - 1, -1, -1):
+        dh = dH[t]
+        dh += dh_next
+        np.tanh(cell[t], out=work)
+        np.multiply(dh, work, out=m_o)
+        work *= m_o
+        np.subtract(dh, work, out=work)  # dh (1 - tanh(C_t)^2)
+        work *= o[t]
+        dc += work
+        if t:
+            np.multiply(dc, cell[t - 1], out=m_f)
+        else:
+            m_f[...] = 0.0  # C_{-1} = 0
+        np.multiply(dc, chat[t], out=m_i)
+        np.multiply(dc, i[t], out=m_c)
+        s = gates[t]
+        g = dG[t]
+        np.multiply(s, s, out=square)
+        np.subtract(s, square, out=g)
+        np.subtract(1.0, square[:, 3 * H:], out=g[:, 3 * H:])
+        g *= mult
+        dc *= f[t]
+        np.matmul(g, U, out=dh_next)
+
+    flat_g = dG.reshape(p * B, 4 * H)
+    flat_x = np.ascontiguousarray(trace.windows.transpose(1, 0, 2)).reshape(p * B, -1)
+    params.W.grad += (flat_x.T @ flat_g).T
+    # h_{-1} = 0, so step 0 adds nothing to dU
+    params.U.grad += flat_g[B:].T @ trace.hidden[:-1].reshape((p - 1) * B, H)
+    params.b.grad += flat_g.sum(axis=0)
+    d_inputs = flat_g @ params.W.value
+    return d_inputs.reshape(p, B, -1).transpose(1, 0, 2)
 
 
 def scalar_lstm_step(x, h_prev, c_prev, W, U, b):

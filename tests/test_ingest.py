@@ -589,13 +589,28 @@ LONG_GRID = "timestamp,demand\n" + "".join(
                  SchemaError, "line 3: timestamp: unparseable", id="dataset-stamp-nul"),
     pytest.param(load_temperature_csv, TEMPERATURE + "2023-05-01 00:15:00\x00,11\n",
                  SchemaError, "line 3: timestamp: unparseable", id="temperature-stamp-nul"),
+    pytest.param(load_demand_grid, GRID.encode() + b"2023-05-01 00:15,\xff\n",
+                 SchemaError, "line 3: not UTF-8 text (byte 0xff)", id="grid-not-utf8"),
+    pytest.param(load_temperature_csv, TEMPERATURE.encode() + b"\n2023-05-01 00:15,1\xe9\n",
+                 SchemaError, "line 4: not UTF-8 text (byte 0xe9)", id="temperature-not-utf8"),
+    pytest.param(load_dataset, DATASET.encode() + b"2023-05-01 00:15,\xff,10.5,0,5,1\n",
+                 SchemaError, "line 3: not UTF-8 text (byte 0xff)", id="dataset-not-utf8"),
+    pytest.param(parse_sessions,
+                 (HEADER + "2023-05-01 08:00,2023-05-01 09:00,2023-05-01 09:30,7.5\n").encode()
+                 + b"2023-05-01 10:00,2023-05-01 11:00,2023-05-01 11:30,\xff\n",
+                 SchemaError, "line 3: not UTF-8 text (byte 0xff)", id="sessions-not-utf8"),
+    pytest.param(load_holidays_csv, b"date\n2023-07-04\r\n2023-12-2\x80\n",
+                 SchemaError, "line 3: not UTF-8 text (byte 0x80)", id="holiday-not-utf8"),
 ])
 def test_bad_input_is_typed_error_naming_file_line(tmp_path, loader, text, error, where):
+    """The loader names the file line from a path and from a byte stream."""
+    data = text if isinstance(text, bytes) else text.encode()
     path = tmp_path / "input.csv"
-    path.write_text(text)
-    with pytest.raises(error) as err:
-        loader(path)
-    assert where in str(err.value)
+    path.write_bytes(data)
+    for source in (path, io.BytesIO(data)):
+        with pytest.raises(error) as err:
+            loader(source)
+        assert where in str(err.value), source
 
 
 # ---------------------------------------------------------------------------
@@ -834,7 +849,7 @@ def test_whole_file_loaders_read_paths_and_streams_alike(tmp_path, loader, data)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
-        assert got[0] is UnicodeDecodeError
+        assert got[0] is SchemaError and "line 3: not UTF-8 text (byte 0xff)" in got[1]
     else:
         assert outcome(loader, io.StringIO(text, newline="")) == got
 

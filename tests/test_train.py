@@ -15,6 +15,7 @@ from demandcast.lstm_att import (
 )
 from demandcast.synth import SynthConfig, generate
 from demandcast.train import (
+    ADAM_BLOCK,
     AdamState,
     TrainConfig,
     adam_step,
@@ -140,14 +141,19 @@ def test_clip_gradients_scales_to_max_norm():
 TIGHT_CLIP = 1e-3
 
 
-@pytest.mark.parametrize("cfg_kwargs", [{}, {"head_input": "context"}, {"attention": False}])
+# The last case's arena spans one full ADAM_BLOCK and part of a second.
+@pytest.mark.parametrize("cfg_kwargs", [{}, {"head_input": "context"}, {"attention": False},
+                                        {"hidden": 90}])
 def test_arena_update_matches_per_tensor_oracle_bitwise(cfg_kwargs):
     """Seeded training steps with clipping: zero_grad, clip_gradients and
     adam_step on the arena give the values and moments of the per-tensor
     loop over separate arrays, bit for bit."""
     rng = np.random.default_rng(17)
-    cfg = ModelConfig(n_features=3, hidden=4, horizon=5, lookback=6, **cfg_kwargs)
+    cfg = ModelConfig(**{"n_features": 3, "hidden": 4, "horizon": 5, "lookback": 6,
+                         **cfg_kwargs})
     params = ModelParams.init(cfg, 41)
+    if "hidden" in cfg_kwargs:
+        assert ADAM_BLOCK < params.value.size < 2 * ADAM_BLOCK
     oracle = SeparateParams(params)
     state = AdamState(params.value.size)
     ms = [np.zeros_like(t.value) for t in oracle.tensors()]
