@@ -14,6 +14,14 @@ per epoch. Despite the name, each is a ``demandcast/checkpoint-v3`` file
 The header carries the feature schema, the pipeline settings and the
 fitted scaler, so predict, explain and attention need only the checkpoint
 file and a dataset.
+
+Every command that reads a dataset file parses each content once. The
+parsed columns are kept in ``$XDG_CACHE_HOME/demandcast/`` (by default
+``~/.cache/demandcast/``; nothing is kept without a home directory), keyed
+by the SHA-256 of the cache format, the dataset reader's source, the
+timezone and the file's bytes, so an edited file, reader or timezone is
+parsed again. An entry takes about 19 bytes a row (1.3 MB for 730 days).
+Nothing is evicted; the directory can be deleted at any time.
 """
 
 from __future__ import annotations
@@ -429,7 +437,7 @@ def cmd_attention(args, cfg: dict, out: OutputDir) -> None:
                                                cfg.get("timezone"))
     if args.limit is not None and args.limit < len(windows):
         step = max(1, len(windows) // args.limit)
-        keep = list(range(0, len(windows), step))[:args.limit]
+        keep = slice(0, step * args.limit, step)  # a basic slice: views, not copies
         windows = WindowedDataset(windows.inputs[keep], windows.targets[keep],
                                   windows.origins[keep], windows.lookback, windows.horizon)
     profile = attention_profile(params, windows)

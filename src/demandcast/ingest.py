@@ -40,19 +40,30 @@ The demand grid, temperature and dataset files are each one call to
 a time with one ``%`` format of a row format repeated per row, so no cell
 is formatted by a Python loop, and ends every line with CRLF. Its files are
 plain text that the columnar path reads.
+
+``load_dataset`` parses each dataset content once: it keeps the parsed
+columns as raw bytes in a cache entry keyed by the file's bytes, this
+module's source and the timezone (see ``_cache_entry``), and a later load of
+the same bytes reads the entry instead of the CSV text.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import math
+import os
 import re
+import struct
+import tempfile
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta
+from functools import cache
 from operator import itemgetter
+from pathlib import Path
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -342,12 +353,16 @@ def _decode(data: bytes, kind: str) -> str:
                           f"(byte 0x{data[exc.start]:02x})") from None
 
 
+def _is_path(source) -> bool:
+    return isinstance(source, str) or hasattr(source, "__fspath__")
+
+
 @contextmanager
 def _open_text(source, kind: str):
     """A text stream over a path or a byte or text stream; a file opened
     from a path is closed on exit, a text stream is passed through. Bytes
     that are not UTF-8 are the SchemaError of ``_decode``."""
-    if isinstance(source, str) or hasattr(source, "__fspath__"):
+    if _is_path(source):
         try:
             with open(source, "r", newline="", encoding="utf-8") as fh:
                 yield fh
@@ -530,10 +545,13 @@ def _read_table(source, kind: str, names, timezone: str | None, first_break) -> 
     same and whose errors name the file line.
 
     ``first_break(times)`` is None if the rule holds, else (row, error type,
-    message) for the first row that breaks it."""
-    if isinstance(source, str) or hasattr(source, "__fspath__"):
+    message) for the first row that breaks it. ``source`` may also be the
+    file's bytes."""
+    if _is_path(source):
         with open(source, "rb") as fh:  # one read, one decode: 5x faster than text mode
-            text = _decode(fh.read(), kind)
+            source = fh.read()
+    if isinstance(source, bytes):
+        text = _decode(source, kind)
     else:
         with _open_text(source, kind) as stream:
             text = stream.read()
@@ -648,9 +666,107 @@ def write_dataset(path, series: IntervalSeries) -> None:
 
 
 def load_dataset(source, timezone: str | None = None) -> IntervalSeries:
+    """Read a dataset file (``write_dataset``'s columns). A path's bytes are
+    read once; the cache entry of those bytes gives the series if it holds
+    one, else they are parsed and the result is kept as their entry."""
+    if not _is_path(source):
+        return _parse_dataset(source, timezone)
+    with open(source, "rb") as fh:
+        data = fh.read()
+    entry = _cache_entry(data, timezone)
+    series = _read_entry(*entry) if entry else None
+    if series is None:
+        series = _parse_dataset(data, timezone)
+        if entry:
+            _write_entry(*entry, series)
+    return series
+
+
+def _parse_dataset(source, timezone: str | None) -> IntervalSeries:
     kind = "dataset CSV"
     times, demand, temp, weekday, month, holiday = _read_table(
         source, kind, DATASET_COLUMNS, timezone, _off_grid)
     return IntervalSeries(origin=_grid_origin(kind, times), demand=demand, temperature=temp,
                           weekday=weekday.astype(np.int8), month=month.astype(np.int8),
                           holiday=holiday.astype(bool))
+
+
+# A dataset cache entry: the _ENTRY header (format tag, key, SHA-256 of the
+# rest, rows, origin in epoch seconds), then each _CACHED column's raw bytes,
+# _ROW_BYTES (19) a row. It is named by its key and holds it, so a renamed
+# entry does not match.
+_CACHE_TAG = b"demandcast/dataset-cache-v1"
+_ENTRY = struct.Struct("<32s32s32sqq")
+_CACHED = (("demand", "<i8"), ("temperature", "<f8"), ("weekday", "i1"), ("month", "i1"),
+           ("holiday", "?"))
+_ROW_BYTES = sum(np.dtype(dtype).itemsize for _, dtype in _CACHED)
+
+
+@cache
+def _reader_digest() -> bytes | None:
+    """SHA-256 of this module's source, or None if it cannot be read."""
+    try:
+        return hashlib.sha256(Path(__file__).read_bytes()).digest()
+    except OSError:  # no source to key by: every load parses
+        return None
+
+
+def _cache_entry(data: bytes, timezone: str | None) -> tuple[str, bytes] | None:
+    """The entry path and key of a dataset file's bytes read with
+    ``timezone``, or None if there is no cache: the entry lives in
+    $XDG_CACHE_HOME/demandcast, or ~/.cache/demandcast if XDG_CACHE_HOME is
+    not an absolute path, and nowhere if the home directory is not one."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    reader = _reader_digest()
+    if reader is None or not os.path.isabs(base):
+        return None
+    digest = hashlib.sha256(_CACHE_TAG + reader + repr(timezone).encode() + b"\n")
+    digest.update(data)
+    key = digest.digest()
+    return os.path.join(base, "demandcast", key.hex() + ".bin"), key
+
+
+def _read_entry(path: str, key: bytes) -> IntervalSeries | None:
+    """The series of the entry at ``path``, or None if it cannot be read or
+    is not a whole entry of ``key``."""
+    try:
+        entry = bytearray(Path(path).read_bytes())  # writeable columns, as a parse gives
+        tag, stored, digest, rows, origin = _ENTRY.unpack_from(entry)
+    except (OSError, struct.error):  # no entry, or not even a header
+        return None
+    body = memoryview(entry)[_ENTRY.size:]
+    if ((tag.rstrip(b"\0"), stored, len(body)) != (_CACHE_TAG, key, _ROW_BYTES * rows)
+            or hashlib.sha256(body).digest() != digest):
+        return None
+    columns, offset = {}, _ENTRY.size
+    for name, dtype in _CACHED:
+        columns[name] = np.frombuffer(entry, dtype, rows, offset)
+        offset += columns[name].nbytes
+    return IntervalSeries(origin=EPOCH + timedelta(seconds=origin), **columns)
+
+
+def _write_entry(path: str, key: bytes, series: IntervalSeries) -> None:
+    """Keep ``series`` as the entry of ``key`` at ``path``: written to a
+    temporary file, then renamed onto the entry. Nothing is written if the
+    cache directory cannot hold it."""
+    columns = [np.ascontiguousarray(getattr(series, n), d) for n, d in _CACHED]
+    digest = hashlib.sha256()
+    for column in columns:
+        digest.update(column)
+    origin = (series.origin - EPOCH) // timedelta(seconds=1)
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd, temp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(_ENTRY.pack(_CACHE_TAG, key, digest.digest(), len(series), origin))
+                for column in columns:
+                    fh.write(column)
+            os.replace(temp, path)
+        except BaseException:
+            os.unlink(temp)
+            raise
+    except OSError:
+        pass  # the load stays uncached

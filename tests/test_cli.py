@@ -16,8 +16,8 @@ import pytest
 
 from demandcast import cli
 from demandcast.errors import ConfigError
-from demandcast.explain import default_groups
-from demandcast.features import inverse_transform
+from demandcast.explain import attention_profile, default_groups, write_attention_csv
+from demandcast.features import WindowedDataset, inverse_transform
 from demandcast.ingest import format_times, grid_span, grid_times
 from demandcast.lstm_att import forward_batch, load_checkpoint, save_checkpoint
 from helpers import (
@@ -178,6 +178,35 @@ def test_univariate_model_reads_the_demand_column_only(trained, univariate, tmp_
     with open(tmp_path / "attention" / "attention.csv", newline="") as fh:
         weights = [float(r["mean_weight"]) for r in csv.DictReader(fh)]
     assert len(weights) == 24 and abs(sum(weights) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("limit", [7, 64, 2688])
+def test_attention_limit_profiles_every_step_th_window(trained, tmp_path, limit):
+    """--limit profiles the windows 0, step, 2 step, ... of the first
+    ``limit`` of ``range(0, N, step)``, ``step`` = N // limit."""
+    ckpt, dataset = trained["model"] / "checkpoint.json", trained["dataset"]
+    assert run("attention", "--out", tmp_path / "attention", "--checkpoint", ckpt,
+               "--dataset", dataset, "--limit", limit) == (0, [])
+    params, _, _, _, windows = cli._load_frozen(str(ckpt), dataset, None)
+    keep = list(range(0, len(windows), len(windows) // limit))[:limit]
+    write_attention_csv(tmp_path / "want.csv", attention_profile(params, WindowedDataset(
+        windows.inputs[keep], windows.targets[keep], windows.origins[keep],
+        windows.lookback, windows.horizon)))
+    assert ((tmp_path / "attention" / "attention.csv").read_bytes()
+            == (tmp_path / "want.csv").read_bytes())
+
+
+@pytest.mark.parametrize("cache", ["usable", "a-file"])
+def test_missing_dataset_one_io_line(trained, tmp_path, monkeypatch, cache):
+    if cache == "a-file":
+        (tmp_path / "a-file").write_text("x")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "a-file"))
+    out = tmp_path / "out"
+    rc, lines = run("predict", "--out", out, "--checkpoint", trained["model"] / "checkpoint.json",
+                    "--dataset", tmp_path / "missing.csv")
+    assert rc == 1
+    assert len(lines) == 1 and lines[0].startswith("io: ") and "missing.csv" in lines[0], lines
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("corrupt", sorted(CHECKPOINT_CORRUPTIONS))

@@ -632,10 +632,11 @@ def outcome(loader, *args):
     return result.dtype.descr, result.tobytes()
 
 
-def both_ways(monkeypatch, loader, *args):
+def both_ways(monkeypatch, tmp_path, loader, *args):
     """The outcome of ``loader(*args)``, the outcome with the columnar path
     switched off (the per-row oracle), and whether the columnar path served
-    the first call."""
+    the first call. Each call has its own empty dataset cache, so neither
+    reads what the other kept."""
     per_row_calls = []
     read_columns = ingest._read_columns
 
@@ -647,12 +648,17 @@ def both_ways(monkeypatch, loader, *args):
         raise ValueError("columnar path switched off")
 
     with monkeypatch.context() as m:
+        m.setenv("XDG_CACHE_HOME", str(tmp_path / "cache-got"))
         m.setattr(ingest, "_read_columns", counted)
         got = outcome(loader, *args)
+    columnar = not per_row_calls
     with monkeypatch.context() as m:
+        m.setenv("XDG_CACHE_HOME", str(tmp_path / "cache-want"))
+        m.setattr(ingest, "_read_columns", counted)
         m.setattr(ingest, "_columnar", switched_off)
         want = outcome(loader, *args)
-    return got, want, not per_row_calls
+    assert len(per_row_calls) == (not columnar) + 1, "the per-row reader did not give want"
+    return got, want, columnar
 
 
 @pytest.mark.parametrize("timezone", [None, "America/Los_Angeles"])
@@ -665,7 +671,7 @@ def test_columnar_loaders_equal_per_row_reader_on_synth_export(tmp_path, monkeyp
     for loader, path in ((load_demand_grid, paths["demand"]),
                          (load_temperature_csv, paths["temperature"]),
                          (load_dataset, tmp_path / "dataset.csv")):
-        got, want, columnar = both_ways(monkeypatch, loader, path, timezone)
+        got, want, columnar = both_ways(monkeypatch, tmp_path, loader, path, timezone)
         assert columnar, loader.__name__
         assert got == want, loader.__name__
 
@@ -708,7 +714,7 @@ def dataset_row(row):
 def test_nul_in_stamp_is_schema_error_naming_line_on_both_paths(tmp_path, monkeypatch):
     path = tmp_path / "input.csv"
     path.write_bytes(stamp(ODD_DATASET, "2023-05-01 00:15:00\x00").encode("utf-8"))
-    got, want, _ = both_ways(monkeypatch, load_dataset, path, None)
+    got, want, _ = both_ways(monkeypatch, tmp_path, load_dataset, path, None)
     assert got == want
     assert got[0] is SchemaError and "line 3: timestamp: unparseable timestamp" in got[1]
 
@@ -825,7 +831,7 @@ def test_columnar_path_gives_the_per_row_result(tmp_path, monkeypatch, loader, t
                                                 timezone):
     path = tmp_path / "input.csv"
     path.write_bytes(text.encode("utf-8"))
-    got, want, took_columnar = both_ways(monkeypatch, loader, path, timezone)
+    got, want, took_columnar = both_ways(monkeypatch, tmp_path, loader, path, timezone)
     assert got == want
     assert took_columnar == columnar
 
@@ -852,6 +858,180 @@ def test_whole_file_loaders_read_paths_and_streams_alike(tmp_path, loader, data)
         assert got[0] is SchemaError and "line 3: not UTF-8 text (byte 0xff)" in got[1]
     else:
         assert outcome(loader, io.StringIO(text, newline="")) == got
+
+
+# ---------------------------------------------------------------------------
+# the dataset cache
+# ---------------------------------------------------------------------------
+
+REORDERED_DATASET = "holiday,month,weekday,temp_c,demand,timestamp\n" + "".join(
+    ",".join(reversed(row.split(","))) + "\n" for row in ODD_DATASET.splitlines()[1:])
+
+
+def cache_files(tmp_path):
+    """Every file in the dataset cache directory of the test."""
+    return sorted((tmp_path / "demandcast").glob("*"))
+
+
+def parses(monkeypatch):
+    """A list that gets one item for every dataset CSV that is parsed."""
+    calls = []
+    parse = ingest._parse_dataset
+    monkeypatch.setattr(ingest, "_parse_dataset", lambda *a: calls.append(a) or parse(*a))
+    return calls
+
+
+@pytest.mark.parametrize("timezone", [None, "America/Los_Angeles"])
+@pytest.mark.parametrize("text", [
+    pytest.param(ODD_DATASET, id="lf"),
+    pytest.param(ODD_DATASET.replace("\n", "\r\n"), id="crlf"),
+    pytest.param(stamp(ODD_DATASET, "2023-05-01T00:15:00"), id="t-separator"),
+    pytest.param(REORDERED_DATASET, id="reordered-columns"),
+    pytest.param(stamp(ODD_DATASET, "2023-05-01 00:15"), id="per-row-reader"),
+])
+def test_warm_load_equals_cold_load(tmp_path, monkeypatch, text, timezone):
+    path = tmp_path / "dataset.csv"
+    path.write_bytes(text.encode())
+    calls = parses(monkeypatch)
+    cold = load_dataset(path, timezone)
+    [entry] = cache_files(tmp_path)
+    assert entry.stat().st_size == ingest._ENTRY.size + 19 * len(cold)
+    warm = load_dataset(path, timezone)
+    assert len(calls) == 1
+    assert outcome(lambda: warm) == outcome(lambda: cold)
+    for name in ("demand", "temperature", "weekday", "month", "holiday"):
+        column = getattr(warm, name)
+        assert column.flags.c_contiguous and column.flags.writeable, name
+
+
+def test_changed_bytes_timezone_or_reader_is_a_miss(tmp_path, monkeypatch):
+    path = tmp_path / "dataset.csv"
+    path.write_bytes(ODD_DATASET.encode())
+    calls = parses(monkeypatch)
+    load_dataset(path)
+    path.write_bytes(second_row(ODD_DATASET, "-0.25", "-0.26").encode())
+    assert load_dataset(path).temperature[1] == -0.26
+    load_dataset(path, "America/Los_Angeles")
+    monkeypatch.setattr(ingest, "_reader_digest", lambda: bytes(32))
+    load_dataset(path, "America/Los_Angeles")
+    assert len(calls) == len(cache_files(tmp_path)) == 4
+
+
+def truncate(entry, other):
+    entry.write_bytes(entry.read_bytes()[:-1])
+
+
+def garble(entry, other):
+    entry.write_bytes(np.random.default_rng(0).bytes(entry.stat().st_size))
+
+
+def flip_a_payload_byte(entry, other):
+    data = bytearray(entry.read_bytes())
+    data[-1] ^= 1
+    entry.write_bytes(bytes(data))
+
+
+def rename_another_entry(entry, other):
+    other.replace(entry)
+
+
+@pytest.mark.parametrize("damage", [truncate, garble, flip_a_payload_byte,
+                                    rename_another_entry])
+def test_damaged_entry_is_ignored_and_rewritten(tmp_path, monkeypatch, damage):
+    path, other = tmp_path / "dataset.csv", tmp_path / "other.csv"
+    path.write_bytes(ODD_DATASET.encode())
+    other.write_bytes(second_row(ODD_DATASET, "-0.25", "-0.26").encode())
+    want = outcome(load_dataset, path)
+    [entry] = cache_files(tmp_path)
+    whole = entry.read_bytes()
+    load_dataset(other)
+    [other_entry] = set(cache_files(tmp_path)) - {entry}
+    damage(entry, other_entry)
+    calls = parses(monkeypatch)
+    assert outcome(load_dataset, path) == want
+    assert len(calls) == 1
+    assert entry.read_bytes() == whole
+
+
+@pytest.mark.parametrize("cache", ["file", "file/below", "demandcast-is-a-file"])
+def test_unusable_cache_directory_still_loads(tmp_path, monkeypatch, cache):
+    path = tmp_path / "dataset.csv"
+    path.write_bytes(ODD_DATASET.encode())
+    want = outcome(load_dataset, path)
+    (tmp_path / "file").write_text("x")
+    (tmp_path / "demandcast-is-a-file").mkdir()
+    (tmp_path / "demandcast-is-a-file" / "demandcast").write_text("x")
+    before = sorted(tmp_path.rglob("*"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / cache))
+    calls = parses(monkeypatch)
+    assert outcome(load_dataset, path) == outcome(load_dataset, path) == want
+    assert len(calls) == 2
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_failed_entry_write_leaves_no_file(tmp_path, monkeypatch):
+    path = tmp_path / "dataset.csv"
+    path.write_bytes(ODD_DATASET.encode())
+    want = outcome(load_dataset, path)
+    (entry,) = cache_files(tmp_path)
+    entry.unlink()
+
+    def full(*_):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(ingest.os, "replace", full)
+    assert outcome(load_dataset, path) == want
+    assert cache_files(tmp_path) == []
+
+
+@pytest.mark.parametrize("missing", ["home", "reader-source"])
+def test_no_home_directory_or_reader_source_caches_nothing(tmp_path, monkeypatch, missing):
+    path = tmp_path / "dataset.csv"
+    path.write_bytes(ODD_DATASET.encode())
+    if missing == "home":
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        monkeypatch.setattr(ingest.os.path, "expanduser", lambda p: p)  # as with no home
+    else:
+        monkeypatch.setattr(ingest, "_reader_digest", lambda: None)
+    monkeypatch.chdir(tmp_path)
+    calls = parses(monkeypatch)
+    assert outcome(load_dataset, path) == outcome(load_dataset, path)
+    assert len(calls) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset.csv"]
+
+
+def test_relative_xdg_cache_home_is_ignored_for_the_home_cache(tmp_path, monkeypatch):
+    path = tmp_path / "dataset.csv"
+    path.write_bytes(ODD_DATASET.encode())
+    monkeypatch.setenv("XDG_CACHE_HOME", "relative")
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.chdir(tmp_path)
+    load_dataset(path)
+    assert len(cache_files(tmp_path / "home" / ".cache")) == 1
+    assert not (tmp_path / "relative").exists()
+
+
+@pytest.mark.parametrize("text, error, where", [
+    pytest.param(DATASET + "2023-05-01 00:15,1,hot,0,5,1\n", SchemaError, "line 3: temp_c:",
+                 id="bad-cell"),
+    pytest.param(DATASET + "\n\n2023-05-01 00:45,1,10.5,0,5,1\n", GridError, "line 5:",
+                 id="progression-break"),
+    pytest.param(DATASET.encode() + b"2023-05-01 00:15,\xff,10.5,0,5,1\n", SchemaError,
+                 "line 3: not UTF-8 text", id="not-utf8"),
+])
+def test_bad_csv_is_the_same_error_twice_and_no_entry(tmp_path, text, error, where):
+    path = tmp_path / "dataset.csv"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    got = outcome(load_dataset, path)
+    assert got[0] is error and where in got[1]
+    assert outcome(load_dataset, path) == got
+    assert cache_files(tmp_path) == []
+
+
+def test_stream_source_writes_no_entry(tmp_path):
+    series = load_dataset(io.BytesIO(ODD_DATASET.encode()))
+    assert len(series) == 3
+    assert not (tmp_path / "demandcast").exists()
 
 
 # ---------------------------------------------------------------------------
