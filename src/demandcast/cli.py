@@ -237,9 +237,15 @@ def _check_timezone(timezone, source: str) -> None:
 
 
 def _check_pipeline(pipeline, source: str) -> dict:
-    """``pipeline`` type-checked and merged over PIPELINE_DEFAULTS."""
+    """``pipeline`` type-checked and merged over PIPELINE_DEFAULTS, with
+    ``clamp_bounds`` in order."""
     _check_block(pipeline, "pipeline", _PIPELINE_TYPES, source)
-    return _deep_merge(PIPELINE_DEFAULTS, pipeline)
+    merged = _deep_merge(PIPELINE_DEFAULTS, pipeline)
+    low, high = merged["clamp_bounds"]
+    if not low <= high:
+        raise ConfigError(f"{source}: pipeline 'clamp_bounds' must be [low, high] with "
+                          f"low <= high, got {[low, high]!r}")
+    return merged
 
 
 def _from_block(build, block: str, args, cfg: dict, flags=()):

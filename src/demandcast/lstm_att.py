@@ -34,6 +34,18 @@ The model reads the first ``n_features`` columns of a window
 (``model_inputs``): all of them for the multivariate variants, column 0
 (demand) for the univariate ones.
 
+Numerics: the model computes in float64 throughout. ``forward_batch``
+converts its windows and ``backward`` its upstream gradient to float64;
+``assert_finite`` turns a NaN or an infinity after the input, the LSTM, the
+attention weights or the head into a NumericError naming that stage.
+``softmax`` subtracts the maximum before ``exp``. A seeded ``ModelParams``
+draws W, W_a and W_out Glorot-uniform and U uniform in +-1/sqrt(H).
+
+A ``ForwardTrace`` holds the loop's own buffers, batch last: ``hidden``
+(p, H, B), the tape ``gates`` (p, 4H, B) and ``cell`` (p, H, B), ``scores``
+and ``weights`` (p, B) and the head's input ``head_in`` (head_dim, B);
+``pre_head`` and ``output`` are (B, m). ``backward`` reads them as they are.
+
 The parameters live in one arena. ``param_shapes(config)`` gives each
 parameter's name and shape in ``tensors()`` order; ``ModelParams`` holds one
 flat float64 ``value`` vector and one ``grad`` vector in that layout, and
@@ -59,15 +71,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, TapeError
-from .nn_core import (
-    as_f64,
-    assert_finite,
-    glorot_uniform,
-    recurrent_uniform,
-    relu,
-    softmax,
-)
+from .errors import ConfigError, NumericError, ShapeError, TapeError
 
 CHECKPOINT_FORMAT = "demandcast/checkpoint-v3"
 # Row-block order of the stacked W, U and b: the sigmoid gates first.
@@ -77,6 +81,32 @@ GATES = ("f", "i", "o", "C")
 INIT_ORDER = ("f", "i", "C", "o")
 HEAD_INPUTS = ("context", "weighted_flatten")
 PARAM_DTYPE = np.dtype("<f8")
+
+
+def assert_finite(name: str, arr: np.ndarray) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise NumericError(f"non-finite values detected at stage '{name}'")
+
+
+def relu(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0)
+
+
+def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Stable softmax (max subtraction); output sums to 1 along ``axis``."""
+    ex = np.exp(scores - np.max(scores, axis=axis, keepdims=True))
+    return ex / np.sum(ex, axis=axis, keepdims=True)
+
+
+def glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    limit = np.sqrt(6.0 / (rows + cols))
+    return rng.uniform(-limit, limit, size=(rows, cols))
+
+
+def recurrent_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    # plain uniform scaled by fan-in; no orthogonalization
+    limit = 1.0 / np.sqrt(cols)
+    return rng.uniform(-limit, limit, size=(rows, cols))
 
 
 @dataclass(frozen=True)
@@ -178,16 +208,12 @@ class ModelParams:
 
 class ForwardTrace:
     """What ``backward`` and the attention export need from one forward
-    call, as batch-first views of the batch-last buffers: ``hidden`` is
-    (p, B, H), ``scores`` and ``weights`` (p, B), the head fields (B, ·).
-    The tape is ``gates`` (p, B, 4H) with its ``f``, ``i``, ``o``, ``chat``
-    blocks and ``cell`` (p, B, H); a tape-free call leaves it None, a
-    headless call the head fields, and ``backward`` rejects both. Single
-    use."""
+    call, in the batch-last layout of the module docstring. A tape-free
+    call leaves ``gates`` and ``cell`` None, a headless call the head
+    fields, and ``backward`` rejects both. Single use."""
 
-    __slots__ = ("windows", "gates", "f", "i", "o", "chat", "cell", "hidden",
-                 "scores", "weights", "context", "head_in", "pre_head", "output",
-                 "consumed")
+    __slots__ = ("windows", "gates", "cell", "hidden", "scores", "weights", "head_in",
+                 "pre_head", "output", "consumed")
 
     def __init__(self, **kw):
         for name in self.__slots__:
@@ -206,7 +232,7 @@ def forward_batch(windows, params: ModelParams, *, head: bool = True, tape: bool
     (None, trace). With ``tape=False`` it keeps no per-step tape for
     ``backward``, and gives the same bits."""
     cfg = params.config
-    windows = as_f64(windows)
+    windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 3:
         raise ShapeError(f"expected (B, p, n) windows, got shape {windows.shape}")
     B, p, n = windows.shape
@@ -246,12 +272,9 @@ def forward_batch(windows, params: ModelParams, *, head: bool = True, tape: bool
         Z[(t + 1) % 2, n:n + H] = h
     assert_finite("lstm", hidden[-1])
 
-    trace = ForwardTrace(windows=windows, hidden=hidden.transpose(0, 2, 1))
+    trace = ForwardTrace(windows=windows, hidden=hidden)
     if tape:
-        gates = gates.transpose(0, 2, 1)
-        trace.gates, trace.cell = gates, cell.transpose(0, 2, 1)
-        trace.f, trace.i, trace.o, trace.chat = (gates[:, :, k * H:(k + 1) * H]
-                                                 for k in range(4))
+        trace.gates, trace.cell = gates, cell
     if cfg.attention:
         trace.scores = np.tanh(params.W_a.value[0] @ hidden + params.b_a.value[0])
         trace.weights = weights = softmax(trace.scores, axis=0)
@@ -262,10 +285,9 @@ def forward_batch(windows, params: ModelParams, *, head: bool = True, tape: bool
         head_in = hidden[-1]
     elif cfg.head_input == "context":
         head_in = np.einsum("tb,thb->hb", weights, hidden)
-        trace.context = head_in.T
     else:
         head_in = (weights[:, None, :] * hidden).reshape(p * H, B)
-    trace.head_in = head_in.T
+    trace.head_in = head_in
     trace.pre_head = head_in.T @ params.W_out.value.T + params.b_out.value
     trace.output = output = relu(trace.pre_head)
     assert_finite("head", output)
@@ -283,16 +305,16 @@ def backward(trace: ForwardTrace, d_output, params: ModelParams) -> None:
         raise TapeError("forward trace kept no tape to differentiate (tape=False)")
     trace.consumed = True
     cfg = params.config
-    p, B, H = trace.hidden.shape
+    hidden = trace.hidden
+    p, H, B = hidden.shape
     n = cfg.n_features
-    hidden = trace.hidden.transpose(0, 2, 1)  # (p, H, B)
-    d_out = np.atleast_2d(as_f64(d_output))
+    d_out = np.atleast_2d(np.asarray(d_output, dtype=np.float64))
     if d_out.shape != trace.output.shape:
         raise ShapeError(f"upstream gradient {d_out.shape} != output {trace.output.shape}")
 
     # head: y = relu(W_out head_in + b_out)
     dz = d_out * (trace.pre_head > 0)
-    params.W_out.grad += dz.T @ trace.head_in
+    params.W_out.grad += dz.T @ trace.head_in.T
     params.b_out.grad += dz.sum(axis=0)
     d_head_in = params.W_out.value.T @ dz.T  # (head_dim, B)
 
@@ -320,9 +342,8 @@ def backward(trace: ForwardTrace, d_output, params: ModelParams) -> None:
     #   local:      s (1 - s) for f, i, o;  1 - Chat^2 for C
     #   multiplier: dC C_{t-1}, dC Chat, dh tanh(C_t), dC i
     # dG is (4H, p, B), so the closing weight gradient is one GEMM.
-    gates = trace.gates.transpose(0, 2, 1)  # (p, 4H, B)
+    gates, cell = trace.gates, trace.cell
     f, i, o, chat = (gates[:, k * H:(k + 1) * H] for k in range(4))
-    cell = trace.cell.transpose(0, 2, 1)  # (p, H, B)
     U_T = params.U.value.T
     dG = np.empty((4 * H, p, B))
     local, mult = np.empty((4 * H, B)), np.empty((4 * H, B))

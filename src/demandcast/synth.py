@@ -27,6 +27,8 @@ from .ingest import (
 )
 
 INTERVALS_PER_DAY = 96
+# The largest rate numpy's Poisson sampler accepts.
+POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
 
 
 def default_base_profile() -> tuple[float, ...]:
@@ -87,6 +89,8 @@ class SynthConfig:
                 raise ConfigError(f"{name} entries must be non-negative")
         if self.holiday_mult < 0 or self.peak_rate < 0:
             raise ConfigError("rates and multipliers must be non-negative")
+        if self.temp_noise_sd_c < 0:
+            raise ConfigError("temp_noise_sd_c must be non-negative")
         if len(self.drift_amplitudes) != len(self.drift_periods_days):
             raise ConfigError("drift amplitudes and periods must pair up")
         if any(a < 0 for a in self.drift_amplitudes):
@@ -126,6 +130,7 @@ def academic_holidays(years) -> frozenset[date]:
     return frozenset(dates)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a rate that overflows is a ConfigError
 def generate(config: SynthConfig) -> tuple[IntervalSeries, frozenset[date]]:
     """Build the demand/temperature grid. Deterministic given the seed:
     demand_t ~ Poisson(rate_t) with
@@ -133,6 +138,9 @@ def generate(config: SynthConfig) -> tuple[IntervalSeries, frozenset[date]]:
         rate_t = peak * base[t mod 96] * weekday_mult * month_mult
                  * holiday_mult(if holiday) * max(0, 1 + c * norm_temp_t)
                  * drift_day(t)
+
+    A rate that is not finite, or beyond what numpy's Poisson sampler
+    accepts, is a ConfigError.
     """
     n = config.days * INTERVALS_PER_DAY
     origin = datetime(config.start.year, config.start.month, config.start.day)
@@ -175,6 +183,10 @@ def generate(config: SynthConfig) -> tuple[IntervalSeries, frozenset[date]]:
     rate = (config.peak_rate * base * wd_mult * mo_mult * hol_mult
             * coupling * drift[day_index])
 
+    top = rate.max()  # NaN if any rate is
+    if not top <= POISSON_LAM_MAX:
+        raise ConfigError(f"synth demand rate must be finite and at most {POISSON_LAM_MAX:.4g}, "
+                          f"got {top:.4g}; lower peak_rate or the drift")
     demand = rng.poisson(rate).astype(np.int64)
     return replace(calendar, demand=demand, temperature=temperature), holidays
 

@@ -31,6 +31,7 @@ VARIANTS = (
     "univariate_lstm",
     "univariate_lstm_att",
 )
+EVAL_BATCH = 256  # windows per tape-free forward in evaluate; explain.CHUNK_ROWS too
 
 
 @dataclass
@@ -56,6 +57,13 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= {low}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}")
+        if self.clip_norm is not None and not self.clip_norm > 0:
+            raise ConfigError(f"clip_norm must be null or > 0, got {self.clip_norm!r}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
+        if not self.eps > 0:
+            raise ConfigError(f"eps must be > 0, got {self.eps!r}")
 
     @property
     def univariate(self) -> bool:
@@ -153,12 +161,12 @@ def clip_gradients(params: ModelParams, max_norm: float) -> float:
 # ---------------------------------------------------------------------------
 
 def build_model(dataset_width: int, lookback: int, horizon: int,
-                config: TrainConfig, seed: int | None = None) -> ModelParams:
+                config: TrainConfig) -> ModelParams:
     n = 1 if config.univariate else dataset_width
     model_cfg = ModelConfig(n_features=n, hidden=config.hidden, horizon=horizon,
                             lookback=lookback, attention=config.attention,
                             head_input=config.head_input)
-    return ModelParams.init(model_cfg, config.seed if seed is None else seed)
+    return ModelParams.init(model_cfg, config.seed)
 
 
 def train(dataset: SplitDataset, config: TrainConfig,
@@ -233,8 +241,7 @@ class EvalResult:
     predictions_demand: np.ndarray | None = None  # inverse-transformed
 
 
-def evaluate(params: ModelParams, windows: WindowedDataset, scaler=None,
-             batch_size: int = 256) -> EvalResult:
+def evaluate(params: ModelParams, windows: WindowedDataset, scaler=None) -> EvalResult:
     """MSE over all windows plus per-window predictions; read-only.
 
     The model reads the columns ``model_inputs`` selects, in tape-free
@@ -246,8 +253,8 @@ def evaluate(params: ModelParams, windows: WindowedDataset, scaler=None,
         raise ConfigError("cannot evaluate an empty window set")
     inputs = model_inputs(windows.inputs, params.config)
     preds = np.empty((len(windows), windows.horizon))
-    for start in range(0, len(windows), batch_size):
-        out, _ = forward_batch(inputs[start:start + batch_size], params, tape=False)
+    for start in range(0, len(windows), EVAL_BATCH):
+        out, _ = forward_batch(inputs[start:start + EVAL_BATCH], params, tape=False)
         preds[start:start + len(out)] = out
     targets = np.clip(windows.targets, 0.0, 1.0)
     score = mse(preds, targets)

@@ -5,6 +5,7 @@ internals (only its error types are shared): scalar loops, minute scans,
 and brute-force enumeration pin the semantics that the fast
 implementations must match. The exceptions are the single-window
 ``forward`` and ``predict``, which wrap the package's batch forward,
+``batch_first``, which views its batch-last trace in the row-major layout,
 ``shapley_pair``, which runs ``shapley_series`` on one test and one
 background window, ``temperature_readings`` and ``session_array``, which
 build the inputs of ``join_temperature`` and ``aggregate_demand``, and
@@ -365,13 +366,34 @@ def lstm_step(x, h_prev, c_prev, W, U, b):
     return h, c, {"f": f, "i": i, "C": chat, "o": o}
 
 
+def batch_first(trace, config):
+    """A ``forward_batch`` trace as (p, B, .) and (B, .) views in the layout
+    of a ``whole_batch_forward`` trace, with the ``f``, ``i``, ``o`` and
+    ``chat`` blocks of its gates. ``context`` is set for the context head
+    only: at p = 1 a flattened head input has a context vector's shape."""
+    def swap(a):
+        return None if a is None else a.transpose(0, 2, 1)
+
+    H = config.hidden
+    gates = swap(trace.gates)
+    f, i, o, chat = ((None,) * 4 if gates is None
+                     else (gates[:, :, k * H:(k + 1) * H] for k in range(4)))
+    head_in = None if trace.head_in is None else trace.head_in.T
+    context = head_in if config.attention and config.head_input == "context" else None
+    return SimpleNamespace(windows=trace.windows, gates=gates, f=f, i=i, o=o, chat=chat,
+                           cell=swap(trace.cell), hidden=swap(trace.hidden),
+                           scores=trace.scores, weights=trace.weights, context=context,
+                           head_in=head_in, pre_head=trace.pre_head, output=trace.output)
+
+
 def forward(window, params):
-    """Single-window forward; returns ((m,) forecast, trace with B = 1)."""
+    """Single-window forward; returns ((m,) forecast, ``batch_first`` view
+    of its trace with B = 1)."""
     window = np.asarray(window, dtype=np.float64)
     if window.ndim != 2:
         raise ShapeError(f"expected a (p, n) window, got shape {window.shape}")
     out, trace = forward_batch(window[None, :, :], params)
-    return out[0], trace
+    return out[0], batch_first(trace, params.config)
 
 
 def predict(window, params):

@@ -237,6 +237,8 @@ BAD_METADATA = {
     "pipeline-not-an-object": lambda meta: meta.update(pipeline="oops"),
     "pipeline-lookback-not-an-integer": lambda meta: meta["pipeline"].update(lookback="x"),
     "pipeline-clamp-bounds-null": lambda meta: meta["pipeline"].update(clamp_bounds=None),
+    "pipeline-clamp-bounds-reversed":
+        lambda meta: meta["pipeline"].update(clamp_bounds=[1.05, -0.05]),
 }
 
 
@@ -264,6 +266,7 @@ def test_load_model_missing_metadata_is_config_error(trained, tmp_path, key):
     ({"scale_before_split": 1}, "'scale_before_split'"),
     ({"clamp_bounds": None}, "'clamp_bounds'"),
     ({"clamp_bounds": [0.0, "1"]}, "'clamp_bounds'"),
+    ({"clamp_bounds": [1.05, -0.05]}, "'clamp_bounds'"),
 ])
 def test_train_bad_pipeline_config_one_config_line_no_partial_files(trained, tmp_path,
                                                                    pipeline, key):
@@ -315,6 +318,34 @@ def test_negative_seed_one_config_line_no_partial_files(trained, tmp_path, comma
     flags = ["--days", 2] if command == "simulate" else ["--dataset", trained["dataset"]]
     assert run(command, "--out", out, "--seed", -1, *flags) == (
         1, ["config: seed must be >= 0"])
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, doc, line", [
+    ("simulate", {"synth": {"temp_noise_sd_c": -1}},
+     "config: temp_noise_sd_c must be non-negative"),
+    ("simulate", {"synth": {"peak_rate": 1e300}}, "config: synth demand rate must be finite"),
+    ("simulate", {"synth": {"drift_periods_days": [1e-310, 30.0]}},
+     "config: synth demand rate must be finite"),
+    ("train", {"train": {"clip_norm": -5}}, "config: clip_norm must be null or > 0, got -5"),
+    ("train", {"train": {"clip_norm": 0}}, "config: clip_norm must be null or > 0, got 0"),
+    ("train", {"train": {"beta1": 1}}, "config: beta1 must be in [0, 1), got 1"),
+    ("train", {"train": {"beta2": 2, "eps": -1e-8}}, "config: beta2 must be in [0, 1), got 2"),
+    ("eval", {"train": {"eps": -1e-8}}, "config: eps must be > 0, got -1e-08"),
+], ids=["noise-sd", "peak-rate", "drift-period", "clip-negative", "clip-zero", "beta1", "beta2",
+        "eps"])
+def test_out_of_range_value_one_config_line_no_partial_files(trained, tmp_path,
+                                                             command, doc, line):
+    """A synth or train value that would crash the sampler or silently
+    break training exits 1 with one ``config:`` line, and writes nothing."""
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    flags = (["--days", 5] if command == "simulate"
+             else ["--dataset", trained["dataset"], "--hidden", 8])
+    rc, lines = run(command, "--out", out, "--config", config, *flags)
+    assert rc == 1
+    assert len(lines) == 1 and lines[0].startswith(line), lines
     assert list(out.iterdir()) == []
 
 

@@ -11,17 +11,19 @@ from demandcast.lstm_att import (
     ModelParams,
     backward,
     forward_batch,
+    glorot_uniform,
     load_checkpoint,
     model_inputs,
+    recurrent_uniform,
     save_checkpoint,
 )
-from demandcast.nn_core import glorot_uniform, recurrent_uniform
 from demandcast.train import mse
 from helpers import (
     CHECKPOINT_CORRUPTIONS,
     HUGE_HIDDEN,
     SeparateParams,
     attention,
+    batch_first,
     central_difference,
     forward,
     lstm_step,
@@ -69,6 +71,12 @@ def tiny_params(seed=3, **cfg_kwargs):
     return ModelParams.init(cfg, seed)
 
 
+def viewed_forward(windows, params, **kwargs):
+    """``forward_batch``'s forecasts and the ``batch_first`` view of its trace."""
+    out, trace = forward_batch(windows, params, **kwargs)
+    return out, batch_first(trace, params.config)
+
+
 def gate_blocks(params):
     """Per-gate views of the stacked W, U and b, keyed by gate name."""
     H = params.config.hidden
@@ -112,7 +120,7 @@ def test_init_stacked_blocks_match_per_gate_draws(cfg_kwargs):
 def test_lstm_step_zero_params_zero_state():
     params = ModelParams(TINY)
     params.b.value[:] = 0.0  # clear the forget-bias-1 default
-    _, trace = forward_batch(np.zeros((1, 4, 2)), params)
+    _, trace = viewed_forward(np.zeros((1, 4, 2)), params)
     assert np.all(trace.f == 0.5)
     assert np.all(trace.i == 0.5)
     assert np.all(trace.o == 0.5)
@@ -125,7 +133,7 @@ def test_lstm_step_saturated_forget_gate_retains_cell():
     rng = np.random.default_rng(0)
     params = tiny_params(seed=1)
     params.b.value[:3] = 50.0  # the forget-gate block
-    _, trace = forward_batch(rng.normal(size=(3, 4, 2)), params)
+    _, trace = viewed_forward(rng.normal(size=(3, 4, 2)), params)
     expected = trace.cell[:-1] + trace.i[1:] * trace.chat[1:]
     assert np.max(np.abs(trace.cell[1:] - expected)) < 1e-9
 
@@ -159,7 +167,7 @@ def test_forward_batch_matches_numpy_oracles(cfg_kwargs):
     params = tiny_params(seed=29, **cfg_kwargs)
     cfg = params.config
     windows = rng.uniform(0, 1, size=(5, 4, 2))
-    out, trace = forward_batch(windows, params)
+    out, trace = viewed_forward(windows, params)
     W, U, b = gate_blocks(params)
     for j, window in enumerate(windows):
         h = c = np.zeros(cfg.hidden)
@@ -189,7 +197,7 @@ def test_sigmoid_gates_are_logistic_of_pre_activation_within_tol():
     params = ModelParams.init(ModelConfig(n_features=3, hidden=5, horizon=2, lookback=6), 7)
     params.b.value[:] = rng.normal(scale=2.0, size=20)
     windows = rng.normal(scale=3.0, size=(4, 6, 3))
-    _, trace = forward_batch(windows, params)
+    _, trace = viewed_forward(windows, params)
     for t in range(6):
         z = np.ascontiguousarray(windows[:, t]) @ params.W.value.T + params.b.value
         if t:
@@ -207,7 +215,7 @@ def test_sigmoid_gates_are_logistic_of_pre_activation_bitwise():
     params.W.value[:] = 0.0
     params.U.value[:] = 0.0
     params.b.value[:15] = np.where(np.arange(15) % 2, 1000.0, -1000.0)
-    _, trace = forward_batch(windows, params)
+    _, trace = viewed_forward(windows, params)
     for k, gate in enumerate((trace.f, trace.i, trace.o)):
         want = sigmoid(params.b.value[5 * k:5 * (k + 1)])
         assert set(want.tolist()) == {0.0, 1.0}
@@ -255,7 +263,7 @@ def test_forward_batch_matches_whole_batch_oracle_bitwise(cfg, B):
     that its recorded ids carry over.)"""
     params, windows = oracle_case(cfg, B)
     _, want = whole_batch_forward(windows, params)
-    assert_trace_close(forward_batch(windows, params)[1], want)
+    assert_trace_close(viewed_forward(windows, params)[1], want)
 
 
 @pytest.mark.parametrize("B", [1, 32])
@@ -263,7 +271,7 @@ def test_forward_batch_matches_whole_batch_oracle_at_paper_size(B):
     params = ModelParams.init(ModelConfig(n_features=22), 6)
     windows = np.random.default_rng(B).uniform(0.0, 1.0, size=(B, 96, 22))
     _, want = whole_batch_forward(windows, params)
-    assert_trace_close(forward_batch(windows, params)[1], want)
+    assert_trace_close(viewed_forward(windows, params)[1], want)
 
 
 @pytest.mark.parametrize("B", [1, 3, 257])
@@ -271,14 +279,28 @@ def test_forward_batch_matches_whole_batch_oracle_at_paper_size(B):
 def test_tape_free_forward_runs_the_same_loop(cfg, B):
     """A tape-free call gives the bits of a taped one and keeps no tape."""
     params, windows = oracle_case(cfg, B)
-    out, taped = forward_batch(windows, params)
-    got, trace = forward_batch(windows, params, tape=False)
+    out, taped = viewed_forward(windows, params)
+    got, trace = viewed_forward(windows, params, tape=False)
     assert got.tobytes() == out.tobytes()
     for name in TAPE_FREE_FIELDS:
         a, b = getattr(trace, name), getattr(taped, name)
         assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
     for name in ("gates", "f", "i", "o", "chat", "cell"):
         assert getattr(trace, name) is None, name
+
+
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=config_id)
+def test_trace_holds_the_loops_batch_last_buffers(cfg):
+    """A taped trace keeps the loop's own C-contiguous (p, H, B) hidden
+    states, (p, 4H, B) gates and (p, H, B) cells, and a (head_dim, B) head
+    input, with no batch-first copy or view."""
+    params, windows = oracle_case(cfg, 3)
+    _, trace = forward_batch(windows, params)
+    p, H = cfg.lookback, cfg.hidden
+    for name, shape in (("hidden", (p, H, 3)), ("gates", (p, 4 * H, 3)), ("cell", (p, H, 3))):
+        arr = getattr(trace, name)
+        assert arr.shape == shape and arr.flags.c_contiguous, name
+    assert trace.head_in.shape == (cfg.head_dim, 3)
 
 
 def test_tape_free_forward_peaks_below_the_tape_it_skips():
@@ -300,8 +322,8 @@ def test_tape_free_forward_peaks_below_the_tape_it_skips():
 def test_headless_forward_stops_after_attention_weights(cfg_kwargs):
     params = tiny_params(seed=33, **cfg_kwargs)
     windows = np.random.default_rng(16).uniform(0, 1, size=(6, 4, 2))
-    _, full = forward_batch(windows, params)
-    out, trace = forward_batch(windows, params, head=False)
+    _, full = viewed_forward(windows, params)
+    out, trace = viewed_forward(windows, params, head=False)
     assert out is None
     for name in ("gates", "cell", "hidden", "scores", "weights"):
         a, b = getattr(trace, name), getattr(full, name)
@@ -354,7 +376,7 @@ def test_attention_hand_computed():
 def test_attention_requires_attention_layer(tmp_path):
     params = tiny_params(attention=False)
     assert params.W_a is None and params.b_a is None
-    _, trace = forward_batch(np.random.default_rng(4).normal(size=(3, 4, 2)), params)
+    _, trace = viewed_forward(np.random.default_rng(4).normal(size=(3, 4, 2)), params)
     assert trace.scores is None and trace.weights is None and trace.context is None
     assert np.array_equal(trace.head_in, trace.hidden[-1])
     # an attention model's checkpoint must carry its attention layer
@@ -398,7 +420,7 @@ def test_forward_attention_weights_sum_to_one_100_draws():
 def test_forward_gate_ranges():
     rng = np.random.default_rng(6)
     params = tiny_params(seed=13)
-    _, trace = forward_batch(rng.uniform(0, 1, size=(8, 4, 2)), params)
+    _, trace = viewed_forward(rng.uniform(0, 1, size=(8, 4, 2)), params)
     for arr in (trace.f, trace.i, trace.o):
         assert np.all(arr > 0) and np.all(arr < 1)
     assert np.all(trace.chat > -1) and np.all(trace.chat < 1)

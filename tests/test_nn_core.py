@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from demandcast.errors import NumericError
-from demandcast.nn_core import (
+from demandcast.lstm_att import (
     assert_finite,
     glorot_uniform,
     recurrent_uniform,
