@@ -11,9 +11,10 @@ missing, unreadable or a directory gives an ``io:`` line.
 ``train`` writes ``checkpoint.json`` and one ``checkpoints/epoch_NNN.json``
 per epoch. Despite the name, each is a ``demandcast/checkpoint-v3`` file
 (see ``lstm_att``): one JSON header line, then the raw float64 parameters.
-The header carries the feature schema, the pipeline settings and the
-fitted scaler, so predict, explain and attention need only the checkpoint
-file and a dataset.
+The header carries the run config's ``schema`` block (the two flags of
+``FeatureSchema.default``), its ``pipeline`` block and the fitted scaler,
+so predict, explain and attention need only the checkpoint file and a
+dataset. They slide the model's own lookback and horizon.
 
 Every command that reads a dataset file parses each content once. The
 parsed columns are kept in ``$XDG_CACHE_HOME/demandcast/`` (by default
@@ -238,9 +239,12 @@ def _check_timezone(timezone, source: str) -> None:
 
 def _check_pipeline(pipeline, source: str) -> dict:
     """``pipeline`` type-checked and merged over PIPELINE_DEFAULTS, with
-    ``clamp_bounds`` in order."""
+    ``split_fraction`` inside (0, 1) and ``clamp_bounds`` in order."""
     _check_block(pipeline, "pipeline", _PIPELINE_TYPES, source)
     merged = _deep_merge(PIPELINE_DEFAULTS, pipeline)
+    if not 0.0 < merged["split_fraction"] < 1.0:
+        raise ConfigError(f"{source}: pipeline 'split_fraction' must lie in (0, 1), "
+                          f"got {merged['split_fraction']!r}")
     low, high = merged["clamp_bounds"]
     if not low <= high:
         raise ConfigError(f"{source}: pipeline 'clamp_bounds' must be [low, high] with "
@@ -248,21 +252,27 @@ def _check_pipeline(pipeline, source: str) -> dict:
     return merged
 
 
+def _build(build, doc, block: str, source: str):
+    """``build(**doc)`` once every key of ``doc`` is type-checked against
+    ``build``'s parameter of that name; ``block`` and ``source`` name ``doc``
+    in the ConfigError."""
+    types = {k: p.annotation for k, p in inspect.signature(build).parameters.items()}
+    _check_block(doc, block, types, source)
+    return build(**doc)
+
+
 def _from_block(build, block: str, args, cfg: dict, flags=()):
-    """``build(**doc)`` for the run config's ``block`` object, with each of
-    ``flags`` set on ``args`` winning; every key is type-checked against
-    ``build``'s parameter of that name."""
+    """``_build`` of the run config's ``block`` object, with each of
+    ``flags`` set on ``args`` winning."""
     doc = cfg[block]
     if isinstance(doc, dict):
         doc = {**doc, **{k: getattr(args, k) for k in flags if getattr(args, k) is not None}}
-    types = {k: p.annotation for k, p in inspect.signature(build).parameters.items()}
-    _check_block(doc, block, types, f"--config {args.config}")
-    return build(**doc)
+    return _build(build, doc, block, f"--config {args.config}")
 
 
 def _build_dataset(args, cfg: dict):
     """The --dataset file, split and windowed by the run config; returns
-    (schema, dataset, fitted scaler)."""
+    (dataset, fitted scaler)."""
     pipe = _check_pipeline(cfg["pipeline"], f"--config {args.config}")
     series = load_dataset(args.dataset, cfg.get("timezone"))
     schema = _from_block(FeatureSchema.default, "schema", args, cfg)
@@ -271,21 +281,29 @@ def _build_dataset(args, cfg: dict):
         pipe["split_fraction"], pipe["scale_before_split"],
         tuple(pipe["clamp_bounds"]), pipe["window_stride"],
     )
-    return schema, dataset, scaler
+    return dataset, scaler
 
 
 def _load_model(path_str: str):
+    """A checkpoint's (params, meta, schema, scaler, pipeline), with the
+    metadata checked as the run config is, and the scaler and the model
+    checked against the columns the schema expands to."""
     path = Path(path_str)
+    source = f"checkpoint {path}"
     params, meta = load_checkpoint(path)
-    try:
-        schema = FeatureSchema.from_dict(meta["schema"])
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"checkpoint {path} has no valid 'schema' entry ({exc!r})")
+    schema = _build(FeatureSchema.default, meta.get("schema"), "schema", source)
     try:
         scaler = MinMaxScaler.from_dict(meta.get("scaler"))
     except ConfigError as exc:
-        raise ConfigError(f"checkpoint {path}: {exc}")
-    pipeline = _check_pipeline(meta.get("pipeline", {}), f"checkpoint {path}")
+        raise ConfigError(f"{source}: {exc}")
+    have = [(c.index, c.name) for c in scaler.columns], scaler.width
+    want = schema.numeric_columns(), schema.width
+    if have != want:
+        raise ConfigError(f"{source}: scaler columns and width {have} are not the schema's {want}")
+    if params.config.n_features not in (1, schema.width):
+        raise ConfigError(f"{source}: the model reads {params.config.n_features} columns; "
+                          f"the schema has {schema.width}")
+    pipeline = _check_pipeline(meta.get("pipeline", {}), source)
     return params, meta, schema, scaler, pipeline
 
 
@@ -293,13 +311,13 @@ def _load_frozen(checkpoint: str, dataset, timezone: str | None):
     """A checkpoint's model and the windows it reads from a dataset file:
     (params, meta, schema, scaler, windows). The windows are encoded, scaled
     with the persisted scaler, clamped, and slid at stride 1 for the finest
-    index granularity."""
+    index granularity, with the model's own lookback and horizon."""
     params, meta, schema, scaler, pipeline = _load_model(checkpoint)
     series = load_dataset(dataset, timezone)
     matrix = encode(series, schema)
     scaled = clamp_scaled(scaler, transform(scaler, matrix),
                           tuple(pipeline["clamp_bounds"]))
-    windows = make_windows(scaled, pipeline["lookback"], pipeline["horizon"],
+    windows = make_windows(scaled, params.config.lookback, params.config.horizon,
                            origin=series.origin, stride=1)
     return params, meta, schema, scaler, windows
 
@@ -363,17 +381,20 @@ _TRAIN_FLAGS = ("variant", "epochs", "batch_size", "learning_rate", "hidden", "s
 
 def cmd_train(args, cfg: dict, out: OutputDir) -> None:
     tc = _from_block(TrainConfig, "train", args, cfg, _TRAIN_FLAGS)
-    schema, dataset, scaler = _build_dataset(args, cfg)
+    dataset, scaler = _build_dataset(args, cfg)
     extra = {
-        "schema": asdict(schema),
+        "schema": cfg["schema"],
         "scaler": scaler.to_dict(),
         "seed": tc.seed,
         "variant": tc.variant,
         "pipeline": cfg["pipeline"],
     }
     ckpt_dir = out.subdir("checkpoints")
-    params, report = train(dataset, tc, checkpoint_dir=ckpt_dir,
-                           checkpoint_extra=extra)
+
+    def on_epoch(epoch: int, params) -> None:
+        save_checkpoint(ckpt_dir / f"epoch_{epoch:03d}.json", params, {**extra, "epoch": epoch})
+
+    params, report = train(dataset, tc, on_epoch)
     save_checkpoint(out.path("checkpoint.json"), params, extra)
     out.path("metrics.json").write_text(json.dumps(asdict(report), indent=2), encoding="utf-8")
     write_manifest(out, "train", _deep_merge(cfg, {"train": asdict(tc)}), tc.seed)
@@ -425,7 +446,7 @@ def cmd_eval(args, cfg: dict, out: OutputDir) -> None:
         if v not in VARIANTS:
             raise ConfigError(f"unknown variant '{v}'; choose from {VARIANTS}")
     base = _from_block(TrainConfig, "train", args, cfg, _TRAIN_FLAGS)
-    _, dataset, _ = _build_dataset(args, cfg)
+    dataset, _ = _build_dataset(args, cfg)
     reports = [train(dataset, replace(base, variant=v))[1] for v in variants]
     write_csv(out.path("comparison.csv"), ("variant", "test_mse", "wall_time_s"),
               f"%s,{FLOAT_FORMAT},%.2f", [[r.variant for r in reports],

@@ -15,7 +15,7 @@ group's columns, across the test and the backgrounds, gets an id (bit
 patterns, not values, so -0.0 and 0.0 differ), and a pair's window is the
 tuple of block ids it takes, the test's for groups in the coalition and
 the background's for the rest. The distinct windows are built from one
-column-to-group bit map and forecast in chunks of at most ``CHUNK_ROWS``
+column-to-group bit map and forecast in chunks of at most ``FORWARD_BATCH``
 distinct windows, each one call of the batched ``predict_fn``; only one
 chunk exists at a time. Each forecast is then scattered back to every pair
 that names its window.
@@ -31,11 +31,10 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .features import FeatureSchema, WindowedDataset
 from .ingest import STEP_SECONDS
-from .lstm_att import ModelParams, forward_batch, model_inputs
+from .lstm_att import FORWARD_BATCH, ModelParams, forward_batch, model_inputs
 from .util import FLOAT_FORMAT, write_csv
 
 MAX_EXACT_GROUPS = 12
-CHUNK_ROWS = 256  # distinct masked windows per predict_fn call; evaluate's batch size
 
 
 @dataclass(frozen=True)
@@ -128,8 +127,8 @@ def _coalition_values(predict_fn, test: np.ndarray, backgrounds: np.ndarray,
     keys = np.where(in_coalition[:, None, :], block_ids[0], block_ids[1:])  # (2^k, nb, k)
     first, window_of_row = _distinct_rows(keys.reshape(-1, k))
     forecast_of_window = np.empty(len(first))
-    for start in range(0, len(first), CHUNK_ROWS):
-        rows = first[start:start + CHUNK_ROWS]  # one row that names each window
+    for start in range(0, len(first), FORWARD_BATCH):
+        rows = first[start:start + FORWARD_BATCH]  # one row that names each window
         from_test = ((rows // nb)[:, None] & column_bits) != 0  # (rows, n)
         masked = np.where(from_test[:, None, :], test, backgrounds[rows % nb])
         forecast = np.asarray(predict_fn(masked))
@@ -239,11 +238,10 @@ def shapley_series(predict_fn, instances, backgrounds,
 # attention export
 # ---------------------------------------------------------------------------
 
-def attention_profile(params: ModelParams, windows: WindowedDataset,
-                      batch_size: int = 256) -> np.ndarray:
+def attention_profile(params: ModelParams, windows: WindowedDataset) -> np.ndarray:
     """Mean attention mass per hour of day, averaged across windows, from
     one headless, tape-free ``forward_batch`` call per chunk of
-    ``batch_size`` windows: the weights are all it reads.
+    ``FORWARD_BATCH`` windows: the weights are all it reads.
 
     Each window's 96 weights are binned by their timestep's hour; the 24
     bucket means sum to 1 because every weight vector does. Timestep t of a
@@ -262,8 +260,8 @@ def attention_profile(params: ModelParams, windows: WindowedDataset,
     slots = (origins - origins.astype("datetime64[D]")) // np.timedelta64(STEP_SECONDS, "s")
     inputs = model_inputs(windows.inputs, params.config)
     buckets = np.zeros(24)
-    for start in range(0, n, batch_size):
-        weights = forward_batch(inputs[start:start + batch_size], params, head=False,
+    for start in range(0, n, FORWARD_BATCH):
+        weights = forward_batch(inputs[start:start + FORWARD_BATCH], params, head=False,
                                 tape=False)[1].weights
         p, B = weights.shape
         slot = np.arange(p)[:, None] + slots[start:start + B]  # (p, B)

@@ -58,8 +58,9 @@ parameter's shape in ``tensors()`` order and free-form metadata; after its
 newline come the parameters' row-major little-endian float64 bytes, back to
 back in that order, with nothing after them. ``json.dumps`` escapes every
 newline, so the first line of a checkpoint is valid JSON on its own. The
-metadata ``train`` writes carries the feature schema, the pipeline settings
-and the fitted scaler, so a checkpoint file serves on its own.
+metadata is what ``cli train`` writes: the run config's ``schema`` and
+``pipeline`` blocks, the fitted scaler, the seed and the variant (and the
+epoch in a per-epoch file), so a checkpoint file serves on its own.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ GATES = ("f", "i", "o", "C")
 INIT_ORDER = ("f", "i", "C", "o")
 HEAD_INPUTS = ("context", "weighted_flatten")
 PARAM_DTYPE = np.dtype("<f8")
+FORWARD_BATCH = 256  # windows per tape-free forward in evaluate, explain and attention
 
 
 def assert_finite(name: str, arr: np.ndarray) -> None:

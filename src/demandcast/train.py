@@ -10,19 +10,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
 from .features import SplitDataset, WindowedDataset, inverse_transform
 from .lstm_att import (
+    FORWARD_BATCH,
     ModelConfig,
     ModelParams,
     backward,
     forward_batch,
     model_inputs,
-    save_checkpoint,
 )
 
 VARIANTS = (
@@ -31,7 +30,6 @@ VARIANTS = (
     "univariate_lstm",
     "univariate_lstm_att",
 )
-EVAL_BATCH = 256  # windows per tape-free forward in evaluate; explain.CHUNK_ROWS too
 
 
 @dataclass
@@ -50,8 +48,8 @@ class TrainConfig:
     shuffle: bool = False
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not self.learning_rate > 0:
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate!r}")
         for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}")
@@ -170,14 +168,14 @@ def build_model(dataset_width: int, lookback: int, horizon: int,
 
 
 def train(dataset: SplitDataset, config: TrainConfig,
-          checkpoint_dir=None,
-          checkpoint_extra: dict | None = None) -> tuple[ModelParams, MetricsReport]:
+          on_epoch=None) -> tuple[ModelParams, MetricsReport]:
     """Fit the configured variant on the training split.
 
     Batches run in chronological order unless ``shuffle`` draws a seeded
     permutation per epoch. Targets are clipped to [0,1] for the loss (test
     targets scaled with train statistics can stray slightly outside).
-    Writes one checkpoint per epoch when ``checkpoint_dir`` is given.
+    After each epoch, ``on_epoch(epoch, params)`` is called, if given, with
+    the epoch counted from 1; ``cli train`` saves a checkpoint there.
     """
     t0 = time.perf_counter()
     tr = dataset.train
@@ -213,14 +211,8 @@ def train(dataset: SplitDataset, config: TrainConfig,
                       config.beta1, config.beta2, config.eps)
             total += loss * len(idx)
         epoch_losses.append(total / N)
-        if checkpoint_dir is not None:
-            extra = dict(checkpoint_extra or {})
-            extra.update({"epoch": epoch + 1, "variant": config.variant,
-                          "seed": config.seed})
-            save_checkpoint(
-                Path(checkpoint_dir) / f"epoch_{epoch + 1:03d}.json",
-                params, extra,
-            )
+        if on_epoch is not None:
+            on_epoch(epoch + 1, params)
 
     test_mse = evaluate(params, dataset.test).mse
     report = MetricsReport(
@@ -253,8 +245,8 @@ def evaluate(params: ModelParams, windows: WindowedDataset, scaler=None) -> Eval
         raise ConfigError("cannot evaluate an empty window set")
     inputs = model_inputs(windows.inputs, params.config)
     preds = np.empty((len(windows), windows.horizon))
-    for start in range(0, len(windows), EVAL_BATCH):
-        out, _ = forward_batch(inputs[start:start + EVAL_BATCH], params, tape=False)
+    for start in range(0, len(windows), FORWARD_BATCH):
+        out, _ = forward_batch(inputs[start:start + FORWARD_BATCH], params, tape=False)
         preds[start:start + len(out)] = out
     targets = np.clip(windows.targets, 0.0, 1.0)
     score = mse(preds, targets)

@@ -226,36 +226,84 @@ def test_corrupted_checkpoint_one_config_line_no_partial_files(trained, tmp_path
     assert list(out.iterdir()) == []
 
 
+FEATURE_LIST = [{"name": name, "kind": kind, "cardinality": cardinality}
+                for name, kind, cardinality in (("request", "numeric", 1),
+                                                ("temperature", "numeric", 1),
+                                                ("holiday", "binary", 1),
+                                                ("weekday", "onehot", 7),
+                                                ("month", "onehot", 12))]
+
+
+def _add_hour_column(meta):
+    """A schema and scaler for 23 columns, in front of a 22-column model."""
+    meta["schema"].update(include_hour=True)
+    meta["scaler"]["columns"].append({"name": "hour", "index": 22, "min": 0.0, "max": 23.75})
+    meta["scaler"].update(width=23)
+
+
 BAD_METADATA = {
     "schema": lambda meta: meta.pop("schema"),
+    "schema-feature-list": lambda meta: meta.update(schema={"features": FEATURE_LIST}),
+    "schema-flag-not-a-bool": lambda meta: meta["schema"].update(include_hour=1),
+    "schema-unknown-key": lambda meta: meta["schema"].update(hour=True),
+    "schema-wider-than-model": _add_hour_column,
     "scaler": lambda meta: meta.pop("scaler"),
     "scaler-file-name": lambda meta: meta.update(scaler="scaler.json"),
     "scaler-no-columns": lambda meta: meta["scaler"].pop("columns"),
     "scaler-wrong-format": lambda meta: meta["scaler"].update(format="demandcast/scaler-v0"),
     "scaler-index-out-of-range": lambda meta: meta["scaler"]["columns"][0].update(index=22),
     "scaler-min-not-a-number": lambda meta: meta["scaler"]["columns"][0].update(min="low"),
+    "scaler-column-at-weekday-index":
+        lambda meta: meta["scaler"]["columns"][1].update(index=5),
+    "scaler-no-temperature-column":
+        lambda meta: meta["scaler"].update(columns=meta["scaler"]["columns"][:1]),
+    "scaler-width-not-schema": lambda meta: meta["scaler"].update(width=23),
     "pipeline-not-an-object": lambda meta: meta.update(pipeline="oops"),
     "pipeline-lookback-not-an-integer": lambda meta: meta["pipeline"].update(lookback="x"),
     "pipeline-clamp-bounds-null": lambda meta: meta["pipeline"].update(clamp_bounds=None),
     "pipeline-clamp-bounds-reversed":
         lambda meta: meta["pipeline"].update(clamp_bounds=[1.05, -0.05]),
+    "pipeline-split-fraction-nan":
+        lambda meta: meta["pipeline"].update(split_fraction=float("nan")),
 }
 
 
 @pytest.mark.parametrize("key", list(BAD_METADATA))
 def test_load_model_missing_metadata_is_config_error(trained, tmp_path, key):
-    """A checkpoint without a valid schema or scaler entry fails to load,
-    and predict reports it as one ``config:`` line."""
+    """A checkpoint without a valid schema, scaler or pipeline entry, or
+    whose scaler or model does not fit the columns its schema expands to,
+    fails to load, and predict reports it as one ``config:`` line and
+    writes nothing."""
     params, meta = load_checkpoint(trained["model"] / "checkpoint.json")
     BAD_METADATA[key](meta)
     ckpt = tmp_path / "checkpoint.json"
     save_checkpoint(ckpt, params, meta)
     with pytest.raises(ConfigError):
         cli._load_model(str(ckpt))
-    rc, lines = run("predict", "--out", tmp_path / "out", "--checkpoint", ckpt,
+    out = tmp_path / "out"
+    rc, lines = run("predict", "--out", out, "--checkpoint", ckpt,
                     "--dataset", trained["dataset"])
     assert rc == 1
-    assert len(lines) == 1 and lines[0].startswith("config: "), lines
+    assert len(lines) == 1 and lines[0].startswith(f"config: checkpoint {ckpt}"), lines
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("key", ["lookback", "horizon"])
+def test_predict_uses_model_window_lengths_not_pipeline(trained, tmp_path, key):
+    """predict slides the model's own lookback and horizon: a checkpoint
+    whose pipeline says 48 forecasts the model's 96 steps, byte-equal to
+    the untouched checkpoint."""
+    ckpt = trained["model"] / "checkpoint.json"
+    params, meta = load_checkpoint(ckpt)
+    meta["pipeline"][key] = 48
+    edited = tmp_path / "checkpoint.json"
+    save_checkpoint(edited, params, meta)
+    for name, path in (("want", ckpt), ("got", edited)):
+        assert run("predict", "--out", tmp_path / name, "--checkpoint", path,
+                   "--dataset", trained["dataset"]) == (0, [])
+    got = (tmp_path / "got" / "forecast.csv").read_bytes()
+    assert got.count(b"\r\n") == 1 + params.config.horizon == 97
+    assert got == (tmp_path / "want" / "forecast.csv").read_bytes()
 
 
 @pytest.mark.parametrize("pipeline, key", [
@@ -267,6 +315,8 @@ def test_load_model_missing_metadata_is_config_error(trained, tmp_path, key):
     ({"clamp_bounds": None}, "'clamp_bounds'"),
     ({"clamp_bounds": [0.0, "1"]}, "'clamp_bounds'"),
     ({"clamp_bounds": [1.05, -0.05]}, "'clamp_bounds'"),
+    ({"split_fraction": float("nan")}, "'split_fraction'"),
+    ({"split_fraction": 1.0}, "'split_fraction'"),
 ])
 def test_train_bad_pipeline_config_one_config_line_no_partial_files(trained, tmp_path,
                                                                    pipeline, key):
@@ -332,8 +382,10 @@ def test_negative_seed_one_config_line_no_partial_files(trained, tmp_path, comma
     ("train", {"train": {"beta1": 1}}, "config: beta1 must be in [0, 1), got 1"),
     ("train", {"train": {"beta2": 2, "eps": -1e-8}}, "config: beta2 must be in [0, 1), got 2"),
     ("eval", {"train": {"eps": -1e-8}}, "config: eps must be > 0, got -1e-08"),
+    ("train", {"train": {"learning_rate": float("nan")}},
+     "config: learning_rate must be > 0, got nan"),
 ], ids=["noise-sd", "peak-rate", "drift-period", "clip-negative", "clip-zero", "beta1", "beta2",
-        "eps"])
+        "eps", "learning-rate-nan"])
 def test_out_of_range_value_one_config_line_no_partial_files(trained, tmp_path,
                                                              command, doc, line):
     """A synth or train value that would crash the sampler or silently
@@ -387,8 +439,10 @@ def test_json_records_keep_key_order(trained, tmp_path):
     assert list(checkpoint["params"]) == ["W", "U", "b", "W_a", "b_a", "W_out", "b_out"]
     assert list(checkpoint["model"]) == ["n_features", "hidden", "horizon", "lookback",
                                          "attention", "head_input"]
-    assert [list(f) for f in checkpoint["schema"]["features"]] == [
-        ["name", "kind", "cardinality"]] * 5
+    assert checkpoint["schema"] == {"drop_first_month": False, "include_hour": False}
+    assert list(checkpoint["schema"]) == ["drop_first_month", "include_hour"]
+    epoch, _ = split_checkpoint(trained["model"] / "checkpoints" / "epoch_002.json")
+    assert list(epoch) == list(checkpoint) + ["epoch"] and epoch["epoch"] == 2
     metrics = json.loads((trained["model"] / "metrics.json").read_text())
     assert list(metrics) == ["variant", "train_mse", "test_mse", "wall_time_s",
                              "epoch_losses", "seed"]

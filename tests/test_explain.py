@@ -3,9 +3,9 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
+from demandcast import explain
 from demandcast.errors import ConfigError, ShapeError
 from demandcast.explain import (
-    CHUNK_ROWS,
     BeeswarmRow,
     FeatureGroup,
     ShapReport,
@@ -18,7 +18,7 @@ from demandcast.explain import (
     write_shap_csv,
 )
 from demandcast.features import FeatureSchema, WindowedDataset
-from demandcast.lstm_att import ModelConfig, ModelParams, forward_batch
+from demandcast.lstm_att import FORWARD_BATCH, ModelConfig, ModelParams, forward_batch
 from helpers import (
     csv_writer_rows,
     linear_shapley,
@@ -219,7 +219,7 @@ def test_coalition_values_chunk_rows_bounded():
 
     backgrounds = [rng.uniform(size=(2, 12)) for _ in range(3)]
     shapley_series(counting, [("t", rng.uniform(size=(2, 12)))], backgrounds, groups)
-    assert max(batches) <= CHUNK_ROWS == 256
+    assert max(batches) <= FORWARD_BATCH == 256
     # every masked window is distinct except the full coalition's, the
     # test itself against each of the three backgrounds
     assert sum(batches) == (1 << 12) * len(backgrounds) - 2
@@ -285,7 +285,7 @@ def test_coalition_values_forward_each_distinct_window_once():
         for bg in backgrounds:
             distinct.add(mask(test, bg, coalition, groups).tobytes())
     assert sum(batches) == forwarded == len(distinct)
-    assert len(batches) > 1 and max(batches) <= CHUNK_ROWS
+    assert len(batches) > 1 and max(batches) <= FORWARD_BATCH
 
 
 def test_group_without_columns_gets_zero():
@@ -430,7 +430,8 @@ def test_attention_profile_mass_sums_to_one_random_windows():
     assert abs(profile.sum() - 1.0) < 1e-6
 
 
-def test_attention_profile_matches_loop_oracle():
+def test_attention_profile_matches_loop_oracle(monkeypatch):
+    monkeypatch.setattr(explain, "FORWARD_BATCH", 5)  # 23 windows: five chunks, the last short
     cfg = ModelConfig(n_features=3, hidden=4, horizon=2, lookback=8)
     params = ModelParams.init(cfg, 21)
     rng = np.random.default_rng(22)
@@ -438,7 +439,7 @@ def test_attention_profile_matches_loop_oracle():
     origins = [datetime(2023, 5, 1, 23, 30) + k * timedelta(minutes=15 * 37)
                for k in range(23)]  # every quarter hour of the clock, across midnight
     windows = WindowedDataset(inputs, rng.uniform(size=(23, 2)), origins, 8, 2)
-    profile = attention_profile(params, windows, batch_size=5)
+    profile = attention_profile(params, windows)
     weights = forward_batch(inputs, params)[1].weights
     want = loop_attention_profile(weights, origins)
     assert np.max(np.abs(profile - want)) < 1e-12

@@ -1,12 +1,16 @@
+import itertools
 import json
+from dataclasses import asdict
 from datetime import datetime
 
 import numpy as np
 import pytest
 
+from demandcast import cli
 from demandcast.errors import ConfigError, GridError, SchemaError
 from demandcast.features import (
     FeatureSchema,
+    FeatureSpec,
     build_dataset,
     clamp_scaled,
     encode,
@@ -45,9 +49,16 @@ def test_default_schema_width_22_and_drop_one_21():
 
 
 def test_schema_requires_request_first():
-    from demandcast.features import FeatureSpec
-    with pytest.raises(SchemaError):
-        FeatureSchema((FeatureSpec("temperature", "numeric"),))
+    """Every schema the two flags build starts with the numeric demand
+    target; a checkpoint's ``schema`` that is a feature list is a
+    ConfigError."""
+    for drop_first_month, include_hour in itertools.product((False, True), repeat=2):
+        schema = FeatureSchema.default(drop_first_month, include_hour)
+        assert schema.features[0] == FeatureSpec("request", "numeric")
+        assert schema.numeric_columns()[0] == (0, "request")
+    features = [asdict(f) for f in FeatureSchema.default().features]
+    with pytest.raises(ConfigError, match="checkpoint c: schema has no key 'features'"):
+        cli._build(FeatureSchema.default, {"features": features}, "schema", "checkpoint c")
 
 
 def test_encode_wednesday_in_july():

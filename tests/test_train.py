@@ -11,7 +11,9 @@ from demandcast.lstm_att import (
     ModelParams,
     backward,
     forward_batch,
+    load_checkpoint,
     param_shapes,
+    save_checkpoint,
 )
 from demandcast.synth import SynthConfig, generate
 from demandcast.train import (
@@ -237,10 +239,20 @@ def test_train_univariate_uses_single_column(desk_dataset):
 
 
 def test_train_writes_per_epoch_checkpoints(desk_dataset, tmp_path):
-    train(desk_dataset, desk_config(epochs=2), checkpoint_dir=tmp_path,
-          checkpoint_extra={"note": "test"})
+    """``on_epoch`` gets each epoch, from 1, with the parameters as they are
+    after it; a checkpoint saved there at the last epoch holds the returned
+    ones."""
+    def on_epoch(epoch, params):
+        save_checkpoint(tmp_path / f"epoch_{epoch:03d}.json", params, {"epoch": epoch})
+
+    params, _ = train(desk_dataset, desk_config(epochs=2), on_epoch)
     files = sorted(p.name for p in tmp_path.glob("epoch_*.json"))
     assert files == ["epoch_001.json", "epoch_002.json"]
+    first, meta_first = load_checkpoint(tmp_path / "epoch_001.json")
+    last, meta_last = load_checkpoint(tmp_path / "epoch_002.json")
+    assert (meta_first, meta_last) == ({"epoch": 1}, {"epoch": 2})
+    assert np.array_equal(last.value, params.value)
+    assert not np.array_equal(first.value, params.value)
 
 
 def test_train_config_validation():
