@@ -14,7 +14,9 @@ per epoch. Despite the name, each is a ``demandcast/checkpoint-v3`` file
 The header carries the run config's ``schema`` block (the two flags of
 ``FeatureSchema.default``), its ``pipeline`` block and the fitted scaler,
 so predict, explain and attention need only the checkpoint file and a
-dataset. They slide the model's own lookback and horizon.
+dataset. They slide the model's own lookback and horizon: predict and
+explain encode and scale only their windows' rows (a negative window
+index counts from the end), attention every row.
 
 Every command that reads a dataset file parses each content once. The
 parsed columns are kept in ``$XDG_CACHE_HOME/demandcast/`` (by default
@@ -37,6 +39,8 @@ from datetime import date, datetime
 from pathlib import Path
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
+import numpy as np
+
 from . import __version__
 from .errors import ConfigError, DemandcastError, SchemaError
 from .features import (
@@ -49,6 +53,7 @@ from .features import (
     inverse_transform,
     make_windows,
     transform,
+    window_count,
 )
 from .ingest import (
     IntervalSeries,
@@ -307,18 +312,27 @@ def _load_model(path_str: str):
     return params, meta, schema, scaler, pipeline
 
 
-def _load_frozen(checkpoint: str, dataset, timezone: str | None):
-    """A checkpoint's model and the windows it reads from a dataset file:
-    (params, meta, schema, scaler, windows). The windows are encoded, scaled
-    with the persisted scaler, clamped, and slid at stride 1 for the finest
-    index granularity, with the model's own lookback and horizon."""
+def _load_frozen(checkpoint: str, dataset, timezone: str | None, starts=None):
+    """A checkpoint's (params, meta, schema, scaler) and its model's windows
+    in a dataset file, encoded, scaled with the persisted scaler and clamped:
+    all rows slid at stride 1, or only the rows of the windows at ``starts``
+    (a negative start counts from the end), in that order."""
     params, meta, schema, scaler, pipeline = _load_model(checkpoint)
     series = load_dataset(dataset, timezone)
-    matrix = encode(series, schema)
-    scaled = clamp_scaled(scaler, transform(scaler, matrix),
-                          tuple(pipeline["clamp_bounds"]))
-    windows = make_windows(scaled, params.config.lookback, params.config.horizon,
-                           origin=series.origin, stride=1)
+    p, m = params.config.lookback, params.config.horizon
+    bounds = tuple(pipeline["clamp_bounds"])
+    if starts is None:
+        scaled = clamp_scaled(scaler, transform(scaler, encode(series, schema)), bounds)
+        return params, meta, schema, scaler, make_windows(scaled, p, m, series.origin)
+    n = window_count(len(series), p, m)
+    for i in starts:
+        if not -n <= i < n:
+            raise ConfigError(f"window index {i} out of range 0..{n - 1}")
+    starts = np.array(starts, dtype=np.int64) % n
+    rows = (starts[:, None] + np.arange(p + m)).ravel()
+    scaled = clamp_scaled(scaler, transform(scaler, encode(series, schema, rows)), bounds)
+    block = scaled.reshape(len(starts), p + m, schema.width)
+    windows = WindowedDataset(block[:, :p], block[:, p:, 0], series.times()[starts], p, m)
     return params, meta, schema, scaler, windows
 
 
@@ -401,36 +415,29 @@ def cmd_train(args, cfg: dict, out: OutputDir) -> None:
 
 
 def cmd_predict(args, cfg: dict, out: OutputDir) -> None:
+    index = -1 if args.index is None else args.index
     params, meta, _, scaler, windows = _load_frozen(args.checkpoint, args.dataset,
-                                                    cfg.get("timezone"))
-    index = args.index if args.index is not None else len(windows) - 1
-    if index < 0:
-        index += len(windows)
-    if not 0 <= index < len(windows):
-        raise ConfigError(f"window index {args.index} out of range 0..{len(windows) - 1}")
-    forecast = _predict_fn(params)(windows.inputs[index:index + 1])[0]
+                                                    cfg.get("timezone"), [index])
+    forecast = _predict_fn(params)(windows.inputs)[0]
     demand = inverse_transform(scaler, forecast, column=0)
-    times = format_times(windows.target_timestamps(index))
+    times = format_times(windows.target_timestamps(0))
     write_csv(out.path("forecast.csv"), ("timestamp", "demand_scaled", "demand"),
               f"%s,{FLOAT_FORMAT},{FLOAT_FORMAT}", [times, forecast, demand])
     write_manifest(out, "predict", cfg, meta.get("seed"))
 
 
 def cmd_explain(args, cfg: dict, out: OutputDir) -> None:
+    tests = _parse_indices(args.test)
+    backgrounds = _parse_indices(args.background)
     params, meta, schema, _, windows = _load_frozen(args.checkpoint, args.dataset,
-                                                    cfg.get("timezone"))
+                                                    cfg.get("timezone"), tests + backgrounds)
     horizon = params.config.horizon
     if args.step is not None and not 0 <= args.step < horizon:
         raise ConfigError(f"--step {args.step} out of range 0..{horizon - 1}")
-    tests = _parse_indices(args.test)
-    backgrounds = _parse_indices(args.background)
-    for i in tests + backgrounds:
-        if not 0 <= i < len(windows):
-            raise ConfigError(f"window index {i} out of range 0..{len(windows) - 1}")
     table, reports = shapley_series(
         _predict_fn(params),
-        [(str(i), windows.inputs[i]) for i in tests],
-        [windows.inputs[j] for j in backgrounds],
+        [(str(i), x) for i, x in zip(tests, windows.inputs)],
+        windows.inputs[len(tests):],
         default_groups(schema), step=args.step,
     )
     write_shap_csv(out.path("shap.csv"), reports)

@@ -65,8 +65,9 @@ class FeatureSchema:
         return {f.name: tuple(range(col, col + f.cardinality)) for f, col in self._first_columns()}
 
 
-def encode(series: IntervalSeries, schema: FeatureSchema) -> np.ndarray:
-    """Expand an IntervalSeries into the (T x n) feature matrix.
+def encode(series: IntervalSeries, schema: FeatureSchema, rows=slice(None)) -> np.ndarray:
+    """Expand the ``rows`` (all by default) of an IntervalSeries into the
+    (T x n) feature matrix; each row encodes on its own.
 
     With the default schema every one-hot group has exactly one 1 per row;
     under drop-first-month a January row encodes as all zeros in the month
@@ -81,26 +82,27 @@ def encode(series: IntervalSeries, schema: FeatureSchema) -> np.ndarray:
         if series.weekday is None or series.month is None:
             raise SchemaError("series is missing calendar columns; run attach_calendar")
 
-    T = len(series)
+    demand = series.demand[rows]
+    T = len(demand)
     out = np.zeros((T, schema.width), dtype=np.float64)
     for f, col in schema._first_columns():
         if f.name == "request":
-            out[:, col] = series.demand.astype(np.float64)
+            out[:, col] = demand.astype(np.float64)
         elif f.name == "temperature":
-            out[:, col] = series.temperature
+            out[:, col] = series.temperature[rows]
         elif f.name == "holiday":
-            out[:, col] = series.holiday.astype(np.float64)
+            out[:, col] = series.holiday[rows].astype(np.float64)
         elif f.name == "weekday":
-            out[np.arange(T), col + series.weekday.astype(np.int64)] = 1.0
+            out[np.arange(T), col + series.weekday[rows].astype(np.int64)] = 1.0
         elif f.name == "month":
-            month0 = series.month.astype(np.int64) - 1
+            month0 = series.month[rows].astype(np.int64) - 1
             if f.cardinality == 11:  # January is the dropped reference level
                 keep = month0 > 0
                 out[np.arange(T)[keep], col + month0[keep] - 1] = 1.0
             else:
                 out[np.arange(T), col + month0] = 1.0
         elif f.name == "hour":
-            times = series.times()
+            times = series.times()[rows]
             out[:, col] = (times - times.astype("datetime64[D]")) / np.timedelta64(1, "h")
     return out
 
@@ -241,6 +243,14 @@ class SplitDataset:
     test: WindowedDataset
 
 
+def window_count(rows: int, p: int, m: int) -> int:
+    """How many windows of p inputs and m targets ``rows`` rows hold at
+    stride 1; a GridError if not one."""
+    if rows < p + m:
+        raise GridError(f"need at least p + m = {p + m} rows to form one window, got {rows}")
+    return rows - p - m + 1
+
+
 def make_windows(matrix: np.ndarray, p: int = 96, m: int = 96,
                  origin: datetime | None = None,
                  stride: int = 1) -> WindowedDataset:
@@ -255,12 +265,7 @@ def make_windows(matrix: np.ndarray, p: int = 96, m: int = 96,
         raise SchemaError("make_windows expects a 2-D matrix")
     if p < 1 or m < 1 or stride < 1:
         raise ConfigError("p, m, and stride must be positive")
-    T = matrix.shape[0]
-    if T < p + m:
-        raise GridError(
-            f"need at least p + m = {p + m} rows to form one window, got {T}"
-        )
-    n_starts = T - p - m + 1
+    n_starts = window_count(matrix.shape[0], p, m)
 
     # Basic slices of the sliding views keep them views; an index array
     # would copy every window.

@@ -128,6 +128,21 @@ def test_predict_from_checkpoint_equals_in_memory_params(trained):
     assert np.array_equal(from_cli, predict(windows.inputs[-1], params))
 
 
+@pytest.mark.parametrize("starts", [[0, 1, 2688], [5, 5, 40], [2000, 3, 700, 3], [-1, -2689]],
+                         ids=["first-second-last", "repeated", "unsorted", "negative"])
+def test_load_frozen_starts_are_the_slid_windows_at_those_indices(trained, starts):
+    """The windows of the rows ``_load_frozen`` encodes for ``starts`` are,
+    bit for bit, the windows at those indices of every row slid."""
+    ckpt, dataset = str(trained["model"] / "checkpoint.json"), trained["dataset"]
+    every = cli._load_frozen(ckpt, dataset, None)[-1]
+    some = cli._load_frozen(ckpt, dataset, None, starts)[-1]
+    assert some.inputs.shape == (len(starts), 96, 22)
+    assert some.inputs.tobytes() == every.inputs[starts].tobytes()
+    assert some.targets.tobytes() == every.targets[starts].tobytes()
+    assert np.array_equal(some.origins, every.origins[starts])
+    assert (some.lookback, some.horizon) == (every.lookback, every.horizon)
+
+
 def test_explain_one_pair_equals_shapley(trained, tmp_path):
     ckpt, dataset = trained["model"] / "checkpoint.json", trained["dataset"]
     assert run("explain", "--out", tmp_path, "--checkpoint", ckpt, "--dataset", dataset,
@@ -476,14 +491,56 @@ def test_explain_reports_forwarded_windows_and_residual(trained, tmp_path):
     ("explain", ["--test", 100, "--background", 0, "--step", 200], "0..95"),
     ("explain", ["--test", 100, "--background", 0, "--step", -1], "0..95"),
     ("attention", ["--limit", 0], ">= 1"),
+    *(pytest.param(command, flags, f"window index {index} out of range 0..2688", id=name)
+      for name, command, flags, index in (
+          ("predict-index-n", "predict", ["--index", 2689], 2689),
+          ("predict-index-minus-n-1", "predict", ["--index", -2690], -2690),
+          ("explain-test-n", "explain", ["--test", 2689, "--background", 0], 2689),
+          ("explain-test-minus-n-1", "explain", ["--test", -2690, "--background", 0], -2690),
+          ("explain-background-n", "explain", ["--test", 100, "--background", "0,2689"], 2689),
+          ("explain-background-minus-n-1", "explain",
+           ["--test", 100, "--background", "-2690"], -2690))),
 ])
 def test_out_of_range_flag_one_config_line_no_partial_files(trained, tmp_path,
                                                             command, flags, valid):
+    """A flag value out of its range is one ``config:`` line naming the
+    valid range; the 30-day dataset holds windows 0..2688."""
     out = tmp_path / "out"
     rc, lines = run(command, "--out", out, "--checkpoint", trained["model"] / "checkpoint.json",
                     "--dataset", trained["dataset"], *flags)
     assert rc == 1
     assert len(lines) == 1 and lines[0].startswith("config: ") and valid in lines[0], lines
+    assert list(out.iterdir()) == []
+
+
+def test_predict_defaults_to_the_last_window(trained, tmp_path):
+    """No --index, --index -1 and --index N - 1 write the same forecast."""
+    model_args = ["--checkpoint", trained["model"] / "checkpoint.json",
+                  "--dataset", trained["dataset"]]
+    forecasts = []
+    for name, flags in (("default", []), ("minus-one", ["--index", -1]),
+                        ("last", ["--index", 2688])):
+        assert run("predict", "--out", tmp_path / name, *model_args, *flags) == (0, [])
+        forecasts.append((tmp_path / name / "forecast.csv").read_bytes())
+    assert forecasts[0] == forecasts[1] == forecasts[2]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("predict", []),
+    ("explain", ["--test", 0, "--background", 0]),
+    ("attention", []),
+])
+def test_dataset_shorter_than_one_window_one_grid_line(trained, tmp_path, command, flags):
+    """A dataset of 191 rows holds no window of 96 + 96 rows: one ``grid:``
+    line naming the 192 rows needed, and --out stays empty."""
+    short = tmp_path / "short.csv"
+    lines = trained["dataset"].read_bytes().splitlines(keepends=True)
+    short.write_bytes(b"".join(lines[:1 + 191]))
+    out = tmp_path / "out"
+    rc, err = run(command, "--out", out, "--checkpoint", trained["model"] / "checkpoint.json",
+                  "--dataset", short, *flags)
+    assert rc == 1
+    assert err == ["grid: need at least p + m = 192 rows to form one window, got 191"]
     assert list(out.iterdir()) == []
 
 

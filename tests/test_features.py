@@ -98,6 +98,23 @@ def test_encode_drop_first_month_january_all_zero():
     assert mat[0, 10:21].sum() == 0.0  # January is the dropped level
 
 
+@pytest.mark.parametrize("drop_first_month, include_hour", [(False, False), (True, False),
+                                                            (False, True)],
+                         ids=["default", "drop-first-month", "include-hour"])
+def test_encode_rows_are_those_rows_of_the_whole_matrix(drop_first_month, include_hour):
+    """Each row encodes on its own, so the rows ``encode`` is given are, bit
+    for bit, those rows of the whole matrix: across a new year (the dropped
+    January level) and on the grid clock (the hour column)."""
+    series, _ = generate(SynthConfig(days=4, seed=2, start="2021-12-30"))
+    schema = FeatureSchema.default(drop_first_month, include_hour)
+    whole = encode(series, schema)
+    for rows in (np.array([200, 0, 5, 5, 191, 383]), np.arange(150, 250), slice(7, 300, 3),
+                 np.array([], dtype=np.int64)):
+        part = encode(series, schema, rows)
+        assert part.shape == whole[rows].shape
+        assert part.tobytes() == whole[rows].tobytes()
+
+
 def test_encode_missing_column_is_schema_error():
     g = IntervalSeries(origin=datetime(2023, 1, 2, 0, 0),
                        demand=np.array([1], dtype=np.int64))
