@@ -12,11 +12,13 @@ missing, unreadable or a directory gives an ``io:`` line.
 per epoch. Despite the name, each is a ``demandcast/checkpoint-v3`` file
 (see ``lstm_att``): one JSON header line, then the raw float64 parameters.
 The header carries the run config's ``schema`` block (the two flags of
-``FeatureSchema.default``), its ``pipeline`` block and the fitted scaler,
-so predict, explain and attention need only the checkpoint file and a
-dataset. They slide the model's own lookback and horizon: predict and
-explain encode and scale only their windows' rows (a negative window
-index counts from the end), attention every row.
+``FeatureSchema.default``), the ``clamp_bounds`` of its ``pipeline`` block
+and the fitted scaler, so predict, explain and attention need only the
+checkpoint file and a dataset; no other pipeline key is kept, and the
+scaler is always fitted on the training rows alone (there is no
+scale-before-split mode). These commands slide the model's own lookback
+and horizon: predict and explain encode and scale only their windows'
+rows (a negative window index counts from the end), attention every row.
 
 Every command that reads a dataset file parses each content once. The
 parsed columns are kept in ``$XDG_CACHE_HOME/demandcast/`` (by default
@@ -46,6 +48,7 @@ from .errors import ConfigError, DemandcastError, SchemaError
 from .features import (
     FeatureSchema,
     MinMaxScaler,
+    Pipeline,
     WindowedDataset,
     build_dataset,
     clamp_scaled,
@@ -87,21 +90,11 @@ from .synth import SynthConfig, export, generate, save_config
 from .train import VARIANTS, TrainConfig, train
 from .util import FLOAT_FORMAT, config_hash, write_csv
 
-PIPELINE_DEFAULTS = {
-    "lookback": 96,
-    "horizon": 96,
-    "split_fraction": 0.8,
-    "scale_before_split": False,
-    "clamp_bounds": [-0.05, 1.05],
-    "window_stride": 1,
-}
-
-
 def default_config() -> dict:
     return {
         "timezone": None,
         "schema": {"drop_first_month": False, "include_hour": False},
-        "pipeline": dict(PIPELINE_DEFAULTS),
+        "pipeline": asdict(Pipeline()),
         "synth": SynthConfig().to_dict(),
         "train": asdict(TrainConfig()),
     }
@@ -207,30 +200,6 @@ _KINDS = {
     "tuple[float, ...]": ("a list of numbers", _is_numbers),
     "tuple[float, float]": ("two numbers", lambda v: _is_numbers(v) and len(v) == 2),
 }
-_PIPELINE_TYPES = {
-    "lookback": "int",
-    "horizon": "int",
-    "window_stride": "int",
-    "split_fraction": "float",
-    "scale_before_split": "bool",
-    "clamp_bounds": "tuple[float, float]",
-}
-
-
-def _check_block(doc, block: str, types: dict, source: str) -> None:
-    """A ConfigError naming ``source``, ``block`` and the key unless ``doc``
-    is an object whose every key is in ``types`` (key -> a ``_KINDS`` name)
-    with a value of that type. Ranges are checked where values are used."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{source}: '{block}' must be an object, got {doc!r}")
-    for key, value in doc.items():
-        if key not in types:
-            raise ConfigError(f"{source}: {block} has no key '{key}'")
-        kind, ok = _KINDS[types[key]]
-        if not ok(value):
-            raise ConfigError(f"{source}: {block} '{key}' must be {kind}, got {value!r}")
-
-
 def _check_timezone(timezone, source: str) -> None:
     """A ConfigError naming ``source`` unless ``timezone`` is null or a zone
     key that ZoneInfo knows."""
@@ -242,28 +211,29 @@ def _check_timezone(timezone, source: str) -> None:
                               f"zoneinfo knows, got {timezone!r}") from None
 
 
-def _check_pipeline(pipeline, source: str) -> dict:
-    """``pipeline`` type-checked and merged over PIPELINE_DEFAULTS, with
-    ``split_fraction`` inside (0, 1) and ``clamp_bounds`` in order."""
-    _check_block(pipeline, "pipeline", _PIPELINE_TYPES, source)
-    merged = _deep_merge(PIPELINE_DEFAULTS, pipeline)
-    if not 0.0 < merged["split_fraction"] < 1.0:
-        raise ConfigError(f"{source}: pipeline 'split_fraction' must lie in (0, 1), "
-                          f"got {merged['split_fraction']!r}")
-    low, high = merged["clamp_bounds"]
-    if not low <= high:
-        raise ConfigError(f"{source}: pipeline 'clamp_bounds' must be [low, high] with "
-                          f"low <= high, got {[low, high]!r}")
-    return merged
-
-
 def _build(build, doc, block: str, source: str):
-    """``build(**doc)`` once every key of ``doc`` is type-checked against
-    ``build``'s parameter of that name; ``block`` and ``source`` name ``doc``
-    in the ConfigError."""
-    types = {k: p.annotation for k, p in inspect.signature(build).parameters.items()}
-    _check_block(doc, block, types, source)
-    return build(**doc)
+    """``build(**doc)`` once ``doc`` is an object whose every key names a
+    parameter of ``build`` and holds a value of its type (a ``_KINDS``
+    name). Otherwise a ConfigError naming ``source``, ``block`` and the key;
+    a ConfigError that ``build`` raises on a range gets ``source`` in front."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{source}: '{block}' must be an object, got {doc!r}")
+    params = inspect.signature(build).parameters
+    for key, value in doc.items():
+        if key not in params:
+            raise ConfigError(f"{source}: {block} has no key '{key}'")
+        kind, ok = _KINDS[params[key].annotation]
+        if not ok(value):
+            raise ConfigError(f"{source}: {block} '{key}' must be {kind}, got {value!r}")
+    try:
+        return build(**doc)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
+
+
+def _config_source(args) -> str:
+    """How an error names the run config: its file, or ``flags`` without one."""
+    return f"--config {args.config}" if args.config else "flags"
 
 
 def _from_block(build, block: str, args, cfg: dict, flags=()):
@@ -272,27 +242,24 @@ def _from_block(build, block: str, args, cfg: dict, flags=()):
     doc = cfg[block]
     if isinstance(doc, dict):
         doc = {**doc, **{k: getattr(args, k) for k in flags if getattr(args, k) is not None}}
-    return _build(build, doc, block, f"--config {args.config}")
+    return _build(build, doc, block, _config_source(args))
 
 
 def _build_dataset(args, cfg: dict):
     """The --dataset file, split and windowed by the run config; returns
     (dataset, fitted scaler)."""
-    pipe = _check_pipeline(cfg["pipeline"], f"--config {args.config}")
+    pipe = _from_block(Pipeline, "pipeline", args, cfg)
     series = load_dataset(args.dataset, cfg.get("timezone"))
     schema = _from_block(FeatureSchema.default, "schema", args, cfg)
-    dataset, scaler = build_dataset(
-        series, schema, pipe["lookback"], pipe["horizon"],
-        pipe["split_fraction"], pipe["scale_before_split"],
-        tuple(pipe["clamp_bounds"]), pipe["window_stride"],
-    )
-    return dataset, scaler
+    return build_dataset(series, schema, pipe.lookback, pipe.horizon, pipe.split_fraction,
+                         pipe.clamp_bounds, pipe.window_stride)
 
 
 def _load_model(path_str: str):
     """A checkpoint's (params, meta, schema, scaler, pipeline), with the
     metadata checked as the run config is, and the scaler and the model
-    checked against the columns the schema expands to."""
+    checked against the columns the schema expands to. ``pipeline`` is a
+    dict holding only ``clamp_bounds``, the one key a checkpoint keeps."""
     path = Path(path_str)
     source = f"checkpoint {path}"
     params, meta = load_checkpoint(path)
@@ -308,8 +275,8 @@ def _load_model(path_str: str):
     if params.config.n_features not in (1, schema.width):
         raise ConfigError(f"{source}: the model reads {params.config.n_features} columns; "
                           f"the schema has {schema.width}")
-    pipeline = _check_pipeline(meta.get("pipeline", {}), source)
-    return params, meta, schema, scaler, pipeline
+    pipeline = _build(Pipeline, meta.get("pipeline", {}), "pipeline", source)
+    return params, meta, schema, scaler, {"clamp_bounds": pipeline.clamp_bounds}
 
 
 def _load_frozen(checkpoint: str, dataset, timezone: str | None, starts=None):
@@ -320,7 +287,7 @@ def _load_frozen(checkpoint: str, dataset, timezone: str | None, starts=None):
     params, meta, schema, scaler, pipeline = _load_model(checkpoint)
     series = load_dataset(dataset, timezone)
     p, m = params.config.lookback, params.config.horizon
-    bounds = tuple(pipeline["clamp_bounds"])
+    bounds = pipeline["clamp_bounds"]
     if starts is None:
         scaled = clamp_scaled(scaler, transform(scaler, encode(series, schema)), bounds)
         return params, meta, schema, scaler, make_windows(scaled, p, m, series.origin)
@@ -401,7 +368,7 @@ def cmd_train(args, cfg: dict, out: OutputDir) -> None:
         "scaler": scaler.to_dict(),
         "seed": tc.seed,
         "variant": tc.variant,
-        "pipeline": cfg["pipeline"],
+        "pipeline": {"clamp_bounds": list(cfg["pipeline"]["clamp_bounds"])},
     }
     ckpt_dir = out.subdir("checkpoints")
 
@@ -548,7 +515,7 @@ def main(argv=None) -> int:
     out = None
     try:
         cfg = load_run_config(args.config)
-        _check_timezone(cfg["timezone"], f"--config {args.config}")
+        _check_timezone(cfg["timezone"], _config_source(args))
         if args.seed is not None:  # a block that is no object stays for its check
             cfg = _deep_merge(cfg, {b: {"seed": args.seed} for b in ("synth", "train")
                                     if isinstance(cfg[b], dict)})

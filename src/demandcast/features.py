@@ -297,27 +297,45 @@ def split(dataset: WindowedDataset, fraction: float = 0.8) -> SplitDataset:
     return SplitDataset(train, test)
 
 
+@dataclass(frozen=True)
+class Pipeline:
+    """The run config's ``pipeline`` block: window lengths, the training
+    share of the chronological split, the clip range of scaled rows and
+    the window stride."""
+
+    lookback: int = 96
+    horizon: int = 96
+    split_fraction: float = 0.8
+    clamp_bounds: tuple[float, float] = (-0.05, 1.05)
+    window_stride: int = 1
+
+    def __post_init__(self):
+        for name in ("lookback", "horizon", "window_stride"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"pipeline '{name}' must be >= 1, got {getattr(self, name)!r}")
+        if not 0.0 < self.split_fraction < 1.0:
+            raise ConfigError(f"pipeline 'split_fraction' must lie in (0, 1), "
+                              f"got {self.split_fraction!r}")
+        low, high = self.clamp_bounds
+        if not low <= high:
+            raise ConfigError(f"pipeline 'clamp_bounds' must be [low, high] with "
+                              f"low <= high, got {[low, high]!r}")
+        object.__setattr__(self, "clamp_bounds", (low, high))
+
+
 def build_dataset(series: IntervalSeries, schema: FeatureSchema,
                   p: int = 96, m: int = 96, fraction: float = 0.8,
-                  scale_before_split: bool = False,
                   clamp_bounds: tuple[float, float] = (-0.05, 1.05),
                   stride: int = 1) -> tuple[SplitDataset, MinMaxScaler]:
     """Encode, scale, window, and split a series.
 
-    By default the scaler is fitted on the chronological training region
-    only, and test-region values that fall outside the fitted range are
-    clipped to ``clamp_bounds``. ``scale_before_split`` fits on everything
-    instead (no clipping needed), trading leakage for replication of the
-    scale-then-split order.
+    The scaler is fitted on the chronological training region only, and
+    test-region values that fall outside the fitted range are clipped to
+    ``clamp_bounds``. There is no mode that fits the scaler on test rows.
     """
     matrix = encode(series, schema)
-    if scale_before_split:
-        scaler = fit_scaler(matrix, schema.numeric_columns())
-        scaled = transform(scaler, matrix)
-    else:
-        fit_rows = int(np.floor(fraction * matrix.shape[0]))
-        fit_rows = max(fit_rows, 1)
-        scaler = fit_scaler(matrix[:fit_rows], schema.numeric_columns())
-        scaled = clamp_scaled(scaler, transform(scaler, matrix), clamp_bounds)
+    fit_rows = max(int(np.floor(fraction * matrix.shape[0])), 1)
+    scaler = fit_scaler(matrix[:fit_rows], schema.numeric_columns())
+    scaled = clamp_scaled(scaler, transform(scaler, matrix), clamp_bounds)
     windows = make_windows(scaled, p, m, origin=series.origin, stride=stride)
     return split(windows, fraction), scaler

@@ -58,9 +58,11 @@ parameter's shape in ``tensors()`` order and free-form metadata; after its
 newline come the parameters' row-major little-endian float64 bytes, back to
 back in that order, with nothing after them. ``json.dumps`` escapes every
 newline, so the first line of a checkpoint is valid JSON on its own. The
-metadata is what ``cli train`` writes: the run config's ``schema`` and
-``pipeline`` blocks, the fitted scaler, the seed and the variant (and the
-epoch in a per-epoch file), so a checkpoint file serves on its own.
+metadata is what ``cli train`` writes: the run config's ``schema`` block,
+a ``pipeline`` block holding only ``clamp_bounds``, the scaler fitted on
+the training rows (there is no scale-before-split mode), the seed and the
+variant (and the epoch in a per-epoch file), so a checkpoint file serves
+on its own.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
-from .features import SplitDataset, WindowedDataset, inverse_transform
+from .features import SplitDataset, WindowedDataset
 from .lstm_att import (
     FORWARD_BATCH,
     ModelConfig,
@@ -229,17 +229,14 @@ def train(dataset: SplitDataset, config: TrainConfig,
 @dataclass
 class EvalResult:
     mse: float
-    predictions: np.ndarray            # scaled, (N, m)
-    predictions_demand: np.ndarray | None = None  # inverse-transformed
+    predictions: np.ndarray  # scaled, (N, m)
 
 
-def evaluate(params: ModelParams, windows: WindowedDataset, scaler=None) -> EvalResult:
+def evaluate(params: ModelParams, windows: WindowedDataset) -> EvalResult:
     """MSE over all windows plus per-window predictions; read-only.
 
     The model reads the columns ``model_inputs`` selects, in tape-free
-    ``forward_batch`` calls, since nothing backpropagates. ``scaler`` adds
-    inverse-transformed predictions in demand units for the
-    actual-vs-predicted export.
+    ``forward_batch`` calls, since nothing backpropagates.
     """
     if len(windows) == 0:
         raise ConfigError("cannot evaluate an empty window set")
@@ -249,8 +246,4 @@ def evaluate(params: ModelParams, windows: WindowedDataset, scaler=None) -> Eval
         out, _ = forward_batch(inputs[start:start + FORWARD_BATCH], params, tape=False)
         preds[start:start + len(out)] = out
     targets = np.clip(windows.targets, 0.0, 1.0)
-    score = mse(preds, targets)
-    demand = None
-    if scaler is not None:
-        demand = inverse_transform(scaler, preds, column=0)
-    return EvalResult(mse=score, predictions=preds, predictions_demand=demand)
+    return EvalResult(mse=mse(preds, targets), predictions=preds)

@@ -280,6 +280,8 @@ BAD_METADATA = {
         lambda meta: meta["pipeline"].update(clamp_bounds=[1.05, -0.05]),
     "pipeline-split-fraction-nan":
         lambda meta: meta["pipeline"].update(split_fraction=float("nan")),
+    "pipeline-scale-before-split":
+        lambda meta: meta["pipeline"].update(scale_before_split=False),
 }
 
 
@@ -332,6 +334,10 @@ def test_predict_uses_model_window_lengths_not_pipeline(trained, tmp_path, key):
     ({"clamp_bounds": [1.05, -0.05]}, "'clamp_bounds'"),
     ({"split_fraction": float("nan")}, "'split_fraction'"),
     ({"split_fraction": 1.0}, "'split_fraction'"),
+    ({"window_stride": 0}, "'window_stride'"),
+    ({"lookback": -3}, "'lookback'"),
+    ({"horizon": 0}, "'horizon'"),
+    ({"scale_before_split": False}, "'scale_before_split'"),
 ])
 def test_train_bad_pipeline_config_one_config_line_no_partial_files(trained, tmp_path,
                                                                    pipeline, key):
@@ -382,29 +388,34 @@ def test_negative_seed_one_config_line_no_partial_files(trained, tmp_path, comma
     out = tmp_path / "out"
     flags = ["--days", 2] if command == "simulate" else ["--dataset", trained["dataset"]]
     assert run(command, "--out", out, "--seed", -1, *flags) == (
-        1, ["config: seed must be >= 0"])
+        1, ["config: flags: seed must be >= 0"])
     assert list(out.iterdir()) == []
+
+
+SOURCE = "config: --config {config}: "
 
 
 @pytest.mark.parametrize("command, doc, line", [
     ("simulate", {"synth": {"temp_noise_sd_c": -1}},
-     "config: temp_noise_sd_c must be non-negative"),
+     SOURCE + "temp_noise_sd_c must be non-negative"),
     ("simulate", {"synth": {"peak_rate": 1e300}}, "config: synth demand rate must be finite"),
     ("simulate", {"synth": {"drift_periods_days": [1e-310, 30.0]}},
      "config: synth demand rate must be finite"),
-    ("train", {"train": {"clip_norm": -5}}, "config: clip_norm must be null or > 0, got -5"),
-    ("train", {"train": {"clip_norm": 0}}, "config: clip_norm must be null or > 0, got 0"),
-    ("train", {"train": {"beta1": 1}}, "config: beta1 must be in [0, 1), got 1"),
-    ("train", {"train": {"beta2": 2, "eps": -1e-8}}, "config: beta2 must be in [0, 1), got 2"),
-    ("eval", {"train": {"eps": -1e-8}}, "config: eps must be > 0, got -1e-08"),
+    ("train", {"train": {"clip_norm": -5}}, SOURCE + "clip_norm must be null or > 0, got -5"),
+    ("train", {"train": {"clip_norm": 0}}, SOURCE + "clip_norm must be null or > 0, got 0"),
+    ("train", {"train": {"beta1": 1}}, SOURCE + "beta1 must be in [0, 1), got 1"),
+    ("train", {"train": {"beta2": 2, "eps": -1e-8}}, SOURCE + "beta2 must be in [0, 1), got 2"),
+    ("eval", {"train": {"eps": -1e-8}}, SOURCE + "eps must be > 0, got -1e-08"),
     ("train", {"train": {"learning_rate": float("nan")}},
-     "config: learning_rate must be > 0, got nan"),
+     SOURCE + "learning_rate must be > 0, got nan"),
 ], ids=["noise-sd", "peak-rate", "drift-period", "clip-negative", "clip-zero", "beta1", "beta2",
         "eps", "learning-rate-nan"])
 def test_out_of_range_value_one_config_line_no_partial_files(trained, tmp_path,
                                                              command, doc, line):
     """A synth or train value that would crash the sampler or silently
-    break training exits 1 with one ``config:`` line, and writes nothing."""
+    break training exits 1 with one ``config:`` line, and writes nothing.
+    A value the config constructor rejects names the config file; the
+    sampler's rate check does not."""
     config = tmp_path / "bad.json"
     config.write_text(json.dumps(doc))
     out = tmp_path / "out"
@@ -412,7 +423,7 @@ def test_out_of_range_value_one_config_line_no_partial_files(trained, tmp_path,
              else ["--dataset", trained["dataset"], "--hidden", 8])
     rc, lines = run(command, "--out", out, "--config", config, *flags)
     assert rc == 1
-    assert len(lines) == 1 and lines[0].startswith(line), lines
+    assert len(lines) == 1 and lines[0].startswith(line.format(config=config)), lines
     assert list(out.iterdir()) == []
 
 
@@ -455,6 +466,7 @@ def test_json_records_keep_key_order(trained, tmp_path):
     assert list(checkpoint["model"]) == ["n_features", "hidden", "horizon", "lookback",
                                          "attention", "head_input"]
     assert checkpoint["schema"] == {"drop_first_month": False, "include_hour": False}
+    assert checkpoint["pipeline"] == {"clamp_bounds": [-0.05, 1.05]}
     assert list(checkpoint["schema"]) == ["drop_first_month", "include_hour"]
     epoch, _ = split_checkpoint(trained["model"] / "checkpoints" / "epoch_002.json")
     assert list(epoch) == list(checkpoint) + ["epoch"] and epoch["epoch"] == 2

@@ -272,15 +272,6 @@ def test_split_chronology_invariant():
     assert abs(len(ds.train) / n - 0.8) <= 1.0 / n
 
 
-def test_build_dataset_scale_before_split_unit_interval():
-    series = small_series(n=96 * 6, seed=2)
-    ds, scaler = build_dataset(series, FeatureSchema.default(),
-                               scale_before_split=True)
-    all_inputs = np.concatenate([np.asarray(ds.train.inputs).ravel(),
-                                 np.asarray(ds.test.inputs).ravel()])
-    assert all_inputs.min() >= 0.0 and all_inputs.max() <= 1.0
-
-
 def test_build_dataset_train_inputs_in_unit_interval_default():
     series = small_series(n=96 * 6, seed=4)
     ds, _ = build_dataset(series, FeatureSchema.default())

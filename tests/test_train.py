@@ -292,14 +292,3 @@ def test_evaluate_is_read_only(desk_dataset):
     evaluate(params, desk_dataset.test)
     for b, t in zip(before, params.tensors()):
         assert np.array_equal(b, t.value)
-
-
-def test_evaluate_inverse_transform_predictions(desk_dataset):
-    series, _ = generate(SynthConfig(days=12, seed=6, start="2022-03-01"))
-    dataset, scaler = build_dataset(series, FeatureSchema.default(), stride=8)
-    params, _ = train(dataset, desk_config(epochs=1))
-    result = evaluate(params, dataset.test, scaler=scaler)
-    assert result.predictions_demand is not None
-    col = scaler.columns[0]
-    manual = result.predictions * (col.max - col.min) + col.min
-    assert np.allclose(result.predictions_demand, manual)
