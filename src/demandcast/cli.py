@@ -238,11 +238,34 @@ def _config_source(args) -> str:
 
 def _from_block(build, block: str, args, cfg: dict, flags=()):
     """``_build`` of the run config's ``block`` object, with each of
-    ``flags`` set on ``args`` winning."""
-    doc = cfg[block]
-    if isinstance(doc, dict):
-        doc = {**doc, **{k: getattr(args, k) for k in flags if getattr(args, k) is not None}}
-    return _build(build, doc, block, _config_source(args))
+    ``flags`` set on ``args`` winning. An error that goes away without a
+    flag's value names that flag after the run config."""
+    doc, source = cfg[block], _config_source(args)
+    given = {k: getattr(args, k) for k in flags if getattr(args, k) is not None}
+    if not isinstance(doc, dict) or not given:
+        return _build(build, doc, block, source)
+    try:
+        return _build(build, {**doc, **given}, block, source)
+    except ConfigError as exc:
+        message = str(exc)
+        blamed = [k for k in given
+                  if _error(build, {**doc, **{f: v for f, v in given.items() if f != k}},
+                            block, source) != message]
+        if not blamed:
+            raise
+        named = " ".join(f"--{k.replace('_', '-')}" + ("" if given[k] is True else f" {given[k]}")
+                         for k in blamed)
+        raise ConfigError(f"{source + ' ' if args.config else ''}{named}: "
+                          f"{message.removeprefix(source + ': ')}") from None
+
+
+def _error(build, doc, block: str, source: str) -> str | None:
+    """The message of the ConfigError that ``_build`` raises, if any."""
+    try:
+        _build(build, doc, block, source)
+    except ConfigError as exc:
+        return str(exc)
+    return None
 
 
 def _build_dataset(args, cfg: dict):
@@ -324,7 +347,10 @@ def _parse_indices(text: str) -> list[int]:
 
 def cmd_simulate(args, cfg: dict, out: OutputDir) -> None:
     sc = _from_block(SynthConfig, "synth", args, cfg, ("days", "start"))
-    series, holidays = generate(sc)
+    try:
+        series, holidays = generate(sc)
+    except ConfigError as exc:  # a demand rate out of the sampler's range
+        raise ConfigError(f"{_config_source(args)}: {exc}") from None
     for name in ("demand.csv", "temperature.csv", "holidays.csv"):
         out.path(name)  # track before writing
     export(series, holidays, out.root)

@@ -36,10 +36,14 @@ by ``_session_row``, which gives the same values or the message of what is
 wrong. ``aggregate_demand`` counts the ``SESSION`` array with numpy.
 
 The demand grid, temperature and dataset files are each one call to
-``util.write_csv``, the one CSV table writer. It formats BLOCK_ROWS rows at
-a time with one ``%`` format of a row format repeated per row, so no cell
-is formatted by a Python loop, and ends every line with CRLF. Its files are
-plain text that the columnar path reads.
+``util.write_csv``, the one CSV table writer, which renders a block of rows
+column by column with numpy and ends every line with CRLF: integers by
+digit arithmetic, floats in 1e-4 <= |x| < 1e15 by exact integer arithmetic
+(``%`` one value at a time for zero, NaN, the infinities and the rest), and
+the times as ``time_text`` bytes, each distinct day and time of day rendered
+once into a byte table. ``synth.export`` renders its grid's times once for
+both of its files. No cell may hold a NUL, a comma, a quote or a line break.
+Its files are plain text that the columnar path reads.
 
 ``load_dataset`` parses each dataset content once: it keeps the parsed
 columns as raw bytes in a cache entry keyed by the file's bytes, this
@@ -118,20 +122,36 @@ def grid_times(origin, n: int) -> np.ndarray:
     return np.datetime64(origin, "s") + np.arange(n) * np.timedelta64(STEP_SECONDS, "s")
 
 
+def time_text(times) -> np.ndarray:
+    """``YYYY-MM-DD HH:MM:SS`` of each time, whole seconds, as numpy ``S``
+    bytes (``NaT`` for not-a-time); bytes already rendered are returned as
+    they are. A grid has few distinct days and times of day, so each one is
+    rendered once, into a byte table that the times index."""
+    if isinstance(times, np.ndarray) and times.dtype.kind == "S":
+        return times
+    seconds = np.asarray(times, dtype="datetime64[s]").ravel()
+    nat = np.isnat(seconds)
+    stamps = np.where(nat, 0, seconds.view(np.int64))
+    days = stamps // 86400
+    clock = stamps - days * 86400
+    day_list, day_of = np.unique(days, return_inverse=True)
+    clock_list, clock_of = np.unique(clock, return_inverse=True)
+    day_text = np.array([d + " " for d in np.datetime_as_string(
+        day_list.astype("datetime64[D]")).tolist()], dtype="S")
+    clock_text = np.array(["%02d:%02d:%02d" % (c // 3600, c // 60 % 60, c % 60)
+                           for c in clock_list.tolist()], dtype="S8")
+    text = np.empty(len(seconds), [("day", day_text.dtype), ("clock", "S8")])
+    text["day"] = day_text[day_of]
+    text["clock"] = clock_text[clock_of]
+    text = text.view(f"S{text.itemsize}")
+    text[nat] = b"NaT"
+    return text
+
+
 def format_times(times) -> list[str]:
     """``YYYY-MM-DD HH:MM:SS`` text of each time, whole seconds (``NaT`` for
-    not-a-time)."""
-    seconds = np.asarray(times, dtype="datetime64[s]").ravel()
-    days = seconds.astype("datetime64[D]")
-    # a grid has few distinct days and times of day: format each one once
-    day_list, day_of = np.unique(days, return_inverse=True)
-    clock_list, clock_of = np.unique((seconds - days).astype(np.int64), return_inverse=True)
-    day_text = np.array([d + " " for d in np.datetime_as_string(day_list).tolist()], dtype=object)
-    clock_text = np.array(["%02d:%02d:%02d" % (s // 3600, s // 60 % 60, s % 60)
-                           for s in clock_list.tolist()], dtype=object)
-    text = day_text[day_of] + clock_text[clock_of]
-    text[np.isnat(seconds)] = "NaT"
-    return text.tolist()
+    not-a-time): ``time_text`` as str."""
+    return [t.decode().replace("\0", "") for t in time_text(times).tolist()]
 
 
 def grid_span(first: datetime, last: datetime) -> tuple[datetime, int]:
@@ -636,14 +656,17 @@ def load_demand_grid(source, timezone: str | None = None) -> IntervalSeries:
     return IntervalSeries(origin=_grid_origin(kind, times), demand=demand)
 
 
-def write_demand_grid(path, series: IntervalSeries) -> None:
+def write_demand_grid(path, series: IntervalSeries, stamps=None) -> None:
+    """The grid's times and demand; ``stamps`` is the ``time_text`` of the
+    series' times when the caller has rendered them already."""
     write_csv(path, ("timestamp", "demand"), "%s,%d",
-              [format_times(series.times()), series.demand])
+              [time_text(series.times() if stamps is None else stamps), series.demand])
 
 
 def write_temperature_csv(path, timestamps, temps) -> None:
+    """``timestamps`` are times, or their ``time_text``."""
     write_csv(path, ("timestamp", "temp_c"), "%s," + FLOAT_FORMAT,
-              [format_times(timestamps), temps])
+              [time_text(timestamps), temps])
 
 
 def write_holidays_csv(path, holidays: frozenset[date]) -> None:
@@ -661,7 +684,7 @@ def write_dataset(path, series: IntervalSeries) -> None:
         if getattr(series, name) is None:
             raise SchemaError(f"cannot write dataset: {name} column missing")
     write_csv(path, DATASET_COLUMNS, f"%s,%d,{FLOAT_FORMAT},%d,%d,%d",
-              [format_times(series.times()), series.demand, series.temperature,
+              [time_text(series.times()), series.demand, series.temperature,
                series.weekday, series.month, series.holiday])
 
 

@@ -21,6 +21,7 @@ from .errors import ConfigError
 from .ingest import (
     IntervalSeries,
     attach_calendar,
+    time_text,
     write_demand_grid,
     write_holidays_csv,
     write_temperature_csv,
@@ -201,8 +202,9 @@ def export(series: IntervalSeries, holidays: frozenset[date], out_dir) -> dict:
         "temperature": out / "temperature.csv",
         "holidays": out / "holidays.csv",
     }
-    write_demand_grid(paths["demand"], series)
-    write_temperature_csv(paths["temperature"], series.times(), series.temperature)
+    stamps = time_text(series.times())
+    write_demand_grid(paths["demand"], series, stamps)
+    write_temperature_csv(paths["temperature"], stamps, series.temperature)
     write_holidays_csv(paths["holidays"], holidays)
     return paths
 

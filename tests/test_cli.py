@@ -398,9 +398,9 @@ SOURCE = "config: --config {config}: "
 @pytest.mark.parametrize("command, doc, line", [
     ("simulate", {"synth": {"temp_noise_sd_c": -1}},
      SOURCE + "temp_noise_sd_c must be non-negative"),
-    ("simulate", {"synth": {"peak_rate": 1e300}}, "config: synth demand rate must be finite"),
+    ("simulate", {"synth": {"peak_rate": 1e300}}, SOURCE + "synth demand rate must be finite"),
     ("simulate", {"synth": {"drift_periods_days": [1e-310, 30.0]}},
-     "config: synth demand rate must be finite"),
+     SOURCE + "synth demand rate must be finite"),
     ("train", {"train": {"clip_norm": -5}}, SOURCE + "clip_norm must be null or > 0, got -5"),
     ("train", {"train": {"clip_norm": 0}}, SOURCE + "clip_norm must be null or > 0, got 0"),
     ("train", {"train": {"beta1": 1}}, SOURCE + "beta1 must be in [0, 1), got 1"),
@@ -413,9 +413,9 @@ SOURCE = "config: --config {config}: "
 def test_out_of_range_value_one_config_line_no_partial_files(trained, tmp_path,
                                                              command, doc, line):
     """A synth or train value that would crash the sampler or silently
-    break training exits 1 with one ``config:`` line, and writes nothing.
-    A value the config constructor rejects names the config file; the
-    sampler's rate check does not."""
+    break training exits 1 with one ``config:`` line that names the config
+    file, and writes nothing: a value the config constructor rejects, and a
+    demand rate the sampler's check rejects."""
     config = tmp_path / "bad.json"
     config.write_text(json.dumps(doc))
     out = tmp_path / "out"
@@ -424,6 +424,40 @@ def test_out_of_range_value_one_config_line_no_partial_files(trained, tmp_path,
     rc, lines = run(command, "--out", out, "--config", config, *flags)
     assert rc == 1
     assert len(lines) == 1 and lines[0].startswith(line.format(config=config)), lines
+    assert list(out.iterdir()) == []
+
+
+FILE = "config: --config {config} "
+
+
+@pytest.mark.parametrize("command, config, flags, line", [
+    ("train", None, ["--epochs", 0], "config: --epochs 0: epochs must be >= 1"),
+    ("train", {}, ["--epochs", 0], FILE + "--epochs 0: epochs must be >= 1"),
+    ("train", {}, ["--learning-rate", -1, "--epochs", 0],
+     FILE + "--learning-rate -1.0: learning_rate must be > 0, got -1.0"),
+    ("train", {"train": {"epochs": 0}}, ["--hidden", 4],
+     "config: --config {config}: epochs must be >= 1"),
+    ("eval", {}, ["--batch-size", 0, "--shuffle"], FILE + "--batch-size 0: batch_size"),
+    ("simulate", None, ["--days", 0], "config: --days 0: days must be >= 1"),
+    ("simulate", {}, ["--days", 0], FILE + "--days 0: days must be >= 1"),
+], ids=["flag", "file-and-flag", "first-bad-flag", "file-value", "eval-flag", "days",
+        "file-and-days"])
+def test_out_of_range_flag_value_names_the_flag(trained, tmp_path, command, config, flags,
+                                                line):
+    """A range error that a flag's value causes names that flag, after the
+    config file when there is one; an error of the file's own value names
+    only the file. Nothing is written."""
+    args = []
+    if config is not None:
+        args = ["--config", tmp_path / "run.json"]
+        args[1].write_text(json.dumps(config))
+    if command != "simulate":
+        args += ["--dataset", trained["dataset"]]
+    out = tmp_path / "out"
+    rc, lines = run(command, "--out", out, *args, *flags)
+    assert rc == 1
+    assert len(lines) == 1 and lines[0].startswith(
+        line.format(config=tmp_path / "run.json")), lines
     assert list(out.iterdir()) == []
 
 

@@ -32,8 +32,10 @@ from demandcast.ingest import (
 )
 from demandcast.lstm_att import ModelConfig, ModelParams, forward_batch
 from demandcast.synth import SynthConfig, export, generate
+from demandcast.util import WRITE_ROWS, write_csv
 from helpers import (
     SessionRecord,
+    csv_writer_rows,
     csv_writer_table,
     loop_attention_profile,
     loop_calendar,
@@ -455,7 +457,7 @@ def assert_same_files(got, want):
 
 
 def test_writers_equal_csv_writer_on_synth_export(tmp_path):
-    series, holidays = generate(SynthConfig(days=21, seed=7, start=date(2023, 3, 1)))
+    series, holidays = generate(SynthConfig(days=730, seed=7, start=date(2023, 3, 1)))
     paths = export(series, holidays, tmp_path)
     paths["dataset"] = tmp_path / "dataset.csv"
     write_dataset(paths["dataset"], series)
@@ -465,14 +467,31 @@ def test_writers_equal_csv_writer_on_synth_export(tmp_path):
 
 EDGE_TEMPERATURES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
                      1.7976931348623157e308, -40.25, -273.15, 0.1, 1 / 3, 1e16,
-                     123456789.123, float("nan"), float("inf"), float("-inf")]
+                     123456789.123, float("nan"), float("inf"), float("-inf"),
+                     # ties at the 17th digit: half to even rounds down, then up
+                     1 + 2**-17, 1 + 3 * 2**-17, 1000 + 2**-8,
+                     # rounding that carries through trailing nines
+                     1.998, 0.1 + 0.2, 2.675, 0.30000000000000004,
+                     # integral values, where the point and fraction go
+                     1.0, -40.0, 2.0**49, 1e14 + 1, 123456789012345.0, 999999999999999.0]
+
+
+def decade_edges():
+    """Each power of ten 1e-5..1e16, with 1e-4 and 1e15 the ends of the exact
+    range, and the doubles next to it, both signs: below a power, log10
+    names the next decade."""
+    powers = np.array([float(f"1e{k}") for k in range(-5, 17)])
+    near = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    return np.concatenate([near, -near])
 
 
 def test_writers_equal_csv_writer_on_edge_values(tmp_path):
     rng = np.random.default_rng(5)
     random_doubles = rng.integers(0, 2**63, size=500).view(np.float64)
-    random_doubles[::2] *= -1
-    temps = np.concatenate([EDGE_TEMPERATURES, random_doubles])
+    low, high = np.array([1e-4, 1e15]).view(np.int64)
+    exact_range = rng.integers(low, high, size=100_000).view(np.float64)
+    temps = np.concatenate([EDGE_TEMPERATURES, decade_edges(), random_doubles, exact_range])
+    temps[-len(random_doubles) - len(exact_range)::2] *= -1
     demand = rng.integers(0, 2**62, size=len(temps))
     demand[:3] = [0, 2**63 - 1, 10**12]
     series = attach_calendar(
@@ -480,8 +499,18 @@ def test_writers_equal_csv_writer_on_edge_values(tmp_path):
         frozenset([date(2023, 3, 12)]))
     assert_same_files(written_files(tmp_path, series), csv_writer_files(tmp_path, series))
 
+    # a time that is NaT is written as NaT
+    times = series.times()
+    times[::3] = np.datetime64("NaT")
+    write_temperature_csv(tmp_path / "nat.csv", times[:50], temps[:50])
+    csv_writer_rows(tmp_path / "want-nat.csv", ["timestamp", "temp_c"],
+                    ([t.isoformat(sep=" ") if t else "NaT", v]
+                     for t, v in zip(times[:50].tolist(), temps[:50].tolist())))
+    assert (tmp_path / "nat.csv").read_bytes() == (tmp_path / "want-nat.csv").read_bytes()
+    assert b"\r\nNaT,-0\r\n" in (tmp_path / "nat.csv").read_bytes()
 
-@pytest.mark.parametrize("rows", [0, 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+
+@pytest.mark.parametrize("rows", [0, 1, BLOCK_ROWS, BLOCK_ROWS + 1, WRITE_ROWS, WRITE_ROWS + 1])
 def test_writers_equal_csv_writer_at_block_edges(tmp_path, rows):
     rng = np.random.default_rng(rows)
     series = attach_calendar(
@@ -489,6 +518,23 @@ def test_writers_equal_csv_writer_at_block_edges(tmp_path, rows):
                        temperature=rng.normal(0.0, 15.0, size=rows)),
         frozenset([date(2024, 1, 1)]))
     assert_same_files(written_files(tmp_path, series), csv_writer_files(tmp_path, series))
+
+
+def test_write_csv_equals_csv_writer_on_integer_and_list_columns(tmp_path):
+    """``%d`` of signed, unsigned and boolean arrays and of a list, and
+    ``%.17g`` of a list and of integers, are the bytes ``csv.writer``
+    writes; another spec is ``%`` of each cell."""
+    signed = np.array([0, -1, 7, -10, 2**63 - 1, -2**63, 10**12, -(10**12)])
+    unsigned = np.array([0, 1, 9, 10, 99, 100, 2**64 - 1, 2**63], dtype=np.uint64)
+    flags = np.arange(len(signed)) % 3 == 0
+    floats = [0.5, -2.0, 1e-5, 3, 1e300, -0.0, 123.25, float("nan")]
+    columns = [signed, unsigned, flags, signed.tolist(), floats, signed, floats]
+    write_csv(tmp_path / "got.csv", list("abcdefg"), "%d,%d,%d,%d,%.17g,%.17g,%.2f", columns)
+    csv_writer_rows(tmp_path / "want.csv", list("abcdefg"),
+                    ([a, b, int(c), d, float(e), float(f), "%.2f" % g]
+                     for a, b, c, d, e, f, g in zip(*(np.asarray(c, dtype=object).tolist()
+                                                     for c in columns))))
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_writer_rejects_columns_of_unequal_length(tmp_path):
