@@ -62,7 +62,6 @@ from .ingest import (
     IntervalSeries,
     aggregate_demand,
     attach_calendar,
-    format_times,
     grid_span,
     join_temperature,
     load_dataset,
@@ -70,6 +69,7 @@ from .ingest import (
     load_holidays_csv,
     load_temperature_csv,
     parse_sessions,
+    time_text,
     write_dataset,
 )
 from .lstm_att import (
@@ -413,7 +413,7 @@ def cmd_predict(args, cfg: dict, out: OutputDir) -> None:
                                                     cfg.get("timezone"), [index])
     forecast = _predict_fn(params)(windows.inputs)[0]
     demand = inverse_transform(scaler, forecast, column=0)
-    times = format_times(windows.target_timestamps(0))
+    times = time_text(windows.target_timestamps(0))
     write_csv(out.path("forecast.csv"), ("timestamp", "demand_scaled", "demand"),
               f"%s,{FLOAT_FORMAT},{FLOAT_FORMAT}", [times, forecast, demand])
     write_manifest(out, "predict", cfg, meta.get("seed"))

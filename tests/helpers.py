@@ -8,9 +8,10 @@ implementations must match. The exceptions are the single-window
 ``batch_first``, which views its batch-last trace in the row-major layout,
 ``shapley_pair``, which runs ``shapley_series`` on one test and one
 background window, ``temperature_readings`` and ``session_array``, which
-build the inputs of ``join_temperature`` and ``aggregate_demand``, and
+build the inputs of ``join_temperature`` and ``aggregate_demand``,
 ``per_row_sessions``, which reads each timestamp with the package's
-``parse_timestamp``. ``SeparateParams``, ``per_tensor_clip`` and
+``parse_timestamp``, and ``format_times``, which decodes the package's
+``time_text``. ``SeparateParams``, ``per_tensor_clip`` and
 ``per_tensor_adam_step`` are the per-tensor training update that the flat
 parameter arena replaced; ``sigmoid``, ``whole_batch_forward`` and
 ``row_major_backward`` are the gate squash, the batched forward and its
@@ -34,7 +35,7 @@ import numpy as np
 
 from demandcast.errors import ConfigError, ShapeError
 from demandcast.explain import shapley_series
-from demandcast.ingest import READING, SESSION, parse_timestamp
+from demandcast.ingest import READING, SESSION, parse_timestamp, time_text
 from demandcast.lstm_att import forward_batch
 
 
@@ -88,11 +89,18 @@ def session_array(records):
                     dtype=SESSION)
 
 
+def format_times(times) -> list[str]:
+    """``YYYY-MM-DD HH:MM:SS`` text of each time, whole seconds (``NaT`` for
+    not-a-time): ``time_text`` as str."""
+    return [t.decode().replace("\0", "") for t in time_text(times).tolist()]
+
+
 def per_row_sessions(text, timezone=None):
     """The ``SessionRecord``s and the (file line, message) errors of a
-    sessions CSV, read one row at a time: a row whose cells are all blank is
-    skipped, and any other row is a record or an error."""
-    reader = csv.reader(io.StringIO(text, newline=""))
+    sessions CSV, less one leading byte-order mark, read one row at a time: a
+    row whose cells are all blank is skipped, and any other row is a record
+    or an error."""
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
     header = [h.strip().lower() for h in next(reader)]
     start, charge_end, disconnect, energy = (
         header.index(n) for n in ("start", "charge_end", "disconnect", "energy_kwh"))

@@ -18,10 +18,11 @@ from demandcast import cli
 from demandcast.errors import ConfigError
 from demandcast.explain import attention_profile, default_groups, write_attention_csv
 from demandcast.features import WindowedDataset, inverse_transform
-from demandcast.ingest import format_times, grid_span, grid_times
+from demandcast.ingest import grid_span, grid_times
 from demandcast.lstm_att import forward_batch, load_checkpoint, save_checkpoint
 from helpers import (
     CHECKPOINT_CORRUPTIONS,
+    format_times,
     minute_scan_demand,
     per_row_sessions,
     predict,

@@ -16,7 +16,6 @@ from demandcast.ingest import (
     IntervalSeries,
     aggregate_demand,
     attach_calendar,
-    format_times,
     grid_span,
     grid_times,
     join_temperature,
@@ -37,6 +36,7 @@ from helpers import (
     SessionRecord,
     csv_writer_rows,
     csv_writer_table,
+    format_times,
     loop_attention_profile,
     loop_calendar,
     loop_grid_times,
@@ -791,6 +791,8 @@ def test_nul_in_stamp_is_schema_error_naming_line_on_both_paths(tmp_path, monkey
     # both paths read the header the same way, so no header fails on either
     pytest.param(load_dataset, "", True, id="empty-file"),
     pytest.param(load_demand_grid, ODD_GRID.replace("\n", "\r\n"), True, id="grid-crlf"),
+    # one leading byte-order mark is dropped before the text is read
+    pytest.param(load_dataset, "\ufeff" + ODD_DATASET, True, id="byte-order-mark"),
     # timestamps the per-row reader reads or rejects otherwise than numpy
     pytest.param(load_dataset, stamp(ODD_DATASET, "2023-05-01 00:15"), False,
                  id="stamp-no-seconds"),
@@ -850,7 +852,6 @@ def test_nul_in_stamp_is_schema_error_naming_line_on_both_paths(tmp_path, monkey
                                '2023-05-01 00:15:00,0,-0.25,0,5,1,"a\n'
                                '2023-05-01 00:30:00,2,0.1,0,5,0,b"\n', False,
                  id="quoted-line-break"),
-    pytest.param(load_dataset, "\ufeff" + ODD_DATASET, False, id="byte-order-mark"),
     pytest.param(load_dataset, second_row(ODD_DATASET, ",0,", ",\u0660,"), False,
                  id="non-ascii-digit"),
     pytest.param(load_dataset, second_row(ODD_DATASET, ",0,", ",\u01fe0,"), False,
@@ -1116,6 +1117,37 @@ def session_rows(n):
     return "".join(rows)
 
 
+def malformed_sessions(n, seed):
+    """A sessions CSV of ``n`` rows with CRLF line ends, as csv writes it,
+    about one row in eight malformed in one of five ways (an unparseable
+    start, start and charge_end swapped, a negative energy, an energy that is
+    not a number, a missing cell), and the number of malformed rows."""
+    rng = np.random.default_rng(seed)
+    rows, malformed = [HEADER.rstrip("\n")], 0
+    for _ in range(n):
+        s = datetime(2023, 1, 1) + timedelta(seconds=int(rng.integers(0, 10**7)))
+        e = s + timedelta(seconds=int(rng.integers(60, 30000)))
+        row = [str(s), str(e), str(e + timedelta(seconds=int(rng.integers(0, 7200)))),
+               repr(round(float(rng.uniform(0, 60)), 3))]
+        kind = int(rng.integers(0, 40))
+        if kind == 0:
+            row[0] = "not-a-time"
+        elif kind == 1:
+            row[0], row[1] = row[1], row[0]
+        elif kind == 2:
+            row[3] = "-1.5"
+        elif kind == 3:
+            row[3] = "n/a"
+        elif kind == 4:
+            row = row[:3]
+        malformed += kind < 5
+        rows.append(",".join(row))
+    return "".join(row + "\r\n" for row in rows), malformed
+
+
+MALFORMED, MALFORMED_ROWS = malformed_sessions(3 * BLOCK_ROWS + 1, seed=24)
+
+
 @pytest.mark.parametrize("timezone", [None, "America/Los_Angeles"])
 @pytest.mark.parametrize("text, per_row", [
     # rows the columnar path reads
@@ -1194,6 +1226,16 @@ def session_rows(n):
     pytest.param(session_rows(1), 1, id="one-row"),
     pytest.param(session_rows(BLOCK_ROWS), 2, id="block-rows"),
     pytest.param(session_rows(BLOCK_ROWS + 1), 3, id="block-rows-and-one"),
+    # line ends, blank lines and a byte-order mark, as the byte splitter sees them
+    pytest.param(SESSIONS.rstrip("\n"), 0, id="no-final-newline"),
+    pytest.param(SESSIONS.replace("\n", "\r\n").rstrip("\r\n"), 0, id="crlf-no-final-newline"),
+    pytest.param(SESSIONS + "\n\r\n \n,,,\n", 0, id="trailing-blank-lines"),
+    pytest.param(SESSIONS.replace("\n", "\r\n", 2), 0, id="mixed-lf-crlf"),
+    pytest.param(second_row(SESSIONS, "09:45:00,", "09:45:00Z,"), 1,
+                 id="three-commas-20-byte-charge-end"),
+    pytest.param("\ufeff" + SESSIONS, 0, id="byte-order-mark"),
+    pytest.param("\ufeff" + start('"2023-08-02 09:15:00"'), 0, id="byte-order-mark-quoted"),
+    pytest.param(MALFORMED, MALFORMED_ROWS, id="malformed-kinds"),
 ])
 def test_parse_sessions_equals_per_row_oracle(tmp_path, monkeypatch, text, per_row, timezone):
     """The SESSION array and the (line, message) errors equal the per-row
@@ -1209,3 +1251,108 @@ def test_parse_sessions_equals_per_row_oracle(tmp_path, monkeypatch, text, per_r
     assert got.records.tobytes() == session_array(records).tobytes()
     assert [(e.line, e.message) for e in got.errors] == errors
     assert len(calls) == per_row
+
+
+CSV_READER = ingest.csv.reader
+
+
+class CountedReader:
+    """``csv.reader`` that adds each row it yields to ``rows``."""
+
+    def __init__(self, rows, *args, **kwargs):
+        self.rows, self.reader = rows, CSV_READER(*args, **kwargs)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        row = next(self.reader)
+        self.rows.append(row)
+        return row
+
+    @property
+    def line_num(self):
+        return self.reader.line_num
+
+
+@pytest.mark.parametrize("text, plain", [
+    pytest.param(SESSIONS, True, id="lf"),
+    pytest.param(SESSIONS.replace("\n", "\r\n"), True, id="crlf"),
+    pytest.param(MALFORMED, True, id="malformed-kinds"),
+    pytest.param(start('"2023-08-02 09:15:00"'), False, id="quoted-cell"),
+    pytest.param(SESSIONS.replace("\n", "\r"), False, id="cr"),
+])
+def test_plain_sessions_text_reads_only_its_header_with_csv(tmp_path, monkeypatch, text, plain):
+    """On plain text the csv module reads the header and no data row, so a
+    fallback to the csv path shows."""
+    path = tmp_path / "sessions.csv"
+    path.write_bytes(text.encode())
+    rows = []
+    monkeypatch.setattr(ingest.csv, "reader", lambda *a, **k: CountedReader(rows, *a, **k))
+    records = parse_sessions(path).records
+    assert rows[0] == HEADER.strip().split(",")
+    assert len(rows) == (1 if plain else 1 + len(records))
+
+
+LATE_STAMP = "2023-08-02 09:14:69"  # second 69, after several hundred plain stamps
+
+
+@pytest.mark.parametrize("loader, text, where", [
+    pytest.param(parse_sessions,
+                 session_rows(700).replace(str(datetime(2023, 8, 2) + 600 * timedelta(minutes=7)),
+                                           LATE_STAMP),
+                 "line 602", id="sessions"),
+    pytest.param(load_dataset, "timestamp,demand,temp_c,weekday,month,holiday\n" + "".join(
+        f"{t},1,10.5,2,8,0\n" for t in format_times(grid_times(dt("2023-08-01 00:00"), 700)))
+        .replace("2023-08-07 06:00:00", LATE_STAMP), "line 602:", id="dataset"),
+])
+def test_late_out_of_range_field_is_the_per_row_error(tmp_path, loader, text, where):
+    """A stamp in the plain form whose field is out of range is read by the
+    per-row reader, however many plain stamps come before it."""
+    path = tmp_path / "input.csv"
+    path.write_bytes(text.encode())
+    try:
+        errors = [f"line {e.line}: {e.message}" for e in loader(path).errors]
+    except SchemaError as exc:
+        errors = [str(exc)]
+    assert len(errors) >= 1 and where in errors[-1] and "unparseable timestamp" in errors[-1]
+
+
+def loaded(loader, source):
+    """What ``loader(source)`` gives, or the type and message of what it
+    raises, in a form that compares equal for equal results."""
+    try:
+        result = loader(source)
+    except Exception as exc:  # an error must be the same error
+        return type(exc), str(exc)
+    if isinstance(result, ingest.ParseResult):
+        return result.records.tobytes(), result.errors
+    if isinstance(result, frozenset):
+        return sorted(result)
+    return outcome(lambda: result)
+
+
+@pytest.mark.parametrize("loader, text", [
+    pytest.param(parse_sessions, SESSIONS, id="sessions"),
+    pytest.param(parse_sessions, SESSIONS.replace("\n", "\r\n"), id="sessions-crlf"),
+    pytest.param(parse_sessions, start("not-a-time"), id="sessions-row-error"),
+    pytest.param(parse_sessions, start('"2023-08-02 09:15:00"'), id="sessions-quoted"),
+    pytest.param(load_temperature_csv, ODD_TEMPERATURE, id="temperature"),
+    pytest.param(load_demand_grid, ODD_GRID.replace("\n", "\r\n"), id="grid"),
+    pytest.param(load_dataset, ODD_DATASET, id="dataset"),
+    pytest.param(load_dataset, stamp(ODD_DATASET, "2023-05-01 00:15"), id="dataset-per-row"),
+    pytest.param(load_dataset, second_row(ODD_DATASET, "-0.25", "warm"), id="dataset-bad-cell"),
+    pytest.param(load_holidays_csv, "date\n2023-07-04\n2023-12-25\n", id="holidays"),
+    pytest.param(load_holidays_csv, "2023-07-04\r\n2023-12-25\r\n", id="holidays-no-header"),
+])
+def test_byte_order_mark_is_dropped(tmp_path, loader, text):
+    """Each loader reads a file that starts with a UTF-8 byte-order mark, as
+    Excel's "CSV UTF-8" writes it, as it reads the file without the mark,
+    and so does a text stream that starts with the mark's character."""
+    data = text.encode()
+    (tmp_path / "plain.csv").write_bytes(data)
+    (tmp_path / "marked.csv").write_bytes(b"\xef\xbb\xbf" + data)
+    want = loaded(loader, tmp_path / "plain.csv")
+    assert loaded(loader, tmp_path / "marked.csv") == want
+    assert loaded(loader, io.BytesIO(b"\xef\xbb\xbf" + data)) == want
+    assert loaded(loader, io.StringIO("\ufeff" + text, newline="")) == want
