@@ -29,23 +29,23 @@ The temperature, demand grid and dataset loaders read plain text on the
 columnar path, numpy's C reader, if every timestamp is plain and every cell,
 row and time is within the loader's rules. Any other text (another
 timestamp form such as one with a UTC offset or a fraction of a second, a
-quoted, short, all-space or all-comma row, a bad cell, an out-of-range value
-or a break in the time rule) is read again by the per-row reader
-``_read_columns``, which reads the same values and names the file line of
-the first bad row.
+quoted, short, all-space or all-comma row, a bad cell, an out-of-range or
+non-finite value or a break in the time rule) is read again by the per-row
+reader ``_read_columns``, which reads the same values and names the file
+line of the first bad row.
 
-parse_sessions reads plain text without the csv module (``_plain_sessions``).
-One numpy pass finds every line end and comma of the bytes. A regular row,
-with the header's number of cells, 19-byte times and a decimal energy of at
-most _ENERGY_WIDTH bytes, is read by byte offsets, all such rows at once:
-its times by ``_plain_times``, its energy by numpy's conversion and its row
-rules as array comparisons. Every other row that is not blank is split at
-its commas and read by ``_session_columns``, BLOCK_ROWS at a time, which
-reads text that is not plain too, after the csv module has split it. Only
-the rows that fail there (a short row, another timestamp form, a bad cell or
-a broken rule) are read again, one at a time, by ``_session_row``, which
-gives the same values or the message of what is wrong, and a RowError names
-the row's file line. ``aggregate_demand`` counts the ``SESSION`` array with
+parse_sessions reads plain text without the csv module (``_plain_sessions``),
+by byte offsets or by ``_session_row``. One numpy pass finds every line end
+and comma of the bytes. A regular row, with a cell for each column up to the
+last one read, 19-byte times and a decimal energy of at most _ENERGY_WIDTH
+bytes, is read by byte offsets, all such rows at once: its times by
+``_plain_times``, its energy by numpy's conversion and its row rules as
+array comparisons. Every other row that is not blank, and every regular row
+that breaks a rule, is read by ``_session_row``, which gives the same values
+or the message of what is wrong, and a RowError names the row's file line.
+Text that is not plain is split by the csv module and read by
+``_session_columns``, BLOCK_ROWS rows at a time, and its rejected rows by
+``_session_row``. ``aggregate_demand`` counts the ``SESSION`` array with
 numpy.
 
 The demand grid, temperature and dataset files are each one call to
@@ -74,11 +74,10 @@ import os
 import re
 import struct
 import tempfile
-import warnings
 from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta
 from functools import cache
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from zoneinfo import ZoneInfo
 
@@ -264,15 +263,15 @@ def _plain_sessions(data: bytes, kind: str, timezone: str | None) -> ParseResult
     """``parse_sessions`` of plain ``data`` (see ``_is_plain``), split at its
     line ends and commas without the csv module, whose split it equals.
 
-    A regular row (the header's number of cells, 19-byte times and an energy
-    of at most _ENERGY_WIDTH decimal bytes) is read by byte offsets, every
-    such row at once. Every other row is split in Python and read by
-    ``_session_columns``, BLOCK_ROWS at a time. A row that fails either is
-    read again by ``_session_row``; the errors are in file order."""
+    A regular row (a cell for each column up to the last one read, 19-byte
+    times and an energy of at most _ENERGY_WIDTH decimal bytes) is read by
+    byte offsets, every such row at once. Every other row that is not blank,
+    and every regular row that breaks a rule, is read by ``_session_row``;
+    the errors are in file order."""
     positions, body = _plain_header(data, kind, SESSION_COLUMNS)
     if body == len(data):
         return ParseResult(np.empty(0, SESSION), [])
-    cells = data.count(b",", 0, body) + 1
+    cells = max(positions) + 1
     tail = b"" if data.endswith(b"\n") else b"\n"
     buf = np.frombuffer(data + tail + bytes(_ENERGY_WIDTH), np.uint8)  # no window runs off it
     # every line end and comma from the header's line end on
@@ -282,10 +281,11 @@ def _plain_sessions(data: bytes, kind: str, timezone: str | None) -> ParseResult
     starts = marks[ends[:-1]] + 1
     stops = marks[ends[1:]]
     stops -= buf[stops - 1] == _CR
-    fast = np.flatnonzero(np.diff(ends) == cells)
-    # the cell bounds of each fast row: the line end before it, its commas, its end
+    fast = np.flatnonzero(np.diff(ends) >= cells)
+    # the cell bounds of each fast row: the line end before it, then its
+    # commas, up to the end of the last cell read
     bounds = marks[ends[fast, None] + np.arange(cells + 1)]
-    bounds[:, -1] = stops[fast]
+    bounds[:, -1] = np.minimum(bounds[:, -1], stops[fast])
     begin = bounds[:, positions] + 1
     width = bounds[:, np.add(positions, 1)] - begin
     w = min(int(width[:, 3].max(initial=1)), _ENERGY_WIDTH)
@@ -301,19 +301,11 @@ def _plain_sessions(data: bytes, kind: str, timezone: str | None) -> ParseResult
     part, read[fast] = _sessions_read(stamps.T, _energies(energy.view(f"S{w}")[:, 0]))
     for name in SESSION_COLUMNS:  # field by field: 3x faster than whole records
         sessions[name][fast] = part[name]
-    rejected = [(k, k + 2, _cells(data, starts[k], stops[k])) for k in fast[~read[fast]].tolist()]
+    unread = np.flatnonzero(~read)
+    rows = (_cells(data, a, b) for a, b in zip(starts[unread].tolist(), stops[unread].tolist()))
+    rejected = [(k, k + 2, row) for k, row in zip(unread.tolist(), rows)
+                if "".join(row).strip()]  # blank rows are skipped
     errors = _read_rejected(sessions, read, rejected, positions, timezone)
-    slow = np.ones(len(starts), bool)
-    slow[fast] = False
-    slow = np.flatnonzero(slow)
-    for lo in range(0, len(slow), BLOCK_ROWS):
-        ks = slow[lo:lo + BLOCK_ROWS]
-        rows = [_cells(data, a, b) for a, b in zip(starts[ks].tolist(), stops[ks].tolist())]
-        sessions[ks], read[ks] = _session_columns(rows, positions)
-        rejected = [(k, k + 2, row) for k, row in zip(ks.tolist(), rows)
-                    if not read[k] and "".join(row).strip()]  # blank rows are skipped
-        errors += _read_rejected(sessions, read, rejected, positions, timezone)
-    errors.sort(key=attrgetter("line"))
     return ParseResult(sessions[read], errors)
 
 
@@ -388,8 +380,8 @@ def _sessions_read(stamps, energy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _energies(cells: np.ndarray) -> np.ndarray:
-    """``float`` of each ``S`` cell of decimal bytes (NaN where float rejects
-    it): numpy's conversion, which gives float's bits on such cells."""
+    """``float`` of each ``S`` cell of _DECIMAL bytes (NaN where float
+    rejects it): numpy's conversion, which gives float's bits on such cells."""
     try:
         return cells.astype(np.float64)
     except ValueError:  # such as "1.2.3"
@@ -452,12 +444,9 @@ def join_temperature(grid: IntervalSeries, readings: np.ndarray) -> IntervalSeri
     values = np.interp(grid_x, xs, readings["temp_c"])
 
     reach = TEMP_EDGE_REACH.total_seconds()
-    before = grid_x < xs[0]
-    after = grid_x > xs[-1]
-    bad_before = before & (xs[0] - grid_x > reach)
-    bad_after = after & (grid_x - xs[-1] > reach)
-    if bad_before.any() or bad_after.any():
-        k = int(np.argmax(bad_before)) if bad_before.any() else int(np.argmax(bad_after))
+    out = (xs[0] - grid_x > reach) | (grid_x - xs[-1] > reach)
+    if out.any():
+        k = int(np.argmax(out))
         raise GridError(
             f"no temperature reading within reach of interval {times[k].item().isoformat()}"
         )
@@ -589,12 +578,20 @@ def _bounded_int(low: int, high: int):
     return parse
 
 
+def _finite_float(text: str) -> float:
+    """A cell parser for a finite float."""
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"{text.strip()} is not a finite number")
+    return value
+
+
 # Each column of the whole-file loaders: its numpy type on the columnar path
 # (an S20 timestamp holds one character more than the plain form, so that a
-# longer cell shows), and the inclusive bounds of a bounded integer.
+# longer cell shows), and the inclusive bounds of an integer. A float must
+# be finite.
 _COLUMNS = {
     "timestamp": ("S20", None),
-    "demand": (np.int64, None),
+    "demand": (np.int64, (0, 2**63 - 1)),
     "temp_c": (np.float64, None),
     "weekday": (np.int64, (0, 6)),
     "month": (np.int64, (1, 12)),
@@ -607,12 +604,14 @@ _COLUMNS = {
 # line end.
 _NOT_PLAIN = (b'"', b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _LF, _CR, _COMMA = b"\n\r,"
+_NOT_LINE_END = re.compile(b"[^\r\n]")  # a byte of a line that is not empty
 # The widest energy cell that _plain_sessions reads by offset, and the bytes
-# it may hold: those of a decimal number (NUL pads a narrower cell), which
-# numpy and float read alike.
+# it may hold: those of a decimal number, "_" and the white space that float
+# strips (NUL pads a narrower cell). numpy's conversion gives float's value,
+# or rejects the cell as float does, for any cell of these bytes.
 _ENERGY_WIDTH = 32
 _DECIMAL = np.zeros(256, bool)
-_DECIMAL[list(b"\x000123456789+-.eE")] = True
+_DECIMAL[list(b"\x000123456789+-.eE_ \t\x0b\x0c")] = True
 # A plain timestamp in an S20 cell, once translated by _STAMP_CLASSES:
 # every digit to "d" and the "T" separator to " ".
 _STAMP_CLASSES = bytes.maketrans(b"0123456789T", b"dddddddddd ")
@@ -667,12 +666,10 @@ def _or_else(read, default):
 
 def _cell_parser(name: str, timezone: str | None):
     """The per-row reader's parser of a cell of column ``name``."""
-    dtype, bounds = _COLUMNS[name]
     if name == "timestamp":
         return lambda text: parse_timestamp(text, timezone)
-    if bounds:
-        return _bounded_int(*bounds)
-    return int if dtype is np.int64 else float
+    bounds = _COLUMNS[name][1]
+    return _bounded_int(*bounds) if bounds else _finite_float
 
 
 def _is_plain(data: bytes) -> bool:
@@ -699,9 +696,11 @@ def _plain_header(data: bytes, kind: str, names) -> tuple[list[int], int]:
 def _columnar(data: bytes, kind: str, names) -> list[np.ndarray]:
     """The columns ``names`` (the timestamp first) of plain CSV ``data``,
     read by numpy's C reader: the timestamp as datetime64[s], the others as
-    int64 within their bounds or as float64. Any other cell or row is a
-    ValueError or, for a file with no data rows, a warning."""
+    int64 within their bounds or as finite float64. Any other cell or row,
+    or a file with no data rows, is a ValueError."""
     usecols, body = _plain_header(data, kind, names)
+    if not _NOT_LINE_END.search(data, body):
+        raise ValueError("no data rows")  # on which loadtxt warns
     # numpy reads lines of bytes faster than lines of str, and from bytes,
     # not a StringIO's buffer of four bytes a character
     stream = io.BytesIO(data)
@@ -715,7 +714,8 @@ def _columnar(data: bytes, kind: str, names) -> list[np.ndarray]:
     for name in names[1:]:
         column = np.ascontiguousarray(table[name])
         bounds = _COLUMNS[name][1]
-        if bounds and ((column < bounds[0]) | (column > bounds[1])).any():
+        ok = (column >= bounds[0]) & (column <= bounds[1]) if bounds else np.isfinite(column)
+        if not ok.all():
             raise ValueError(f"a {name} is out of bounds")
         columns.append(column)
     return columns
@@ -733,12 +733,10 @@ def _read_table(source, kind: str, names, timezone: str | None, first_break) -> 
     text = _source_text(source, kind)
     if isinstance(text, bytes):
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # loadtxt warns on a file with no data rows
-                columns = _columnar(text, kind, names)
+            columns = _columnar(text, kind, names)
             if first_break(columns[0]) is None:
                 return columns
-        except (ValueError, Warning):
+        except ValueError:
             pass  # the per-row reader gives the values or names the bad line
         text = text.decode()
     lines, cells = _read_columns(text, kind, {n: _cell_parser(n, timezone) for n in names})

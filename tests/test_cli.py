@@ -633,6 +633,12 @@ def test_out_naming_a_file_one_io_line_file_kept(trained, tmp_path):
                  id="train-dataset-cell"),
     pytest.param("train", "dataset.csv", 5, "2022-01-01 00:45:00,3,10.0,300,1,1",
                  id="train-dataset-weekday-out-of-range"),
+    pytest.param("ingest", "demand.csv", 3, "2022-01-01 00:15:00,99999999999999999999",
+                 id="ingest-demand-overflow"),
+    pytest.param("train", "dataset.csv", 3, "2022-01-01 00:15:00,-2,10.0,5,1,1",
+                 id="train-dataset-demand-negative"),
+    pytest.param("ingest", "temperature.csv", 3, "2022-01-01 00:15:00,nan",
+                 id="ingest-temperature-nan"),
 ])
 def test_bad_csv_one_schema_line_naming_file_line(trained, tmp_path, command, name, line, text):
     """A bad cell, a short row, an empty file, a bad holiday date, a

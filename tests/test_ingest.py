@@ -326,6 +326,14 @@ def test_join_gap_beyond_reach_is_error_naming_interval():
     assert "2023-05-01T00:00" in str(err.value)
 
 
+def test_join_out_of_reach_at_both_ends_names_the_first_interval():
+    g = grid("2023-05-01 00:00", 40)  # 00:00 .. 09:45
+    readings = [(dt("2023-05-01 04:00"), 20.0), (dt("2023-05-01 05:00"), 22.0)]
+    with pytest.raises(GridError) as err:
+        join_temperature(g, temperature_readings(readings))
+    assert "interval 2023-05-01T00:00:00" in str(err.value)
+
+
 def test_join_empty_readings_error():
     with pytest.raises(GridError):
         join_temperature(grid("2023-05-01 00:00", 1), temperature_readings([]))
@@ -605,6 +613,17 @@ LONG_GRID = "timestamp,demand\n" + "".join(
     pytest.param(load_demand_grid, "", SchemaError, "line 1:", id="grid-empty"),
     pytest.param(load_demand_grid, GRID + "\n2023-05-01 00:30,2\n",
                  GridError, "line 4:", id="grid-break-after-blank-row"),
+    pytest.param(load_demand_grid, GRID + "2023-05-01 00:15,-2\n", SchemaError,
+                 "line 3: demand: -2 is outside 0..9223372036854775807", id="grid-demand-negative"),
+    pytest.param(load_demand_grid, GRID + "2023-05-01 00:15,99999999999999999999\n", SchemaError,
+                 "line 3: demand: 99999999999999999999 is outside", id="grid-demand-overflow"),
+    pytest.param(load_temperature_csv, TEMPERATURE + "2023-05-01 00:15,nan\n",
+                 SchemaError, "line 3: temp_c: nan is not a finite number", id="temperature-nan"),
+    pytest.param(load_temperature_csv, TEMPERATURE + "2023-05-01 00:15,inf\n",
+                 SchemaError, "line 3: temp_c: inf is not a finite number", id="temperature-inf"),
+    pytest.param(load_temperature_csv, TEMPERATURE + "2023-05-01 00:15,1e500\n",
+                 SchemaError, "line 3: temp_c: 1e500 is not a finite number",
+                 id="temperature-1e500"),
     pytest.param(load_dataset, DATASET + "2023-05-01 00:15,1,hot,0,5,1\n",
                  SchemaError, "line 3: temp_c:", id="dataset-cell"),
     pytest.param(load_dataset, DATASET + "2023-05-01 00:15,1,10.5,0,5\n",
@@ -613,6 +632,10 @@ LONG_GRID = "timestamp,demand\n" + "".join(
                  DATASET + "2023-05-01 00:15,1,x,0,5,1\n2023-05-01 00:30,y,1,0,5,1\n",
                  SchemaError, "line 3: temp_c:", id="dataset-first-bad-row"),
     pytest.param(load_dataset, "", SchemaError, "line 1:", id="dataset-empty"),
+    pytest.param(load_dataset, DATASET + "2023-05-01 00:15,-2,10.5,0,5,1\n", SchemaError,
+                 "line 3: demand: -2 is outside", id="dataset-demand-negative"),
+    pytest.param(load_dataset, DATASET + "2023-05-01 00:15,1,nan,0,5,1\n", SchemaError,
+                 "line 3: temp_c: nan is not a finite number", id="dataset-nan"),
     pytest.param(load_dataset, DATASET + "2023-05-01 00:15,1,10.5,300,5,1\n",
                  SchemaError, "line 3: weekday:", id="dataset-weekday-300"),
     pytest.param(load_dataset, DATASET + "2023-05-01 00:15,1,10.5,9,5,1\n",
@@ -782,9 +805,6 @@ def test_nul_in_stamp_is_schema_error_naming_line_on_both_paths(tmp_path, monkey
     pytest.param(load_dataset, second_row(ODD_DATASET, ",0,-0.25,", ", 0 ,\t-0.25 ,"), True,
                  id="spaces-around-numbers"),
     pytest.param(load_dataset, second_row(ODD_DATASET, "-0.25", "-0"), True, id="minus-zero"),
-    pytest.param(load_dataset, second_row(ODD_DATASET, "-0.25", "NaN"), True, id="nan"),
-    pytest.param(load_dataset, second_row(ODD_DATASET, "-0.25", "-1e500"), True,
-                 id="float-overflow"),
     pytest.param(load_dataset, second_row(ODD_DATASET, "-0.25", "2.2250738585072011e-308"),
                  True, id="float-subnormal-edge"),
     pytest.param(load_temperature_csv, ODD_TEMPERATURE, True, id="temperature-lf"),
@@ -865,12 +885,18 @@ def test_nul_in_stamp_is_schema_error_naming_line_on_both_paths(tmp_path, monkey
     pytest.param(load_dataset, second_row(ODD_DATASET, ",0,", ",99999999999999999999,"),
                  False, id="int-overflow"),
     pytest.param(load_dataset, second_row(ODD_DATASET, "-0.25", "warm"), False, id="odd-cell"),
+    pytest.param(load_dataset, second_row(ODD_DATASET, "-0.25", "NaN"), False, id="nan"),
+    pytest.param(load_dataset, second_row(ODD_DATASET, "-0.25", "-1e500"), False,
+                 id="float-overflow"),
     pytest.param(load_dataset, second_row(ODD_DATASET, ",5,1", ",5"), False, id="short-row"),
     pytest.param(load_dataset, second_row(ODD_DATASET, ",0,5,", ",7,5,"), False,
                  id="weekday-out-of-bounds"),
     pytest.param(load_dataset, second_row(ODD_DATASET, "00:15:00", "00:45:00"), False,
                  id="progression-break"),
     pytest.param(load_dataset, ODD_DATASET.split("\n")[0] + "\n", False, id="header-only"),
+    # loadtxt would warn on a body of no data line; pytest makes a warning an error
+    pytest.param(load_dataset, ODD_DATASET.split("\n")[0] + "\n\r\n\n", False,
+                 id="header-then-blank-lines"),
     pytest.param(load_temperature_csv, stamp(ODD_TEMPERATURE, "2023-05-01 00:00:00"), False,
                  id="temperature-repeated-time"),
 ])
@@ -1183,6 +1209,9 @@ MALFORMED, MALFORMED_ROWS = malformed_sessions(3 * BLOCK_ROWS + 1, seed=24)
     pytest.param(energy("١.5"), 0, id="energy-non-ascii-digit"),
     pytest.param(energy("1e308"), 0, id="energy-large"),
     pytest.param(energy("1.5\x85"), 0, id="energy-c1-next-line"),  # white space to float
+    pytest.param(HEADER.replace("\n", ",note\n") + SESSIONS.removeprefix(HEADER), 0,
+                 id="rows-leave-out-a-trailing-column"),
+    pytest.param(energy("1.5,extra,more"), 0, id="two-extra-cells"),
     # rows the per-row reader reads again
     pytest.param(energy("nan"), 1, id="energy-nan"),
     pytest.param(energy("inf"), 1, id="energy-inf"),
@@ -1192,6 +1221,9 @@ MALFORMED, MALFORMED_ROWS = malformed_sessions(3 * BLOCK_ROWS + 1, seed=24)
     pytest.param(energy("n/a"), 1, id="energy-not-a-number"),
     pytest.param(energy(""), 1, id="energy-empty"),
     pytest.param(energy("1.5\x00"), 1, id="energy-nul"),
+    pytest.param(energy("1__0"), 1, id="energy-double-underscore"),
+    pytest.param(energy(" "), 1, id="energy-space"),
+    pytest.param(energy("1." + "5" * 31), 1, id="energy-33-bytes"),  # wider than _ENERGY_WIDTH
     pytest.param(second_row(SESSIONS, ",1.5", ""), 1, id="short-row"),
     pytest.param(second_row(SESSIONS, ",2023-08-02 10:00:00,1.5", ""), 1, id="two-cell-row"),
     pytest.param(start("2023-08-02 09:15:00\x00"), 1, id="stamp-nul-at-end"),
@@ -1251,6 +1283,27 @@ def test_parse_sessions_equals_per_row_oracle(tmp_path, monkeypatch, text, per_r
     assert got.records.tobytes() == session_array(records).tobytes()
     assert [(e.line, e.message) for e in got.errors] == errors
     assert len(calls) == per_row
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(MALFORMED, id="malformed-kinds"),
+    pytest.param(energy("1.5,extra"), id="long-row"),
+    pytest.param(energy(" 1.5\t"), id="energy-white-space"),
+])
+def test_plain_sessions_text_does_not_need_the_csv_cell_reader(tmp_path, monkeypatch, text):
+    """Plain text is read by byte offsets or by ``_session_row``, never by
+    ``_session_columns``, which reads the rows the csv module splits."""
+    path = tmp_path / "sessions.csv"
+    path.write_bytes(text.encode())
+
+    def refused(*_):
+        raise AssertionError("_session_columns read plain text")
+
+    monkeypatch.setattr(ingest, "_session_columns", refused)
+    got = parse_sessions(path)
+    records, errors = per_row_sessions(text)
+    assert got.records.tobytes() == session_array(records).tobytes()
+    assert [(e.line, e.message) for e in got.errors] == errors
 
 
 CSV_READER = ingest.csv.reader
