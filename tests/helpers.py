@@ -11,7 +11,10 @@ background window, ``temperature_readings`` and ``session_array``, which
 build the inputs of ``join_temperature`` and ``aggregate_demand``,
 ``per_row_sessions``, which reads each timestamp with the package's
 ``parse_timestamp``, and ``format_times``, which decodes the package's
-``time_text``. ``SeparateParams``, ``per_tensor_clip`` and
+``time_text``. ``outcome`` and ``both_ways`` read a whole-file loader's
+result with its columnar path and with it switched off, and ``random_csv``
+generates the seeded CSV texts of the differential reader check
+(``tests/differential.py``). ``SeparateParams``, ``per_tensor_clip`` and
 ``per_tensor_adam_step`` are the per-tensor training update that the flat
 parameter arena replaced; ``sigmoid``, ``whole_batch_forward`` and
 ``row_major_backward`` are the gate squash, the batched forward and its
@@ -33,9 +36,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from demandcast import ingest
 from demandcast.errors import ConfigError, ShapeError
 from demandcast.explain import shapley_series
-from demandcast.ingest import READING, SESSION, parse_timestamp, time_text
+from demandcast.ingest import READING, SESSION, IntervalSeries, parse_timestamp, time_text
 from demandcast.lstm_att import forward_batch
 
 
@@ -115,6 +119,213 @@ def per_row_sessions(text, timezone=None):
             except (ValueError, IndexError) as exc:
                 errors.append((reader.line_num, str(exc)))
     return records, errors
+
+
+def outcome(loader, *args):
+    """What ``loader(*args)`` returns, as origin, dtypes and array bytes, or
+    the type and message of what it raises."""
+    try:
+        result = loader(*args)
+    except Exception as exc:  # the per-row reader's error is the expected outcome
+        return type(exc), str(exc)
+    if isinstance(result, IntervalSeries):
+        columns = (result.demand, result.temperature, result.weekday, result.month,
+                   result.holiday)
+        return repr(result.origin), [None if c is None else (c.dtype.str, c.tobytes())
+                                     for c in columns]
+    return result.dtype.descr, result.tobytes()
+
+
+def both_ways(monkeypatch, tmp_path, loader, *args):
+    """The outcome of ``loader(*args)``, the outcome with the columnar path
+    switched off (the per-row oracle), and whether the columnar path served
+    the first call. Each call has its own empty dataset cache, so neither
+    reads what the other kept."""
+    per_row_calls = []
+    read_columns = ingest._read_columns
+
+    def counted(*a):
+        per_row_calls.append(a)
+        return read_columns(*a)
+
+    def switched_off(*_):
+        raise ValueError("columnar path switched off")
+
+    with monkeypatch.context() as m:
+        m.setenv("XDG_CACHE_HOME", str(tmp_path / "cache-got"))
+        m.setattr(ingest, "_read_columns", counted)
+        got = outcome(loader, *args)
+    columnar = not per_row_calls
+    with monkeypatch.context() as m:
+        m.setenv("XDG_CACHE_HOME", str(tmp_path / "cache-want"))
+        m.setattr(ingest, "_read_columns", counted)
+        m.setattr(ingest, "_columnar", switched_off)
+        want = outcome(loader, *args)
+    assert len(per_row_calls) == (not columnar) + 1, "the per-row reader did not give want"
+    return got, want, columnar
+
+
+# The columns of each loader's file, the timestamp first, and the range of
+# each integer column (None for a float).
+CSV_COLUMNS = {
+    "sessions": {"start": None, "charge_end": None, "disconnect": None, "energy_kwh": None},
+    "temperature": {"timestamp": None, "temp_c": None},
+    "grid": {"timestamp": None, "demand": (0, 40)},
+    "dataset": {"timestamp": None, "demand": (0, 40), "temp_c": None, "weekday": (0, 6),
+                "month": (1, 12), "holiday": (0, 1)},
+}
+# Stamps that are wrong as a whole, or that leave datetime's range once
+# their offset is applied.
+ODD_STAMPS = ["", " ", "NaT", "today", "2023-05-01", "2022-01", "+2023-05-01 00:15:00",
+              "9999-12-31T23:00:00-05:00", "0001-01-01T00:00:00+05:00",
+              "2023-05-01 00:15:00\x00", "2023-05-01 00:15:0٠", "２023-05-01 00:15:00",
+              "2023-05-01\x8500:15:00", "2023-05-01\x0000:15:00", '"2023-05-01 00:15:00"']
+# A field of a YYYY-MM-DD HH:MM:SS stamp: its offset and the values that
+# leave its range (or, for February 29 and 30, may).
+ODD_FIELDS = [(0, "0000"), (5, "13"), (5, "00"), (5, "02-29"), (5, "02-30"), (8, "32"),
+              (8, "00"), (11, "24"), (14, "60"), (17, "60"), (17, "69")]
+ODD_NUMBERS = ["", " ", "nan", "NaN", "inf", "-inf", "1e500", "-1e500", "1e308", "-0", "+1",
+               "1_0", "1__0", "_1", "1.", ".5", "1e0", "1.2.3", "0x10", "١", "1\x00",
+               "1\x85", "1\x1c", "warm", "n/a", "99999999999999999999", "9223372036854775807",
+               "9223372036854775808", "2.2250738585072011e-308", "5e-324"]
+NUMBER_BYTES = "0123456789.eE+-_ \t\x0b\x0c"
+
+
+def random_csv(seed: int, kind: str) -> str:
+    """A small seeded random CSV text for the loader of ``kind``, a key of
+    CSV_COLUMNS.
+
+    Its header names the loader's columns in any order and case, among extra
+    ones. Its rows hold times (a session's three, or a 15-minute or rising
+    progression) and numbers, most in the forms the writers give, and each
+    cell odd with a chance the file draws: a stamp with no seconds, a ``T``,
+    an offset, a fraction, white space or a field out of range (ODD_FIELDS,
+    ODD_STAMPS); a number with white space, over NUMBER_BYTES, 25-40 bytes
+    wide, or from ODD_NUMBERS; a quoted cell. Rows may be short, long or
+    blank; lines end in LF, CRLF, a lone CR or a mix; the text may start
+    with a byte-order mark. A few files have several hundred rows and an odd
+    stamp near the end."""
+    rng = np.random.default_rng(seed)
+    odd = float(rng.choice([0.0, 0.0, 0.02, 0.1, 0.3]))
+    columns = CSV_COLUMNS[kind]
+    names = list(columns) + [str(rng.choice(["note", "site", "x"])) for _ in range(rng.integers(3))]
+    order = rng.permutation(len(names))
+    header = [_odd_case(rng, names[k]) if rng.random() < 0.1 else names[k] for k in order]
+    rows = int(rng.integers(600, 800)) if rng.random() < 0.03 else int(rng.integers(0, 12))
+    seconds = rng.random() < 0.7  # else every time is on a whole minute
+    form = str(rng.choice(["%Y-%m-%d %H:%M:%S", "%Y-%m-%dT%H:%M:%S", "%Y-%m-%d %H:%M",
+                           "%Y-%m-%dT%H:%M"]))
+    origin = datetime(int(rng.integers(1990, 2040)), int(rng.integers(1, 13)),
+                      int(rng.integers(1, 29)), int(rng.integers(24)), 15 * int(rng.integers(4)))
+    t = origin
+    late = rows - 5 if rows >= 600 else -1  # the row with an odd field in a long file
+    lines = [",".join(header)]
+    for k in range(rows):
+        odd_here = odd if late < 0 else 0.0
+        cells = {}
+        if kind == "sessions":
+            offset = int(rng.integers(10**8))
+            step = int(rng.integers(60, 30000))
+            if not seconds:
+                offset, step = offset - offset % 60, step - step % 60
+            t = origin + timedelta(seconds=offset)
+            times = [t, t + timedelta(seconds=step), t + timedelta(seconds=2 * step)]
+            if rng.random() < odd:
+                times[0], times[1] = times[1], times[0]
+            for name, time in zip(columns, times):
+                cells[name] = _random_stamp(rng, time, form, odd_here)
+        else:
+            cells["timestamp"] = _random_stamp(rng, t, form, odd_here)
+            t += timedelta(minutes=15 * (1 if kind != "temperature" else int(rng.integers(1, 5))))
+            if rng.random() < odd_here / 4:  # a break in the progression
+                t += timedelta(minutes=int(rng.choice([-15, 5, 15])))
+        if k == late:
+            name = str(rng.choice([n for n in cells]))
+            cells[name] = _odd_field(rng, cells[name])
+        for name, bounds in columns.items():
+            if name not in cells:
+                cells[name] = _random_number(rng, bounds, odd_here)
+        row = [cells.get(names[k], str(rng.choice(["", "x", "a b", "1"]))) for k in order]
+        if rng.random() < odd_here:
+            row = _odd_row(rng, row)
+        lines.append(",".join(row))
+    end = str(rng.choice(["\n", "\r\n", "\r", "mixed"]))
+    text = "".join(line + (str(rng.choice(["\n", "\r\n", "\n", "\r\n", "\r"]))
+                           if end == "mixed" else end) for line in lines)
+    if rng.random() < 0.1:
+        text = text.rstrip("\r\n")
+    return ("\ufeff" if rng.random() < 0.1 else "") + text
+
+
+def _odd_case(rng, name):
+    return str(rng.choice([name.upper(), " " + name, name.title() + " "]))
+
+
+def _random_stamp(rng, time, form, odd):
+    """``time`` in ``form``, or with the chance ``odd`` in an odd form."""
+    if rng.random() >= odd:
+        return time.strftime(form)
+    text = time.isoformat(" ", "seconds")
+    kind = int(rng.integers(8))
+    if kind == 0:
+        return str(rng.choice(ODD_STAMPS))
+    if kind == 1:
+        text = _odd_field(rng, text)
+    elif kind == 2:
+        text += str(rng.choice(["Z", "+01:00", "-05:00", "+00:00", ".5", ".000", ".250000"]))
+    elif kind == 3:
+        text = str(rng.choice([" ", "\t", ""])) + text + str(rng.choice([" ", "\t", ""]))
+    elif kind == 4:
+        text = text[:16] + str(rng.choice(["", " ", ":", ":6"]))
+    elif kind == 5:
+        text = text[:14] + "60"  # minute 60, no seconds
+    if rng.random() < 0.5:
+        text = text[:10] + "T" + text[11:]
+    if rng.random() < 0.3:
+        text = text[:16]
+    return text
+
+
+def _odd_field(rng, text):
+    """Stamp ``text`` with one field from ODD_FIELDS."""
+    at, field = ODD_FIELDS[int(rng.integers(len(ODD_FIELDS)))]
+    return text[:at] + field + text[at + len(field):]
+
+
+def _random_number(rng, bounds, odd):
+    """A number cell of an integer column in ``bounds``, or of a float
+    column if None; with the chance ``odd`` an odd one."""
+    if rng.random() >= odd:
+        if bounds is not None:
+            return str(int(rng.integers(bounds[0], bounds[1] + 1)))
+        return repr(float(rng.normal() * 10.0 ** int(rng.integers(-3, 4))))
+    kind = int(rng.integers(5))
+    if kind == 0:
+        return str(rng.choice(ODD_NUMBERS))
+    if kind == 1:  # over the bytes of a decimal number and white space
+        return "".join(rng.choice(list(NUMBER_BYTES), int(rng.integers(1, 8))))
+    if kind == 2:  # 25-40 bytes wide
+        width = int(rng.integers(25, 41))
+        return str(rng.choice(["0.", "1", "-", " "])) + "".join(
+            rng.choice(list("0123456789"), width - 2)) + str(rng.choice(["5", " ", "e"]))
+    if kind == 3:
+        value = _random_number(rng, bounds, 0.0)
+        return str(rng.choice([" ", "\t", "\x0b", ""])) + value + str(rng.choice([" ", "\x0c", ""]))
+    return '"' + _random_number(rng, bounds, 0.0) + '"'
+
+
+def _odd_row(rng, row):
+    """``row`` short, long, blank or quoted whole."""
+    kind = int(rng.integers(5))
+    if kind == 0:
+        return row[:int(rng.integers(len(row)))]
+    if kind == 1:
+        return row + ["x"] * int(rng.integers(1, 3))
+    if kind == 2:
+        return [str(rng.choice(["", "   ", "\t"]))] * int(rng.integers(1, len(row) + 1))
+    if kind == 3:
+        return ['"' + cell.replace('"', '""') + '"' for cell in row]
+    return row[:1] + ['"a\nb"'] + row[2:]  # a quoted line break
 
 
 def minute_scan_demand(sessions, origin, n_intervals):

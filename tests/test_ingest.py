@@ -34,6 +34,7 @@ from demandcast.synth import SynthConfig, export, generate
 from demandcast.util import WRITE_ROWS, write_csv
 from helpers import (
     SessionRecord,
+    both_ways,
     csv_writer_rows,
     csv_writer_table,
     format_times,
@@ -41,6 +42,7 @@ from helpers import (
     loop_calendar,
     loop_grid_times,
     minute_scan_demand,
+    outcome,
     per_row_sessions,
     session_array,
     temperature_readings,
@@ -685,50 +687,6 @@ def test_bad_input_is_typed_error_naming_file_line(tmp_path, loader, text, error
 # ---------------------------------------------------------------------------
 # columnar path against the per-row reader
 # ---------------------------------------------------------------------------
-
-def outcome(loader, *args):
-    """What ``loader(*args)`` returns, as origin, dtypes and array bytes, or
-    the type and message of what it raises."""
-    try:
-        result = loader(*args)
-    except Exception as exc:  # the per-row reader's error is the expected outcome
-        return type(exc), str(exc)
-    if isinstance(result, IntervalSeries):
-        columns = (result.demand, result.temperature, result.weekday, result.month,
-                   result.holiday)
-        return repr(result.origin), [None if c is None else (c.dtype.str, c.tobytes())
-                                     for c in columns]
-    return result.dtype.descr, result.tobytes()
-
-
-def both_ways(monkeypatch, tmp_path, loader, *args):
-    """The outcome of ``loader(*args)``, the outcome with the columnar path
-    switched off (the per-row oracle), and whether the columnar path served
-    the first call. Each call has its own empty dataset cache, so neither
-    reads what the other kept."""
-    per_row_calls = []
-    read_columns = ingest._read_columns
-
-    def counted(*a):
-        per_row_calls.append(a)
-        return read_columns(*a)
-
-    def switched_off(*_):
-        raise ValueError("columnar path switched off")
-
-    with monkeypatch.context() as m:
-        m.setenv("XDG_CACHE_HOME", str(tmp_path / "cache-got"))
-        m.setattr(ingest, "_read_columns", counted)
-        got = outcome(loader, *args)
-    columnar = not per_row_calls
-    with monkeypatch.context() as m:
-        m.setenv("XDG_CACHE_HOME", str(tmp_path / "cache-want"))
-        m.setattr(ingest, "_read_columns", counted)
-        m.setattr(ingest, "_columnar", switched_off)
-        want = outcome(loader, *args)
-    assert len(per_row_calls) == (not columnar) + 1, "the per-row reader did not give want"
-    return got, want, columnar
-
 
 @pytest.mark.parametrize("timezone", [None, "America/Los_Angeles"])
 def test_columnar_loaders_equal_per_row_reader_on_synth_export(tmp_path, monkeypatch, timezone):
