@@ -16,37 +16,31 @@ that does not parse, a short row, or a missing header or column, and
 GridError for a break in the 15-minute progression; parse_sessions instead
 skips each malformed row and collects a RowError with its line.
 
-Every loader reads the file's bytes once and drops one leading UTF-8
-byte-order mark, as Excel's "CSV UTF-8" writes it. Text is plain
-(``_is_plain``) if it is ASCII with no quote, NUL or \\x1c-\\x1f character
-and no carriage return outside a CRLF line end: the csv module splits such
-text at its line ends and commas, so the columnar readers split it without
-the csv module. A plain timestamp is ``YYYY-MM-DD HH:MM:SS`` as ``time_text``
-writes it, or with ``T`` as the separator; ``_plain_times`` reads its fields
-by digit arithmetic.
+Every loader reads the file's bytes once, drops one leading UTF-8
+byte-order mark, as Excel's "CSV UTF-8" writes it, and has two readers.
+Plain text (``_is_plain``: ASCII with no quote, NUL or \\x1c-\\x1f
+character and no carriage return outside a CRLF line end), which the csv
+module splits at its line ends and commas alone, is split by
+``_plain_split``: one numpy pass finds every line end and comma, and the
+cells of all lines are read at once by byte offsets. A plain timestamp is
+``YYYY-MM-DD HH:MM:SS`` as ``time_text`` writes it, or ``YYYY-MM-DD HH:MM``
+read as if it ended in ``:00``, either with ``T`` as the separator;
+``_plain_times`` reads its fields and ``_integers`` an integer cell by digit
+arithmetic, and a float cell is read by numpy's conversion. Everything else
+goes to the loader's per-row oracle, which reads the same values or names
+the file line of what is wrong.
 
-The temperature, demand grid and dataset loaders read plain text on the
-columnar path, numpy's C reader, if every timestamp is plain and every cell,
-row and time is within the loader's rules. Any other text (another
-timestamp form such as one with a UTC offset or a fraction of a second, a
-quoted, short, all-space or all-comma row, a bad cell, an out-of-range or
-non-finite value or a break in the time rule) is read again by the per-row
-reader ``_read_columns``, which reads the same values and names the file
-line of the first bad row.
-
-parse_sessions reads plain text without the csv module (``_plain_sessions``),
-by byte offsets or by ``_session_row``. One numpy pass finds every line end
-and comma of the bytes. A regular row, with a cell for each column up to the
-last one read, 19-byte times and a decimal energy of at most _ENERGY_WIDTH
-bytes, is read by byte offsets, all such rows at once: its times by
-``_plain_times``, its energy by numpy's conversion and its row rules as
-array comparisons. Every other row that is not blank, and every regular row
-that breaks a rule, is read by ``_session_row``, which gives the same values
-or the message of what is wrong, and a RowError names the row's file line.
-Text that is not plain is split by the csv module and read by
-``_session_columns``, BLOCK_ROWS rows at a time, and its rejected rows by
-``_session_row``. ``aggregate_demand`` counts the ``SESSION`` array with
-numpy.
+The temperature, demand grid and dataset loaders read plain text by byte
+offsets (``_columnar``) if every row, cell and time keeps the loader's
+rules. Any other text (quoted or with a lone CR, a short or all-space row,
+another timestamp form such as one with a UTC offset, a bad, too wide or
+out-of-range cell, a break in the time rule) is read again by the per-row
+reader ``_read_columns``. parse_sessions reads each regular row of plain
+text (a cell for each column up to the last one read, plain times, a
+decimal energy of at most _NUMBER_WIDTH bytes and the session rules kept)
+by byte offsets, and every other row that is not blank, of any text, by
+``_session_row``; a RowError names the file line of each row it rejects.
+``aggregate_demand`` counts the ``SESSION`` array with numpy.
 
 The demand grid, temperature and dataset files are each one call to
 ``util.write_csv``, the one CSV table writer, which renders a block of rows
@@ -85,7 +79,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridError, SchemaError
-from .util import BLOCK_ROWS, FLOAT_FORMAT, write_csv
+from .util import FLOAT_FORMAT, write_csv
 
 STEP = timedelta(minutes=15)
 STEP_SECONDS = 900
@@ -106,7 +100,8 @@ def parse_timestamp(text: str, timezone: str | None = None) -> datetime:
 
     Offset-aware inputs are converted to ``timezone`` (UTC if none is
     configured) before the offset is stripped. Text that holds a control
-    character once stripped of white space is unparseable.
+    character once stripped of white space is unparseable, and a time that
+    leaves datetime's range in that zone is a ValueError too.
     """
     raw = text.strip()
     if _CONTROL.search(raw):
@@ -119,7 +114,11 @@ def parse_timestamp(text: str, timezone: str | None = None) -> datetime:
         raise ValueError(f"unparseable timestamp {text!r}") from exc
     if ts.tzinfo is not None:
         zone = ZoneInfo(timezone) if timezone else ZoneInfo("UTC")
-        ts = ts.astimezone(zone).replace(tzinfo=None)
+        try:
+            ts = ts.astimezone(zone)
+        except OverflowError:
+            raise ValueError(f"timestamp {text!r} is out of range in {zone.key}") from None
+        ts = ts.replace(tzinfo=None)
     return ts
 
 
@@ -248,61 +247,41 @@ def parse_sessions(csv_source, timezone: str | None = None) -> ParseResult:
     text = _source_text(csv_source, kind)
     if isinstance(text, bytes):
         return _plain_sessions(text, kind, timezone)
-    blocks = _read_rows(text, kind, SESSION_COLUMNS)
-    positions = next(blocks)
-    parts, errors = [], []
-    for lines, rows in blocks:
-        sessions, read = _session_columns(rows, positions)
-        rejected = [(k, lines[k], rows[k]) for k in np.flatnonzero(~read).tolist()]
-        errors += _read_rejected(sessions, read, rejected, positions, timezone)
-        parts.append(sessions[read])
-    return ParseResult(np.concatenate(parts), errors)
+    positions, lines, rows = _read_rows(text, kind, SESSION_COLUMNS)
+    sessions, read = np.empty(len(rows), SESSION), np.zeros(len(rows), bool)
+    errors = _read_rejected(sessions, read, zip(range(len(rows)), lines, rows), positions, timezone)
+    return ParseResult(sessions[read], errors)
 
 
 def _plain_sessions(data: bytes, kind: str, timezone: str | None) -> ParseResult:
-    """``parse_sessions`` of plain ``data`` (see ``_is_plain``), split at its
-    line ends and commas without the csv module, whose split it equals.
+    """``parse_sessions`` of plain ``data``, split by ``_plain_split``.
 
-    A regular row (a cell for each column up to the last one read, 19-byte
-    times and an energy of at most _ENERGY_WIDTH decimal bytes) is read by
+    A regular row (a cell for each column up to the last one read, plain
+    times and an energy of at most _NUMBER_WIDTH _DECIMAL bytes) is read by
     byte offsets, every such row at once. Every other row that is not blank,
     and every regular row that breaks a rule, is read by ``_session_row``;
     the errors are in file order."""
-    positions, body = _plain_header(data, kind, SESSION_COLUMNS)
-    if body == len(data):
-        return ParseResult(np.empty(0, SESSION), [])
-    cells = max(positions) + 1
-    tail = b"" if data.endswith(b"\n") else b"\n"
-    buf = np.frombuffer(data + tail + bytes(_ENERGY_WIDTH), np.uint8)  # no window runs off it
-    # every line end and comma from the header's line end on
-    text = buf[body - 1:len(data) + len(tail)]
-    marks = np.flatnonzero((text == _LF) | (text == _COMMA)) + (body - 1)
-    ends = np.flatnonzero(buf[marks] == _LF)
-    starts = marks[ends[:-1]] + 1
-    stops = marks[ends[1:]]
-    stops -= buf[stops - 1] == _CR
-    fast = np.flatnonzero(np.diff(ends) >= cells)
-    # the cell bounds of each fast row: the line end before it, then its
-    # commas, up to the end of the last cell read
-    bounds = marks[ends[fast, None] + np.arange(cells + 1)]
-    bounds[:, -1] = np.minimum(bounds[:, -1], stops[fast])
-    begin = bounds[:, positions] + 1
-    width = bounds[:, np.add(positions, 1)] - begin
-    w = min(int(width[:, 3].max(initial=1)), _ENERGY_WIDTH)
-    energy = _windows(buf, w)[begin[:, 3]].view(np.uint8).reshape(-1, w)
-    energy[np.arange(w) >= width[:, 3, None]] = 0
-    keep = np.flatnonzero((width[:, :3] == 19).all(1) & (width[:, 3] > 0)
-                          & (width[:, 3] <= _ENERGY_WIDTH) & _DECIMAL[energy].all(1))
-    fast, energy = fast[keep], energy[keep]
-    stamps = _windows(buf, 20)[begin[keep, :3]]
-    stamps.view(np.uint8).reshape(-1, 20)[:, 19] = 0  # an S20 stamp, as _plain_times reads
+    positions, buf, starts, stops, full, begin, width = _plain_split(data, kind, SESSION_COLUMNS)
+    energy = _cell_bytes(buf, begin[3], width[3])
+    keep = np.flatnonzero((width[3] > 0) & (width[3] <= _NUMBER_WIDTH) & _DECIMAL[energy].all(1))
+    full, begin, width, energy = full[keep], begin[:, keep], width[:, keep], energy[keep]
+    ok = np.ones(len(full), bool)
+    columns = []
+    for j in range(3):
+        times, plain = _plain_times(buf, begin[j], width[j])
+        columns.append(times)
+        ok &= plain
+    columns.append(_energies(energy.view(f"S{energy.shape[1]}")[:, 0]))
+    start, charge_end, disconnect, energy = columns
+    ok &= (start <= charge_end) & (charge_end <= disconnect) & (energy >= 0) & (energy < np.inf)
     sessions = np.empty(len(starts), SESSION)
+    for name, column in zip(SESSION_COLUMNS, columns):  # field by field: 3x faster than records
+        sessions[name][full] = column
     read = np.zeros(len(starts), bool)
-    part, read[fast] = _sessions_read(stamps.T, _energies(energy.view(f"S{w}")[:, 0]))
-    for name in SESSION_COLUMNS:  # field by field: 3x faster than whole records
-        sessions[name][fast] = part[name]
+    read[full] = ok
     unread = np.flatnonzero(~read)
-    rows = (_cells(data, a, b) for a, b in zip(starts[unread].tolist(), stops[unread].tolist()))
+    rows = (tuple(data[a:b].decode().split(",")) for a, b in zip(starts[unread].tolist(),
+                                                                 stops[unread].tolist()))
     rejected = [(k, k + 2, row) for k, row in zip(unread.tolist(), rows)
                 if "".join(row).strip()]  # blank rows are skipped
     errors = _read_rejected(sessions, read, rejected, positions, timezone)
@@ -313,11 +292,6 @@ def _windows(buf: np.ndarray, width: int) -> np.ndarray:
     """Every ``width`` bytes of ``buf``, from each offset, as S{width} cells
     that share its memory."""
     return sliding_window_view(buf, width).view(f"S{width}")[:, 0]
-
-
-def _cells(data: bytes, start: int, stop: int) -> tuple:
-    """The cells of the plain row data[start:stop], as csv splits them."""
-    return tuple(data[start:stop].decode().split(","))
 
 
 def _read_rejected(sessions: np.ndarray, read: np.ndarray, rejected, positions: list[int],
@@ -347,46 +321,20 @@ def _datetime64(times) -> np.ndarray:
     return np.array([(t - EPOCH) // _MICROSECOND for t in times], np.int64).view("datetime64[us]")
 
 
-def _session_columns(rows: list[tuple], positions: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The sessions of ``rows`` read column by column, and whether each row
-    was read (see ``_sessions_read``), its energy read with ``float``."""
-    width = max(positions) + 1
-    # a short row reads as empty cells, which are not plain times
-    rows = [row if len(row) >= width else ("",) * width for row in rows]
-    *stamps, energy = [list(map(itemgetter(i), rows)) for i in positions]
-    for j, cells in enumerate(stamps):
-        text = "".join(cells)
-        if not text.isascii() or "\x00" in text:  # S20 cannot hold it, or drops a final NUL
-            cells = [c if c.isascii() and "\x00" not in c else "" for c in cells]
-        stamps[j] = np.array(cells, dtype="S20")
-    return _sessions_read(stamps, np.fromiter(map(_or_else(float, math.nan), energy),
-                                              np.float64, len(rows)))
-
-
-def _sessions_read(stamps, energy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sessions of three columns of S20 ``stamps`` and of ``energy``,
-    and whether each was read: its times plain (see ``_plain_times``) and
-    the rules of ``_session_row`` kept."""
-    sessions = np.empty(len(energy), SESSION)
-    read = np.ones(len(energy), bool)
-    for name, column in zip(SESSION_COLUMNS, stamps):
-        sessions[name], plain = _plain_times(column)
-        read &= plain
-    sessions["energy_kwh"] = energy
-    read &= ((sessions["start"] <= sessions["charge_end"])
-             & (sessions["charge_end"] <= sessions["disconnect"])
-             & (energy >= 0) & (energy < np.inf))
-    return sessions, read
-
-
 def _energies(cells: np.ndarray) -> np.ndarray:
     """``float`` of each ``S`` cell of _DECIMAL bytes (NaN where float
     rejects it): numpy's conversion, which gives float's bits on such cells."""
     try:
         return cells.astype(np.float64)
-    except ValueError:  # such as "1.2.3"
-        return np.fromiter(map(_or_else(float, math.nan), cells.tolist()), np.float64,
-                           len(cells))
+    except ValueError:  # such as "1.2.3": cell by cell
+        return np.array([_float_or_nan(cell) for cell in cells.tolist()])
+
+
+def _float_or_nan(cell: bytes) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
 
 
 def _session_row(row: tuple, positions: list[int], timezone: str | None) -> tuple:
@@ -520,23 +468,17 @@ def _column_positions(reader, kind: str, names) -> list[int]:
     return [cols.index(n) for n in names]
 
 
-def _read_rows(text: str, kind: str, names):
-    """Read CSV text whose header names every column in ``names``.
-
-    Yields the position of each named column, then the data rows that are
-    not blank in blocks of (file lines, rows) of at most BLOCK_ROWS rows, so
-    that a large file never holds all its raw cells at once."""
+def _read_rows(text: str, kind: str, names) -> tuple[list[int], list[int], list[tuple]]:
+    """The position of each of ``names`` in the header of CSV ``text`` (see
+    ``_column_positions``), and the file line and the cells of each data row
+    that is not blank, split by the csv module."""
     reader = csv.reader(io.StringIO(text, newline=""))
-    yield _column_positions(reader, kind, names)
-    lines, rows = [], []
+    positions, lines, rows = _column_positions(reader, kind, names), [], []
     for row in reader:
         if "".join(row).strip():
             lines.append(reader.line_num)
             rows.append(tuple(row))  # a tuple of str drops out of the cyclic GC
-            if len(rows) == BLOCK_ROWS:
-                yield lines, rows
-                lines, rows = [], []
-    yield lines, rows
+    return positions, lines, rows
 
 
 def _parse_cell(kind: str, line: int, column: str, parse, cells, i: int):
@@ -553,20 +495,15 @@ def _read_columns(text: str, kind: str, parsers: dict) -> tuple[list[int], list[
     parsed cells per column of ``parsers`` (column name -> cell parser). A
     bad cell is the SchemaError of ``_parse_cell`` for the first row that has
     one."""
-    blocks = _read_rows(text, kind, parsers)
-    spec = list(zip(parsers, next(blocks), parsers.values()))
-    all_lines, columns = [], [[] for _ in spec]
-    for lines, rows in blocks:
-        try:
-            for values, (_, i, parse) in zip(columns, spec):
-                values.extend(map(parse, map(itemgetter(i), rows)))
-        except (ValueError, IndexError):
-            for line, row in zip(lines, rows):
-                for column, i, parse in spec:
-                    _parse_cell(kind, line, column, parse, row, i)
-            raise
-        all_lines += lines
-    return all_lines, columns
+    positions, lines, rows = _read_rows(text, kind, parsers)
+    spec = list(zip(parsers, positions, parsers.values()))
+    try:
+        return lines, [list(map(parse, map(itemgetter(i), rows))) for _, i, parse in spec]
+    except (ValueError, IndexError):
+        for line, row in zip(lines, rows):
+            for column, i, parse in spec:
+                _parse_cell(kind, line, column, parse, row, i)
+        raise
 
 
 def _bounded_int(low: int, high: int):
@@ -585,33 +522,26 @@ def _finite_float(text: str) -> float:
     return value
 
 
-# Each column of the whole-file loaders: its numpy type on the columnar path
-# (an S20 timestamp holds one character more than the plain form, so that a
-# longer cell shows), and the inclusive bounds of an integer. A float must
-# be finite.
-_COLUMNS = {
-    "timestamp": ("S20", None),
-    "demand": (np.int64, (0, 2**63 - 1)),
-    "temp_c": (np.float64, None),
-    "weekday": (np.int64, (0, 6)),
-    "month": (np.int64, (1, 12)),
-    "holiday": (np.int64, (0, 1)),
-}
+# The inclusive bounds of each integer column of the whole-file loaders;
+# every other column but the timestamp is a finite float.
+_BOUNDS = {"demand": (0, 2**63 - 1), "weekday": (0, 6), "month": (1, 12), "holiday": (0, 1)}
 # Bytes the columnar readers read otherwise than the csv module and the
-# per-row reader: the quote (csv quoting), NUL (the pad of a numpy string)
-# and \x1c-\x1f (white space to numpy's number parsers and to str.strip,
-# not to int and float). A carriage return is plain only as part of a CRLF
-# line end.
+# per-row reader: the quote (csv quoting), NUL (the pad of a cell) and
+# \x1c-\x1f (white space to numpy's number parser and to str.strip, not to
+# int and float). A carriage return is plain only as part of a CRLF line end.
 _NOT_PLAIN = (b'"', b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _LF, _CR, _COMMA = b"\n\r,"
-_NOT_LINE_END = re.compile(b"[^\r\n]")  # a byte of a line that is not empty
-# The widest energy cell that _plain_sessions reads by offset, and the bytes
-# it may hold: those of a decimal number, "_" and the white space that float
-# strips (NUL pads a narrower cell). numpy's conversion gives float's value,
-# or rejects the cell as float does, for any cell of these bytes.
-_ENERGY_WIDTH = 32
+_OFFSET32_BYTES = 2**31  # _plain_split keeps the offsets of a shorter text as int32
+# The widest number cell that the columnar readers read, and the bytes it
+# may hold: white space that int and float strip (_SPACE, NUL padding a
+# narrower cell) and those of a decimal number and "_" (_DECIMAL). numpy's
+# conversion gives float's value, or rejects the cell as float does, for any
+# cell of _DECIMAL bytes; an integer cell is digits between white space.
+_NUMBER_WIDTH = 32
+_SPACE = b"\x00 \t\x0b\x0c"
+_DECIMAL_BYTES = _SPACE + b"0123456789+-.eE_"
 _DECIMAL = np.zeros(256, bool)
-_DECIMAL[list(b"\x000123456789+-.eE_ \t\x0b\x0c")] = True
+_DECIMAL[list(_DECIMAL_BYTES)] = True
 # A plain timestamp in an S20 cell, once translated by _STAMP_CLASSES:
 # every digit to "d" and the "T" separator to " ".
 _STAMP_CLASSES = bytes.maketrans(b"0123456789T", b"dddddddddd ")
@@ -626,17 +556,68 @@ _MONTH_DAYS = np.array([0, 0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334
 _MICROSECOND = timedelta(microseconds=1)
 
 
-def _plain_times(stamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The time of each S20 stamp as datetime64[s], and whether the stamp is
-    plain: in the form of ``_STAMP``, naming a time that datetime reads. A
-    stamp that is not plain reads as NaT.
+def _plain_split(data: bytes, kind: str, names):
+    """Split plain ``data`` (see ``_is_plain``) at its line ends and commas,
+    as the csv module splits it.
+
+    Returns the position of each of ``names`` in its header (see
+    ``_column_positions``); its bytes as a uint8 array, padded so that no
+    cell's window of _NUMBER_WIDTH bytes runs off it; the start of each line
+    after the header and its stop, before a CRLF's CR; the lines that have a
+    cell for each column up to the last of the positions; and the offset and
+    the width of each of those lines' cells at the positions, one row a
+    column."""
+    body = data.find(b"\n") + 1 or len(data)
+    header = csv.reader(io.StringIO(data[:body].decode(), newline=""))
+    positions = _column_positions(header, kind, names)
+    cells = max(positions) + 1
+    tail = b"" if data.endswith(b"\n") else b"\n"
+    buf = np.frombuffer(data + tail + bytes(_NUMBER_WIDTH), np.uint8)
+    # every line end and comma from the header's line end on
+    text = buf[body - 1:len(data) + len(tail)]
+    offset = np.int32 if len(buf) < _OFFSET32_BYTES else np.int64  # half the memory
+    marks = np.flatnonzero((text == _LF) | (text == _COMMA)).astype(offset) + (body - 1)
+    ends = np.flatnonzero(buf[marks] == _LF)
+    starts = marks[ends[:-1]] + 1
+    stops = marks[ends[1:]]
+    stops -= buf[stops - 1] == _CR
+    full = np.flatnonzero(np.diff(ends) >= cells)
+    # the cell bounds of each full line, one row a bound: the line end before
+    # it, then its commas, up to the end of the last cell read
+    bounds = marks[ends[full] + np.arange(cells + 1)[:, None]]
+    np.minimum(bounds[-1], stops[full], out=bounds[-1])
+    begin = bounds[positions] + 1
+    return positions, buf, starts, stops, full, begin, bounds[np.add(positions, 1)] - begin
+
+
+def _cell_bytes(buf: np.ndarray, begin: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """The bytes of the cells of ``buf`` at offsets ``begin``, ``width``
+    bytes wide, one row a cell, NUL-padded to the widest cell, or cut to
+    _NUMBER_WIDTH bytes if it is wider."""
+    w = min(int(width.max(initial=1)), _NUMBER_WIDTH)
+    cells = _windows(buf, w)[begin].view(np.uint8).reshape(-1, w)
+    cells *= np.arange(w) < width[:, None]
+    return cells
+
+
+def _plain_times(buf: np.ndarray, begin: np.ndarray, width: np.ndarray):
+    """The time of each stamp cell of ``buf`` at offsets ``begin``,
+    ``width`` bytes wide, as datetime64[s], and whether the stamp is plain:
+    in the form of ``_STAMP`` (a 16-byte stamp as if it ended in ":00"),
+    naming a time that datetime reads. A stamp that is not plain reads as
+    NaT.
 
     The fields are read by digit arithmetic: numpy's string conversion is
     slower, and numpy 2.4 crashes when a field out of range (such as second
     69) follows several hundred stamps that it read."""
+    stamps = _windows(buf, 20)[begin]
+    cells = stamps.view(np.uint8).reshape(-1, 20)
+    short = width == 16
+    cells[short, 16:19] = np.frombuffer(b":00", np.uint8)
+    cells[:, 19] = 0
     text = stamps.tobytes()
     plain = np.frombuffer(text.translate(_STAMP_CLASSES), _STAMP_WORDS) == _STAMP
-    cells = np.frombuffer(text, np.uint8).reshape(-1, 20)
+    plain &= short | (width == 19)
 
     def field(i):  # the two digits at byte i as a number
         return cells[:, i].astype(np.int32) * 10 + cells[:, i + 1] - 11 * ord("0")
@@ -654,22 +635,31 @@ def _plain_times(stamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return seconds.view("datetime64[s]"), plain
 
 
-def _or_else(read, default):
-    """``read`` as a cell reader that gives ``default`` for a cell it rejects."""
-    def read_or_default(cell):
-        try:
-            return read(cell)
-        except ValueError:
-            return default
-    return read_or_default
+def _integers(cells: np.ndarray) -> np.ndarray:
+    """The int of each cell of ``_cell_bytes``, read by digit arithmetic
+    byte by byte; a ValueError unless every cell is one run of digits
+    between white space (_SPACE), at most 18 bytes wide."""
+    if cells.shape[1] > 18 or cells.tobytes().translate(None, _SPACE + b"0123456789"):
+        raise ValueError("an integer cell is not plain")
+    value = np.zeros(len(cells), np.int64)
+    seen, gap = np.zeros((2, len(cells)), bool)  # a digit, and white space after one
+    for byte in cells.T:
+        digit = byte > ord(" ")
+        if (digit & gap).any():
+            raise ValueError("an integer cell is not plain")
+        gap |= seen & ~digit
+        seen |= digit
+        value = np.where(digit, value * 10 + (byte - ord("0")), value)
+    if not seen.all():
+        raise ValueError("an integer cell has no digit")
+    return value
 
 
 def _cell_parser(name: str, timezone: str | None):
     """The per-row reader's parser of a cell of column ``name``."""
     if name == "timestamp":
         return lambda text: parse_timestamp(text, timezone)
-    bounds = _COLUMNS[name][1]
-    return _bounded_int(*bounds) if bounds else _finite_float
+    return _bounded_int(*_BOUNDS[name]) if name in _BOUNDS else _finite_float
 
 
 def _is_plain(data: bytes) -> bool:
@@ -685,36 +675,33 @@ def _is_plain(data: bytes) -> bool:
     return buf[-1] != _CR and bool((buf[cr + 1] == _LF).all())
 
 
-def _plain_header(data: bytes, kind: str, names) -> tuple[list[int], int]:
-    """The position of each of ``names`` in the header of plain ``data``
-    (see ``_column_positions``), and the offset of the line after it."""
-    body = data.find(b"\n") + 1 or len(data)
-    header = csv.reader(io.StringIO(data[:body].decode(), newline=""))
-    return _column_positions(header, kind, names), body
-
-
 def _columnar(data: bytes, kind: str, names) -> list[np.ndarray]:
     """The columns ``names`` (the timestamp first) of plain CSV ``data``,
-    read by numpy's C reader: the timestamp as datetime64[s], the others as
-    int64 within their bounds or as finite float64. Any other cell or row,
-    or a file with no data rows, is a ValueError."""
-    usecols, body = _plain_header(data, kind, names)
-    if not _NOT_LINE_END.search(data, body):
-        raise ValueError("no data rows")  # on which loadtxt warns
-    # numpy reads lines of bytes faster than lines of str, and from bytes,
-    # not a StringIO's buffer of four bytes a character
-    stream = io.BytesIO(data)
-    stream.seek(body)
-    table = np.loadtxt(stream, dtype=[(n, _COLUMNS[n][0]) for n in names], delimiter=",",
-                       comments=None, usecols=usecols, ndmin=1, encoding="ascii")
-    times, plain = _plain_times(table["timestamp"])
+    split by ``_plain_split`` and read by byte offsets: the timestamp as
+    datetime64[s] (``_plain_times``), an integer column as int64 within its
+    _BOUNDS (``_integers``), any other as finite float64 by numpy's
+    conversion. Every line but an empty one is a row. A short row, or a cell
+    that is not plain, too wide or out of bounds, is a ValueError."""
+    _, buf, starts, stops, full, begin, width = _plain_split(data, kind, names)
+    if len(full) != np.count_nonzero(stops > starts):
+        raise ValueError("a row is short")
+    times, plain = _plain_times(buf, begin[0], width[0])
     if not plain.all():
         raise ValueError("a timestamp is not plain")
     columns = [times]
-    for name in names[1:]:
-        column = np.ascontiguousarray(table[name])
-        bounds = _COLUMNS[name][1]
-        ok = (column >= bounds[0]) & (column <= bounds[1]) if bounds else np.isfinite(column)
+    for name, at, wide in zip(names[1:], begin[1:], width[1:]):
+        cells = _cell_bytes(buf, at, wide)
+        if not (wide <= _NUMBER_WIDTH).all():
+            raise ValueError(f"a {name} cell is too wide")
+        if name in _BOUNDS:
+            low, high = _BOUNDS[name]
+            column = _integers(cells)
+            ok = (column >= low) & (column <= high)
+        else:
+            if cells.tobytes().translate(None, _DECIMAL_BYTES):
+                raise ValueError(f"a {name} cell is not a decimal number")
+            column = cells.view(f"S{cells.shape[1]}")[:, 0].astype(np.float64)
+            ok = np.isfinite(column)
         if not ok.all():
             raise ValueError(f"a {name} is out of bounds")
         columns.append(column)
@@ -741,7 +728,8 @@ def _read_table(source, kind: str, names, timezone: str | None, first_break) -> 
         text = text.decode()
     lines, cells = _read_columns(text, kind, {n: _cell_parser(n, timezone) for n in names})
     columns = [_datetime64(cells[0])]
-    columns += [np.array(c, dtype=_COLUMNS[n][0]) for n, c in zip(names[1:], cells[1:])]
+    columns += [np.array(c, np.int64 if n in _BOUNDS else np.float64)
+                for n, c in zip(names[1:], cells[1:])]
     if (broken := first_break(columns[0])) is not None:
         k, error, message = broken
         raise error(f"{kind} line {lines[k]}: {message}")

@@ -32,7 +32,6 @@ from .errors import ShapeError
 # The ``%`` format of every float the toolkit writes: 17 significant digits,
 # enough for bit-stable float round trips.
 FLOAT_FORMAT = "%.17g"
-BLOCK_ROWS = 1024
 # Rows ``write_csv`` renders at once: enough that numpy's cost per call is
 # small against the work, few enough that a block stays a few MB.
 WRITE_ROWS = 16384

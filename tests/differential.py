@@ -6,7 +6,9 @@ A batch reads seeded random CSV texts (``helpers.random_csv``) with
 must give what its oracle gives: the same values, or the same error type and
 message. The oracle of ``parse_sessions`` is ``helpers.per_row_sessions``;
 that of a whole-file loader is the same loader with its columnar path
-switched off (``helpers.both_ways``).
+switched off (``helpers.both_ways``). A regular text (see ``random_csv``)
+must also be read by byte offsets alone: no row of it by ``_session_row``,
+and no whole-file loader falling back to its per-row reader.
 
 Each batch runs in a child process of its own, one at a time, so that a
 crash of the interpreter is a failure that names its seed:
@@ -31,28 +33,32 @@ def check_batch(seed: int, files: int = FILES) -> list[str]:
     oracle; a line for each text on which they differ."""
     import pytest
 
-    from demandcast.ingest import (load_dataset, load_demand_grid, load_temperature_csv,
-                                   parse_sessions)
+    from demandcast import ingest
     from helpers import both_ways, per_row_sessions, random_csv, session_array
 
-    loaders = {"temperature": load_temperature_csv, "grid": load_demand_grid,
-               "dataset": load_dataset}
+    loaders = {"temperature": ingest.load_temperature_csv, "grid": ingest.load_demand_grid,
+               "dataset": ingest.load_dataset}
+    session_row, per_row = ingest._session_row, []
     failures = []
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(ingest, "_session_row", lambda *a: per_row.append(a) or session_row(*a))
         path = Path(tmp) / "input.csv"
         for k in range(files):
             text_seed = seed * files + k
             kind, zone = KINDS[k % len(KINDS)], ZONES[k // len(KINDS) % len(ZONES)]
-            text = random_csv(text_seed, kind)
+            text, regular = random_csv(text_seed, kind)
             path.write_bytes(text.encode())
             if kind == "sessions":
-                got = _sessions_outcome(lambda: parse_sessions(path, zone))
+                per_row.clear()
+                got = _sessions_outcome(lambda: ingest.parse_sessions(path, zone))
+                columnar = not per_row
                 want = _sessions_outcome(lambda: per_row_sessions(text, zone), session_array)
             else:
-                got, want, _ = both_ways(monkeypatch, Path(tmp), loaders[kind], path, zone)
-            if got != want:
+                got, want, columnar = both_ways(monkeypatch, Path(tmp), loaders[kind], path, zone)
+            if got != want or (regular and not columnar):
                 failures.append(f"random_csv({text_seed}, {kind!r}) under {zone}: {text!r}\n"
-                                f"  got  {got!r}\n  want {want!r}")
+                                f"  got  {got!r}\n  want {want!r}\n  regular {regular}, "
+                                f"read by byte offsets alone {columnar}")
     return failures
 
 

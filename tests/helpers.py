@@ -165,13 +165,14 @@ def both_ways(monkeypatch, tmp_path, loader, *args):
     return got, want, columnar
 
 
-# The columns of each loader's file, the timestamp first, and the range of
-# each integer column (None for a float).
+# The columns of each loader's file, the times first, and what each holds:
+# a time, a float, a float >= 0 ("energy") or an integer in a range.
 CSV_COLUMNS = {
-    "sessions": {"start": None, "charge_end": None, "disconnect": None, "energy_kwh": None},
-    "temperature": {"timestamp": None, "temp_c": None},
-    "grid": {"timestamp": None, "demand": (0, 40)},
-    "dataset": {"timestamp": None, "demand": (0, 40), "temp_c": None, "weekday": (0, 6),
+    "sessions": {"start": "time", "charge_end": "time", "disconnect": "time",
+                 "energy_kwh": "energy"},
+    "temperature": {"timestamp": "time", "temp_c": "float"},
+    "grid": {"timestamp": "time", "demand": (0, 40)},
+    "dataset": {"timestamp": "time", "demand": (0, 40), "temp_c": "float", "weekday": (0, 6),
                 "month": (1, 12), "holiday": (0, 1)},
 }
 # Stamps that are wrong as a whole, or that leave datetime's range once
@@ -191,9 +192,10 @@ ODD_NUMBERS = ["", " ", "nan", "NaN", "inf", "-inf", "1e500", "-1e500", "1e308",
 NUMBER_BYTES = "0123456789.eE+-_ \t\x0b\x0c"
 
 
-def random_csv(seed: int, kind: str) -> str:
+def random_csv(seed: int, kind: str) -> tuple[str, bool]:
     """A small seeded random CSV text for the loader of ``kind``, a key of
-    CSV_COLUMNS.
+    CSV_COLUMNS, and whether it is regular: plain, with every row and cell
+    in a form and range that the loader reads by byte offsets.
 
     Its header names the loader's columns in any order and case, among extra
     ones. Its rows hold times (a session's three, or a 15-minute or rising
@@ -204,9 +206,9 @@ def random_csv(seed: int, kind: str) -> str:
     wide, or from ODD_NUMBERS; a quoted cell. Rows may be short, long or
     blank; lines end in LF, CRLF, a lone CR or a mix; the text may start
     with a byte-order mark. A few files have several hundred rows and an odd
-    stamp near the end."""
+    stamp near the end. A regular file has no odd cell, row or line end."""
     rng = np.random.default_rng(seed)
-    odd = float(rng.choice([0.0, 0.0, 0.02, 0.1, 0.3]))
+    odd = float(rng.choice([0.0, 0.0, 0.0, 0.02, 0.1, 0.3]))
     columns = CSV_COLUMNS[kind]
     names = list(columns) + [str(rng.choice(["note", "site", "x"])) for _ in range(rng.integers(3))]
     order = rng.permutation(len(names))
@@ -242,19 +244,22 @@ def random_csv(seed: int, kind: str) -> str:
         if k == late:
             name = str(rng.choice([n for n in cells]))
             cells[name] = _odd_field(rng, cells[name])
-        for name, bounds in columns.items():
+        for name, holds in columns.items():
             if name not in cells:
-                cells[name] = _random_number(rng, bounds, odd_here)
+                cells[name] = _random_number(rng, holds, odd_here)
         row = [cells.get(names[k], str(rng.choice(["", "x", "a b", "1"]))) for k in order]
         if rng.random() < odd_here:
             row = _odd_row(rng, row)
         lines.append(",".join(row))
     end = str(rng.choice(["\n", "\r\n", "\r", "mixed"]))
-    text = "".join(line + (str(rng.choice(["\n", "\r\n", "\n", "\r\n", "\r"]))
-                           if end == "mixed" else end) for line in lines)
+    ends = [str(rng.choice(["\n", "\r\n"])) if end == "mixed" else end for _ in lines]
+    if rng.random() < odd:
+        ends[int(rng.integers(len(ends)))] = "\r"
+    text = "".join(line + end for line, end in zip(lines, ends))
     if rng.random() < 0.1:
         text = text.rstrip("\r\n")
-    return ("\ufeff" if rng.random() < 0.1 else "") + text
+    regular = odd == 0 and late < 0 and "\r" not in ends
+    return ("\ufeff" if rng.random() < 0.1 else "") + text, regular
 
 
 def _odd_case(rng, name):
@@ -292,13 +297,14 @@ def _odd_field(rng, text):
     return text[:at] + field + text[at + len(field):]
 
 
-def _random_number(rng, bounds, odd):
-    """A number cell of an integer column in ``bounds``, or of a float
-    column if None; with the chance ``odd`` an odd one."""
+def _random_number(rng, holds, odd):
+    """A number cell of a column that ``holds`` what CSV_COLUMNS says; with
+    the chance ``odd`` an odd one."""
     if rng.random() >= odd:
-        if bounds is not None:
-            return str(int(rng.integers(bounds[0], bounds[1] + 1)))
-        return repr(float(rng.normal() * 10.0 ** int(rng.integers(-3, 4))))
+        if isinstance(holds, tuple):
+            return str(int(rng.integers(holds[0], holds[1] + 1)))
+        value = float(rng.normal() * 10.0 ** int(rng.integers(-3, 4)))
+        return repr(abs(value) if holds == "energy" else value)
     kind = int(rng.integers(5))
     if kind == 0:
         return str(rng.choice(ODD_NUMBERS))
@@ -309,9 +315,9 @@ def _random_number(rng, bounds, odd):
         return str(rng.choice(["0.", "1", "-", " "])) + "".join(
             rng.choice(list("0123456789"), width - 2)) + str(rng.choice(["5", " ", "e"]))
     if kind == 3:
-        value = _random_number(rng, bounds, 0.0)
+        value = _random_number(rng, holds, 0.0)
         return str(rng.choice([" ", "\t", "\x0b", ""])) + value + str(rng.choice([" ", "\x0c", ""]))
-    return '"' + _random_number(rng, bounds, 0.0) + '"'
+    return '"' + _random_number(rng, holds, 0.0) + '"'
 
 
 def _odd_row(rng, row):

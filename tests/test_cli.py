@@ -639,11 +639,14 @@ def test_out_naming_a_file_one_io_line_file_kept(trained, tmp_path):
                  id="train-dataset-demand-negative"),
     pytest.param("ingest", "temperature.csv", 3, "2022-01-01 00:15:00,nan",
                  id="ingest-temperature-nan"),
+    pytest.param("ingest", "temperature.csv", 2, "0001-01-01T00:00:00+05:00,1.0",
+                 id="ingest-temperature-offset-before-year-1"),
 ])
 def test_bad_csv_one_schema_line_naming_file_line(trained, tmp_path, command, name, line, text):
     """A bad cell, a short row, an empty file, a bad holiday date, a
-    temperature reading out of time order or a calendar cell out of range in
-    any CSV the pipeline reads exits 1 with one ``schema:`` line and no output."""
+    temperature reading out of time order, a calendar cell out of range or a
+    stamp whose offset leaves datetime's range in any CSV the pipeline reads
+    exits 1 with one ``schema:`` line and no output."""
     sim = trained["root"] / "sim"
     inputs = {"demand.csv": sim / "demand.csv", "temperature.csv": sim / "temperature.csv",
               "holidays.csv": sim / "holidays.csv", "dataset.csv": trained["dataset"]}

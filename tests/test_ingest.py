@@ -10,7 +10,6 @@ from demandcast.errors import GridError, SchemaError, ShapeError
 from demandcast.explain import attention_profile
 from demandcast.features import FeatureSchema, encode, make_windows
 from demandcast.ingest import (
-    BLOCK_ROWS,
     DATASET_COLUMNS,
     SESSION,
     IntervalSeries,
@@ -49,6 +48,7 @@ from helpers import (
 )
 
 HEADER = "start,charge_end,disconnect,energy_kwh\n"
+BLOCK_ROWS = 1024  # files of 0, 1, BLOCK_ROWS and BLOCK_ROWS + 1 rows are read below
 
 
 def dt(text):
@@ -592,7 +592,7 @@ def test_temperature_csv_schema_checked(tmp_path):
 TEMPERATURE = "timestamp,temp_c\n2023-05-01 00:00,10.5\n"
 GRID = "timestamp,demand\n2023-05-01 00:00,1\n"
 DATASET = "timestamp,demand,temp_c,weekday,month,holiday\n2023-05-01 00:00,1,10.5,0,5,1\n"
-# 1,500 rows and a blank line: the next row is file line 1503, in the reader's second block
+# 1,500 rows and a blank line: the next row is file line 1503
 LONG_GRID = "timestamp,demand\n" + "".join(
     f"{dt('2023-05-01 00:00') + k * timedelta(minutes=15)},1\n" for k in range(1500)) + "\n"
 
@@ -670,6 +670,12 @@ LONG_GRID = "timestamp,demand\n" + "".join(
                  (HEADER + "2023-05-01 08:00,2023-05-01 09:00,2023-05-01 09:30,7.5\n").encode()
                  + b"2023-05-01 10:00,2023-05-01 11:00,2023-05-01 11:30,\xff\n",
                  SchemaError, "line 3: not UTF-8 text (byte 0xff)", id="sessions-not-utf8"),
+    pytest.param(load_temperature_csv, "timestamp,temp_c\n0001-01-01T00:00:00+05:00,1.0\n",
+                 SchemaError, "line 2: timestamp: timestamp '0001-01-01T00:00:00+05:00' is out "
+                 "of range in UTC", id="temperature-offset-before-year-1"),
+    pytest.param(load_demand_grid, GRID + "9999-12-31T23:00:00-05:00,1\n", SchemaError,
+                 "line 3: timestamp: timestamp '9999-12-31T23:00:00-05:00' is out of range",
+                 id="grid-offset-after-year-9999"),
     pytest.param(load_holidays_csv, b"date\n2023-07-04\r\n2023-12-2\x80\n",
                  SchemaError, "line 3: not UTF-8 text (byte 0x80)", id="holiday-not-utf8"),
 ])
@@ -690,8 +696,7 @@ def test_bad_input_is_typed_error_naming_file_line(tmp_path, loader, text, error
 
 @pytest.mark.parametrize("timezone", [None, "America/Los_Angeles"])
 def test_columnar_loaders_equal_per_row_reader_on_synth_export(tmp_path, monkeypatch, timezone):
-    # 2,016 rows, over the 1,024-row blocks of the per-row reader and the
-    # 2023-03-12 DST change
+    # 2,016 rows, over the 2023-03-12 DST change
     series, holidays = generate(SynthConfig(days=21, seed=7, start=date(2023, 3, 1)))
     paths = export(series, holidays, tmp_path)
     write_dataset(tmp_path / "dataset.csv", series)
@@ -771,9 +776,27 @@ def test_nul_in_stamp_is_schema_error_naming_line_on_both_paths(tmp_path, monkey
     pytest.param(load_demand_grid, ODD_GRID.replace("\n", "\r\n"), True, id="grid-crlf"),
     # one leading byte-order mark is dropped before the text is read
     pytest.param(load_dataset, "\ufeff" + ODD_DATASET, True, id="byte-order-mark"),
-    # timestamps the per-row reader reads or rejects otherwise than numpy
-    pytest.param(load_dataset, stamp(ODD_DATASET, "2023-05-01 00:15"), False,
+    # a 16-byte stamp reads as the 19-byte one ending in ":00"
+    pytest.param(load_dataset, stamp(ODD_DATASET, "2023-05-01 00:15"), True,
                  id="stamp-no-seconds"),
+    pytest.param(load_dataset, stamp(ODD_DATASET, "2023-05-01T00:15"), True,
+                 id="stamp-t-no-seconds"),
+    pytest.param(load_demand_grid, stamp(ODD_GRID, "2023-05-01 00:15"), True,
+                 id="grid-stamp-no-seconds"),
+    pytest.param(load_dataset, ODD_DATASET.replace(":00,", ","), True, id="dataset-hh-mm"),
+    pytest.param(load_temperature_csv, ODD_TEMPERATURE.replace(":00,", ","), True,
+                 id="temperature-hh-mm"),
+    pytest.param(load_demand_grid, ODD_GRID.replace(":00,", ",").replace("\n", "\r\n"), True,
+                 id="grid-hh-mm"),
+    # empty lines are skipped
+    pytest.param(load_dataset, ODD_DATASET.split("\n")[0] + "\n", True, id="header-only"),
+    pytest.param(load_dataset, ODD_DATASET.split("\n")[0] + "\n\r\n\n", True,
+                 id="header-then-blank-lines"),
+    # timestamps the per-row reader reads or rejects otherwise than numpy
+    pytest.param(load_dataset, stamp(ODD_DATASET, "2023-05-01 00:60"), False,
+                 id="stamp-minute-60-no-seconds"),
+    pytest.param(load_dataset, stamp(ODD_DATASET, "2023-05-01 00:15 "), False,
+                 id="stamp-17-bytes"),
     pytest.param(load_dataset, stamp(ODD_DATASET, "2023-05-01 00:15:00.000"), False,
                  id="stamp-zero-fraction"),
     pytest.param(load_dataset, stamp(ODD_DATASET, "2023-05-01 00:15:00.5"), False,
@@ -807,8 +830,6 @@ def test_nul_in_stamp_is_schema_error_naming_line_on_both_paths(tmp_path, monkey
     pytest.param(load_temperature_csv,
                  ODD_TEMPERATURE.replace("2023-05-01 00:00:00", "0000-05-01 00:00:00"), False,
                  id="temperature-stamp-year-0"),
-    pytest.param(load_demand_grid, stamp(ODD_GRID, "2023-05-01 00:15"), False,
-                 id="grid-stamp-no-seconds"),
     # rows and cells the per-row reader reads or rejects otherwise than numpy
     pytest.param(load_dataset, ODD_DATASET.replace("\n", "\r"), False, id="cr"),
     pytest.param(load_dataset, ODD_DATASET.replace("\n", "\r", 1), False, id="cr-after-header"),
@@ -851,10 +872,6 @@ def test_nul_in_stamp_is_schema_error_naming_line_on_both_paths(tmp_path, monkey
                  id="weekday-out-of-bounds"),
     pytest.param(load_dataset, second_row(ODD_DATASET, "00:15:00", "00:45:00"), False,
                  id="progression-break"),
-    pytest.param(load_dataset, ODD_DATASET.split("\n")[0] + "\n", False, id="header-only"),
-    # loadtxt would warn on a body of no data line; pytest makes a warning an error
-    pytest.param(load_dataset, ODD_DATASET.split("\n")[0] + "\n\r\n\n", False,
-                 id="header-then-blank-lines"),
     pytest.param(load_temperature_csv, stamp(ODD_TEMPERATURE, "2023-05-01 00:00:00"), False,
                  id="temperature-repeated-time"),
 ])
@@ -1137,8 +1154,9 @@ MALFORMED, MALFORMED_ROWS = malformed_sessions(3 * BLOCK_ROWS + 1, seed=24)
     # rows the columnar path reads
     pytest.param(SESSIONS, 0, id="lf"),
     pytest.param(SESSIONS.replace("\n", "\r\n"), 0, id="crlf"),
-    pytest.param(SESSIONS.replace("\n", "\r"), 0, id="cr"),
     pytest.param(start("2023-08-02T09:15:00"), 0, id="t-separator"),
+    pytest.param(start("2023-08-02 09:15"), 0, id="stamp-no-seconds"),
+    pytest.param(start("2023-08-02T09:15"), 0, id="stamp-t-no-seconds"),
     pytest.param(SESSIONS.replace("\n2023-08-02 09:15", "\n\n2023-08-02 09:15"), 0,
                  id="blank-row"),
     pytest.param(SESSIONS.replace("\n2023-08-02 09:15", "\n,,,\n2023-08-02 09:15"), 0,
@@ -1149,27 +1167,38 @@ MALFORMED, MALFORMED_ROWS = malformed_sessions(3 * BLOCK_ROWS + 1, seed=24)
     pytest.param("note,energy_kwh,disconnect,charge_end,start\n" + "".join(
         "x," + ",".join(reversed(row.split(","))) + "\n" for row in SESSIONS.splitlines()[1:]),
         0, id="extra-and-reordered-columns"),
-    pytest.param(start('"2023-08-02 09:15:00"'), 0, id="quoted-cell"),
-    pytest.param(second_row(SESSIONS, "2023-08-02 09:15:00,2023-08-02 09:45:00,"
-                                      "2023-08-02 10:00:00,1.5",
-                            '"2023-08-02 09:15:00","2023-08-02 09:45:00",'
-                            '"2023-08-02 10:00:00","1.5"'), 0, id="quoted-row"),
-    pytest.param(HEADER.replace("\n", ",note\n")
-                 + "2023-08-02 09:00:00,2023-08-02 10:30:00,2023-08-02 11:00:00,7.2,\"a\nb\"\n"
-                 + "2023-08-02 09:15:00,2023-08-02 09:45:00,2023-08-02 10:00:00,x,\n"
-                 + "2023-08-03 09:00:00,2023-08-03 10:00:00,2023-08-03 10:05:00,5.0,c\n",
-                 1, id="quoted-line-break"),
     pytest.param(second_row(SESSIONS, "09:45:00,2023-08-02 10:00:00", "09:15:00,2023-08-02 09:15:00"),
                  0, id="equal-times"),
     pytest.param(energy("-0.0"), 0, id="energy-minus-zero"),
     pytest.param(energy("1_0"), 0, id="energy-underscore"),
     pytest.param(energy(" 1.5\t"), 0, id="energy-white-space"),
-    pytest.param(energy("١.5"), 0, id="energy-non-ascii-digit"),
     pytest.param(energy("1e308"), 0, id="energy-large"),
-    pytest.param(energy("1.5\x85"), 0, id="energy-c1-next-line"),  # white space to float
     pytest.param(HEADER.replace("\n", ",note\n") + SESSIONS.removeprefix(HEADER), 0,
                  id="rows-leave-out-a-trailing-column"),
     pytest.param(energy("1.5,extra,more"), 0, id="two-extra-cells"),
+    # text that is not plain: the csv module splits it, and _session_row reads
+    # every row that is not blank
+    pytest.param(SESSIONS.replace("\n", "\r"), 3, id="cr"),
+    pytest.param(start('"2023-08-02 09:15:00"'), 3, id="quoted-cell"),
+    pytest.param(second_row(SESSIONS, "2023-08-02 09:15:00,2023-08-02 09:45:00,"
+                                      "2023-08-02 10:00:00,1.5",
+                            '"2023-08-02 09:15:00","2023-08-02 09:45:00",'
+                            '"2023-08-02 10:00:00","1.5"'), 3, id="quoted-row"),
+    pytest.param(HEADER.replace("\n", ",note\n")
+                 + "2023-08-02 09:00:00,2023-08-02 10:30:00,2023-08-02 11:00:00,7.2,\"a\nb\"\n"
+                 + "2023-08-02 09:15:00,2023-08-02 09:45:00,2023-08-02 10:00:00,x,\n"
+                 + "2023-08-03 09:00:00,2023-08-03 10:00:00,2023-08-03 10:05:00,5.0,c\n",
+                 3, id="quoted-line-break"),
+    pytest.param(energy("١.5"), 3, id="energy-non-ascii-digit"),
+    pytest.param(energy("1.5\x85"), 3, id="energy-c1-next-line"),  # white space to float
+    pytest.param(energy("1.5\x00"), 3, id="energy-nul"),
+    pytest.param(start("2023-08-02 09:15:00\x00"), 3, id="stamp-nul-at-end"),
+    pytest.param(start("2023-08-02\x0009:15:00"), 3, id="stamp-nul-separator"),
+    pytest.param(start("2023-08-02\x8509:15:00"), 3, id="stamp-c1-separator"),
+    pytest.param(start("2023-08-02 09:15:0٠"), 3, id="stamp-non-ascii-digit"),
+    pytest.param(start("２023-08-02 09:15:00"), 3, id="stamp-fullwidth-digit"),
+    pytest.param(SESSIONS.replace("1.5", "-2").replace("\n", "\r"), 3, id="cr-energy-negative"),
+    pytest.param("\ufeff" + start('"2023-08-02 09:15:00"'), 3, id="byte-order-mark-quoted"),
     # rows the per-row reader reads again
     pytest.param(energy("nan"), 1, id="energy-nan"),
     pytest.param(energy("inf"), 1, id="energy-inf"),
@@ -1178,17 +1207,11 @@ MALFORMED, MALFORMED_ROWS = malformed_sessions(3 * BLOCK_ROWS + 1, seed=24)
     pytest.param(energy("-1.5"), 1, id="energy-negative"),
     pytest.param(energy("n/a"), 1, id="energy-not-a-number"),
     pytest.param(energy(""), 1, id="energy-empty"),
-    pytest.param(energy("1.5\x00"), 1, id="energy-nul"),
     pytest.param(energy("1__0"), 1, id="energy-double-underscore"),
     pytest.param(energy(" "), 1, id="energy-space"),
-    pytest.param(energy("1." + "5" * 31), 1, id="energy-33-bytes"),  # wider than _ENERGY_WIDTH
+    pytest.param(energy("1." + "5" * 31), 1, id="energy-33-bytes"),  # wider than _NUMBER_WIDTH
     pytest.param(second_row(SESSIONS, ",1.5", ""), 1, id="short-row"),
     pytest.param(second_row(SESSIONS, ",2023-08-02 10:00:00,1.5", ""), 1, id="two-cell-row"),
-    pytest.param(start("2023-08-02 09:15:00\x00"), 1, id="stamp-nul-at-end"),
-    pytest.param(start("2023-08-02\x0009:15:00"), 1, id="stamp-nul-separator"),
-    pytest.param(start("2023-08-02\x8509:15:00"), 1, id="stamp-c1-separator"),
-    pytest.param(start("2023-08-02 09:15:0٠"), 1, id="stamp-non-ascii-digit"),
-    pytest.param(start("２023-08-02 09:15:00"), 1, id="stamp-fullwidth-digit"),
     pytest.param(start("2023-08-02T09:15:00Z"), 1, id="stamp-utc-z"),
     pytest.param(start("2023-08-02T10:15:00+01:00"), 1, id="stamp-offset"),
     pytest.param(start("2023-08-02 09:15:00-07:00"), 1, id="stamp-offset-space"),
@@ -1197,7 +1220,10 @@ MALFORMED, MALFORMED_ROWS = malformed_sessions(3 * BLOCK_ROWS + 1, seed=24)
     pytest.param(start(" 2023-08-02 09:15:00"), 1, id="stamp-leading-space"),
     pytest.param(start("2023-08-02 09:15:00 "), 1, id="stamp-trailing-space"),
     pytest.param(start("\t2023-08-02 09:15:00"), 1, id="stamp-tab"),
-    pytest.param(start("2023-08-02 09:15"), 1, id="stamp-no-seconds"),
+    pytest.param(start("2023-08-02 09:60"), 1, id="stamp-minute-60-no-seconds"),
+    pytest.param(start("2023-08-02 09:15 "), 1, id="stamp-17-bytes"),
+    pytest.param(start("9999-12-31T23:00:00-05:00"), 1, id="stamp-offset-after-year-9999"),
+    pytest.param(start("0001-01-01T00:00:00+05:00"), 1, id="stamp-offset-before-year-1"),
     pytest.param(start("2023-08-02"), 1, id="stamp-date-only"),
     pytest.param(start("2023-08-01 24:00:00"), 1, id="stamp-hour-24"),
     pytest.param(start("2023-08-02 09:14:60"), 1, id="stamp-second-60"),
@@ -1210,7 +1236,6 @@ MALFORMED, MALFORMED_ROWS = malformed_sessions(3 * BLOCK_ROWS + 1, seed=24)
     pytest.param(second_row(SESSIONS, "10:00:00,1.5", "09:30:00,1.5"), 1,
                  id="charge-end-after-disconnect"),
     pytest.param(SESSIONS.replace("1.5", "nan").replace("\n", "\r\n"), 1, id="crlf-energy-nan"),
-    pytest.param(SESSIONS.replace("1.5", "-2").replace("\n", "\r"), 1, id="cr-energy-negative"),
     # 0, 1 and a block of rows, and a row past it
     pytest.param(session_rows(0), 0, id="no-rows"),
     pytest.param(session_rows(1), 1, id="one-row"),
@@ -1224,12 +1249,12 @@ MALFORMED, MALFORMED_ROWS = malformed_sessions(3 * BLOCK_ROWS + 1, seed=24)
     pytest.param(second_row(SESSIONS, "09:45:00,", "09:45:00Z,"), 1,
                  id="three-commas-20-byte-charge-end"),
     pytest.param("\ufeff" + SESSIONS, 0, id="byte-order-mark"),
-    pytest.param("\ufeff" + start('"2023-08-02 09:15:00"'), 0, id="byte-order-mark-quoted"),
     pytest.param(MALFORMED, MALFORMED_ROWS, id="malformed-kinds"),
 ])
 def test_parse_sessions_equals_per_row_oracle(tmp_path, monkeypatch, text, per_row, timezone):
     """The SESSION array and the (line, message) errors equal the per-row
-    oracle's, and only the rows the columnar path rejects are read again."""
+    oracle's, and only the rows that plain text's byte-offset read rejects,
+    or every row of other text, are read by ``_session_row``."""
     path = tmp_path / "sessions.csv"
     path.write_bytes(text.encode("utf-8"))
     calls = []
@@ -1243,25 +1268,20 @@ def test_parse_sessions_equals_per_row_oracle(tmp_path, monkeypatch, text, per_r
     assert len(calls) == per_row
 
 
-@pytest.mark.parametrize("text", [
-    pytest.param(MALFORMED, id="malformed-kinds"),
-    pytest.param(energy("1.5,extra"), id="long-row"),
-    pytest.param(energy(" 1.5\t"), id="energy-white-space"),
+@pytest.mark.parametrize("loader, text", [
+    pytest.param(parse_sessions, MALFORMED, id="sessions"),
+    pytest.param(load_dataset, ODD_DATASET, id="dataset"),
+    pytest.param(load_temperature_csv, ODD_TEMPERATURE.replace(":00,", ","), id="temperature"),
 ])
-def test_plain_sessions_text_does_not_need_the_csv_cell_reader(tmp_path, monkeypatch, text):
-    """Plain text is read by byte offsets or by ``_session_row``, never by
-    ``_session_columns``, which reads the rows the csv module splits."""
-    path = tmp_path / "sessions.csv"
+def test_int64_offsets_split_as_int32_offsets(tmp_path, monkeypatch, loader, text):
+    """A text of 2 GiB or more keeps its offsets as int64; the split is the
+    same."""
+    path = tmp_path / "input.csv"
     path.write_bytes(text.encode())
-
-    def refused(*_):
-        raise AssertionError("_session_columns read plain text")
-
-    monkeypatch.setattr(ingest, "_session_columns", refused)
-    got = parse_sessions(path)
-    records, errors = per_row_sessions(text)
-    assert got.records.tobytes() == session_array(records).tobytes()
-    assert [(e.line, e.message) for e in got.errors] == errors
+    want = loaded(loader, path)
+    monkeypatch.setattr(ingest, "_OFFSET32_BYTES", 0)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "int64"))
+    assert loaded(loader, path) == want
 
 
 CSV_READER = ingest.csv.reader
