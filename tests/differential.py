@@ -10,6 +10,13 @@ switched off (``helpers.both_ways``). A regular text (see ``random_csv``)
 must also be read by byte offsets alone: no row of it by ``_session_row``,
 and no whole-file loader falling back to its per-row reader.
 
+A batch also reads byte-mutated files of a synth export
+(``helpers.mutated_export``), one for every MUTATED texts, each of which
+must equal its loader's oracle; and writes a series
+(``helpers.round_trip_series``) with ``write_dataset`` and
+``write_temperature_csv`` for every ROUND_TRIP texts, which must read back
+to the same bits.
+
 Each batch runs in a child process of its own, one at a time, so that a
 crash of the interpreter is a failure that names its seed:
 
@@ -24,6 +31,7 @@ import tempfile
 from pathlib import Path
 
 FILES = 240  # files per batch
+MUTATED, ROUND_TRIP = 8, 24  # random texts per mutated file and per round trip
 KINDS = ("sessions", "temperature", "grid", "dataset")
 ZONES = (None, "America/Los_Angeles")
 
@@ -33,8 +41,18 @@ def check_batch(seed: int, files: int = FILES) -> list[str]:
     oracle; a line for each text on which they differ."""
     import pytest
 
+    import numpy as np
+
     from demandcast import ingest
-    from helpers import both_ways, per_row_sessions, random_csv, session_array
+    from helpers import (
+        both_ways,
+        mutated_export,
+        outcome,
+        per_row_sessions,
+        random_csv,
+        round_trip_series,
+        session_array,
+    )
 
     loaders = {"temperature": ingest.load_temperature_csv, "grid": ingest.load_demand_grid,
                "dataset": ingest.load_dataset}
@@ -59,6 +77,28 @@ def check_batch(seed: int, files: int = FILES) -> list[str]:
                 failures.append(f"random_csv({text_seed}, {kind!r}) under {zone}: {text!r}\n"
                                 f"  got  {got!r}\n  want {want!r}\n  regular {regular}, "
                                 f"read by byte offsets alone {columnar}")
+        for k in range(files // MUTATED):
+            text_seed, zone = seed * files + k, ZONES[k % len(ZONES)]
+            kind = mutated_export(text_seed, path)
+            got, want, _ = both_ways(monkeypatch, Path(tmp), loaders[kind], path, zone)
+            if got != want:
+                failures.append(f"mutated_export({text_seed}), a {kind} file, under {zone}: "
+                                f"{path.read_bytes()!r}\n  got  {got!r}\n  want {want!r}")
+        for k in range(files // ROUND_TRIP):
+            text_seed, zone = seed * files + k, ZONES[k % len(ZONES)]
+            series, times = round_trip_series(text_seed)
+            readings = np.empty(len(times), ingest.READING)
+            readings["time"], readings["temp_c"] = times, series.temperature
+            for write, loader, value in (
+                    (lambda: ingest.write_dataset(path, series), ingest.load_dataset, series),
+                    (lambda: ingest.write_temperature_csv(path, times, series.temperature),
+                     ingest.load_temperature_csv, readings)):
+                write()
+                got, want, _ = both_ways(monkeypatch, Path(tmp), loader, path, zone)
+                if not got == want == outcome(lambda: value):
+                    failures.append(f"round_trip_series({text_seed}) through "
+                                    f"{loader.__name__} under {zone}: {path.read_bytes()!r}\n"
+                                    f"  got  {got!r}\n  want {want!r}")
     return failures
 
 
@@ -104,7 +144,7 @@ def main(argv=None) -> int:
             failed += 1
             print(f"batch {seed}: exit status {status}\n{output}", flush=True)
     print(f"{args.batches - failed} of {args.batches} batches of {args.files} texts "
-          "equal their oracles")
+          "(and their mutated files and round trips) equal their oracles")
     return 1 if failed else 0
 
 

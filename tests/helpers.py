@@ -12,11 +12,11 @@ build the inputs of ``join_temperature`` and ``aggregate_demand``,
 ``per_row_sessions``, which reads each timestamp with the package's
 ``parse_timestamp``, and ``format_times``, which decodes the package's
 ``time_text``. ``outcome`` and ``both_ways`` read a whole-file loader's
-result with its columnar path and with it switched off, and ``random_csv``
-generates the seeded CSV texts of the differential reader check
-(``tests/differential.py``). ``SeparateParams``, ``per_tensor_clip`` and
-``per_tensor_adam_step`` are the per-tensor training update that the flat
-parameter arena replaced; ``sigmoid``, ``whole_batch_forward`` and
+result with its columnar path and with it switched off, and ``random_csv``,
+``mutated_export`` and ``round_trip_series`` generate the seeded inputs of
+the differential reader check (``tests/differential.py``). ``SeparateParams``,
+``per_tensor_clip`` and ``per_tensor_adam_step`` are the per-tensor training
+update that the flat parameter arena replaced; ``sigmoid``, ``whole_batch_forward`` and
 ``row_major_backward`` are the gate squash, the batched forward and its
 backward pass in the row-major (B, 4H) step layout that the batch-last core
 replaced. The checkpoint helpers read and rewrite checkpoint
@@ -30,17 +30,27 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import date, datetime, timedelta
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
 from demandcast import ingest
-from demandcast.errors import ConfigError, ShapeError
+from demandcast.errors import ConfigError, SchemaError, ShapeError
 from demandcast.explain import shapley_series
-from demandcast.ingest import READING, SESSION, IntervalSeries, parse_timestamp, time_text
+from demandcast.ingest import (
+    READING,
+    SESSION,
+    IntervalSeries,
+    parse_timestamp,
+    time_text,
+    write_dataset,
+    write_demand_grid,
+    write_temperature_csv,
+)
 from demandcast.lstm_att import forward_batch
+from demandcast.synth import SynthConfig, generate
 
 
 def temperature_readings(pairs):
@@ -140,7 +150,9 @@ def both_ways(monkeypatch, tmp_path, loader, *args):
     """The outcome of ``loader(*args)``, the outcome with the columnar path
     switched off (the per-row oracle), and whether the columnar path served
     the first call. Each call has its own empty dataset cache, so neither
-    reads what the other kept."""
+    reads what the other kept. The oracle must read the text with the
+    per-row reader, unless it fails before any reader (bytes that are not
+    UTF-8)."""
     per_row_calls = []
     read_columns = ingest._read_columns
 
@@ -155,13 +167,14 @@ def both_ways(monkeypatch, tmp_path, loader, *args):
         m.setenv("XDG_CACHE_HOME", str(tmp_path / "cache-got"))
         m.setattr(ingest, "_read_columns", counted)
         got = outcome(loader, *args)
-    columnar = not per_row_calls
+    columnar, got_calls = not per_row_calls, len(per_row_calls)
     with monkeypatch.context() as m:
         m.setenv("XDG_CACHE_HOME", str(tmp_path / "cache-want"))
         m.setattr(ingest, "_read_columns", counted)
         m.setattr(ingest, "_columnar", switched_off)
         want = outcome(loader, *args)
-    assert len(per_row_calls) == (not columnar) + 1, "the per-row reader did not give want"
+    unread = want[0] is SchemaError and "not UTF-8 text" in want[1]
+    assert len(per_row_calls) == got_calls + (not unread), "the per-row reader did not give want"
     return got, want, columnar
 
 
@@ -332,6 +345,70 @@ def _odd_row(rng, row):
     if kind == 3:
         return ['"' + cell.replace('"', '""') + '"' for cell in row]
     return row[:1] + ['"a\nb"'] + row[2:]  # a quoted line break
+
+
+# The bytes a mutation of an exported file inserts or substitutes.
+MUTATION_BYTES = b'0123456789,\n\r -.:T+eE_"x\t\x00\xff\xc3'
+EXPORT_KINDS = ("grid", "temperature", "dataset")
+
+
+def mutated_export(seed: int, path) -> str:
+    """Write to ``path`` one file of a seeded 3-day synth export (the demand
+    grid, temperature or dataset file, as its writer writes it) with 1-3
+    byte substitutions, insertions or deletions of MUTATION_BYTES at random
+    offsets; return its kind, a key of CSV_COLUMNS."""
+    rng = np.random.default_rng(seed)
+    start = date(int(rng.integers(1990, 2040)), int(rng.integers(1, 13)), int(rng.integers(1, 29)))
+    series, _ = generate(SynthConfig(days=3, seed=int(rng.integers(1000)), start=start))
+    kind = EXPORT_KINDS[int(rng.integers(len(EXPORT_KINDS)))]
+    if kind == "grid":
+        write_demand_grid(path, series)
+    elif kind == "temperature":
+        write_temperature_csv(path, series.times(), series.temperature)
+    else:
+        write_dataset(path, series)
+    data = bytearray(Path(path).read_bytes())
+    for _ in range(int(rng.integers(1, 4))):
+        op, byte = int(rng.integers(3)), MUTATION_BYTES[int(rng.integers(len(MUTATION_BYTES)))]
+        at = int(rng.integers(len(data) + (op == 1)))
+        if op == 0:
+            data[at] = byte
+        elif op == 1:
+            data.insert(at, byte)
+        else:
+            del data[at]
+    Path(path).write_bytes(bytes(data))
+    return kind
+
+
+# Values a round trip must keep to the bit: subnormals, both zeros, the
+# largest doubles and the ends of the integer range.
+EDGE_FLOATS = [5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 0.0, -0.0,
+               1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3]
+EDGE_DEMAND = [0, 2**63 - 1, 1, 10**18]
+
+
+def round_trip_series(seed: int) -> tuple[IntervalSeries, np.ndarray]:
+    """A seeded dataset series of 1-60 rows whose temperatures are drawn
+    from EDGE_FLOATS, random finite doubles and values of a few degrees,
+    and whose demand is drawn from EDGE_DEMAND and random int64s; and as
+    many rising whole-second times from its origin, for its readings."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 61))
+    bits = rng.integers(0, 2**63, size=n).view(np.float64)
+    temps = np.where(np.isfinite(bits), bits, 0.0) * rng.choice([1, -1], n)
+    pick = rng.integers(3, size=n)
+    temps[pick == 1] = rng.choice(EDGE_FLOATS, n)[pick == 1]
+    temps[pick == 2] = np.round(rng.normal(15.0, 10.0, n), 2)[pick == 2]
+    demand = np.where(rng.random(n) < 0.5, rng.choice(EDGE_DEMAND, n),
+                      rng.integers(0, 2**63 - 1, size=n, dtype=np.int64))
+    origin = datetime(int(rng.integers(1, 9999)), int(rng.integers(1, 13)),
+                      int(rng.integers(1, 29)), int(rng.integers(24)), 15 * int(rng.integers(4)))
+    times = np.datetime64(origin, "s") + np.cumsum(rng.integers(1, 10**5, n))
+    return IntervalSeries(origin=origin, demand=demand, temperature=temps,
+                          weekday=rng.integers(0, 7, n).astype(np.int8),
+                          month=rng.integers(1, 13, n).astype(np.int8),
+                          holiday=rng.random(n) < 0.2), times
 
 
 def minute_scan_demand(sessions, origin, n_intervals):
