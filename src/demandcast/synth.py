@@ -81,6 +81,9 @@ class SynthConfig:
         for name, low in (("days", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}")
+        if self.days > (last := (date.max - self.start).days + 1):
+            raise ConfigError(f"days must be <= {last} for a span from {self.start} that "
+                              f"ends by {date.max}, got {self.days}")
         if len(self.base_profile) != INTERVALS_PER_DAY:
             raise ConfigError("base_profile must have 96 values")
         if len(self.weekday_mult) != 7 or len(self.month_mult) != 12:
@@ -145,7 +148,7 @@ def generate(config: SynthConfig) -> tuple[IntervalSeries, frozenset[date]]:
     """
     n = config.days * INTERVALS_PER_DAY
     origin = datetime(config.start.year, config.start.month, config.start.day)
-    end_year = (config.start + timedelta(days=config.days)).year
+    end_year = (config.start + timedelta(days=config.days - 1)).year
     holidays = academic_holidays(range(config.start.year, end_year + 1))
 
     rng = np.random.default_rng(config.seed)

@@ -17,6 +17,7 @@ from .errors import ConfigError, NumericError, ShapeError
 from .features import SplitDataset, WindowedDataset
 from .lstm_att import (
     FORWARD_BATCH,
+    HEAD_INPUTS,
     ModelConfig,
     ModelParams,
     backward,
@@ -50,11 +51,13 @@ class TrainConfig:
     def __post_init__(self):
         if not self.learning_rate > 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate!r}")
-        for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+        for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0), ("hidden", 1)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}")
+        if self.head_input not in HEAD_INPUTS:
+            raise ConfigError(f"head_input must be one of {HEAD_INPUTS}")
         if self.clip_norm is not None and not self.clip_norm > 0:
             raise ConfigError(f"clip_norm must be null or > 0, got {self.clip_norm!r}")
         for name in ("beta1", "beta2"):

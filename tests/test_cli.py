@@ -441,8 +441,17 @@ FILE = "config: --config {config} "
     ("eval", {}, ["--batch-size", 0, "--shuffle"], FILE + "--batch-size 0: batch_size"),
     ("simulate", None, ["--days", 0], "config: --days 0: days must be >= 1"),
     ("simulate", {}, ["--days", 0], FILE + "--days 0: days must be >= 1"),
+    ("simulate", None, ["--days", 3000000],
+     "config: --days 3000000: days must be <= 2913904 for a span from 2022-01-01 that ends "
+     "by 9999-12-31, got 3000000"),
+    ("simulate", {}, ["--start", "9999-12-31", "--days", 2],
+     FILE + "--days 2 --start 9999-12-31: days must be <= 1 for a span from 9999-12-31"),
+    ("train", None, ["--hidden", 0], "config: --hidden 0: hidden must be >= 1"),
+    ("train", {"train": {"head_input": "sum"}}, [],
+     "config: --config {config}: head_input must be one of ('context', 'weighted_flatten')"),
 ], ids=["flag", "file-and-flag", "first-bad-flag", "file-value", "eval-flag", "days",
-        "file-and-days"])
+        "file-and-days", "days-past-year-9999", "start-and-days-past-year-9999", "hidden",
+        "file-head-input"])
 def test_out_of_range_flag_value_names_the_flag(trained, tmp_path, command, config, flags,
                                                 line):
     """A range error that a flag's value causes names that flag, after the

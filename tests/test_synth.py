@@ -129,6 +129,10 @@ def test_config_validation():
         SynthConfig(holiday_mult=-0.1)
     with pytest.raises(ConfigError):
         SynthConfig(drift_amplitudes=(0.1,), drift_periods_days=())
+    with pytest.raises(ConfigError, match="days must be <= 1 for a span from 9999-12-31"):
+        SynthConfig(start=date(9999, 12, 31), days=2)
+    with pytest.raises(ConfigError, match="days must be <= 2913904 .*, got 3000000"):
+        SynthConfig(days=3_000_000)
 
 
 def test_config_json_round_trip(tmp_path):

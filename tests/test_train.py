@@ -262,6 +262,10 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ConfigError):
         TrainConfig(variant="tcn_att")
+    with pytest.raises(ConfigError, match="hidden must be >= 1"):
+        TrainConfig(hidden=0)
+    with pytest.raises(ConfigError, match="head_input must be one of"):
+        TrainConfig(head_input="sum")
 
 
 def test_evaluate_perfect_model_zero_mse(desk_dataset):
