@@ -16,31 +16,18 @@ that does not parse, a short row, or a missing header or column, and
 GridError for a break in the 15-minute progression; parse_sessions instead
 skips each malformed row and collects a RowError with its line.
 
-Every loader reads the file's bytes once, drops one leading UTF-8
-byte-order mark, as Excel's "CSV UTF-8" writes it, and has two readers.
-Plain text (``_is_plain``: ASCII with no quote, NUL or \\x1c-\\x1f
-character and no carriage return outside a CRLF line end), which the csv
-module splits at its line ends and commas alone, is split by
-``_plain_split``: one numpy pass finds every line end and comma, and the
-cells of all lines are read at once by byte offsets. A plain timestamp is
-``YYYY-MM-DD HH:MM:SS`` as ``time_text`` writes it, or ``YYYY-MM-DD HH:MM``
-read as if it ended in ``:00``, either with ``T`` as the separator;
-``_plain_times`` reads its fields and ``_integers`` an integer cell by digit
-arithmetic, and a float cell is read by numpy's conversion. Everything else
-goes to the loader's per-row oracle, which reads the same values or names
-the file line of what is wrong.
-
-The temperature, demand grid and dataset loaders read plain text by byte
-offsets (``_columnar``) if every row, cell and time keeps the loader's
-rules. Any other text (quoted or with a lone CR, a short or all-space row,
-another timestamp form such as one with a UTC offset, a bad, too wide or
-out-of-range cell, a break in the time rule) is read again by the per-row
-reader ``_read_columns``. parse_sessions reads each regular row of plain
-text (a cell for each column up to the last one read, plain times, a
-decimal energy of at most _NUMBER_WIDTH bytes and the session rules kept)
-by byte offsets, and every other row that is not blank, of any text, by
-``_session_row``; a RowError names the file line of each row it rejects.
-``aggregate_demand`` counts the ``SESSION`` array with numpy.
+Every loader reads the file's bytes once and drops one leading UTF-8
+byte-order mark, as Excel's "CSV UTF-8" writes it. The sessions,
+temperature, demand grid and dataset loaders read their rows with one
+reader, ``_read_csv``. Plain text (``_is_plain``), which the csv module
+splits at its line ends and commas alone, is split by ``_plain_split``: one
+numpy pass finds every line end and comma, and one pass a column reads the
+cells of all lines by byte offsets (``_offset_columns``). A row whose every
+cell is plain, and which keeps the sessions' order and sign rule, is read
+so. Every other row that is not blank, of plain text or of other text that
+the csv module splits, is read cell by cell by ``_read_row``, whose parsers
+give the same values or name what is wrong. A whole-file loader then checks
+its time rule on the rows read.
 
 The demand grid, temperature and dataset files are each one call to
 ``util.write_csv``, the one CSV table writer, which renders a block of rows
@@ -50,7 +37,7 @@ digit arithmetic, floats in 1e-4 <= |x| < 1e15 by exact integer arithmetic
 the times as ``time_text`` bytes, each distinct day and time of day rendered
 once into a byte table. ``synth.export`` renders its grid's times once for
 both of its files. No cell may hold a NUL, a comma, a quote or a line break.
-Its files are plain text that the columnar path reads.
+Its files are plain text.
 
 ``load_dataset`` parses each dataset content once: it keeps the parsed
 columns as raw bytes in a cache entry keyed by the file's bytes, this
@@ -243,112 +230,24 @@ def parse_sessions(csv_source, timezone: str | None = None) -> ParseResult:
 
     ``csv_source`` may be a path, or a byte or text stream.
     """
-    kind = "sessions CSV"
-    text = _source_text(csv_source, kind)
-    if isinstance(text, bytes):
-        return _plain_sessions(text, kind, timezone)
-    positions, lines, rows = _read_rows(text, kind, SESSION_COLUMNS)
-    sessions, read = np.empty(len(rows), SESSION), np.zeros(len(rows), bool)
-    errors = _read_rejected(sessions, read, zip(range(len(rows)), lines, rows), positions, timezone)
-    return ParseResult(sessions[read], errors)
-
-
-def _plain_sessions(data: bytes, kind: str, timezone: str | None) -> ParseResult:
-    """``parse_sessions`` of plain ``data``, split by ``_plain_split``.
-
-    A regular row (a cell for each column up to the last one read, plain
-    times and an energy of at most _NUMBER_WIDTH _DECIMAL bytes) is read by
-    byte offsets, every such row at once. Every other row that is not blank,
-    and every regular row that breaks a rule, is read by ``_session_row``;
-    the errors are in file order."""
-    positions, buf, starts, stops, full, begin, width = _plain_split(data, kind, SESSION_COLUMNS)
-    energy = _cell_bytes(buf, begin[3], width[3])
-    keep = np.flatnonzero((width[3] > 0) & (width[3] <= _NUMBER_WIDTH) & _DECIMAL[energy].all(1))
-    full, begin, width, energy = full[keep], begin[:, keep], width[:, keep], energy[keep]
-    ok = np.ones(len(full), bool)
-    columns = []
-    for j in range(3):
-        times, plain = _plain_times(buf, begin[j], width[j])
-        columns.append(times)
-        ok &= plain
-    columns.append(_energies(energy.view(f"S{energy.shape[1]}")[:, 0]))
-    start, charge_end, disconnect, energy = columns
-    ok &= (start <= charge_end) & (charge_end <= disconnect) & (energy >= 0) & (energy < np.inf)
-    sessions = np.empty(len(starts), SESSION)
+    lines, columns, errors = _read_csv(csv_source, "sessions CSV", SESSION_COLUMNS, timezone,
+                                       _session_rule)
+    sessions = np.empty(len(lines), SESSION)
     for name, column in zip(SESSION_COLUMNS, columns):  # field by field: 3x faster than records
-        sessions[name][full] = column
-    read = np.zeros(len(starts), bool)
-    read[full] = ok
-    unread = np.flatnonzero(~read)
-    rows = (tuple(data[a:b].decode().split(",")) for a, b in zip(starts[unread].tolist(),
-                                                                 stops[unread].tolist()))
-    rejected = [(k, k + 2, row) for k, row in zip(unread.tolist(), rows)
-                if "".join(row).strip()]  # blank rows are skipped
-    errors = _read_rejected(sessions, read, rejected, positions, timezone)
-    return ParseResult(sessions[read], errors)
+        sessions[name] = column
+    return ParseResult(sessions, [RowError(line, str(error)) for line, _, error in errors])
 
 
-def _windows(buf: np.ndarray, width: int) -> np.ndarray:
-    """Every ``width`` bytes of ``buf``, from each offset, as S{width} cells
-    that share its memory."""
-    return sliding_window_view(buf, width).view(f"S{width}")[:, 0]
-
-
-def _read_rejected(sessions: np.ndarray, read: np.ndarray, rejected, positions: list[int],
-                   timezone: str | None) -> list[RowError]:
-    """Read each (index, file line, cells) of ``rejected`` with
-    ``_session_row`` into ``sessions`` and mark it ``read``; the RowError of
-    each row that fails, naming its line."""
-    errors, rows, values = [], [], []
-    for k, line, row in rejected:
-        try:
-            values.append(_session_row(row, positions, timezone))
-            rows.append(k)
-        except (ValueError, IndexError) as exc:
-            errors.append(RowError(line, str(exc)))
-    if rows:  # column by column: a record of datetimes is slow to store
-        *times, energy = zip(*values)
-        for name, column in zip(SESSION_COLUMNS, times):
-            sessions[name][rows] = _datetime64(column)
-        sessions["energy_kwh"][rows] = energy
-        read[rows] = True
-    return errors
-
-
-def _datetime64(times) -> np.ndarray:
-    """Naive datetimes as datetime64[us], through integer microseconds:
-    numpy converts a list of datetimes several times slower."""
-    return np.array([(t - EPOCH) // _MICROSECOND for t in times], np.int64).view("datetime64[us]")
-
-
-def _energies(cells: np.ndarray) -> np.ndarray:
-    """``float`` of each ``S`` cell of _DECIMAL bytes (NaN where float
-    rejects it): numpy's conversion, which gives float's bits on such cells."""
-    try:
-        return cells.astype(np.float64)
-    except ValueError:  # such as "1.2.3": cell by cell
-        return np.array([_float_or_nan(cell) for cell in cells.tolist()])
-
-
-def _float_or_nan(cell: bytes) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        return math.nan
-
-
-def _session_row(row: tuple, positions: list[int], timezone: str | None) -> tuple:
-    """The session of one row, read cell by cell; a ValueError or an
-    IndexError says what is wrong with the row."""
-    start, charge_end, disconnect = (parse_timestamp(row[i], timezone) for i in positions[:3])
-    energy = float(row[positions[3]])
-    if not start <= charge_end <= disconnect:
-        raise ValueError("session times must satisfy start <= charge_end <= disconnect")
-    if energy < 0:
-        raise ValueError("energy_kwh must be non-negative")
-    if not math.isfinite(energy):
-        raise ValueError(f"energy_kwh must be finite, got {energy}")
-    return start, charge_end, disconnect, energy
+def _session_rule(columns) -> tuple:
+    """The rules of a session, in the order a row is checked against them:
+    for each, the rows of ``columns`` (start, charge_end, disconnect and
+    energy_kwh arrays) that break it, and its message, a ``str.format`` of
+    the row's values."""
+    start, charge_end, disconnect, energy = columns
+    return (((start > charge_end) | (charge_end > disconnect),
+             "session times must satisfy start <= charge_end <= disconnect"),
+            (energy < 0, "energy_kwh must be non-negative"),
+            (~np.isfinite(energy), "energy_kwh must be finite, got {3}"))
 
 
 def aggregate_demand(sessions: np.ndarray, origin: datetime, n_intervals: int) -> np.ndarray:
@@ -455,6 +354,19 @@ def _source_text(source, kind: str) -> bytes | str:
     return data if _is_plain(data) else _decode(source, kind)
 
 
+def _is_plain(data: bytes) -> bool:
+    """Whether ``data`` is plain text, which ``_plain_split`` splits without
+    the csv module: ASCII, none of _NOT_PLAIN, and no carriage return
+    outside a CRLF line end."""
+    if not data.isascii() or any(c in data for c in _NOT_PLAIN):
+        return False
+    if b"\r" not in data:
+        return True
+    buf = np.frombuffer(data, np.uint8)
+    cr = np.flatnonzero(buf[:-1] == _CR)
+    return buf[-1] != _CR and bool((buf[cr + 1] == _LF).all())
+
+
 def _column_positions(reader, kind: str, names) -> list[int]:
     """The position of each of ``names`` in the header row of ``reader``,
     which may list them in any order among other columns."""
@@ -468,42 +380,91 @@ def _column_positions(reader, kind: str, names) -> list[int]:
     return [cols.index(n) for n in names]
 
 
-def _read_rows(text: str, kind: str, names) -> tuple[list[int], list[int], list[tuple]]:
-    """The position of each of ``names`` in the header of CSV ``text`` (see
-    ``_column_positions``), and the file line and the cells of each data row
-    that is not blank, split by the csv module."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    positions, lines, rows = _column_positions(reader, kind, names), [], []
-    for row in reader:
-        if "".join(row).strip():
-            lines.append(reader.line_num)
-            rows.append(tuple(row))  # a tuple of str drops out of the cyclic GC
-    return positions, lines, rows
+def _read_csv(source, kind: str, names, timezone: str | None, rule=None):
+    """Read the columns ``names`` of a CSV file (see ``_column_positions``):
+    the file line of each data row that reads; one array a column of those
+    rows' values, in file order (a time as datetime64, a column of _BOUNDS
+    as int64, any other as float64); and a (file line, column, error) for
+    each other row that is not blank: the column and the ValueError or
+    IndexError of its first cell that does not read, or None and the
+    message of the first ``rule`` (see ``_session_rule``) that it breaks.
+
+    A regular row of plain text (see ``_offset_columns``) that keeps
+    ``rule`` is read by byte offsets, and every other row that is not
+    blank, of any text, by ``_read_row``."""
+    text = _source_text(source, kind)
+    if isinstance(text, bytes):
+        positions, buf, starts, stops, full, begin, width = _plain_split(text, kind, names)
+        columns, ok = _offset_columns(buf, names, begin, width)
+        for broken, _ in rule(columns) if rule else ():
+            ok &= ~broken
+        line_of = np.arange(2, len(starts) + 2)
+        if ok.all() and len(full) == len(starts):
+            return line_of, columns, []
+        regular, columns = full[ok], [column[ok] for column in columns]
+        unread = np.delete(np.arange(len(starts)), regular)
+        rows = zip(unread.tolist(), (tuple(text[a:b].decode().split(",")) for a, b in
+                                     zip(starts[unread].tolist(), stops[unread].tolist())))
+    else:
+        reader = csv.reader(io.StringIO(text, newline=""))
+        positions = _column_positions(reader, kind, names)
+        cells = [(reader.line_num, tuple(row)) for row in reader]
+        line_of = np.array([line for line, _ in cells], np.int64)
+        rows, regular, columns = enumerate(row for _, row in cells), [], [[]] * len(names)
+    spec = [(name, i, _cell_parser(name, timezone)) for name, i in zip(names, positions)]
+    read, values, errors = [], [], []
+    for k, row in rows:
+        if not "".join(row).strip():
+            continue  # a blank row
+        value, error = _read_row(row, spec)
+        if error:
+            errors.append((int(line_of[k]), *error))
+        else:
+            read.append(k)
+            values.append(value)
+    parsed = [_datetime64(c) if name in _TIMES
+              else np.array(c, np.int64 if name in _BOUNDS else np.float64)
+              for name, c in zip(names, list(zip(*values)) or [()] * len(names))]
+    if rule and values:
+        checks = rule(parsed)
+        bad = np.logical_or.reduce([broken for broken, _ in checks])
+        for r in np.flatnonzero(bad).tolist():
+            message = next(message for broken, message in checks if broken[r])
+            errors.append((int(line_of[read[r]]), None, message.format(*values[r])))
+        errors.sort(key=itemgetter(0))
+        read, parsed = np.array(read)[~bad], [column[~bad] for column in parsed]
+    have = np.zeros(len(line_of), bool)
+    have[regular] = have[read] = True
+    out = []
+    for by_offsets, by_cells in zip(columns, parsed):
+        column = np.empty(len(line_of), by_cells.dtype)
+        column[regular], column[read] = by_offsets, by_cells
+        out.append(column[have])
+    return line_of[have], out, errors
 
 
-def _parse_cell(kind: str, line: int, column: str, parse, cells, i: int):
-    """``parse(cells[i])``, or a SchemaError naming the file line and column."""
-    try:
-        return parse(cells[i])
-    except (ValueError, IndexError) as exc:
-        reason = "missing value" if isinstance(exc, IndexError) else str(exc)
-        raise SchemaError(f"{kind} line {line}: {column}: {reason}") from None
+def _read_row(row: tuple, spec) -> tuple:
+    """The values of the cells of ``row`` that ``spec``'s (column,
+    position, parser) triples name, read one by one, and None; or None and
+    the (column, error) of the first cell that does not read."""
+    values = []
+    for column, i, parse in spec:
+        try:
+            values.append(parse(row[i]))
+        except (ValueError, IndexError) as exc:
+            # the same error with no traceback, which would hold the reader's
+            # frames, and the whole text in them, until the cyclic GC runs
+            return None, (column, type(exc)(*exc.args))
+    return values, None
 
 
-def _read_columns(text: str, kind: str, parsers: dict) -> tuple[list[int], list[list]]:
-    """The file line of every data row of CSV ``text``, and one list of
-    parsed cells per column of ``parsers`` (column name -> cell parser). A
-    bad cell is the SchemaError of ``_parse_cell`` for the first row that has
-    one."""
-    positions, lines, rows = _read_rows(text, kind, parsers)
-    spec = list(zip(parsers, positions, parsers.values()))
-    try:
-        return lines, [list(map(parse, map(itemgetter(i), rows))) for _, i, parse in spec]
-    except (ValueError, IndexError):
-        for line, row in zip(lines, rows):
-            for column, i, parse in spec:
-                _parse_cell(kind, line, column, parse, row, i)
-        raise
+def _cell_parser(name: str, timezone: str | None):
+    """The parser of a cell of column ``name`` that ``_read_row`` reads."""
+    if name in _TIMES:
+        return lambda text: parse_timestamp(text, timezone)
+    if name in _BOUNDS:
+        return _bounded_int(*_BOUNDS[name])
+    return float if name == "energy_kwh" else _finite_float
 
 
 def _bounded_int(low: int, high: int):
@@ -522,26 +483,27 @@ def _finite_float(text: str) -> float:
     return value
 
 
-# The inclusive bounds of each integer column of the whole-file loaders;
-# every other column but the timestamp is a finite float.
+# The time columns of the loaders, and the inclusive bounds of each integer
+# column; every other column is a float, finite but for energy_kwh, which
+# the session rule checks.
+_TIMES = ("timestamp", "start", "charge_end", "disconnect")
 _BOUNDS = {"demand": (0, 2**63 - 1), "weekday": (0, 6), "month": (1, 12), "holiday": (0, 1)}
-# Bytes the columnar readers read otherwise than the csv module and the
-# per-row reader: the quote (csv quoting), NUL (the pad of a cell) and
+# Bytes that the byte-offset reader reads otherwise than the csv module and
+# the cell parsers: the quote (csv quoting), NUL (the pad of a cell) and
 # \x1c-\x1f (white space to numpy's number parser and to str.strip, not to
 # int and float). A carriage return is plain only as part of a CRLF line end.
 _NOT_PLAIN = (b'"', b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _LF, _CR, _COMMA = b"\n\r,"
 _OFFSET32_BYTES = 2**31  # _plain_split keeps the offsets of a shorter text as int32
-# The widest number cell that the columnar readers read, and the bytes it
-# may hold: white space that int and float strip (_SPACE, NUL padding a
-# narrower cell) and those of a decimal number and "_" (_DECIMAL). numpy's
+# The widest number cell read by byte offsets, and the bytes it may hold:
+# white space that int and float strip (_SPACE, NUL padding a narrower
+# cell) and those of a decimal number and "_" (_DECIMAL_BYTES). numpy's
 # conversion gives float's value, or rejects the cell as float does, for any
-# cell of _DECIMAL bytes; an integer cell is digits between white space.
+# cell of _DECIMAL_BYTES; an integer cell is digits between white space.
 _NUMBER_WIDTH = 32
 _SPACE = b"\x00 \t\x0b\x0c"
-_DECIMAL_BYTES = _SPACE + b"0123456789+-.eE_"
-_DECIMAL = np.zeros(256, bool)
-_DECIMAL[list(_DECIMAL_BYTES)] = True
+_DIGITS = b"0123456789"
+_DECIMAL_BYTES = _SPACE + _DIGITS + b"+-.eE_"
 # A plain timestamp in an S20 cell, once translated by _STAMP_CLASSES:
 # every digit to "d" and the "T" separator to " ".
 _STAMP_CLASSES = bytes.maketrans(b"0123456789T", b"dddddddddd ")
@@ -590,12 +552,39 @@ def _plain_split(data: bytes, kind: str, names):
     return positions, buf, starts, stops, full, begin, bounds[np.add(positions, 1)] - begin
 
 
+def _offset_columns(buf: np.ndarray, names, begin: np.ndarray, width: np.ndarray):
+    """The cells of ``names`` of the full lines that ``_plain_split`` gives,
+    at offsets ``begin``, ``width`` bytes wide, read as one array a column;
+    and whether each line is regular, its every cell plain: a
+    ``_plain_times`` stamp, an ``_integers`` cell within its _BOUNDS, or a
+    finite number of at most _NUMBER_WIDTH _DECIMAL_BYTES."""
+    ok = np.ones(begin.shape[1], bool)
+    columns = []
+    for name, at, wide in zip(names, begin, width):
+        if name in _TIMES:
+            column, plain = _plain_times(buf, at, wide)
+        else:
+            cells = _cell_bytes(buf, at, wide)
+            if name in _BOUNDS:
+                column, plain = _integers(cells)
+                low, high = _BOUNDS[name]
+                plain &= (column >= low) & (column <= high)
+            else:
+                plain = _plain_cells(cells, _DECIMAL_BYTES) & (wide > 0) & (wide <= _NUMBER_WIDTH)
+                column = _floats(cells, plain)
+                plain &= np.isfinite(column)
+        ok &= plain
+        columns.append(column)
+    return columns, ok
+
+
 def _cell_bytes(buf: np.ndarray, begin: np.ndarray, width: np.ndarray) -> np.ndarray:
     """The bytes of the cells of ``buf`` at offsets ``begin``, ``width``
     bytes wide, one row a cell, NUL-padded to the widest cell, or cut to
     _NUMBER_WIDTH bytes if it is wider."""
     w = min(int(width.max(initial=1)), _NUMBER_WIDTH)
-    cells = _windows(buf, w)[begin].view(np.uint8).reshape(-1, w)
+    # the w bytes from each offset as one S{w} item: faster to gather than w bytes
+    cells = sliding_window_view(buf, w).view(f"S{w}")[begin, 0].view(np.uint8).reshape(-1, w)
     cells *= np.arange(w) < width[:, None]
     return cells
 
@@ -610,7 +599,7 @@ def _plain_times(buf: np.ndarray, begin: np.ndarray, width: np.ndarray):
     The fields are read by digit arithmetic: numpy's string conversion is
     slower, and numpy 2.4 crashes when a field out of range (such as second
     69) follows several hundred stamps that it read."""
-    stamps = _windows(buf, 20)[begin]
+    stamps = sliding_window_view(buf, 20).view("S20")[begin, 0]
     cells = stamps.view(np.uint8).reshape(-1, 20)
     short = width == 16
     cells[short, 16:19] = np.frombuffer(b":00", np.uint8)
@@ -635,101 +624,72 @@ def _plain_times(buf: np.ndarray, begin: np.ndarray, width: np.ndarray):
     return seconds.view("datetime64[s]"), plain
 
 
-def _integers(cells: np.ndarray) -> np.ndarray:
+def _integers(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The int of each cell of ``_cell_bytes``, read by digit arithmetic
-    byte by byte; a ValueError unless every cell is one run of digits
-    between white space (_SPACE), at most 18 bytes wide."""
-    if cells.shape[1] > 18 or cells.tobytes().translate(None, _SPACE + b"0123456789"):
-        raise ValueError("an integer cell is not plain")
+    byte by byte, and whether the cell is plain: one run of digits between
+    white space (_SPACE), at most 18 bytes wide."""
+    plain = _plain_cells(cells, _SPACE + _DIGITS) & ~cells[:, 18:].any(1)
     value = np.zeros(len(cells), np.int64)
     seen, gap = np.zeros((2, len(cells)), bool)  # a digit, and white space after one
     for byte in cells.T:
         digit = byte > ord(" ")
-        if (digit & gap).any():
-            raise ValueError("an integer cell is not plain")
+        plain &= ~(digit & gap)
         gap |= seen & ~digit
         seen |= digit
         value = np.where(digit, value * 10 + (byte - ord("0")), value)
-    if not seen.all():
-        raise ValueError("an integer cell has no digit")
-    return value
+    return value, plain & seen
 
 
-def _cell_parser(name: str, timezone: str | None):
-    """The per-row reader's parser of a cell of column ``name``."""
-    if name == "timestamp":
-        return lambda text: parse_timestamp(text, timezone)
-    return _bounded_int(*_BOUNDS[name]) if name in _BOUNDS else _finite_float
+def _plain_cells(cells: np.ndarray, allowed: bytes) -> np.ndarray:
+    """Whether each cell of ``_cell_bytes`` holds only ``allowed`` bytes:
+    one ``bytes.translate`` of the whole column, and a check of each cell
+    only if that fails."""
+    if not cells.tobytes().translate(None, allowed):
+        return np.ones(len(cells), bool)
+    table = np.zeros(256, bool)
+    table[list(allowed)] = True
+    return table[cells].all(1)
 
 
-def _is_plain(data: bytes) -> bool:
-    """Whether ``data`` is plain text, which the columnar readers split
-    without the csv module: ASCII, none of _NOT_PLAIN, and no carriage
-    return outside a CRLF line end."""
-    if not data.isascii() or any(c in data for c in _NOT_PLAIN):
-        return False
-    if b"\r" not in data:
-        return True
-    buf = np.frombuffer(data, np.uint8)
-    cr = np.flatnonzero(buf[:-1] == _CR)
-    return buf[-1] != _CR and bool((buf[cr + 1] == _LF).all())
-
-
-def _columnar(data: bytes, kind: str, names) -> list[np.ndarray]:
-    """The columns ``names`` (the timestamp first) of plain CSV ``data``,
-    split by ``_plain_split`` and read by byte offsets: the timestamp as
-    datetime64[s] (``_plain_times``), an integer column as int64 within its
-    _BOUNDS (``_integers``), any other as finite float64 by numpy's
-    conversion. Every line but an empty one is a row. A short row, or a cell
-    that is not plain, too wide or out of bounds, is a ValueError."""
-    _, buf, starts, stops, full, begin, width = _plain_split(data, kind, names)
-    if len(full) != np.count_nonzero(stops > starts):
-        raise ValueError("a row is short")
-    times, plain = _plain_times(buf, begin[0], width[0])
+def _floats(cells: np.ndarray, plain: np.ndarray) -> np.ndarray:
+    """``float`` of each ``plain`` cell of ``_cell_bytes`` by numpy's
+    conversion, which gives float's bits on a cell of _DECIMAL_BYTES; NaN for
+    every other cell and where float rejects the cell."""
     if not plain.all():
-        raise ValueError("a timestamp is not plain")
-    columns = [times]
-    for name, at, wide in zip(names[1:], begin[1:], width[1:]):
-        cells = _cell_bytes(buf, at, wide)
-        if not (wide <= _NUMBER_WIDTH).all():
-            raise ValueError(f"a {name} cell is too wide")
-        if name in _BOUNDS:
-            low, high = _BOUNDS[name]
-            column = _integers(cells)
-            ok = (column >= low) & (column <= high)
-        else:
-            if cells.tobytes().translate(None, _DECIMAL_BYTES):
-                raise ValueError(f"a {name} cell is not a decimal number")
-            column = cells.view(f"S{cells.shape[1]}")[:, 0].astype(np.float64)
-            ok = np.isfinite(column)
-        if not ok.all():
-            raise ValueError(f"a {name} is out of bounds")
-        columns.append(column)
-    return columns
+        values = np.full(len(cells), np.nan)
+        values[plain] = _floats(cells[plain], plain[plain])
+        return values
+    text = cells.view(f"S{cells.shape[1]}")[:, 0]
+    try:
+        return text.astype(np.float64)
+    except ValueError:  # such as "1.2.3": cell by cell
+        return np.array([_float_or_nan(cell) for cell in text.tolist()], np.float64)
+
+
+def _float_or_nan(cell: bytes) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
+def _datetime64(times) -> np.ndarray:
+    """Naive datetimes as datetime64[us], through integer microseconds:
+    numpy converts a list of datetimes several times slower."""
+    return np.array([(t - EPOCH) // _MICROSECOND for t in times], np.int64).view("datetime64[us]")
 
 
 def _read_table(source, kind: str, names, timezone: str | None, first_break) -> list[np.ndarray]:
     """The columns ``names`` (the timestamp first) of a whole CSV file as
-    arrays: from the columnar path if the text is plain and keeps the
-    loader's time rule, else from the per-row reader, whose values are the
-    same and whose errors name the file line.
-
-    ``first_break(times)`` is None if the rule holds, else (row, error type,
-    message) for the first row that breaks it. ``source`` may also be the
-    file's bytes."""
-    text = _source_text(source, kind)
-    if isinstance(text, bytes):
-        try:
-            columns = _columnar(text, kind, names)
-            if first_break(columns[0]) is None:
-                return columns
-        except ValueError:
-            pass  # the per-row reader gives the values or names the bad line
-        text = text.decode()
-    lines, cells = _read_columns(text, kind, {n: _cell_parser(n, timezone) for n in names})
-    columns = [_datetime64(cells[0])]
-    columns += [np.array(c, np.int64 if n in _BOUNDS else np.float64)
-                for n, c in zip(names[1:], cells[1:])]
+    arrays, read by ``_read_csv``; the first row that does not read is a
+    SchemaError naming its file line and column. ``first_break(times)`` is
+    None if the loader's time rule holds, else (row, error type, message)
+    for the first row that breaks it. ``source`` may be the file's bytes."""
+    lines, columns, errors = _read_csv(source, kind, names, timezone)
+    if errors:
+        line, column, error = errors[0]
+        reason = "missing value" if isinstance(error, IndexError) else error
+        raise SchemaError(f"{kind} line {line}: {column}: {reason}")
     if (broken := first_break(columns[0])) is not None:
         k, error, message = broken
         raise error(f"{kind} line {lines[k]}: {message}")
@@ -786,7 +746,10 @@ def load_holidays_csv(source) -> frozenset[date]:
     dates = set()
     for line, cell in enumerate(map(str.strip, stream), start=1):
         if cell and cell.lower() != "date":
-            dates.add(_parse_cell("holidays CSV", line, "date", date.fromisoformat, [cell], 0))
+            try:
+                dates.add(date.fromisoformat(cell))
+            except ValueError as exc:
+                raise SchemaError(f"holidays CSV line {line}: date: {exc}") from None
     return frozenset(dates)
 
 

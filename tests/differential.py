@@ -5,10 +5,9 @@ A batch reads seeded random CSV texts (``helpers.random_csv``) with
 ``load_dataset``, each under no time zone or a zone of its own. Each loader
 must give what its oracle gives: the same values, or the same error type and
 message. The oracle of ``parse_sessions`` is ``helpers.per_row_sessions``;
-that of a whole-file loader is the same loader with its columnar path
-switched off (``helpers.both_ways``). A regular text (see ``random_csv``)
-must also be read by byte offsets alone: no row of it by ``_session_row``,
-and no whole-file loader falling back to its per-row reader.
+that of a whole-file loader is the same loader reading every row cell by
+cell (``helpers.both_ways``). A regular text (see ``random_csv``) must also
+be read by byte offsets alone: no row of it cell by cell by ``_read_row``.
 
 A batch also reads byte-mutated files of a synth export
 (``helpers.mutated_export``), one for every MUTATED texts, each of which
@@ -39,9 +38,8 @@ ZONES = (None, "America/Los_Angeles")
 def check_batch(seed: int, files: int = FILES) -> list[str]:
     """Read the ``files`` texts of batch ``seed`` with each loader and its
     oracle; a line for each text on which they differ."""
-    import pytest
-
     import numpy as np
+    import pytest
 
     from demandcast import ingest
     from helpers import (
@@ -56,10 +54,10 @@ def check_batch(seed: int, files: int = FILES) -> list[str]:
 
     loaders = {"temperature": ingest.load_temperature_csv, "grid": ingest.load_demand_grid,
                "dataset": ingest.load_dataset}
-    session_row, per_row = ingest._session_row, []
+    read_row, per_row = ingest._read_row, []
     failures = []
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(ingest, "_session_row", lambda *a: per_row.append(a) or session_row(*a))
+        monkeypatch.setattr(ingest, "_read_row", lambda *a: per_row.append(a) or read_row(*a))
         path = Path(tmp) / "input.csv"
         for k in range(files):
             text_seed = seed * files + k

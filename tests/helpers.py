@@ -12,11 +12,12 @@ build the inputs of ``join_temperature`` and ``aggregate_demand``,
 ``per_row_sessions``, which reads each timestamp with the package's
 ``parse_timestamp``, and ``format_times``, which decodes the package's
 ``time_text``. ``outcome`` and ``both_ways`` read a whole-file loader's
-result with its columnar path and with it switched off, and ``random_csv``,
-``mutated_export`` and ``round_trip_series`` generate the seeded inputs of
-the differential reader check (``tests/differential.py``). ``SeparateParams``,
-``per_tensor_clip`` and ``per_tensor_adam_step`` are the per-tensor training
-update that the flat parameter arena replaced; ``sigmoid``, ``whole_batch_forward`` and
+result by byte offsets and with every row read cell by cell, and
+``random_csv``, ``mutated_export`` and ``round_trip_series`` generate the
+seeded inputs of the differential reader check (``tests/differential.py``).
+``SeparateParams``, ``per_tensor_clip`` and ``per_tensor_adam_step`` are the
+per-tensor training update that the flat parameter arena replaced;
+``sigmoid``, ``whole_batch_forward`` and
 ``row_major_backward`` are the gate squash, the batched forward and its
 backward pass in the row-major (B, 4H) step layout that the batch-last core
 replaced. The checkpoint helpers read and rewrite checkpoint
@@ -37,7 +38,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from demandcast import ingest
-from demandcast.errors import ConfigError, SchemaError, ShapeError
+from demandcast.errors import ConfigError, ShapeError
 from demandcast.explain import shapley_series
 from demandcast.ingest import (
     READING,
@@ -147,34 +148,29 @@ def outcome(loader, *args):
 
 
 def both_ways(monkeypatch, tmp_path, loader, *args):
-    """The outcome of ``loader(*args)``, the outcome with the columnar path
-    switched off (the per-row oracle), and whether the columnar path served
-    the first call. Each call has its own empty dataset cache, so neither
-    reads what the other kept. The oracle must read the text with the
-    per-row reader, unless it fails before any reader (bytes that are not
-    UTF-8)."""
-    per_row_calls = []
-    read_columns = ingest._read_columns
+    """The outcome of ``loader(*args)``, the outcome of the per-row oracle
+    (the same loader with no text taken as plain, so that every row is read
+    cell by cell), and whether the first call read every row by byte
+    offsets: no row cell by cell. Each call has its own empty dataset cache,
+    so neither reads what the other kept."""
+    calls = []
+    read_row = ingest._read_row
 
     def counted(*a):
-        per_row_calls.append(a)
-        return read_columns(*a)
-
-    def switched_off(*_):
-        raise ValueError("columnar path switched off")
+        calls.append(a)
+        return read_row(*a)
 
     with monkeypatch.context() as m:
         m.setenv("XDG_CACHE_HOME", str(tmp_path / "cache-got"))
-        m.setattr(ingest, "_read_columns", counted)
+        m.setattr(ingest, "_read_row", counted)
         got = outcome(loader, *args)
-    columnar, got_calls = not per_row_calls, len(per_row_calls)
+    columnar, got_calls = not calls, len(calls)
     with monkeypatch.context() as m:
         m.setenv("XDG_CACHE_HOME", str(tmp_path / "cache-want"))
-        m.setattr(ingest, "_read_columns", counted)
-        m.setattr(ingest, "_columnar", switched_off)
+        m.setattr(ingest, "_read_row", counted)
+        m.setattr(ingest, "_is_plain", lambda data: False)
         want = outcome(loader, *args)
-    unread = want[0] is SchemaError and "not UTF-8 text" in want[1]
-    assert len(per_row_calls) == got_calls + (not unread), "the per-row reader did not give want"
+    assert len(calls) >= 2 * got_calls, "the oracle read fewer rows cell by cell"
     return got, want, columnar
 
 
@@ -201,7 +197,7 @@ ODD_FIELDS = [(0, "0000"), (5, "13"), (5, "00"), (5, "02-29"), (5, "02-30"), (8,
 ODD_NUMBERS = ["", " ", "nan", "NaN", "inf", "-inf", "1e500", "-1e500", "1e308", "-0", "+1",
                "1_0", "1__0", "_1", "1.", ".5", "1e0", "1.2.3", "0x10", "١", "1\x00",
                "1\x85", "1\x1c", "warm", "n/a", "99999999999999999999", "9223372036854775807",
-               "9223372036854775808", "2.2250738585072011e-308", "5e-324"]
+               "9223372036854775808", "2.2250738585072011e-308", "5e-324", "1 2", "4\t0"]
 NUMBER_BYTES = "0123456789.eE+-_ \t\x0b\x0c"
 
 

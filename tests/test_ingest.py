@@ -716,6 +716,33 @@ def test_columnar_loaders_equal_per_row_reader_on_synth_export(tmp_path, monkeyp
     assert readings["temp_c"].tobytes() == series.temperature.tobytes()
 
 
+@pytest.mark.parametrize("name, loader", [("demand", load_demand_grid),
+                                          ("temperature", load_temperature_csv),
+                                          ("dataset", load_dataset)])
+def test_one_offset_stamp_is_the_one_row_read_cell_by_cell(tmp_path, monkeypatch, name, loader):
+    """An export with one stamp given a UTC offset reads that row alone
+    cell by cell, and every other row by byte offsets; the values are the
+    oracle's, and those of the export without the offset."""
+    series, holidays = generate(SynthConfig(days=7, seed=3))
+    paths = export(series, holidays, tmp_path)
+    paths["dataset"] = tmp_path / "dataset.csv"
+    write_dataset(paths["dataset"], series)
+    want = outcome(loader, paths[name])
+    data = paths[name].read_bytes()
+    stamp = format_times(series.times()[400:401])[0].encode()
+    assert data.count(stamp + b",") == 1
+    path = tmp_path / "offset.csv"
+    path.write_bytes(data.replace(stamp + b",", stamp + b"+00:00,"))
+    calls = []
+    read_row = ingest._read_row
+    monkeypatch.setattr(ingest, "_read_row", lambda *a: calls.append(a) or read_row(*a))
+    assert outcome(loader, path) == want
+    assert len(calls) == 1 and calls[0][0][0] == stamp.decode() + "+00:00"
+    monkeypatch.undo()
+    got, oracle, columnar = both_ways(monkeypatch, tmp_path, loader, path, None)
+    assert got == oracle == want and not columnar
+
+
 ODD_DATASET = ("timestamp,demand,temp_c,weekday,month,holiday\n"
                "2023-05-01 00:00:00,1,10.5,0,5,1\n"
                "2023-05-01 00:15:00,0,-0.25,0,5,1\n"
@@ -788,10 +815,17 @@ def test_nul_in_stamp_is_schema_error_naming_line_on_both_paths(tmp_path, monkey
                  id="temperature-hh-mm"),
     pytest.param(load_demand_grid, ODD_GRID.replace(":00,", ",").replace("\n", "\r\n"), True,
                  id="grid-hh-mm"),
-    # empty lines are skipped
+    # blank lines are skipped
     pytest.param(load_dataset, ODD_DATASET.split("\n")[0] + "\n", True, id="header-only"),
     pytest.param(load_dataset, ODD_DATASET.split("\n")[0] + "\n\r\n\n", True,
                  id="header-then-blank-lines"),
+    pytest.param(load_dataset, dataset_row("   "), True, id="white-space-row"),
+    pytest.param(load_dataset, dataset_row(",,,,,"), True, id="commas-row"),
+    # a break in the time rule names the line of the row read by byte offsets
+    pytest.param(load_dataset, second_row(ODD_DATASET, "00:15:00", "00:45:00"), True,
+                 id="progression-break"),
+    pytest.param(load_temperature_csv, stamp(ODD_TEMPERATURE, "2023-05-01 00:00:00"), True,
+                 id="temperature-repeated-time"),
     # timestamps the per-row reader reads or rejects otherwise than numpy
     pytest.param(load_dataset, stamp(ODD_DATASET, "2023-05-01 00:60"), False,
                  id="stamp-minute-60-no-seconds"),
@@ -837,8 +871,6 @@ def test_nul_in_stamp_is_schema_error_naming_line_on_both_paths(tmp_path, monkey
                  False, id="crlf-with-one-lone-cr"),
     pytest.param(load_dataset, ODD_DATASET.replace("\n", "\r\n") + "\r", False,
                  id="crlf-then-final-cr"),
-    pytest.param(load_dataset, dataset_row("   "), False, id="white-space-row"),
-    pytest.param(load_dataset, dataset_row(",,,,,"), False, id="commas-row"),
     pytest.param(load_dataset, dataset_row("# a note"), False, id="hash-line"),
     pytest.param(load_dataset, second_row(ODD_DATASET, ",0,", ',"0",'), False,
                  id="quoted-cell"),
@@ -859,6 +891,8 @@ def test_nul_in_stamp_is_schema_error_naming_line_on_both_paths(tmp_path, monkey
                  id="separator-after-number"),
     pytest.param(load_dataset, second_row(ODD_DATASET, ",0,", ",0_0,"), False,
                  id="underscore-in-number"),
+    pytest.param(load_dataset, second_row(ODD_DATASET, ",0,", ",1 2,"), False,
+                 id="space-inside-number"),
     pytest.param(load_dataset, second_row(ODD_DATASET, ",0,", ",1e0,"), False,
                  id="float-as-int"),
     pytest.param(load_dataset, second_row(ODD_DATASET, ",0,", ",99999999999999999999,"),
@@ -870,10 +904,6 @@ def test_nul_in_stamp_is_schema_error_naming_line_on_both_paths(tmp_path, monkey
     pytest.param(load_dataset, second_row(ODD_DATASET, ",5,1", ",5"), False, id="short-row"),
     pytest.param(load_dataset, second_row(ODD_DATASET, ",0,5,", ",7,5,"), False,
                  id="weekday-out-of-bounds"),
-    pytest.param(load_dataset, second_row(ODD_DATASET, "00:15:00", "00:45:00"), False,
-                 id="progression-break"),
-    pytest.param(load_temperature_csv, stamp(ODD_TEMPERATURE, "2023-05-01 00:00:00"), False,
-                 id="temperature-repeated-time"),
 ])
 def test_columnar_path_gives_the_per_row_result(tmp_path, monkeypatch, loader, text, columnar,
                                                 timezone):
@@ -1176,7 +1206,7 @@ MALFORMED, MALFORMED_ROWS = malformed_sessions(3 * BLOCK_ROWS + 1, seed=24)
     pytest.param(HEADER.replace("\n", ",note\n") + SESSIONS.removeprefix(HEADER), 0,
                  id="rows-leave-out-a-trailing-column"),
     pytest.param(energy("1.5,extra,more"), 0, id="two-extra-cells"),
-    # text that is not plain: the csv module splits it, and _session_row reads
+    # text that is not plain: the csv module splits it, and _read_row reads
     # every row that is not blank
     pytest.param(SESSIONS.replace("\n", "\r"), 3, id="cr"),
     pytest.param(start('"2023-08-02 09:15:00"'), 3, id="quoted-cell"),
@@ -1254,12 +1284,12 @@ MALFORMED, MALFORMED_ROWS = malformed_sessions(3 * BLOCK_ROWS + 1, seed=24)
 def test_parse_sessions_equals_per_row_oracle(tmp_path, monkeypatch, text, per_row, timezone):
     """The SESSION array and the (line, message) errors equal the per-row
     oracle's, and only the rows that plain text's byte-offset read rejects,
-    or every row of other text, are read by ``_session_row``."""
+    or every row of other text, are read cell by cell by ``_read_row``."""
     path = tmp_path / "sessions.csv"
     path.write_bytes(text.encode("utf-8"))
     calls = []
-    session_row = ingest._session_row
-    monkeypatch.setattr(ingest, "_session_row", lambda *a: calls.append(a) or session_row(*a))
+    read_row = ingest._read_row
+    monkeypatch.setattr(ingest, "_read_row", lambda *a: calls.append(a) or read_row(*a))
     got = parse_sessions(path, timezone)
     records, errors = per_row_sessions(text, timezone)
     assert got.records.dtype == SESSION
