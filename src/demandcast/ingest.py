@@ -20,14 +20,13 @@ Every loader reads the file's bytes once and drops one leading UTF-8
 byte-order mark, as Excel's "CSV UTF-8" writes it. The sessions,
 temperature, demand grid and dataset loaders read their rows with one
 reader, ``_read_csv``. Plain text (``_is_plain``), which the csv module
-splits at its line ends and commas alone, is split by ``_plain_split``: one
-numpy pass finds every line end and comma, and one pass a column reads the
-cells of all lines by byte offsets (``_offset_columns``). A row whose every
-cell is plain, and which keeps the sessions' order and sign rule, is read
-so. Every other row that is not blank, of plain text or of other text that
-the csv module splits, is read cell by cell by ``_read_row``, whose parsers
-give the same values or name what is wrong. A whole-file loader then checks
-its time rule on the rows read.
+splits at its line ends and commas alone, is split by ``_plain_split``, in
+one numpy pass, and one pass a column reads the cells of all lines by byte
+offsets (``_offset_columns``). A row whose every cell is plain, and which
+keeps the sessions' order and sign rule, is read so. Every other row that is
+not blank, of plain text or of text that the csv module splits, is read cell
+by cell by ``_read_rows``, whose parsers give the same values or name what is
+wrong. A whole-file loader then checks its time rule on the rows read.
 
 The demand grid, temperature and dataset files are each one call to
 ``util.write_csv``, the one CSV table writer, which renders a block of rows
@@ -58,7 +57,8 @@ import tempfile
 from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta
 from functools import cache
-from operator import itemgetter
+from itertools import repeat
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from zoneinfo import ZoneInfo
 
@@ -345,9 +345,7 @@ def _source_text(source, kind: str) -> bytes | str:
         source = source.read()
     if isinstance(source, str):
         source = source.removeprefix("\ufeff")
-        if source.isascii() and _is_plain(data := source.encode()):
-            return data
-        return source
+        return data if source.isascii() and _is_plain(data := source.encode()) else source
     if not isinstance(source, bytes):
         raise SchemaError(f"unsupported CSV source {type(source).__name__}")
     data = source.removeprefix("\ufeff".encode())
@@ -382,84 +380,85 @@ def _column_positions(reader, kind: str, names) -> list[int]:
 
 def _read_csv(source, kind: str, names, timezone: str | None, rule=None):
     """Read the columns ``names`` of a CSV file (see ``_column_positions``):
-    the file line of each data row that reads; one array a column of those
-    rows' values, in file order (a time as datetime64, a column of _BOUNDS
-    as int64, any other as float64); and a (file line, column, error) for
-    each other row that is not blank: the column and the ValueError or
-    IndexError of its first cell that does not read, or None and the
-    message of the first ``rule`` (see ``_session_rule``) that it breaks.
-
-    A regular row of plain text (see ``_offset_columns``) that keeps
-    ``rule`` is read by byte offsets, and every other row that is not
-    blank, of any text, by ``_read_row``."""
+    the file line of each data row that reads, and one array a column of
+    their values in file order (a time as datetime64, a column of _BOUNDS as
+    int64, any other as float64); and a (file line, column, error) for each
+    other row that is not blank: of its first cell that does not read, or,
+    with column None, of the first ``rule`` (see ``_session_rule``) that it
+    breaks. A regular row of plain text (see ``_offset_columns``) that keeps
+    ``rule`` is read by byte offsets, and every other one by ``_read_rows``."""
     text = _source_text(source, kind)
     if isinstance(text, bytes):
         positions, buf, starts, stops, full, begin, width = _plain_split(text, kind, names)
         columns, ok = _offset_columns(buf, names, begin, width)
         for broken, _ in rule(columns) if rule else ():
             ok &= ~broken
-        line_of = np.arange(2, len(starts) + 2)
         if ok.all() and len(full) == len(starts):
-            return line_of, columns, []
-        regular, columns = full[ok], [column[ok] for column in columns]
-        unread = np.delete(np.arange(len(starts)), regular)
-        rows = zip(unread.tolist(), (tuple(text[a:b].decode().split(",")) for a, b in
-                                     zip(starts[unread].tolist(), stops[unread].tolist())))
+            return np.arange(2, len(starts) + 2), columns, []
+        regular, columns = full[ok] + 2, [column[ok] for column in columns]  # file lines
+        unread = np.delete(np.arange(len(starts)), full[ok])
+        cells = zip((text[a:b].decode().split(",") for a, b in
+                     zip(starts[unread].tolist(), stops[unread].tolist())), (unread + 2).tolist())
     else:
         reader = csv.reader(io.StringIO(text, newline=""))
-        positions = _column_positions(reader, kind, names)
-        cells = [(reader.line_num, tuple(row)) for row in reader]
-        line_of = np.array([line for line, _ in cells], np.int64)
-        rows, regular, columns = enumerate(row for _, row in cells), [], [[]] * len(names)
+        positions, regular = _column_positions(reader, kind, names), []
+        # each row, then the line it ends on: zip takes the row first
+        cells = zip(reader, map(attrgetter("line_num"), repeat(reader)))
+    lines, rows = [], []  # the file line and the cells of each row that is not blank
+    for row, line in cells:
+        if "".join(row).strip():
+            lines.append(line)
+            rows.append(tuple(row))  # a tuple of str drops out of the cyclic GC
     spec = [(name, i, _cell_parser(name, timezone)) for name, i in zip(names, positions)]
-    read, values, errors = [], [], []
-    for k, row in rows:
-        if not "".join(row).strip():
-            continue  # a blank row
-        value, error = _read_row(row, spec)
-        if error:
-            errors.append((int(line_of[k]), *error))
-        else:
-            read.append(k)
-            values.append(value)
+    values, failed = _read_rows(rows, spec)
+    read = np.delete(np.array(lines, np.int64), [j for j, _, _ in failed])
+    errors = [(lines[j], column, error) for j, column, error in failed]
     parsed = [_datetime64(c) if name in _TIMES
               else np.array(c, np.int64 if name in _BOUNDS else np.float64)
-              for name, c in zip(names, list(zip(*values)) or [()] * len(names))]
-    if rule and values:
+              for name, c in zip(names, values)]
+    if rule and len(read):
         checks = rule(parsed)
         bad = np.logical_or.reduce([broken for broken, _ in checks])
         for r in np.flatnonzero(bad).tolist():
             message = next(message for broken, message in checks if broken[r])
-            errors.append((int(line_of[read[r]]), None, message.format(*values[r])))
+            errors.append((int(read[r]), None, message.format(*[c[r] for c in values])))
         errors.sort(key=itemgetter(0))
-        read, parsed = np.array(read)[~bad], [column[~bad] for column in parsed]
-    have = np.zeros(len(line_of), bool)
-    have[regular] = have[read] = True
-    out = []
-    for by_offsets, by_cells in zip(columns, parsed):
-        column = np.empty(len(line_of), by_cells.dtype)
-        column[regular], column[read] = by_offsets, by_cells
-        out.append(column[have])
-    return line_of[have], out, errors
+        read, parsed = read[~bad], [column[~bad] for column in parsed]
+    if not len(regular):
+        return read, parsed, errors
+    lines = np.concatenate([regular, read])
+    order = np.argsort(lines, kind="stable")  # two sorted runs, merged in one pass
+    return lines[order], [np.concatenate(c)[order] for c in zip(columns, parsed)], errors
 
 
-def _read_row(row: tuple, spec) -> tuple:
-    """The values of the cells of ``row`` that ``spec``'s (column,
-    position, parser) triples name, read one by one, and None; or None and
-    the (column, error) of the first cell that does not read."""
-    values = []
+def _read_rows(rows: list, spec) -> tuple:
+    """Read the cells of ``rows`` (tuples of str) that ``spec``'s (column,
+    position, parser) triples name: one list a column of the values of the
+    rows whose cells read, and (index, column, ValueError or IndexError) of
+    each other row's first cell, in ``spec`` order, that does not read. A
+    column is read with one ``map``, or cell by cell if that fails."""
+    values, failed = [], {}
     for column, i, parse in spec:
         try:
-            values.append(parse(row[i]))
-        except (ValueError, IndexError) as exc:
-            # the same error with no traceback, which would hold the reader's
-            # frames, and the whole text in them, until the cyclic GC runs
-            return None, (column, type(exc)(*exc.args))
-    return values, None
+            cells = list(map(parse, map(itemgetter(i), rows)))
+        except (ValueError, IndexError):
+            cells = []
+            for k, row in enumerate(rows):
+                try:
+                    cells.append(parse(row[i]))
+                except (ValueError, IndexError) as exc:
+                    # a copy with no traceback, whose frames would hold the whole text
+                    failed.setdefault(k, (column, type(exc)(*exc.args)))
+                    cells.append(None)
+        values.append(cells)
+    if failed:
+        read = [k for k in range(len(rows)) if k not in failed]
+        values = [[cells[k] for k in read] for cells in values]
+    return values, [(k, *failed[k]) for k in sorted(failed)]
 
 
 def _cell_parser(name: str, timezone: str | None):
-    """The parser of a cell of column ``name`` that ``_read_row`` reads."""
+    """The parser of a cell of column ``name`` that ``_read_rows`` reads."""
     if name in _TIMES:
         return lambda text: parse_timestamp(text, timezone)
     if name in _BOUNDS:

@@ -7,7 +7,7 @@ must give what its oracle gives: the same values, or the same error type and
 message. The oracle of ``parse_sessions`` is ``helpers.per_row_sessions``;
 that of a whole-file loader is the same loader reading every row cell by
 cell (``helpers.both_ways``). A regular text (see ``random_csv``) must also
-be read by byte offsets alone: no row of it cell by cell by ``_read_row``.
+be read by byte offsets alone: no row of it cell by cell by ``_read_rows``.
 
 A batch also reads byte-mutated files of a synth export
 (``helpers.mutated_export``), one for every MUTATED texts, each of which
@@ -54,10 +54,11 @@ def check_batch(seed: int, files: int = FILES) -> list[str]:
 
     loaders = {"temperature": ingest.load_temperature_csv, "grid": ingest.load_demand_grid,
                "dataset": ingest.load_dataset}
-    read_row, per_row = ingest._read_row, []
+    read_rows, per_row = ingest._read_rows, []
     failures = []
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(ingest, "_read_row", lambda *a: per_row.append(a) or read_row(*a))
+        monkeypatch.setattr(ingest, "_read_rows",
+                            lambda *a: per_row.extend(a[0]) or read_rows(*a))
         path = Path(tmp) / "input.csv"
         for k in range(files):
             text_seed = seed * files + k

@@ -152,25 +152,28 @@ def both_ways(monkeypatch, tmp_path, loader, *args):
     (the same loader with no text taken as plain, so that every row is read
     cell by cell), and whether the first call read every row by byte
     offsets: no row cell by cell. Each call has its own empty dataset cache,
-    so neither reads what the other kept."""
-    calls = []
-    read_row = ingest._read_row
+    so neither reads what the other kept. The oracle must ask whether its
+    text is plain, and so be told that it is not, even if it fails before
+    any row (bytes that are not UTF-8)."""
+    rows, asked = [], []
+    read_rows = ingest._read_rows
 
     def counted(*a):
-        calls.append(a)
-        return read_row(*a)
+        rows.extend(a[0])
+        return read_rows(*a)
 
     with monkeypatch.context() as m:
         m.setenv("XDG_CACHE_HOME", str(tmp_path / "cache-got"))
-        m.setattr(ingest, "_read_row", counted)
+        m.setattr(ingest, "_read_rows", counted)
         got = outcome(loader, *args)
-    columnar, got_calls = not calls, len(calls)
+    columnar, got_rows = not rows, len(rows)
     with monkeypatch.context() as m:
         m.setenv("XDG_CACHE_HOME", str(tmp_path / "cache-want"))
-        m.setattr(ingest, "_read_row", counted)
-        m.setattr(ingest, "_is_plain", lambda data: False)
+        m.setattr(ingest, "_read_rows", counted)
+        m.setattr(ingest, "_is_plain", lambda data: asked.append(data) or False)
         want = outcome(loader, *args)
-    assert len(calls) >= 2 * got_calls, "the oracle read fewer rows cell by cell"
+    assert asked, "the oracle never asked whether its text is plain"
+    assert len(rows) >= 2 * got_rows, "the oracle read fewer rows cell by cell"
     return got, want, columnar
 
 

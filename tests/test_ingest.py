@@ -733,11 +733,11 @@ def test_one_offset_stamp_is_the_one_row_read_cell_by_cell(tmp_path, monkeypatch
     assert data.count(stamp + b",") == 1
     path = tmp_path / "offset.csv"
     path.write_bytes(data.replace(stamp + b",", stamp + b"+00:00,"))
-    calls = []
-    read_row = ingest._read_row
-    monkeypatch.setattr(ingest, "_read_row", lambda *a: calls.append(a) or read_row(*a))
+    rows = []
+    read_rows = ingest._read_rows
+    monkeypatch.setattr(ingest, "_read_rows", lambda *a: rows.extend(a[0]) or read_rows(*a))
     assert outcome(loader, path) == want
-    assert len(calls) == 1 and calls[0][0][0] == stamp.decode() + "+00:00"
+    assert len(rows) == 1 and rows[0][0] == stamp.decode() + "+00:00"
     monkeypatch.undo()
     got, oracle, columnar = both_ways(monkeypatch, tmp_path, loader, path, None)
     assert got == oracle == want and not columnar
@@ -1206,7 +1206,7 @@ MALFORMED, MALFORMED_ROWS = malformed_sessions(3 * BLOCK_ROWS + 1, seed=24)
     pytest.param(HEADER.replace("\n", ",note\n") + SESSIONS.removeprefix(HEADER), 0,
                  id="rows-leave-out-a-trailing-column"),
     pytest.param(energy("1.5,extra,more"), 0, id="two-extra-cells"),
-    # text that is not plain: the csv module splits it, and _read_row reads
+    # text that is not plain: the csv module splits it, and _read_rows reads
     # every row that is not blank
     pytest.param(SESSIONS.replace("\n", "\r"), 3, id="cr"),
     pytest.param(start('"2023-08-02 09:15:00"'), 3, id="quoted-cell"),
@@ -1284,18 +1284,18 @@ MALFORMED, MALFORMED_ROWS = malformed_sessions(3 * BLOCK_ROWS + 1, seed=24)
 def test_parse_sessions_equals_per_row_oracle(tmp_path, monkeypatch, text, per_row, timezone):
     """The SESSION array and the (line, message) errors equal the per-row
     oracle's, and only the rows that plain text's byte-offset read rejects,
-    or every row of other text, are read cell by cell by ``_read_row``."""
+    or every row of other text, are read cell by cell by ``_read_rows``."""
     path = tmp_path / "sessions.csv"
     path.write_bytes(text.encode("utf-8"))
-    calls = []
-    read_row = ingest._read_row
-    monkeypatch.setattr(ingest, "_read_row", lambda *a: calls.append(a) or read_row(*a))
+    rows = []
+    read_rows = ingest._read_rows
+    monkeypatch.setattr(ingest, "_read_rows", lambda *a: rows.extend(a[0]) or read_rows(*a))
     got = parse_sessions(path, timezone)
     records, errors = per_row_sessions(text, timezone)
     assert got.records.dtype == SESSION
     assert got.records.tobytes() == session_array(records).tobytes()
     assert [(e.line, e.message) for e in got.errors] == errors
-    assert len(calls) == per_row
+    assert len(rows) == per_row
 
 
 @pytest.mark.parametrize("loader, text", [
@@ -1377,6 +1377,26 @@ def test_late_out_of_range_field_is_the_per_row_error(tmp_path, loader, text, wh
     except SchemaError as exc:
         errors = [str(exc)]
     assert len(errors) >= 1 and where in errors[-1] and "unparseable timestamp" in errors[-1]
+
+
+@pytest.mark.parametrize("rows, error", [
+    pytest.param('"2023-05-01 00:00:00",1.5\n"2023-05-01 00:15:00",warm\n"x",2.5\n',
+                 "line 3: temp_c: could not convert string to float: 'warm'",
+                 id="later-column-first"),
+    pytest.param('"2023-05-01 00:00:00",1.5\n"x",warm\n',
+                 "line 3: timestamp: unparseable timestamp 'x'", id="both-cells-bad"),
+    pytest.param('"2023-05-01 00:00:00",1.5\n"2023-05-01 00:15:00"\n"x",2.5\n',
+                 "line 3: temp_c: missing value", id="short-row-first"),
+])
+def test_text_read_a_column_at_a_time_names_its_first_bad_cell(tmp_path, rows, error):
+    """Text that is not plain is read one column at a time, and a column
+    with a bad cell again cell by cell; the error is still that of the first
+    row that does not read, at its first bad cell."""
+    path = tmp_path / "temperature.csv"
+    path.write_bytes(("timestamp,temp_c\n" + rows).encode())
+    with pytest.raises(SchemaError) as exc:
+        load_temperature_csv(path)
+    assert str(exc.value) == "temperature CSV " + error
 
 
 def loaded(loader, source):
