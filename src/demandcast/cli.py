@@ -14,11 +14,10 @@ per epoch. Despite the name, each is a ``demandcast/checkpoint-v3`` file
 The header carries the run config's ``schema`` block (the two flags of
 ``FeatureSchema.default``), the ``clamp_bounds`` of its ``pipeline`` block
 and the fitted scaler, so predict, explain and attention need only the
-checkpoint file and a dataset; no other pipeline key is kept, and the
-scaler is always fitted on the training rows alone (there is no
-scale-before-split mode). These commands slide the model's own lookback
-and horizon: predict and explain encode and scale only their windows'
-rows (a negative window index counts from the end), attention every row.
+checkpoint file and a dataset; no other pipeline key is kept. These
+commands slide the model's own lookback and horizon: predict and explain
+encode and scale only their windows' rows (a negative window index counts
+from the end), attention every row.
 
 Every command that reads a dataset file parses each content once. The
 parsed columns are kept in ``$XDG_CACHE_HOME/demandcast/`` (by default
@@ -114,9 +113,12 @@ def load_run_config(path: str | None) -> dict:
     cfg = default_config()
     if path:
         try:
-            user = json.loads(Path(path).read_text(encoding="utf-8"))
+            user = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 text "
+                              f"(byte 0x{exc.object[exc.start]:02x})") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}")
         if not isinstance(user, dict):

@@ -331,7 +331,7 @@ def build_dataset(series: IntervalSeries, schema: FeatureSchema,
 
     The scaler is fitted on the chronological training region only, and
     test-region values that fall outside the fitted range are clipped to
-    ``clamp_bounds``. There is no mode that fits the scaler on test rows.
+    ``clamp_bounds``.
     """
     matrix = encode(series, schema)
     fit_rows = max(int(np.floor(fraction * matrix.shape[0])), 1)

@@ -22,11 +22,13 @@ temperature, demand grid and dataset loaders read their rows with one
 reader, ``_read_csv``. Plain text (``_is_plain``), which the csv module
 splits at its line ends and commas alone, is split by ``_plain_split``, in
 one numpy pass, and one pass a column reads the cells of all lines by byte
-offsets (``_offset_columns``). A row whose every cell is plain, and which
-keeps the sessions' order and sign rule, is read so. Every other row that is
-not blank, of plain text or of text that the csv module splits, is read cell
-by cell by ``_read_rows``, whose parsers give the same values or name what is
-wrong. A whole-file loader then checks its time rule on the rows read.
+offsets (``_offset_columns``). A row whose every cell is plain is read so.
+Every other row that is not blank, of plain text or of text that the csv
+module splits, is read cell by cell by ``_read_rows``, whose parsers give the
+same values or name what is wrong. Each loader then checks its own rule on
+the rows read: ``parse_sessions`` a session's times and energy,
+``load_temperature_csv`` rising times, and ``_read_grid`` the 15-minute
+progression.
 
 The demand grid, temperature and dataset files are each one call to
 ``util.write_csv``, the one CSV table writer, which renders a block of rows
@@ -230,24 +232,22 @@ def parse_sessions(csv_source, timezone: str | None = None) -> ParseResult:
 
     ``csv_source`` may be a path, or a byte or text stream.
     """
-    lines, columns, errors = _read_csv(csv_source, "sessions CSV", SESSION_COLUMNS, timezone,
-                                       _session_rule)
-    sessions = np.empty(len(lines), SESSION)
-    for name, column in zip(SESSION_COLUMNS, columns):  # field by field: 3x faster than records
-        sessions[name] = column
-    return ParseResult(sessions, [RowError(line, str(error)) for line, _, error in errors])
-
-
-def _session_rule(columns) -> tuple:
-    """The rules of a session, in the order a row is checked against them:
-    for each, the rows of ``columns`` (start, charge_end, disconnect and
-    energy_kwh arrays) that break it, and its message, a ``str.format`` of
-    the row's values."""
+    lines, columns, failed = _read_csv(csv_source, "sessions CSV", SESSION_COLUMNS, timezone)
     start, charge_end, disconnect, energy = columns
-    return (((start > charge_end) | (charge_end > disconnect),
-             "session times must satisfy start <= charge_end <= disconnect"),
-            (energy < 0, "energy_kwh must be non-negative"),
-            (~np.isfinite(energy), "energy_kwh must be finite, got {3}"))
+    errors = [RowError(line, str(error)) for line, _, error in failed]
+    keep = np.ones(len(lines), bool)
+    for broken, message in (((start > charge_end) | (charge_end > disconnect),
+                             "session times must satisfy start <= charge_end <= disconnect"),
+                            (energy < 0, "energy_kwh must be non-negative"),
+                            (~np.isfinite(energy), "energy_kwh must be finite, got {}")):
+        for r in np.flatnonzero(broken & keep).tolist():
+            errors.append(RowError(int(lines[r]), message.format(float(energy[r]))))
+        keep &= ~broken
+    errors.sort(key=attrgetter("line"))
+    sessions = np.empty(int(keep.sum()), SESSION)
+    for name, column in zip(SESSION_COLUMNS, columns):  # field by field: 3x faster than records
+        sessions[name] = column[keep]
+    return ParseResult(sessions, errors)
 
 
 def aggregate_demand(sessions: np.ndarray, origin: datetime, n_intervals: int) -> np.ndarray:
@@ -378,21 +378,18 @@ def _column_positions(reader, kind: str, names) -> list[int]:
     return [cols.index(n) for n in names]
 
 
-def _read_csv(source, kind: str, names, timezone: str | None, rule=None):
+def _read_csv(source, kind: str, names, timezone: str | None):
     """Read the columns ``names`` of a CSV file (see ``_column_positions``):
     the file line of each data row that reads, and one array a column of
     their values in file order (a time as datetime64, a column of _BOUNDS as
-    int64, any other as float64); and a (file line, column, error) for each
-    other row that is not blank: of its first cell that does not read, or,
-    with column None, of the first ``rule`` (see ``_session_rule``) that it
-    breaks. A regular row of plain text (see ``_offset_columns``) that keeps
-    ``rule`` is read by byte offsets, and every other one by ``_read_rows``."""
+    int64, any other as float64); and a (file line, column, error) of the
+    first cell that does not read of each other row that is not blank. A
+    regular row of plain text (see ``_offset_columns``) is read by byte
+    offsets, and every other one by ``_read_rows``."""
     text = _source_text(source, kind)
     if isinstance(text, bytes):
         positions, buf, starts, stops, full, begin, width = _plain_split(text, kind, names)
         columns, ok = _offset_columns(buf, names, begin, width)
-        for broken, _ in rule(columns) if rule else ():
-            ok &= ~broken
         if ok.all() and len(full) == len(starts):
             return np.arange(2, len(starts) + 2), columns, []
         regular, columns = full[ok] + 2, [column[ok] for column in columns]  # file lines
@@ -416,14 +413,6 @@ def _read_csv(source, kind: str, names, timezone: str | None, rule=None):
     parsed = [_datetime64(c) if name in _TIMES
               else np.array(c, np.int64 if name in _BOUNDS else np.float64)
               for name, c in zip(names, values)]
-    if rule and len(read):
-        checks = rule(parsed)
-        bad = np.logical_or.reduce([broken for broken, _ in checks])
-        for r in np.flatnonzero(bad).tolist():
-            message = next(message for broken, message in checks if broken[r])
-            errors.append((int(read[r]), None, message.format(*[c[r] for c in values])))
-        errors.sort(key=itemgetter(0))
-        read, parsed = read[~bad], [column[~bad] for column in parsed]
     if not len(regular):
         return read, parsed, errors
     lines = np.concatenate([regular, read])
@@ -484,7 +473,7 @@ def _finite_float(text: str) -> float:
 
 # The time columns of the loaders, and the inclusive bounds of each integer
 # column; every other column is a float, finite but for energy_kwh, which
-# the session rule checks.
+# parse_sessions checks.
 _TIMES = ("timestamp", "start", "charge_end", "disconnect")
 _BOUNDS = {"demand": (0, 2**63 - 1), "weekday": (0, 6), "month": (1, 12), "holiday": (0, 1)}
 # Bytes that the byte-offset reader reads otherwise than the csv module and
@@ -624,11 +613,11 @@ def _plain_times(buf: np.ndarray, begin: np.ndarray, width: np.ndarray):
 
 
 def _integers(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The int of each cell of ``_cell_bytes``, read by digit arithmetic
-    byte by byte, and whether the cell is plain: one run of digits between
-    white space (_SPACE), at most 18 bytes wide."""
-    plain = _plain_cells(cells, _SPACE + _DIGITS) & ~cells[:, 18:].any(1)
-    value = np.zeros(len(cells), np.int64)
+    """The int64 of each cell of ``_cell_bytes``, read by digit arithmetic
+    byte by byte in uint64, and whether the cell is plain: one run of digits
+    between white space (_SPACE), at most 19 bytes wide, below 2^63."""
+    plain = _plain_cells(cells, _SPACE + _DIGITS) & ~cells[:, 19:].any(1)
+    value = np.zeros(len(cells), np.uint64)
     seen, gap = np.zeros((2, len(cells)), bool)  # a digit, and white space after one
     for byte in cells.T:
         digit = byte > ord(" ")
@@ -636,7 +625,7 @@ def _integers(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         gap |= seen & ~digit
         seen |= digit
         value = np.where(digit, value * 10 + (byte - ord("0")), value)
-    return value, plain & seen
+    return value.view(np.int64), plain & seen & (value < 2**63)
 
 
 def _plain_cells(cells: np.ndarray, allowed: bytes) -> np.ndarray:
@@ -678,49 +667,32 @@ def _datetime64(times) -> np.ndarray:
     return np.array([(t - EPOCH) // _MICROSECOND for t in times], np.int64).view("datetime64[us]")
 
 
-def _read_table(source, kind: str, names, timezone: str | None, first_break) -> list[np.ndarray]:
-    """The columns ``names`` (the timestamp first) of a whole CSV file as
-    arrays, read by ``_read_csv``; the first row that does not read is a
-    SchemaError naming its file line and column. ``first_break(times)`` is
-    None if the loader's time rule holds, else (row, error type, message)
-    for the first row that breaks it. ``source`` may be the file's bytes."""
+def _read_table(source, kind: str, names, timezone: str | None) -> tuple:
+    """The file lines and the columns ``names`` of the rows of a whole CSV
+    file, read by ``_read_csv``; the first row that does not read is a
+    SchemaError naming its file line and column. ``source`` may be the
+    file's bytes."""
     lines, columns, errors = _read_csv(source, kind, names, timezone)
     if errors:
         line, column, error = errors[0]
         reason = "missing value" if isinstance(error, IndexError) else error
         raise SchemaError(f"{kind} line {line}: {column}: {reason}")
-    if (broken := first_break(columns[0])) is not None:
-        k, error, message = broken
-        raise error(f"{kind} line {lines[k]}: {message}")
-    return columns
+    return lines, columns
 
 
-def _off_grid(times: np.ndarray):
-    """The first row that is not its interval start on the grid from the
-    first row, as ``_read_table``'s ``first_break``."""
-    if len(times):
-        off = np.flatnonzero(times != grid_times(times[0], len(times)))
-        if off.size:
-            k = off[0]
-            return k, GridError, f"breaks the 15-minute progression ({times[k].item()})"
-    return None
-
-
-def _not_later(times: np.ndarray):
-    """The first row whose time is not later than the one before, as
-    ``_read_table``'s ``first_break``."""
-    late = np.flatnonzero(times[1:] <= times[:-1])
-    if late.size:
-        k = late[0] + 1
-        return k, SchemaError, (f"timestamp {times[k].item()} is not later than "
-                                f"{times[k - 1].item()}")
-    return None
-
-
-def _grid_origin(kind: str, times: np.ndarray) -> datetime:
+def _read_grid(source, kind: str, names, timezone: str | None) -> tuple:
+    """The origin and the columns after the timestamp of a grid file (see
+    ``_read_table``), whose times are the interval starts of the grid from
+    the first row; no rows, or the first row off that grid, is a GridError."""
+    lines, (times, *columns) = _read_table(source, kind, names, timezone)
     if not len(times):
         raise GridError(f"{kind} has no rows")
-    return times[0].item()
+    off = np.flatnonzero(times != grid_times(times[0], len(times)))
+    if off.size:
+        k = off[0]
+        raise GridError(f"{kind} line {lines[k]}: breaks the 15-minute progression "
+                        f"({times[k].item()})")
+    return times[0].item(), columns
 
 
 # A temperature reading: its time and its value in degrees Celsius.
@@ -731,8 +703,13 @@ def load_temperature_csv(source, timezone: str | None = None) -> np.ndarray:
     """Read the (timestamp, temp_c) readings as a ``READING`` array; a row
     whose time is not later than the one before is a SchemaError naming its
     file line."""
-    times, temps = _read_table(source, "temperature CSV", ("timestamp", "temp_c"),
-                               timezone, _not_later)
+    kind = "temperature CSV"
+    lines, (times, temps) = _read_table(source, kind, ("timestamp", "temp_c"), timezone)
+    late = np.flatnonzero(times[1:] <= times[:-1])
+    if late.size:
+        k = late[0] + 1
+        raise SchemaError(f"{kind} line {lines[k]}: timestamp {times[k].item()} is not later "
+                          f"than {times[k - 1].item()}")
     readings = np.empty(len(times), READING)
     readings["time"], readings["temp_c"] = times, temps
     return readings
@@ -755,9 +732,8 @@ def load_holidays_csv(source) -> frozenset[date]:
 def load_demand_grid(source, timezone: str | None = None) -> IntervalSeries:
     """Read a pre-aggregated demand grid (columns timestamp,demand) and
     validate that it forms a gapless 15-minute progression."""
-    kind = "demand grid CSV"
-    times, demand = _read_table(source, kind, ("timestamp", "demand"), timezone, _off_grid)
-    return IntervalSeries(origin=_grid_origin(kind, times), demand=demand)
+    origin, (demand,) = _read_grid(source, "demand grid CSV", ("timestamp", "demand"), timezone)
+    return IntervalSeries(origin=origin, demand=demand)
 
 
 def write_demand_grid(path, series: IntervalSeries, stamps=None) -> None:
@@ -810,10 +786,9 @@ def load_dataset(source, timezone: str | None = None) -> IntervalSeries:
 
 
 def _parse_dataset(source, timezone: str | None) -> IntervalSeries:
-    kind = "dataset CSV"
-    times, demand, temp, weekday, month, holiday = _read_table(
-        source, kind, DATASET_COLUMNS, timezone, _off_grid)
-    return IntervalSeries(origin=_grid_origin(kind, times), demand=demand, temperature=temp,
+    origin, (demand, temp, weekday, month, holiday) = _read_grid(
+        source, "dataset CSV", DATASET_COLUMNS, timezone)
+    return IntervalSeries(origin=origin, demand=demand, temperature=temp,
                           weekday=weekday.astype(np.int8), month=month.astype(np.int8),
                           holiday=holiday.astype(bool))
 

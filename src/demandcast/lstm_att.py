@@ -60,9 +60,8 @@ back in that order, with nothing after them. ``json.dumps`` escapes every
 newline, so the first line of a checkpoint is valid JSON on its own. The
 metadata is what ``cli train`` writes: the run config's ``schema`` block,
 a ``pipeline`` block holding only ``clamp_bounds``, the scaler fitted on
-the training rows (there is no scale-before-split mode), the seed and the
-variant (and the epoch in a per-epoch file), so a checkpoint file serves
-on its own.
+the training rows, the seed and the variant (and the epoch in a per-epoch
+file), so a checkpoint file serves on its own.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 ``write_csv`` is the one CSV table writer: the grid files of ``ingest``,
 the CLI's ``forecast.csv`` and ``comparison.csv`` and the ``explain``
 tables are each one call to it. It ends every line with CRLF and quotes
-nothing, so no cell may hold a comma, a quote, a line break or a NUL.
+nothing, so no cell may hold a comma, a quote, a line break or a NUL, and
+no row of one cell may be empty: ``csv.writer`` quotes each of these.
 
 It renders WRITE_ROWS rows at a time with numpy: each column becomes one
 fixed-width bytes array (numpy ``S``) whose cells leave the byte slots they

@@ -1,4 +1,5 @@
-"""Differential check of the CSV loaders against their per-row oracles.
+"""Differential check of the CSV loaders against their per-row oracles, and
+of the CSV writer against csv.writer.
 
 A batch reads seeded random CSV texts (``helpers.random_csv``) with
 ``parse_sessions``, ``load_temperature_csv``, ``load_demand_grid`` and
@@ -14,7 +15,10 @@ A batch also reads byte-mutated files of a synth export
 must equal its loader's oracle; and writes a series
 (``helpers.round_trip_series``) with ``write_dataset`` and
 ``write_temperature_csv`` for every ROUND_TRIP texts, which must read back
-to the same bits.
+to the same bits, by byte offsets alone. And it writes a table
+(``helpers.random_table``) with ``util.write_csv`` for every WRITE_TABLE
+texts, which must be the bytes that ``csv.writer`` writes
+(``helpers.csv_writer_rows``).
 
 Each batch runs in a child process of its own, one at a time, so that a
 crash of the interpreter is a failure that names its seed:
@@ -30,7 +34,8 @@ import tempfile
 from pathlib import Path
 
 FILES = 240  # files per batch
-MUTATED, ROUND_TRIP = 8, 24  # random texts per mutated file and per round trip
+# random texts per mutated file, per round trip and per written table
+MUTATED, ROUND_TRIP, WRITE_TABLE = 8, 24, 8
 KINDS = ("sessions", "temperature", "grid", "dataset")
 ZONES = (None, "America/Los_Angeles")
 
@@ -42,12 +47,15 @@ def check_batch(seed: int, files: int = FILES) -> list[str]:
     import pytest
 
     from demandcast import ingest
+    from demandcast.util import write_csv
     from helpers import (
         both_ways,
+        csv_writer_rows,
         mutated_export,
         outcome,
         per_row_sessions,
         random_csv,
+        random_table,
         round_trip_series,
         session_array,
     )
@@ -93,11 +101,23 @@ def check_batch(seed: int, files: int = FILES) -> list[str]:
                     (lambda: ingest.write_temperature_csv(path, times, series.temperature),
                      ingest.load_temperature_csv, readings)):
                 write()
-                got, want, _ = both_ways(monkeypatch, Path(tmp), loader, path, zone)
-                if not got == want == outcome(lambda: value):
+                got, want, columnar = both_ways(monkeypatch, Path(tmp), loader, path, zone)
+                if not (got == want == outcome(lambda: value) and columnar):
                     failures.append(f"round_trip_series({text_seed}) through "
                                     f"{loader.__name__} under {zone}: {path.read_bytes()!r}\n"
-                                    f"  got  {got!r}\n  want {want!r}")
+                                    f"  got  {got!r}\n  want {want!r}\n"
+                                    f"  read by byte offsets alone {columnar}")
+        want_path = Path(tmp) / "want.csv"
+        for k in range(files // WRITE_TABLE):
+            header, row_format, columns = random_table(seed * files + k)
+            write_csv(path, header, row_format, columns)
+            csv_writer_rows(want_path, header, zip(*(
+                [v.decode() if isinstance(v, bytes) else v for v in np.asarray(c).tolist()]
+                for c in columns)))
+            if path.read_bytes() != want_path.read_bytes():
+                failures.append(f"random_table({seed * files + k}) as {row_format!r}:\n"
+                                f"  got  {path.read_bytes()!r}\n"
+                                f"  want {want_path.read_bytes()!r}")
     return failures
 
 
@@ -143,7 +163,7 @@ def main(argv=None) -> int:
             failed += 1
             print(f"batch {seed}: exit status {status}\n{output}", flush=True)
     print(f"{args.batches - failed} of {args.batches} batches of {args.files} texts "
-          "(and their mutated files and round trips) equal their oracles")
+          "(and their mutated files, round trips and tables) equal their oracles")
     return 1 if failed else 0
 
 

@@ -13,8 +13,9 @@ build the inputs of ``join_temperature`` and ``aggregate_demand``,
 ``parse_timestamp``, and ``format_times``, which decodes the package's
 ``time_text``. ``outcome`` and ``both_ways`` read a whole-file loader's
 result by byte offsets and with every row read cell by cell, and
-``random_csv``, ``mutated_export`` and ``round_trip_series`` generate the
-seeded inputs of the differential reader check (``tests/differential.py``).
+``random_csv``, ``mutated_export``, ``round_trip_series`` and
+``random_table`` generate the seeded inputs of the differential reader and
+writer check (``tests/differential.py``).
 ``SeparateParams``, ``per_tensor_clip`` and ``per_tensor_adam_step`` are the
 per-tensor training update that the flat parameter arena replaced;
 ``sigmoid``, ``whole_batch_forward`` and
@@ -408,6 +409,54 @@ def round_trip_series(seed: int) -> tuple[IntervalSeries, np.ndarray]:
                           weekday=rng.integers(0, 7, n).astype(np.int8),
                           month=rng.integers(1, 13, n).astype(np.int8),
                           holiday=rng.random(n) < 0.2), times
+
+
+# Integers a %d column must render at the edges of int64 and where a
+# digit is added; text a %s column must copy, with no comma, quote, line
+# break or NUL, which write_csv does not quote.
+EDGE_INTS = [-2**63, -2**63 + 1, -10**18, -1, 0, 1, 9, 10, 10**18 - 1, 10**18, 2**63 - 2,
+             2**63 - 1]
+TABLE_TEXT = [" ", "a", "a b", "x;y", "\t", "é", "日本", "nan", "-0", "1e5", "'q'", "#"]
+
+
+def random_table(seed: int) -> tuple[list[str], str, list]:
+    """A seeded table for ``util.write_csv``: its header, its row format and
+    its columns, 1-5 of them and 0-60 rows. A ``%d`` column is int64, int32,
+    int8 or uint64, drawn from EDGE_INTS (those that fit) and random values
+    of its type. A ``%.17g`` column is float64 from EDGE_FLOATS, random
+    bits (NaN and the infinities too), values of a few degrees and values
+    near 1e-4 and 1e15, where the writer's positional rendering ends. A
+    ``%s`` column is a list of str, or their UTF-8 bytes as numpy ``S``,
+    joined from TABLE_TEXT; it may hold an empty cell unless it is the only
+    column, as ``write_csv`` asks."""
+    rng = np.random.default_rng(seed)
+    n, width = int(rng.integers(61)), int(rng.integers(1, 6))
+    specs, columns = [], []
+    for _ in range(width):
+        kind = int(rng.integers(3))
+        if kind == 0:
+            dtype = np.dtype(str(rng.choice(["int64", "int32", "int8", "uint64"])))
+            info = np.iinfo(dtype)
+            edges = [v for v in EDGE_INTS if info.min <= v <= info.max]
+            column = rng.integers(info.min, info.max, n, dtype=dtype, endpoint=True)
+            pick = rng.random(n) < 0.5
+            column[pick] = rng.choice(np.array(edges, dtype), n)[pick]
+            specs.append("%d")
+        elif kind == 1:
+            bits = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+            choices = [bits, rng.choice(EDGE_FLOATS, n), np.round(rng.normal(15.0, 10.0, n), 2),
+                       rng.choice([1e-4, 1e15], n) * (1 + rng.normal(0, 1e-15, n))
+                       * rng.choice([1, -1], n)]
+            column = np.choose(rng.integers(len(choices), size=n), choices)
+            specs.append("%.17g")
+        else:
+            parts = rng.integers(0 if width > 1 else 1, 4, n)
+            column = ["".join(rng.choice(TABLE_TEXT, k)) for k in parts]
+            if rng.random() < 0.5:
+                column = np.array([text.encode() for text in column], dtype="S")
+            specs.append("%s")
+        columns.append(column)
+    return [f"c{k}" for k in range(width)], ",".join(specs), columns
 
 
 def minute_scan_demand(sessions, origin, n_intervals):

@@ -384,6 +384,32 @@ def test_bad_config_block_one_config_line_no_partial_files(trained, tmp_path,
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("data, line", [
+    pytest.param(None, "config: config file not found: {config}", id="missing"),
+    pytest.param(b"{not json", "config: config file is not valid JSON: Expecting property name",
+                 id="not-json"),
+    pytest.param(b"[2]", "config: config file must contain a JSON object", id="not-an-object"),
+    pytest.param(b"\xff\xfe" + '{"synth": {"days": 2}}'.encode("utf-16-le"),
+                 "config: config file {config} is not UTF-8 text (byte 0xff)", id="not-utf-8"),
+    pytest.param(b'\xef\xbb\xbf{"synth": {"days": 2}}', None, id="byte-order-mark"),
+])
+def test_config_file_is_read_or_one_config_line_no_partial_files(tmp_path, data, line):
+    """A --config file that is missing, not UTF-8, not JSON or not an object
+    exits 1 with one ``config:`` line and writes nothing; a UTF-8 file that
+    starts with a byte-order mark is read without it."""
+    config, out = tmp_path / "run.json", tmp_path / "out"
+    if data is not None:
+        config.write_bytes(data)
+    rc, lines = run("simulate", "--out", out, "--config", config)
+    if line is None:
+        assert (rc, lines) == (0, [])
+        assert len((out / "demand.csv").read_text().splitlines()) == 1 + 2 * 96
+    else:
+        assert rc == 1
+        assert len(lines) == 1 and lines[0].startswith(line.format(config=config)), lines
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "train"])
 def test_negative_seed_one_config_line_no_partial_files(trained, tmp_path, command):
     out = tmp_path / "out"

@@ -1,5 +1,6 @@
-"""The CSV loaders against their per-row oracles on seeded random texts; a
-larger budget runs as ``python tests/differential.py --batches N``."""
+"""The CSV loaders against their per-row oracles on seeded random texts, and
+the CSV writer against csv.writer on seeded tables; a larger budget runs as
+``python tests/differential.py --batches N``."""
 
 from differential import run_batch
 

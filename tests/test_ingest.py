@@ -797,6 +797,10 @@ def test_nul_in_stamp_is_schema_error_naming_line_on_both_paths(tmp_path, monkey
     pytest.param(load_dataset, second_row(ODD_DATASET, "-0.25", "-0"), True, id="minus-zero"),
     pytest.param(load_dataset, second_row(ODD_DATASET, "-0.25", "2.2250738585072011e-308"),
                  True, id="float-subnormal-edge"),
+    pytest.param(load_dataset, second_row(ODD_DATASET, ",0,", ",1000000000000000000,"), True,
+                 id="demand-19-digits"),
+    pytest.param(load_dataset, second_row(ODD_DATASET, ",0,", ",9223372036854775807,"), True,
+                 id="demand-int64-max"),
     pytest.param(load_temperature_csv, ODD_TEMPERATURE, True, id="temperature-lf"),
     # both paths read the header the same way, so no header fails on either
     pytest.param(load_dataset, "", True, id="empty-file"),
@@ -897,6 +901,8 @@ def test_nul_in_stamp_is_schema_error_naming_line_on_both_paths(tmp_path, monkey
                  id="float-as-int"),
     pytest.param(load_dataset, second_row(ODD_DATASET, ",0,", ",99999999999999999999,"),
                  False, id="int-overflow"),
+    pytest.param(load_dataset, second_row(ODD_DATASET, ",0,", ",9223372036854775808,"), False,
+                 id="demand-2-to-63"),
     pytest.param(load_dataset, second_row(ODD_DATASET, "-0.25", "warm"), False, id="odd-cell"),
     pytest.param(load_dataset, second_row(ODD_DATASET, "-0.25", "NaN"), False, id="nan"),
     pytest.param(load_dataset, second_row(ODD_DATASET, "-0.25", "-1e500"), False,
@@ -1152,9 +1158,10 @@ def malformed_sessions(n, seed):
     """A sessions CSV of ``n`` rows with CRLF line ends, as csv writes it,
     about one row in eight malformed in one of five ways (an unparseable
     start, start and charge_end swapped, a negative energy, an energy that is
-    not a number, a missing cell), and the number of malformed rows."""
+    not a number, a missing cell), and the number of rows with a cell that
+    does not read: the malformed rows that break no rule of a session."""
     rng = np.random.default_rng(seed)
-    rows, malformed = [HEADER.rstrip("\n")], 0
+    rows, unread = [HEADER.rstrip("\n")], 0
     for _ in range(n):
         s = datetime(2023, 1, 1) + timedelta(seconds=int(rng.integers(0, 10**7)))
         e = s + timedelta(seconds=int(rng.integers(60, 30000)))
@@ -1171,12 +1178,12 @@ def malformed_sessions(n, seed):
             row[3] = "n/a"
         elif kind == 4:
             row = row[:3]
-        malformed += kind < 5
+        unread += kind in (0, 3, 4)
         rows.append(",".join(row))
-    return "".join(row + "\r\n" for row in rows), malformed
+    return "".join(row + "\r\n" for row in rows), unread
 
 
-MALFORMED, MALFORMED_ROWS = malformed_sessions(3 * BLOCK_ROWS + 1, seed=24)
+MALFORMED, UNREAD_ROWS = malformed_sessions(3 * BLOCK_ROWS + 1, seed=24)
 
 
 @pytest.mark.parametrize("timezone", [None, "America/Los_Angeles"])
@@ -1206,6 +1213,13 @@ MALFORMED, MALFORMED_ROWS = malformed_sessions(3 * BLOCK_ROWS + 1, seed=24)
     pytest.param(HEADER.replace("\n", ",note\n") + SESSIONS.removeprefix(HEADER), 0,
                  id="rows-leave-out-a-trailing-column"),
     pytest.param(energy("1.5,extra,more"), 0, id="two-extra-cells"),
+    # rows that read by byte offsets and break a rule of a session
+    pytest.param(energy("-1.5"), 0, id="energy-negative"),
+    pytest.param(start("2023-08-02 09:50:00"), 0, id="start-after-charge-end"),
+    pytest.param(second_row(SESSIONS, "10:00:00,1.5", "09:30:00,1.5"), 0,
+                 id="charge-end-after-disconnect"),
+    pytest.param(second_row(start("2023-08-02 09:50:00"), ",1.5", ",-1.5"), 0,
+                 id="times-and-energy-broken"),  # the times rule is checked first
     # text that is not plain: the csv module splits it, and _read_rows reads
     # every row that is not blank
     pytest.param(SESSIONS.replace("\n", "\r"), 3, id="cr"),
@@ -1234,7 +1248,6 @@ MALFORMED, MALFORMED_ROWS = malformed_sessions(3 * BLOCK_ROWS + 1, seed=24)
     pytest.param(energy("inf"), 1, id="energy-inf"),
     pytest.param(energy("-inf"), 1, id="energy-minus-inf"),
     pytest.param(energy("1e999"), 1, id="energy-overflow"),
-    pytest.param(energy("-1.5"), 1, id="energy-negative"),
     pytest.param(energy("n/a"), 1, id="energy-not-a-number"),
     pytest.param(energy(""), 1, id="energy-empty"),
     pytest.param(energy("1__0"), 1, id="energy-double-underscore"),
@@ -1262,9 +1275,6 @@ MALFORMED, MALFORMED_ROWS = malformed_sessions(3 * BLOCK_ROWS + 1, seed=24)
     pytest.param(start("2023-08-02 09:15:00x"), 1, id="stamp-20-characters"),
     pytest.param(start("not-a-time"), 1, id="stamp-not-a-time"),
     pytest.param(start(""), 1, id="stamp-empty"),
-    pytest.param(start("2023-08-02 09:50:00"), 1, id="start-after-charge-end"),
-    pytest.param(second_row(SESSIONS, "10:00:00,1.5", "09:30:00,1.5"), 1,
-                 id="charge-end-after-disconnect"),
     pytest.param(SESSIONS.replace("1.5", "nan").replace("\n", "\r\n"), 1, id="crlf-energy-nan"),
     # 0, 1 and a block of rows, and a row past it
     pytest.param(session_rows(0), 0, id="no-rows"),
@@ -1279,7 +1289,7 @@ MALFORMED, MALFORMED_ROWS = malformed_sessions(3 * BLOCK_ROWS + 1, seed=24)
     pytest.param(second_row(SESSIONS, "09:45:00,", "09:45:00Z,"), 1,
                  id="three-commas-20-byte-charge-end"),
     pytest.param("\ufeff" + SESSIONS, 0, id="byte-order-mark"),
-    pytest.param(MALFORMED, MALFORMED_ROWS, id="malformed-kinds"),
+    pytest.param(MALFORMED, UNREAD_ROWS, id="malformed-kinds"),
 ])
 def test_parse_sessions_equals_per_row_oracle(tmp_path, monkeypatch, text, per_row, timezone):
     """The SESSION array and the (line, message) errors equal the per-row
