@@ -120,9 +120,9 @@ def load_run_config(path: str | None) -> dict:
             raise ConfigError(f"config file {path} is not UTF-8 text "
                               f"(byte 0x{exc.object[exc.start]:02x})") from None
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}")
+            raise ConfigError(f"config file {path} is not valid JSON: {exc}")
         if not isinstance(user, dict):
-            raise ConfigError("config file must contain a JSON object")
+            raise ConfigError(f"config file {path} must contain a JSON object")
         cfg = _deep_merge(cfg, user)
     return cfg
 

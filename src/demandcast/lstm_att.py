@@ -20,10 +20,10 @@ GEMM of it with the operand [x_t; h_{t-1}; 1], a (n + H + 1, B) slot of two
 that alternate, into a (4H, B) gate row, then one tanh over the row and
 (t + 1) / 2 over its sigmoid block; h_t goes to the (p, H, B) hidden states
 and to the next slot. A taped call keeps every gate and cell row for BPTT, a
-tape-free one reuses one of each. BPTT fills one (4H, B) row of the gate
-gradient dG per step with one GEMM for the hidden-state gradient, and ends
-with one GEMM of dG against the stacked operands [x; h; 1] for [dW dU db];
-the gradient w.r.t. the inputs is not computed.
+tape-free one reuses one of each. BPTT writes step t's gate gradient, as
+(B, 4H), over gate row t once it has read that row, with one GEMM for the
+hidden-state gradient; one GEMM of the tape, now (p B, 4H) dG, against the
+stacked operands [x; h; 1] gives [dW dU db]. No input gradient is computed.
 
 Attention scores e_t = tanh(W_a h_t + b_a) (one scalar per step) are
 softmax-normalized over time into weights a_t. The head reads either the
@@ -44,12 +44,14 @@ draws W, W_a and W_out Glorot-uniform and U uniform in +-1/sqrt(H).
 A ``ForwardTrace`` holds the loop's own buffers, batch last: ``hidden``
 (p, H, B), the tape ``gates`` (p, 4H, B) and ``cell`` (p, H, B), ``scores``
 and ``weights`` (p, B) and the head's input ``head_in`` (head_dim, B);
-``pre_head`` and ``output`` are (B, m). ``backward`` reads them as they are.
+``pre_head`` and ``output`` are (B, m). ``backward`` reads them as they are,
+overwrites ``gates`` and drops the tape and ``head_in``.
 
 The parameters live in one arena. ``param_shapes(config)`` gives each
 parameter's name and shape in ``tensors()`` order; ``ModelParams`` holds one
 flat float64 ``value`` vector and one ``grad`` vector in that layout, and
-each ``ParamTensor`` is a pair of reshaped views into them. Zeroing,
+each ``ParamTensor`` is a pair of reshaped views into them. ``backward``
+writes, not adds, each gradient of its one call, so nothing zeroes ``grad``;
 clipping, Adam and the checkpoint payload each work on a whole vector.
 
 A checkpoint (``demandcast/checkpoint-v3``) is one line of JSON, then
@@ -157,8 +159,8 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 @dataclass
 class ParamTensor:
-    """One parameter: its value and its accumulated gradient, both views
-    into the arena of the ModelParams that owns it."""
+    """One parameter: its value and its gradient, both views into the
+    arena of the ModelParams that owns it."""
 
     name: str
     value: np.ndarray
@@ -201,9 +203,6 @@ class ModelParams:
     def tensors(self) -> list[ParamTensor]:
         return [getattr(self, name) for name in param_shapes(self.config)]
 
-    def zero_grad(self) -> None:
-        self.grad.fill(0.0)
-
 
 # ---------------------------------------------------------------------------
 # batched forward / backward
@@ -213,15 +212,15 @@ class ForwardTrace:
     """What ``backward`` and the attention export need from one forward
     call, in the batch-last layout of the module docstring. A tape-free
     call leaves ``gates`` and ``cell`` None, a headless call the head
-    fields, and ``backward`` rejects both. Single use."""
+    fields, and ``backward`` rejects both. Single use: ``backward`` writes
+    the gate gradient over ``gates``, then drops the tape and ``head_in``."""
 
     __slots__ = ("windows", "gates", "cell", "hidden", "scores", "weights", "head_in",
-                 "pre_head", "output", "consumed")
+                 "pre_head", "output")
 
     def __init__(self, **kw):
         for name in self.__slots__:
             setattr(self, name, kw.get(name))
-        self.consumed = False
 
 
 def model_inputs(windows: np.ndarray, config: ModelConfig) -> np.ndarray:
@@ -298,27 +297,25 @@ def forward_batch(windows, params: ModelParams, *, head: bool = True, tape: bool
 
 
 def backward(trace: ForwardTrace, d_output, params: ModelParams) -> None:
-    """Reverse-mode pass: accumulate all parameter gradients in place. The
-    gradient w.r.t. the input windows is not computed."""
-    if trace.consumed:
-        raise TapeError("forward trace already consumed by a backward call")
+    """Reverse-mode pass: write every parameter gradient of this one call
+    over whatever the arena held, consuming the trace (see ForwardTrace).
+    The gradient w.r.t. the input windows is not computed."""
     if trace.output is None:
         raise TapeError("forward trace has no head to differentiate (head=False)")
     if trace.gates is None:
-        raise TapeError("forward trace kept no tape to differentiate (tape=False)")
-    trace.consumed = True
-    cfg = params.config
-    hidden = trace.hidden
+        raise TapeError("forward trace holds no tape (tape=False, or consumed by backward)")
+    cfg, hidden = params.config, trace.hidden
     p, H, B = hidden.shape
     n = cfg.n_features
     d_out = np.atleast_2d(np.asarray(d_output, dtype=np.float64))
     if d_out.shape != trace.output.shape:
         raise ShapeError(f"upstream gradient {d_out.shape} != output {trace.output.shape}")
 
-    # head: y = relu(W_out head_in + b_out)
-    dz = d_out * (trace.pre_head > 0)
-    params.W_out.grad += dz.T @ trace.head_in.T
-    params.b_out.grad += dz.sum(axis=0)
+    # head: y = relu(W_out head_in + b_out); a dead output passes +0, not -0
+    dz = np.where(trace.pre_head > 0, d_out, 0.0)
+    np.matmul(dz.T, trace.head_in.T, out=params.W_out.grad)
+    trace.head_in = None
+    params.b_out.grad[...] = dz.sum(axis=0)
     d_head_in = params.W_out.value.T @ dz.T  # (head_dim, B)
 
     if cfg.attention:
@@ -326,29 +323,29 @@ def backward(trace: ForwardTrace, d_output, params: ModelParams) -> None:
             d_w = np.einsum("hb,thb->tb", d_head_in, hidden)
             dH = trace.weights[:, None, :] * d_head_in
         else:
-            d_weighted = d_head_in.reshape(p, H, B)
-            d_w = np.einsum("thb,thb->tb", d_weighted, hidden)
-            dH = trace.weights[:, None, :] * d_weighted
+            dH = d_head_in.reshape(p, H, B)
+            d_w = np.einsum("thb,thb->tb", dH, hidden)
+            dH *= trace.weights[:, None, :]
         # softmax over the time axis, then the tanh score squash
         inner = np.sum(trace.weights * d_w, axis=0, keepdims=True)
         d_e = trace.weights * (d_w - inner)
         d_raw = d_e * (1.0 - trace.scores ** 2)
-        params.W_a.grad[0] += np.einsum("tb,thb->h", d_raw, hidden)
-        params.b_a.grad[0] += d_raw.sum()
-        dH += d_raw[:, None, :] * params.W_a.value[0][:, None]
+        params.W_a.grad[0] = np.einsum("tb,thb->h", d_raw, hidden)
+        params.b_a.grad[0] = d_raw.sum()
     else:
         dH = np.zeros((p, H, B))
         dH[-1] = d_head_in
 
-    # BPTT, one (4H, B) row of dG = dLoss/d(pre-activation) per step: the
-    # local gate derivatives times per-gate multipliers,
+    # BPTT, one row of dG = dLoss/d(pre-activation) per step, written as
+    # (B, 4H) over gate row t once read, so the tape read as (p B, 4H) is dG:
+    # the local gate derivatives times per-gate multipliers,
     #   local:      s (1 - s) for f, i, o;  1 - Chat^2 for C
     #   multiplier: dC C_{t-1}, dC Chat, dh tanh(C_t), dC i
-    # dG is (4H, p, B), so the closing weight gradient is one GEMM.
     gates, cell = trace.gates, trace.cell
+    trace.gates = trace.cell = None  # consumed: the gate rows become dG
     f, i, o, chat = (gates[:, k * H:(k + 1) * H] for k in range(4))
+    dG = gates.reshape(p, B, 4 * H)
     U_T = params.U.value.T
-    dG = np.empty((4 * H, p, B))
     local, mult = np.empty((4 * H, B)), np.empty((4 * H, B))
     m_f, m_i, m_o, m_c = (mult[k * H:(k + 1) * H] for k in range(4))
     dh_next = np.zeros((H, B))
@@ -356,6 +353,8 @@ def backward(trace: ForwardTrace, d_output, params: ModelParams) -> None:
     work = np.empty((H, B))
     for t in range(p - 1, -1, -1):
         dh = dH[t]
+        if cfg.attention:  # the score's share, with no (p, H, B) temporary
+            dh += np.multiply(params.W_a.value.T, d_raw[t], out=work)
         dh += dh_next
         np.tanh(cell[t], out=work)
         np.multiply(dh, work, out=m_o)
@@ -373,21 +372,22 @@ def backward(trace: ForwardTrace, d_output, params: ModelParams) -> None:
         np.multiply(s, s, out=local)
         np.subtract(s[:3 * H], local[:3 * H], out=local[:3 * H])
         np.subtract(1.0, local[3 * H:], out=local[3 * H:])
-        g = np.multiply(local, mult, out=dG[:, t])
+        dc *= f[t]  # dLoss/dC_{t-1}, before row t is overwritten
+        g = np.multiply(local, mult, out=dG[t].T)
         if t:
-            dc *= f[t]
             np.matmul(U_T, g, out=dh_next)
 
     # [dW dU db] = dG [x; h; 1]^T, summed over steps and windows
+    del dH, dh, d_head_in  # freed before the operands, for a lower peak
     operands = np.empty((n + H + 1, p, B))
     operands[:n] = trace.windows.transpose(2, 1, 0)
     operands[n:n + H, 0] = 0.0
     operands[n:n + H, 1:] = hidden[:-1].transpose(1, 0, 2)
     operands[n + H] = 1.0
-    d_cat = operands.reshape(n + H + 1, p * B) @ dG.reshape(4 * H, p * B).T
-    params.W.grad += d_cat[:n].T
-    params.U.grad += d_cat[n:n + H].T
-    params.b.grad += d_cat[n + H]
+    d_cat = operands.reshape(n + H + 1, p * B) @ dG.reshape(p * B, 4 * H)
+    params.W.grad[...] = d_cat[:n].T
+    params.U.grad[...] = d_cat[n:n + H].T
+    params.b.grad[...] = d_cat[n + H]
 
 
 # ---------------------------------------------------------------------------

@@ -198,16 +198,16 @@ def train(dataset: SplitDataset, config: TrainConfig,
         total = 0.0
         for b, start in enumerate(range(0, N, config.batch_size)):
             idx = order[start:start + config.batch_size]
-            X = inputs[idx]
-            Y = targets[idx]
-            out, trace = forward_batch(X, params)
-            loss = mse(out, Y)
-            if not np.isfinite(loss):
-                raise NumericError(
-                    f"loss diverged at epoch {epoch + 1}, batch {b + 1}"
-                )
-            params.zero_grad()
-            backward(trace, 2.0 * (out - Y) / out.size, params)
+            X, Y = inputs[idx], targets[idx]
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):  # finiteness is checked
+                    out, trace = forward_batch(X, params)
+                    loss = mse(out, Y)
+                if not np.isfinite(loss):
+                    raise NumericError("loss diverged")
+                backward(trace, 2.0 * (out - Y) / out.size, params)
+            except NumericError as exc:
+                raise NumericError(f"{exc} at epoch {epoch + 1}, batch {b + 1}") from None
             if config.clip_norm is not None:
                 clip_gradients(params, config.clip_norm)
             adam_step(params.value, params.grad, state, config.learning_rate,
@@ -246,7 +246,7 @@ def evaluate(params: ModelParams, windows: WindowedDataset) -> EvalResult:
     inputs = model_inputs(windows.inputs, params.config)
     preds = np.empty((len(windows), windows.horizon))
     for start in range(0, len(windows), FORWARD_BATCH):
-        out, _ = forward_batch(inputs[start:start + FORWARD_BATCH], params, tape=False)
-        preds[start:start + len(out)] = out
+        out = forward_batch(inputs[start:start + FORWARD_BATCH], params, tape=False)[0]
+        preds[start:start + len(out)] = out  # no trace outlives its call
     targets = np.clip(windows.targets, 0.0, 1.0)
     return EvalResult(mse=mse(preds, targets), predictions=preds)

@@ -386,9 +386,11 @@ def test_bad_config_block_one_config_line_no_partial_files(trained, tmp_path,
 
 @pytest.mark.parametrize("data, line", [
     pytest.param(None, "config: config file not found: {config}", id="missing"),
-    pytest.param(b"{not json", "config: config file is not valid JSON: Expecting property name",
+    pytest.param(b"{not json",
+                 "config: config file {config} is not valid JSON: Expecting property name",
                  id="not-json"),
-    pytest.param(b"[2]", "config: config file must contain a JSON object", id="not-an-object"),
+    pytest.param(b"[2]", "config: config file {config} must contain a JSON object",
+                 id="not-an-object"),
     pytest.param(b"\xff\xfe" + '{"synth": {"days": 2}}'.encode("utf-16-le"),
                  "config: config file {config} is not UTF-8 text (byte 0xff)", id="not-utf-8"),
     pytest.param(b'\xef\xbb\xbf{"synth": {"days": 2}}', None, id="byte-order-mark"),
@@ -408,6 +410,24 @@ def test_config_file_is_read_or_one_config_line_no_partial_files(tmp_path, data,
         assert rc == 1
         assert len(lines) == 1 and lines[0].startswith(line.format(config=config)), lines
         assert not out.exists()
+
+
+@pytest.mark.parametrize("learning_rate, line", [
+    (1e300, "numeric: loss diverged at epoch 1, batch 2"),
+    (1e308, "numeric: non-finite values detected at stage 'attention' at epoch 1, batch 2"),
+])
+def test_diverged_training_one_numeric_line_no_partial_files(trained, tmp_path,
+                                                            learning_rate, line):
+    """Training whose loss, or a forward stage, stops being finite exits 1
+    with one ``numeric:`` line naming the epoch and the batch, with no
+    floating-point warning before it (the suite turns warnings into errors),
+    and writes nothing."""
+    config = tmp_path / "diverge.json"
+    config.write_text(json.dumps({**RUN_CONFIG, "train": {"learning_rate": learning_rate}}))
+    out = tmp_path / "out"
+    assert run("train", "--out", out, "--config", config, "--dataset", trained["dataset"],
+               *TRAIN_FLAGS) == (1, [line])
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["simulate", "train"])

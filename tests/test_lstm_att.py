@@ -477,14 +477,14 @@ def test_model_inputs_is_a_view_of_the_leading_columns():
 # ---------------------------------------------------------------------------
 
 def test_backward_zero_upstream_zero_grads():
-    """Zero upstream gradient: every parameter gradient stays zero, and so
-    does the input gradient of the row-major oracle (``backward`` computes
-    none)."""
+    """Zero upstream gradient: every parameter gradient is written as zero
+    over a stale arena, and the input gradient of the row-major oracle is
+    zero too (``backward`` computes none)."""
     rng = np.random.default_rng(9)
     params = tiny_params(seed=19)
     windows = rng.uniform(0, 1, size=(3, 4, 2))
     out, trace = forward_batch(windows, params)
-    params.zero_grad()
+    params.grad[:] = 1.0
     backward(trace, np.zeros_like(out), params)
     for t in params.tensors():
         assert np.array_equal(t.grad, np.zeros_like(t.grad))
@@ -505,7 +505,6 @@ def test_backward_matches_finite_differences(cfg_kwargs):
         return mse(out, Y)
 
     out, trace = forward_batch(X, params)
-    params.zero_grad()
     backward(trace, 2.0 * (out - Y) / out.size, params)
     # the input gradient, which ``backward`` does not compute, of the
     # row-major oracle that test_backward_matches_row_major_oracle pins
@@ -560,18 +559,64 @@ def test_backward_matches_row_major_oracle(cfg, B):
 
 
 def test_backward_tape_reuse_rejected():
+    """Backward consumes its trace: it drops the tape and the head input,
+    and a second call is a TapeError."""
     rng = np.random.default_rng(12)
     params = tiny_params(seed=25)
     out, trace = forward_batch(rng.uniform(0, 1, size=(2, 4, 2)), params)
     backward(trace, np.zeros_like(out), params)
-    with pytest.raises(TapeError):
+    assert trace.gates is None and trace.cell is None and trace.head_in is None
+    with pytest.raises(TapeError, match="consumed by backward"):
         backward(trace, np.zeros_like(out), params)
+
+
+@pytest.mark.parametrize("cfg_kwargs", HEAD_CONFIGS)
+def test_backward_writes_over_stale_gradients(cfg_kwargs):
+    """Backward writes the gradients of its one call: over an arena of
+    seeded noise it leaves the bytes it leaves in a fresh, zeroed one."""
+    rng = np.random.default_rng(14)
+    params = tiny_params(seed=29, **cfg_kwargs)
+    X = rng.uniform(0, 1, size=(5, 4, 2))
+    d_out = rng.normal(size=(5, 2))
+    backward(forward_batch(X, params)[1], d_out, params)
+    fresh = params.grad.tobytes()
+    params.grad[:] = rng.normal(size=params.grad.size)
+    backward(forward_batch(X, params)[1], d_out, params)
+    assert params.grad.tobytes() == fresh
+
+
+def test_backward_through_a_dead_head_writes_positive_zeros():
+    """With every output at the ReLU floor and a negative upstream gradient,
+    each gradient is +0.0, the bits a sum into a zeroed arena gave, not -0.0."""
+    params = tiny_params(seed=29)
+    params.b_out.value[:] = -1e3
+    out, trace = forward_batch(np.random.default_rng(15).uniform(0, 1, size=(3, 4, 2)), params)
+    assert np.all(trace.pre_head < 0)
+    params.grad[:] = 1.0
+    backward(trace, -np.ones_like(out), params)
+    assert params.grad.tobytes() == np.zeros_like(params.grad).tobytes()
+
+
+def test_backward_peaks_under_5_mb_beyond_its_tape():
+    """At paper size and B = 32, backward allocates under 5 MB at its peak
+    beyond the forward's buffers: the gate gradient goes over the gate tape
+    and the W_out gradient straight into the arena."""
+    params = ModelParams.init(ModelConfig(n_features=22), 6)
+    windows = np.random.default_rng(0).uniform(0.0, 1.0, size=(32, 96, 22))
+    out, trace = forward_batch(windows, params)
+    d_out = np.random.default_rng(1).normal(size=out.shape)
+    tracemalloc.start()
+    try:
+        backward(trace, d_out, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
 
 
 def test_backward_rejects_headless_trace():
     """A headless or tape-free trace is a TapeError that touches no gradient."""
     params = tiny_params(seed=25)
-    params.zero_grad()
     for kwargs in ({"head": False}, {"tape": False}):
         _, trace = forward_batch(np.random.default_rng(12).uniform(0, 1, size=(2, 4, 2)),
                                  params, **kwargs)
@@ -692,10 +737,8 @@ def test_checkpoint_shrinking_while_read_is_config_error(tmp_path, monkeypatch):
 
 
 def test_grad_arena_initialized_and_zeroed():
+    """The grad arena starts zeroed, and each tensor's grad views it."""
     params = tiny_params(seed=3)
     assert np.array_equal(params.grad, np.zeros_like(params.value))
     params.grad += 1.0
     assert all(np.all(t.grad == 1.0) for t in params.tensors())
-    params.zero_grad()
-    assert np.array_equal(params.grad, np.zeros_like(params.grad))
-    assert all(np.array_equal(t.grad, np.zeros_like(t.grad)) for t in params.tensors())

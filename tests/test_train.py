@@ -147,9 +147,9 @@ TIGHT_CLIP = 1e-3
 @pytest.mark.parametrize("cfg_kwargs", [{}, {"head_input": "context"}, {"attention": False},
                                         {"hidden": 90}])
 def test_arena_update_matches_per_tensor_oracle_bitwise(cfg_kwargs):
-    """Seeded training steps with clipping: zero_grad, clip_gradients and
-    adam_step on the arena give the values and moments of the per-tensor
-    loop over separate arrays, bit for bit."""
+    """Seeded training steps with clipping: backward over stale gradients,
+    clip_gradients and adam_step on the arena give the values and moments of
+    the per-tensor loop over separate arrays, bit for bit."""
     rng = np.random.default_rng(17)
     cfg = ModelConfig(**{"n_features": 3, "hidden": 4, "horizon": 5, "lookback": 6,
                          **cfg_kwargs})
@@ -163,10 +163,9 @@ def test_arena_update_matches_per_tensor_oracle_bitwise(cfg_kwargs):
     for step in range(1, 5):
         X = rng.uniform(0, 1, size=(7, 6, 3))
         Y = rng.uniform(0, 1, size=(7, 5))
-        params.grad[:] = rng.normal(size=params.grad.size)  # stale, zero_grad clears it
-        params.zero_grad()
+        params.grad[:] = rng.normal(size=params.grad.size)  # stale: backward writes over it
         for t in oracle.tensors():
-            t.grad.fill(0.0)
+            t.grad[...] = rng.normal(size=t.grad.shape)
         for model in (params, oracle):
             out, trace = forward_batch(X, model)
             backward(trace, 2.0 * (out - Y) / out.size, model)
