@@ -6,7 +6,8 @@ winning, writes its artifacts under --out along with a manifest recording
 the config hash, the seed and the checkpoint format, and removes partial
 outputs on failure. Errors come back as a single machine-parsable
 ``code: message`` line on stderr with exit code 1; an input path that is
-missing, unreadable or a directory gives an ``io:`` line.
+missing, unreadable or a directory gives an ``io:`` line, an allocation the
+machine refuses a ``memory:`` line.
 
 ``train`` writes ``checkpoint.json`` and one ``checkpoints/epoch_NNN.json``
 per epoch. Despite the name, each is a ``demandcast/checkpoint-v3`` file
@@ -554,6 +555,8 @@ def main(argv=None) -> int:
         message = f"{exc.code}: {exc}"
     except OSError as exc:  # a missing, unreadable or directory path
         message = f"io: {exc}"
+    except MemoryError as exc:  # a model or batch too large for this machine
+        message = f"memory: {exc}"
     except Exception as exc:  # pragma: no cover - defensive
         message = f"internal: {type(exc).__name__}: {exc}"
     if out is not None:

@@ -25,6 +25,24 @@ tape-free one reuses one of each. BPTT writes step t's gate gradient, as
 hidden-state gradient; one GEMM of the tape, now (p B, 4H) dG, against the
 stacked operands [x; h; 1] gives [dW dU db]. No input gradient is computed.
 
+OpenBLAS runs a product of at most 100^3 multiply-adds (M N K) on its
+small-matrix kernel, which skips packing. So ``_matmul`` runs the forward's
+gate GEMM and BPTT's ``U^T g`` as two row halves when the whole product is
+above that bound and each half is at or below it. Single-thread times in us
+on a 2-core AVX-512 VM at H = 96, whole product / two halves:
+
+    B     gate, K = 119   gate, K = 98    U^T g
+    1       7.4 / 9.1       5.8 / 7.5      6.1 / 8.3
+    21     32.6 / 35.1     28.0 / 29.8    28.9 / 31.6
+    24     48.8 / 38.7     28.9 / 30.9    30.9 / 33.5
+    32     55.1 / 39.7     44.6 / 32.5    78.3 / 58.4
+    40     90.4 / 65.9     83.3 / 68.3    98.5 / 76.1
+    48    114.5 / 118.7    96.4 / 78.2   112.5 / 93.4
+    256   541.9 / 551.1   460.1 / 468.0  490.0 / 555.0
+
+Training (B = 32) splits all three; the forwards at B = 1 and B >= 110 keep
+one call.
+
 Attention scores e_t = tanh(W_a h_t + b_a) (one scalar per step) are
 softmax-normalized over time into weights a_t. The head reads either the
 context vector sum(a_t h_t) or the flattened weighted states a_t h_t, and
@@ -86,6 +104,7 @@ INIT_ORDER = ("f", "i", "C", "o")
 HEAD_INPUTS = ("context", "weighted_flatten")
 PARAM_DTYPE = np.dtype("<f8")
 FORWARD_BATCH = 256  # windows per tape-free forward in evaluate, explain and attention
+SMALL_GEMM = 100 ** 3  # OpenBLAS's small-matrix bound on M N K
 
 
 def assert_finite(name: str, arr: np.ndarray) -> None:
@@ -101,6 +120,18 @@ def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
     """Stable softmax (max subtraction); output sums to 1 along ``axis``."""
     ex = np.exp(scores - np.max(scores, axis=axis, keepdims=True))
     return ex / np.sum(ex, axis=axis, keepdims=True)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """``out = a @ b``, as two row halves when only the halves fall under
+    ``SMALL_GEMM`` (see the module docstring); the halves are views."""
+    rows, inner = a.shape
+    half = (rows + 1) // 2
+    if rows * inner * b.shape[1] > SMALL_GEMM >= half * inner * b.shape[1]:
+        np.matmul(a[:half], b, out=out[:half])
+        np.matmul(a[half:], b, out=out[half:])
+    else:
+        np.matmul(a, b, out=out)
 
 
 def glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -259,7 +290,7 @@ def forward_batch(windows, params: ModelParams, *, head: bool = True, tape: bool
         k = t if tape else 0
         g, c, z = gates[k], cell[k], Z[t % 2]
         z[:n] = windows[:, t].T
-        np.matmul(Wcat, z, out=g)
+        _matmul(Wcat, z, g)
         np.tanh(g, out=g)
         g[:3 * H] += 1.0
         g[:3 * H] *= 0.5
@@ -332,9 +363,6 @@ def backward(trace: ForwardTrace, d_output, params: ModelParams) -> None:
         d_raw = d_e * (1.0 - trace.scores ** 2)
         params.W_a.grad[0] = np.einsum("tb,thb->h", d_raw, hidden)
         params.b_a.grad[0] = d_raw.sum()
-    else:
-        dH = np.zeros((p, H, B))
-        dH[-1] = d_head_in
 
     # BPTT, one row of dG = dLoss/d(pre-activation) per step, written as
     # (B, 4H) over gate row t once read, so the tape read as (p B, 4H) is dG:
@@ -352,10 +380,12 @@ def backward(trace: ForwardTrace, d_output, params: ModelParams) -> None:
     dc = np.zeros((H, B))  # dLoss/dC_t, carried back through f
     work = np.empty((H, B))
     for t in range(p - 1, -1, -1):
-        dh = dH[t]
         if cfg.attention:  # the score's share, with no (p, H, B) temporary
+            dh = dH[t]
             dh += np.multiply(params.W_a.value.T, d_raw[t], out=work)
-        dh += dh_next
+            dh += dh_next
+        else:  # the head reads only the last hidden state
+            dh = dh_next if t < p - 1 else d_head_in
         np.tanh(cell[t], out=work)
         np.multiply(dh, work, out=m_o)
         work *= m_o
@@ -375,10 +405,10 @@ def backward(trace: ForwardTrace, d_output, params: ModelParams) -> None:
         dc *= f[t]  # dLoss/dC_{t-1}, before row t is overwritten
         g = np.multiply(local, mult, out=dG[t].T)
         if t:
-            np.matmul(U_T, g, out=dh_next)
+            _matmul(U_T, g, dh_next)
 
     # [dW dU db] = dG [x; h; 1]^T, summed over steps and windows
-    del dH, dh, d_head_in  # freed before the operands, for a lower peak
+    dH = dh = d_head_in = None  # freed before the operands, for a lower peak
     operands = np.empty((n + H + 1, p, B))
     operands[:n] = trace.windows.transpose(2, 1, 0)
     operands[n:n + H, 0] = 0.0

@@ -1,5 +1,6 @@
-"""Differential check of the CSV loaders against their per-row oracles, and
-of the CSV writer against csv.writer.
+"""Differential check of the CSV loaders against their per-row oracles, of
+the CSV writer against csv.writer, and of the model core against its
+row-major oracles.
 
 A batch reads seeded random CSV texts (``helpers.random_csv``) with
 ``parse_sessions``, ``load_temperature_csv``, ``load_demand_grid`` and
@@ -20,10 +21,20 @@ to the same bits, by byte offsets alone. And it writes a table
 texts, which must be the bytes that ``csv.writer`` writes
 (``helpers.csv_writer_rows``).
 
+With ``--suite model`` a batch instead draws MODELS random models
+(``helpers.random_model``). On each, a tape-free forward must give the bits
+of a taped one; the forward must equal ``whole_batch_forward`` and
+``backward`` must equal ``row_major_backward``, both within
+``helpers.assert_close``; and ``backward`` over an arena of noise must leave
+the bytes it leaves in a fresh one. The one gradient of the score bias
+``b_a`` sums p B softmax terms that cancel, so it is compared as one array
+with that of ``W_a``, whose largest value gives its floor.
+
 Each batch runs in a child process of its own, one at a time, so that a
 crash of the interpreter is a failure that names its seed:
 
     PYTHONPATH=src python tests/differential.py --batches 200 [--first 0] [--files 240]
+    PYTHONPATH=src python tests/differential.py --suite model --batches 50 [--models 8]
 """
 
 import argparse
@@ -36,6 +47,7 @@ from pathlib import Path
 FILES = 240  # files per batch
 # random texts per mutated file, per round trip and per written table
 MUTATED, ROUND_TRIP, WRITE_TABLE = 8, 24, 8
+MODELS = 8  # random models per batch of the model suite
 KINDS = ("sessions", "temperature", "grid", "dataset")
 ZONES = (None, "America/Los_Angeles")
 
@@ -121,6 +133,56 @@ def check_batch(seed: int, files: int = FILES) -> list[str]:
     return failures
 
 
+def check_models(seed: int, models: int = MODELS) -> list[str]:
+    """Check the ``models`` random models of batch ``seed`` against the
+    oracles; a line for each model that fails a property."""
+    import numpy as np
+
+    from demandcast.lstm_att import backward, forward_batch
+    from helpers import (
+        TAPE_FREE_FIELDS,
+        SeparateParams,
+        assert_close,
+        assert_trace_close,
+        batch_first,
+        random_model,
+        row_major_backward,
+        whole_batch_forward,
+    )
+
+    failures = []
+    for k in range(models):
+        model_seed = seed * models + k
+        params, windows, d_out = random_model(model_seed)
+        cfg, oracle = params.config, SeparateParams(params)
+        try:
+            trace = forward_batch(windows, params)[1]
+            taped = batch_first(trace, cfg)
+            free = batch_first(forward_batch(windows, params, tape=False)[1], cfg)
+            for name in TAPE_FREE_FIELDS:
+                a, b = getattr(free, name), getattr(taped, name)
+                assert (a is None and b is None) or a.tobytes() == b.tobytes(), \
+                    f"tape-free {name} differs from the taped one"
+            want = whole_batch_forward(windows, oracle)[1]
+            assert_trace_close(taped, want)
+            backward(trace, d_out, params)
+            row_major_backward(want, d_out, oracle)
+            for t, o in zip(params.tensors(), oracle.tensors()):
+                if t.name != "b_a":
+                    assert_close(t.grad, o.grad, f"gradient of {t.name}")
+            if cfg.attention:  # b_a's one value sums cancelling softmax terms
+                assert_close(np.append(params.W_a.grad, params.b_a.grad),
+                             np.append(oracle.W_a.grad, oracle.b_a.grad), "gradient of W_a, b_a")
+            fresh = params.grad.tobytes()
+            params.grad[:] = np.random.default_rng(model_seed).normal(size=params.grad.size)
+            backward(forward_batch(windows, params)[1], d_out, params)
+            assert params.grad.tobytes() == fresh, "backward over noise differs from fresh"
+        except Exception as exc:  # an error, too, names its model
+            failures.append(f"random_model({model_seed}): {cfg}, B = {len(windows)}, "
+                            f"p = {windows.shape[1]}\n  {type(exc).__name__}: {exc}")
+    return failures
+
+
 def _sessions_outcome(parse, records_array=None):
     """The record bytes and (line, message) errors that ``parse()`` gives,
     or the type and message of what it raises."""
@@ -134,13 +196,15 @@ def _sessions_outcome(parse, records_array=None):
     return records_array(records).tobytes(), errors
 
 
-def run_batch(seed: int, files: int = FILES) -> tuple[int, str]:
-    """Run batch ``seed`` in a child process: its exit status (negative for
-    the signal that ended it) and its output."""
+def run_batch(seed: int, files: int = FILES, suite: str = "csv",
+              models: int = MODELS) -> tuple[int, str]:
+    """Run batch ``seed`` of ``suite`` in a child process: its exit status
+    (negative for the signal that ended it) and its output."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    child = subprocess.run([sys.executable, __file__, "--child", str(seed), "--files", str(files)],
+    child = subprocess.run([sys.executable, __file__, "--child", str(seed), "--suite", suite,
+                            "--files", str(files), "--models", str(models)],
                            capture_output=True, text=True, env=env)
     return child.returncode, child.stdout + child.stderr
 
@@ -149,21 +213,26 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--first", type=int, default=0, help="seed of the first batch")
     parser.add_argument("--batches", type=int, default=20, help="number of batches")
-    parser.add_argument("--files", type=int, default=FILES, help="texts per batch")
+    parser.add_argument("--suite", choices=("csv", "model"), default="csv",
+                        help="the CSV readers and writer, or the model core")
+    parser.add_argument("--files", type=int, default=FILES, help="texts per batch (csv)")
+    parser.add_argument("--models", type=int, default=MODELS, help="models per batch (model)")
     parser.add_argument("--child", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child is not None:
-        failures = check_batch(args.child, args.files)
+        failures = (check_models(args.child, args.models) if args.suite == "model"
+                    else check_batch(args.child, args.files))
         print("\n".join(failures[:5]))
         return 1 if failures else 0
     failed = 0
     for seed in range(args.first, args.first + args.batches):
-        status, output = run_batch(seed, args.files)
+        status, output = run_batch(seed, args.files, args.suite, args.models)
         if status:
             failed += 1
             print(f"batch {seed}: exit status {status}\n{output}", flush=True)
-    print(f"{args.batches - failed} of {args.batches} batches of {args.files} texts "
-          "(and their mutated files, round trips and tables) equal their oracles")
+    what = (f"{args.models} random models" if args.suite == "model" else
+            f"{args.files} texts (and their mutated files, round trips and tables)")
+    print(f"{args.batches - failed} of {args.batches} batches of {what} equal their oracles")
     return 1 if failed else 0
 
 

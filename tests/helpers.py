@@ -21,7 +21,9 @@ per-tensor training update that the flat parameter arena replaced;
 ``sigmoid``, ``whole_batch_forward`` and
 ``row_major_backward`` are the gate squash, the batched forward and its
 backward pass in the row-major (B, 4H) step layout that the batch-last core
-replaced. The checkpoint helpers read and rewrite checkpoint
+replaced; ``assert_close`` and ``assert_trace_close`` bound how far the
+core may be from them, and ``random_model`` draws the seeded shapes of the
+differential model check. The checkpoint helpers read and rewrite checkpoint
 files byte by byte, and ``CHECKPOINT_CORRUPTIONS`` is the table of broken
 files that both the loader's and the command line's tests run.
 """
@@ -51,7 +53,7 @@ from demandcast.ingest import (
     write_demand_grid,
     write_temperature_csv,
 )
-from demandcast.lstm_att import forward_batch
+from demandcast.lstm_att import HEAD_INPUTS, ModelConfig, ModelParams, forward_batch
 from demandcast.synth import SynthConfig, generate
 
 
@@ -582,6 +584,58 @@ def whole_batch_forward(windows, params):
     return output, SimpleNamespace(windows=windows, gates=gates, cell=cell, hidden=hidden,
                                    scores=scores, weights=weights, context=context,
                                    head_in=head_in, pre_head=pre_head, output=output)
+
+
+# The fields of a forward trace that hold values, head included.
+TRACE_FIELDS = ("gates", "cell", "hidden", "scores", "weights", "context", "head_in",
+                "pre_head", "output")
+# The fields a tape-free trace keeps.
+TAPE_FREE_FIELDS = ("hidden", "scores", "weights", "context", "head_in", "pre_head", "output")
+# The batch-last core sums each pre-activation [W U b] [x; h; 1] in one GEMM
+# and each weight gradient in one GEMM over steps and windows, in another
+# order than the row-major oracles, so the last bits may differ: every
+# value must lie within REL_TOL of the oracle's value, or within FLOOR of the
+# largest magnitude of its array for a value that sums to near zero.
+REL_TOL = 1e-12
+FLOOR = 1e-14
+
+
+def assert_close(got, want, what):
+    """|got - want| <= REL_TOL |want| + FLOOR max|want|, elementwise."""
+    assert got.shape == want.shape, what
+    atol = FLOOR * np.max(np.abs(want), initial=0.0)
+    np.testing.assert_allclose(got, want, rtol=REL_TOL, atol=atol, err_msg=str(what))
+
+
+def assert_trace_close(got, want):
+    """Every value field of two traces, the output included, agrees within
+    ``assert_close``; a field one trace lacks, the other lacks too."""
+    for name in TRACE_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert_close(a, b, name)
+
+
+def random_model(seed: int):
+    """Seeded parameters with a random bias, a (B, p, n) batch and a (B, m)
+    upstream gradient, of a random shape: n in 1..24, H in 1..40, p and m in
+    1..12, attention on or off, either head (p may differ from the lookback
+    where the head allows it) and B in 1..300, which spans both sides of the
+    forward's row-half rule and of ``FORWARD_BATCH``."""
+    rng = np.random.default_rng(seed)
+    attention = bool(rng.integers(2))
+    head = HEAD_INPUTS[rng.integers(len(HEAD_INPUTS))]
+    lookback = int(rng.integers(1, 13))
+    p = lookback if attention and head == "weighted_flatten" else int(rng.integers(1, 13))
+    config = ModelConfig(n_features=int(rng.integers(1, 25)), hidden=int(rng.integers(1, 41)),
+                         horizon=int(rng.integers(1, 13)), lookback=lookback,
+                         attention=attention, head_input=head)
+    params = ModelParams.init(config, seed)
+    params.b.value[:] = rng.normal(size=params.b.value.shape)
+    B = int(rng.integers(1, 301))
+    windows = rng.uniform(-1.0, 2.0, size=(B, p, config.n_features))
+    return params, windows, rng.normal(size=(B, config.horizon))
 
 
 def row_major_backward(trace, d_output, params):

@@ -430,6 +430,18 @@ def test_diverged_training_one_numeric_line_no_partial_files(trained, tmp_path,
     assert list(out.iterdir()) == []
 
 
+def test_model_too_large_for_memory_one_memory_line_no_partial_files(trained, tmp_path):
+    """A model whose parameter arena no machine can hold (2.84 PiB at
+    10^7 hidden units) exits 1 with one ``memory:`` line and writes nothing."""
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({**RUN_CONFIG, "train": {"hidden": 10_000_000}}))
+    out = tmp_path / "out"
+    rc, lines = run("train", "--out", out, "--config", config, "--dataset", trained["dataset"],
+                    "--epochs", 1)
+    assert (rc, len(lines)) == (1, 1) and lines[0].startswith("memory: Unable to allocate"), lines
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["simulate", "train"])
 def test_negative_seed_one_config_line_no_partial_files(trained, tmp_path, command):
     out = tmp_path / "out"

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from demandcast import lstm_att
 from demandcast.errors import ConfigError, NumericError, ShapeError, TapeError
 from demandcast.lstm_att import (
     ModelConfig,
@@ -21,7 +22,10 @@ from demandcast.train import mse
 from helpers import (
     CHECKPOINT_CORRUPTIONS,
     HUGE_HIDDEN,
+    TAPE_FREE_FIELDS,
     SeparateParams,
+    assert_close,
+    assert_trace_close,
     attention,
     batch_first,
     central_difference,
@@ -45,25 +49,6 @@ HEAD_CONFIGS = [
 # Row-block order of the stacked W, U and b, written out here so that the
 # tests pin the layout instead of reading it from the module.
 LAYOUT = ("f", "i", "o", "C")
-# The fields of a forward trace that hold values, head included.
-TRACE_FIELDS = ("gates", "cell", "hidden", "scores", "weights", "context", "head_in",
-                "pre_head", "output")
-# The fields a tape-free trace keeps.
-TAPE_FREE_FIELDS = ("hidden", "scores", "weights", "context", "head_in", "pre_head", "output")
-# The batch-last core sums each pre-activation [W U b] [x; h; 1] in one GEMM
-# and each weight gradient in one GEMM over steps and windows, in another
-# order than the row-major oracles, so the last bits may differ: every
-# value must lie within REL_TOL of the oracle's value, or within FLOOR of the
-# largest magnitude of its array for a value that sums to near zero.
-REL_TOL = 1e-12
-FLOOR = 1e-14
-
-
-def assert_close(got, want, what):
-    """|got - want| <= REL_TOL |want| + FLOOR max|want|, elementwise."""
-    assert got.shape == want.shape, what
-    atol = FLOOR * np.max(np.abs(want), initial=0.0)
-    np.testing.assert_allclose(got, want, rtol=REL_TOL, atol=atol, err_msg=str(what))
 
 
 def tiny_params(seed=3, **cfg_kwargs):
@@ -233,16 +218,6 @@ ORACLE_CONFIGS = [
 
 def config_id(cfg):
     return f"n{cfg.n_features}-att{int(cfg.attention)}-{cfg.head_input}"
-
-
-def assert_trace_close(got, want):
-    """Every value field of two traces, the output included, agrees within
-    ``assert_close``; a field one trace lacks, the other lacks too."""
-    for name in TRACE_FIELDS:
-        a, b = getattr(got, name), getattr(want, name)
-        assert (a is None) == (b is None), name
-        if a is not None:
-            assert_close(a, b, name)
 
 
 def oracle_case(cfg, B):
@@ -556,6 +531,36 @@ def test_backward_matches_row_major_oracle(cfg, B):
     for t, o in zip(params.tensors(), oracle.tensors()):
         assert np.any(o.grad != 0.0), t.name
         assert_close(t.grad, o.grad, t.name)
+
+
+@pytest.mark.parametrize("rows, inner, B, products", [
+    (384, 119, 21, [384]),  # 959,616 multiply-adds: one small product
+    (384, 119, 22, [192, 192]),  # 1,005,312, halves of 502,656
+    (384, 119, 43, [192, 192]),  # 1,964,928, halves of 982,464
+    (384, 119, 44, [384]),  # 2,010,624: halves of 1,005,312 are not small
+    (97, 388, 32, [49, 48]),  # an odd row count, as U^T g with H = 97
+])
+def test_step_gemm_takes_row_halves_only_where_both_are_small(monkeypatch, rows, inner, B,
+                                                               products):
+    """``_matmul`` takes two row halves exactly when the whole product is
+    above 100^3 multiply-adds and its larger half is not (the forward's gate
+    GEMM at n = 22 and H = 96 is 384 x 119 x B), and its result equals one
+    ``np.matmul`` within ``assert_close``; ``a`` is a transposed view, as
+    BPTT's ``U^T`` is."""
+    rng = np.random.default_rng(B)
+    a, b = rng.normal(size=(inner, rows)).T, rng.normal(size=(inner, B))
+    want = np.matmul(a, b)
+    taken = []
+
+    def matmul(x, y, out):
+        taken.append(len(x))
+        return np.matmul(x, y, out=out)
+
+    monkeypatch.setattr(lstm_att, "np", SimpleNamespace(matmul=matmul))
+    got = np.empty((rows, B))
+    lstm_att._matmul(a, b, got)
+    assert taken == products
+    assert_close(got, want, "product")
 
 
 def test_backward_tape_reuse_rejected():
