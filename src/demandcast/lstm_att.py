@@ -46,7 +46,11 @@ one call.
 Attention scores e_t = tanh(W_a h_t + b_a) (one scalar per step) are
 softmax-normalized over time into weights a_t. The head reads either the
 context vector sum(a_t h_t) or the flattened weighted states a_t h_t, and
-emits relu(W_out . + b_out); without attention it reads the last h_t.
+emits relu(W_out . + b_out); without attention it reads the last h_t. The
+forward sums the flattened head's pre-activation over steps, as sum_t a_t
+(W_out,t h_t) with W_out,t the (m, H) column block of step t: one batched
+GEMM per ``HEAD_BLOCK`` steps over a (p, m, H) view of W_out, so no forward
+allocates the (p H, B) flattened input.
 
 The model reads the first ``n_features`` columns of a window
 (``model_inputs``): all of them for the multivariate variants, column 0
@@ -61,9 +65,12 @@ draws W, W_a and W_out Glorot-uniform and U uniform in +-1/sqrt(H).
 
 A ``ForwardTrace`` holds the loop's own buffers, batch last: ``hidden``
 (p, H, B), the tape ``gates`` (p, 4H, B) and ``cell`` (p, H, B), ``scores``
-and ``weights`` (p, B) and the head's input ``head_in`` (head_dim, B);
-``pre_head`` and ``output`` are (B, m). ``backward`` reads them as they are,
-overwrites ``gates`` and drops the tape and ``head_in``.
+and ``weights`` (p, B); ``pre_head`` and ``output`` are (B, m). No trace
+holds the head's (head_dim, B) input: ``backward`` rebuilds it from
+``weights`` and ``hidden`` (``_head_in``, which the forward's context and
+last-state heads also use) for the W_out gradient GEMM and frees it after.
+``backward`` reads the rest as they are, overwrites ``gates`` and drops the
+tape.
 
 The parameters live in one arena. ``param_shapes(config)`` gives each
 parameter's name and shape in ``tensors()`` order; ``ModelParams`` holds one
@@ -105,6 +112,7 @@ HEAD_INPUTS = ("context", "weighted_flatten")
 PARAM_DTYPE = np.dtype("<f8")
 FORWARD_BATCH = 256  # windows per tape-free forward in evaluate, explain and attention
 SMALL_GEMM = 100 ** 3  # OpenBLAS's small-matrix bound on M N K
+HEAD_BLOCK = 16  # steps per batched GEMM of the weighted_flatten head's sum
 
 
 def assert_finite(name: str, arr: np.ndarray) -> None:
@@ -243,15 +251,25 @@ class ForwardTrace:
     """What ``backward`` and the attention export need from one forward
     call, in the batch-last layout of the module docstring. A tape-free
     call leaves ``gates`` and ``cell`` None, a headless call the head
-    fields, and ``backward`` rejects both. Single use: ``backward`` writes
-    the gate gradient over ``gates``, then drops the tape and ``head_in``."""
+    fields, and ``backward`` rejects both. No field holds the head input,
+    which ``backward`` rebuilds. Single use: ``backward`` writes the gate
+    gradient over ``gates``, then drops the tape."""
 
-    __slots__ = ("windows", "gates", "cell", "hidden", "scores", "weights", "head_in",
-                 "pre_head", "output")
+    __slots__ = ("windows", "gates", "cell", "hidden", "scores", "weights", "pre_head", "output")
 
     def __init__(self, **kw):
         for name in self.__slots__:
             setattr(self, name, kw.get(name))
+
+
+def _head_in(cfg: ModelConfig, weights, hidden: np.ndarray) -> np.ndarray:
+    """The head's (head_dim, B) input: the last hidden state without
+    attention, else the context vector or the flattened weighted states."""
+    if not cfg.attention:
+        return hidden[-1]
+    if cfg.head_input == "context":
+        return np.einsum("tb,thb->hb", weights, hidden)
+    return (weights[:, None, :] * hidden).reshape(-1, hidden.shape[2])
 
 
 def model_inputs(windows: np.ndarray, config: ModelConfig) -> np.ndarray:
@@ -314,14 +332,20 @@ def forward_batch(windows, params: ModelParams, *, head: bool = True, tape: bool
         assert_finite("attention", weights)
     if not head:
         return None, trace
-    if not cfg.attention:
-        head_in = hidden[-1]
-    elif cfg.head_input == "context":
-        head_in = np.einsum("tb,thb->hb", weights, hidden)
+    if cfg.attention and cfg.head_input == "weighted_flatten":
+        # sum over steps of a_t (W_out,t h_t), HEAD_BLOCK steps per batched GEMM
+        m = cfg.horizon
+        W_steps = params.W_out.value.reshape(m, p, H).transpose(1, 0, 2)
+        block, z = np.empty((min(HEAD_BLOCK, p), m, B)), np.zeros((m, B))
+        for lo in range(0, p, HEAD_BLOCK):
+            part = block[:min(HEAD_BLOCK, p - lo)]
+            np.matmul(W_steps[lo:lo + HEAD_BLOCK], hidden[lo:lo + HEAD_BLOCK], out=part)
+            part *= weights[lo:lo + HEAD_BLOCK, None, :]
+            z += part.sum(axis=0)
+        trace.pre_head = np.add(z.T, params.b_out.value, out=np.empty((B, m)))  # C order
     else:
-        head_in = (weights[:, None, :] * hidden).reshape(p * H, B)
-    trace.head_in = head_in
-    trace.pre_head = head_in.T @ params.W_out.value.T + params.b_out.value
+        head_in = _head_in(cfg, trace.weights, hidden)
+        trace.pre_head = head_in.T @ params.W_out.value.T + params.b_out.value
     trace.output = output = relu(trace.pre_head)
     assert_finite("head", output)
     return output, trace
@@ -342,10 +366,10 @@ def backward(trace: ForwardTrace, d_output, params: ModelParams) -> None:
     if d_out.shape != trace.output.shape:
         raise ShapeError(f"upstream gradient {d_out.shape} != output {trace.output.shape}")
 
-    # head: y = relu(W_out head_in + b_out); a dead output passes +0, not -0
+    # head: y = relu(W_out head_in + b_out); a dead output passes +0, not -0.
+    # No trace holds head_in, so it is rebuilt here and freed after its GEMM.
     dz = np.where(trace.pre_head > 0, d_out, 0.0)
-    np.matmul(dz.T, trace.head_in.T, out=params.W_out.grad)
-    trace.head_in = None
+    np.matmul(dz.T, _head_in(cfg, trace.weights, hidden).T, out=params.W_out.grad)
     params.b_out.grad[...] = dz.sum(axis=0)
     d_head_in = params.W_out.value.T @ dz.T  # (head_dim, B)
 

@@ -217,7 +217,7 @@ def train(dataset: SplitDataset, config: TrainConfig,
         if on_epoch is not None:
             on_epoch(epoch + 1, params)
 
-    test_mse = evaluate(params, dataset.test).mse
+    test_mse = evaluate(params, dataset.test)
     report = MetricsReport(
         variant=config.variant,
         train_mse=epoch_losses[-1],
@@ -229,14 +229,8 @@ def train(dataset: SplitDataset, config: TrainConfig,
     return params, report
 
 
-@dataclass
-class EvalResult:
-    mse: float
-    predictions: np.ndarray  # scaled, (N, m)
-
-
-def evaluate(params: ModelParams, windows: WindowedDataset) -> EvalResult:
-    """MSE over all windows plus per-window predictions; read-only.
+def evaluate(params: ModelParams, windows: WindowedDataset) -> float:
+    """MSE over all windows, against targets clipped to [0, 1]; read-only.
 
     The model reads the columns ``model_inputs`` selects, in tape-free
     ``forward_batch`` calls, since nothing backpropagates.
@@ -249,4 +243,4 @@ def evaluate(params: ModelParams, windows: WindowedDataset) -> EvalResult:
         out = forward_batch(inputs[start:start + FORWARD_BATCH], params, tape=False)[0]
         preds[start:start + len(out)] = out  # no trace outlives its call
     targets = np.clip(windows.targets, 0.0, 1.0)
-    return EvalResult(mse=mse(preds, targets), predictions=preds)
+    return mse(preds, targets)

@@ -53,7 +53,7 @@ from demandcast.ingest import (
     write_demand_grid,
     write_temperature_csv,
 )
-from demandcast.lstm_att import HEAD_INPUTS, ModelConfig, ModelParams, forward_batch
+from demandcast.lstm_att import HEAD_INPUTS, ModelConfig, ModelParams, _head_in, forward_batch
 from demandcast.synth import SynthConfig, generate
 
 
@@ -586,11 +586,12 @@ def whole_batch_forward(windows, params):
                                    head_in=head_in, pre_head=pre_head, output=output)
 
 
-# The fields of a forward trace that hold values, head included.
+# The fields of a ``batch_first`` view that hold values, head included; its
+# ``context`` and ``head_in`` are rebuilt from ``weights`` and ``hidden``.
 TRACE_FIELDS = ("gates", "cell", "hidden", "scores", "weights", "context", "head_in",
                 "pre_head", "output")
 # The fields a tape-free trace keeps.
-TAPE_FREE_FIELDS = ("hidden", "scores", "weights", "context", "head_in", "pre_head", "output")
+TAPE_FREE_FIELDS = ("hidden", "scores", "weights", "pre_head", "output")
 # The batch-last core sums each pre-activation [W U b] [x; h; 1] in one GEMM
 # and each weight gradient in one GEMM over steps and windows, in another
 # order than the row-major oracles, so the last bits may differ: every
@@ -619,15 +620,16 @@ def assert_trace_close(got, want):
 
 def random_model(seed: int):
     """Seeded parameters with a random bias, a (B, p, n) batch and a (B, m)
-    upstream gradient, of a random shape: n in 1..24, H in 1..40, p and m in
-    1..12, attention on or off, either head (p may differ from the lookback
-    where the head allows it) and B in 1..300, which spans both sides of the
-    forward's row-half rule and of ``FORWARD_BATCH``."""
+    upstream gradient, of a random shape: n in 1..24, H in 1..40, p in 1..40
+    (one to three of the weighted_flatten head's ``HEAD_BLOCK`` step blocks),
+    m in 1..12, attention on or off, either head (p may differ from the
+    lookback where the head allows it) and B in 1..300, which spans both
+    sides of the forward's row-half rule and of ``FORWARD_BATCH``."""
     rng = np.random.default_rng(seed)
     attention = bool(rng.integers(2))
     head = HEAD_INPUTS[rng.integers(len(HEAD_INPUTS))]
-    lookback = int(rng.integers(1, 13))
-    p = lookback if attention and head == "weighted_flatten" else int(rng.integers(1, 13))
+    lookback = int(rng.integers(1, 41))
+    p = lookback if attention and head == "weighted_flatten" else int(rng.integers(1, 41))
     config = ModelConfig(n_features=int(rng.integers(1, 25)), hidden=int(rng.integers(1, 41)),
                          horizon=int(rng.integers(1, 13)), lookback=lookback,
                          attention=attention, head_input=head)
@@ -642,7 +644,9 @@ def row_major_backward(trace, d_output, params):
     """Reverse-mode pass over a ``whole_batch_forward`` trace in its
     row-major layout: one (B, 4H) row of the gate gradient per step, then
     one GEMM each for dW, dU and the input gradient. Accumulates into each
-    tensor's ``grad`` and returns the (B, p, n) input gradient."""
+    tensor's ``grad``, keeps the (p, B) gradient of the raw attention scores
+    on the trace as ``d_raw`` (None without attention) and returns the
+    (B, p, n) input gradient."""
     cfg = params.config
     p, B, H = trace.hidden.shape
     d_out = np.atleast_2d(np.asarray(d_output, dtype=np.float64))
@@ -664,11 +668,12 @@ def row_major_backward(trace, d_output, params):
         # softmax over the time axis, then the tanh score squash
         inner = np.sum(trace.weights * d_w, axis=0, keepdims=True)
         d_e = trace.weights * (d_w - inner)
-        d_raw = d_e * (1.0 - trace.scores ** 2)
+        trace.d_raw = d_raw = d_e * (1.0 - trace.scores ** 2)
         params.W_a.grad[0] += np.einsum("tb,tbh->h", d_raw, trace.hidden)
         params.b_a.grad[0] += d_raw.sum()
         dH += d_raw[:, :, None] * params.W_a.value[0][None, None, :]
     else:
+        trace.d_raw = None
         dH = np.zeros((p, B, H))
         dH[-1] = d_head_in
 
@@ -773,8 +778,10 @@ def lstm_step(x, h_prev, c_prev, W, U, b):
 def batch_first(trace, config):
     """A ``forward_batch`` trace as (p, B, .) and (B, .) views in the layout
     of a ``whole_batch_forward`` trace, with the ``f``, ``i``, ``o`` and
-    ``chat`` blocks of its gates. ``context`` is set for the context head
-    only: at p = 1 a flattened head input has a context vector's shape."""
+    ``chat`` blocks of its gates. No trace holds the head input, so a trace
+    with a head gets ``head_in`` as ``backward`` rebuilds it (``_head_in``).
+    ``context`` is set for the context head only: at p = 1 a flattened head
+    input has a context vector's shape."""
     def swap(a):
         return None if a is None else a.transpose(0, 2, 1)
 
@@ -782,7 +789,7 @@ def batch_first(trace, config):
     gates = swap(trace.gates)
     f, i, o, chat = ((None,) * 4 if gates is None
                      else (gates[:, :, k * H:(k + 1) * H] for k in range(4)))
-    head_in = None if trace.head_in is None else trace.head_in.T
+    head_in = None if trace.output is None else _head_in(config, trace.weights, trace.hidden).T
     context = head_in if config.attention and config.head_input == "context" else None
     return SimpleNamespace(windows=trace.windows, gates=gates, f=f, i=i, o=o, chat=chat,
                            cell=swap(trace.cell), hidden=swap(trace.hidden),

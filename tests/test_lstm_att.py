@@ -22,6 +22,7 @@ from demandcast.train import mse
 from helpers import (
     CHECKPOINT_CORRUPTIONS,
     HUGE_HIDDEN,
+    REL_TOL,
     TAPE_FREE_FIELDS,
     SeparateParams,
     assert_close,
@@ -209,15 +210,18 @@ def test_sigmoid_gates_are_logistic_of_pre_activation_bitwise():
 
 
 # The four train variants with both head inputs, at sizes where the BLAS
-# products run blocked kernels.
+# products run blocked kernels, and a weighted_flatten head over one full
+# HEAD_BLOCK of steps and one partial block.
 ORACLE_CONFIGS = [
     ModelConfig(n_features=n, hidden=16, horizon=3, lookback=12, attention=att, head_input=head)
     for n in (5, 1) for att in (True, False) for head in ("weighted_flatten", "context")
-]
+] + [ModelConfig(n_features=5, hidden=16, horizon=3, lookback=17)]
 
 
 def config_id(cfg):
-    return f"n{cfg.n_features}-att{int(cfg.attention)}-{cfg.head_input}"
+    """Names the lookback only where it is not the common 12."""
+    lookback = "" if cfg.lookback == 12 else f"-p{cfg.lookback}"
+    return f"n{cfg.n_features}-att{int(cfg.attention)}-{cfg.head_input}{lookback}"
 
 
 def oracle_case(cfg, B):
@@ -267,15 +271,15 @@ def test_tape_free_forward_runs_the_same_loop(cfg, B):
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=config_id)
 def test_trace_holds_the_loops_batch_last_buffers(cfg):
     """A taped trace keeps the loop's own C-contiguous (p, H, B) hidden
-    states, (p, 4H, B) gates and (p, H, B) cells, and a (head_dim, B) head
-    input, with no batch-first copy or view."""
+    states, (p, 4H, B) gates and (p, H, B) cells, with no batch-first copy
+    or view, and no (head_dim, B) head input."""
     params, windows = oracle_case(cfg, 3)
     _, trace = forward_batch(windows, params)
     p, H = cfg.lookback, cfg.hidden
     for name, shape in (("hidden", (p, H, 3)), ("gates", (p, 4 * H, 3)), ("cell", (p, H, 3))):
         arr = getattr(trace, name)
         assert arr.shape == shape and arr.flags.c_contiguous, name
-    assert trace.head_in.shape == (cfg.head_dim, 3)
+    assert not hasattr(trace, "head_in")
 
 
 def test_tape_free_forward_peaks_below_the_tape_it_skips():
@@ -291,6 +295,24 @@ def test_tape_free_forward_peaks_below_the_tape_it_skips():
     finally:
         tracemalloc.stop()
     assert peak < tape_bytes
+
+
+@pytest.mark.parametrize("B, tape", [(64, True), (256, False)])
+def test_forward_never_holds_the_weighted_flatten_head_input(B, tape):
+    """At paper size a forward allocates, at its peak beyond the arrays its
+    trace keeps, less than the (p H, B) input of the weighted_flatten head:
+    the head sums a_t (W_out,t h_t) over blocks of steps instead."""
+    params = ModelParams.init(ModelConfig(n_features=22), 6)
+    windows = np.random.default_rng(B).uniform(0.0, 1.0, size=(B, 96, 22))
+    tracemalloc.start()
+    try:
+        _, trace = forward_batch(windows, params, tape=tape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(getattr(trace, name).nbytes for name in ("gates", "cell", *TAPE_FREE_FIELDS)
+               if getattr(trace, name) is not None)
+    assert peak - held < 96 * 96 * B * 8
 
 
 @pytest.mark.parametrize("cfg_kwargs", HEAD_CONFIGS)
@@ -519,7 +541,9 @@ def test_backward_attention_simplex_constraint():
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=config_id)
 def test_backward_matches_row_major_oracle(cfg, B):
     """Every parameter gradient matches the row-major BPTT oracle within
-    ``assert_close``."""
+    ``assert_close``, but that of the score bias ``b_a``: one sum of p B
+    softmax terms that cancel, whose error is bounded by REL_TOL times the
+    summed magnitudes of those terms, as the oracle computes them."""
     params, windows = oracle_case(cfg, B)
     oracle = SeparateParams(params)
     d_out = np.random.default_rng(B + 1).normal(size=(B, cfg.horizon))
@@ -530,7 +554,10 @@ def test_backward_matches_row_major_oracle(cfg, B):
     assert_close(out, want_out, "output")
     for t, o in zip(params.tensors(), oracle.tensors()):
         assert np.any(o.grad != 0.0), t.name
-        assert_close(t.grad, o.grad, t.name)
+        if t.name == "b_a":
+            assert abs(t.grad[0] - o.grad[0]) <= REL_TOL * np.sum(np.abs(want.d_raw)), t.name
+        else:
+            assert_close(t.grad, o.grad, t.name)
 
 
 @pytest.mark.parametrize("rows, inner, B, products", [
@@ -564,13 +591,13 @@ def test_step_gemm_takes_row_halves_only_where_both_are_small(monkeypatch, rows,
 
 
 def test_backward_tape_reuse_rejected():
-    """Backward consumes its trace: it drops the tape and the head input,
-    and a second call is a TapeError."""
+    """Backward consumes its trace: it drops the tape, and a second call is
+    a TapeError."""
     rng = np.random.default_rng(12)
     params = tiny_params(seed=25)
     out, trace = forward_batch(rng.uniform(0, 1, size=(2, 4, 2)), params)
     backward(trace, np.zeros_like(out), params)
-    assert trace.gates is None and trace.cell is None and trace.head_in is None
+    assert trace.gates is None and trace.cell is None
     with pytest.raises(TapeError, match="consumed by backward"):
         backward(trace, np.zeros_like(out), params)
 

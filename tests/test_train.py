@@ -275,7 +275,7 @@ def test_evaluate_perfect_model_zero_mse(desk_dataset):
     params = ModelParams(cfg)
     windows = copy.copy(desk_dataset.test)
     windows.targets = np.zeros_like(np.asarray(windows.targets))
-    assert evaluate(params, windows).mse == 0.0
+    assert evaluate(params, windows) == 0.0
 
 
 def test_evaluate_constant_half_predictor_closed_form(desk_dataset):
@@ -286,7 +286,7 @@ def test_evaluate_constant_half_predictor_closed_form(desk_dataset):
     params.b_out.value[:] = 0.5
     targets = np.clip(np.asarray(desk_dataset.test.targets), 0.0, 1.0)
     expected = float(np.mean((0.5 - targets) ** 2))
-    assert abs(evaluate(params, desk_dataset.test).mse - expected) < 1e-12
+    assert abs(evaluate(params, desk_dataset.test) - expected) < 1e-12
 
 
 def test_evaluate_is_read_only(desk_dataset):
