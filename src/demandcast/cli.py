@@ -72,18 +72,12 @@ from .ingest import (
     time_text,
     write_dataset,
 )
-from .lstm_att import (
-    CHECKPOINT_FORMAT,
-    forward_batch,
-    load_checkpoint,
-    model_inputs,
-    save_checkpoint,
-)
+from .lstm_att import CHECKPOINT_FORMAT, forecast, load_checkpoint, save_checkpoint
 from .explain import (
-    default_groups,
     shapley_series,
     attention_profile,
     write_attention_csv,
+    write_beeswarm_csv,
     write_shap_csv,
 )
 from .synth import SynthConfig, export, generate, save_config
@@ -329,14 +323,6 @@ def _load_frozen(checkpoint: str, dataset, timezone: str | None, starts=None):
     return params, meta, schema, scaler, windows
 
 
-def _predict_fn(params):
-    """Batched forecasts, (B, p, n) windows to (B, m), on the model's columns."""
-    def fn(windows):
-        return forward_batch(model_inputs(windows, params.config), params, tape=False)[0]
-
-    return fn
-
-
 def _parse_indices(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
@@ -414,11 +400,11 @@ def cmd_predict(args, cfg: dict, out: OutputDir) -> None:
     index = -1 if args.index is None else args.index
     params, meta, _, scaler, windows = _load_frozen(args.checkpoint, args.dataset,
                                                     cfg.get("timezone"), [index])
-    forecast = _predict_fn(params)(windows.inputs)[0]
-    demand = inverse_transform(scaler, forecast, column=0)
+    scaled = forecast(windows.inputs, params)[0]
+    demand = inverse_transform(scaler, scaled, column=0)
     times = time_text(windows.target_timestamps(0))
     write_csv(out.path("forecast.csv"), ("timestamp", "demand_scaled", "demand"),
-              f"%s,{FLOAT_FORMAT},{FLOAT_FORMAT}", [times, forecast, demand])
+              f"%s,{FLOAT_FORMAT},{FLOAT_FORMAT}", [times, scaled, demand])
     write_manifest(out, "predict", cfg, meta.get("seed"))
 
 
@@ -430,14 +416,14 @@ def cmd_explain(args, cfg: dict, out: OutputDir) -> None:
     horizon = params.config.horizon
     if args.step is not None and not 0 <= args.step < horizon:
         raise ConfigError(f"--step {args.step} out of range 0..{horizon - 1}")
-    table, reports = shapley_series(
-        _predict_fn(params),
+    rows, reports = shapley_series(
+        lambda batch: forecast(batch, params),
         [(str(i), x) for i, x in zip(tests, windows.inputs)],
         windows.inputs[len(tests):],
-        default_groups(schema), step=args.step,
+        schema.group_columns(), step=args.step,
     )
     write_shap_csv(out.path("shap.csv"), reports)
-    table.write_csv(out.path("beeswarm.csv"))
+    write_beeswarm_csv(out.path("beeswarm.csv"), rows)
     doc = [asdict(r) for r in reports]
     out.path("shap.json").write_text(json.dumps(doc, indent=2), encoding="utf-8")
     write_manifest(out, "explain", cfg, meta.get("seed"))

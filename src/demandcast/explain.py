@@ -1,12 +1,13 @@
 """Exact grouped Shapley attribution of forecasts, plus the hourly
 attention-weight profile.
 
-A coalition takes whole feature groups (all of a one-hot group's columns,
-across every timestep of the window) from the test instance; everything
-else comes from the background instance. With the default five semantic
-groups the exact enumeration needs only 2^5 = 32 coalitions per background
-window, so no sampling approximation is involved and the Shapley axioms
-hold to float precision.
+The groups are a ``{name: columns}`` map, as ``FeatureSchema.group_columns``
+returns it. A coalition takes whole feature groups (all of a one-hot
+group's columns, across every timestep of the window) from the test
+instance; everything else comes from the background instance. With the
+schema's five groups the exact enumeration needs only 2^5 = 32 coalitions
+per background window, so no sampling approximation is involved and the
+Shapley axioms hold to float precision.
 
 Each (coalition, background) pair names a masked window, and pairs that
 name the same bytes are forecast once. Identity is exact and decided
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .features import FeatureSchema, WindowedDataset
+from .features import WindowedDataset
 from .ingest import STEP_SECONDS
 from .lstm_att import FORWARD_BATCH, ModelParams, forward_batch, model_inputs
 from .util import FLOAT_FORMAT, write_csv
@@ -37,25 +38,13 @@ from .util import FLOAT_FORMAT, write_csv
 MAX_EXACT_GROUPS = 12
 
 
-@dataclass(frozen=True)
-class FeatureGroup:
-    name: str
-    columns: tuple[int, ...]
-
-
-def default_groups(schema: FeatureSchema) -> list[FeatureGroup]:
-    """One group per schema feature: request, temperature, holiday,
-    weekday, month (and hour when enabled)."""
-    return [FeatureGroup(name, cols) for name, cols in schema.group_columns().items()]
-
-
-def _check_partition(groups: list[FeatureGroup], width: int) -> None:
+def _check_partition(groups: dict[str, tuple[int, ...]], width: int) -> None:
     seen: set[int] = set()
-    for g in groups:
-        overlap = seen.intersection(g.columns)
+    for name, columns in groups.items():
+        overlap = seen.intersection(columns)
         if overlap:
-            raise ConfigError(f"group '{g.name}' reuses columns {sorted(overlap)}")
-        seen.update(g.columns)
+            raise ConfigError(f"group '{name}' reuses columns {sorted(overlap)}")
+        seen.update(columns)
     if seen != set(range(width)):
         raise ConfigError(
             f"groups must partition all {width} columns; covered {len(seen)}"
@@ -82,18 +71,6 @@ class BeeswarmRow:
     phi: float
 
 
-@dataclass
-class BeeswarmTable:
-    rows: list[BeeswarmRow]
-
-    def write_csv(self, path) -> None:
-        rows = self.rows
-        write_csv(path, ("instance_id", "group", "value", "phi"),
-                  f"%s,%s,{FLOAT_FORMAT},{FLOAT_FORMAT}",
-                  [[r.instance_id for r in rows], [r.group for r in rows],
-                   [r.representative for r in rows], [r.phi for r in rows]])
-
-
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index of the first of each distinct row of a 2-D array, and each
     row's distinct-row number. Rows are compared by their bytes, so the
@@ -107,7 +84,7 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _coalition_values(predict_fn, test: np.ndarray, backgrounds: np.ndarray,
-                      groups: list[FeatureGroup],
+                      groups: dict[str, tuple[int, ...]],
                       step: int | None) -> tuple[np.ndarray, int]:
     """Value of every coalition bitmask: the scalar-aggregated forecast on
     the masked window, averaged over the (nb, p, n) background windows;
@@ -116,10 +93,10 @@ def _coalition_values(predict_fn, test: np.ndarray, backgrounds: np.ndarray,
     Row r of the flat grid is coalition r // nb against background r % nb.
     """
     nb, k = len(backgrounds), len(groups)
-    column_bits = np.zeros(test.shape[1], dtype=np.int64)  # bit j: in groups[j]
+    column_bits = np.zeros(test.shape[1], dtype=np.int64)  # bit j: in the j-th group
     block_ids = np.empty((nb + 1, k), dtype=np.int64)  # row 0: test; 1 + b: background b
-    for j, g in enumerate(groups):
-        cols = list(g.columns)
+    for j, columns in enumerate(groups.values()):
+        cols = list(columns)
         column_bits[cols] = 1 << j
         blocks = np.concatenate([test[None, :, cols], backgrounds[:, :, cols]])
         block_ids[:, j] = _distinct_rows(blocks.reshape(nb + 1, -1))[1]
@@ -158,12 +135,12 @@ def _phi_from_values(values: np.ndarray, k: int) -> list[float]:
     return phi
 
 
-def group_representative(window: np.ndarray, group: FeatureGroup) -> float:
-    """Scalar summary of a group's value in a window, for beeswarm color:
-    single columns use the window mean; one-hot groups use the normalized
-    mean category index."""
+def group_representative(window: np.ndarray, columns: tuple[int, ...]) -> float:
+    """Scalar summary of a group's ``columns`` in a window, for beeswarm
+    color: single columns use the window mean; one-hot groups use the
+    normalized mean category index."""
     window = np.asarray(window, dtype=np.float64)
-    cols = list(group.columns)
+    cols = list(columns)
     if len(cols) == 1:
         return float(np.mean(window[:, cols[0]]))
     block = window[:, cols]
@@ -177,15 +154,17 @@ def group_representative(window: np.ndarray, group: FeatureGroup) -> float:
 
 
 def shapley_series(predict_fn, instances, backgrounds,
-                   groups: list[FeatureGroup],
-                   step: int | None = None) -> tuple[BeeswarmTable, list[ShapReport]]:
+                   groups: dict[str, tuple[int, ...]],
+                   step: int | None = None) -> tuple[list[BeeswarmRow], list[ShapReport]]:
     """Exact Shapley values of the feature groups for each test instance
     against the background expectation (coalition values averaged over all
-    background windows).
+    background windows); returns (beeswarm rows, reports).
 
     ``instances`` is a sequence of (id, window); ``backgrounds`` a sequence
-    of windows. ``predict_fn`` maps a (B, p, n) batch of windows to the
-    (B, m) forecasts; the value of a coalition is the forecast mean (or the
+    of windows; ``groups`` maps each group's name to its columns, as
+    ``FeatureSchema.group_columns`` does, and must partition them.
+    ``predict_fn`` maps a (B, p, n) batch of windows to the (B, m)
+    forecasts; the value of a coalition is the forecast mean (or the
     ``step``-th output). Rows come back sorted by group then instance.
     ``util.write_csv`` writes the ids unquoted, so no id may hold a comma, a
     quote or a line break.
@@ -221,17 +200,17 @@ def shapley_series(predict_fn, instances, backgrounds,
         reports.append(ShapReport(
             test_id=str(inst_id),
             background_id=f"mean[{len(backgrounds)}]",
-            phi={g.name: v for g, v in zip(groups, phi)},
+            phi=dict(zip(groups, phi)),
             base_value=base_value,
             prediction=prediction,
             aggregation="mean" if step is None else f"step:{step}",
             forwarded_windows=forwarded,
             efficiency_residual=float(abs(sum(phi) - (prediction - base_value))),
         ))
-        for g, v in zip(groups, phi):
-            rows.append(BeeswarmRow(str(inst_id), g.name, group_representative(window, g), v))
+        for (name, columns), v in zip(groups.items(), phi):
+            rows.append(BeeswarmRow(str(inst_id), name, group_representative(window, columns), v))
     rows.sort(key=lambda r: (r.group, r.instance_id))
-    return BeeswarmTable(rows), reports
+    return rows, reports
 
 
 # ---------------------------------------------------------------------------
@@ -282,3 +261,10 @@ def write_shap_csv(path, reports: list[ShapReport]) -> None:
                      "prediction", "aggregation"),
               f"%s,%s,%s,{FLOAT_FORMAT},{FLOAT_FORMAT},{FLOAT_FORMAT},%s",
               [[row[j] for row in rows] for j in range(7)])
+
+
+def write_beeswarm_csv(path, rows: list[BeeswarmRow]) -> None:
+    write_csv(path, ("instance_id", "group", "value", "phi"),
+              f"%s,%s,{FLOAT_FORMAT},{FLOAT_FORMAT}",
+              [[r.instance_id for r in rows], [r.group for r in rows],
+               [r.representative for r in rows], [r.phi for r in rows]])

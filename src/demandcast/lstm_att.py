@@ -110,7 +110,7 @@ GATES = ("f", "i", "o", "C")
 INIT_ORDER = ("f", "i", "C", "o")
 HEAD_INPUTS = ("context", "weighted_flatten")
 PARAM_DTYPE = np.dtype("<f8")
-FORWARD_BATCH = 256  # windows per tape-free forward in evaluate, explain and attention
+FORWARD_BATCH = 256  # windows per tape-free forward in forecast, explain and attention
 SMALL_GEMM = 100 ** 3  # OpenBLAS's small-matrix bound on M N K
 HEAD_BLOCK = 16  # steps per batched GEMM of the weighted_flatten head's sum
 
@@ -349,6 +349,18 @@ def forward_batch(windows, params: ModelParams, *, head: bool = True, tape: bool
     trace.output = output = relu(trace.pre_head)
     assert_finite("head", output)
     return output, trace
+
+
+def forecast(windows: np.ndarray, params: ModelParams) -> np.ndarray:
+    """The (N, m) forecasts of (N, p, n) windows on the model's columns
+    (``model_inputs``), from tape-free ``forward_batch`` calls of at most
+    ``FORWARD_BATCH`` windows written into one array."""
+    inputs = model_inputs(windows, params.config)
+    out = np.empty((len(inputs), params.config.horizon))
+    for start in range(0, len(inputs), FORWARD_BATCH):
+        out[start:start + FORWARD_BATCH] = forward_batch(
+            inputs[start:start + FORWARD_BATCH], params, tape=False)[0]
+    return out
 
 
 def backward(trace: ForwardTrace, d_output, params: ModelParams) -> None:

@@ -16,11 +16,11 @@ import numpy as np
 from .errors import ConfigError, NumericError, ShapeError
 from .features import SplitDataset, WindowedDataset
 from .lstm_att import (
-    FORWARD_BATCH,
     HEAD_INPUTS,
     ModelConfig,
     ModelParams,
     backward,
+    forecast,
     forward_batch,
     model_inputs,
 )
@@ -230,17 +230,8 @@ def train(dataset: SplitDataset, config: TrainConfig,
 
 
 def evaluate(params: ModelParams, windows: WindowedDataset) -> float:
-    """MSE over all windows, against targets clipped to [0, 1]; read-only.
-
-    The model reads the columns ``model_inputs`` selects, in tape-free
-    ``forward_batch`` calls, since nothing backpropagates.
-    """
+    """MSE of the model's ``forecast`` over all windows, against targets
+    clipped to [0, 1]; read-only."""
     if len(windows) == 0:
         raise ConfigError("cannot evaluate an empty window set")
-    inputs = model_inputs(windows.inputs, params.config)
-    preds = np.empty((len(windows), windows.horizon))
-    for start in range(0, len(windows), FORWARD_BATCH):
-        out = forward_batch(inputs[start:start + FORWARD_BATCH], params, tape=False)[0]
-        preds[start:start + len(out)] = out  # no trace outlives its call
-    targets = np.clip(windows.targets, 0.0, 1.0)
-    return mse(preds, targets)
+    return mse(forecast(windows.inputs, params), np.clip(windows.targets, 0.0, 1.0))

@@ -951,21 +951,20 @@ def shapley_pair(predict_fn, test, background, groups, step=None):
 def mask(test, background, coalition, groups):
     """Columns of groups in the coalition come from ``test``; all other
     columns come from ``background``, uniformly across all timesteps.
-    ``coalition`` holds groups or group names."""
+    ``coalition`` holds group names, ``groups`` maps names to columns."""
     test = np.asarray(test, dtype=np.float64)
     background = np.asarray(background, dtype=np.float64)
     if test.shape != background.shape:
         raise ShapeError(
             f"test {test.shape} and background {background.shape} windows differ"
         )
-    names = {getattr(item, "name", item) for item in coalition}
-    by_name = {g.name: g for g in groups}
-    unknown = names.difference(by_name)
+    names = set(coalition)
+    unknown = names.difference(groups)
     if unknown:
         raise ConfigError(f"unknown feature groups: {sorted(unknown)}")
     out = background.copy()
     for name in names:
-        cols = list(by_name[name].columns)
+        cols = list(groups[name])
         out[:, cols] = test[:, cols]
     return out
 
@@ -974,10 +973,11 @@ def loop_coalition_values(predict_one, test, backgrounds, groups, step):
     """Value of every coalition bitmask, one masked window at a time:
     ``predict_one`` maps a (p, n) window to its (m,) forecast, aggregated
     by the mean or the ``step``-th output and averaged over backgrounds."""
-    k = len(groups)
+    names = list(groups)
+    k = len(names)
     values = np.zeros(1 << k)
     for bits in range(1 << k):
-        coalition = [groups[j] for j in range(k) if bits >> j & 1]
+        coalition = [names[j] for j in range(k) if bits >> j & 1]
         total = 0.0
         for bg in backgrounds:
             forecast = predict_one(mask(test, bg, coalition, groups))
@@ -1002,9 +1002,8 @@ def linear_shapley(weights, test, background, groups):
     t_mean = np.mean(np.asarray(test, dtype=float), axis=0)
     b_mean = np.mean(np.asarray(background, dtype=float), axis=0)
     phi = {}
-    for g in groups:
-        phi[g.name] = float(sum(weights[j] * (t_mean[j] - b_mean[j])
-                                for j in g.columns))
+    for name, columns in groups.items():
+        phi[name] = float(sum(weights[j] * (t_mean[j] - b_mean[j]) for j in columns))
     return phi
 
 

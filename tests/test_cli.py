@@ -16,10 +16,10 @@ import pytest
 
 from demandcast import cli
 from demandcast.errors import ConfigError
-from demandcast.explain import attention_profile, default_groups, write_attention_csv
+from demandcast.explain import attention_profile, write_attention_csv
 from demandcast.features import WindowedDataset, inverse_transform
 from demandcast.ingest import grid_span, grid_times
-from demandcast.lstm_att import forward_batch, load_checkpoint, save_checkpoint
+from demandcast.lstm_att import forecast, forward_batch, load_checkpoint, save_checkpoint
 from helpers import (
     CHECKPOINT_CORRUPTIONS,
     format_times,
@@ -150,8 +150,8 @@ def test_explain_one_pair_equals_shapley(trained, tmp_path):
                "--test", 100, "--background", 0) == (0, [])
     [doc] = json.loads((tmp_path / "shap.json").read_text())
     params, _, schema, _, windows = cli._load_frozen(str(ckpt), dataset, None)
-    want = shapley_pair(cli._predict_fn(params), windows.inputs[100], windows.inputs[0],
-                        default_groups(schema))
+    want = shapley_pair(lambda batch: forecast(batch, params), windows.inputs[100],
+                        windows.inputs[0], schema.group_columns())
     assert doc["background_id"] == "mean[1]"
     assert doc["phi"].keys() == want.phi.keys()
     for name, phi in want.phi.items():

@@ -7,14 +7,13 @@ from demandcast import explain
 from demandcast.errors import ConfigError, ShapeError
 from demandcast.explain import (
     BeeswarmRow,
-    FeatureGroup,
     ShapReport,
     _coalition_values,
     attention_profile,
-    default_groups,
     group_representative,
     shapley_series,
     write_attention_csv,
+    write_beeswarm_csv,
     write_shap_csv,
 )
 from demandcast.features import FeatureSchema, WindowedDataset
@@ -30,12 +29,7 @@ from helpers import (
     shapley_pair,
 )
 
-GROUPS4 = [
-    FeatureGroup("request", (0,)),
-    FeatureGroup("temperature", (1,)),
-    FeatureGroup("holiday", (2,)),
-    FeatureGroup("rest", (3, 4)),
-]
+GROUPS4 = {"request": (0,), "temperature": (1,), "holiday": (2,), "rest": (3, 4)}
 
 
 def rand_window(rng, p=6, n=5):
@@ -121,8 +115,7 @@ def test_shapley_identical_columns_get_zero():
 
 
 def test_shapley_symmetry_exchangeable_groups():
-    groups = [FeatureGroup("a", (0,)), FeatureGroup("b", (1,)),
-              FeatureGroup("c", (2, 3, 4))]
+    groups = {"a": (0,), "b": (1,), "c": (2, 3, 4)}
     rng = np.random.default_rng(7)
     t, b = rand_window(rng), rand_window(rng)
     t[:, 1] = t[:, 0]
@@ -169,15 +162,14 @@ def test_shapley_efficiency_on_lstm_model():
 
 
 def test_shapley_group_partition_enforced():
-    bad = [FeatureGroup("a", (0, 1)), FeatureGroup("b", (1, 2)),
-           FeatureGroup("c", (3, 4))]
+    bad = {"a": (0, 1), "b": (1, 2), "c": (3, 4)}
     with pytest.raises(ConfigError):
         shapley_pair(linear_window_model(np.ones(5)), np.zeros((3, 5)),
                      np.zeros((3, 5)), bad)
 
 
 def test_shapley_group_cap():
-    groups = [FeatureGroup(f"g{i}", (i,)) for i in range(13)]
+    groups = {f"g{i}": (i,) for i in range(13)}
     with pytest.raises(ConfigError) as err:
         shapley_pair(lambda w: np.zeros((len(w), 1)), np.zeros((2, 13)),
                      np.zeros((2, 13)), groups)
@@ -209,7 +201,7 @@ def test_coalition_values_match_loop_oracle(step):
 
 def test_coalition_values_chunk_rows_bounded():
     rng = np.random.default_rng(14)
-    groups = [FeatureGroup(f"g{i}", (i,)) for i in range(12)]
+    groups = {f"g{i}": (i,) for i in range(12)}
     linear = linear_window_model(rng.normal(size=12))
     batches = []
 
@@ -230,8 +222,8 @@ def shared_block_windows(rng, n_backgrounds=20):
     blocks the way real windows do: holiday mostly 0, few months, a repeated
     background, and a -0.0 holiday column that is not the test's 0.0."""
     schema = FeatureSchema.default()
-    groups = default_groups(schema)
-    cols = {g.name: list(g.columns) for g in groups}
+    groups = schema.group_columns()
+    cols = {name: list(columns) for name, columns in groups.items()}
 
     def window():
         w = np.zeros((6, schema.width))
@@ -281,7 +273,7 @@ def test_coalition_values_forward_each_distinct_window_once():
     _, forwarded = _coalition_values(counting, test, backgrounds, groups, None)
     distinct = set()
     for bits in range(1 << len(groups)):
-        coalition = [g.name for j, g in enumerate(groups) if bits >> j & 1]
+        coalition = [name for j, name in enumerate(groups) if bits >> j & 1]
         for bg in backgrounds:
             distinct.add(mask(test, bg, coalition, groups).tobytes())
     assert sum(batches) == forwarded == len(distinct)
@@ -290,7 +282,7 @@ def test_coalition_values_forward_each_distinct_window_once():
 
 def test_group_without_columns_gets_zero():
     rng = np.random.default_rng(18)
-    groups = GROUPS4 + [FeatureGroup("empty", ())]
+    groups = {**GROUPS4, "empty": ()}
     weights = rng.normal(size=5)
     t, b = rand_window(rng), rand_window(rng)
     report = shapley_pair(linear_window_model(weights), t, b, groups)
@@ -319,10 +311,9 @@ def test_test_equal_to_every_background_forwards_one_window():
 
 def test_default_groups_partition_schema():
     schema = FeatureSchema.default()
-    groups = default_groups(schema)
-    assert [g.name for g in groups] == ["request", "temperature", "holiday",
-                                        "weekday", "month"]
-    covered = sorted(c for g in groups for c in g.columns)
+    groups = schema.group_columns()
+    assert list(groups) == ["request", "temperature", "holiday", "weekday", "month"]
+    covered = sorted(c for columns in groups.values() for c in columns)
     assert covered == list(range(schema.width))
 
 
@@ -335,12 +326,12 @@ def test_series_single_instance_reduces_to_single_report():
     weights = rng.normal(size=5)
     fn = linear_window_model(weights)
     t, b = rand_window(rng), rand_window(rng)
-    table, reports = shapley_series(fn, [("w0", t)], [b], GROUPS4)
+    rows, reports = shapley_series(fn, [("w0", t)], [b], GROUPS4)
     single = shapley_pair(fn, t, b, GROUPS4)
     assert len(reports) == 1
     for name in single.phi:
         assert abs(reports[0].phi[name] - single.phi[name]) < 1e-12
-    assert len(table.rows) == len(GROUPS4)
+    assert len(rows) == len(GROUPS4)
 
 
 def test_series_efficiency_against_background_mean():
@@ -359,13 +350,13 @@ def test_series_efficiency_against_background_mean():
 def test_series_cardinality_14_instances_5_groups():
     rng = np.random.default_rng(12)
     schema = FeatureSchema.default()
-    groups = default_groups(schema)
+    groups = schema.group_columns()
     fn = linear_window_model(rng.normal(size=schema.width))
     instances = [(f"i{k}", rng.uniform(0, 1, size=(4, schema.width)))
                  for k in range(14)]
-    table, _ = shapley_series(fn, instances, [instances[0][1]], groups)
-    assert len(table.rows) == 70
-    sort_keys = [(r.group, r.instance_id) for r in table.rows]
+    rows, _ = shapley_series(fn, instances, [instances[0][1]], groups)
+    assert len(rows) == 70
+    sort_keys = [(r.group, r.instance_id) for r in rows]
     assert sort_keys == sorted(sort_keys)
 
 
@@ -378,10 +369,10 @@ def test_series_empty_background_rejected():
 def test_group_representative_values():
     window = np.zeros((4, 5))
     window[:, 0] = [0.2, 0.4, 0.6, 0.8]
-    assert group_representative(window, FeatureGroup("request", (0,))) == 0.5
+    assert group_representative(window, (0,)) == 0.5
     onehot = np.zeros((4, 3))
     onehot[:, 2] = 1.0  # always the last category
-    assert group_representative(onehot, FeatureGroup("g", (0, 1, 2))) == 1.0
+    assert group_representative(onehot, (0, 1, 2)) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -465,14 +456,14 @@ def test_explain_writers_equal_csv_writer(tmp_path):
     writes, for a ``step:k`` explanation and for edge floats."""
     rng = np.random.default_rng(11)
     weights = rng.normal(size=(5, 4))
-    table, reports = shapley_series(lambda w: np.mean(w, axis=1) @ weights,
-                                    [("3", rand_window(rng)), ("12", rand_window(rng))],
-                                    [rand_window(rng), rand_window(rng)], GROUPS4, step=2)
+    rows, reports = shapley_series(lambda w: np.mean(w, axis=1) @ weights,
+                                   [("3", rand_window(rng)), ("12", rand_window(rng))],
+                                   [rand_window(rng), rand_window(rng)], GROUPS4, step=2)
     assert reports[0].aggregation == "step:2"
     edges = iter(EDGE_FLOATS * 2)
-    reports.append(ShapReport("edge", "mean[1]", {g.name: next(edges) for g in GROUPS4},
+    reports.append(ShapReport("edge", "mean[1]", {name: next(edges) for name in GROUPS4},
                               next(edges), next(edges), "mean", 1, next(edges)))
-    table.rows += [BeeswarmRow("edge", g.name, next(edges), next(edges)) for g in GROUPS4[:2]]
+    rows += [BeeswarmRow("edge", name, next(edges), next(edges)) for name in list(GROUPS4)[:2]]
     profile = np.array(EDGE_FLOATS * 3)
 
     write_shap_csv(tmp_path / "shap.csv", reports)
@@ -481,9 +472,9 @@ def test_explain_writers_equal_csv_writer(tmp_path):
                      "prediction", "aggregation"],
                     [[r.test_id, r.background_id, group, phi, r.base_value, r.prediction,
                       r.aggregation] for r in reports for group, phi in r.phi.items()])
-    table.write_csv(tmp_path / "beeswarm.csv")
+    write_beeswarm_csv(tmp_path / "beeswarm.csv", rows)
     csv_writer_rows(tmp_path / "want-beeswarm.csv", ["instance_id", "group", "value", "phi"],
-                    [[r.instance_id, r.group, r.representative, r.phi] for r in table.rows])
+                    [[r.instance_id, r.group, r.representative, r.phi] for r in rows])
     write_attention_csv(tmp_path / "attention.csv", profile)
     csv_writer_rows(tmp_path / "want-attention.csv", ["hour", "mean_weight"],
                     enumerate(profile.tolist()))

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from demandcast.errors import ConfigError, ShapeError
-from demandcast.features import FeatureSchema, build_dataset
+from demandcast.features import FeatureSchema, WindowedDataset, build_dataset
 from demandcast.lstm_att import (
+    FORWARD_BATCH,
     ModelConfig,
     ModelParams,
     backward,
+    forecast,
     forward_batch,
     load_checkpoint,
     param_shapes,
@@ -29,8 +31,10 @@ from demandcast.train import (
 from helpers import (
     SeparateParams,
     adam_reference_step,
+    assert_close,
     per_tensor_adam_step,
     per_tensor_clip,
+    predict,
     scalar_adam_trajectory,
 )
 
@@ -287,6 +291,25 @@ def test_evaluate_constant_half_predictor_closed_form(desk_dataset):
     targets = np.clip(np.asarray(desk_dataset.test.targets), 0.0, 1.0)
     expected = float(np.mean((0.5 - targets) ** 2))
     assert abs(evaluate(params, desk_dataset.test) - expected) < 1e-12
+
+
+def test_forecast_and_evaluate_across_the_chunk_edge():
+    """257 windows cross ``FORWARD_BATCH``: ``forecast`` gives the bits of
+    its two tape-free chunks, and ``evaluate`` the MSE of a per-window loop
+    against targets clipped to [0, 1]."""
+    cfg = ModelConfig(n_features=3, hidden=4, horizon=8, lookback=8)
+    params = ModelParams.init(cfg, 5)
+    rng = np.random.default_rng(6)
+    N = FORWARD_BATCH + 1
+    inputs = rng.uniform(size=(N, 8, 3))
+    targets = rng.uniform(-0.2, 1.2, size=(N, 8))
+    windows = WindowedDataset(inputs, targets, np.zeros(N, dtype="datetime64[m]"), 8, 8)
+    chunks = [forward_batch(inputs[lo:lo + FORWARD_BATCH], params, tape=False)[0]
+              for lo in (0, FORWARD_BATCH)]
+    assert forecast(inputs, params).tobytes() == np.concatenate(chunks).tobytes()
+    loop = np.stack([predict(window, params) for window in inputs])
+    want = np.mean((loop - np.clip(targets, 0.0, 1.0)) ** 2)
+    assert_close(np.array(evaluate(params, windows)), np.array(want), "test_mse")
 
 
 def test_evaluate_is_read_only(desk_dataset):
