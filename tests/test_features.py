@@ -1,7 +1,7 @@
 import itertools
 import json
 from dataclasses import asdict
-from datetime import datetime
+from datetime import date, datetime
 
 import numpy as np
 import pytest
@@ -78,6 +78,40 @@ def test_encode_wednesday_in_july():
     month_block = row[10:22]
     assert month_block[6] == 1.0
     assert month_block.sum() == 1.0
+
+
+WEEKDAY = tuple(range(3, 10))
+MONTHS_12, MONTHS_11 = tuple(range(10, 22)), tuple(range(10, 21))
+JULY_12 = [0.0] * 6 + [1.0] + [0.0] * 5
+JULY_11 = [0.0] * 5 + [1.0] + [0.0] * 5
+
+
+@pytest.mark.parametrize("flags, width, groups, numeric, row", [
+    ((False, False), 22,
+     {"month": MONTHS_12}, [(0, "request"), (1, "temperature")], JULY_12),
+    ((True, False), 21,
+     {"month": MONTHS_11}, [(0, "request"), (1, "temperature")], JULY_11),
+    ((False, True), 23,
+     {"month": MONTHS_12, "hour": (22,)}, [(0, "request"), (1, "temperature"), (22, "hour")],
+     JULY_12 + [10.0]),
+    ((True, True), 22,
+     {"month": MONTHS_11, "hour": (21,)}, [(0, "request"), (1, "temperature"), (21, "hour")],
+     JULY_11 + [10.0]),
+], ids=["default", "drop-first-month", "include-hour", "drop-first-month-include-hour"])
+def test_each_layout_of_the_two_flags(flags, width, groups, numeric, row):
+    """The four layouts the schema's two flags build, as literal values: the
+    width, the ordered column groups, the scaled columns and the encoding of
+    one holiday Wednesday in July at 10:00."""
+    schema = FeatureSchema.default(*flags)
+    assert schema.width == width
+    assert list(schema.group_columns().items()) == list({
+        "request": (0,), "temperature": (1,), "holiday": (2,), "weekday": WEEKDAY,
+        **groups}.items())
+    assert schema.numeric_columns() == numeric
+    g = IntervalSeries(origin=datetime(2023, 7, 5, 10, 0), demand=np.array([4], dtype=np.int64))
+    g = attach_calendar(g, frozenset({date(2023, 7, 5)}))
+    g.temperature = np.array([21.5])
+    assert encode(g, schema).tolist() == [[4.0, 21.5, 1.0, 0, 0, 1, 0, 0, 0, 0] + row]
 
 
 def test_encode_one_hot_groups_sum_to_one():
