@@ -401,7 +401,7 @@ def cmd_predict(args, cfg: dict, out: OutputDir) -> None:
     params, meta, _, scaler, windows = _load_frozen(args.checkpoint, args.dataset,
                                                     cfg.get("timezone"), [index])
     scaled = forecast(windows.inputs, params)[0]
-    demand = inverse_transform(scaler, scaled, column=0)
+    demand = inverse_transform(scaler, scaled)
     times = time_text(windows.target_timestamps(0))
     write_csv(out.path("forecast.csv"), ("timestamp", "demand_scaled", "demand"),
               f"%s,{FLOAT_FORMAT},{FLOAT_FORMAT}", [times, scaled, demand])

@@ -1,10 +1,11 @@
 """Feature engineering: one-hot encoding, MinMax scaling, supervised
 windowing, and the chronological train/test split.
 
-The canonical layout puts the forecast target (demand, "request") in
+The column layout puts the forecast target (demand, "request") in
 column 0, followed by temperature, the holiday flag, and the weekday and
-month one-hot groups. Default expanded width is 22; the drop-first-month
-option reduces the month group to 11 columns for a width of 21.
+month one-hot groups, for a width of 22. Two flags change it: the
+drop-first-month option reduces the month group to 11 columns, and the
+include-hour option appends the hour of day.
 """
 
 from __future__ import annotations
@@ -19,89 +20,71 @@ from .errors import ConfigError, GridError, SchemaError
 from .ingest import IntervalSeries, grid_times
 
 SCALER_FORMAT = "demandcast/scaler-v1"
-
-
-@dataclass(frozen=True)
-class FeatureSpec:
-    name: str
-    kind: str  # "numeric" | "binary" | "onehot"
-    cardinality: int = 1
+NUMERIC = ("request", "temperature", "hour")  # the columns the scaler maps onto [0, 1]
 
 
 @dataclass(frozen=True)
 class FeatureSchema:
-    """The column layout, built only by ``default`` from the two flags that
-    a run config and a checkpoint store."""
+    """The column layout, which is its two flags, as a run config and a
+    checkpoint store them."""
 
-    features: tuple[FeatureSpec, ...]
+    drop_first_month: bool = False
+    include_hour: bool = False
 
     @classmethod
     def default(cls, drop_first_month: bool = False,
                 include_hour: bool = False) -> "FeatureSchema":
-        feats = [
-            FeatureSpec("request", "numeric"),
-            FeatureSpec("temperature", "numeric"),
-            FeatureSpec("holiday", "binary"),
-            FeatureSpec("weekday", "onehot", 7),
-            FeatureSpec("month", "onehot", 11 if drop_first_month else 12),
-        ]
-        if include_hour:
-            feats.append(FeatureSpec("hour", "numeric"))
-        return cls(tuple(feats))
+        return cls(drop_first_month, include_hour)
+
+    def group_columns(self) -> dict[str, tuple[int, ...]]:
+        """Column indices per semantic feature group, in column order."""
+        sizes = {"request": 1, "temperature": 1, "holiday": 1, "weekday": 7,
+                 "month": 11 if self.drop_first_month else 12}
+        if self.include_hour:
+            sizes["hour"] = 1
+        starts = accumulate(sizes.values(), initial=0)
+        return {name: tuple(range(start, start + size))
+                for (name, size), start in zip(sizes.items(), starts)}
 
     @property
     def width(self) -> int:
-        return sum(f.cardinality for f in self.features)
-
-    def _first_columns(self):
-        """Each feature with the index of its first column, in schema order."""
-        return zip(self.features, accumulate((f.cardinality for f in self.features), initial=0))
+        return sum(map(len, self.group_columns().values()))
 
     def numeric_columns(self) -> list[tuple[int, str]]:
-        return [(col, f.name) for f, col in self._first_columns() if f.kind == "numeric"]
-
-    def group_columns(self) -> dict[str, tuple[int, ...]]:
-        """Column indices per semantic feature group, in schema order."""
-        return {f.name: tuple(range(col, col + f.cardinality)) for f, col in self._first_columns()}
+        return [(cols[0], name) for name, cols in self.group_columns().items() if name in NUMERIC]
 
 
 def encode(series: IntervalSeries, schema: FeatureSchema, rows=slice(None)) -> np.ndarray:
     """Expand the ``rows`` (all by default) of an IntervalSeries into the
     (T x n) feature matrix; each row encodes on its own.
 
-    With the default schema every one-hot group has exactly one 1 per row;
-    under drop-first-month a January row encodes as all zeros in the month
-    group (standard dropped-reference encoding).
+    Every one-hot group has exactly one 1 per row, but under
+    drop-first-month a January row encodes as all zeros in the month group
+    (standard dropped-reference encoding).
     """
-    required = {"request": series.demand, "temperature": series.temperature,
-                "holiday": series.holiday}
-    for f in schema.features:
-        if f.name in required and required[f.name] is None:
-            raise SchemaError(f"series is missing the '{f.name}' column")
-    if any(f.name in ("weekday", "month") for f in schema.features):
-        if series.weekday is None or series.month is None:
-            raise SchemaError("series is missing calendar columns; run attach_calendar")
+    plain = {"request": series.demand, "temperature": series.temperature,
+             "holiday": series.holiday}
+    for name, column in plain.items():
+        if column is None:
+            raise SchemaError(f"series is missing the '{name}' column")
+    if series.weekday is None or series.month is None:
+        raise SchemaError("series is missing calendar columns; run attach_calendar")
 
-    demand = series.demand[rows]
-    T = len(demand)
+    T = len(series.demand[rows])
     out = np.zeros((T, schema.width), dtype=np.float64)
-    for f, col in schema._first_columns():
-        if f.name == "request":
-            out[:, col] = demand.astype(np.float64)
-        elif f.name == "temperature":
-            out[:, col] = series.temperature[rows]
-        elif f.name == "holiday":
-            out[:, col] = series.holiday[rows].astype(np.float64)
-        elif f.name == "weekday":
+    for name, (col, *_) in schema.group_columns().items():
+        if name in plain:
+            out[:, col] = plain[name][rows]
+        elif name == "weekday":
             out[np.arange(T), col + series.weekday[rows].astype(np.int64)] = 1.0
-        elif f.name == "month":
+        elif name == "month":
             month0 = series.month[rows].astype(np.int64) - 1
-            if f.cardinality == 11:  # January is the dropped reference level
+            if schema.drop_first_month:  # January is the dropped reference level
                 keep = month0 > 0
                 out[np.arange(T)[keep], col + month0[keep] - 1] = 1.0
             else:
                 out[np.arange(T), col + month0] = 1.0
-        elif f.name == "hour":
+        else:  # hour
             times = series.times()[rows]
             out[:, col] = (times - times.astype("datetime64[D]")) / np.timedelta64(1, "h")
     return out
@@ -189,16 +172,12 @@ def transform(scaler: MinMaxScaler, matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def inverse_transform(scaler: MinMaxScaler, values: np.ndarray,
-                      column: int = 0) -> np.ndarray:
-    """Undo scaling for a single column (default: the demand target)."""
+def inverse_transform(scaler: MinMaxScaler, values: np.ndarray) -> np.ndarray:
+    """Undo the scaling of the demand target, the scaler's first column."""
     if scaler is None or not isinstance(scaler, MinMaxScaler):
         raise ConfigError("scaler is not fitted")
-    values = np.asarray(values, dtype=np.float64)
-    for c in scaler.columns:
-        if c.index == column:
-            return values * (c.max - c.min) + c.min
-    return values.copy()  # pass-through column
+    demand = scaler.columns[0]
+    return np.asarray(values, dtype=np.float64) * (demand.max - demand.min) + demand.min
 
 
 def clamp_scaled(scaler: MinMaxScaler, matrix: np.ndarray,

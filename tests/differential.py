@@ -28,7 +28,13 @@ of a taped one; the forward must equal ``whole_batch_forward`` and
 ``helpers.assert_close``; and ``backward`` over an arena of noise must leave
 the bytes it leaves in a fresh one. The one gradient of the score bias
 ``b_a`` sums p B softmax terms that cancel, so it is compared as one array
-with that of ``W_a``, whose largest value gives its floor.
+with that of ``W_a``, whose largest value gives its floor. On the first
+FD_WINDOWS windows, ``backward`` must match ``central_difference`` on a few
+random coordinates of each tensor. A checkpoint saved, loaded and saved
+again must keep its bytes. And ``clip_gradients`` and ``adam_step`` on the
+arena must give the bits of ``per_tensor_clip`` and
+``per_tensor_adam_step`` on separate tensors, with ``train.ADAM_BLOCK`` set
+to a size drawn per model, so that the arena crosses block edges.
 
 Each batch runs in a child process of its own, one at a time, so that a
 crash of the interpreter is a failure that names its seed:
@@ -48,6 +54,10 @@ FILES = 240  # files per batch
 # random texts per mutated file, per round trip and per written table
 MUTATED, ROUND_TRIP, WRITE_TABLE = 8, 24, 8
 MODELS = 8  # random models per batch of the model suite
+ADAM_BLOCKS = 8  # most blocks the arena is cut into for the Adam property
+# windows and coordinates per tensor of the finite-difference property, and
+# its bound |analytic - numeric| <= RTOL (|analytic| + |numeric|) + ATOL (1 + sum |forecast d_out|)
+FD_WINDOWS, FD_COORDS, FD_RTOL, FD_ATOL = 8, 3, 1e-6, 1e-9
 KINDS = ("sessions", "temperature", "grid", "dataset")
 ZONES = (None, "America/Los_Angeles")
 
@@ -138,19 +148,22 @@ def check_models(seed: int, models: int = MODELS) -> list[str]:
     oracles; a line for each model that fails a property."""
     import numpy as np
 
-    from demandcast.lstm_att import backward, forward_batch
+    from demandcast import train
+    from demandcast.lstm_att import backward, forward_batch, load_checkpoint, save_checkpoint
     from helpers import (
         TAPE_FREE_FIELDS,
         SeparateParams,
         assert_close,
         assert_trace_close,
         batch_first,
+        per_tensor_adam_step,
+        per_tensor_clip,
         random_model,
         row_major_backward,
         whole_batch_forward,
     )
 
-    failures = []
+    failures, adam_block = [], train.ADAM_BLOCK
     for k in range(models):
         model_seed = seed * models + k
         params, windows, d_out = random_model(model_seed)
@@ -177,10 +190,73 @@ def check_models(seed: int, models: int = MODELS) -> list[str]:
             params.grad[:] = np.random.default_rng(model_seed).normal(size=params.grad.size)
             backward(forward_batch(windows, params)[1], d_out, params)
             assert params.grad.tobytes() == fresh, "backward over noise differs from fresh"
+            rng = np.random.default_rng([seed, k])
+            check_finite_differences(params, windows[:FD_WINDOWS], d_out[:FD_WINDOWS], rng)
+            with tempfile.TemporaryDirectory() as tmp:
+                first, second = Path(tmp, "first.json"), Path(tmp, "second.json")
+                save_checkpoint(first, params, {"schema": {"include_hour": bool(k % 2)},
+                                                "loss": float(rng.normal())})
+                save_checkpoint(second, *load_checkpoint(first))
+                assert second.read_bytes() == first.read_bytes(), "checkpoint round trip differs"
+            # clip, then Adam over blocks of a drawn size so that the arena
+            # mostly spans several of them, the last one ragged
+            for t, o in zip(params.tensors(), oracle.tensors()):
+                o.grad[...] = t.grad
+            max_norm = float(np.linalg.norm(params.grad)) * rng.uniform(0.5, 1.5)
+            norm = train.clip_gradients(params, max_norm)
+            assert norm == per_tensor_clip(oracle.tensors(), max_norm), "clip norm differs"
+            size = params.value.size
+            train.ADAM_BLOCK = int(rng.integers(-(-size // ADAM_BLOCKS), size + 1))
+            state = train.AdamState(size)
+            ms = [np.zeros_like(o.value) for o in oracle.tensors()]
+            vs = [np.zeros_like(o.value) for o in oracle.tensors()]
+            for step in (1, 2):
+                train.adam_step(params.value, params.grad, state, lr=0.01)
+                per_tensor_adam_step(oracle.tensors(), ms, vs, step, lr=0.01)
+            for name, arena, parts in (
+                    ("gradient", params.grad, [o.grad for o in oracle.tensors()]),
+                    ("value", params.value, [o.value for o in oracle.tensors()]),
+                    ("first moment", state.m, ms), ("second moment", state.v, vs)):
+                assert arena.tobytes() == b"".join(a.tobytes() for a in parts), \
+                    f"clip and Adam over blocks of {train.ADAM_BLOCK}: {name} differs"
         except Exception as exc:  # an error, too, names its model
             failures.append(f"random_model({model_seed}): {cfg}, B = {len(windows)}, "
                             f"p = {windows.shape[1]}\n  {type(exc).__name__}: {exc}")
+    train.ADAM_BLOCK = adam_block
     return failures
+
+
+def check_finite_differences(params, windows, d_out, rng) -> None:
+    """``backward``'s gradient of sum(d_out * forecast) over ``windows``
+    against ``central_difference`` on FD_COORDS random coordinates of each
+    tensor. A coordinate whose steps move a pre-activation of the ReLU head
+    across zero has no central difference, so it is not compared."""
+    import numpy as np
+
+    from demandcast.lstm_att import backward, forward_batch
+    from helpers import central_difference
+
+    out, trace = forward_batch(windows, params)
+    signs = trace.pre_head > 0
+    scale = float(np.sum(np.abs(out * d_out)))
+    backward(trace, d_out, params)
+    crossed = False
+
+    def loss():
+        nonlocal crossed
+        out, trace = forward_batch(windows, params, tape=False)
+        crossed |= not np.array_equal(trace.pre_head > 0, signs)
+        return float(np.sum(out * d_out))
+
+    for t in params.tensors():
+        flat = t.value.reshape(-1)
+        for i in rng.choice(flat.size, size=min(FD_COORDS, flat.size), replace=False):
+            crossed = False
+            [numeric] = central_difference(loss, flat[i:i + 1])
+            analytic = t.grad.reshape(-1)[i]
+            bound = FD_RTOL * (abs(analytic) + abs(numeric)) + FD_ATOL * (1.0 + scale)
+            assert crossed or abs(analytic - numeric) <= bound, \
+                f"gradient of {t.name}[{i}] is {analytic!r}, its central difference {numeric!r}"
 
 
 def _sessions_outcome(parse, records_array=None):

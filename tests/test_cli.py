@@ -551,7 +551,7 @@ def test_cli_tables_end_lines_in_crlf(trained, tmp_path):
                                         windows.target_timestamps(40).astype(object)]
     assert np.array_equal([float(r[1]) for r in rows[1:]], scaled)
     assert np.array_equal([float(r[2]) for r in rows[1:]],
-                          inverse_transform(scaler, scaled, column=0))
+                          inverse_transform(scaler, scaled))
 
     metrics = json.loads((tmp_path / "eval" / "metrics.json").read_text())
     rows = list(csv.reader(io.StringIO(comparison.decode(), newline="")))
