@@ -738,6 +738,56 @@ def test_bad_csv_one_schema_line_naming_file_line(trained, tmp_path, command, na
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("flags, line", [
+    (["--test", "", "--background", 0], "config: no test instances given"),
+    (["--test", 0, "--background", ""], "config: background set is empty"),
+], ids=["no-test", "no-background"])
+def test_explain_empty_index_list_one_config_line_no_partial_files(trained, tmp_path, flags,
+                                                                   line):
+    out = tmp_path / "out"
+    rc, lines = run("explain", "--out", out, "--checkpoint", trained["model"] / "checkpoint.json",
+                    "--dataset", trained["dataset"], *flags)
+    assert (rc, lines) == (1, [line])
+    assert list(out.iterdir()) == []
+
+
+def test_ingest_header_only_temperature_one_grid_line_no_partial_files(trained, tmp_path):
+    sim = trained["root"] / "sim"
+    temperature = tmp_path / "temperature.csv"
+    temperature.write_text("timestamp,temp_c\n")
+    out = tmp_path / "out"
+    rc, lines = run("ingest", "--out", out, "--demand-grid", sim / "demand.csv",
+                    "--temperature", temperature, "--holidays", sim / "holidays.csv")
+    assert (rc, lines) == (1, ["grid: temperature readings are empty"])
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, name", [("ingest", "demand.csv"), ("train", "dataset.csv")])
+def test_first_stamp_off_the_grid_one_grid_line_no_partial_files(trained, tmp_path, command,
+                                                                 name):
+    """A demand grid or dataset whose every stamp is 7 minutes past the
+    15-minute grid keeps its progression but starts off the grid: one
+    ``grid:`` line naming the first data line."""
+    sim = trained["root"] / "sim"
+    source = sim / "demand.csv" if name == "demand.csv" else trained["dataset"]
+    header, *rows = source.read_text().splitlines()
+    shifted = [header]
+    for row in rows:
+        stamp, rest = row.split(",", 1)
+        shifted.append(f"{datetime.fromisoformat(stamp) + timedelta(minutes=7)},{rest}")
+    bad = tmp_path / name
+    bad.write_text("\n".join(shifted) + "\n")
+    if command == "ingest":
+        flags = ["--demand-grid", bad, "--temperature", sim / "temperature.csv",
+                 "--holidays", sim / "holidays.csv"]
+    else:
+        flags = ["--config", trained["config"], "--dataset", bad, *TRAIN_FLAGS]
+    out = tmp_path / "out"
+    rc, lines = run(command, "--out", out, *flags)
+    assert (rc, lines) == (1, ["grid: origin 2022-01-01T00:07:00 is not on a 15-minute boundary"])
+    assert list(out.iterdir()) == []
+
+
 def sessions_csv(path, rows):
     """A sessions CSV of ``rows`` (lists of cells), under the standard header."""
     path.write_text("start,charge_end,disconnect,energy_kwh\n"
