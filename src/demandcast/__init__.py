@@ -1,14 +1,4 @@
 """Day-ahead EV charging demand forecasting with an attention LSTM,
 plus exact grouped Shapley attributions for each forecast."""
 
-import os
-
-# Honor the thread cap before anything pulls in numpy/BLAS; the BLAS
-# libraries read these variables once at load time.
-_threads = os.environ.get("DEMANDCAST_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-del os, _threads
-
 __version__ = "0.1.0"

@@ -35,22 +35,6 @@ from .ingest import STEP_SECONDS
 from .lstm_att import FORWARD_BATCH, ModelParams, forward_batch, model_inputs
 from .util import FLOAT_FORMAT, write_csv
 
-MAX_EXACT_GROUPS = 12
-
-
-def _check_partition(groups: dict[str, tuple[int, ...]], width: int) -> None:
-    seen: set[int] = set()
-    for name, columns in groups.items():
-        overlap = seen.intersection(columns)
-        if overlap:
-            raise ConfigError(f"group '{name}' reuses columns {sorted(overlap)}")
-        seen.update(columns)
-    if seen != set(range(width)):
-        raise ConfigError(
-            f"groups must partition all {width} columns; covered {len(seen)}"
-        )
-
-
 @dataclass
 class ShapReport:
     test_id: str
@@ -160,9 +144,10 @@ def shapley_series(predict_fn, instances, backgrounds,
     against the background expectation (coalition values averaged over all
     background windows); returns (beeswarm rows, reports).
 
-    ``instances`` is a sequence of (id, window); ``backgrounds`` a sequence
-    of windows; ``groups`` maps each group's name to its columns, as
-    ``FeatureSchema.group_columns`` does, and must partition them.
+    ``instances`` is a sequence of (id, (p, n) window); ``backgrounds`` one
+    (nb, p, n) array of windows of the same shape; ``groups`` maps each
+    group's name to its columns and must partition the n columns, as the
+    ``FeatureSchema.group_columns`` map does.
     ``predict_fn`` maps a (B, p, n) batch of windows to the (B, m)
     forecasts; the value of a coalition is the forecast mean (or the
     ``step``-th output). Rows come back sorted by group then instance.
@@ -170,30 +155,14 @@ def shapley_series(predict_fn, instances, backgrounds,
     quote or a line break.
     """
     instances = list(instances)
-    backgrounds = [np.asarray(b, dtype=np.float64) for b in backgrounds]
     if not instances:
         raise ConfigError("no test instances given")
-    if not backgrounds:
+    if not len(backgrounds):
         raise ConfigError("background set is empty")
-    shapes = {b.shape for b in backgrounds}
-    if len(shapes) > 1:
-        raise ShapeError(f"background windows differ in shape: {sorted(shapes)}")
     k = len(groups)
-    if k > MAX_EXACT_GROUPS:
-        raise ConfigError(
-            f"{k} groups need 2^{k} evaluations; exact enumeration is capped at "
-            f"{MAX_EXACT_GROUPS} — merge groups or fall back to a sampling estimate"
-        )
-    backgrounds = np.stack(backgrounds)
-    _check_partition(groups, backgrounds.shape[-1])
     reports = []
     rows = []
     for inst_id, window in instances:
-        window = np.asarray(window, dtype=np.float64)
-        if window.shape != backgrounds.shape[1:]:
-            raise ShapeError(
-                f"test {window.shape} and background {backgrounds.shape[1:]} windows differ"
-            )
         values, forwarded = _coalition_values(predict_fn, window, backgrounds, groups, step)
         phi = _phi_from_values(values, k)
         base_value, prediction = float(values[0]), float(values[-1])
@@ -233,8 +202,6 @@ def attention_profile(params: ModelParams, windows: WindowedDataset) -> np.ndarr
     if not params.config.attention:
         raise ConfigError("model has no attention layer to profile")
     n = len(windows)
-    if n == 0:
-        raise ConfigError("no windows to profile")
     origins = np.asarray(windows.origins, dtype="datetime64[m]")
     slots = (origins - origins.astype("datetime64[D]")) // np.timedelta64(STEP_SECONDS, "s")
     inputs = model_inputs(windows.inputs, params.config)

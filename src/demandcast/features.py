@@ -11,12 +11,11 @@ include-hour option appends the hour of day.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime
 from itertools import accumulate
 
 import numpy as np
 
-from .errors import ConfigError, GridError, SchemaError
+from .errors import ConfigError, GridError
 from .ingest import IntervalSeries, grid_times
 
 SCALER_FORMAT = "demandcast/scaler-v1"
@@ -60,16 +59,11 @@ def encode(series: IntervalSeries, schema: FeatureSchema, rows=slice(None)) -> n
 
     Every one-hot group has exactly one 1 per row, but under
     drop-first-month a January row encodes as all zeros in the month group
-    (standard dropped-reference encoding).
+    (standard dropped-reference encoding). The series has every column, as
+    ``load_dataset`` gives it.
     """
     plain = {"request": series.demand, "temperature": series.temperature,
              "holiday": series.holiday}
-    for name, column in plain.items():
-        if column is None:
-            raise SchemaError(f"series is missing the '{name}' column")
-    if series.weekday is None or series.month is None:
-        raise SchemaError("series is missing calendar columns; run attach_calendar")
-
     T = len(series.demand[rows])
     out = np.zeros((T, schema.width), dtype=np.float64)
     for name, (col, *_) in schema.group_columns().items():
@@ -138,9 +132,6 @@ class MinMaxScaler:
 
 def fit_scaler(matrix: np.ndarray, numeric_columns) -> MinMaxScaler:
     """Column-wise min/max over the fitted rows only."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] == 0:
-        raise SchemaError("fit_scaler needs a non-empty 2-D matrix")
     cols = []
     for index, name in numeric_columns:
         col = matrix[:, index]
@@ -148,20 +139,10 @@ def fit_scaler(matrix: np.ndarray, numeric_columns) -> MinMaxScaler:
     return MinMaxScaler(tuple(cols), matrix.shape[1])
 
 
-def _check_scaler(scaler, matrix_width: int) -> None:
-    if scaler is None or not isinstance(scaler, MinMaxScaler):
-        raise ConfigError("scaler is not fitted")
-    if scaler.width != matrix_width:
-        raise SchemaError(
-            f"scaler fitted for width {scaler.width}, matrix has width {matrix_width}"
-        )
-
-
 def transform(scaler: MinMaxScaler, matrix: np.ndarray) -> np.ndarray:
     """Map numeric columns onto [0,1] by the fitted range; constant columns
     map to 0; all other columns pass through unchanged."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    _check_scaler(scaler, matrix.shape[-1])
     out = matrix.copy()
     for c in scaler.columns:
         span = c.max - c.min
@@ -174,8 +155,6 @@ def transform(scaler: MinMaxScaler, matrix: np.ndarray) -> np.ndarray:
 
 def inverse_transform(scaler: MinMaxScaler, values: np.ndarray) -> np.ndarray:
     """Undo the scaling of the demand target, the scaler's first column."""
-    if scaler is None or not isinstance(scaler, MinMaxScaler):
-        raise ConfigError("scaler is not fitted")
     demand = scaler.columns[0]
     return np.asarray(values, dtype=np.float64) * (demand.max - demand.min) + demand.min
 
@@ -185,7 +164,6 @@ def clamp_scaled(scaler: MinMaxScaler, matrix: np.ndarray,
     """Clip numeric columns to ``bounds``; out-of-range values only arise
     when transforming data outside the fitted range (test rows)."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    _check_scaler(scaler, matrix.shape[-1])
     lo, hi = bounds
     out = matrix.copy()
     for c in scaler.columns:
@@ -230,20 +208,17 @@ def window_count(rows: int, p: int, m: int) -> int:
     return rows - p - m + 1
 
 
-def make_windows(matrix: np.ndarray, p: int = 96, m: int = 96,
-                 origin: datetime | None = None,
+def make_windows(matrix: np.ndarray, p: int, m: int, origin,
                  stride: int = 1) -> WindowedDataset:
-    """Slide a (p-input, m-target) window over the rows of ``matrix``.
+    """Slide a (p-input, m-target) window over the rows of the (T, n)
+    float64 ``matrix`` whose row 0 starts at ``origin``.
 
     At stride 1 the window count is T - p - m + 1; larger strides subsample
     origins for desk-scale runs. Inputs and targets are read-only views of
-    ``matrix``, not copies, so they change if the caller writes to it.
+    ``matrix``, not copies, so they change if the caller writes to it. p, m
+    and the stride are at least 1, as ``Pipeline`` and a checkpoint's model
+    config check them.
     """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise SchemaError("make_windows expects a 2-D matrix")
-    if p < 1 or m < 1 or stride < 1:
-        raise ConfigError("p, m, and stride must be positive")
     n_starts = window_count(matrix.shape[0], p, m)
 
     # Basic slices of the sliding views keep them views; an index array
@@ -255,19 +230,15 @@ def make_windows(matrix: np.ndarray, p: int = 96, m: int = 96,
     inputs.flags.writeable = False
     targets.flags.writeable = False
 
-    if origin is None:
-        origin = datetime(2000, 1, 3)  # placeholder grid start (a Monday)
     origins = grid_times(origin, n_starts)[::stride]
     return WindowedDataset(inputs, targets, origins, p, m)
 
 
 def split(dataset: WindowedDataset, fraction: float = 0.8) -> SplitDataset:
-    """Chronological split: the first floor(fraction * N) windows train."""
-    if not 0.0 < fraction < 1.0:
-        raise ConfigError(f"split fraction must lie in (0,1), got {fraction}")
+    """Chronological split: the first floor(fraction * N) windows train.
+    ``Pipeline`` keeps the fraction in (0, 1) and ``window_count`` N at
+    least 1, so the test windows are never empty."""
     N = len(dataset)
-    if N == 0:
-        raise GridError("cannot split an empty dataset")
     cut = int(np.floor(fraction * N))
     train = WindowedDataset(dataset.inputs[:cut], dataset.targets[:cut],
                             dataset.origins[:cut], dataset.lookback, dataset.horizon)

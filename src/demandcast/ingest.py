@@ -10,10 +10,12 @@ into a time; every other use of interval times is array arithmetic on its
 result. The DST fix (a monotonic grid clock with weekday, month, holiday and
 hour derived in local time) goes in ``grid_times`` and ``attach_calendar``.
 
-Bad input is a typed error naming the file line. The whole-file loaders
-(temperature, holidays, demand grid, dataset) raise SchemaError for a cell
-that does not parse, a short row, or a missing header or column, and
-GridError for a break in the 15-minute progression; parse_sessions instead
+Every loader takes a path or the file's bytes, and checks what it reads
+once, there: the rest of the program relies on it. Bad input is a typed
+error naming the file line. The whole-file loaders (temperature, holidays,
+demand grid, dataset) raise SchemaError for a cell that does not parse, a
+short row, or a missing header or column, and GridError for a first time off
+the 15-minute grid or a break in its progression; parse_sessions instead
 skips each malformed row and collects a RowError with its line.
 
 Every loader reads the file's bytes once and drops one leading UTF-8
@@ -111,11 +113,6 @@ def parse_timestamp(text: str, timezone: str | None = None) -> datetime:
     return ts
 
 
-def check_aligned(ts: datetime, what: str = "origin") -> None:
-    if ts.minute % 15 or ts.second or ts.microsecond:
-        raise GridError(f"{what} {ts.isoformat()} is not on a 15-minute boundary")
-
-
 def grid_times(origin, n: int) -> np.ndarray:
     """The start of each of the ``n`` intervals of the grid from ``origin``
     (a datetime or datetime64), as naive ``datetime64[s]`` wall-clock times."""
@@ -167,6 +164,8 @@ class IntervalSeries:
 
     ``temperature`` and the calendar columns are filled progressively by
     join_temperature / attach_calendar; a bare grid is a valid skeleton.
+    ``origin`` is an interval start, demand an int64 count per interval and
+    every column as long as it, as the loaders and ``grid_span`` give them.
     """
 
     origin: datetime
@@ -175,23 +174,6 @@ class IntervalSeries:
     weekday: np.ndarray | None = None   # 0=Mon .. 6=Sun
     month: np.ndarray | None = None     # 1..12
     holiday: np.ndarray | None = None
-
-    def __post_init__(self):
-        check_aligned(self.origin)
-        self.demand = np.asarray(self.demand)
-        if self.demand.ndim != 1:
-            raise GridError("demand must be one-dimensional")
-        if not np.issubdtype(self.demand.dtype, np.integer):
-            as_int = self.demand.astype(np.int64)
-            if not np.array_equal(as_int, self.demand):
-                raise GridError("demand values must be integers")
-            self.demand = as_int
-        if np.any(self.demand < 0):
-            raise GridError("demand values must be non-negative")
-        for name in ("temperature", "weekday", "month", "holiday"):
-            col = getattr(self, name)
-            if col is not None and len(col) != len(self.demand):
-                raise GridError(f"{name} length {len(col)} != demand length {len(self.demand)}")
 
     def __len__(self) -> int:
         return len(self.demand)
@@ -230,7 +212,7 @@ def parse_sessions(csv_source, timezone: str | None = None) -> ParseResult:
     """Parse a sessions CSV into a ``SESSION`` array, in file order; each
     malformed row becomes a RowError naming its file line, not an exception.
 
-    ``csv_source`` may be a path, or a byte or text stream.
+    ``csv_source`` is a path or the file's bytes.
     """
     lines, columns, failed = _read_csv(csv_source, "sessions CSV", SESSION_COLUMNS, timezone)
     start, charge_end, disconnect, energy = columns
@@ -254,11 +236,8 @@ def aggregate_demand(sessions: np.ndarray, origin: datetime, n_intervals: int) -
     """Count, for each grid interval, the sessions (a ``SESSION`` array)
     whose charging span [start, charge_end) overlaps it. Sessions outside
     the grid contribute nothing; the span ends at charge completion, not
-    disconnect.
+    disconnect. ``origin`` and ``n_intervals`` are a ``grid_span``.
     """
-    check_aligned(origin)
-    if n_intervals < 1:
-        raise GridError("n_intervals must be >= 1")
     # each non-empty span covers intervals [first, last): its start rounded
     # down and its end rounded up, exact to the microsecond
     live = sessions[sessions["start"] < sessions["charge_end"]]
@@ -283,8 +262,6 @@ def join_temperature(grid: IntervalSeries, readings: np.ndarray) -> IntervalSeri
     if not len(readings):
         raise GridError("temperature readings are empty")
     xs = _epoch_seconds(readings["time"])
-    if np.any(np.diff(xs) <= 0):
-        raise SchemaError("temperature readings must be strictly increasing in time")
 
     times = grid.times()
     grid_x = _epoch_seconds(times)
@@ -330,24 +307,16 @@ def _decode(data: bytes, kind: str) -> str:
                           f"(byte 0x{exc.object[exc.start]:02x})") from None
 
 
-def _is_path(source) -> bool:
-    return isinstance(source, str) or hasattr(source, "__fspath__")
+def _file_bytes(source) -> bytes:
+    """``source`` if it is a file's bytes, else those of the file at that path."""
+    return source if isinstance(source, bytes) else Path(source).read_bytes()
 
 
 def _source_text(source, kind: str) -> bytes | str:
-    """The text of a path, of bytes or of a byte or text stream, read whole
-    and less one leading byte-order mark: its bytes if they are plain (see
-    ``_is_plain``), else str, decoded as ``_decode`` decodes."""
-    if _is_path(source):
-        with open(source, "rb") as fh:  # one read, one decode: 5x faster than text mode
-            source = fh.read()
-    elif hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, str):
-        source = source.removeprefix("\ufeff")
-        return data if source.isascii() and _is_plain(data := source.encode()) else source
-    if not isinstance(source, bytes):
-        raise SchemaError(f"unsupported CSV source {type(source).__name__}")
+    """The text of a path or of a file's bytes, less one leading byte-order
+    mark: its bytes if they are plain (see ``_is_plain``), else str,
+    decoded as ``_decode`` decodes."""
+    source = _file_bytes(source)
     data = source.removeprefix("\ufeff".encode())
     return data if _is_plain(data) else _decode(source, kind)
 
@@ -670,8 +639,7 @@ def _datetime64(times) -> np.ndarray:
 def _read_table(source, kind: str, names, timezone: str | None) -> tuple:
     """The file lines and the columns ``names`` of the rows of a whole CSV
     file, read by ``_read_csv``; the first row that does not read is a
-    SchemaError naming its file line and column. ``source`` may be the
-    file's bytes."""
+    SchemaError naming its file line and column."""
     lines, columns, errors = _read_csv(source, kind, names, timezone)
     if errors:
         line, column, error = errors[0]
@@ -682,17 +650,23 @@ def _read_table(source, kind: str, names, timezone: str | None) -> tuple:
 
 def _read_grid(source, kind: str, names, timezone: str | None) -> tuple:
     """The origin and the columns after the timestamp of a grid file (see
-    ``_read_table``), whose times are the interval starts of the grid from
-    the first row; no rows, or the first row off that grid, is a GridError."""
+    ``_read_table``), whose first time is a 15-minute interval start (a whole
+    quarter hour, to the microsecond) and whose times are the interval starts
+    of the grid from it; no rows, a first time off the 15-minute grid or a
+    row off the grid from it is a GridError naming its file line."""
     lines, (times, *columns) = _read_table(source, kind, names, timezone)
     if not len(times):
         raise GridError(f"{kind} has no rows")
+    origin = times[0].item()
+    if origin.minute % 15 or origin.second or origin.microsecond:
+        raise GridError(f"{kind} line {lines[0]}: first timestamp {origin} is not on a "
+                        "15-minute boundary")
     off = np.flatnonzero(times != grid_times(times[0], len(times)))
     if off.size:
         k = off[0]
         raise GridError(f"{kind} line {lines[k]}: breaks the 15-minute progression "
                         f"({times[k].item()})")
-    return times[0].item(), columns
+    return origin, columns
 
 
 # A temperature reading: its time and its value in degrees Celsius.
@@ -759,23 +733,19 @@ DATASET_COLUMNS = ["timestamp", "demand", "temp_c", "weekday", "month", "holiday
 
 
 def write_dataset(path, series: IntervalSeries) -> None:
-    """Persist a fully assembled IntervalSeries (all context columns)."""
-    for name in ("temperature", "weekday", "month", "holiday"):
-        if getattr(series, name) is None:
-            raise SchemaError(f"cannot write dataset: {name} column missing")
+    """Persist a fully assembled IntervalSeries (all context columns, as
+    ``cli ingest`` attaches them)."""
     write_csv(path, DATASET_COLUMNS, f"%s,%d,{FLOAT_FORMAT},%d,%d,%d",
               [time_text(series.times()), series.demand, series.temperature,
                series.weekday, series.month, series.holiday])
 
 
 def load_dataset(source, timezone: str | None = None) -> IntervalSeries:
-    """Read a dataset file (``write_dataset``'s columns). A path's bytes are
-    read once; the cache entry of those bytes gives the series if it holds
-    one, else they are parsed and the result is kept as their entry."""
-    if not _is_path(source):
-        return _parse_dataset(source, timezone)
-    with open(source, "rb") as fh:
-        data = fh.read()
+    """Read a dataset file (``write_dataset``'s columns), a path or its
+    bytes. The bytes are read once; the cache entry of those bytes gives the
+    series if it holds one, else they are parsed and the result is kept as
+    their entry."""
+    data = _file_bytes(source)
     entry = _cache_entry(data, timezone)
     series = _read_entry(*entry) if entry else None
     if series is None:
@@ -785,9 +755,9 @@ def load_dataset(source, timezone: str | None = None) -> IntervalSeries:
     return series
 
 
-def _parse_dataset(source, timezone: str | None) -> IntervalSeries:
+def _parse_dataset(data: bytes, timezone: str | None) -> IntervalSeries:
     origin, (demand, temp, weekday, month, holiday) = _read_grid(
-        source, "dataset CSV", DATASET_COLUMNS, timezone)
+        data, "dataset CSV", DATASET_COLUMNS, timezone)
     return IntervalSeries(origin=origin, demand=demand, temperature=temp,
                           weekday=weekday.astype(np.int8), month=month.astype(np.int8),
                           holiday=holiday.astype(bool))

@@ -23,18 +23,25 @@ texts, which must be the bytes that ``csv.writer`` writes
 
 With ``--suite model`` a batch instead draws MODELS random models
 (``helpers.random_model``). On each, a tape-free forward must give the bits
-of a taped one; the forward must equal ``whole_batch_forward`` and
-``backward`` must equal ``row_major_backward``, both within
-``helpers.assert_close``; and ``backward`` over an arena of noise must leave
-the bytes it leaves in a fresh one. The one gradient of the score bias
-``b_a`` sums p B softmax terms that cancel, so it is compared as one array
-with that of ``W_a``, whose largest value gives its floor. On the first
-FD_WINDOWS windows, ``backward`` must match ``central_difference`` on a few
-random coordinates of each tensor. A checkpoint saved, loaded and saved
+of a taped one; the forward must equal ``whole_batch_forward``, and on its
+first SCALAR_WINDOWS windows the ``scalar_lstm_step`` loop, and ``backward``
+must equal ``row_major_backward``, all within ``helpers.assert_close``; and
+``backward`` over an arena of noise must leave the bytes it leaves in a
+fresh one. Each element of the gradients of the score weights ``W_a`` and
+bias ``b_a`` sums p B terms of the raw score gradient d_raw (d_raw h and
+d_raw) whose softmax parts cancel, so its error is bounded by REL_TOL times
+the summed magnitudes of those terms, as the oracle computes them. On the
+first FD_WINDOWS windows, ``backward`` must match ``central_difference`` on
+a few random coordinates of each tensor. A checkpoint saved, loaded and saved
 again must keep its bytes. And ``clip_gradients`` and ``adam_step`` on the
 arena must give the bits of ``per_tensor_clip`` and
 ``per_tensor_adam_step`` on separate tensors, with ``train.ADAM_BLOCK`` set
 to a size drawn per model, so that the arena crosses block edges.
+
+At the end of a model run, a table gives each model's shape and, for the
+forward (the largest over its trace's fields) and for each gradient, the
+largest difference from the oracle relative to the oracle array's largest
+magnitude: the baseline of a per-shape tolerance table.
 
 Each batch runs in a child process of its own, one at a time, so that a
 crash of the interpreter is a failure that names its seed:
@@ -44,6 +51,7 @@ crash of the interpreter is a failure that names its seed:
 """
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -58,6 +66,10 @@ ADAM_BLOCKS = 8  # most blocks the arena is cut into for the Adam property
 # windows and coordinates per tensor of the finite-difference property, and
 # its bound |analytic - numeric| <= RTOL (|analytic| + |numeric|) + ATOL (1 + sum |forecast d_out|)
 FD_WINDOWS, FD_COORDS, FD_RTOL, FD_ATOL = 8, 3, 1e-6, 1e-9
+SCALAR_WINDOWS = 2  # windows per model of the scalar LSTM loop property
+# The prefix of a child's line that carries one model's row of the table.
+ROW = "difference row: "
+GRADIENTS = ("W", "U", "b", "W_a", "b_a", "W_out", "b_out")
 KINDS = ("sessions", "temperature", "grid", "dataset")
 ZONES = (None, "America/Los_Angeles")
 
@@ -143,27 +155,32 @@ def check_batch(seed: int, files: int = FILES) -> list[str]:
     return failures
 
 
-def check_models(seed: int, models: int = MODELS) -> list[str]:
+def check_models(seed: int, models: int = MODELS) -> tuple[list[str], list[dict]]:
     """Check the ``models`` random models of batch ``seed`` against the
-    oracles; a line for each model that fails a property."""
+    oracles; a line for each model that fails a property, and each model's
+    row of the difference table (see ``print_table``)."""
     import numpy as np
 
     from demandcast import train
     from demandcast.lstm_att import backward, forward_batch, load_checkpoint, save_checkpoint
     from helpers import (
+        REL_TOL,
         TAPE_FREE_FIELDS,
+        TRACE_FIELDS,
         SeparateParams,
         assert_close,
         assert_trace_close,
         batch_first,
+        gate_blocks,
         per_tensor_adam_step,
         per_tensor_clip,
         random_model,
         row_major_backward,
+        scalar_lstm_step,
         whole_batch_forward,
     )
 
-    failures, adam_block = [], train.ADAM_BLOCK
+    failures, rows, adam_block = [], [], train.ADAM_BLOCK
     for k in range(models):
         model_seed = seed * models + k
         params, windows, d_out = random_model(model_seed)
@@ -177,15 +194,35 @@ def check_models(seed: int, models: int = MODELS) -> list[str]:
                 assert (a is None and b is None) or a.tobytes() == b.tobytes(), \
                     f"tape-free {name} differs from the taped one"
             want = whole_batch_forward(windows, oracle)[1]
+            head = f"att/{cfg.head_input}" if cfg.attention else "lstm"
+            row = {"model": model_seed, "n": cfg.n_features, "H": cfg.hidden,
+                   "p": windows.shape[1], "m": cfg.horizon, "B": len(windows), "head": head,
+                   "forward": max(relative(getattr(taped, f), getattr(want, f))
+                                  for f in TRACE_FIELDS if getattr(want, f) is not None)}
+            rows.append(row)
             assert_trace_close(taped, want)
-            backward(trace, d_out, params)
+            W, U, b = ({g: a.tolist() for g, a in blocks.items()} for blocks in gate_blocks(params))
+            for j, window in enumerate(windows[:SCALAR_WINDOWS]):
+                h, c, hs, cs = [0.0] * cfg.hidden, [0.0] * cfg.hidden, [], []
+                for x in window.tolist():
+                    h, c = scalar_lstm_step(x, h, c, W, U, b)
+                    hs.append(h)
+                    cs.append(c)
+                assert_close(taped.hidden[:, j], np.array(hs), f"hidden of window {j}, scalar loop")
+                assert_close(taped.cell[:, j], np.array(cs), f"cell of window {j}, scalar loop")
+            backward(trace, d_out, params)  # consumes the taped trace
             row_major_backward(want, d_out, oracle)
             for t, o in zip(params.tensors(), oracle.tensors()):
-                if t.name != "b_a":
+                row[t.name] = relative(t.grad, o.grad)
+                if t.name not in ("W_a", "b_a"):
                     assert_close(t.grad, o.grad, f"gradient of {t.name}")
-            if cfg.attention:  # b_a's one value sums cancelling softmax terms
-                assert_close(np.append(params.W_a.grad, params.b_a.grad),
-                             np.append(oracle.W_a.grad, oracle.b_a.grad), "gradient of W_a, b_a")
+            if cfg.attention:  # sums of d_raw terms whose softmax parts cancel
+                d_raw = np.abs(want.d_raw)
+                for t, o, terms in ((params.W_a, oracle.W_a,
+                                     np.einsum("tb,tbh->h", d_raw, np.abs(want.hidden))),
+                                    (params.b_a, oracle.b_a, d_raw.sum())):
+                    assert np.all(np.abs(t.grad[0] - o.grad[0]) <= REL_TOL * terms), \
+                        f"gradient of {t.name}: {t.grad[0]!r}, oracle {o.grad[0]!r}"
             fresh = params.grad.tobytes()
             params.grad[:] = np.random.default_rng(model_seed).normal(size=params.grad.size)
             backward(forward_batch(windows, params)[1], d_out, params)
@@ -223,7 +260,29 @@ def check_models(seed: int, models: int = MODELS) -> list[str]:
             failures.append(f"random_model({model_seed}): {cfg}, B = {len(windows)}, "
                             f"p = {windows.shape[1]}\n  {type(exc).__name__}: {exc}")
     train.ADAM_BLOCK = adam_block
-    return failures
+    return failures, rows
+
+
+def relative(got, want) -> float:
+    """The largest |got - want| over the largest |want|, 0 where that is 0."""
+    import numpy as np
+
+    scale = np.max(np.abs(want), initial=0.0)
+    return float(np.max(np.abs(got - want)) / scale) if scale else 0.0
+
+
+def print_table(rows: list[dict]) -> None:
+    """The difference table of ``rows``, one line a model, by model seed."""
+    names = ("forward", *GRADIENTS)
+    print("largest |core - oracle| / max |oracle| per model (- where the model has no such "
+          "tensor, or failed before it was compared)")
+    print(f"{'model':>6} {'n':>3} {'H':>3} {'p':>3} {'m':>3} {'B':>4} {'head':<20}"
+          + "".join(f" {name:>8}" for name in names))
+    for row in sorted(rows, key=lambda r: r["model"]):
+        print(f"{row['model']:>6} {row['n']:>3} {row['H']:>3} {row['p']:>3} {row['m']:>3} "
+              f"{row['B']:>4} {row['head']:<20}"
+              + "".join(f" {row[name]:>8.1e}" if name in row else f" {'-':>8}"
+                        for name in names))
 
 
 def check_finite_differences(params, windows, d_out, rng) -> None:
@@ -296,16 +355,24 @@ def main(argv=None) -> int:
     parser.add_argument("--child", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child is not None:
-        failures = (check_models(args.child, args.models) if args.suite == "model"
-                    else check_batch(args.child, args.files))
+        if args.suite == "model":
+            failures, rows = check_models(args.child, args.models)
+            print("".join(f"{ROW}{json.dumps(row)}\n" for row in rows), end="")
+        else:
+            failures = check_batch(args.child, args.files)
         print("\n".join(failures[:5]))
         return 1 if failures else 0
-    failed = 0
+    failed, rows = 0, []
     for seed in range(args.first, args.first + args.batches):
         status, output = run_batch(seed, args.files, args.suite, args.models)
+        lines = output.splitlines()
+        rows += [json.loads(line[len(ROW):]) for line in lines if line.startswith(ROW)]
         if status:
             failed += 1
+            output = "\n".join(line for line in lines if not line.startswith(ROW))
             print(f"batch {seed}: exit status {status}\n{output}", flush=True)
+    if args.suite == "model":
+        print_table(rows)
     what = (f"{args.models} random models" if args.suite == "model" else
             f"{args.files} texts (and their mutated files, round trips and tables)")
     print(f"{args.batches - failed} of {args.batches} batches of {what} equal their oracles")

@@ -724,6 +724,21 @@ def row_major_backward(trace, d_output, params):
     return d_inputs.reshape(p, B, -1).transpose(1, 0, 2)
 
 
+# Row-block order of the stacked W, U and b, written out here so that the
+# tests pin the layout instead of reading it from the module.
+LAYOUT = ("f", "i", "o", "C")
+
+
+def gate_blocks(params):
+    """Per-gate views of the stacked W, U and b, keyed by gate name."""
+    H = params.config.hidden
+
+    def split(arr):
+        return {g: arr[k * H:(k + 1) * H] for k, g in enumerate(LAYOUT)}
+
+    return split(params.W.value), split(params.U.value), split(params.b.value)
+
+
 def scalar_lstm_step(x, h_prev, c_prev, W, U, b):
     """One LSTM step written with explicit index loops.
 
@@ -945,7 +960,7 @@ def linear_window_model(weights):
 
 def shapley_pair(predict_fn, test, background, groups, step=None):
     """The ShapReport of one test window against one background window."""
-    return shapley_series(predict_fn, [("test", test)], [background], groups, step)[1][0]
+    return shapley_series(predict_fn, [("test", test)], background[None], groups, step)[1][0]
 
 
 def mask(test, background, coalition, groups):

@@ -780,11 +780,14 @@ def test_first_stamp_off_the_grid_one_grid_line_no_partial_files(trained, tmp_pa
     if command == "ingest":
         flags = ["--demand-grid", bad, "--temperature", sim / "temperature.csv",
                  "--holidays", sim / "holidays.csv"]
+        kind = "demand grid CSV"
     else:
         flags = ["--config", trained["config"], "--dataset", bad, *TRAIN_FLAGS]
+        kind = "dataset CSV"
     out = tmp_path / "out"
     rc, lines = run(command, "--out", out, *flags)
-    assert (rc, lines) == (1, ["grid: origin 2022-01-01T00:07:00 is not on a 15-minute boundary"])
+    assert (rc, lines) == (1, [f"grid: {kind} line 2: first timestamp 2022-01-01 00:07:00 is not "
+                               "on a 15-minute boundary"])
     assert list(out.iterdir()) == []
 
 

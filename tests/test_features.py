@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from demandcast import cli
-from demandcast.errors import ConfigError, GridError, SchemaError
+from demandcast.errors import ConfigError, GridError
 from demandcast.features import (
     FeatureSchema,
     build_dataset,
@@ -16,12 +16,15 @@ from demandcast.features import (
     inverse_transform,
     make_windows,
     MinMaxScaler,
+    Pipeline,
     split,
     transform,
 )
 from demandcast.ingest import IntervalSeries, attach_calendar
 from demandcast.synth import SynthConfig, generate
 from helpers import enumerate_windows
+
+ORIGIN = datetime(2023, 1, 2)  # the grid start of every matrix windowed here
 
 
 def small_series(n=300, seed=0):
@@ -123,13 +126,6 @@ def test_encode_rows_are_those_rows_of_the_whole_matrix(drop_first_month, includ
         assert part.tobytes() == whole[rows].tobytes()
 
 
-def test_encode_missing_column_is_schema_error():
-    g = IntervalSeries(origin=datetime(2023, 1, 2, 0, 0),
-                       demand=np.array([1], dtype=np.int64))
-    with pytest.raises(SchemaError):
-        encode(g, FeatureSchema.default())
-
-
 # ---------------------------------------------------------------------------
 # scaler
 # ---------------------------------------------------------------------------
@@ -175,10 +171,11 @@ def test_test_rows_outside_fitted_range_are_clamped():
 
 
 def test_unfitted_scaler_rejected():
-    with pytest.raises(ConfigError):
-        transform(None, np.zeros((2, 2)))
-    with pytest.raises(ConfigError):
-        inverse_transform(None, np.zeros(2))
+    """A scaler enters only from a checkpoint, where anything but a fitted
+    scaler's dict is a ConfigError."""
+    for doc in (None, {}, {"format": "demandcast/scaler-v1", "width": 2}):
+        with pytest.raises(ConfigError):
+            MinMaxScaler.from_dict(doc)
 
 
 def test_scaler_dict_round_trip():
@@ -194,25 +191,25 @@ def test_scaler_dict_round_trip():
 
 def test_make_windows_boundary_exactly_one():
     mat = np.arange(192 * 2, dtype=float).reshape(192, 2)
-    ds = make_windows(mat, 96, 96)
+    ds = make_windows(mat, 96, 96, ORIGIN)
     assert len(ds) == 1
 
 
 def test_make_windows_count_200():
     mat = np.zeros((200, 2))
-    assert len(make_windows(mat, 96, 96)) == 9
+    assert len(make_windows(mat, 96, 96, ORIGIN)) == 9
 
 
 def test_make_windows_toy_example():
     mat = np.array([[1.0], [2.0], [3.0], [4.0]])
-    ds = make_windows(mat, 2, 1)
+    ds = make_windows(mat, 2, 1, ORIGIN)
     assert ds.inputs[:, :, 0].tolist() == [[1, 2], [2, 3]]
     assert ds.targets.tolist() == [[3], [4]]
 
 
 def test_make_windows_too_short_names_minimum():
     with pytest.raises(GridError) as err:
-        make_windows(np.zeros((100, 2)), 96, 96)
+        make_windows(np.zeros((100, 2)), 96, 96, ORIGIN)
     assert "192" in str(err.value)
 
 
@@ -223,7 +220,7 @@ def test_make_windows_matches_brute_force_enumeration():
         m = int(rng.integers(1, 12))
         T = int(rng.integers(p + m, p + m + 60))
         mat = rng.normal(size=(T, int(rng.integers(1, 5))))
-        ds = make_windows(mat, p, m)
+        ds = make_windows(mat, p, m, ORIGIN)
         ins, tgts = enumerate_windows(mat, p, m)
         assert np.array_equal(np.asarray(ds.inputs), ins)
         assert np.array_equal(np.asarray(ds.targets), tgts)
@@ -231,8 +228,8 @@ def test_make_windows_matches_brute_force_enumeration():
 
 def test_make_windows_stride_subsamples_origins():
     mat = np.random.default_rng(6).normal(size=(300, 2))
-    full = make_windows(mat, 96, 96)
-    s4 = make_windows(mat, 96, 96, stride=4)
+    full = make_windows(mat, 96, 96, ORIGIN)
+    s4 = make_windows(mat, 96, 96, ORIGIN, stride=4)
     assert len(s4) == (len(full) + 3) // 4
     assert s4.origins[1] - s4.origins[0] == 4 * (full.origins[1] - full.origins[0])
     ins, tgts = enumerate_windows(mat, 96, 96)
@@ -250,7 +247,7 @@ def test_make_windows_stride_subsamples_origins():
 
 def windows_of(n):
     mat = np.zeros((n + 2, 2))
-    return make_windows(mat, 2, 1)
+    return make_windows(mat, 2, 1, ORIGIN)
 
 
 def test_split_ten_windows_80_20():
@@ -264,9 +261,11 @@ def test_split_floor_rule_099():
 
 
 def test_split_fraction_bounds():
+    """The fraction enters through the run config's pipeline block, which
+    keeps it in (0, 1), so no split leaves the test windows empty."""
     for bad in (0.0, 1.0, -0.5, 1.5):
-        with pytest.raises(ConfigError):
-            split(windows_of(10), bad)
+        with pytest.raises(ConfigError, match="'split_fraction' must lie in"):
+            Pipeline(split_fraction=bad)
 
 
 def test_split_chronology_invariant():

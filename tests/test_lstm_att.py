@@ -22,6 +22,7 @@ from demandcast.train import mse
 from helpers import (
     CHECKPOINT_CORRUPTIONS,
     HUGE_HIDDEN,
+    LAYOUT,
     REL_TOL,
     TAPE_FREE_FIELDS,
     SeparateParams,
@@ -31,6 +32,7 @@ from helpers import (
     batch_first,
     central_difference,
     forward,
+    gate_blocks,
     lstm_step,
     predict,
     relative_error,
@@ -47,9 +49,6 @@ HEAD_CONFIGS = [
     {"head_input": "context"},
     {"attention": False},
 ]
-# Row-block order of the stacked W, U and b, written out here so that the
-# tests pin the layout instead of reading it from the module.
-LAYOUT = ("f", "i", "o", "C")
 
 
 def tiny_params(seed=3, **cfg_kwargs):
@@ -61,16 +60,6 @@ def viewed_forward(windows, params, **kwargs):
     """``forward_batch``'s forecasts and the ``batch_first`` view of its trace."""
     out, trace = forward_batch(windows, params, **kwargs)
     return out, batch_first(trace, params.config)
-
-
-def gate_blocks(params):
-    """Per-gate views of the stacked W, U and b, keyed by gate name."""
-    H = params.config.hidden
-
-    def split(arr):
-        return {g: arr[k * H:(k + 1) * H] for k, g in enumerate(LAYOUT)}
-
-    return split(params.W.value), split(params.U.value), split(params.b.value)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from demandcast.errors import ConfigError, ShapeError
+from demandcast.errors import ConfigError
 from demandcast.features import FeatureSchema, WindowedDataset, build_dataset
 from demandcast.lstm_att import (
     FORWARD_BATCH,
@@ -50,11 +50,6 @@ def test_mse_zero_for_equal():
 
 def test_mse_hand_value():
     assert mse(np.array([1.0, 1.0]), np.array([0.0, 2.0])) == 1.0
-
-
-def test_mse_length_mismatch():
-    with pytest.raises(ShapeError):
-        mse(np.zeros(3), np.zeros(4))
 
 
 def test_batch_mse_equals_mean_of_window_mses():
