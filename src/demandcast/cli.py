@@ -2,23 +2,26 @@
 
 Subcommands: simulate, ingest, train, predict, explain, eval, attention.
 Every run takes an optional JSON config (--config) with flag overrides
-winning, writes its artifacts under --out along with a manifest recording
-the config hash, the seed and the checkpoint format, and removes partial
-outputs on failure. Errors come back as a single machine-parsable
-``code: message`` line on stderr with exit code 1; an input path that is
-missing, unreadable or a directory gives an ``io:`` line, an allocation the
-machine refuses a ``memory:`` line.
+winning. A command writes into ``--out/.partial-*``; only when it succeeds
+are its files moved into --out, after removing an earlier manifest and
+before writing a manifest of the config hash, the seed and the checkpoint
+format, so a manifest marks a complete run. A command that fails or is
+interrupted leaves --out as it was (a SIGKILLed run can leave a
+``.partial-*`` directory, safe to delete). Errors come back as one
+``code: message`` line on stderr with exit code 1: ``io:`` for a path that
+is missing, unreadable or a directory, ``memory:`` for an allocation the
+machine refuses, ``interrupted: SIGINT`` or ``SIGTERM``.
 
 ``train`` writes ``checkpoint.json`` and one ``checkpoints/epoch_NNN.json``
-per epoch. Despite the name, each is a ``demandcast/checkpoint-v3`` file
-(see ``lstm_att``): one JSON header line, then the raw float64 parameters.
-The header carries the run config's ``schema`` block (the two flags of
-``FeatureSchema.default``), the ``clamp_bounds`` of its ``pipeline`` block
-and the fitted scaler, so predict, explain and attention need only the
-checkpoint file and a dataset; no other pipeline key is kept. These
-commands slide the model's own lookback and horizon: predict and explain
-encode and scale only their windows' rows (a negative window index counts
-from the end), attention every row.
+per epoch, moved into --out at the end. Despite the name, each is a
+``demandcast/checkpoint-v3`` file (see ``lstm_att``): one JSON header line,
+then the raw float64 parameters. The header carries the run config's
+``schema`` block (the two flags of ``FeatureSchema.default``), the
+``clamp_bounds`` of its ``pipeline`` block and the fitted scaler, so
+predict, explain and attention need only the checkpoint file and a dataset;
+no other pipeline key is kept. These commands slide the model's own lookback
+and horizon: predict and explain encode and scale only their windows' rows
+(a negative window index counts from the end), attention every row.
 
 Every command that reads a dataset file parses each content once. The
 parsed columns are kept in ``$XDG_CACHE_HOME/demandcast/`` (by default
@@ -34,8 +37,10 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import shutil
+import os
+import signal
 import sys
+import tempfile
 from dataclasses import asdict, replace
 from datetime import date, datetime
 from pathlib import Path
@@ -122,34 +127,7 @@ def load_run_config(path: str | None) -> dict:
     return cfg
 
 
-class OutputDir:
-    """Tracks everything a command writes so failures leave no partial files."""
-
-    def __init__(self, path):
-        self.root = Path(path)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._files: list[Path] = []
-        self._dirs: list[Path] = []
-
-    def path(self, name: str) -> Path:
-        p = self.root / name
-        self._files.append(p)
-        return p
-
-    def subdir(self, name: str) -> Path:
-        d = self.root / name
-        d.mkdir(exist_ok=True)
-        self._dirs.append(d)
-        return d
-
-    def cleanup(self) -> None:
-        for f in self._files:
-            f.unlink(missing_ok=True)
-        for d in self._dirs:
-            shutil.rmtree(d, ignore_errors=True)
-
-
-def write_manifest(out: OutputDir, command: str, cfg: dict, seed: int | None) -> None:
+def write_manifest(out: Path, command: str, cfg: dict, seed: int | None) -> None:
     doc = {
         "command": command,
         "config_hash": config_hash(cfg),
@@ -160,7 +138,7 @@ def write_manifest(out: OutputDir, command: str, cfg: dict, seed: int | None) ->
         },
         "created": datetime.now().isoformat(),
     }
-    out.path("manifest.json").write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    (out / "manifest.json").write_text(json.dumps(doc, indent=2), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -334,20 +312,18 @@ def _parse_indices(text: str) -> list[int]:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(args, cfg: dict, out: OutputDir) -> None:
+def cmd_simulate(args, cfg: dict, out: Path) -> None:
     sc = _from_block(SynthConfig, "synth", args, cfg, ("days", "start"))
     try:
         series, holidays = generate(sc)
     except ConfigError as exc:  # a demand rate out of the sampler's range
         raise ConfigError(f"{_config_source(args)}: {exc}") from None
-    for name in ("demand.csv", "temperature.csv", "holidays.csv"):
-        out.path(name)  # track before writing
-    export(series, holidays, out.root)
-    save_config(out.path("synth_config.json"), sc)
+    export(series, holidays, out)
+    save_config(out / "synth_config.json", sc)
     write_manifest(out, "simulate", _deep_merge(cfg, {"synth": sc.to_dict()}), sc.seed)
 
 
-def cmd_ingest(args, cfg: dict, out: OutputDir) -> None:
+def cmd_ingest(args, cfg: dict, out: Path) -> None:
     tz = cfg.get("timezone")
     if args.demand_grid:
         grid = load_demand_grid(args.demand_grid, tz)
@@ -368,14 +344,14 @@ def cmd_ingest(args, cfg: dict, out: OutputDir) -> None:
     readings = load_temperature_csv(args.temperature, tz)
     holidays = load_holidays_csv(args.holidays)
     series = attach_calendar(join_temperature(grid, readings), holidays)
-    write_dataset(out.path("dataset.csv"), series)
+    write_dataset(out / "dataset.csv", series)
     write_manifest(out, "ingest", cfg, None)
 
 
 _TRAIN_FLAGS = ("variant", "epochs", "batch_size", "learning_rate", "hidden", "shuffle")
 
 
-def cmd_train(args, cfg: dict, out: OutputDir) -> None:
+def cmd_train(args, cfg: dict, out: Path) -> None:
     tc = _from_block(TrainConfig, "train", args, cfg, _TRAIN_FLAGS)
     dataset, scaler = _build_dataset(args, cfg)
     extra = {
@@ -385,30 +361,31 @@ def cmd_train(args, cfg: dict, out: OutputDir) -> None:
         "variant": tc.variant,
         "pipeline": {"clamp_bounds": list(cfg["pipeline"]["clamp_bounds"])},
     }
-    ckpt_dir = out.subdir("checkpoints")
+    ckpt_dir = out / "checkpoints"
+    ckpt_dir.mkdir()
 
     def on_epoch(epoch: int, params) -> None:
         save_checkpoint(ckpt_dir / f"epoch_{epoch:03d}.json", params, {**extra, "epoch": epoch})
 
     params, report = train(dataset, tc, on_epoch)
-    save_checkpoint(out.path("checkpoint.json"), params, extra)
-    out.path("metrics.json").write_text(json.dumps(asdict(report), indent=2), encoding="utf-8")
+    save_checkpoint(out / "checkpoint.json", params, extra)
+    (out / "metrics.json").write_text(json.dumps(asdict(report), indent=2), encoding="utf-8")
     write_manifest(out, "train", _deep_merge(cfg, {"train": asdict(tc)}), tc.seed)
 
 
-def cmd_predict(args, cfg: dict, out: OutputDir) -> None:
+def cmd_predict(args, cfg: dict, out: Path) -> None:
     index = -1 if args.index is None else args.index
     params, meta, _, scaler, windows = _load_frozen(args.checkpoint, args.dataset,
                                                     cfg.get("timezone"), [index])
     scaled = forecast(windows.inputs, params)[0]
     demand = inverse_transform(scaler, scaled)
     times = time_text(windows.target_timestamps(0))
-    write_csv(out.path("forecast.csv"), ("timestamp", "demand_scaled", "demand"),
+    write_csv(out / "forecast.csv", ("timestamp", "demand_scaled", "demand"),
               f"%s,{FLOAT_FORMAT},{FLOAT_FORMAT}", [times, scaled, demand])
     write_manifest(out, "predict", cfg, meta.get("seed"))
 
 
-def cmd_explain(args, cfg: dict, out: OutputDir) -> None:
+def cmd_explain(args, cfg: dict, out: Path) -> None:
     tests = _parse_indices(args.test)
     backgrounds = _parse_indices(args.background)
     params, meta, schema, _, windows = _load_frozen(args.checkpoint, args.dataset,
@@ -422,14 +399,14 @@ def cmd_explain(args, cfg: dict, out: OutputDir) -> None:
         windows.inputs[len(tests):],
         schema.group_columns(), step=args.step,
     )
-    write_shap_csv(out.path("shap.csv"), reports)
-    write_beeswarm_csv(out.path("beeswarm.csv"), rows)
+    write_shap_csv(out / "shap.csv", reports)
+    write_beeswarm_csv(out / "beeswarm.csv", rows)
     doc = [asdict(r) for r in reports]
-    out.path("shap.json").write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    (out / "shap.json").write_text(json.dumps(doc, indent=2), encoding="utf-8")
     write_manifest(out, "explain", cfg, meta.get("seed"))
 
 
-def cmd_eval(args, cfg: dict, out: OutputDir) -> None:
+def cmd_eval(args, cfg: dict, out: Path) -> None:
     variants = args.variants.split(",") if args.variants else list(VARIANTS)
     for v in variants:
         if v not in VARIANTS:
@@ -437,16 +414,16 @@ def cmd_eval(args, cfg: dict, out: OutputDir) -> None:
     base = _from_block(TrainConfig, "train", args, cfg, _TRAIN_FLAGS)
     dataset, _ = _build_dataset(args, cfg)
     reports = [train(dataset, replace(base, variant=v))[1] for v in variants]
-    write_csv(out.path("comparison.csv"), ("variant", "test_mse", "wall_time_s"),
+    write_csv(out / "comparison.csv", ("variant", "test_mse", "wall_time_s"),
               f"%s,{FLOAT_FORMAT},%.2f", [[r.variant for r in reports],
                                            [r.test_mse for r in reports],
                                            [r.wall_time_s for r in reports]])
-    out.path("metrics.json").write_text(
+    (out / "metrics.json").write_text(
         json.dumps([asdict(r) for r in reports], indent=2), encoding="utf-8")
     write_manifest(out, "eval", _deep_merge(cfg, {"train": asdict(base)}), base.seed)
 
 
-def cmd_attention(args, cfg: dict, out: OutputDir) -> None:
+def cmd_attention(args, cfg: dict, out: Path) -> None:
     if args.limit is not None and args.limit < 1:
         raise ConfigError(f"--limit must be >= 1, got {args.limit}")
     params, meta, _, _, windows = _load_frozen(args.checkpoint, args.dataset,
@@ -457,7 +434,7 @@ def cmd_attention(args, cfg: dict, out: OutputDir) -> None:
         windows = WindowedDataset(windows.inputs[keep], windows.targets[keep],
                                   windows.origins[keep], windows.lookback, windows.horizon)
     profile = attention_profile(params, windows)
-    write_attention_csv(out.path("attention.csv"), profile)
+    write_attention_csv(out / "attention.csv", profile)
     write_manifest(out, "attention", cfg, meta.get("seed"))
 
 
@@ -525,17 +502,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _terminate(signum, frame):
+    raise KeyboardInterrupt(signal.Signals(signum).name)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out = None
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         cfg = load_run_config(args.config)
         _check_timezone(cfg["timezone"], _config_source(args))
         if args.seed is not None:  # a block that is no object stays for its check
             cfg = _deep_merge(cfg, {b: {"seed": args.seed} for b in ("synth", "train")
                                     if isinstance(cfg[b], dict)})
-        out = OutputDir(args.out)
-        args.fn(args, cfg, out)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(prefix=".partial-", dir=out) as name:
+            stage = Path(name)
+            args.fn(args, cfg, stage)
+            (out / "manifest.json").unlink(missing_ok=True)  # a failed move leaves no manifest
+            for src in sorted(stage.rglob("*"), key=lambda p: (p.name == "manifest.json", p)):
+                if src.is_file():  # published in place, the manifest last
+                    dest = out / src.relative_to(stage)
+                    dest.parent.mkdir(exist_ok=True)
+                    os.replace(src, dest)
         return 0
     except DemandcastError as exc:
         message = f"{exc.code}: {exc}"
@@ -543,10 +533,12 @@ def main(argv=None) -> int:
         message = f"io: {exc}"
     except MemoryError as exc:  # a model or batch too large for this machine
         message = f"memory: {exc}"
+    except KeyboardInterrupt as exc:  # Ctrl-C, or SIGTERM through _terminate
+        message = f"interrupted: {str(exc) or 'SIGINT'}"
     except Exception as exc:  # pragma: no cover - defensive
         message = f"internal: {type(exc).__name__}: {exc}"
-    if out is not None:
-        out.cleanup()
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     print(message, file=sys.stderr)
     return 1
 

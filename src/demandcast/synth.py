@@ -196,10 +196,9 @@ def generate(config: SynthConfig) -> tuple[IntervalSeries, frozenset[date]]:
 
 
 def export(series: IntervalSeries, holidays: frozenset[date], out_dir) -> dict:
-    """Write the grid, temperature, and holiday CSVs in the ingest formats;
-    re-ingesting them reproduces the series exactly."""
+    """Write the grid, temperature and holiday CSVs into the directory
+    ``out_dir`` in the ingest formats; re-ingesting them reproduces the series exactly."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths = {
         "demand": out / "demand.csv",
         "temperature": out / "temperature.csv",

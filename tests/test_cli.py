@@ -1,13 +1,19 @@
 """End-to-end test of the command line on a small synthetic dataset: every
 subcommand through ``cli.main``, the checkpoint it writes, ``ingest
 --sessions`` against the minute-scan oracle, and how a bad checkpoint, a
-bad CSV, a malformed session row or a bad timezone is reported."""
+bad CSV, a malformed session row or a bad timezone is reported, and what
+a failed or interrupted run leaves in --out."""
 
 import contextlib
 import csv
 import io
 import json
+import os
 import shutil
+import signal
+import subprocess
+import sys
+import time
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -686,6 +692,82 @@ def test_out_naming_a_file_one_io_line_file_kept(trained, tmp_path):
     assert rc == 1
     assert len(lines) == 1 and lines[0].startswith("io: ") and str(out) in lines[0], lines
     assert out.read_text() == "keep"
+
+
+def tree(path: Path) -> dict[str, bytes]:
+    """Every file under ``path``, by its relative path, with its bytes."""
+    return {str(p.relative_to(path)): p.read_bytes() for p in path.rglob("*") if p.is_file()}
+
+
+def test_failed_train_keeps_an_earlier_runs_outputs(trained, tmp_path):
+    """A train that diverges into an --out holding an earlier run leaves
+    every earlier file, the epoch checkpoints included, with its bytes."""
+    out = tmp_path / "model"
+    shutil.copytree(trained["model"], out)
+    before = tree(out)
+    assert "checkpoints/epoch_002.json" in before
+    assert run("train", "--out", out, "--config", trained["config"],
+               "--dataset", trained["dataset"], *TRAIN_FLAGS, "--learning-rate", 1e300) == (
+        1, ["numeric: loss diverged at epoch 1, batch 2"])
+    assert tree(out) == before
+
+
+def test_output_name_that_is_a_directory_one_io_line(trained, tmp_path):
+    """An output file whose name is taken by a directory in --out is one
+    ``io:`` line naming it, and nothing new appears in --out."""
+    out = tmp_path / "out"
+    (out / "forecast.csv").mkdir(parents=True)
+    rc, lines = run("predict", "--out", out, "--checkpoint", trained["model"] / "checkpoint.json",
+                    "--dataset", trained["dataset"])
+    assert rc == 1
+    assert len(lines) == 1 and lines[0].startswith("io: ") and "forecast.csv" in lines[0], lines
+    assert list(out.iterdir()) == [out / "forecast.csv"]
+    assert list((out / "forecast.csv").iterdir()) == []
+
+
+def test_move_that_fails_midway_leaves_no_manifest(trained, tmp_path):
+    """When a train's ``metrics.json`` cannot be moved over a directory of
+    that name, its checkpoint is in --out already; the earlier run's
+    manifest is gone, so no manifest marks the mix as a complete run."""
+    out = tmp_path / "model"
+    shutil.copytree(trained["model"], out)
+    (out / "metrics.json").unlink()
+    (out / "metrics.json").mkdir()
+    rc, lines = run("train", "--out", out, "--config", trained["config"],
+                    "--dataset", trained["dataset"], *TRAIN_FLAGS)
+    assert rc == 1
+    assert len(lines) == 1 and lines[0].startswith("io: ") and "metrics.json" in lines[0], lines
+    assert sorted(p.name for p in out.iterdir()) == ["checkpoint.json", "checkpoints",
+                                                     "metrics.json"]
+
+
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGINT], ids=["SIGTERM", "SIGINT"])
+def test_interrupted_train_one_interrupted_line_no_partial_files(trained, tmp_path, sig):
+    """A train child sent ``sig`` once its first epoch checkpoint is staged
+    exits 1 with one ``interrupted:`` line and leaves --out empty."""
+    out = tmp_path / "out"
+    argv = ["train", "--out", out, "--config", trained["config"],
+            "--dataset", trained["dataset"], "--hidden", 8, "--epochs", 100_000]
+    # A shell that starts the suite in the background leaves SIGINT ignored,
+    # so the child puts back Python's own handler before it calls main.
+    code = ("import signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler); "
+            "from demandcast.cli import main; sys.exit(main())")
+    child = subprocess.Popen(
+        [sys.executable, "-c", code, *map(str, argv)],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not list(out.glob(".partial-*/checkpoints/epoch_001.json")):
+            assert child.poll() is None and time.monotonic() < deadline, child.returncode
+            time.sleep(0.01)
+        child.send_signal(sig)
+        _, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+        child.wait()
+    assert (child.returncode, err.splitlines()) == (1, [f"interrupted: {sig.name}"])
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command, name, line, text", [
