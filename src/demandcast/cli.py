@@ -1,16 +1,22 @@
 """Command-line entry point.
 
 Subcommands: simulate, ingest, train, predict, explain, eval, attention.
-Every run takes an optional JSON config (--config) with flag overrides
+``eval`` runs a job list, one checked ``TrainConfig`` per ``--variants``
+entry (all four by default), on one split dataset; ``train`` is its one-job
+case. Every run takes an optional JSON config (--config) with flag overrides
 winning. A command writes into ``--out/.partial-*``; only when it succeeds
-are its files moved into --out, after removing an earlier manifest and
-before writing a manifest of the config hash, the seed and the checkpoint
-format, so a manifest marks a complete run. A command that fails or is
+is each of its outputs moved into --out, replacing its namesake whole
+(``checkpoints/`` too), after removing an earlier manifest and before
+writing a manifest of the config hash, the seed and the checkpoint format,
+so a manifest marks a complete run. An output whose name --out holds as the
+other kind of entry (a directory for a file, or the reverse) is an ``io:``
+error that has removed only the earlier manifest. A command that fails or is
 interrupted leaves --out as it was (a SIGKILLed run can leave a
 ``.partial-*`` directory, safe to delete). Errors come back as one
 ``code: message`` line on stderr with exit code 1: ``io:`` for a path that
 is missing, unreadable or a directory, ``memory:`` for an allocation the
-machine refuses, ``interrupted: SIGINT`` or ``SIGTERM``.
+machine refuses, ``interrupted: SIGINT`` or ``SIGTERM``. ``main`` can be
+called from any thread; it catches SIGTERM only on the main thread.
 
 ``train`` writes ``checkpoint.json`` and one ``checkpoints/epoch_NNN.json``
 per epoch, moved into --out at the end. Despite the name, each is a
@@ -41,7 +47,8 @@ import os
 import signal
 import sys
 import tempfile
-from dataclasses import asdict, replace
+import threading
+from dataclasses import asdict
 from datetime import date, datetime
 from pathlib import Path
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
@@ -206,9 +213,9 @@ def _build(build, doc, block: str, source: str):
         raise ConfigError(f"{source}: {exc}") from None
 
 
-def _config_source(args) -> str:
-    """How an error names the run config: its file, or ``flags`` without one."""
-    return f"--config {args.config}" if args.config else "flags"
+def _config_source(args, flags: str = "") -> str:
+    """How an error names the run config's file, if any, and the ``flags`` at fault."""
+    return f"--config {args.config} {flags}".rstrip() if args.config else flags or "flags"
 
 
 def _from_block(build, block: str, args, cfg: dict, flags=()):
@@ -230,7 +237,7 @@ def _from_block(build, block: str, args, cfg: dict, flags=()):
             raise
         named = " ".join(f"--{k.replace('_', '-')}" + ("" if given[k] is True else f" {given[k]}")
                          for k in blamed)
-        raise ConfigError(f"{source + ' ' if args.config else ''}{named}: "
+        raise ConfigError(f"{_config_source(args, named)}: "
                           f"{message.removeprefix(source + ': ')}") from None
 
 
@@ -243,14 +250,22 @@ def _error(build, doc, block: str, source: str) -> str | None:
     return None
 
 
-def _build_dataset(args, cfg: dict):
-    """The --dataset file, split and windowed by the run config; returns
-    (dataset, fitted scaler)."""
+def _train_jobs(args, cfg: dict, variants=()):
+    """The train block with its flags, one checked TrainConfig per ``variants``
+    entry (the block itself without any), and the split --dataset file."""
+    flags = ("epochs", "batch_size", "learning_rate", "hidden", "shuffle")
+    base = _from_block(TrainConfig, "train", args, cfg, flags + (() if variants else ("variant",)))
+    jobs = [] if variants else [base]
+    for v in variants:
+        source = _config_source(args, f"--variants {v}")
+        jobs.append(_build(TrainConfig, {**asdict(base), "variant": v}, "train", source))
+        if jobs[-1] in jobs[:-1]:
+            raise ConfigError(f"{source}: variant is repeated")
     pipe = _from_block(Pipeline, "pipeline", args, cfg)
     series = load_dataset(args.dataset, cfg.get("timezone"))
     schema = _from_block(FeatureSchema.default, "schema", args, cfg)
-    return build_dataset(series, schema, pipe.lookback, pipe.horizon, pipe.split_fraction,
-                         pipe.clamp_bounds, pipe.window_stride)
+    return base, jobs, build_dataset(series, schema, pipe.lookback, pipe.horizon,
+                                     pipe.split_fraction, pipe.clamp_bounds, pipe.window_stride)
 
 
 def _load_model(path_str: str):
@@ -348,12 +363,8 @@ def cmd_ingest(args, cfg: dict, out: Path) -> None:
     write_manifest(out, "ingest", cfg, None)
 
 
-_TRAIN_FLAGS = ("variant", "epochs", "batch_size", "learning_rate", "hidden", "shuffle")
-
-
 def cmd_train(args, cfg: dict, out: Path) -> None:
-    tc = _from_block(TrainConfig, "train", args, cfg, _TRAIN_FLAGS)
-    dataset, scaler = _build_dataset(args, cfg)
+    _, (tc,), (dataset, scaler) = _train_jobs(args, cfg)
     extra = {
         "schema": cfg["schema"],
         "scaler": scaler.to_dict(),
@@ -407,13 +418,8 @@ def cmd_explain(args, cfg: dict, out: Path) -> None:
 
 
 def cmd_eval(args, cfg: dict, out: Path) -> None:
-    variants = args.variants.split(",") if args.variants else list(VARIANTS)
-    for v in variants:
-        if v not in VARIANTS:
-            raise ConfigError(f"unknown variant '{v}'; choose from {VARIANTS}")
-    base = _from_block(TrainConfig, "train", args, cfg, _TRAIN_FLAGS)
-    dataset, _ = _build_dataset(args, cfg)
-    reports = [train(dataset, replace(base, variant=v))[1] for v in variants]
+    base, jobs, (dataset, _) = _train_jobs(args, cfg, args.variants or VARIANTS)
+    reports = [train(dataset, job)[1] for job in jobs]
     write_csv(out / "comparison.csv", ("variant", "test_mse", "wall_time_s"),
               f"%s,{FLOAT_FORMAT},%.2f", [[r.variant for r in reports],
                                            [r.test_mse for r in reports],
@@ -463,8 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
-    def train_flags(p):
-        p.add_argument("--variant", choices=VARIANTS)
+    def train_flags(p, variant_flag, **kwargs):
+        p.add_argument(variant_flag, **kwargs)
         p.add_argument("--epochs", type=int)
         p.add_argument("--batch-size", dest="batch_size", type=int)
         p.add_argument("--learning-rate", dest="learning_rate", type=float)
@@ -480,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sessions", help="raw charging-sessions CSV")
     p.add_argument("--demand-grid", help="pre-aggregated demand CSV")
 
-    train_flags(command("train", cmd_train, "fit a model on a dataset", "dataset"))
+    train_flags(command("train", cmd_train, "fit a model on a dataset", "dataset"), "--variant")
 
     p = command("predict", cmd_predict, "forecast one window from a checkpoint",
                 "checkpoint", "dataset")
@@ -492,9 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="background window index(es), comma-separated")
     p.add_argument("--step", type=int, help="attribute one horizon step instead of the mean")
 
-    p = command("eval", cmd_eval, "train and compare model variants", "dataset")
-    p.add_argument("--variants", help="comma-separated subset of variants")
-    train_flags(p)
+    train_flags(command("eval", cmd_eval, "train and compare model variants", "dataset"),
+                "--variants", type=lambda s: s.split(","), help="comma-separated variants")
 
     p = command("attention", cmd_attention, "hourly mean attention weights",
                 "checkpoint", "dataset")
@@ -506,9 +511,31 @@ def _terminate(signum, frame):
     raise KeyboardInterrupt(signal.Signals(signum).name)
 
 
+def _publish(stage: Path, out: Path) -> None:
+    """Move each top-level entry of ``stage`` to its name in ``out``, the
+    manifest last, a staged directory replacing its namesake whole. The earlier
+    manifest goes first, so a failed move leaves none; a name taken by the
+    other kind of entry is caught before the first move, and nothing moves."""
+    (out / "manifest.json").unlink(missing_ok=True)
+    entries = sorted(stage.iterdir(), key=lambda p: (p.name == "manifest.json", p.name))
+    kinds = ("file", "directory")
+    for src in entries:
+        dest = out / src.name
+        if dest.exists() and dest.is_dir() != src.is_dir():
+            raise FileExistsError(f"{dest} is a {kinds[dest.is_dir()]}; "
+                                  f"this run's {src.name} is a {kinds[src.is_dir()]}")
+    replaced = Path(tempfile.mkdtemp(dir=stage))  # removed with the stage
+    for src in entries:
+        dest = out / src.name
+        if src.is_dir() and dest.is_dir():
+            os.replace(dest, replaced / src.name)
+        os.replace(src, dest)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    previous = signal.signal(signal.SIGTERM, _terminate)
+    on_main = threading.current_thread() is threading.main_thread()  # only it takes handlers
+    previous = signal.signal(signal.SIGTERM, _terminate) if on_main else None
     try:
         cfg = load_run_config(args.config)
         _check_timezone(cfg["timezone"], _config_source(args))
@@ -520,12 +547,7 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory(prefix=".partial-", dir=out) as name:
             stage = Path(name)
             args.fn(args, cfg, stage)
-            (out / "manifest.json").unlink(missing_ok=True)  # a failed move leaves no manifest
-            for src in sorted(stage.rglob("*"), key=lambda p: (p.name == "manifest.json", p)):
-                if src.is_file():  # published in place, the manifest last
-                    dest = out / src.relative_to(stage)
-                    dest.parent.mkdir(exist_ok=True)
-                    os.replace(src, dest)
+            _publish(stage, out)
         return 0
     except DemandcastError as exc:
         message = f"{exc.code}: {exc}"
@@ -538,7 +560,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         message = f"internal: {type(exc).__name__}: {exc}"
     finally:
-        signal.signal(signal.SIGTERM, previous)
+        if on_main:
+            signal.signal(signal.SIGTERM, previous)
     print(message, file=sys.stderr)
     return 1
 

@@ -1,8 +1,9 @@
 """End-to-end test of the command line on a small synthetic dataset: every
 subcommand through ``cli.main``, the checkpoint it writes, ``ingest
 --sessions`` against the minute-scan oracle, and how a bad checkpoint, a
-bad CSV, a malformed session row or a bad timezone is reported, and what
-a failed or interrupted run leaves in --out."""
+bad CSV, a malformed session row, a bad --variants entry or a bad timezone is
+reported, what a failed or interrupted run leaves in --out, what a run
+replaces there, and a run from a thread other than the main one."""
 
 import contextlib
 import csv
@@ -13,6 +14,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
 import time
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -513,14 +515,21 @@ FILE = "config: --config {config} "
     ("train", None, ["--hidden", 0], "config: --hidden 0: hidden must be >= 1"),
     ("train", {"train": {"head_input": "sum"}}, [],
      "config: --config {config}: head_input must be one of ('context', 'weighted_flatten')"),
+    ("eval", None, ["--variants", "bogus"], "config: --variants bogus: variant must be one of ("),
+    ("train", None, ["--variant", "bogus"], "config: --variant bogus: variant must be one of ("),
+    ("eval", {}, ["--variants", ""], FILE + "--variants: variant must be one of ("),
+    ("eval", {}, ["--variants", "multivariate_lstm,multivariate_lstm"],
+     FILE + "--variants multivariate_lstm: variant is repeated"),
 ], ids=["flag", "file-and-flag", "first-bad-flag", "file-value", "eval-flag", "days",
         "file-and-days", "days-past-year-9999", "start-and-days-past-year-9999", "hidden",
-        "file-head-input"])
+        "file-head-input", "eval-variants-unknown", "train-variant-unknown", "eval-variants-empty",
+        "eval-variants-repeated"])
 def test_out_of_range_flag_value_names_the_flag(trained, tmp_path, command, config, flags,
                                                 line):
     """A range error that a flag's value causes names that flag, after the
     config file when there is one; an error of the file's own value names
-    only the file. Nothing is written."""
+    only the file. A bad ``--variants`` entry is named on its own. Nothing
+    is written."""
     args = []
     if config is not None:
         args = ["--config", tmp_path / "run.json"]
@@ -533,6 +542,28 @@ def test_out_of_range_flag_value_names_the_flag(trained, tmp_path, command, conf
     assert len(lines) == 1 and lines[0].startswith(
         line.format(config=tmp_path / "run.json")), lines
     assert list(out.iterdir()) == []
+
+
+def test_eval_variant_flag_is_read_as_variants(trained, tmp_path):
+    """eval has no --variant; argparse reads it as --variants, so one
+    variant is trained and compared."""
+    assert run("eval", "--out", tmp_path, "--config", trained["config"],
+               "--dataset", trained["dataset"], *TRAIN_FLAGS,
+               "--variant", "univariate_lstm") == (0, [])
+    with open(tmp_path / "comparison.csv", newline="") as fh:
+        assert [r["variant"] for r in csv.DictReader(fh)] == ["univariate_lstm"]
+
+
+def test_train_and_eval_of_one_variant_give_the_same_scores(trained, univariate, tmp_path):
+    """train --variant V and eval --variants V on one config and seed run
+    the same job: the same test_mse and epoch losses, bit for bit."""
+    assert run("eval", "--out", tmp_path, "--config", trained["config"],
+               "--dataset", trained["dataset"], *TRAIN_FLAGS,
+               "--variants", "univariate_lstm_att") == (0, [])
+    trained_report = json.loads((univariate.parent / "metrics.json").read_text())
+    [eval_report] = json.loads((tmp_path / "metrics.json").read_text())
+    for key in ("variant", "test_mse", "epoch_losses"):
+        assert eval_report[key] == trained_report[key], key
 
 
 def test_cli_tables_end_lines_in_crlf(trained, tmp_path):
@@ -727,8 +758,8 @@ def test_output_name_that_is_a_directory_one_io_line(trained, tmp_path):
 
 def test_move_that_fails_midway_leaves_no_manifest(trained, tmp_path):
     """When a train's ``metrics.json`` cannot be moved over a directory of
-    that name, its checkpoint is in --out already; the earlier run's
-    manifest is gone, so no manifest marks the mix as a complete run."""
+    that name, the earlier run's manifest is gone, so no manifest marks
+    --out as a complete run."""
     out = tmp_path / "model"
     shutil.copytree(trained["model"], out)
     (out / "metrics.json").unlink()
@@ -739,6 +770,54 @@ def test_move_that_fails_midway_leaves_no_manifest(trained, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("io: ") and "metrics.json" in lines[0], lines
     assert sorted(p.name for p in out.iterdir()) == ["checkpoint.json", "checkpoints",
                                                      "metrics.json"]
+
+
+def test_shorter_train_replaces_an_earlier_runs_checkpoints_whole(trained, tmp_path):
+    """A 1-epoch train into an --out that holds a 2-epoch run leaves only
+    its own epoch checkpoint, not the earlier run's epoch_002.json."""
+    out = tmp_path / "model"
+    shutil.copytree(trained["model"], out)
+    assert run("train", "--out", out, "--config", trained["config"],
+               "--dataset", trained["dataset"], "--hidden", 8, "--epochs", 1) == (0, [])
+    assert sorted(tree(out)) == ["checkpoint.json", "checkpoints/epoch_001.json",
+                                 "manifest.json", "metrics.json"]
+
+
+@pytest.mark.parametrize("name", ["metrics.json", "checkpoints"])
+def test_output_name_of_the_other_kind_moves_nothing(trained, tmp_path, name):
+    """An output name that --out holds as the other kind of entry (a
+    directory for a file, a file for a directory) is one ``io:`` line
+    naming it, and every earlier file keeps its bytes; only the earlier
+    manifest is gone."""
+    out = tmp_path / "model"
+    shutil.copytree(trained["model"], out)
+    if name == "metrics.json":
+        (out / name).unlink()
+        (out / name).mkdir()
+    else:
+        shutil.rmtree(out / name)
+        (out / name).write_text("keep")
+    before = tree(out)
+    rc, lines = run("train", "--out", out, "--config", trained["config"],
+                    "--dataset", trained["dataset"], "--hidden", 8, "--epochs", 1)
+    assert rc == 1
+    assert len(lines) == 1 and lines[0].startswith("io: ") and name in lines[0], lines
+    del before["manifest.json"]
+    assert tree(out) == before
+    assert (out / name).is_dir() == (name == "metrics.json")
+
+
+def test_main_runs_outside_the_main_thread(tmp_path):
+    """main called from a thread runs its command and publishes its files;
+    the SIGTERM handler is left to the main thread."""
+    result = []
+    thread = threading.Thread(
+        target=lambda: result.append(run("simulate", "--out", tmp_path, "--days", 2)))
+    thread.start()
+    thread.join()
+    assert result == [(0, [])]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "demand.csv", "holidays.csv", "manifest.json", "synth_config.json", "temperature.csv"]
 
 
 @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGINT], ids=["SIGTERM", "SIGINT"])
