@@ -513,10 +513,10 @@ def _terminate(signum, frame):
 
 def _publish(stage: Path, out: Path) -> None:
     """Move each top-level entry of ``stage`` to its name in ``out``, the
-    manifest last, a staged directory replacing its namesake whole. The earlier
-    manifest goes first, so a failed move leaves none; a name taken by the
-    other kind of entry is caught before the first move, and nothing moves."""
-    (out / "manifest.json").unlink(missing_ok=True)
+    manifest last, a staged directory replacing its namesake whole. A name
+    taken by the other kind of entry is caught before anything moves, so an
+    earlier run stays whole; then the earlier manifest goes first, so a move
+    that fails midway leaves none."""
     entries = sorted(stage.iterdir(), key=lambda p: (p.name == "manifest.json", p.name))
     kinds = ("file", "directory")
     for src in entries:
@@ -525,6 +525,7 @@ def _publish(stage: Path, out: Path) -> None:
             raise FileExistsError(f"{dest} is a {kinds[dest.is_dir()]}; "
                                   f"this run's {src.name} is a {kinds[src.is_dir()]}")
     replaced = Path(tempfile.mkdtemp(dir=stage))  # removed with the stage
+    (out / "manifest.json").unlink(missing_ok=True)
     for src in entries:
         dest = out / src.name
         if src.is_dir() and dest.is_dir():

@@ -28,17 +28,17 @@ stacked operands [x; h; 1] gives [dW dU db]. No input gradient is computed.
 OpenBLAS runs a product of at most 100^3 multiply-adds (M N K) on its
 small-matrix kernel, which skips packing. So ``_matmul`` runs the forward's
 gate GEMM and BPTT's ``U^T g`` as two row halves when the whole product is
-above that bound and each half is at or below it. Single-thread times in us
-on a 2-core AVX-512 VM at H = 96, whole product / two halves:
+above that bound and each half is at or below it. Single-thread float32
+times in us on a 2-core AVX-512 VM at H = 96, whole product / two halves:
 
     B     gate, K = 119   gate, K = 98    U^T g
-    1       7.4 / 9.1       5.8 / 7.5      6.1 / 8.3
-    21     32.6 / 35.1     28.0 / 29.8    28.9 / 31.6
-    24     48.8 / 38.7     28.9 / 30.9    30.9 / 33.5
-    32     55.1 / 39.7     44.6 / 32.5    78.3 / 58.4
-    40     90.4 / 65.9     83.3 / 68.3    98.5 / 76.1
-    48    114.5 / 118.7    96.4 / 78.2   112.5 / 93.4
-    256   541.9 / 551.1   460.1 / 468.0  490.0 / 555.0
+    1       4.0 / 5.3       3.6 / 5.1      2.6 / 4.4
+    21     20.3 / 22.1     17.3 / 19.2    15.5 / 18.4
+    24     23.2 / 24.1     18.6 / 20.4    20.6 / 24.1
+    32     27.7 / 19.9     23.3 / 16.2    23.9 / 18.7
+    40     33.0 / 28.9     27.8 / 25.0    28.0 / 27.4
+    48     35.7 / 39.3     30.0 / 27.6    31.3 / 32.6
+    256   152.1 / 161.6   131.9 / 136.3  131.9 / 143.3
 
 Training (B = 32) splits all three; the forwards at B = 1 and B >= 110 keep
 one call.
@@ -56,21 +56,38 @@ The model reads the first ``n_features`` columns of a window
 (``model_inputs``): all of them for the multivariate variants, column 0
 (demand) for the univariate ones.
 
-Numerics: the model computes in float64 throughout. ``forward_batch``
-converts its windows and ``backward`` its upstream gradient to float64;
-``assert_finite`` turns a NaN or an infinity after the input, the LSTM, the
-attention weights or the head into a NumericError naming that stage.
+Numerics: mixed precision, with float64 master weights (Micikevicius et
+al., arXiv:1710.03740). The per-step recurrence runs in ``STEP_DTYPE``,
+float32: the stacked [W U b] operand and the Z slots, the gate, cell and
+hidden tape, every per-step tanh, product and sum, the gate and ``U^T g``
+GEMMs, BPTT's work arrays and its closing [dW dU db] GEMM. That loop is most
+of every forward and backward, and in float32 its tanh costs about a fifth
+of float64's per element and its GEMMs move half the bytes. What
+accumulates or persists stays float64: the parameter arena and its
+gradient, so clipping, Adam and the checkpoint payload are unchanged; the
+attention scores and softmax; the head's GEMMs, which cast the hidden
+states one ``HEAD_BLOCK`` of steps at a time (``einsum`` casts in buffers),
+never as a whole; the loss and every mean the callers take. Against the
+float64 path the forecasts, attention weights and gradients move by about
+1e-7 to 1e-6 of their largest magnitude (``tests/differential.py --suite
+model`` prints the table; ``tests/helpers.py`` states the tolerances);
+setting ``STEP_DTYPE`` to float64 runs the model in float64 throughout, as
+the oracle tests do. ``forward_batch`` converts its windows and ``backward``
+its upstream gradient to float64 first. A window or weight that float32
+cannot hold becomes infinite in the cast, which, like a NaN or an infinity
+after the input, the LSTM, the attention weights or the head, is a
+NumericError naming that stage ('input' or 'lstm'), with no warning.
 ``softmax`` subtracts the maximum before ``exp``. A seeded ``ModelParams``
 draws W, W_a and W_out Glorot-uniform and U uniform in +-1/sqrt(H).
 
 A ``ForwardTrace`` holds the loop's own buffers, batch last: ``hidden``
-(p, H, B), the tape ``gates`` (p, 4H, B) and ``cell`` (p, H, B), ``scores``
-and ``weights`` (p, B); ``pre_head`` and ``output`` are (B, m). No trace
-holds the head's (head_dim, B) input: ``backward`` rebuilds it from
-``weights`` and ``hidden`` (``_head_in``, which the forward's context and
-last-state heads also use) for the W_out gradient GEMM and frees it after.
-``backward`` reads the rest as they are, overwrites ``gates`` and drops the
-tape.
+(p, H, B) and the tape ``gates`` (p, 4H, B) and ``cell`` (p, H, B), all in
+``STEP_DTYPE``; ``scores`` and ``weights`` (p, B), ``pre_head`` and
+``output`` (B, m) in float64. No trace holds the head's (head_dim, B)
+input: ``backward`` rebuilds the flattened one block by block for the W_out
+gradient GEMM, and the context or last state with ``_head_in``, as the
+forward's heads read them. ``backward`` reads the rest as they are,
+overwrites ``gates`` and drops the tape.
 
 The parameters live in one arena. ``param_shapes(config)`` gives each
 parameter's name and shape in ``tensors()`` order; ``ModelParams`` holds one
@@ -112,7 +129,8 @@ HEAD_INPUTS = ("context", "weighted_flatten")
 PARAM_DTYPE = np.dtype("<f8")
 FORWARD_BATCH = 256  # windows per tape-free forward in forecast, explain and attention
 SMALL_GEMM = 100 ** 3  # OpenBLAS's small-matrix bound on M N K
-HEAD_BLOCK = 16  # steps per batched GEMM of the weighted_flatten head's sum
+HEAD_BLOCK = 16  # steps per batched GEMM of the weighted_flatten head and its gradient
+STEP_DTYPE = np.float32  # the per-step recurrence, forward and BPTT (see Numerics)
 
 
 def assert_finite(name: str, arr: np.ndarray) -> None:
@@ -263,13 +281,22 @@ class ForwardTrace:
 
 
 def _head_in(cfg: ModelConfig, weights, hidden: np.ndarray) -> np.ndarray:
-    """The head's (head_dim, B) input: the last hidden state without
-    attention, else the context vector or the flattened weighted states."""
+    """The (H, B) input of the last-state or the context head: the last
+    hidden state without attention, else the context vector sum_t a_t h_t
+    (``einsum`` casts ``hidden`` to float64 in buffers, not as a whole)."""
     if not cfg.attention:
         return hidden[-1]
-    if cfg.head_input == "context":
-        return np.einsum("tb,thb->hb", weights, hidden)
-    return (weights[:, None, :] * hidden).reshape(-1, hidden.shape[2])
+    return np.einsum("tb,thb->hb", weights, hidden)
+
+
+def _in_steps(stage: str, arr: np.ndarray, dtype) -> np.ndarray:
+    """``arr`` as a C-contiguous ``dtype`` array, the recurrence's. A value
+    outside that dtype's range, which the cast makes infinite, is a
+    NumericError naming ``stage``, as a NaN or an infinity already there is."""
+    with np.errstate(over="ignore"):
+        out = np.ascontiguousarray(arr, dtype=dtype)
+    assert_finite(stage, out)
+    return out
 
 
 def model_inputs(windows: np.ndarray, config: ModelConfig) -> np.ndarray:
@@ -291,23 +318,23 @@ def forward_batch(windows, params: ModelParams, *, head: bool = True, tape: bool
         raise ShapeError(f"window feature width {n} != model n_features {cfg.n_features}")
     if cfg.attention and cfg.head_input == "weighted_flatten" and p != cfg.lookback:
         raise ShapeError(f"weighted_flatten head requires p == {cfg.lookback}")
-    assert_finite("input", windows)
-
-    H = cfg.hidden
+    H, dt = cfg.hidden, STEP_DTYPE
+    xs = _in_steps("input", windows.transpose(1, 2, 0), dt)  # (p, n, B)
     Wcat = np.concatenate([params.W.value, params.U.value, params.b.value[:, None]], axis=1)
     Wcat[:3 * H] *= 0.5
+    Wcat = _in_steps("lstm", Wcat, dt)
     # step t's one GEMM reads [x_t; h_{t-1}; 1] from slot t % 2 of Z
-    Z = np.empty((2, n + H + 1, B))
+    Z = np.empty((2, n + H + 1, B), dt)
     Z[0, n:n + H] = 0.0
     Z[:, n + H] = 1.0
-    hidden = np.empty((p, H, B))
-    gates = np.empty((p if tape else 1, 4 * H, B))
-    cell = np.empty((p if tape else 1, H, B))
-    carry = np.empty((H, B))
+    hidden = np.empty((p, H, B), dt)
+    gates = np.empty((p if tape else 1, 4 * H, B), dt)
+    cell = np.empty((p if tape else 1, H, B), dt)
+    carry = np.empty((H, B), dt)
     for t in range(p):
         k = t if tape else 0
         g, c, z = gates[k], cell[k], Z[t % 2]
-        z[:n] = windows[:, t].T
+        z[:n] = xs[t]
         _matmul(Wcat, z, g)
         np.tanh(g, out=g)
         g[:3 * H] += 1.0
@@ -327,7 +354,8 @@ def forward_batch(windows, params: ModelParams, *, head: bool = True, tape: bool
     if tape:
         trace.gates, trace.cell = gates, cell
     if cfg.attention:
-        trace.scores = np.tanh(params.W_a.value[0] @ hidden + params.b_a.value[0])
+        trace.scores = np.tanh(np.einsum("h,thb->tb", params.W_a.value[0], hidden)
+                               + params.b_a.value[0])
         trace.weights = weights = softmax(trace.scores, axis=0)
         assert_finite("attention", weights)
     if not head:
@@ -337,7 +365,7 @@ def forward_batch(windows, params: ModelParams, *, head: bool = True, tape: bool
         m = cfg.horizon
         W_steps = params.W_out.value.reshape(m, p, H).transpose(1, 0, 2)
         block, z = np.empty((min(HEAD_BLOCK, p), m, B)), np.zeros((m, B))
-        for lo in range(0, p, HEAD_BLOCK):
+        for lo in range(0, p, HEAD_BLOCK):  # each float64 GEMM casts one block of steps
             part = block[:min(HEAD_BLOCK, p - lo)]
             np.matmul(W_steps[lo:lo + HEAD_BLOCK], hidden[lo:lo + HEAD_BLOCK], out=part)
             part *= weights[lo:lo + HEAD_BLOCK, None, :]
@@ -366,22 +394,31 @@ def forecast(windows: np.ndarray, params: ModelParams) -> np.ndarray:
 def backward(trace: ForwardTrace, d_output, params: ModelParams) -> None:
     """Reverse-mode pass: write every parameter gradient of this one call
     over whatever the arena held, consuming the trace (see ForwardTrace).
-    The gradient w.r.t. the input windows is not computed."""
+    The recurrence runs in the dtype of the trace's tape. The gradient w.r.t.
+    the input windows is not computed."""
     if trace.output is None:
         raise TapeError("forward trace has no head to differentiate (head=False)")
     if trace.gates is None:
         raise TapeError("forward trace holds no tape (tape=False, or consumed by backward)")
     cfg, hidden = params.config, trace.hidden
     p, H, B = hidden.shape
+    dt = trace.gates.dtype  # the forward's STEP_DTYPE
     n = cfg.n_features
     d_out = np.atleast_2d(np.asarray(d_output, dtype=np.float64))
     if d_out.shape != trace.output.shape:
         raise ShapeError(f"upstream gradient {d_out.shape} != output {trace.output.shape}")
 
     # head: y = relu(W_out head_in + b_out); a dead output passes +0, not -0.
-    # No trace holds head_in, so it is rebuilt here and freed after its GEMM.
+    # No trace holds head_in: the flattened one is rebuilt one HEAD_BLOCK of
+    # steps at a time, straight into its columns of the W_out gradient.
     dz = np.where(trace.pre_head > 0, d_out, 0.0)
-    np.matmul(dz.T, _head_in(cfg, trace.weights, hidden).T, out=params.W_out.grad)
+    if cfg.attention and cfg.head_input == "weighted_flatten":
+        for lo in range(0, p, HEAD_BLOCK):
+            a_h = trace.weights[lo:lo + HEAD_BLOCK, None, :] * hidden[lo:lo + HEAD_BLOCK]
+            a_h = a_h.reshape(-1, B)
+            np.matmul(dz.T, a_h.T, out=params.W_out.grad[:, lo * H:lo * H + len(a_h)])
+    else:
+        np.matmul(dz.T, _head_in(cfg, trace.weights, hidden).T, out=params.W_out.grad)
     params.b_out.grad[...] = dz.sum(axis=0)
     d_head_in = params.W_out.value.T @ dz.T  # (head_dim, B)
 
@@ -399,6 +436,10 @@ def backward(trace: ForwardTrace, d_output, params: ModelParams) -> None:
         d_raw = d_e * (1.0 - trace.scores ** 2)
         params.W_a.grad[0] = np.einsum("tb,thb->h", d_raw, hidden)
         params.b_a.grad[0] = d_raw.sum()
+        # the recurrence's share, in its dtype
+        dH, d_raw, W_a_T = (_in_steps("lstm", a, dt) for a in (dH, d_raw, params.W_a.value.T))
+    else:
+        d_head_in = _in_steps("lstm", d_head_in, dt)
 
     # BPTT, one row of dG = dLoss/d(pre-activation) per step, written as
     # (B, 4H) over gate row t once read, so the tape read as (p B, 4H) is dG:
@@ -409,16 +450,16 @@ def backward(trace: ForwardTrace, d_output, params: ModelParams) -> None:
     trace.gates = trace.cell = None  # consumed: the gate rows become dG
     f, i, o, chat = (gates[:, k * H:(k + 1) * H] for k in range(4))
     dG = gates.reshape(p, B, 4 * H)
-    U_T = params.U.value.T
-    local, mult = np.empty((4 * H, B)), np.empty((4 * H, B))
+    U_T = _in_steps("lstm", params.U.value, dt).T
+    local, mult = np.empty((4 * H, B), dt), np.empty((4 * H, B), dt)
     m_f, m_i, m_o, m_c = (mult[k * H:(k + 1) * H] for k in range(4))
-    dh_next = np.zeros((H, B))
-    dc = np.zeros((H, B))  # dLoss/dC_t, carried back through f
-    work = np.empty((H, B))
+    dh_next = np.zeros((H, B), dt)
+    dc = np.zeros((H, B), dt)  # dLoss/dC_t, carried back through f
+    work = np.empty((H, B), dt)
     for t in range(p - 1, -1, -1):
         if cfg.attention:  # the score's share, with no (p, H, B) temporary
             dh = dH[t]
-            dh += np.multiply(params.W_a.value.T, d_raw[t], out=work)
+            dh += np.multiply(W_a_T, d_raw[t], out=work)
             dh += dh_next
         else:  # the head reads only the last hidden state
             dh = dh_next if t < p - 1 else d_head_in
@@ -445,8 +486,8 @@ def backward(trace: ForwardTrace, d_output, params: ModelParams) -> None:
 
     # [dW dU db] = dG [x; h; 1]^T, summed over steps and windows
     dH = dh = d_head_in = None  # freed before the operands, for a lower peak
-    operands = np.empty((n + H + 1, p, B))
-    operands[:n] = trace.windows.transpose(2, 1, 0)
+    operands = np.empty((n + H + 1, p, B), dt)
+    operands[:n] = trace.windows.transpose(2, 1, 0)  # in range: the forward cast it
     operands[n:n + H, 0] = 0.0
     operands[n:n + H, 1:] = hidden[:-1].transpose(1, 0, 2)
     operands[n + H] = 1.0

@@ -1,7 +1,11 @@
 """Every test keeps the dataset cache of ``ingest.load_dataset`` in its own
-temporary directory, so the suite never writes to ~/.cache."""
+temporary directory, so the suite never writes to ~/.cache. A test that
+holds the model to a float64 oracle asks for ``float64_steps``."""
 
+import numpy as np
 import pytest
+
+from demandcast import lstm_att
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -16,3 +20,10 @@ def session_dataset_cache(tmp_path_factory):
 @pytest.fixture(autouse=True)
 def dataset_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+
+
+@pytest.fixture
+def float64_steps(monkeypatch):
+    """Runs the model's per-step recurrence in float64 (``STEP_DTYPE``), for
+    the tests that hold the model to a float64 oracle at float64 tolerances."""
+    monkeypatch.setattr(lstm_att, "STEP_DTYPE", np.float64)

@@ -22,7 +22,9 @@ texts, which must be the bytes that ``csv.writer`` writes
 (``helpers.csv_writer_rows``).
 
 With ``--suite model`` a batch instead draws MODELS random models
-(``helpers.random_model``). On each, a tape-free forward must give the bits
+(``helpers.random_model``). Every property below runs the model's per-step
+recurrence in float64 (``lstm_att.STEP_DTYPE``), the path the oracles hold to
+float64 tolerances. On each, a tape-free forward must give the bits
 of a taped one; the forward must equal ``whole_batch_forward``, and on its
 first SCALAR_WINDOWS windows the ``scalar_lstm_step`` loop, and ``backward``
 must equal ``row_major_backward``, all within ``helpers.assert_close``; and
@@ -41,7 +43,11 @@ to a size drawn per model, so that the arena crosses block edges.
 At the end of a model run, a table gives each model's shape and, for the
 forward (the largest over its trace's fields) and for each gradient, the
 largest difference from the oracle relative to the oracle array's largest
-magnitude: the baseline of a per-shape tolerance table.
+magnitude. Its ``32`` columns give, in the same measure, how far the default
+float32 recurrence moves the output, the attention weights and each gradient
+from the float64 path's; a last line gives each column's largest value. The
+``32`` columns are measured, not checked: ``tests/test_lstm_att.py`` states
+and checks the float32 tolerances.
 
 Each batch runs in a child process of its own, one at a time, so that a
 crash of the interpreter is a failure that names its seed:
@@ -70,6 +76,8 @@ SCALAR_WINDOWS = 2  # windows per model of the scalar LSTM loop property
 # The prefix of a child's line that carries one model's row of the table.
 ROW = "difference row: "
 GRADIENTS = ("W", "U", "b", "W_a", "b_a", "W_out", "b_out")
+# The table's float32-against-float64 columns: output, weights, each gradient.
+FLOAT32 = tuple(f"{name}32" for name in ("out", "wts", *GRADIENTS))
 KINDS = ("sessions", "temperature", "grid", "dataset")
 ZONES = (None, "America/Los_Angeles")
 
@@ -161,7 +169,7 @@ def check_models(seed: int, models: int = MODELS) -> tuple[list[str], list[dict]
     row of the difference table (see ``print_table``)."""
     import numpy as np
 
-    from demandcast import train
+    from demandcast import lstm_att, train
     from demandcast.lstm_att import backward, forward_batch, load_checkpoint, save_checkpoint
     from helpers import (
         REL_TOL,
@@ -181,10 +189,12 @@ def check_models(seed: int, models: int = MODELS) -> tuple[list[str], list[dict]
     )
 
     failures, rows, adam_block = [], [], train.ADAM_BLOCK
+    step_dtype = lstm_att.STEP_DTYPE
     for k in range(models):
         model_seed = seed * models + k
         params, windows, d_out = random_model(model_seed)
         cfg, oracle = params.config, SeparateParams(params)
+        lstm_att.STEP_DTYPE = np.float64
         try:
             trace = forward_batch(windows, params)[1]
             taped = batch_first(trace, cfg)
@@ -227,6 +237,15 @@ def check_models(seed: int, models: int = MODELS) -> tuple[list[str], list[dict]
             params.grad[:] = np.random.default_rng(model_seed).normal(size=params.grad.size)
             backward(forward_batch(windows, params)[1], d_out, params)
             assert params.grad.tobytes() == fresh, "backward over noise differs from fresh"
+            want = {t.name: t.grad.copy() for t in params.tensors()}
+            lstm_att.STEP_DTYPE = step_dtype  # the default path, against the float64 one
+            out, trace = forward_batch(windows, params)
+            row["out32"] = relative(out, taped.output)
+            if cfg.attention:
+                row["wts32"] = relative(trace.weights, taped.weights)
+            backward(trace, d_out, params)
+            row.update((f"{t.name}32", relative(t.grad, want[t.name])) for t in params.tensors())
+            lstm_att.STEP_DTYPE = np.float64
             rng = np.random.default_rng([seed, k])
             check_finite_differences(params, windows[:FD_WINDOWS], d_out[:FD_WINDOWS], rng)
             with tempfile.TemporaryDirectory() as tmp:
@@ -259,7 +278,7 @@ def check_models(seed: int, models: int = MODELS) -> tuple[list[str], list[dict]
         except Exception as exc:  # an error, too, names its model
             failures.append(f"random_model({model_seed}): {cfg}, B = {len(windows)}, "
                             f"p = {windows.shape[1]}\n  {type(exc).__name__}: {exc}")
-    train.ADAM_BLOCK = adam_block
+    train.ADAM_BLOCK, lstm_att.STEP_DTYPE = adam_block, step_dtype
     return failures, rows
 
 
@@ -272,9 +291,11 @@ def relative(got, want) -> float:
 
 
 def print_table(rows: list[dict]) -> None:
-    """The difference table of ``rows``, one line a model, by model seed."""
-    names = ("forward", *GRADIENTS)
-    print("largest |core - oracle| / max |oracle| per model (- where the model has no such "
+    """The difference table of ``rows``, one line a model, by model seed,
+    then a line of each column's largest value."""
+    names = ("forward", *GRADIENTS, *FLOAT32)
+    print("largest |core - oracle| / max |oracle| per model, and in the 32 columns largest "
+          "|float32 core - float64 core| / max |float64 core| (- where the model has no such "
           "tensor, or failed before it was compared)")
     print(f"{'model':>6} {'n':>3} {'H':>3} {'p':>3} {'m':>3} {'B':>4} {'head':<20}"
           + "".join(f" {name:>8}" for name in names))
@@ -283,6 +304,10 @@ def print_table(rows: list[dict]) -> None:
               f"{row['B']:>4} {row['head']:<20}"
               + "".join(f" {row[name]:>8.1e}" if name in row else f" {'-':>8}"
                         for name in names))
+    largest = {name: max((row[name] for row in rows if name in row), default=None)
+               for name in names}
+    print(f"{'max':>6} {'':>3} {'':>3} {'':>3} {'':>3} {'':>4} {'':<20}"
+          + "".join(f" {'-':>8}" if v is None else f" {v:>8.1e}" for v in largest.values()))
 
 
 def check_finite_differences(params, windows, d_out, rng) -> None:

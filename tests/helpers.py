@@ -599,6 +599,22 @@ TAPE_FREE_FIELDS = ("hidden", "scores", "weights", "pre_head", "output")
 # largest magnitude of its array for a value that sums to near zero.
 REL_TOL = 1e-12
 FLOOR = 1e-14
+# The default float32 recurrence (``lstm_att.STEP_DTYPE``) against the float64
+# path: a bound on the largest |float32 - float64| over the largest |float64|
+# of each array, about three times the largest that ``tests/differential.py
+# --suite model --batches 50`` measured over its 400 random models (in the
+# comments). b_a is one sum of p B score-gradient terms that cancel.
+FLOAT32_TOL = {
+    "output": 1e-5,  # 3.3e-6
+    "weights": 1e-6,  # 2.7e-7
+    "W": 5e-6,  # 1.3e-6
+    "U": 1e-5,  # 3.0e-6
+    "b": 1e-5,  # 2.9e-6
+    "W_a": 3e-6,  # 8.6e-7
+    "b_a": 1e-4,  # 3.7e-5
+    "W_out": 3e-6,  # 1.1e-6
+    "b_out": 3e-6,  # 0: the same ReLU mask and upstream gradient
+}
 
 
 def assert_close(got, want, what):
@@ -794,7 +810,8 @@ def batch_first(trace, config):
     """A ``forward_batch`` trace as (p, B, .) and (B, .) views in the layout
     of a ``whole_batch_forward`` trace, with the ``f``, ``i``, ``o`` and
     ``chat`` blocks of its gates. No trace holds the head input, so a trace
-    with a head gets ``head_in`` as ``backward`` rebuilds it (``_head_in``).
+    with a head gets ``head_in`` rebuilt from ``weights`` and ``hidden``:
+    the flattened weighted states, or ``_head_in`` for the other heads.
     ``context`` is set for the context head only: at p = 1 a flattened head
     input has a context vector's shape."""
     def swap(a):
@@ -804,7 +821,12 @@ def batch_first(trace, config):
     gates = swap(trace.gates)
     f, i, o, chat = ((None,) * 4 if gates is None
                      else (gates[:, :, k * H:(k + 1) * H] for k in range(4)))
-    head_in = None if trace.output is None else _head_in(config, trace.weights, trace.hidden).T
+    if trace.output is None:
+        head_in = None
+    elif config.attention and config.head_input == "weighted_flatten":
+        head_in = (trace.weights[:, None, :] * trace.hidden).reshape(-1, trace.hidden.shape[2]).T
+    else:
+        head_in = _head_in(config, trace.weights, trace.hidden).T
     context = head_in if config.attention and config.head_input == "context" else None
     return SimpleNamespace(windows=trace.windows, gates=gates, f=f, i=i, o=o, chat=chat,
                            cell=swap(trace.cell), hidden=swap(trace.hidden),

@@ -250,6 +250,24 @@ def test_corrupted_checkpoint_one_config_line_no_partial_files(trained, tmp_path
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("name", ["W", "U", "b"])
+def test_weight_outside_float32_range_one_numeric_line_no_partial_files(trained, tmp_path,
+                                                                        name):
+    """A checkpoint whose LSTM weight holds 1e300, finite in float64 but
+    not in the float32 recurrence, makes predict exit 1 with one ``numeric:``
+    line naming stage 'lstm', with no floating-point warning before it (the
+    suite turns warnings into errors), and write nothing."""
+    params, meta = load_checkpoint(trained["model"] / "checkpoint.json")
+    getattr(params, name).value.flat[0] = 1e300
+    ckpt = tmp_path / "checkpoint.json"
+    save_checkpoint(ckpt, params, meta)
+    out = tmp_path / "out"
+    assert run("predict", "--out", out, "--checkpoint", ckpt,
+               "--dataset", trained["dataset"]) == (
+        1, ["numeric: non-finite values detected at stage 'lstm'"])
+    assert list(out.iterdir()) == []
+
+
 FEATURE_LIST = [{"name": name, "kind": kind, "cardinality": cardinality}
                 for name, kind, cardinality in (("request", "numeric", 1),
                                                 ("temperature", "numeric", 1),
@@ -421,8 +439,8 @@ def test_config_file_is_read_or_one_config_line_no_partial_files(tmp_path, data,
 
 
 @pytest.mark.parametrize("learning_rate, line", [
-    (1e300, "numeric: loss diverged at epoch 1, batch 2"),
-    (1e308, "numeric: non-finite values detected at stage 'attention' at epoch 1, batch 2"),
+    (1e300, "numeric: non-finite values detected at stage 'lstm' at epoch 1, batch 2"),
+    (1e308, "numeric: non-finite values detected at stage 'lstm' at epoch 1, batch 2"),
 ])
 def test_diverged_training_one_numeric_line_no_partial_files(trained, tmp_path,
                                                             learning_rate, line):
@@ -739,7 +757,7 @@ def test_failed_train_keeps_an_earlier_runs_outputs(trained, tmp_path):
     assert "checkpoints/epoch_002.json" in before
     assert run("train", "--out", out, "--config", trained["config"],
                "--dataset", trained["dataset"], *TRAIN_FLAGS, "--learning-rate", 1e300) == (
-        1, ["numeric: loss diverged at epoch 1, batch 2"])
+        1, ["numeric: non-finite values detected at stage 'lstm' at epoch 1, batch 2"])
     assert tree(out) == before
 
 
@@ -756,18 +774,25 @@ def test_output_name_that_is_a_directory_one_io_line(trained, tmp_path):
     assert list((out / "forecast.csv").iterdir()) == []
 
 
-def test_move_that_fails_midway_leaves_no_manifest(trained, tmp_path):
-    """When a train's ``metrics.json`` cannot be moved over a directory of
-    that name, the earlier run's manifest is gone, so no manifest marks
-    --out as a complete run."""
+def test_move_that_fails_midway_leaves_no_manifest(trained, tmp_path, monkeypatch):
+    """When a move into an --out holding an earlier run fails after the name
+    checks and the first move, the earlier run's manifest is gone, so no
+    manifest marks --out as a complete run."""
     out = tmp_path / "model"
     shutil.copytree(trained["model"], out)
-    (out / "metrics.json").unlink()
-    (out / "metrics.json").mkdir()
+    assert (out / "manifest.json").is_file()
+    replace, moves = os.replace, []
+
+    def second_fails(src, dest):
+        moves.append(dest)
+        if len(moves) == 2:
+            raise OSError(f"cannot move to {dest}")
+        replace(src, dest)
+
+    monkeypatch.setattr(cli.os, "replace", second_fails)
     rc, lines = run("train", "--out", out, "--config", trained["config"],
-                    "--dataset", trained["dataset"], *TRAIN_FLAGS)
-    assert rc == 1
-    assert len(lines) == 1 and lines[0].startswith("io: ") and "metrics.json" in lines[0], lines
+                    "--dataset", trained["dataset"], "--hidden", 8, "--epochs", 1)
+    assert (rc, lines) == (1, [f"io: cannot move to {moves[1]}"])
     assert sorted(p.name for p in out.iterdir()) == ["checkpoint.json", "checkpoints",
                                                      "metrics.json"]
 
@@ -787,8 +812,8 @@ def test_shorter_train_replaces_an_earlier_runs_checkpoints_whole(trained, tmp_p
 def test_output_name_of_the_other_kind_moves_nothing(trained, tmp_path, name):
     """An output name that --out holds as the other kind of entry (a
     directory for a file, a file for a directory) is one ``io:`` line
-    naming it, and every earlier file keeps its bytes; only the earlier
-    manifest is gone."""
+    naming it, and every earlier file, the manifest included, keeps its
+    bytes."""
     out = tmp_path / "model"
     shutil.copytree(trained["model"], out)
     if name == "metrics.json":
@@ -802,8 +827,7 @@ def test_output_name_of_the_other_kind_moves_nothing(trained, tmp_path, name):
                     "--dataset", trained["dataset"], "--hidden", 8, "--epochs", 1)
     assert rc == 1
     assert len(lines) == 1 and lines[0].startswith("io: ") and name in lines[0], lines
-    del before["manifest.json"]
-    assert tree(out) == before
+    assert "manifest.json" in before and tree(out) == before
     assert (out / name).is_dir() == (name == "metrics.json")
 
 

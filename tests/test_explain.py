@@ -161,6 +161,7 @@ def test_shapley_efficiency_on_lstm_model():
         assert abs(sum(report.phi.values()) - gap) < 1e-6
 
 
+@pytest.mark.usefixtures("float64_steps")
 @pytest.mark.parametrize("step", [None, 2])
 def test_coalition_values_match_loop_oracle(step):
     rng = np.random.default_rng(13)
@@ -227,6 +228,7 @@ def lstm_fns(n_features, seed):
     return lambda w: forward_batch(w, params)[0], lambda w: predict(w, params)
 
 
+@pytest.mark.usefixtures("float64_steps")
 @pytest.mark.parametrize("step", [None, 2])
 def test_coalition_values_with_shared_blocks_match_loop_oracle(step):
     test, backgrounds, groups = shared_block_windows(np.random.default_rng(15))

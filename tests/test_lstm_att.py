@@ -8,9 +8,11 @@ import pytest
 from demandcast import lstm_att
 from demandcast.errors import ConfigError, NumericError, ShapeError, TapeError
 from demandcast.lstm_att import (
+    FORWARD_BATCH,
     ModelConfig,
     ModelParams,
     backward,
+    forecast,
     forward_batch,
     glorot_uniform,
     load_checkpoint,
@@ -18,9 +20,10 @@ from demandcast.lstm_att import (
     recurrent_uniform,
     save_checkpoint,
 )
-from demandcast.train import mse
+from demandcast.train import AdamState, adam_step, mse
 from helpers import (
     CHECKPOINT_CORRUPTIONS,
+    FLOAT32_TOL,
     HUGE_HIDDEN,
     LAYOUT,
     REL_TOL,
@@ -113,6 +116,7 @@ def test_lstm_step_saturated_forget_gate_retains_cell():
     assert np.max(np.abs(trace.cell[1:] - expected)) < 1e-9
 
 
+@pytest.mark.usefixtures("float64_steps")
 def test_lstm_step_matches_scalar_loop_oracle():
     rng = np.random.default_rng(8)
     params = ModelParams.init(ModelConfig(n_features=3, hidden=4, lookback=5), 5)
@@ -136,6 +140,7 @@ def test_lstm_step_shape_mismatch():
         forward(np.zeros((1, 4, 2)), params)  # a batch where one window is expected
 
 
+@pytest.mark.usefixtures("float64_steps")
 @pytest.mark.parametrize("cfg_kwargs", HEAD_CONFIGS)
 def test_forward_batch_matches_numpy_oracles(cfg_kwargs):
     rng = np.random.default_rng(14)
@@ -165,6 +170,7 @@ def test_forward_batch_matches_numpy_oracles(cfg_kwargs):
         assert np.max(np.abs(out[j] - forecast)) < 1e-12
 
 
+@pytest.mark.usefixtures("float64_steps")
 def test_sigmoid_gates_are_logistic_of_pre_activation_within_tol():
     """f, i and o are ``sigmoid`` of x W + h U + b within ``assert_close``:
     the one stacked GEMM sums each pre-activation in its own order."""
@@ -221,6 +227,7 @@ def oracle_case(cfg, B):
     return params, windows
 
 
+@pytest.mark.usefixtures("float64_steps")
 @pytest.mark.parametrize("B", [1, 3, 32, 257])
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=config_id)
 def test_forward_batch_matches_whole_batch_oracle_bitwise(cfg, B):
@@ -234,6 +241,7 @@ def test_forward_batch_matches_whole_batch_oracle_bitwise(cfg, B):
     assert_trace_close(viewed_forward(windows, params)[1], want)
 
 
+@pytest.mark.usefixtures("float64_steps")
 @pytest.mark.parametrize("B", [1, 32])
 def test_forward_batch_matches_whole_batch_oracle_at_paper_size(B):
     params = ModelParams.init(ModelConfig(n_features=22), 6)
@@ -430,6 +438,7 @@ def test_forward_permutation_sensitivity():
     assert not np.allclose(base, permuted)
 
 
+@pytest.mark.usefixtures("float64_steps")
 def test_forward_batch_equals_single_window_loop():
     rng = np.random.default_rng(8)
     params = tiny_params(seed=17)
@@ -479,6 +488,7 @@ def test_backward_zero_upstream_zero_grads():
     assert np.array_equal(d_in, np.zeros_like(d_in))
 
 
+@pytest.mark.usefixtures("float64_steps")
 @pytest.mark.parametrize("cfg_kwargs", HEAD_CONFIGS)
 def test_backward_matches_finite_differences(cfg_kwargs):
     rng = np.random.default_rng(10)
@@ -526,6 +536,7 @@ def test_backward_attention_simplex_constraint():
     assert abs((up - down) / (2 * eps)) < 1e-8
 
 
+@pytest.mark.usefixtures("float64_steps")
 @pytest.mark.parametrize("B", [1, 3, 32])
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=config_id)
 def test_backward_matches_row_major_oracle(cfg, B):
@@ -547,6 +558,58 @@ def test_backward_matches_row_major_oracle(cfg, B):
             assert abs(t.grad[0] - o.grad[0]) <= REL_TOL * np.sum(np.abs(want.d_raw)), t.name
         else:
             assert_close(t.grad, o.grad, t.name)
+
+
+@pytest.mark.parametrize("B", [1, 32])
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS + [ModelConfig(n_features=22)], ids=config_id)
+def test_float32_steps_stay_within_the_stated_tolerances_of_float64(monkeypatch, cfg, B):
+    """The float32 recurrence moves the forecasts, the attention weights and
+    each gradient from the float64 path's by at most ``FLOAT32_TOL`` of the
+    float64 array's largest magnitude."""
+    params, windows = oracle_case(cfg, B)
+    d_out = np.random.default_rng(B + 1).normal(size=(B, cfg.horizon))
+    runs = []
+    for dtype in (np.float64, np.float32):
+        monkeypatch.setattr(lstm_att, "STEP_DTYPE", dtype)
+        out, trace = forward_batch(windows, params)
+        backward(trace, d_out, params)
+        runs.append({"output": out, "weights": trace.weights,
+                     **{t.name: t.grad.copy() for t in params.tensors()}})
+    want, got = runs
+    assert list(want) == ["output", "weights", *(t.name for t in params.tensors())]
+    for name, tol in FLOAT32_TOL.items():
+        if want.get(name) is not None:
+            assert np.max(np.abs(got[name] - want[name])) <= tol * np.max(np.abs(want[name])), name
+
+
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=config_id)
+def test_tape_is_float32_while_parameters_gradients_and_moments_stay_float64(cfg):
+    """By default the hidden states and the gate and cell tape are float32;
+    the attention, the head, the forecasts, the parameter arena, its gradient
+    and Adam's moments are float64."""
+    assert lstm_att.STEP_DTYPE is np.float32
+    params, windows = oracle_case(cfg, 3)
+    out, trace = forward_batch(windows, params)
+    dtypes = {name: getattr(trace, name).dtype for name in ("hidden", "gates", "cell", "scores",
+                                                            "weights", "pre_head", "output")
+              if getattr(trace, name) is not None}
+    assert dtypes == {name: np.float32 if name in ("hidden", "gates", "cell") else np.float64
+                      for name in dtypes}
+    assert forward_batch(windows, params, tape=False)[1].hidden.dtype == np.float32
+    backward(trace, np.ones_like(out), params)
+    state = AdamState(params.value.size)
+    adam_step(params.value, params.grad, state, lr=0.01)
+    assert [a.dtype for a in (out, params.value, params.grad, state.m, state.v)] == [np.float64] * 5
+
+
+def test_forecast_equals_its_chunks_bitwise():
+    """On the default float32 path, ``forecast`` of 257 windows gives the bits
+    of its two tape-free ``forward_batch`` chunks, of 256 windows and of 1."""
+    params = ModelParams.init(ModelConfig(n_features=3, hidden=4, horizon=8, lookback=8), 5)
+    inputs = np.random.default_rng(6).uniform(size=(FORWARD_BATCH + 1, 8, 3))
+    chunks = [forward_batch(inputs[lo:lo + FORWARD_BATCH], params, tape=False)[0]
+              for lo in (0, FORWARD_BATCH)]
+    assert forecast(inputs, params).tobytes() == np.concatenate(chunks).tobytes()
 
 
 @pytest.mark.parametrize("rows, inner, B, products", [

@@ -288,6 +288,7 @@ def test_evaluate_constant_half_predictor_closed_form(desk_dataset):
     assert abs(evaluate(params, desk_dataset.test) - expected) < 1e-12
 
 
+@pytest.mark.usefixtures("float64_steps")
 def test_forecast_and_evaluate_across_the_chunk_edge():
     """257 windows cross ``FORWARD_BATCH``: ``forecast`` gives the bits of
     its two tape-free chunks, and ``evaluate`` the MSE of a per-window loop
