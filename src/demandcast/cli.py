@@ -20,14 +20,15 @@ called from any thread; it catches SIGTERM only on the main thread.
 
 ``train`` writes ``checkpoint.json`` and one ``checkpoints/epoch_NNN.json``
 per epoch, moved into --out at the end. Despite the name, each is a
-``demandcast/checkpoint-v3`` file (see ``lstm_att``): one JSON header line,
-then the raw float64 parameters. The header carries the run config's
-``schema`` block (the two flags of ``FeatureSchema.default``), the
-``clamp_bounds`` of its ``pipeline`` block and the fitted scaler, so
-predict, explain and attention need only the checkpoint file and a dataset;
-no other pipeline key is kept. These commands slide the model's own lookback
-and horizon: predict and explain encode and scale only their windows' rows
-(a negative window index counts from the end), attention every row.
+``demandcast/checkpoint-v4`` file (see ``lstm_att``): one JSON header line,
+then the raw float32 parameters (v3 files, with float64 ones, still load).
+The header carries the run config's ``schema`` block (the two flags of
+``FeatureSchema.default``), the ``clamp_bounds`` of its ``pipeline`` block
+and the fitted scaler, so predict, explain and attention need only the
+checkpoint file and a dataset; no other pipeline key is kept. These commands
+slide the model's own lookback and horizon: predict and explain encode and
+scale only their windows' rows (a negative window index counts from the
+end), attention every row.
 
 Every command that reads a dataset file parses each content once. The
 parsed columns are kept in ``$XDG_CACHE_HOME/demandcast/`` (by default

@@ -56,33 +56,41 @@ The model reads the first ``n_features`` columns of a window
 (``model_inputs``): all of them for the multivariate variants, column 0
 (demand) for the univariate ones.
 
-Numerics: mixed precision, with float64 master weights (Micikevicius et
-al., arXiv:1710.03740). The per-step recurrence runs in ``STEP_DTYPE``,
-float32: the stacked [W U b] operand and the Z slots, the gate, cell and
-hidden tape, every per-step tanh, product and sum, the gate and ``U^T g``
-GEMMs, BPTT's work arrays and its closing [dW dU db] GEMM. That loop is most
-of every forward and backward, and in float32 its tanh costs about a fifth
-of float64's per element and its GEMMs move half the bytes. What
-accumulates or persists stays float64: the parameter arena and its
-gradient, so clipping, Adam and the checkpoint payload are unchanged; the
-attention scores and softmax; the head's GEMMs, which cast the hidden
-states one ``HEAD_BLOCK`` of steps at a time (``einsum`` casts in buffers),
-never as a whole; the loss and every mean the callers take. Against the
-float64 path the forecasts, attention weights and gradients move by about
-1e-7 to 1e-6 of their largest magnitude (``tests/differential.py --suite
-model`` prints the table; ``tests/helpers.py`` states the tolerances);
-setting ``STEP_DTYPE`` to float64 runs the model in float64 throughout, as
-the oracle tests do. ``forward_batch`` converts its windows and ``backward``
-its upstream gradient to float64 first. A window or weight that float32
-cannot hold becomes infinite in the cast, which, like a NaN or an infinity
-after the input, the LSTM, the attention weights or the head, is a
-NumericError naming that stage ('input' or 'lstm'), with no warning.
+Numerics: mixed precision (Micikevicius et al., arXiv:1710.03740), with
+float32 state and float64 reductions. ``DTYPE`` (float32) is the parameter
+arena's dtype, so its gradient's, Adam's moments' and the checkpoint
+payload's, and the forward and ``backward`` run in the arena's dtype: the
+stacked [W U b] operand and the Z slots, the gate, cell and hidden tape, the
+per-step tanh, products and sums, every LSTM GEMM and BPTT's work arrays,
+and the head's GEMMs on W_out and the hidden states (the attention weights
+and, in ``backward``, the (B, m) head gradient are cast down, never W_out
+up). In
+float32 the loop's tanh costs about a fifth of float64's per element, and
+the GEMMs and Adam move half the bytes. Float64 are: the attention scores
+and softmax (W_a is cast up, never the hidden states) and the score
+gradient's d_w; the head's sum over blocks of steps, its pre-activation
+and the forecasts; the clip norm, the loss and every mean. Against the
+float64 path on the same seeded draws, the forecasts, attention weights and
+gradients move by about 1e-7 to 1e-6 of their largest magnitude
+(``tests/differential.py --suite model`` prints the table;
+``tests/helpers.py`` states the tolerances). With ``DTYPE`` float64 before
+the parameters are made, the model, clip, Adam and checkpoint run in
+float64 throughout, as the oracle tests do. A window's float32 forecast also
+depends on its batch's width, as OpenBLAS picks GEMM kernels by width:
+``predict`` on one window and the same row of a chunked ``forecast`` can
+differ in the last float32 digits, within the output tolerance.
+``forward_batch`` converts its windows, and ``backward`` its upstream
+gradient, to float64 first. A window or gradient that float32 cannot hold
+becomes infinite in its cast, which, like a NaN or an infinity in the LSTM
+weights, after the input, the LSTM, the attention weights or the head, is a
+NumericError naming that stage ('input', 'lstm' or 'head'), with no warning.
 ``softmax`` subtracts the maximum before ``exp``. A seeded ``ModelParams``
-draws W, W_a and W_out Glorot-uniform and U uniform in +-1/sqrt(H).
+draws W, W_a and W_out Glorot-uniform and U uniform in +-1/sqrt(H) in
+float64, rounded into the arena.
 
 A ``ForwardTrace`` holds the loop's own buffers, batch last: ``hidden``
 (p, H, B) and the tape ``gates`` (p, 4H, B) and ``cell`` (p, H, B), all in
-``STEP_DTYPE``; ``scores`` and ``weights`` (p, B), ``pre_head`` and
+the arena's dtype; ``scores`` and ``weights`` (p, B), ``pre_head`` and
 ``output`` (B, m) in float64. No trace holds the head's (head_dim, B)
 input: ``backward`` rebuilds the flattened one block by block for the W_out
 gradient GEMM, and the context or last state with ``_head_in``, as the
@@ -91,21 +99,26 @@ overwrites ``gates`` and drops the tape.
 
 The parameters live in one arena. ``param_shapes(config)`` gives each
 parameter's name and shape in ``tensors()`` order; ``ModelParams`` holds one
-flat float64 ``value`` vector and one ``grad`` vector in that layout, and
-each ``ParamTensor`` is a pair of reshaped views into them. ``backward``
+flat ``value`` vector and one ``grad`` vector of ``DTYPE`` in that layout,
+and each ``ParamTensor`` is a pair of reshaped views into them. ``backward``
 writes, not adds, each gradient of its one call, so nothing zeroes ``grad``;
 clipping, Adam and the checkpoint payload each work on a whole vector.
 
-A checkpoint (``demandcast/checkpoint-v3``) is one line of JSON, then
-raw bytes. The JSON header holds the format tag, the model config, each
-parameter's shape in ``tensors()`` order and free-form metadata; after its
-newline come the parameters' row-major little-endian float64 bytes, back to
-back in that order, with nothing after them. ``json.dumps`` escapes every
-newline, so the first line of a checkpoint is valid JSON on its own. The
-metadata is what ``cli train`` writes: the run config's ``schema`` block,
-a ``pipeline`` block holding only ``clamp_bounds``, the scaler fitted on
-the training rows, the seed and the variant (and the epoch in a per-epoch
-file), so a checkpoint file serves on its own.
+A checkpoint (``demandcast/checkpoint-v4``) is one line of JSON, then
+raw bytes. The JSON header holds the format tag, the payload dtype (the
+arena's, "<f4" or "<f8"), the model config, each parameter's shape in
+``tensors()`` order and free-form metadata; after its newline come the
+parameters' row-major little-endian bytes in that dtype, back to back in
+that order, with nothing after them. A v3 file has no dtype field and a
+"<f8" payload: the one load path reads a missing dtype as "<f8", and rounds
+a payload into the arena to nearest, ties to even, a value beyond float32's
+range to an infinity that the forward reports at stage 'lstm' for W, U or b.
+``json.dumps`` escapes every newline, so the first line of a checkpoint is
+valid JSON on its own. The metadata is what ``cli train`` writes: the run
+config's ``schema`` block, a ``pipeline`` block holding only
+``clamp_bounds``, the scaler fitted on the training rows, the seed and the
+variant (and the epoch in a per-epoch file), so a checkpoint file serves on
+its own.
 """
 
 from __future__ import annotations
@@ -119,18 +132,17 @@ import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError, TapeError
 
-CHECKPOINT_FORMAT = "demandcast/checkpoint-v3"
+CHECKPOINT_FORMAT = "demandcast/checkpoint-v4"
 # Row-block order of the stacked W, U and b: the sigmoid gates first.
 GATES = ("f", "i", "o", "C")
 # Order of the seeded per-gate draws, kept from the per-gate layout so that
 # a seed still gives the same weights.
 INIT_ORDER = ("f", "i", "C", "o")
 HEAD_INPUTS = ("context", "weighted_flatten")
-PARAM_DTYPE = np.dtype("<f8")
 FORWARD_BATCH = 256  # windows per tape-free forward in forecast, explain and attention
 SMALL_GEMM = 100 ** 3  # OpenBLAS's small-matrix bound on M N K
 HEAD_BLOCK = 16  # steps per batched GEMM of the weighted_flatten head and its gradient
-STEP_DTYPE = np.float32  # the per-step recurrence, forward and BPTT (see Numerics)
+DTYPE = np.float32  # the parameter arena's, and so the recurrence's and Adam's (see Numerics)
 
 
 def assert_finite(name: str, arr: np.ndarray) -> None:
@@ -226,15 +238,16 @@ class ParamTensor:
 
 class ModelParams:
     """All trainable weights as one arena: flat ``value`` and ``grad``
-    vectors, with each parameter an attribute ParamTensor of views into them.
-    Without an rng the weights are zero (the forget-gate bias is 1)."""
+    vectors of ``DTYPE``, with each parameter an attribute ParamTensor of
+    views into them. Without an rng the weights are zero (the forget-gate
+    bias is 1); a seeded draw is made in float64 and rounded into the arena."""
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator | None = None):
         self.config = config
         shapes = param_shapes(config)
         size = sum(math.prod(shape) for shape in shapes.values())
-        self.value = np.zeros(size)
-        self.grad = np.zeros(size)
+        self.value = np.zeros(size, DTYPE)
+        self.grad = np.zeros(size, DTYPE)
         self.W_a = self.b_a = None
         offset = 0
         for name, shape in shapes.items():
@@ -318,11 +331,11 @@ def forward_batch(windows, params: ModelParams, *, head: bool = True, tape: bool
         raise ShapeError(f"window feature width {n} != model n_features {cfg.n_features}")
     if cfg.attention and cfg.head_input == "weighted_flatten" and p != cfg.lookback:
         raise ShapeError(f"weighted_flatten head requires p == {cfg.lookback}")
-    H, dt = cfg.hidden, STEP_DTYPE
+    H, dt = cfg.hidden, params.W.value.dtype  # the arena's
     xs = _in_steps("input", windows.transpose(1, 2, 0), dt)  # (p, n, B)
     Wcat = np.concatenate([params.W.value, params.U.value, params.b.value[:, None]], axis=1)
     Wcat[:3 * H] *= 0.5
-    Wcat = _in_steps("lstm", Wcat, dt)
+    assert_finite("lstm", Wcat)
     # step t's one GEMM reads [x_t; h_{t-1}; 1] from slot t % 2 of Z
     Z = np.empty((2, n + H + 1, B), dt)
     Z[0, n:n + H] = 0.0
@@ -354,8 +367,8 @@ def forward_batch(windows, params: ModelParams, *, head: bool = True, tape: bool
     if tape:
         trace.gates, trace.cell = gates, cell
     if cfg.attention:
-        trace.scores = np.tanh(np.einsum("h,thb->tb", params.W_a.value[0], hidden)
-                               + params.b_a.value[0])
+        W_a = params.W_a.value[0].astype(np.float64)  # so the scores sum in float64
+        trace.scores = np.tanh(np.einsum("h,thb->tb", W_a, hidden) + params.b_a.value[0])
         trace.weights = weights = softmax(trace.scores, axis=0)
         assert_finite("attention", weights)
     if not head:
@@ -364,8 +377,9 @@ def forward_batch(windows, params: ModelParams, *, head: bool = True, tape: bool
         # sum over steps of a_t (W_out,t h_t), HEAD_BLOCK steps per batched GEMM
         m = cfg.horizon
         W_steps = params.W_out.value.reshape(m, p, H).transpose(1, 0, 2)
-        block, z = np.empty((min(HEAD_BLOCK, p), m, B)), np.zeros((m, B))
-        for lo in range(0, p, HEAD_BLOCK):  # each float64 GEMM casts one block of steps
+        block, z = np.empty((min(HEAD_BLOCK, p), m, B), dt), np.zeros((m, B))
+        weights = weights.astype(dt, copy=False)
+        for lo in range(0, p, HEAD_BLOCK):  # each block sums in dt, z in float64
             part = block[:min(HEAD_BLOCK, p - lo)]
             np.matmul(W_steps[lo:lo + HEAD_BLOCK], hidden[lo:lo + HEAD_BLOCK], out=part)
             part *= weights[lo:lo + HEAD_BLOCK, None, :]
@@ -373,7 +387,8 @@ def forward_batch(windows, params: ModelParams, *, head: bool = True, tape: bool
         trace.pre_head = np.add(z.T, params.b_out.value, out=np.empty((B, m)))  # C order
     else:
         head_in = _head_in(cfg, trace.weights, hidden)
-        trace.pre_head = head_in.T @ params.W_out.value.T + params.b_out.value
+        trace.pre_head = (np.matmul(head_in.T, params.W_out.value.T, dtype=np.float64)
+                          + params.b_out.value)
     trace.output = output = relu(trace.pre_head)
     assert_finite("head", output)
     return output, trace
@@ -394,15 +409,15 @@ def forecast(windows: np.ndarray, params: ModelParams) -> np.ndarray:
 def backward(trace: ForwardTrace, d_output, params: ModelParams) -> None:
     """Reverse-mode pass: write every parameter gradient of this one call
     over whatever the arena held, consuming the trace (see ForwardTrace).
-    The recurrence runs in the dtype of the trace's tape. The gradient w.r.t.
-    the input windows is not computed."""
+    The head's GEMMs and the recurrence run in the arena's dtype. The
+    gradient w.r.t. the input windows is not computed."""
     if trace.output is None:
         raise TapeError("forward trace has no head to differentiate (head=False)")
     if trace.gates is None:
         raise TapeError("forward trace holds no tape (tape=False, or consumed by backward)")
     cfg, hidden = params.config, trace.hidden
     p, H, B = hidden.shape
-    dt = trace.gates.dtype  # the forward's STEP_DTYPE
+    dt = params.W.value.dtype  # the arena's, as in the forward
     n = cfg.n_features
     d_out = np.atleast_2d(np.asarray(d_output, dtype=np.float64))
     if d_out.shape != trace.output.shape:
@@ -411,32 +426,35 @@ def backward(trace: ForwardTrace, d_output, params: ModelParams) -> None:
     # head: y = relu(W_out head_in + b_out); a dead output passes +0, not -0.
     # No trace holds head_in: the flattened one is rebuilt one HEAD_BLOCK of
     # steps at a time, straight into its columns of the W_out gradient.
+    # The GEMMs take dz and the weights cast down, never W_out cast up.
     dz = np.where(trace.pre_head > 0, d_out, 0.0)
+    params.b_out.grad[...] = dz.sum(axis=0)
+    dz = _in_steps("head", dz, dt)
+    weights = None if trace.weights is None else trace.weights.astype(dt, copy=False)
     if cfg.attention and cfg.head_input == "weighted_flatten":
         for lo in range(0, p, HEAD_BLOCK):
-            a_h = trace.weights[lo:lo + HEAD_BLOCK, None, :] * hidden[lo:lo + HEAD_BLOCK]
+            a_h = weights[lo:lo + HEAD_BLOCK, None, :] * hidden[lo:lo + HEAD_BLOCK]
             a_h = a_h.reshape(-1, B)
             np.matmul(dz.T, a_h.T, out=params.W_out.grad[:, lo * H:lo * H + len(a_h)])
     else:
         np.matmul(dz.T, _head_in(cfg, trace.weights, hidden).T, out=params.W_out.grad)
-    params.b_out.grad[...] = dz.sum(axis=0)
     d_head_in = params.W_out.value.T @ dz.T  # (head_dim, B)
 
-    if cfg.attention:
+    if cfg.attention:  # d_w sums in float64, as the softmax runs
         if cfg.head_input == "context":
-            d_w = np.einsum("hb,thb->tb", d_head_in, hidden)
-            dH = trace.weights[:, None, :] * d_head_in
+            d_w = np.einsum("hb,thb->tb", d_head_in, hidden, dtype=np.float64)
+            dH = weights[:, None, :] * d_head_in
         else:
             dH = d_head_in.reshape(p, H, B)
-            d_w = np.einsum("thb,thb->tb", dH, hidden)
-            dH *= trace.weights[:, None, :]
+            d_w = np.einsum("thb,thb->tb", dH, hidden, dtype=np.float64)
+            dH *= weights[:, None, :]
         # softmax over the time axis, then the tanh score squash
         inner = np.sum(trace.weights * d_w, axis=0, keepdims=True)
         d_e = trace.weights * (d_w - inner)
         d_raw = d_e * (1.0 - trace.scores ** 2)
         params.W_a.grad[0] = np.einsum("tb,thb->h", d_raw, hidden)
         params.b_a.grad[0] = d_raw.sum()
-        # the recurrence's share, in its dtype
+        # the recurrence's share, in the arena's dtype
         dH, d_raw, W_a_T = (_in_steps("lstm", a, dt) for a in (dH, d_raw, params.W_a.value.T))
     else:
         d_head_in = _in_steps("lstm", d_head_in, dt)
@@ -450,7 +468,7 @@ def backward(trace: ForwardTrace, d_output, params: ModelParams) -> None:
     trace.gates = trace.cell = None  # consumed: the gate rows become dG
     f, i, o, chat = (gates[:, k * H:(k + 1) * H] for k in range(4))
     dG = gates.reshape(p, B, 4 * H)
-    U_T = _in_steps("lstm", params.U.value, dt).T
+    U_T = params.U.value.T
     local, mult = np.empty((4 * H, B), dt), np.empty((4 * H, B), dt)
     m_f, m_i, m_o, m_c = (mult[k * H:(k + 1) * H] for k in range(4))
     dh_next = np.zeros((H, B), dt)
@@ -502,11 +520,13 @@ def backward(trace: ForwardTrace, d_output, params: ModelParams) -> None:
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path, params: ModelParams, extra: dict | None = None) -> None:
-    """Write a versioned checkpoint: a one-line JSON header with the model
-    config, each parameter's shape and the metadata, then the arena's
-    row-major little-endian float64 bytes."""
+    """Write a versioned checkpoint: a one-line JSON header with the format,
+    the payload dtype, the model config, each parameter's shape and the
+    metadata, then the arena's row-major little-endian bytes in its dtype."""
+    dtype = params.value.dtype.newbyteorder("<")
     header = {
         "format": CHECKPOINT_FORMAT,
+        "dtype": dtype.str,
         "model": asdict(params.config),
         "params": {name: {"shape": list(shape)}
                    for name, shape in param_shapes(params.config).items()},
@@ -515,22 +535,27 @@ def save_checkpoint(path, params: ModelParams, extra: dict | None = None) -> Non
         header.update(extra)
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("ascii") + b"\n")
-        fh.write(np.ascontiguousarray(params.value, dtype=PARAM_DTYPE).data)
+        fh.write(np.ascontiguousarray(params.value, dtype=dtype).data)
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
-    """A checkpoint's parameters and metadata, checked against
-    ``param_shapes`` before anything is allocated. A file that is not exactly
-    a valid header and the payload its shapes call for is a ConfigError, a
-    parameter of the wrong shape a ShapeError."""
+    """A v3 or v4 checkpoint's parameters, in a ``DTYPE`` arena (see the
+    module docstring), and metadata, checked against ``param_shapes`` before
+    anything is allocated. A file that is not exactly a valid header and the
+    payload its shapes and dtype call for is a ConfigError, a parameter of
+    the wrong shape a ShapeError."""
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline())
         except ValueError as exc:
             raise ConfigError(f"checkpoint {path} has no valid JSON header: {exc}")
         fmt = header.get("format") if isinstance(header, dict) else None
-        if fmt != CHECKPOINT_FORMAT:
+        if fmt not in ("demandcast/checkpoint-v3", CHECKPOINT_FORMAT):
             raise ConfigError(f"unrecognized checkpoint format: {fmt!r}")
+        dtype = header.get("dtype", "<f8")  # v3 names none
+        if dtype not in ("<f4", "<f8"):
+            raise ConfigError(f"checkpoint payload dtype {dtype!r} is not '<f4' or '<f8'")
+        dtype = np.dtype(dtype)
         for key in ("model", "params"):
             if not isinstance(header.get(key), dict):
                 raise ConfigError(f"checkpoint has no '{key}' object")
@@ -547,15 +572,18 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             if stored != shape:
                 raise ShapeError(f"checkpoint parameter '{name}' has shape {stored}, "
                                  f"expected {shape}")
-        want = PARAM_DTYPE.itemsize * sum(math.prod(shape) for shape in shapes.values())
+        want = dtype.itemsize * sum(math.prod(shape) for shape in shapes.values())
         have = os.fstat(fh.fileno()).st_size - fh.tell()
         if have != want:
             raise ConfigError(f"checkpoint {path} holds {have} payload bytes; "
                               f"its parameter shapes call for {want}")
         params = ModelParams(config)
-        if fh.readinto(params.value) != want:
+        payload = (params.value if params.value.dtype == dtype
+                   else np.empty(params.value.size, dtype))
+        if fh.readinto(payload) != want:
             raise ConfigError(f"checkpoint {path} shrank while it was read")
-    if params.value.dtype != PARAM_DTYPE:  # a big-endian host
-        params.value.byteswap(inplace=True)
-    meta = {k: v for k, v in header.items() if k not in ("format", "model", "params")}
+    if payload is not params.value:
+        with np.errstate(over="ignore"):
+            params.value[...] = payload
+    meta = {k: v for k, v in header.items() if k not in ("format", "dtype", "model", "params")}
     return params, meta

@@ -96,16 +96,16 @@ def mse(pred: np.ndarray, target: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 class AdamState:
-    """First/second moment vectors over the parameter arena, and the step."""
+    """First/second moment vectors shaped and typed like the arena ``value``, and the step."""
 
-    def __init__(self, size: int):
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
+    def __init__(self, value: np.ndarray):
+        self.m = np.zeros_like(value)
+        self.v = np.zeros_like(value)
         self.t = 0
 
 
 # Elements per block of adam_step: a block's slices of the four vectors and
-# its two scratch rows (6 x 256 KiB) stay in cache across its 14 passes.
+# its two scratch rows (6 x 128 KiB in float32) stay in cache across its 14 passes.
 ADAM_BLOCK = 1 << 15
 
 
@@ -118,12 +118,13 @@ def adam_step(value: np.ndarray, grad: np.ndarray, state: AdamState, lr: float,
     bits of a pass per tensor. The moments and the step are updated in
     place, in the operation order of m = b1*m + (1-b1)*g,
     v = b2*v + (1-b2)*(g*g) and value -= lr*(m/bc1) / (sqrt(v/bc2) + eps),
-    so results are bitwise those of the out-of-place formula.
+    so results are bitwise those of the out-of-place formula evaluated in
+    the arena's dtype, to which each coefficient is rounded.
     """
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
-    scratch = np.empty((2, min(ADAM_BLOCK, grad.size)))
+    scratch = np.empty((2, min(ADAM_BLOCK, grad.size)), grad.dtype)
     for lo in range(0, grad.size, ADAM_BLOCK):
         g = grad[lo:lo + ADAM_BLOCK]
         m, v = state.m[lo:lo + ADAM_BLOCK], state.v[lo:lo + ADAM_BLOCK]
@@ -143,11 +144,13 @@ def adam_step(value: np.ndarray, grad: np.ndarray, state: AdamState, lr: float,
 
 def clip_gradients(params: ModelParams, max_norm: float) -> float:
     """Scale the gradient vector so its global L2 norm is at most
-    ``max_norm``; returns the norm before scaling. The squares are summed
-    per tensor, in ``tensors()`` order, which fixes the norm's bits."""
+    ``max_norm``; returns the norm before scaling. Each tensor's squares,
+    exact in float64, are summed in float64 by ``einsum``, which casts in
+    buffers, tensor by tensor in ``tensors()`` order: that fixes the bits."""
     total = 0.0
     for t in params.tensors():
-        total += float(np.sum(t.grad * t.grad))
+        g = t.grad.reshape(-1)
+        total += float(np.einsum("i,i->", g, g, dtype=np.float64))
     norm = np.sqrt(total)
     if norm > max_norm and norm > 0.0:
         params.grad *= max_norm / norm
@@ -182,7 +185,7 @@ def train(dataset: SplitDataset, config: TrainConfig,
     if len(tr) == 0:
         raise ConfigError("training split is empty")
     params = build_model(tr.inputs.shape[2], tr.lookback, tr.horizon, config)
-    state = AdamState(params.value.size)
+    state = AdamState(params.value)
     shuffle_rng = np.random.default_rng(config.seed) if config.shuffle else None
 
     N = len(tr)
@@ -205,10 +208,11 @@ def train(dataset: SplitDataset, config: TrainConfig,
                 backward(trace, 2.0 * (out - Y) / out.size, params)
             except NumericError as exc:
                 raise NumericError(f"{exc} at epoch {epoch + 1}, batch {b + 1}") from None
-            if config.clip_norm is not None:
-                clip_gradients(params, config.clip_norm)
-            adam_step(params.value, params.grad, state, config.learning_rate,
-                      config.beta1, config.beta2, config.eps)
+            with np.errstate(over="ignore", invalid="ignore"):  # the next forward checks
+                if config.clip_norm is not None:
+                    clip_gradients(params, config.clip_norm)
+                adam_step(params.value, params.grad, state, config.learning_rate,
+                          config.beta1, config.beta2, config.eps)
             total += loss * len(idx)
         epoch_losses.append(total / N)
         if on_epoch is not None:

@@ -24,6 +24,7 @@ def dataset_cache(tmp_path, monkeypatch):
 
 @pytest.fixture
 def float64_steps(monkeypatch):
-    """Runs the model's per-step recurrence in float64 (``STEP_DTYPE``), for
-    the tests that hold the model to a float64 oracle at float64 tolerances."""
-    monkeypatch.setattr(lstm_att, "STEP_DTYPE", np.float64)
+    """Makes the parameter arena float64 (``DTYPE``), and so the model, clip,
+    Adam and checkpoint of every ``ModelParams`` the test makes, for the
+    tests that hold the model to a float64 oracle at float64 tolerances."""
+    monkeypatch.setattr(lstm_att, "DTYPE", np.float64)

@@ -22,12 +22,13 @@ texts, which must be the bytes that ``csv.writer`` writes
 (``helpers.csv_writer_rows``).
 
 With ``--suite model`` a batch instead draws MODELS random models
-(``helpers.random_model``). Every property below runs the model's per-step
-recurrence in float64 (``lstm_att.STEP_DTYPE``), the path the oracles hold to
-float64 tolerances. On each, a tape-free forward must give the bits
-of a taped one; the forward must equal ``whole_batch_forward``, and on its
-first SCALAR_WINDOWS windows the ``scalar_lstm_step`` loop, and ``backward``
-must equal ``row_major_backward``, all within ``helpers.assert_close``; and
+(``helpers.random_model``). Every property below but the float32-arena ones
+runs the model with a float64 parameter arena, and so a float64 recurrence
+(``lstm_att.DTYPE``), the path the oracles hold to float64 tolerances. On
+each, a tape-free forward must give the bits of a taped one; the forward
+must equal ``whole_batch_forward``, and on its first SCALAR_WINDOWS windows
+the ``scalar_lstm_step`` loop, and ``backward`` must equal
+``row_major_backward``, all within ``helpers.assert_close``; and
 ``backward`` over an arena of noise must leave the bytes it leaves in a
 fresh one. Each element of the gradients of the score weights ``W_a`` and
 bias ``b_a`` sums p B terms of the raw score gradient d_raw (d_raw h and
@@ -38,16 +39,26 @@ a few random coordinates of each tensor. A checkpoint saved, loaded and saved
 again must keep its bytes. And ``clip_gradients`` and ``adam_step`` on the
 arena must give the bits of ``per_tensor_clip`` and
 ``per_tensor_adam_step`` on separate tensors, with ``train.ADAM_BLOCK`` set
-to a size drawn per model, so that the arena crosses block edges.
+to a size drawn per model, so that the arena crosses block edges; the clip
+norm must equal ``helpers.float64_norm``, one float64 ``np.sum`` of the
+upcast squares, within 2 N eps64 of it for N elements.
+
+The same model with the default float32 arena (its weights rounded from the
+same draws; ``check_float32_arena``) must keep its v4 checkpoint's bytes
+through a load and a save, load from a v3 file of the float64 model with the
+same rounded bits and save it as its own v4 file; its clip norm must equal
+``float64_norm`` as above, and two ``adam_step`` calls over it must give the
+bits of ``helpers.adam_reference_step``, the out-of-place formula, evaluated
+in float32.
 
 At the end of a model run, a table gives each model's shape and, for the
 forward (the largest over its trace's fields) and for each gradient, the
 largest difference from the oracle relative to the oracle array's largest
 magnitude. Its ``32`` columns give, in the same measure, how far the default
-float32 recurrence moves the output, the attention weights and each gradient
-from the float64 path's; a last line gives each column's largest value. The
-``32`` columns are measured, not checked: ``tests/test_lstm_att.py`` states
-and checks the float32 tolerances.
+float32 arena and recurrence move the output, the attention weights and each
+gradient from the float64 path's; a last line gives each column's largest
+value. The ``32`` columns are measured, not checked:
+``tests/test_lstm_att.py`` states and checks the float32 tolerances.
 
 Each batch runs in a child process of its own, one at a time, so that a
 crash of the interpreter is a failure that names its seed:
@@ -170,7 +181,13 @@ def check_models(seed: int, models: int = MODELS) -> tuple[list[str], list[dict]
     import numpy as np
 
     from demandcast import lstm_att, train
-    from demandcast.lstm_att import backward, forward_batch, load_checkpoint, save_checkpoint
+    from demandcast.lstm_att import (
+        ModelParams,
+        backward,
+        forward_batch,
+        load_checkpoint,
+        save_checkpoint,
+    )
     from helpers import (
         REL_TOL,
         TAPE_FREE_FIELDS,
@@ -189,12 +206,12 @@ def check_models(seed: int, models: int = MODELS) -> tuple[list[str], list[dict]
     )
 
     failures, rows, adam_block = [], [], train.ADAM_BLOCK
-    step_dtype = lstm_att.STEP_DTYPE
+    dtype = lstm_att.DTYPE
     for k in range(models):
         model_seed = seed * models + k
+        lstm_att.DTYPE = np.float64
         params, windows, d_out = random_model(model_seed)
         cfg, oracle = params.config, SeparateParams(params)
-        lstm_att.STEP_DTYPE = np.float64
         try:
             trace = forward_batch(windows, params)[1]
             taped = batch_first(trace, cfg)
@@ -238,14 +255,19 @@ def check_models(seed: int, models: int = MODELS) -> tuple[list[str], list[dict]
             backward(forward_batch(windows, params)[1], d_out, params)
             assert params.grad.tobytes() == fresh, "backward over noise differs from fresh"
             want = {t.name: t.grad.copy() for t in params.tensors()}
-            lstm_att.STEP_DTYPE = step_dtype  # the default path, against the float64 one
-            out, trace = forward_batch(windows, params)
+            # the default path, its arena rounded from the same draws
+            lstm_att.DTYPE = dtype
+            params32 = ModelParams(cfg)
+            params32.value[...] = params.value
+            out, trace = forward_batch(windows, params32)
             row["out32"] = relative(out, taped.output)
             if cfg.attention:
                 row["wts32"] = relative(trace.weights, taped.weights)
-            backward(trace, d_out, params)
-            row.update((f"{t.name}32", relative(t.grad, want[t.name])) for t in params.tensors())
-            lstm_att.STEP_DTYPE = np.float64
+            backward(trace, d_out, params32)
+            row.update((f"{t.name}32", relative(t.grad, want[t.name]))
+                       for t in params32.tensors())
+            check_float32_arena(params32, params, k)
+            lstm_att.DTYPE = np.float64
             rng = np.random.default_rng([seed, k])
             check_finite_differences(params, windows[:FD_WINDOWS], d_out[:FD_WINDOWS], rng)
             with tempfile.TemporaryDirectory() as tmp:
@@ -260,10 +282,11 @@ def check_models(seed: int, models: int = MODELS) -> tuple[list[str], list[dict]
                 o.grad[...] = t.grad
             max_norm = float(np.linalg.norm(params.grad)) * rng.uniform(0.5, 1.5)
             norm = train.clip_gradients(params, max_norm)
+            check_norm(norm, oracle.tensors())  # before the oracle scales them
             assert norm == per_tensor_clip(oracle.tensors(), max_norm), "clip norm differs"
             size = params.value.size
             train.ADAM_BLOCK = int(rng.integers(-(-size // ADAM_BLOCKS), size + 1))
-            state = train.AdamState(size)
+            state = train.AdamState(params.value)
             ms = [np.zeros_like(o.value) for o in oracle.tensors()]
             vs = [np.zeros_like(o.value) for o in oracle.tensors()]
             for step in (1, 2):
@@ -278,8 +301,59 @@ def check_models(seed: int, models: int = MODELS) -> tuple[list[str], list[dict]
         except Exception as exc:  # an error, too, names its model
             failures.append(f"random_model({model_seed}): {cfg}, B = {len(windows)}, "
                             f"p = {windows.shape[1]}\n  {type(exc).__name__}: {exc}")
-    train.ADAM_BLOCK, lstm_att.STEP_DTYPE = adam_block, step_dtype
+    train.ADAM_BLOCK, lstm_att.DTYPE = adam_block, dtype
     return failures, rows
+
+
+def check_norm(norm, tensors) -> None:
+    """``norm``, the clip norm of ``tensors``' gradients, against one float64
+    ``np.sum`` of their upcast squares, within the two sums' rounding."""
+    import numpy as np
+
+    from helpers import float64_norm
+
+    want = float64_norm([t.grad for t in tensors])
+    size = sum(t.grad.size for t in tensors)
+    assert abs(norm - want) <= 2 * size * np.finfo(np.float64).eps * want, \
+        f"clip norm {norm!r}, float64 sum {want!r}"
+
+
+def check_float32_arena(params32, params, k) -> None:
+    """The default float32 arena ``params32``, rounded from the float64
+    ``params``, after its ``backward``: a v3 file of ``params`` loads as
+    ``params32``, bit for bit, and saves as ``params32`` does; its v4 file
+    round trips bit for bit; the clip norm sums in float64; and two Adam
+    steps over it give the bits of ``adam_reference_step`` on float32
+    arrays."""
+    import numpy as np
+
+    from demandcast import train
+    from demandcast.lstm_att import load_checkpoint, save_checkpoint
+    from helpers import adam_reference_step, as_checkpoint_v3
+
+    meta = {"seed": k}
+    with tempfile.TemporaryDirectory() as tmp:
+        v4, again, v3 = (Path(tmp, name) for name in ("v4.json", "again.json", "v3.json"))
+        save_checkpoint(v4, params32, meta)
+        save_checkpoint(again, *load_checkpoint(v4))
+        assert again.read_bytes() == v4.read_bytes(), "float32 v4 round trip differs"
+        save_checkpoint(v3, params, meta)
+        as_checkpoint_v3(v3)
+        loaded = load_checkpoint(v3)
+        assert loaded[0].value.tobytes() == params32.value.tobytes(), "v3 load differs"
+        save_checkpoint(again, *loaded)
+        assert again.read_bytes() == v4.read_bytes(), "v3 file saved as v4 differs"
+    check_norm(train.clip_gradients(params32, np.inf), params32.tensors())
+    values, grads = [params32.value.copy()], [params32.grad.copy()]
+    ms, vs = [np.zeros_like(params32.value)], [np.zeros_like(params32.value)]
+    state = train.AdamState(params32.value)
+    for step in (1, 2):
+        train.adam_step(params32.value, params32.grad, state, lr=0.01)
+        values, ms, vs = adam_reference_step(values, grads, ms, vs, step, lr=0.01)
+    for name, arena, want in (("value", params32.value, values), ("first moment", state.m, ms),
+                              ("second moment", state.v, vs)):
+        assert arena.dtype == np.float32 and arena.tobytes() == want[0].tobytes(), \
+            f"float32 Adam {name} differs from the formula in float32"
 
 
 def relative(got, want) -> float:

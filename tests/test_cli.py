@@ -30,6 +30,7 @@ from demandcast.ingest import grid_span, grid_times
 from demandcast.lstm_att import forecast, forward_batch, load_checkpoint, save_checkpoint
 from helpers import (
     CHECKPOINT_CORRUPTIONS,
+    as_checkpoint_v3,
     format_times,
     minute_scan_demand,
     per_row_sessions,
@@ -99,11 +100,11 @@ def test_pipeline_exit_codes(trained):
         "comparison.csv", "manifest.json", "metrics.json"]
 
 
-def test_checkpoint_is_v3(trained):
+def test_checkpoint_is_v4(trained):
     doc, payload = split_checkpoint(trained["model"] / "checkpoint.json")
-    assert doc["format"] == "demandcast/checkpoint-v3"
+    assert doc["format"] == "demandcast/checkpoint-v4" and doc["dtype"] == "<f4"
     assert doc["model"]["hidden"] == 8
-    assert len(payload) == 8 * sum(t.value.size for t in trained["params"].tensors())
+    assert len(payload) == 4 * sum(t.value.size for t in trained["params"].tensors())
     assert doc["scaler"]["format"] == "demandcast/scaler-v1"
     assert sorted(p.name for p in trained["model"].iterdir()) == [
         "checkpoint.json", "checkpoints", "manifest.json", "metrics.json"]
@@ -253,14 +254,16 @@ def test_corrupted_checkpoint_one_config_line_no_partial_files(trained, tmp_path
 @pytest.mark.parametrize("name", ["W", "U", "b"])
 def test_weight_outside_float32_range_one_numeric_line_no_partial_files(trained, tmp_path,
                                                                         name):
-    """A checkpoint whose LSTM weight holds 1e300, finite in float64 but
-    not in the float32 recurrence, makes predict exit 1 with one ``numeric:``
-    line naming stage 'lstm', with no floating-point warning before it (the
-    suite turns warnings into errors), and write nothing."""
-    params, meta = load_checkpoint(trained["model"] / "checkpoint.json")
-    getattr(params, name).value.flat[0] = 1e300
+    """A v3 checkpoint whose LSTM weight holds 1e300, finite in its float64
+    payload but not in the float32 arena it loads into, makes predict exit 1
+    with one ``numeric:`` line naming stage 'lstm', with no floating-point
+    warning before it (the suite turns warnings into errors), and write
+    nothing."""
     ckpt = tmp_path / "checkpoint.json"
-    save_checkpoint(ckpt, params, meta)
+    shutil.copy(trained["model"] / "checkpoint.json", ckpt)
+    tensors = trained["params"].tensors()
+    offset = sum(t.value.size for t in tensors[:[t.name for t in tensors].index(name)])
+    as_checkpoint_v3(ckpt, lambda values: values.__setitem__(offset, 1e300))
     out = tmp_path / "out"
     assert run("predict", "--out", out, "--checkpoint", ckpt,
                "--dataset", trained["dataset"]) == (
@@ -457,7 +460,7 @@ def test_diverged_training_one_numeric_line_no_partial_files(trained, tmp_path,
 
 
 def test_model_too_large_for_memory_one_memory_line_no_partial_files(trained, tmp_path):
-    """A model whose parameter arena no machine can hold (2.84 PiB at
+    """A model whose parameter arena no machine can hold (1.42 PiB at
     10^7 hidden units) exits 1 with one ``memory:`` line and writes nothing."""
     config = tmp_path / "huge.json"
     config.write_text(json.dumps({**RUN_CONFIG, "train": {"hidden": 10_000_000}}))
@@ -617,8 +620,8 @@ def test_cli_tables_end_lines_in_crlf(trained, tmp_path):
 
 def test_json_records_keep_key_order(trained, tmp_path):
     checkpoint, _ = split_checkpoint(trained["model"] / "checkpoint.json")
-    assert list(checkpoint) == ["format", "model", "params", "schema", "scaler", "seed",
-                                "variant", "pipeline"]
+    assert list(checkpoint) == ["format", "dtype", "model", "params", "schema", "scaler",
+                                "seed", "variant", "pipeline"]
     assert list(checkpoint["params"]) == ["W", "U", "b", "W_a", "b_a", "W_out", "b_out"]
     assert list(checkpoint["model"]) == ["n_features", "hidden", "horizon", "lookback",
                                          "attention", "head_input"]

@@ -29,6 +29,7 @@ from helpers import (
     REL_TOL,
     TAPE_FREE_FIELDS,
     SeparateParams,
+    as_checkpoint_v3,
     assert_close,
     assert_trace_close,
     attention,
@@ -71,13 +72,16 @@ def viewed_forward(windows, params, **kwargs):
 
 @pytest.mark.parametrize("cfg_kwargs", HEAD_CONFIGS)
 def test_init_stacked_blocks_match_per_gate_draws(cfg_kwargs):
+    """The seeded float64 draws, per gate in the init order, rounded into
+    the float32 arena."""
     cfg = ModelConfig(n_features=3, hidden=4, horizon=2, lookback=5, **cfg_kwargs)
     params = ModelParams.init(cfg, 31)
+    assert params.value.dtype == np.float32
     rng = np.random.default_rng(31)
-    W = {g: glorot_uniform(rng, 4, 3) for g in ("f", "i", "C", "o")}
-    U = {g: recurrent_uniform(rng, 4, 4) for g in ("f", "i", "C", "o")}
-    W_a = glorot_uniform(rng, 1, 4) if cfg.attention else None
-    W_out = glorot_uniform(rng, 2, cfg.head_dim)
+    W = {g: glorot_uniform(rng, 4, 3).astype(np.float32) for g in ("f", "i", "C", "o")}
+    U = {g: recurrent_uniform(rng, 4, 4).astype(np.float32) for g in ("f", "i", "C", "o")}
+    W_a = glorot_uniform(rng, 1, 4).astype(np.float32) if cfg.attention else None
+    W_out = glorot_uniform(rng, 2, cfg.head_dim).astype(np.float32)
 
     W_blocks, U_blocks, b_blocks = gate_blocks(params)
     for g in LAYOUT:
@@ -563,14 +567,15 @@ def test_backward_matches_row_major_oracle(cfg, B):
 @pytest.mark.parametrize("B", [1, 32])
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS + [ModelConfig(n_features=22)], ids=config_id)
 def test_float32_steps_stay_within_the_stated_tolerances_of_float64(monkeypatch, cfg, B):
-    """The float32 recurrence moves the forecasts, the attention weights and
-    each gradient from the float64 path's by at most ``FLOAT32_TOL`` of the
-    float64 array's largest magnitude."""
-    params, windows = oracle_case(cfg, B)
+    """The float32 arena and recurrence move the forecasts, the attention
+    weights and each gradient from the float64 path's, on the same seeded
+    draws, by at most ``FLOAT32_TOL`` of the float64 array's largest
+    magnitude."""
     d_out = np.random.default_rng(B + 1).normal(size=(B, cfg.horizon))
     runs = []
     for dtype in (np.float64, np.float32):
-        monkeypatch.setattr(lstm_att, "STEP_DTYPE", dtype)
+        monkeypatch.setattr(lstm_att, "DTYPE", dtype)
+        params, windows = oracle_case(cfg, B)
         out, trace = forward_batch(windows, params)
         backward(trace, d_out, params)
         runs.append({"output": out, "weights": trace.weights,
@@ -583,11 +588,12 @@ def test_float32_steps_stay_within_the_stated_tolerances_of_float64(monkeypatch,
 
 
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=config_id)
-def test_tape_is_float32_while_parameters_gradients_and_moments_stay_float64(cfg):
-    """By default the hidden states and the gate and cell tape are float32;
-    the attention, the head, the forecasts, the parameter arena, its gradient
-    and Adam's moments are float64."""
-    assert lstm_att.STEP_DTYPE is np.float32
+def test_arena_tape_and_moments_are_float32_while_scores_and_head_sums_stay_float64(cfg):
+    """By default the parameter arena, its gradient, Adam's moments, the
+    hidden states and the gate and cell tape are float32; the attention
+    scores and weights, the head's pre-activation and the forecasts are
+    float64."""
+    assert lstm_att.DTYPE is np.float32
     params, windows = oracle_case(cfg, 3)
     out, trace = forward_batch(windows, params)
     dtypes = {name: getattr(trace, name).dtype for name in ("hidden", "gates", "cell", "scores",
@@ -597,9 +603,26 @@ def test_tape_is_float32_while_parameters_gradients_and_moments_stay_float64(cfg
                       for name in dtypes}
     assert forward_batch(windows, params, tape=False)[1].hidden.dtype == np.float32
     backward(trace, np.ones_like(out), params)
-    state = AdamState(params.value.size)
+    state = AdamState(params.value)
     adam_step(params.value, params.grad, state, lr=0.01)
-    assert [a.dtype for a in (out, params.value, params.grad, state.m, state.v)] == [np.float64] * 5
+    assert out.dtype == np.float64
+    assert [a.dtype for a in (params.value, params.grad, state.m, state.v)] == [np.float32] * 4
+
+
+def test_one_window_forecast_stays_within_float32_tol_of_its_chunked_row():
+    """A window's forecast depends on the width of the batch it is forecast
+    in (OpenBLAS picks its float32 GEMM kernels by width): ``predict`` on
+    one window and the same row of a ``forecast`` in chunks of
+    ``FORWARD_BATCH`` differ by at most ``FLOAT32_TOL["output"]`` of the
+    forecasts' largest magnitude, at paper size."""
+    params = ModelParams.init(ModelConfig(n_features=22), 6)
+    params.b_out.value[:] = 0.1  # every output alive
+    windows = np.random.default_rng(7).uniform(0.0, 1.0, size=(FORWARD_BATCH + 8, 96, 22))
+    chunked = forecast(windows, params)
+    scale = np.max(np.abs(chunked))
+    for j in (0, 5, FORWARD_BATCH - 1, FORWARD_BATCH + 3):
+        assert np.max(np.abs(predict(windows[j], params) - chunked[j])) <= (
+            FLOAT32_TOL["output"] * scale), j
 
 
 def test_forecast_equals_its_chunks_bitwise():
@@ -718,25 +741,34 @@ CHECKPOINT_CONFIGS = [
     ModelConfig(n_features=n, hidden=3, horizon=2, lookback=4, attention=att, head_input=head)
     for n in (2, 1) for att in (True, False) for head in ("weighted_flatten", "context")
 ]
-# Values whose bits a text or decimal round trip could lose.
-EDGE_VALUES = [-0.0, 5e-324, np.finfo(np.float64).max, -np.finfo(np.float64).max]
 
 
-def test_checkpoint_round_trip_bit_exact(tmp_path):
+def edge_values(dtype):
+    """Values of ``dtype`` whose bits a text or decimal round trip could
+    lose: -0.0, the smallest subnormal and the largest finite magnitudes."""
+    info = np.finfo(dtype)
+    return [-0.0, info.smallest_subnormal, info.max, -info.max]
+
+
+def test_checkpoint_round_trip_bit_exact(tmp_path, monkeypatch):
     """Every variant and head input loads back bit for bit, -0.0, a
-    subnormal and the largest finite magnitudes included."""
+    subnormal and the largest finite magnitudes included, with a float32
+    arena (the default) and a float64 one."""
     path = tmp_path / "model.json"
-    for k, cfg in enumerate(CHECKPOINT_CONFIGS):
-        params = ModelParams.init(cfg, 27 + k)
-        for t in params.tensors():
-            t.value.flat[:len(EDGE_VALUES)] = EDGE_VALUES[:t.value.size]
-        save_checkpoint(path, params, {"seed": 27, "variant": "multivariate_lstm_att"})
-        loaded, meta = load_checkpoint(path)
-        assert meta == {"seed": 27, "variant": "multivariate_lstm_att"}
-        assert loaded.config == cfg
-        assert [t.name for t in loaded.tensors()] == [t.name for t in params.tensors()]
-        for a, b in zip(params.tensors(), loaded.tensors()):
-            assert a.value.shape == b.value.shape and a.value.tobytes() == b.value.tobytes()
+    for dtype in (np.float32, np.float64):
+        monkeypatch.setattr(lstm_att, "DTYPE", dtype)
+        edges = edge_values(dtype)
+        for k, cfg in enumerate(CHECKPOINT_CONFIGS):
+            params = ModelParams.init(cfg, 27 + k)
+            for t in params.tensors():
+                t.value.flat[:len(edges)] = edges[:t.value.size]
+            save_checkpoint(path, params, {"seed": 27, "variant": "multivariate_lstm_att"})
+            loaded, meta = load_checkpoint(path)
+            assert meta == {"seed": 27, "variant": "multivariate_lstm_att"}
+            assert loaded.config == cfg and loaded.value.dtype == dtype
+            assert [t.name for t in loaded.tensors()] == [t.name for t in params.tensors()]
+            for a, b in zip(params.tensors(), loaded.tensors()):
+                assert a.value.shape == b.value.shape and a.value.tobytes() == b.value.tobytes()
     params = tiny_params(seed=27)
     save_checkpoint(path, params)
     window = np.random.default_rng(1).uniform(0, 1, size=(4, 2))
@@ -744,19 +776,62 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
 
 
 @pytest.mark.parametrize("cfg", CHECKPOINT_CONFIGS)
-def test_checkpoint_header_line_then_raw_float64_payload(tmp_path, cfg):
-    """The file is the JSON header line, then each tensor's little-endian
-    float64 bytes in tensors() order and nothing else."""
+def test_checkpoint_header_line_then_raw_payload_in_the_arena_dtype(tmp_path, cfg):
+    """The file is the JSON header line, naming the v4 format and the
+    payload dtype, then each tensor's little-endian float32 bytes in
+    tensors() order and nothing else."""
     path = tmp_path / "model.json"
     params = ModelParams.init(cfg, 5)
     save_checkpoint(path, params, {"note": "line\nbreak"})
     header, payload = split_checkpoint(path)
-    assert list(header) == ["format", "model", "params", "note"]
-    assert header["format"] == "demandcast/checkpoint-v3" and header["note"] == "line\nbreak"
+    assert list(header) == ["format", "dtype", "model", "params", "note"]
+    assert header["format"] == "demandcast/checkpoint-v4" and header["dtype"] == "<f4"
+    assert header["note"] == "line\nbreak"
     assert header["params"] == {t.name: {"shape": list(t.value.shape)}
                                 for t in params.tensors()}
-    assert payload == b"".join(t.value.astype("<f8").tobytes() for t in params.tensors())
+    assert payload == b"".join(t.value.astype("<f4").tobytes() for t in params.tensors())
     assert payload == params.value.tobytes()
+    assert load_checkpoint(path)[1] == {"note": "line\nbreak"}
+
+
+# float64 values and the float32 values a v3 payload rounds them to, to
+# nearest (ties to even): the largest float32 and the halfway point above
+# it, 1/3, a tie between two float32 neighbours, a float32 subnormal, a
+# value below half the smallest one, and -0.0.
+V3_ROUNDING = [
+    (3.4028234663852886e38, 3.4028234663852886e38),
+    (3.4028235677973366e38, np.inf),
+    (1.0 / 3.0, 0.3333333432674408),
+    (1.0 + 2.0 ** -24, 1.0),
+    (1e-40, 9.99994610111476e-41),
+    (7e-46, 0.0),
+    (-0.0, -0.0),
+]
+
+
+def test_checkpoint_v3_loads_rounded_into_the_float32_arena(tmp_path, monkeypatch):
+    """A v3 file (no payload dtype, a float64 payload) loads into the
+    float32 arena with each value rounded to nearest, ties to even, one
+    too large for float32 becoming infinite with no warning; into a float64
+    arena it loads bit for bit. Its metadata is the v4 file's."""
+    path = tmp_path / "model.json"
+    cfg = CHECKPOINT_CONFIGS[0]
+    monkeypatch.setattr(lstm_att, "DTYPE", np.float64)
+    params = ModelParams.init(cfg, 5)
+    params.value[:len(V3_ROUNDING)] = [v for v, _ in V3_ROUNDING]
+    save_checkpoint(path, params, {"seed": 5})
+    as_checkpoint_v3(path)
+    header, payload = split_checkpoint(path)
+    assert header["format"] == "demandcast/checkpoint-v3" and "dtype" not in header
+    assert payload == params.value.astype("<f8").tobytes()
+    assert load_checkpoint(path)[0].value.tobytes() == params.value.tobytes()
+    monkeypatch.setattr(lstm_att, "DTYPE", np.float32)
+    loaded, meta = load_checkpoint(path)
+    assert meta == {"seed": 5} and loaded.value.dtype == np.float32
+    assert loaded.value[:len(V3_ROUNDING)].tolist() == [r for _, r in V3_ROUNDING]
+    assert np.signbit(loaded.value[len(V3_ROUNDING) - 1])
+    with np.errstate(over="ignore"):
+        assert loaded.value.tobytes() == params.value.astype(np.float32).tobytes()
 
 
 def test_checkpoint_bad_format_rejected(tmp_path):
@@ -769,15 +844,24 @@ def test_checkpoint_bad_format_rejected(tmp_path):
 @pytest.mark.parametrize("case", sorted(CHECKPOINT_CORRUPTIONS))
 def test_checkpoint_malformed_is_config_error(tmp_path, case):
     """Each broken file is a ConfigError, or a ShapeError where a header
-    shape is not the model's; a v2 file names its format."""
+    shape is not the model's; a v2 file names its format, a v4 header its
+    unknown payload dtype, and a payload checked against its dtype's item
+    size (float32 bytes under a '<f8' header) both byte counts."""
     path = tmp_path / "model.json"
-    save_checkpoint(path, tiny_params(seed=27), {"seed": 27})
+    params = tiny_params(seed=27)
+    save_checkpoint(path, params, {"seed": 27})
     corrupt, error = CHECKPOINT_CORRUPTIONS[case]
     corrupt(path)
     with pytest.raises(error) as info:
         load_checkpoint(path)
-    if case == "v2":
-        assert str(info.value) == "unrecognized checkpoint format: 'demandcast/checkpoint-v2'"
+    message = {
+        "v2": "unrecognized checkpoint format: 'demandcast/checkpoint-v2'",
+        "unknown_dtype": "checkpoint payload dtype '<f2' is not '<f4' or '<f8'",
+        "float64_dtype_on_float32_payload": (
+            f"checkpoint {path} holds {params.value.nbytes} payload bytes; "
+            f"its parameter shapes call for {2 * params.value.nbytes}"),
+    }.get(case)
+    assert message is None or str(info.value) == message
 
 
 @pytest.mark.parametrize("case", ["huge_model", "huge_model_and_shapes"])
@@ -803,7 +887,7 @@ def test_checkpoint_claiming_a_huge_model_allocates_nothing(tmp_path, case):
                                    f"expected ({4 * HUGE_HIDDEN}, 2)")
     else:
         assert f"holds {params.value.nbytes} payload bytes" in str(info.value)
-        assert str(8 * (4 * HUGE_HIDDEN * (2 + HUGE_HIDDEN + 1) + HUGE_HIDDEN + 1
+        assert str(4 * (4 * HUGE_HIDDEN * (2 + HUGE_HIDDEN + 1) + HUGE_HIDDEN + 1
                         + 2 * 4 * HUGE_HIDDEN + 2)) in str(info.value)
 
 

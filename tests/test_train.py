@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from demandcast import lstm_att
 from demandcast.errors import ConfigError
 from demandcast.features import FeatureSchema, WindowedDataset, build_dataset
 from demandcast.lstm_att import (
@@ -32,6 +33,7 @@ from helpers import (
     SeparateParams,
     adam_reference_step,
     assert_close,
+    float64_norm,
     per_tensor_adam_step,
     per_tensor_clip,
     predict,
@@ -68,7 +70,7 @@ def test_batch_mse_equals_mean_of_window_mses():
 def test_adam_first_step_magnitude_is_learning_rate():
     value = np.full(4, 10.0)
     grad = np.full(4, 3.7)  # any nonzero constant
-    state = AdamState(value.size)
+    state = AdamState(value)
     adam_step(value, grad, state, lr=0.01)
     update = np.abs(value - 10.0)
     assert np.max(np.abs(update - 0.01)) < 1e-6
@@ -76,7 +78,7 @@ def test_adam_first_step_magnitude_is_learning_rate():
 
 def test_adam_zero_gradient_leaves_params():
     value = np.array([1.0, -2.0])
-    state = AdamState(value.size)
+    state = AdamState(value)
     adam_step(value, np.zeros(2), state, lr=0.1)
     assert np.array_equal(value, np.array([1.0, -2.0]))
     assert state.t == 1
@@ -86,7 +88,7 @@ def test_adam_matches_scalar_oracle_on_quadratic():
     # f(w) = w^2, gradient 2w, from w=1 with lr=0.1
     value = np.array([1.0])
     grad = np.empty(1)
-    state = AdamState(value.size)
+    state = AdamState(value)
     mine = []
     for _ in range(10):
         grad[:] = 2.0 * value
@@ -98,25 +100,30 @@ def test_adam_matches_scalar_oracle_on_quadratic():
 
 def test_adam_in_place_matches_out_of_place_formula_bitwise():
     """One flat step over three tensors' worth of elements equals the
-    out-of-place formula run per tensor, bit for bit."""
-    rng = np.random.default_rng(3)
+    out-of-place formula run per tensor, bit for bit, in float64 and in
+    float32 (the default arena's), where the formula runs in float32 too."""
     shapes = ((6, 4), (6,), (1,))
     splits = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
-    # values well below the step size, so a last-bit change of the step shows
-    value = np.concatenate([1e-3 * rng.normal(size=shape).ravel() for shape in shapes])
-    state = AdamState(value.size)
-    values = np.split(value.copy(), splits)
-    ms = [np.zeros_like(v) for v in values]
-    vs = [np.zeros_like(v) for v in values]
-    for step in range(1, 4):
-        grads = [rng.normal(size=shape).ravel() for shape in shapes]
-        adam_step(value, np.concatenate(grads), state, lr=0.01)
-        values, ms, vs = adam_reference_step(values, grads, ms, vs, step, lr=0.01)
-        for k, (mine, m, v) in enumerate(zip(np.split(value, splits), np.split(state.m, splits),
-                                             np.split(state.v, splits))):
-            assert np.array_equal(mine, values[k])
-            assert np.array_equal(m, ms[k])
-            assert np.array_equal(v, vs[k])
+    for dtype in (np.float64, np.float32):
+        rng = np.random.default_rng(3)
+        # values well below the step size, so a last-bit change of the step shows
+        value = np.concatenate([1e-3 * rng.normal(size=shape).ravel()
+                                for shape in shapes]).astype(dtype)
+        state = AdamState(value)
+        values = np.split(value.copy(), splits)
+        ms = [np.zeros_like(v) for v in values]
+        vs = [np.zeros_like(v) for v in values]
+        for step in range(1, 4):
+            grads = [rng.normal(size=shape).ravel().astype(dtype) for shape in shapes]
+            adam_step(value, np.concatenate(grads), state, lr=0.01)
+            values, ms, vs = adam_reference_step(values, grads, ms, vs, step, lr=0.01)
+            for k, (mine, m, v) in enumerate(zip(np.split(value, splits),
+                                                 np.split(state.m, splits),
+                                                 np.split(state.v, splits))):
+                assert mine.dtype == m.dtype == v.dtype == values[k].dtype == dtype
+                assert mine.tobytes() == values[k].tobytes()
+                assert m.tobytes() == ms[k].tobytes()
+                assert v.tobytes() == vs[k].tobytes()
 
 
 def tiny_arena():
@@ -125,17 +132,35 @@ def tiny_arena():
                                    attention=False))
 
 
-def test_clip_gradients_scales_to_max_norm():
-    a = tiny_arena()
-    a.grad[:3] = [3.0, 4.0, 0.0]  # norm 5
-    norm = clip_gradients(a, 1.0)
-    assert abs(norm - 5.0) < 1e-12
-    assert abs(np.linalg.norm(a.grad) - 1.0) < 1e-12
-    assert abs(np.linalg.norm(a.W.grad) - 1.0) < 1e-12  # the views see the scaling
-    b = tiny_arena()
-    b.grad[-2:] = [0.3, 0.4]
-    assert abs(clip_gradients(b, 1.0) - 0.5) < 1e-12
-    assert np.array_equal(b.grad[-2:], [0.3, 0.4])  # under the cap: untouched
+def test_clip_gradients_scales_to_max_norm(monkeypatch):
+    """With a float64 arena and the default float32 one; the scaled norm is
+    1 within a few units in the last place of the arena's dtype."""
+    for dtype in (np.float64, np.float32):
+        monkeypatch.setattr(lstm_att, "DTYPE", dtype)
+        tol = 4 * np.finfo(dtype).eps
+        a = tiny_arena()
+        a.grad[:3] = [3.0, 4.0, 0.0]  # norm 5
+        norm = clip_gradients(a, 1.0)
+        assert norm == 5.0
+        assert abs(np.linalg.norm(a.grad) - 1.0) < tol
+        assert abs(np.linalg.norm(a.W.grad) - 1.0) < tol  # the views see the scaling
+        b = tiny_arena()
+        b.grad[-2:] = [0.3, 0.4]
+        assert abs(clip_gradients(b, 1.0) - 0.5) < tol
+        assert np.array_equal(b.grad[-2:], np.array([0.3, 0.4], dtype))  # under the cap
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_clip_norm_sums_in_float64(monkeypatch, dtype):
+    """The clip norm of a paper-size arena equals one float64 ``np.sum`` of
+    the upcast squares within the two sums' rounding, 2 N eps64 of it, in
+    either arena dtype; a float32 sum would be about 1e-7 off."""
+    monkeypatch.setattr(lstm_att, "DTYPE", dtype)
+    params = ModelParams(ModelConfig(n_features=22))
+    params.grad[:] = np.random.default_rng(8).normal(scale=1e-3, size=params.grad.size)
+    want = float64_norm([t.grad for t in params.tensors()])
+    norm = clip_gradients(params, 2 * want)
+    assert abs(norm - want) <= 2 * params.grad.size * np.finfo(np.float64).eps * want
 
 
 # A cap far below these models' gradient norms, so that every step clips.
@@ -148,7 +173,8 @@ TIGHT_CLIP = 1e-3
 def test_arena_update_matches_per_tensor_oracle_bitwise(cfg_kwargs):
     """Seeded training steps with clipping: backward over stale gradients,
     clip_gradients and adam_step on the arena give the values and moments of
-    the per-tensor loop over separate arrays, bit for bit."""
+    the per-tensor loop over separate arrays, bit for bit, on the default
+    float32 arena."""
     rng = np.random.default_rng(17)
     cfg = ModelConfig(**{"n_features": 3, "hidden": 4, "horizon": 5, "lookback": 6,
                          **cfg_kwargs})
@@ -156,7 +182,8 @@ def test_arena_update_matches_per_tensor_oracle_bitwise(cfg_kwargs):
     if "hidden" in cfg_kwargs:
         assert ADAM_BLOCK < params.value.size < 2 * ADAM_BLOCK
     oracle = SeparateParams(params)
-    state = AdamState(params.value.size)
+    state = AdamState(params.value)
+    assert params.value.dtype == state.m.dtype == np.float32
     ms = [np.zeros_like(t.value) for t in oracle.tensors()]
     vs = [np.zeros_like(t.value) for t in oracle.tensors()]
     for step in range(1, 5):
