@@ -26,9 +26,7 @@ The header carries the run config's ``schema`` block (the two flags of
 ``FeatureSchema.default``), the ``clamp_bounds`` of its ``pipeline`` block
 and the fitted scaler, so predict, explain and attention need only the
 checkpoint file and a dataset; no other pipeline key is kept. These commands
-slide the model's own lookback and horizon: predict and explain encode and
-scale only their windows' rows (a negative window index counts from the
-end), attention every row.
+cut the model's own windows with ``features.scaled_windows``.
 
 Every command that reads a dataset file parses each content once. The
 parsed columns are kept in ``$XDG_CACHE_HOME/demandcast/`` (by default
@@ -54,34 +52,25 @@ from datetime import date, datetime
 from pathlib import Path
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
-import numpy as np
-
 from . import __version__
 from .errors import ConfigError, DemandcastError, SchemaError
 from .features import (
     FeatureSchema,
     MinMaxScaler,
     Pipeline,
-    WindowedDataset,
     build_dataset,
-    clamp_scaled,
-    encode,
     inverse_transform,
-    make_windows,
-    transform,
-    window_count,
+    scaled_windows,
 )
 from .ingest import (
-    IntervalSeries,
-    aggregate_demand,
     attach_calendar,
-    grid_span,
     join_temperature,
     load_dataset,
     load_demand_grid,
     load_holidays_csv,
     load_temperature_csv,
     parse_sessions,
+    sessions_grid,
     time_text,
     write_dataset,
 )
@@ -294,26 +283,12 @@ def _load_model(path_str: str):
 
 
 def _load_frozen(checkpoint: str, dataset, timezone: str | None, starts=None):
-    """A checkpoint's (params, meta, schema, scaler) and its model's windows
-    in a dataset file, encoded, scaled with the persisted scaler and clamped:
-    all rows slid at stride 1, or only the rows of the windows at ``starts``
-    (a negative start counts from the end), in that order."""
+    """A checkpoint's (params, meta, schema, scaler) and its model's
+    ``scaled_windows`` of a dataset file, at ``starts`` if given."""
     params, meta, schema, scaler, pipeline = _load_model(checkpoint)
-    series = load_dataset(dataset, timezone)
-    p, m = params.config.lookback, params.config.horizon
-    bounds = pipeline["clamp_bounds"]
-    if starts is None:
-        scaled = clamp_scaled(scaler, transform(scaler, encode(series, schema)), bounds)
-        return params, meta, schema, scaler, make_windows(scaled, p, m, series.origin)
-    n = window_count(len(series), p, m)
-    for i in starts:
-        if not -n <= i < n:
-            raise ConfigError(f"window index {i} out of range 0..{n - 1}")
-    starts = np.array(starts, dtype=np.int64) % n
-    rows = (starts[:, None] + np.arange(p + m)).ravel()
-    scaled = clamp_scaled(scaler, transform(scaler, encode(series, schema, rows)), bounds)
-    block = scaled.reshape(len(starts), p + m, schema.width)
-    windows = WindowedDataset(block[:, :p], block[:, p:, 0], series.times()[starts], p, m)
+    windows = scaled_windows(load_dataset(dataset, timezone), schema, scaler,
+                             params.config.lookback, params.config.horizon,
+                             pipeline["clamp_bounds"], starts)
     return params, meta, schema, scaler, windows
 
 
@@ -351,10 +326,7 @@ def cmd_ingest(args, cfg: dict, out: Path) -> None:
             print(f"({len(result.errors)} malformed rows skipped)", file=sys.stderr)
         if not len(result.records):
             raise SchemaError("sessions CSV yielded no valid records")
-        origin, n = grid_span(result.records["start"].min().item(),
-                              result.records["charge_end"].max().item())
-        grid = IntervalSeries(origin=origin,
-                              demand=aggregate_demand(result.records, origin, n))
+        grid = sessions_grid(result.records)
     else:
         raise ConfigError("ingest needs --demand-grid or --sessions")
     readings = load_temperature_csv(args.temperature, tz)
@@ -437,9 +409,7 @@ def cmd_attention(args, cfg: dict, out: Path) -> None:
                                                cfg.get("timezone"))
     if args.limit is not None and args.limit < len(windows):
         step = max(1, len(windows) // args.limit)
-        keep = slice(0, step * args.limit, step)  # a basic slice: views, not copies
-        windows = WindowedDataset(windows.inputs[keep], windows.targets[keep],
-                                  windows.origins[keep], windows.lookback, windows.horizon)
+        windows = windows[:step * args.limit:step]
     profile = attention_profile(params, windows)
     write_attention_csv(out / "attention.csv", profile)
     write_manifest(out, "attention", cfg, meta.get("seed"))

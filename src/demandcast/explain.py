@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .features import WindowedDataset
-from .ingest import STEP_SECONDS
 from .lstm_att import FORWARD_BATCH, ModelParams, forward_batch, model_inputs
 from .util import FLOAT_FORMAT, write_csv
 
@@ -191,29 +190,20 @@ def attention_profile(params: ModelParams, windows: WindowedDataset) -> np.ndarr
     one headless, tape-free ``forward_batch`` call per chunk of
     ``FORWARD_BATCH`` windows: the weights are all it reads.
 
-    Each window's 96 weights are binned by their timestep's hour; the 24
-    bucket means sum to 1 because every weight vector does. Timestep t of a
-    window whose origin lies in quarter-hour slot s of its day falls in
-    hour ((s + t) // 4) mod 24. Origins come from ``ingest.grid_times``, the
-    one grid clock, which is naive, so no DST jump intervenes; the DST fix
-    goes there and in ``ingest.attach_calendar``, and must then give this
-    rule each step's local hour.
+    Each window's weights are binned by their step's hour, as
+    ``WindowedDataset.input_hours`` gives it; the 24 bucket means sum to 1
+    because every weight vector does.
     """
     if not params.config.attention:
         raise ConfigError("model has no attention layer to profile")
-    n = len(windows)
-    origins = np.asarray(windows.origins, dtype="datetime64[m]")
-    slots = (origins - origins.astype("datetime64[D]")) // np.timedelta64(STEP_SECONDS, "s")
     inputs = model_inputs(windows.inputs, params.config)
     buckets = np.zeros(24)
-    for start in range(0, n, FORWARD_BATCH):
+    for start in range(0, len(windows), FORWARD_BATCH):
         weights = forward_batch(inputs[start:start + FORWARD_BATCH], params, head=False,
-                                tape=False)[1].weights
-        p, B = weights.shape
-        slot = np.arange(p)[:, None] + slots[start:start + B]  # (p, B)
-        hours = slot // (3600 // STEP_SECONDS) % 24
+                                tape=False)[1].weights  # (p, B)
+        hours = windows[start:start + FORWARD_BATCH].input_hours().T
         buckets += np.bincount(hours.ravel(), weights=weights.ravel(), minlength=24)
-    return buckets / n
+    return buckets / len(windows)
 
 
 def write_attention_csv(path, profile: np.ndarray) -> None:

@@ -1,5 +1,5 @@
-"""Feature engineering: one-hot encoding, MinMax scaling, supervised
-windowing, and the chronological train/test split.
+"""Feature engineering: one-hot encoding, MinMax scaling, and supervised
+windows; the one module that cuts, splits and times them.
 
 The column layout puts the forecast target (demand, "request") in
 column 0, followed by temperature, the holiday flag, and the weekday and
@@ -16,7 +16,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ConfigError, GridError
-from .ingest import IntervalSeries, grid_times
+from .ingest import STEP_SECONDS, IntervalSeries, grid_times
 
 SCALER_FORMAT = "demandcast/scaler-v1"
 NUMERIC = ("request", "temperature", "hour")  # the columns the scaler maps onto [0, 1]
@@ -189,9 +189,25 @@ class WindowedDataset:
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
+    def __getitem__(self, key: slice) -> "WindowedDataset":
+        """The windows of a basic slice, as views of these arrays."""
+        return WindowedDataset(self.inputs[key], self.targets[key], self.origins[key],
+                               self.lookback, self.horizon)
+
     def target_timestamps(self, i: int) -> np.ndarray:
         """The start time of each forecast step of window ``i``."""
         return grid_times(self.origins[i], self.lookback + self.horizon)[self.lookback:]
+
+    def input_hours(self) -> np.ndarray:
+        """The (N, lookback) hour of day of each input step: step t of a
+        window whose origin lies in quarter-hour slot s of its day falls in
+        hour ((s + t) // 4) mod 24. The ``grid_times`` clock is naive, so no
+        DST jump intervenes. The DST fix (a monotonic grid clock, and weekday,
+        month, holiday and hour in local time from ``ingest.attach_calendar``)
+        must give this rule each step's local hour."""
+        origins = np.asarray(self.origins, dtype="datetime64[m]")
+        slots = (origins - origins.astype("datetime64[D]")) // np.timedelta64(STEP_SECONDS, "s")
+        return (slots[:, None] + np.arange(self.lookback)) // (3600 // STEP_SECONDS) % 24
 
 
 @dataclass
@@ -224,27 +240,19 @@ def make_windows(matrix: np.ndarray, p: int, m: int, origin,
     # Basic slices of the sliding views keep them views; an index array
     # would copy every window.
     in_view = np.lib.stride_tricks.sliding_window_view(matrix, (p, matrix.shape[1]))
-    inputs = in_view[:n_starts:stride, 0]
-    tgt_view = np.lib.stride_tricks.sliding_window_view(matrix[:, 0], m)
-    targets = tgt_view[p:p + n_starts:stride]
+    inputs = in_view[:n_starts, 0]
+    targets = np.lib.stride_tricks.sliding_window_view(matrix[:, 0], m)[p:p + n_starts]
     inputs.flags.writeable = False
     targets.flags.writeable = False
-
-    origins = grid_times(origin, n_starts)[::stride]
-    return WindowedDataset(inputs, targets, origins, p, m)
+    return WindowedDataset(inputs, targets, grid_times(origin, n_starts), p, m)[::stride]
 
 
 def split(dataset: WindowedDataset, fraction: float = 0.8) -> SplitDataset:
     """Chronological split: the first floor(fraction * N) windows train.
     ``Pipeline`` keeps the fraction in (0, 1) and ``window_count`` N at
     least 1, so the test windows are never empty."""
-    N = len(dataset)
-    cut = int(np.floor(fraction * N))
-    train = WindowedDataset(dataset.inputs[:cut], dataset.targets[:cut],
-                            dataset.origins[:cut], dataset.lookback, dataset.horizon)
-    test = WindowedDataset(dataset.inputs[cut:], dataset.targets[cut:],
-                           dataset.origins[cut:], dataset.lookback, dataset.horizon)
-    return SplitDataset(train, test)
+    cut = int(np.floor(fraction * len(dataset)))
+    return SplitDataset(dataset[:cut], dataset[cut:])
 
 
 @dataclass(frozen=True)
@@ -289,3 +297,25 @@ def build_dataset(series: IntervalSeries, schema: FeatureSchema,
     scaled = clamp_scaled(scaler, transform(scaler, matrix), clamp_bounds)
     windows = make_windows(scaled, p, m, origin=series.origin, stride=stride)
     return split(windows, fraction), scaler
+
+
+def scaled_windows(series: IntervalSeries, schema: FeatureSchema, scaler: MinMaxScaler,
+                   p: int, m: int, clamp_bounds: tuple[float, float],
+                   starts=None) -> WindowedDataset:
+    """The (p-input, m-target) windows of ``series``, encoded, scaled with a
+    fitted ``scaler`` and clamped: all rows slid at stride 1 (as attention
+    reads them), or only the rows of the windows at ``starts`` (as predict
+    and explain do; a negative start counts from the end, one out of range
+    is a ConfigError), in that order."""
+    if starts is None:
+        scaled = clamp_scaled(scaler, transform(scaler, encode(series, schema)), clamp_bounds)
+        return make_windows(scaled, p, m, series.origin)
+    n = window_count(len(series), p, m)
+    for i in starts:
+        if not -n <= i < n:
+            raise ConfigError(f"window index {i} out of range 0..{n - 1}")
+    starts = np.array(starts, dtype=np.int64) % n
+    rows = (starts[:, None] + np.arange(p + m)).ravel()
+    scaled = clamp_scaled(scaler, transform(scaler, encode(series, schema, rows)), clamp_bounds)
+    block = scaled.reshape(len(starts), p + m, schema.width)
+    return WindowedDataset(block[:, :p], block[:, p:, 0], series.times()[starts], p, m)

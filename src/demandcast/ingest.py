@@ -7,8 +7,8 @@ offset is dropped, since weekday/holiday semantics are local.
 
 ``grid_times`` is the one grid clock, the only code that turns a row index
 into a time; every other use of interval times is array arithmetic on its
-result. The DST fix (a monotonic grid clock with weekday, month, holiday and
-hour derived in local time) goes in ``grid_times`` and ``attach_calendar``.
+result. Its times are naive, with no DST jump: see
+``features.WindowedDataset.input_hours`` for the fix.
 
 Every loader takes a path or the file's bytes, and checks what it reads
 once, there: the rest of the program relies on it. Bad input is a typed
@@ -115,7 +115,8 @@ def parse_timestamp(text: str, timezone: str | None = None) -> datetime:
 
 def grid_times(origin, n: int) -> np.ndarray:
     """The start of each of the ``n`` intervals of the grid from ``origin``
-    (a datetime or datetime64), as naive ``datetime64[s]`` wall-clock times."""
+    (a datetime or datetime64), as naive ``datetime64[s]`` wall-clock times
+    (on DST see ``features.WindowedDataset.input_hours``)."""
     return np.datetime64(origin, "s") + np.arange(n) * np.timedelta64(STEP_SECONDS, "s")
 
 
@@ -250,6 +251,13 @@ def aggregate_demand(sessions: np.ndarray, origin: datetime, n_intervals: int) -
     return np.cumsum(diff[:n_intervals])
 
 
+def sessions_grid(sessions: np.ndarray) -> IntervalSeries:
+    """The demand grid of a non-empty ``SESSION`` array: the ``grid_span``
+    of its charging spans, each interval counted by ``aggregate_demand``."""
+    origin, n = grid_span(sessions["start"].min().item(), sessions["charge_end"].max().item())
+    return IntervalSeries(origin=origin, demand=aggregate_demand(sessions, origin, n))
+
+
 def join_temperature(grid: IntervalSeries, readings: np.ndarray) -> IntervalSeries:
     """Attach a temperature value to every interval from ``readings``, a
     ``READING`` array as ``load_temperature_csv`` returns.
@@ -312,15 +320,6 @@ def _file_bytes(source) -> bytes:
     return source if isinstance(source, bytes) else Path(source).read_bytes()
 
 
-def _source_text(source, kind: str) -> bytes | str:
-    """The text of a path or of a file's bytes, less one leading byte-order
-    mark: its bytes if they are plain (see ``_is_plain``), else str,
-    decoded as ``_decode`` decodes."""
-    source = _file_bytes(source)
-    data = source.removeprefix("\ufeff".encode())
-    return data if _is_plain(data) else _decode(source, kind)
-
-
 def _is_plain(data: bytes) -> bool:
     """Whether ``data`` is plain text, which ``_plain_split`` splits without
     the csv module: ASCII, none of _NOT_PLAIN, and no carriage return
@@ -355,8 +354,9 @@ def _read_csv(source, kind: str, names, timezone: str | None):
     first cell that does not read of each other row that is not blank. A
     regular row of plain text (see ``_offset_columns``) is read by byte
     offsets, and every other one by ``_read_rows``."""
-    text = _source_text(source, kind)
-    if isinstance(text, bytes):
+    source = _file_bytes(source)
+    text = source.removeprefix("\ufeff".encode())
+    if _is_plain(text):
         positions, buf, starts, stops, full, begin, width = _plain_split(text, kind, names)
         columns, ok = _offset_columns(buf, names, begin, width)
         if ok.all() and len(full) == len(starts):
@@ -366,7 +366,7 @@ def _read_csv(source, kind: str, names, timezone: str | None):
         cells = zip((text[a:b].decode().split(",") for a, b in
                      zip(starts[unread].tolist(), stops[unread].tolist())), (unread + 2).tolist())
     else:
-        reader = csv.reader(io.StringIO(text, newline=""))
+        reader = csv.reader(io.StringIO(_decode(source, kind), newline=""))
         positions, regular = _column_positions(reader, kind, names), []
         # each row, then the line it ends on: zip takes the row first
         cells = zip(reader, map(attrgetter("line_num"), repeat(reader)))
@@ -691,8 +691,7 @@ def load_temperature_csv(source, timezone: str | None = None) -> np.ndarray:
 
 def load_holidays_csv(source) -> frozenset[date]:
     """Read one ISO date per line, under an optional ``date`` header."""
-    text = _source_text(source, "holidays CSV")
-    stream = io.StringIO(text.decode() if isinstance(text, bytes) else text, newline="")
+    stream = io.StringIO(_decode(_file_bytes(source), "holidays CSV"), newline="")
     dates = set()
     for line, cell in enumerate(map(str.strip, stream), start=1):
         if cell and cell.lower() != "date":

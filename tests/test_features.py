@@ -17,10 +17,11 @@ from demandcast.features import (
     make_windows,
     MinMaxScaler,
     Pipeline,
+    WindowedDataset,
     split,
     transform,
 )
-from demandcast.ingest import IntervalSeries, attach_calendar
+from demandcast.ingest import IntervalSeries, attach_calendar, grid_times
 from demandcast.synth import SynthConfig, generate
 from helpers import enumerate_windows
 
@@ -258,6 +259,65 @@ def test_split_ten_windows_80_20():
 def test_split_floor_rule_099():
     ds = split(windows_of(10), 0.99)
     assert len(ds.train) == 9 and len(ds.test) == 1
+
+
+def by_hand(ds, key):
+    """The cut of ``ds`` that ``split`` and ``attention --limit`` built
+    field by field."""
+    return WindowedDataset(ds.inputs[key], ds.targets[key], ds.origins[key],
+                           ds.lookback, ds.horizon)
+
+
+@pytest.mark.parametrize("key", [slice(None, 40), slice(40, None), slice(0, 63, 9),
+                                 slice(5, 30, 4), slice(None, None, 7), slice(90, None)],
+                         ids=["train", "test", "limit-7", "inner-strided", "stride-7", "empty"])
+def test_windowed_dataset_slice_is_a_view_of_the_by_hand_cut(key):
+    matrix = np.random.default_rng(5).uniform(size=(72, 3))
+    ds = make_windows(matrix, 6, 4, ORIGIN)
+    cut, want = ds[key], by_hand(ds, key)
+    assert (cut.lookback, cut.horizon) == (6, 4) and len(cut) == len(want)
+    for name in ("inputs", "targets", "origins"):
+        got = getattr(cut, name)
+        assert got.tobytes() == getattr(want, name).tobytes(), name
+        assert got.dtype == getattr(want, name).dtype and got.shape == getattr(want, name).shape
+    for got in (cut.inputs, cut.targets):
+        assert not got.flags.writeable and not got.flags.owndata
+        assert np.shares_memory(got, matrix) == (len(cut) > 0)
+
+
+def test_split_is_the_by_hand_cut():
+    ds = make_windows(np.random.default_rng(6).uniform(size=(50, 2)), 4, 3, ORIGIN)
+    halves = split(ds, 0.7)
+    cut = int(np.floor(0.7 * len(ds)))
+    for got, key in ((halves.train, slice(None, cut)), (halves.test, slice(cut, None))):
+        want = by_hand(ds, key)
+        assert got.inputs.tobytes() == want.inputs.tobytes()
+        assert got.targets.tobytes() == want.targets.tobytes()
+        assert np.array_equal(got.origins, want.origins)
+
+
+@pytest.mark.parametrize("p", [8, 96])
+@pytest.mark.parametrize("origin", [datetime(2023, 5, 1, 23, 45), datetime(2023, 5, 1, 9, 0),
+                                    datetime(2023, 12, 31, 22, 30)],
+                         ids=["23:45", "09:00", "year-end"])
+def test_input_hours_equal_a_loop_over_grid_times(p, origin):
+    """Slid at stride 1 over two days, the windows start at every quarter
+    hour of the clock, and their steps cross midnight."""
+    ds = make_windows(np.zeros((2 * 96 + p + 2, 1)), p, 2, origin)
+    want = [[ts.hour for ts in grid_times(o, p).tolist()] for o in ds.origins]
+    got = ds.input_hours()
+    assert got.shape == (len(ds), p) and got.tolist() == want
+    assert got[0, 0] == origin.hour
+    assert any(row[0] == 23 and row[-1] < 23 for row in got.tolist())  # across midnight
+
+
+def test_input_hours_of_datetime_origins_and_of_a_slice():
+    origins = [datetime(2023, 5, 1, 23, 45), datetime(2023, 5, 2, 0, 0),
+               datetime(2023, 5, 2, 13, 15)]
+    ds = WindowedDataset(np.zeros((3, 8, 1)), np.zeros((3, 2)), origins, 8, 2)
+    assert ds.input_hours().tolist() == [[23, 0, 0, 0, 0, 1, 1, 1], [0, 0, 0, 0, 1, 1, 1, 1],
+                                         [13, 13, 13, 14, 14, 14, 14, 15]]
+    assert ds[1:].input_hours().tolist() == ds.input_hours()[1:].tolist()
 
 
 def test_split_fraction_bounds():

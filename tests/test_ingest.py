@@ -23,6 +23,7 @@ from demandcast.ingest import (
     load_temperature_csv,
     parse_sessions,
     parse_timestamp,
+    sessions_grid,
     write_dataset,
     write_demand_grid,
     write_temperature_csv,
@@ -241,6 +242,16 @@ def test_aggregate_counts_a_sub_second_end_in_the_interval_grid_span_adds():
     origin, n = grid_span(sessions[0].start, sessions[0].charge_end)
     assert n == 2
     assert aggregate_demand(session_array(sessions), origin, n).tolist() == [1, 1]
+
+
+def test_sessions_grid_spans_the_charging_spans_by_minute_scan():
+    sessions = [session("2023-08-02 09:10", "2023-08-02 09:15:00.5"),
+                SessionRecord(dt("2023-08-02 08:50"), dt("2023-08-02 09:40"),
+                              dt("2023-08-02 12:00"), 2.0),
+                session("2023-08-02 10:00", "2023-08-02 10:00")]
+    grid = sessions_grid(session_array(sessions))
+    assert (grid.origin, len(grid)) == (dt("2023-08-02 08:45"), 5)  # not to the disconnect
+    assert grid.demand.tolist() == minute_scan_demand(sessions, grid.origin, 5) == [1, 2, 2, 1, 0]
 
 
 def test_aggregate_total_equals_per_session_interval_sum():
